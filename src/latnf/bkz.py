@@ -3,7 +3,11 @@ BKZ' loop with a tour budget, and the recursive variant that bounds every
 basis vector by 2n * b^(2n/b) * lambda_n.
 
 All shortness bounds are checked by exact rational comparisons of suitable
-integer powers, so no floating point enters any guarantee.
+integer powers, so no floating point enters any guarantee.  The loops run
+on integer columns (the input times the lcm of its denominators) and on
+the integral GSO state of `lattice_core.IntegralGSO`: one state per basis
+change serves the size reduction, the projected blocks handed to HKZ and
+the potential ledger (P(B)^2 = d_1 ... d_n).
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from math import gcd
 
 from . import lattice_core, qlinalg
 from .dyadic import Q
-from .lattice_core import gram_gso, gso
-from .qlinalg import gram_matrix, int_identity, mat_mul, transpose
+from .lattice_core import IntegralGSO, combine_cols, int_gram, integral_cols
+from .qlinalg import int_identity
 
 
 @dataclass
@@ -35,56 +39,60 @@ class ReductionTrace:
     transform: list | None = None
 
 
-def _scale_integral(cols):
-    den = 1
-    for c in cols:
-        for x in c:
-            x = Q(x)
-            den = den * x.denominator // gcd(den, x.denominator)
-    return [[int(Q(x) * den) for x in c] for c in cols], den
-
-
 def hkz_reduce(cols, trace: ReductionTrace | None = None):
     """HKZ-reduce an exact basis (dimension <= enumeration cap);
     returns (columns, U) with out = in * U."""
-    if len(cols) > lattice_core.DIM_CAP:
+    n = len(cols)
+    if n > lattice_core.DIM_CAP:
         raise ValueError("HKZ oracle capped at dimension "
                          f"{lattice_core.DIM_CAP}")
-    g = gram_matrix([list(map(Q, c)) for c in cols])
-    _, u = lattice_core._hkz_gram(g)
-    out = _apply_u(cols, u)
+    ints, den = integral_cols(cols)
+    _, u, state = lattice_core._hkz_int(int_gram(ints))
+    out = [[Q(x, den) for x in c] for c in combine_cols(ints, u)]
     if trace is not None:
         trace.hkz_calls += 1
-        trace.potential_sq_ledger.append(gso(out)[2])
+        # P(out)^2 = d_1 ... d_n, each d_k scaled by den^(2k)
+        trace.potential_sq_ledger.append(
+            Q(math.prod(state.d[1:]), den ** (n * (n + 1))))
     return out, u
 
 
-def _apply_u(cols, u):
-    n = len(cols)
-    m = len(cols[0])
-    out = []
-    for j in range(n):
-        col = [Q(0)] * m
-        for i in range(n):
-            if u[i][j]:
-                col = [a + u[i][j] * Q(b) for a, b in zip(col, cols[i])]
-        out.append(col)
-    return out
+def _projected_ints(state, ints, den, j, count):
+    """pi_j(b_j..b_{j+count-1}) of the basis ints / den, times the lcm of
+    the denominators of its entries, as integer vectors."""
+    us = state.projected(ints, j, count)
+    g = gcd(state.d[j] * den, *(x for v in us for x in v))
+    return [[x // g for x in v] for v in us]
 
 
 def _projected_cols(cols, j):
     """pi_j(b_j..b_{n-1}): components orthogonal to b_0..b_{j-1}."""
-    bstar, mu, _ = gso([list(map(Q, c)) for c in cols])
-    d = [qlinalg.dot(b, b) for b in bstar]
-    n = len(cols)
-    out = []
-    for t in range(j, n):
-        v = [Q(x) for x in cols[t]]
-        for i in range(j):
-            coef = qlinalg.dot(cols[t], bstar[i]) / d[i]
-            v = [a - coef * b for a, b in zip(v, bstar[i])]
-        out.append(v)
-    return out
+    ints, den = integral_cols(cols)
+    state = IntegralGSO(int_gram(ints))
+    scale = state.d[j] * den
+    return [[Q(x, scale) for x in v]
+            for v in state.projected(ints, j, len(ints) - j)]
+
+
+def _tracked(ints, transform):
+    """Per basis column j: its entries, then column j of the transform
+    (when one is recorded), so one column operation updates both."""
+    if transform is None:
+        return [list(c) for c in ints]
+    return [list(c) + [row[j] for row in transform] for j, c in enumerate(ints)]
+
+
+def _state(vecs, m):
+    """Integral GSO of the basis held in entries [:m] of the tracked
+    vectors."""
+    return IntegralGSO(int_gram([v[:m] for v in vecs]), vecs)
+
+
+def _untrack(state, m, den, trace):
+    """(Fraction columns, and the transform into trace when recorded)."""
+    if trace.transform is not None:
+        trace.transform = [list(r) for r in zip(*(v[m:] for v in state.vecs))]
+    return [[Q(x, den) for x in v[:m]] for v in state.vecs]
 
 
 def c1_bound_sq_ok(cols, b: int) -> bool:
@@ -94,9 +102,12 @@ def c1_bound_sq_ok(cols, b: int) -> bool:
     ||c1||^(2n(b-1)) <= 4^(n(b-1)) * b^(n(n-1) + 3n(b-1)) * det(G)^(b-1).
     """
     n = len(cols)
-    c1 = [Q(x) for x in cols[0]]
-    lhs = qlinalg.dot(c1, c1) ** (n * (b - 1))
-    detg = qlinalg.mat_det(gram_matrix([list(map(Q, c)) for c in cols]))
+    ints, den = integral_cols(cols)
+    try:
+        detg = Q(IntegralGSO(int_gram(ints)).d[n], den ** (2 * n))
+    except ValueError:
+        detg = Q(0)      # dependent columns
+    lhs = Q(sum(x * x for x in ints[0]), den * den) ** (n * (b - 1))
     rhs = (Q(4) ** (n * (b - 1)) * Q(b) ** (n * (n - 1) + 3 * n * (b - 1))
            * detg ** (b - 1))
     return lhs <= rhs
@@ -114,54 +125,47 @@ def bkz_prime(cols, cfg: BkzConfig):
     b = cfg.blocksize
     if not 2 <= b <= n:
         raise ValueError("blocksize must lie in [2, n]")
-    cols = [[Q(x) for x in c] for c in cols]
+    ints, den = integral_cols(cols)
+    m = len(ints[0])
     trace = ReductionTrace(transform=int_identity(n) if cfg.record_transform else None)
+    state = _state(_tracked(ints, trace.transform), m)
     # log-magnitudes via bit lengths (entries may be far beyond float range)
-    max_norm_sq = max(qlinalg.dot(c, c) for c in cols)
+    max_norm_sq = Q(max(sum(x * x for x in c) for c in ints), den * den)
     log2_norm = max(1, max_norm_sq.numerator.bit_length()
                     - max_norm_sq.denominator.bit_length()) / 2
-    detg = abs(qlinalg.mat_det(gram_matrix(cols)))
+    detg = Q(state.d[n], den ** (2 * n))
     log2_det = (detg.numerator.bit_length() - detg.denominator.bit_length()) / (2 * n)
     log_q = max(2.0, (log2_norm - log2_det) * math.log(2))
     cap = cfg.max_tours
     if cap is None:
         base = n ** 3 / b ** 2 * (math.log(n) + math.log(max(2.0, math.log(max(2.0, log_q) + 2))))
         cap = max(64, math.ceil(float(cfg.tour_cap_constant) * base) * 8)
+    ident_b = int_identity(b)
 
-    def one_tour(cur):
+    def one_tour(state):
         changed = False
         for k in range(0, n - b + 1):
-            block = _projected_cols(cur, k)[:b]
-            ints, _ = _scale_integral(block)
-            _, u_blk = hkz_reduce(ints, trace)
-            if u_blk != int_identity(b):
+            block = _projected_ints(state, [v[:m] for v in state.vecs], den, k, b)
+            _, u_blk = hkz_reduce(block, trace)
+            if u_blk != ident_b:
                 changed = True
-            u_step = int_identity(n)
-            for r in range(b):
-                for c in range(b):
-                    u_step[k + r][k + c] = u_blk[r][c]
-            cur = _apply_u(cur, u_step)
-            _merge_transform(trace, u_step)
-            cur, u_sr = lattice_core.size_reduce(cur)
-            if u_sr != int_identity(n):
+                state.vecs[k:k + b] = combine_cols(state.vecs[k:k + b], u_blk)
+                state = _state(state.vecs, m)
+            shears = state.shears
+            state.size_reduce()
+            if state.shears != shears:
                 changed = True
-            _merge_transform(trace, u_sr)
-        return cur, changed
+        return state, changed
 
     while True:
-        cols, changed = one_tour(cols)
+        state, changed = one_tour(state)
         trace.tours += 1
         if not changed:
             break
-        if trace.tours >= cap and c1_bound_sq_ok(cols, b):
+        if trace.tours >= cap and c1_bound_sq_ok(
+                [[Q(x, den) for x in v[:m]] for v in state.vecs], b):
             break
-    return cols, trace
-
-
-def _merge_transform(trace: ReductionTrace, u_step):
-    if trace.transform is not None:
-        trace.transform = [[int(x) for x in row]
-                           for row in mat_mul(trace.transform, u_step)]
+    return _untrack(state, m, den, trace), trace
 
 
 def bkz_full(cols, cfg: BkzConfig):
@@ -172,31 +176,24 @@ def bkz_full(cols, cfg: BkzConfig):
     """
     n = len(cols)
     b = cfg.blocksize
-    cols = [[Q(x) for x in c] for c in cols]
     total_trace = ReductionTrace(
         transform=int_identity(n) if cfg.record_transform else None)
     cols, tr = bkz_prime(cols, cfg)
     _absorb(total_trace, tr)
+    ints, den = integral_cols(cols)
+    m = len(ints[0])
+    state = _state(_tracked(ints, total_trace.transform), m)
     for j in range(1, n - b + 1):
-        block = _projected_cols(cols, j)
-        ints, _ = _scale_integral(block)
-        nb = len(ints)
-        sub_cfg = BkzConfig(blocksize=min(b, nb), tour_cap_constant=cfg.tour_cap_constant,
+        block = _projected_ints(state, [v[:m] for v in state.vecs], den, j, n - j)
+        sub_cfg = BkzConfig(blocksize=b, tour_cap_constant=cfg.tour_cap_constant,
                             max_tours=cfg.max_tours, record_transform=True)
-        if nb >= 2:
-            _, tr_sub = bkz_prime(ints, sub_cfg)
-            u_sub = tr_sub.transform
-            u_step = int_identity(n)
-            for r in range(nb):
-                for c in range(nb):
-                    u_step[j + r][j + c] = u_sub[r][c]
-            cols = _apply_u(cols, u_step)
-            _merge_transform(total_trace, u_step)
-            total_trace.hkz_calls += tr_sub.hkz_calls
-            total_trace.potential_sq_ledger.extend(tr_sub.potential_sq_ledger)
-    cols, u_sr = lattice_core.size_reduce(cols)
-    _merge_transform(total_trace, u_sr)
-    return cols, total_trace
+        _, tr_sub = bkz_prime(block, sub_cfg)
+        state.vecs[j:] = combine_cols(state.vecs[j:], tr_sub.transform)
+        state = _state(state.vecs, m)
+        total_trace.hkz_calls += tr_sub.hkz_calls
+        total_trace.potential_sq_ledger.extend(tr_sub.potential_sq_ledger)
+    state.size_reduce()
+    return _untrack(state, m, den, total_trace), total_trace
 
 
 def _absorb(total: ReductionTrace, tr: ReductionTrace):
@@ -204,8 +201,7 @@ def _absorb(total: ReductionTrace, tr: ReductionTrace):
     total.tours += tr.tours
     total.potential_sq_ledger.extend(tr.potential_sq_ledger)
     if total.transform is not None and tr.transform is not None:
-        total.transform = [[int(x) for x in row]
-                           for row in mat_mul(total.transform, tr.transform)]
+        total.transform = lattice_core._int_mat_mul(total.transform, tr.transform)
 
 
 def full_bound_sq_ok(cols, b: int, lambda_n_sq: Fraction) -> bool:

@@ -1,47 +1,30 @@
-"""Exact rational lattice infrastructure: GSO, LLL, duals, enumeration
-oracles for successive minima / covering-radius brackets / generating
-radius, and exact box counting.
+"""Exact lattice infrastructure: one integral LLL/GSO kernel, duals,
+enumeration oracles for successive minima / covering-radius brackets /
+generating radius, and exact box counting.
 
-A basis is a list of column vectors with Fraction entries.  All norms are
+A basis is a list of column vectors with rational entries.  All norms are
 carried as squared rationals so every certified bound can be compared
 exactly; enumeration works from the (rational) Gram matrix, so lattices
 known only through an exact Gram (e.g. rings of integers under the
 Minkowski metric) are supported too.
+
+Every LLL, size reduction and Gram-Schmidt read-off below runs on
+`IntegralGSO`, the fraction-free state of de Weger's integral LLL
+(Cohen, *A Course in Computational Algebraic Number Theory*, Alg. 2.6.7):
+rational inputs are scaled to integers by the lcm of their denominators,
+and every decision is an integer comparison that the scaling leaves
+unchanged, so no rational is ever normalised inside a reduction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import qlinalg
 from .dyadic import Q
-from .qlinalg import dot, gram_matrix, int_identity, mat_inv, mat_vec, transpose
-
-
-class LatticeBasis:
-    """Immutable exact basis with cached GSO and potential."""
-
-    def __init__(self, cols, exact: bool = True):
-        self.cols = [tuple(Q(x) for x in c) for c in cols]
-        self.exact = exact
-        self._gso = None
-
-    @property
-    def n(self):
-        return len(self.cols)
-
-    @property
-    def m(self):
-        return len(self.cols[0])
-
-    def gso(self):
-        if self._gso is None:
-            self._gso = gso([list(c) for c in self.cols])
-        return self._gso
-
-    def potential_sq(self) -> Fraction:
-        return self.gso()[2]
+from .qlinalg import dot, mat_inv, mat_vec, transpose
 
 
 def gso(cols):
@@ -71,233 +54,230 @@ def gso(cols):
     return bstar, mu, pot2
 
 
+def integral_cols(cols):
+    """(integer columns, den): the columns times den, the lcm of the
+    denominators of their entries."""
+    cols = [[x if type(x) is int else Q(x) for x in c] for c in cols]
+    den = 1
+    for c in cols:
+        for x in c:
+            if type(x) is not int:
+                den = lcm(den, x.denominator)
+    return [[x if type(x) is int else x.numerator * (den // x.denominator)
+             for x in c] for c in cols], den
+
+
+def int_gram(cols):
+    """Gram matrix of integer columns, by symmetry."""
+    n = len(cols)
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        ci = cols[i]
+        for j in range(i + 1):
+            g[i][j] = g[j][i] = sum(map(int.__mul__, ci, cols[j]))
+    return g
+
+
+def _int_mat_mul(a, b):
+    bt = list(zip(*b))
+    return [[sum(map(int.__mul__, row, col)) for col in bt] for row in a]
+
+
+def _int_congruence(g, u):
+    """U^T g U for integer matrices."""
+    return _int_mat_mul([list(c) for c in zip(*u)], _int_mat_mul(g, u))
+
+
+def combine_cols(cols, u):
+    """Columns of cols * U: column j is sum_i U[i][j] cols[i]."""
+    out = []
+    for j in range(len(u[0])):
+        acc = [0] * len(cols[0])
+        for col, row in zip(cols, u):
+            q = row[j]
+            if q:
+                acc = [a + q * x for a, x in zip(acc, col)]
+        out.append(acc)
+    return out
+
+
+class IntegralGSO:
+    """Fraction-free Gram-Schmidt state of vectors b_0..b_{n-1}, given by
+    their integer Gram matrix:
+
+    - d[i] = det Gram(b_0..b_{i-1}), so d[0] = 1 and ||b*_i||^2 =
+      d[i+1] / d[i];
+    - lam[k][j] = mu_kj d[j+1] for j < k, an integer;
+    - vecs[j], a tracked vector per b_j that undergoes the same column
+      operations as the basis: by default column j of the unimodular U
+      with current basis = input basis * U.
+
+    `shears` counts the operations that changed the basis.  Every test is
+    an integer comparison invariant under scaling the Gram matrix by a
+    positive constant, so a rational basis reduces exactly like its
+    integer multiple.
+    """
+
+    __slots__ = ("n", "d", "lam", "vecs", "shears")
+
+    def __init__(self, gram, vecs=None):
+        n = self.n = len(gram)
+        d = self.d = [1] * (n + 1)
+        lam = self.lam = [[0] * n for _ in range(n)]
+        for i in range(n):
+            li, gi = lam[i], gram[i]
+            for j in range(i + 1):
+                lj = lam[j]
+                val = gi[j]
+                for k in range(j):
+                    val = (d[k + 1] * val - li[k] * lj[k]) // d[k]
+                if j < i:
+                    li[j] = val
+                elif val <= 0:
+                    raise ValueError("rank-deficient basis")
+                else:
+                    d[i + 1] = val
+        self.vecs = (vecs if vecs is not None else
+                     [[int(i == j) for i in range(n)] for j in range(n)])
+        self.shears = 0
+
+    def reduce(self, k, l):
+        """b_k -= q b_l with q the nearest integer to mu_kl, ties up."""
+        dl = self.d[l + 1]
+        lk = self.lam[k]
+        q = (2 * lk[l] + dl) // (2 * dl)
+        if q:
+            ll = self.lam[l]
+            lk[l] -= q * dl
+            for i in range(l):
+                lk[i] -= q * ll[i]
+            vecs = self.vecs
+            vecs[k] = [a - q * b for a, b in zip(vecs[k], vecs[l])]
+            self.shears += 1
+
+    def swap(self, k):
+        """Exchange b_{k-1} and b_k, updating d and lam (Cohen's SWAPI)."""
+        d, lam, vecs = self.d, self.lam, self.vecs
+        vecs[k], vecs[k - 1] = vecs[k - 1], vecs[k]
+        lk, lk1 = lam[k], lam[k - 1]
+        for j in range(k - 1):
+            lk[j], lk1[j] = lk1[j], lk[j]
+        lv = lk[k - 1]
+        dk, dk1 = d[k], d[k + 1]
+        bnew = (d[k - 1] * dk1 + lv * lv) // dk
+        for i in range(k + 1, self.n):
+            li = lam[i]
+            t = li[k]
+            li[k] = (dk1 * li[k - 1] - lv * t) // dk
+            li[k - 1] = (bnew * t + lv * li[k]) // dk1
+        d[k] = bnew
+        self.shears += 1
+
+    def lll(self, delta=Q(3, 4)):
+        """LLL with parameter delta (Cohen, Alg. 2.6.3 order): b_k is
+        size-reduced against b_{k-1}, then tested, then reduced against
+        the rest.  Reducing against all earlier vectors before the test
+        gives the same basis: the test reads only mu_{k,k-1}, which the
+        other reductions leave alone, and a fully size-reduced vector is
+        unique in its coset of the lattice of the vectors before it."""
+        num, den = delta.numerator, delta.denominator
+        d, lam, reduce = self.d, self.lam, self.reduce
+        k = 1
+        while k < self.n:
+            reduce(k, k - 1)
+            lv = lam[k][k - 1]
+            if den * (d[k + 1] * d[k - 1] + lv * lv) >= num * d[k] * d[k]:
+                for l in range(k - 2, -1, -1):
+                    reduce(k, l)
+                k += 1
+            else:
+                self.swap(k)
+                k = max(k - 1, 1)
+
+    def size_reduce(self):
+        for k in range(1, self.n):
+            for l in range(k - 1, -1, -1):
+                self.reduce(k, l)
+
+    def transform(self):
+        """U, row-major, when the tracked vectors are its columns."""
+        return [list(r) for r in zip(*self.vecs)]
+
+    def gram_gso(self):
+        """(mu, ||b*_i||^2) as rationals."""
+        d, n = self.d, self.n
+        mu = [[Q(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i):
+                mu[i][j] = Q(self.lam[i][j], d[j + 1])
+        return mu, [Q(d[i + 1], d[i]) for i in range(n)]
+
+    def projected_gram(self, gram, j):
+        """d[j] times the Gram of pi_j(b_j..b_{n-1}), an integer matrix."""
+        d, lam, n = self.d, self.lam, self.n
+        out = [[0] * (n - j) for _ in range(n - j)]
+        for a in range(j, n):
+            la = lam[a]
+            for b in range(j, a + 1):
+                lb = lam[b]
+                val = gram[a][b]
+                for k in range(j):
+                    val = (d[k + 1] * val - la[k] * lb[k]) // d[k]
+                out[a - j][b - j] = out[b - j][a - j] = val
+        return out
+
+    def projected(self, cols, j, count):
+        """d[j] pi_j(b_t) for t = j..j+count-1, integer vectors, from the
+        fraction-free recurrence u_t^(k+1) = (d[k+1] u_t^(k) - lam[t][k]
+        u_k^(k)) / d[k] with u_t^(k) = d[k] pi_k(b_t) (exact divisions);
+        cols are the integer columns of the basis."""
+        d, lam = self.d, self.lam
+        us = [list(c) for c in cols[:j + count]]
+        for k in range(j):
+            dk, dk1, uk = d[k], d[k + 1], us[k]
+            for t in range(k + 1, j + count):
+                lt = lam[t][k]
+                us[t] = [(dk1 * a - lt * b) // dk for a, b in zip(us[t], uk)]
+        return us[j:]
+
+
 def gram_gso(g):
     """(mu, d) from a rational Gram matrix: d[i] = ||b*_i||^2."""
-    n = len(g)
-    mu = [[Q(0)] * n for _ in range(n)]
-    d = [Q(0)] * n
-    for i in range(n):
-        d[i] = Q(g[i][i])
-        for k in range(i):
-            d[i] -= mu[i][k] ** 2 * d[k]
-        if d[i] <= 0:
-            raise ValueError("Gram matrix not positive definite")
-        for j in range(i + 1, n):
-            v = Q(g[j][i])
-            for k in range(i):
-                v -= mu[j][k] * mu[i][k] * d[k]
-            mu[j][i] = v / d[i]
-    return mu, d
+    gi, den = integral_cols(g)
+    try:
+        mu, d = IntegralGSO(gi).gram_gso()
+    except ValueError:
+        raise ValueError("Gram matrix not positive definite") from None
+    return mu, (d if den == 1 else [x / den for x in d])
+
+
+def _reduce_cols(cols, run):
+    """Run a kernel method on rational columns; returns (Fraction
+    columns, U) with output = input * U."""
+    ints, den = integral_cols(cols)
+    n = len(ints)
+    # tracked vectors e_j + b_j: U and the basis move together
+    state = IntegralGSO(int_gram(ints), [[int(i == j) for i in range(n)] + c
+                                         for j, c in enumerate(ints)])
+    run(state)
+    return ([[Q(x, den) for x in v[n:]] for v in state.vecs],
+            [list(r) for r in zip(*(v[:n] for v in state.vecs))])
 
 
 def size_reduce(cols, transform=None):
-    """Size-reduce in place semantics; returns (new_cols, U) with
-    new = old * U (columns)."""
-    n = len(cols)
-    cols = [list(c) for c in cols]
-    u = int_identity(n)
-    bstar, mu, _ = gso(cols)
-    d = [dot(b, b) for b in bstar]
-    for j in range(1, n):
-        for i in range(j - 1, -1, -1):
-            mij = dot(cols[j], bstar[i]) / d[i]
-            q = _round_half(mij)
-            if q:
-                cols[j] = [a - q * b for a, b in zip(cols[j], cols[i])]
-                for r in range(n):
-                    u[r][j] -= q * u[r][i]
-    return cols, u
-
-
-def _round_half(x: Fraction) -> int:
-    return (2 * x.numerator + x.denominator) // (2 * x.denominator)
+    """Size reduction of b_j against b_{j-1}..b_0 for j = 1..n-1;
+    returns (new_cols, U) with new = old * U (columns).  `transform` is
+    not read."""
+    return _reduce_cols(cols, IntegralGSO.size_reduce)
 
 
 def lll(cols, delta=Q(3, 4)):
-    """Exact-rational LLL with incremental GSO maintenance; returns
-    (reduced columns, U) with reduced = input * U."""
+    """LLL-reduce columns (any rational entries); returns (reduced
+    columns, U) with reduced = input * U."""
     delta = Q(delta)
     if not Q(1, 4) < delta < 1:
         raise ValueError("delta must lie in (1/4, 1)")
-    n = len(cols)
-    b = [list(map(Q, c)) for c in cols]
-    u = int_identity(n)
-    bstar, mu, _ = gso(b)
-    d = [dot(s, s) for s in bstar]
-
-    def red(k, i):
-        q = _round_half(mu[k][i])
-        if q:
-            b[k] = [x - q * y for x, y in zip(b[k], b[i])]
-            for r in range(n):
-                u[r][k] -= q * u[r][i]
-            mu[k][i] -= q
-            for j in range(i):
-                mu[k][j] -= q * mu[i][j]
-
-    k = 1
-    while k < n:
-        red(k, k - 1)
-        if d[k] >= (delta - mu[k][k - 1] ** 2) * d[k - 1]:
-            for i in range(k - 2, -1, -1):
-                red(k, i)
-            k += 1
-        else:
-            # swap columns k-1 and k, update mu/d in place (Cohen 2.6.3)
-            m = mu[k][k - 1]
-            bnew = d[k] + m * m * d[k - 1]
-            b[k], b[k - 1] = b[k - 1], b[k]
-            for r in range(n):
-                u[r][k], u[r][k - 1] = u[r][k - 1], u[r][k]
-            for j in range(k - 1):
-                mu[k][j], mu[k - 1][j] = mu[k - 1][j], mu[k][j]
-            mu[k][k - 1] = m * d[k - 1] / bnew
-            d[k] = d[k - 1] * d[k] / bnew
-            d[k - 1] = bnew
-            for i in range(k + 1, n):
-                t = mu[i][k]
-                mu[i][k] = mu[i][k - 1] - m * t
-                mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
-            k = max(k - 1, 1)
-    return b, u
-
-
-def lll_integer(cols, delta=Q(3, 4)):
-    """All-integer LLL (de Weger representation): maintains the integer
-    quantities d_i = det Gram(b_1..b_i) and lambda_{ij} = mu_{ij} d_j, so
-    no rational arithmetic occurs.  Returns (reduced cols, U)."""
-    delta = Q(delta)
-    p_num, p_den = delta.numerator, delta.denominator
-    n = len(cols)
-    b = [[int(x) for x in c] for c in cols]
-    m = len(b[0])
-    u = int_identity(n)
-    d = [1] * (n + 1)            # d[0] = 1, d[i] = det Gram(b_0..b_{i-1})
-    lam = [[0] * n for _ in range(n)]
-
-    def init_row(i):
-        for j in range(i + 1):
-            val = sum(b[i][t] * b[j][t] for t in range(m))
-            for k in range(j):
-                val = (d[k + 1] * val - lam[i][k] * lam[j][k]) // d[k]
-            if j < i:
-                lam[i][j] = val
-            else:
-                d[i + 1] = val
-                if val == 0:
-                    raise ValueError("rank-deficient basis")
-
-    for i in range(n):
-        init_row(i)
-
-    def red(k, l):
-        if 2 * abs(lam[k][l]) > d[l + 1]:
-            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
-            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
-            for r in range(n):
-                u[r][k] -= q * u[r][l]
-            lam[k][l] -= q * d[l + 1]
-            for i in range(l):
-                lam[k][i] -= q * lam[l][i]
-
-    k = 1
-    while k < n:
-        red(k, k - 1)
-        # Lovász: d[k+1] d[k-1] >= delta d[k]^2 - lam^2 rearranged in ints
-        lhs = p_den * (d[k + 1] * d[k - 1] + lam[k][k - 1] ** 2)
-        rhs = p_num * d[k] * d[k]
-        if lhs >= rhs:
-            for l in range(k - 2, -1, -1):
-                red(k, l)
-            k += 1
-        else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            for r in range(n):
-                u[r][k], u[r][k - 1] = u[r][k - 1], u[r][k]
-            for j in range(k - 1):
-                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
-            lam_val = lam[k][k - 1]
-            bnew = (d[k - 1] * d[k + 1] + lam_val * lam_val) // d[k]
-            for i in range(k + 1, n):
-                t = lam[i][k]
-                lam[i][k] = (d[k + 1] * lam[i][k - 1] - lam_val * t) // d[k]
-                lam[i][k - 1] = (bnew * t + lam_val * lam[i][k]) // d[k + 1]
-            d[k] = bnew
-            k = max(k - 1, 1)
-    return [[Q(x) for x in c] for c in b], u
-
-
-def lll_reference(cols, delta=Q(3, 4)):
-    """Naive recompute-everything LLL, kept as a cross-check oracle."""
-    delta = Q(delta)
-    n = len(cols)
-    b = [list(map(Q, c)) for c in cols]
-    u = int_identity(n)
-
-    def mu_d():
-        bstar, mu, _ = gso(b)
-        return mu, [dot(s, s) for s in bstar]
-
-    mu, d = mu_d()
-    k = 1
-    while k < n:
-        for i in range(k - 1, -1, -1):
-            q = _round_half(mu[k][i])
-            if q:
-                b[k] = [x - q * y for x, y in zip(b[k], b[i])]
-                for r in range(n):
-                    u[r][k] -= q * u[r][i]
-                mu, d = mu_d()
-        if d[k] >= (delta - mu[k][k - 1] ** 2) * d[k - 1]:
-            k += 1
-        else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            for r in range(n):
-                u[r][k], u[r][k - 1] = u[r][k - 1], u[r][k]
-            mu, d = mu_d()
-            k = max(k - 1, 1)
-    return b, u
-
-
-def lll_gram(g, delta=Q(3, 4)):
-    """LLL on a Gram matrix; returns (new_gram, U) with
-    new_gram = U^T g U."""
-    n = len(g)
-    # synthesize an exact rational Cholesky-like embedding: work directly
-    # with transforms applied to the Gram
-    u = int_identity(n)
-    g = [[Q(x) for x in row] for row in g]
-
-    def apply_colswap(i, j):
-        for r in range(n):
-            g[r][i], g[r][j] = g[r][j], g[r][i]
-        g[i], g[j] = g[j], g[i]
-        for r in range(n):
-            u[r][i], u[r][j] = u[r][j], u[r][i]
-
-    def apply_shear(j, i, q):
-        # column j -= q * column i
-        for r in range(n):
-            g[r][j] -= q * g[r][i]
-        for c in range(n):
-            g[j][c] -= q * g[i][c]
-        for r in range(n):
-            u[r][j] -= q * u[r][i]
-
-    k = 1
-    while k < n:
-        mu, d = gram_gso(g)
-        for i in range(k - 1, -1, -1):
-            q = _round_half(mu[k][i])
-            if q:
-                apply_shear(k, i, q)
-                mu, d = gram_gso(g)
-        if d[k] >= (Q(delta) - mu[k][k - 1] ** 2) * d[k - 1]:
-            k += 1
-        else:
-            apply_colswap(k, k - 1)
-            k = max(k - 1, 1)
-    return g, u
+    return _reduce_cols(cols, lambda state: state.lll(delta))
 
 
 def dual_basis(cols):
@@ -308,41 +288,59 @@ def dual_basis(cols):
     return [list(r) for r in inv]
 
 
+def _norm_weights(d, den):
+    """(S, w): S the lcm of den and every d_i d_{i+1}, w_i = S / (d_i
+    d_{i+1}).  With t_i = d_{i+1} x_i + sum_{j>i} lam_ji x_j the squared
+    norm of x is sum_i t_i^2 / (d_i d_{i+1}) = sum_i w_i t_i^2 / S, so
+    enumeration bounds are integer comparisons at the scale S."""
+    n = len(d) - 1
+    scale = den
+    for i in range(n):
+        scale = lcm(scale, d[i] * d[i + 1])
+    return scale, [scale // (d[i] * d[i + 1]) for i in range(n)]
+
+
 def enumerate_short_gram(g, radius2: Fraction, max_count=None):
     """All nonzero (coeff, norm2) with norm2 <= radius2, one per +-pair,
-    sorted by norm2.  Fincke-Pohst over the exact rational GSO of g.
-    Raises RuntimeError when max_count vectors are exceeded."""
+    sorted by norm2.  Fincke-Pohst over the integral GSO of g (see
+    `_norm_weights`).  Raises RuntimeError when max_count vectors are
+    exceeded."""
     n = len(g)
-    mu, d = gram_gso(g)
-    radius2 = Q(radius2)
+    gi, den = integral_cols(g)
+    try:
+        state = IntegralGSO(gi)
+    except ValueError:
+        raise ValueError("Gram matrix not positive definite") from None
+    radius2 = Q(radius2) * den
+    scale, w = _norm_weights(state.d, radius2.denominator)
+    budget = radius2.numerator * (scale // radius2.denominator)
+    d = state.d
+    lrows = [state.lam[i][:i] for i in range(n)]
     out = []
     coeffs = [0] * n
 
-    def recurse(i, partial_norm, centers):
+    def recurse(i, rem, sums):
+        # sums[j] = sum_{k>i} lam_kj x_k for j <= i
         if i < 0:
             if any(coeffs):
-                out.append((tuple(coeffs), partial_norm))
+                out.append((tuple(coeffs), budget - rem))
                 if max_count is not None and len(out) > max_count:
                     raise RuntimeError("enumeration cap exceeded")
             return
-        center = centers[i]
-        lim2 = (radius2 - partial_norm) / d[i]
-        base = _round_half(center)
-        for direction in (1, -1):
-            z = base if direction == 1 else base - 1
+        di, wi, s, li = d[i + 1], w[i], sums[i], lrows[i]
+        base = (di - 2 * s) // (2 * di)     # nearest integer to -s/d_{i+1}
+        for z, step in ((base, 1), (base - 1, -1)):
             while True:
-                diff = Q(z) - center
-                dd = diff * diff
-                if dd > lim2:
+                t = di * z + s
+                cost = t * t * wi
+                if cost > rem:
                     break
                 coeffs[i] = z
-                child = [centers[j] - mu[i][j] * z for j in range(i)]
-                recurse(i - 1, partial_norm + d[i] * dd,
-                        child + centers[i:])
-                z += direction
+                recurse(i - 1, rem - cost, [a + z * b for a, b in zip(sums, li)])
+                z += step
         coeffs[i] = 0
 
-    recurse(n - 1, Q(0), [Q(0)] * n)
+    recurse(n - 1, budget, [0] * n)
     # deduplicate +-x: keep representative with last nonzero coeff > 0
     seen = {}
     for c, nrm in out:
@@ -350,7 +348,8 @@ def enumerate_short_gram(g, radius2: Fraction, max_count=None):
         rep = c if firstnz > 0 else tuple(-x for x in c)
         if rep not in seen:
             seen[rep] = nrm
-    return sorted(seen.items(), key=lambda t: (t[1], t[0]))
+    return [(c, Q(nrm, scale * den))
+            for c, nrm in sorted(seen.items(), key=lambda t: (t[1], t[0]))]
 
 
 @dataclass
@@ -366,139 +365,70 @@ class EnumerationReport:
 DIM_CAP = 12
 
 
-def _hkz_gram(g):
-    """HKZ-reduce a Gram matrix (small dims); returns (gram, U)."""
+def _hkz_int(g):
+    """HKZ-reduce an integer Gram matrix: (gram, U, state) with gram =
+    U^T g U and state its IntegralGSO."""
     n = len(g)
-    g = [[Q(x) for x in row] for row in g]
-    u_total = int_identity(n)
-    for j in range(n):
-        # shortest vector of the projection orthogonal to first j vectors
-        mu, d = gram_gso(g)
-        # Gram of projected block in terms of coords j..n-1
-        sub = _projected_gram(g, j)
+    u_total = [[int(i == j) for j in range(n)] for i in range(n)]
+    state = IntegralGSO(g)
+    for j in range(n - 1):
+        # shortest vector of the projection orthogonal to b_0..b_{j-1},
+        # coefficients on columns j..n-1; the projected Gram comes scaled
+        # by d_j, which moves no LLL decision and no enumeration order
+        sub = state.projected_gram(g, j)
         vec, lam2 = shortest_gram(sub)
         if lam2 >= sub[0][0]:
             continue  # current b*_j already attains the minimum
-        # lift: coefficients on columns j..n-1
-        ucol = _complete_unimodular(list(vec), n - j)
-        # apply to columns j..n-1
-        u_step = int_identity(n)
+        ucol = _complete_unimodular(vec, n - j)
+        u_step = [[int(r == c) for c in range(n)] for r in range(n)]
         for r in range(n - j):
-            for c in range(n - j):
-                u_step[j + r][j + c] = ucol[r][c]
-        g = _apply_transform_gram(g, u_step)
-        u_total = qlinalg.mat_mul(u_total, u_step)
-        u_total = [[int(x) for x in row] for row in u_total]
-    # final size reduction on the Gram
-    g, u_sr = _size_reduce_gram(g)
-    u_total = [[int(x) for x in row] for row in qlinalg.mat_mul(u_total, u_sr)]
-    return g, u_total
-
-
-def _projected_gram(g, j):
-    """Gram of pi_j(b_j..b_{n-1}) (projection orthogonal to b_0..b_{j-1})."""
-    n = len(g)
-    mu, d = gram_gso(g)
-    size = n - j
-    out = [[Q(0)] * size for _ in range(size)]
-    for a in range(size):
-        for b in range(size):
-            v = Q(g[j + a][j + b])
-            for k in range(j):
-                v -= mu[j + a][k] * mu[j + b][k] * d[k]
-            out[a][b] = v
-    return out
-
-
-def _apply_transform_gram(g, u):
-    ut = transpose(u)
-    return qlinalg.mat_mul(ut, qlinalg.mat_mul(g, u))
-
-
-def _size_reduce_gram(g):
-    n = len(g)
-    g = [[Q(x) for x in row] for row in g]
-    u = int_identity(n)
-    for j in range(1, n):
-        for i in range(j - 1, -1, -1):
-            mu, d = gram_gso(g)
-            q = _round_half(mu[j][i])
-            if q:
-                for r in range(n):
-                    g[r][j] -= q * g[r][i]
-                for c in range(n):
-                    g[j][c] -= q * g[i][c]
-                for r in range(n):
-                    u[r][j] -= q * u[r][i]
-    return g, u
+            u_step[j + r][j:] = ucol[r]
+        g = _int_congruence(g, u_step)
+        u_total = _int_mat_mul(u_total, u_step)
+        state = IntegralGSO(g)
+    state.size_reduce()
+    u_sr = state.transform()
+    return _int_congruence(g, u_sr), _int_mat_mul(u_total, u_sr), state
 
 
 def _complete_unimodular(vec, n):
     """Unimodular n x n integer matrix whose first column is vec
     (vec primitive)."""
-    from math import gcd
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
-    if g != 1:
+    if gcd(*vec) != 1:
         raise ValueError("coefficient vector not primitive")
-    rows = [list(vec)]
-    h, u = qlinalg.hnf_with_transform(rows and [list(vec)])
-    # hnf_with_transform works on rows; we need completion: use the
-    # standard trick via the row HNF of the 1 x n matrix transpose
-    # Instead: build iteratively with extended gcd
-    cols = [list(vec)]
-    basis = int_identity(n)
-    # Gaussian-style: find U with U e_1 = vec  <=> complete vec to a basis
-    # via HNF of the column vector: compute unimodular V with V vec = e_1*g
+    # row operations V with V vec = e_1, by extended gcds; U = V^{-1}
+    # collects the inverse column operations
     v = list(vec)
-    trans = int_identity(n)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
     for i in range(1, n):
         a, b = v[0], v[i]
         if b == 0:
             continue
-        g_, x, y = _xgcd(a, b)
-        # rows 0 and i of trans get combined
-        r0 = [x * trans[0][c] + y * trans[i][c] for c in range(n)]
-        ri = [(-b // g_) * trans[0][c] + (a // g_) * trans[i][c] for c in range(n)]
-        trans[0], trans[i] = r0, ri
+        g_, x, y = qlinalg._xgcd(a, b)
+        # rows (0, i) of V <- [[x, y], [-b/g, a/g]] (rows 0, i);
+        # columns (0, i) of U <- (cols 0, i) [[a/g, -y], [b/g, x]]
+        p, q = a // g_, b // g_
+        for row in u:
+            row[0], row[i] = p * row[0] + q * row[i], x * row[i] - y * row[0]
         v[0], v[i] = g_, 0
     if v[0] < 0:
-        trans[0] = [-x for x in trans[0]]
-        v[0] = -v[0]
-    # trans @ vec = e_1; so U = trans^{-1} has first column vec
-    u_inv = trans
-    u = _int_inverse(u_inv)
+        for row in u:
+            row[0] = -row[0]
     return u
-
-
-def _xgcd(a, b):
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
-
-
-def _int_inverse(m):
-    inv = mat_inv([[Q(x) for x in row] for row in m])
-    out = []
-    for row in inv:
-        out.append([int(x) for x in row])
-    return out
 
 
 def shortest_gram(g):
     """(coefficient vector, norm2) of a shortest nonzero vector."""
-    g2, u = lll_gram(g)
-    n = len(g2)
-    radius2 = min(Q(g2[i][i]) for i in range(n))
+    gi, den = integral_cols(g)
+    state = IntegralGSO(gi)
+    state.lll()
+    u = state.transform()
+    g2 = _int_congruence(gi, u)
+    radius2 = min(g2[i][i] for i in range(len(g2)))
     vecs = enumerate_short_gram(g2, radius2)
     best_c, best_n = vecs[0]
     # map back through u
-    coeff = mat_vec(u, list(best_c))
-    return [int(x) for x in coeff], best_n
+    return [sum(map(int.__mul__, row, best_c)) for row in u], Q(best_n, den)
 
 
 def successive_minima_gram(g):
@@ -506,8 +436,12 @@ def successive_minima_gram(g):
     branch-and-bound over the HKZ-reduced GSO.  Returns
     (minima_sq list, witnesses in the ORIGINAL basis, hkz_gram, U)."""
     n = len(g)
-    gh, u = _hkz_gram(g)
-    mu, d = gram_gso(gh)
+    gi, den = integral_cols(g)
+    gh, u, state = _hkz_int(gi)
+    d = state.d
+    lrows = [state.lam[i][:i] for i in range(n)]
+    # norms are carried times scale / den (see _norm_weights)
+    scale, w = _norm_weights(d, 1)
     minima, chosen = [], []
     for _k in range(n):
         # levels fully inside the witness span may be skipped as a whole
@@ -522,7 +456,7 @@ def successive_minima_gram(g):
         for j in range(t_min, n):
             cand = [int(i == j) for i in range(n)]
             if _int_rank(chosen + [cand]) == len(chosen) + 1:
-                nrm = Q(gh[j][j])
+                nrm = gh[j][j] * scale
                 if best_norm is None or nrm < best_norm:
                     best_norm, best_vec = nrm, cand
         if best_vec is None:
@@ -531,7 +465,7 @@ def successive_minima_gram(g):
 
         coeffs = [0] * n
 
-        def rec(i, partial, centers, nonzero_hi):
+        def rec(i, partial, sums, nonzero_hi):
             if partial > best[0]:
                 return
             if i < 0:
@@ -543,29 +477,26 @@ def successive_minima_gram(g):
                 return
             if i + 1 <= t_min and not nonzero_hi:
                 return      # whole remaining subtree lies in the span
-            center = centers[i]
-            lim2 = (best[0] - partial) / d[i]
-            base = _round_half(center)
-            for direction in (1, -1):
-                z = base if direction == 1 else base - 1
+            di, wi, s, li = d[i + 1], w[i], sums[i], lrows[i]
+            base = (di - 2 * s) // (2 * di)
+            for z, step in ((base, 1), (base - 1, -1)):
                 while True:
-                    diff = Q(z) - center
-                    dd = diff * diff
-                    if dd > lim2:
+                    t = di * z + s
+                    cost = t * t * wi
+                    if cost > best[0] - partial:
                         break
                     coeffs[i] = z
-                    child = [centers[t] - mu[i][t] * z for t in range(i)]
-                    rec(i - 1, partial + d[i] * dd,
-                        child + centers[i:], nonzero_hi or (z != 0 and i >= t_min))
-                    z += direction
-                    lim2 = (best[0] - partial) / d[i]
+                    rec(i - 1, partial + cost,
+                        [a + z * b for a, b in zip(sums, li)],
+                        nonzero_hi or (z != 0 and i >= t_min))
+                    z += step
             coeffs[i] = 0
 
-        rec(n - 1, Q(0), [Q(0)] * n, False)
-        minima.append(best[0])
+        rec(n - 1, 0, [0] * n, False)
+        minima.append(Q(best[0], scale * den))
         chosen.append(best[1])
     wits = [[int(x) for x in mat_vec(u, c)] for c in chosen]
-    return minima, wits, gh, u
+    return minima, wits, [[Q(x, den) for x in row] for row in gh], u
 
 
 def _span_contains(gen_rows, test_rows) -> bool:
@@ -574,9 +505,6 @@ def _span_contains(gen_rows, test_rows) -> bool:
         return not test_rows
     base = _int_rank(gen_rows)
     return _int_rank([list(r) for r in gen_rows] + [list(t) for t in test_rows]) == base
-
-
-ENUM_VECTOR_CAP = 2_000_000
 
 
 def enumerate_minima_gram(g, up_to=None) -> EnumerationReport:
@@ -601,29 +529,61 @@ def enumerate_minima_gram(g, up_to=None) -> EnumerationReport:
 
 def _generating_radius_search(gh, lam_n_sq, limit_sq, n):
     """Exact rr^2 by growing the enumeration radius from lambda_n to
-    2*cov; None when the vector count cap is hit (skewed lattices)."""
+    2*cov; None when the vector count cap is hit (skewed lattices).
+
+    The vectors come sorted by (norm, coefficients), so those of a larger
+    radius start with those of the smaller one: only the new ones are
+    fed to the echelon form."""
     radius = Q(lam_n_sq)
+    echelon = _Echelon(n)
+    seen = 0
     while True:
         try:
             vecs = enumerate_short_gram(gh, radius, max_count=200000)
         except RuntimeError:
             return None
-        try:
-            return _generating_radius_sq(gh, vecs, n)
-        except RuntimeError:
-            pass
+        for c, nrm in vecs[seen:]:
+            if echelon.insert(c):
+                return nrm
+        seen = len(vecs)
         if radius >= limit_sq:
             return None
         radius = min(limit_sq, radius * Q(9, 8))
 
 
-def _generating_radius_sq(g, sorted_vecs, n) -> Fraction:
-    acc = []
-    for c, nrm in sorted_vecs:
-        acc.append(list(c))
-        if len(acc) >= n and _int_rank(acc) == n and _index_one(acc, n):
-            return nrm
-    raise RuntimeError("generating radius not reached within enumeration radius")
+class _Echelon:
+    """Integer row echelon form of the lattice spanned by the vectors
+    inserted so far, one row per pivot column, so rank and index in Z^n
+    read off the pivots."""
+
+    def __init__(self, n):
+        self.n = n
+        self.rows = [None] * n
+        self.rank = 0
+        self.index = 1      # product of |pivots| once rank == n
+
+    def insert(self, vec) -> bool:
+        """Add vec; True iff the vectors so far generate Z^n."""
+        v = list(vec)
+        for c in range(self.n):
+            if v[c] == 0:
+                continue
+            row = self.rows[c]
+            if row is None:
+                self.rows[c] = v if v[c] > 0 else [-x for x in v]
+                self.rank += 1
+                self.index *= abs(v[c])
+                break
+            a, b = row[c], v[c]
+            if b % a == 0:
+                q = b // a
+                v = [y - q * x for x, y in zip(row, v)]
+                continue
+            g, x, y = qlinalg._xgcd(a, b)
+            self.rows[c] = [x * r + y * w for r, w in zip(row, v)]
+            v = [(a // g) * w - (b // g) * r for r, w in zip(row, v)]
+            self.index = self.index // abs(a) * abs(g)
+        return self.rank == self.n and self.index == 1
 
 
 def _int_rank(rows) -> int:
@@ -631,21 +591,12 @@ def _int_rank(rows) -> int:
     return sum(1 for r in h if any(r))
 
 
-def _index_one(rows, n) -> bool:
-    h, _ = qlinalg.hnf_with_transform([list(r) for r in rows])
-    live = [r for r in h if any(r)]
-    if len(live) != n:
-        return False
-    det = Q(1)
-    # echelon rows: product of pivots
-    for r in live:
-        piv = next(x for x in r if x != 0)
-        det *= abs(piv)
-    return det == 1
-
-
 def enumerate_minima(cols, up_to=None) -> EnumerationReport:
-    return enumerate_minima_gram(gram_matrix([list(c) for c in cols]), up_to)
+    ints, den = integral_cols(cols)
+    g = int_gram(ints)
+    if den != 1:
+        g = [[Q(x, den * den) for x in row] for row in g]
+    return enumerate_minima_gram(g, up_to)
 
 
 def count_in_box(cols, r, shift=None, box_shift=None, sign_constraints=None,

@@ -245,8 +245,8 @@ def _reduced_kernel(val_rows):
     ker = [k for k in ker if any(k)]
     if not ker:
         return []
-    from .lattice_core import lll_integer
-    red, _u = lll_integer([list(k) for k in ker])
+    from .lattice_core import lll
+    red, _u = lll([list(k) for k in ker])
     return [[int(x) for x in col] for col in red]
 
 

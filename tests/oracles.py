@@ -7,7 +7,11 @@ methods that never touch the library's own code paths.
   (Pell);
 - brute-force ideal counting straight from prime splitting data computed
   with Legendre symbols;
-- chi-square helpers (cross-checked against scipy in the tests).
+- chi-square helpers (cross-checked against scipy in the tests);
+- a naive LLL that recomputes the rational Gram-Schmidt data after every
+  basis change, the cross-check for the library's integral LLL, with an
+  exact LLL-reducedness test and a row Hermite normal form for lattice
+  equality.
 """
 
 from __future__ import annotations
@@ -181,3 +185,96 @@ def chi2_uniform_stat(counts: dict, support: int, total: int) -> tuple[float, in
     stat = sum((c - expected) ** 2 / expected for c in counts.values())
     stat += (support - len(counts)) * expected   # unseen cells
     return stat, support - 1
+
+
+def _gso_mu_norms(cols):
+    """mu (lower triangular) and ||b*_i||^2 of rational columns."""
+    n = len(cols)
+    bstar, norms = [], []
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    for j in range(n):
+        v = [Fraction(x) for x in cols[j]]
+        for i in range(j):
+            mu[j][i] = sum(Fraction(a) * b for a, b in zip(cols[j], bstar[i])) / norms[i]
+            v = [a - mu[j][i] * b for a, b in zip(v, bstar[i])]
+        bstar.append(v)
+        norms.append(sum(x * x for x in v))
+        if norms[-1] == 0:
+            raise ValueError("rank-deficient basis")
+    return mu, norms
+
+
+def lll_reference(cols, delta=Fraction(3, 4)):
+    """Naive recompute-everything LLL; returns (columns, U) with
+    columns = input * U.  Rounding is floor(mu + 1/2), so mu = 1/2 rounds
+    to 1 and mu = -1/2 to 0."""
+    delta = Fraction(delta)
+    n = len(cols)
+    b = [[Fraction(x) for x in c] for c in cols]
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    mu, d = _gso_mu_norms(b)
+    k = 1
+    while k < n:
+        for i in range(k - 1, -1, -1):
+            q = math.floor(mu[k][i] + Fraction(1, 2))
+            if q:
+                b[k] = [x - q * y for x, y in zip(b[k], b[i])]
+                for r in range(n):
+                    u[r][k] -= q * u[r][i]
+                mu, d = _gso_mu_norms(b)
+        if d[k] >= (delta - mu[k][k - 1] ** 2) * d[k - 1]:
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            for r in range(n):
+                u[r][k], u[r][k - 1] = u[r][k - 1], u[r][k]
+            mu, d = _gso_mu_norms(b)
+            k = max(k - 1, 1)
+    return b, u
+
+
+def gso_norms(cols) -> list[Fraction]:
+    """||b*_i||^2; their product is det Gram(cols)."""
+    return _gso_mu_norms(cols)[1]
+
+
+def is_lll_reduced(cols, delta=Fraction(3, 4)) -> bool:
+    """|mu_kj| <= 1/2 and the Lovasz condition, in exact rationals."""
+    mu, d = _gso_mu_norms(cols)
+    n = len(cols)
+    for k in range(1, n):
+        if any(abs(mu[k][j]) > Fraction(1, 2) for j in range(k)):
+            return False
+        if d[k] < (Fraction(delta) - mu[k][k - 1] ** 2) * d[k - 1]:
+            return False
+    return True
+
+
+def hnf_rows(vectors) -> list[list[int]]:
+    """Nonzero rows of the row Hermite normal form of integer vectors:
+    positive pivots, entries above a pivot reduced into [0, pivot)."""
+    rows = [list(v) for v in vectors]
+    width = len(rows[0]) if rows else 0
+    out, pivots = [], []
+    for col in range(width):
+        live = [r for r in rows if r[col]]
+        if not live:
+            continue
+        while len(live) > 1:
+            live.sort(key=lambda r: abs(r[col]))
+            piv = live[0]
+            for r in live[1:]:
+                q = r[col] // piv[col]
+                r[:] = [a - q * b for a, b in zip(r, piv)]
+            live = [r for r in live if r[col]]
+        piv = live[0]
+        rows = [r for r in rows if r is not piv]
+        if piv[col] < 0:
+            piv = [-x for x in piv]
+        out.append(piv)
+        pivots.append(col)
+    for i, (row, col) in enumerate(zip(out, pivots)):
+        for k in range(i):
+            q = out[k][col] // row[col]
+            out[k] = [a - q * b for a, b in zip(out[k], row)]
+    return out

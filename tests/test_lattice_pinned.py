@@ -1,0 +1,206 @@
+"""Pinned outputs of the reduction layer.
+
+Each case runs one public reduction entry point on a seeded basis and
+hashes everything it returns: the basis, the transform and, for the
+block reductions, `tours`, `hkz_calls` and `potential_sq_ledger`.  The
+digests were recorded from the rational-arithmetic implementation that
+preceded the integral LLL/GSO kernel, so they pin the kernel to the
+exact same bases, transforms and ledgers (values, not number types:
+every entry is hashed as a reduced fraction).
+
+The bases: uniform and knapsack integer bases, one basis with rational
+entries, and one dyadic big-entry basis shaped like the scaled Minkowski
+columns `approx_bkz_ideal` hands to `bkz_full`.
+"""
+
+import hashlib
+import random
+from fractions import Fraction as Q
+
+import pytest
+
+from latnf import bkz, lattice_core
+from latnf.qlinalg import gram_matrix, mat_det, transpose
+
+
+def _canon(x):
+    if isinstance(x, (list, tuple)):
+        return "[" + ",".join(_canon(v) for v in x) + "]"
+    if x is None or isinstance(x, bool):
+        return str(x)
+    return str(Q(x))
+
+
+def _digest(*parts):
+    return hashlib.sha256(_canon(list(parts)).encode()).hexdigest()[:16]
+
+
+def _uniform(rng, n, spread):
+    while True:
+        cols = [[rng.randrange(-spread, spread + 1) for _ in range(n)]
+                for _ in range(n)]
+        if mat_det(transpose(cols)) != 0:
+            return cols
+
+
+def _knapsack(rng, n, bits):
+    cols = []
+    for i in range(n):
+        col = [0] * (n + 1)
+        col[i] = 1
+        col[n] = rng.randrange(1, 2 ** bits)
+        cols.append(col)
+    return cols
+
+
+def _rational(rng, n):
+    while True:
+        cols = [[Q(rng.randrange(-40, 41), rng.randrange(1, 9))
+                 for _ in range(n)] for _ in range(n)]
+        if mat_det(transpose(cols)) != 0:
+            return cols
+
+
+def _dyadic(rng, n, prec=64):
+    """Columns M a_i scaled by 2^prec and rounded, M a dyadic 'embedding'
+    matrix with entries in (-3, 3) and a_i small integer coordinates."""
+    emb = [[rng.randrange(-3 * 2 ** prec, 3 * 2 ** prec) for _ in range(n)]
+           for _ in range(n)]
+    coords = _uniform(rng, n, 4)
+    return [[sum(emb[r][k] * a[k] for k in range(n)) for r in range(n)]
+            for a in coords]
+
+
+def _bases():
+    rng = random.Random("pinned-kernel")
+    return {
+        "u4": _uniform(rng, 4, 30),
+        "u5": _uniform(rng, 5, 60),
+        "u6": _uniform(rng, 6, 255),
+        "u8": _uniform(rng, 8, 255),
+        "k10": _knapsack(rng, 10, 20),
+        "k16": _knapsack(rng, 16, 32),
+        "q4": _rational(rng, 4),
+        "dy4": _dyadic(rng, 4),
+        "dy6": _dyadic(rng, 6, 96),
+    }
+
+
+def _lll(cols, delta=Q(3, 4)):
+    out, u = lattice_core.lll(cols, delta)
+    return _digest(out, u)
+
+
+def _size_reduce(cols):
+    out, u = lattice_core.size_reduce(cols)
+    return _digest(out, u)
+
+
+def _hkz(cols):
+    trace = bkz.ReductionTrace()
+    out, u = bkz.hkz_reduce(cols, trace)
+    return _digest(out, u, trace.hkz_calls, trace.potential_sq_ledger)
+
+
+def _block(fn, cols, b):
+    out, tr = fn(cols, bkz.BkzConfig(blocksize=b))
+    return _digest(out, tr.tours, tr.hkz_calls, tr.transform,
+                   tr.potential_sq_ledger)
+
+
+def _c1(cols):
+    out, _ = bkz.bkz_prime(cols, bkz.BkzConfig(blocksize=2, max_tours=1))
+    return _digest([bkz.c1_bound_sq_ok(c, b) for c in (cols, out)
+                    for b in (2, 3)])
+
+
+def _minima(cols):
+    rep = lattice_core.enumerate_minima(cols)
+    return _digest(rep.minima_sq, rep.witnesses, rep.cov_upper_sq,
+                   rep.cov_lower_sq, rep.rr_sq)
+
+
+def _shortest(cols):
+    vec, norm = lattice_core.shortest_gram(gram_matrix(cols))
+    return _digest(vec, norm)
+
+
+CASES = {
+    "lll-u4": (_lll, "u4"),
+    "lll-u6": (_lll, "u6"),
+    "lll-k10": (_lll, "k10"),
+    "lll-k16": (_lll, "k16"),
+    "lll-dy6": (_lll, "dy6"),
+    "lll-q4": (_lll, "q4"),
+    "lll-dy4": (_lll, "dy4"),
+    "lll-u6-delta99": (lambda c: _lll(c, Q(99, 100)), "u6"),
+    "size_reduce-u5": (_size_reduce, "u5"),
+    "size_reduce-q4": (_size_reduce, "q4"),
+    "size_reduce-dy4": (_size_reduce, "dy4"),
+    "size_reduce-k16": (_size_reduce, "k16"),
+    "hkz-u4": (_hkz, "u4"),
+    "hkz-u5": (_hkz, "u5"),
+    "hkz-q4": (_hkz, "q4"),
+    "hkz-dy4": (_hkz, "dy4"),
+    "hkz-u8": (_hkz, "u8"),
+    "bkz_prime-u5-b2": (lambda c: _block(bkz.bkz_prime, c, 2), "u5"),
+    "bkz_prime-u6-b3": (lambda c: _block(bkz.bkz_prime, c, 3), "u6"),
+    "bkz_prime-q4-b2": (lambda c: _block(bkz.bkz_prime, c, 2), "q4"),
+    "bkz_prime-dy4-b2": (lambda c: _block(bkz.bkz_prime, c, 2), "dy4"),
+    "bkz_prime-u8-b3": (lambda c: _block(bkz.bkz_prime, c, 3), "u8"),
+    "bkz_full-u6-b3": (lambda c: _block(bkz.bkz_full, c, 3), "u6"),
+    "bkz_full-q4-b2": (lambda c: _block(bkz.bkz_full, c, 2), "q4"),
+    "bkz_full-dy4-b2": (lambda c: _block(bkz.bkz_full, c, 2), "dy4"),
+    "bkz_full-dy6-b3": (lambda c: _block(bkz.bkz_full, c, 3), "dy6"),
+    "bkz_full-u8-b4": (lambda c: _block(bkz.bkz_full, c, 4), "u8"),
+    "c1-u5": (_c1, "u5"),
+    "c1-q4": (_c1, "q4"),
+    "c1-dy6": (_c1, "dy6"),
+    "c1-k10": (_c1, "k10"),
+    "minima-u4": (_minima, "u4"),
+    "minima-q4": (_minima, "q4"),
+    "shortest-q4": (_shortest, "q4"),
+}
+
+PINNED = {
+    "c1-dy6": "1a530a3a45f81096",
+    "c1-k10": "c917d3a888a0f9af",
+    "c1-q4": "1a530a3a45f81096",
+    "c1-u5": "1a530a3a45f81096",
+    "bkz_full-dy4-b2": "afc1e205b0412f09",
+    "bkz_full-dy6-b3": "24eecc702d05ba53",
+    "bkz_full-q4-b2": "9c2db08c6e1491ba",
+    "bkz_full-u6-b3": "1c833d961e43ecd3",
+    "bkz_full-u8-b4": "6d608ce23b09c2fd",
+    "bkz_prime-dy4-b2": "eb5f401a045630d9",
+    "bkz_prime-q4-b2": "a44dd36355ffd554",
+    "bkz_prime-u5-b2": "aa72f1da1d93df96",
+    "bkz_prime-u6-b3": "92096ddbb6d59692",
+    "bkz_prime-u8-b3": "b46e082277cf1d10",
+    "hkz-dy4": "7411d6bba68584b8",
+    "hkz-q4": "799b3932b477586b",
+    "hkz-u4": "3a30ad892a648223",
+    "hkz-u5": "e007a67a645203e9",
+    "hkz-u8": "3dc05ed7a0fef8f2",
+    "lll-dy4": "23d83f19c72fb27a",
+    "lll-dy6": "4e4e4ab0c7b4a59a",
+    "lll-k10": "d8899df415b67bc4",
+    "lll-k16": "787453c9ead30d80",
+    "lll-q4": "89e5744ab73bcf3e",
+    "lll-u4": "1a2e790e4cf15d0e",
+    "lll-u6": "b8c27fdbdf6e0408",
+    "lll-u6-delta99": "b0841efa41724dad",
+    "minima-q4": "de061fbc4ae7f820",
+    "minima-u4": "b38b3262c884ba71",
+    "shortest-q4": "efd5ea4ebf0e9143",
+    "size_reduce-dy4": "c03524ff3ced3708",
+    "size_reduce-k16": "2a8ac46dbaf25fed",
+    "size_reduce-q4": "bf31f72edb23dffb",
+    "size_reduce-u5": "a4dd1c5845f0abc8",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_pinned(name):
+    fn, key = CASES[name]
+    assert fn(_bases()[key]) == PINNED[name]
