@@ -1,5 +1,12 @@
 """Determinant stability under perturbation, the decide-equal-lattice
-test, and residue/regulator brackets feeding it."""
+test, and residue/regulator brackets feeding it.
+
+`approx_rho` is the library's one residue bracket.  Its provable branch
+evaluates Bach's ERH-truncated Euler product with one kernel,
+`euler_log_product`: a numpy sieve, the splitting type of quadratic
+fields read from a Kronecker-character table mod |disc|, and the log-sum
+taken chunk by chunk in the order of a per-prime loop, with its float
+rounding bounded and checked against the bracket's slack."""
 
 from __future__ import annotations
 
@@ -7,9 +14,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import intmath, polyq, qlinalg
 from .dyadic import Q, sqrt_bracket
-from .ideal_arith import kummer_dedekind
+from .ideal_arith import kummer_dedekind, splitting_degrees
 from .nf_core import NumberField
 from .qlinalg import dot, mat_det, mat_mul, transpose
 
@@ -122,6 +131,13 @@ def decide_equal_lattice(b_tilde_cols, d_value: Fraction) -> str:
 # ---------------------------------------------------------------------------
 # Residue / regulator approximation
 
+# Primes per chunk of the Euler product; bounds the memory of its terms.
+_EULER_CHUNK = 1 << 14
+# Added to the provable bracket's Bach error; covers the float rounding of
+# log A(x), which euler_log_product bounds.
+_FLOAT_SLACK_LOG = 1e-9
+_UNIT_ROUNDOFF = 2.0 ** -53
+
 
 @dataclass
 class RhoBracket:
@@ -146,9 +162,10 @@ def approx_rho(field: NumberField, truncation: int = 100, mode: str = "desk",
     """rho_0 in [3/4,5/4] rho_K and eta_0 in [3/4,5/4] h R.
 
     Desk mode injects the classically known (h, R) pair and is labeled as
-    such; provable mode evaluates Bach's truncated Euler product with the
-    certified ERH bracket and reports failure when the truncation cannot
-    reach the [3/4, 5/4] window.
+    such; provable mode evaluates Bach's truncated Euler product
+    (`euler_log_product`) with the certified ERH bracket, widened by a
+    1e-9 slack that must cover the product's float rounding, and reports
+    failure when the truncation cannot reach the [3/4, 5/4] window.
     """
     if truncation < 100:
         raise ValueError("truncation must be >= 100")
@@ -163,30 +180,116 @@ def approx_rho(field: NumberField, truncation: int = 100, mode: str = "desk",
                            "h": h, "R": regulator})
     if mode != "provable":
         raise ValueError("mode must be 'desk' or 'provable'")
-    a_x = bach_product(field, truncation)
-    err = 8 * (math.log(disc) + n * math.log(truncation)) / math.sqrt(truncation)
+    err = (8 * (math.log(disc) + n * math.log(truncation))
+           / math.sqrt(truncation) + _FLOAT_SLACK_LOG)
     if math.exp(err) > 1.25:
         raise ValueError(
             f"truncation too small in provable mode: e^{err:.3f} > 5/4")
-    rho0 = float(a_x)
+    log_a, rounding = euler_log_product(field, truncation)
+    if rounding > _FLOAT_SLACK_LOG:
+        raise RuntimeError(f"Euler-product rounding bound {rounding:.3g} "
+                           f"exceeds the {_FLOAT_SLACK_LOG:g} slack")
+    rho0 = math.exp(log_a)
     eta0 = rho0 * roots_of_unity * math.sqrt(disc) / (
         2 ** field.n_real * (2 * math.pi) ** field.n_cplx)
     return RhoBracket(rho0, eta0, rho0 * math.exp(-err), rho0 * math.exp(err),
-                      "provable", {"bach_error_log": err, "x": truncation})
+                      "provable", {"bach_error_log": err, "x": truncation,
+                                   "float_rounding_log": rounding})
 
 
-def bach_product(field: NumberField, x: int) -> Fraction:
-    """A(x) = prod_{p < x} (1 - 1/p) / prod_{N(P) < x, P | p} (1 - 1/N(P)),
-    exact."""
-    out = Q(1)
-    for p in intmath.primes_below(x):
-        num = Q(1) - Q(1, p)
-        den = Q(1)
-        for prime, _e in kummer_dedekind(field, p):
-            if prime.norm() < x:
-                den *= Q(1) - Q(1, prime.norm())
-        out *= num / den
-    return out
+def euler_log_product(field: NumberField, x: int) -> tuple[float, float]:
+    """(log A(x), bound on its float rounding error) for Bach's product
+    A(x) = prod_{p < x} (1 - 1/p) / prod_{N(P) < x, P | p} (1 - 1/N(P)).
+
+    Per prime p the terms are log1p(-1/p), then -log1p(-1/N(P)) for each
+    P | p of norm below x, in `splitting_degrees` order.  They are summed
+    left to right, a chunk of primes at a time, by a sequential cumsum
+    that carries the running sum, so the result is the float a per-prime
+    loop gives.  For quadratic fields the splitting type of an odd p is
+    read from `_kronecker_table`; p = 2, discriminants with more residues
+    than there are primes below x, and higher degrees ask
+    `splitting_degrees` prime by prime.  Every log is `math.log1p`
+    (`np.log1p` differs from it in the last bit).
+
+    Rounding: a float sum of N nonzero terms is within gamma_N sum |t_i|
+    of the exact sum of those terms, gamma_N = N u / (1 - N u),
+    u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., eq. 4.4); the zero padding adds exactly.  Each term is within
+    7u |t_i| of its exact value: log1p is assumed accurate to 2 ulp (at
+    most 4u relative), as glibc documents, and the rounding of -1/q
+    (relative u) is magnified by at most 1/log 2 < 1.5 on [-1/2, 0); the
+    rest covers second-order terms and the float evaluation of sum |t_i|.
+    """
+    index_sq = int(field.disc_poly / field.disc_field)
+    if index_sq > 1 and min(intmath.factorint(index_sq)) < x:
+        raise ValueError("index-divisor prime in the Euler product")
+    primes = intmath.prime_sieve(x)
+    chi = None
+    if field.n == 2:
+        disc = field.poly[1] ** 2 - 4 * field.poly[0]
+        if abs(disc) <= len(primes):
+            chi = _kronecker_table(disc)
+    total, abs_sum, n_terms = 0.0, 0.0, 0
+    for start in range(0, len(primes), _EULER_CHUNK):
+        chunk = primes[start:start + _EULER_CHUNK]
+        if chi is None:
+            terms = np.array([t for p in chunk.tolist()
+                              for t in _prime_terms(field, p, x)])
+        else:
+            terms = _quadratic_terms(field, chi, chunk, x)
+        total = float(np.cumsum(np.concatenate(([total], terms)))[-1])
+        abs_sum += float(np.abs(terms).sum())
+        n_terms += int(np.count_nonzero(terms))
+    gamma = n_terms * _UNIT_ROUNDOFF / (1 - n_terms * _UNIT_ROUNDOFF)
+    return total, (gamma + 7 * _UNIT_ROUNDOFF) * abs_sum
+
+
+def _prime_terms(field: NumberField, p: int, x: int) -> list[float]:
+    """The terms of one prime p, in summation order."""
+    terms = [math.log1p(-1.0 / p)]
+    for f, _e in splitting_degrees(field, p):
+        nrm = p ** f
+        if nrm < x:
+            terms.append(-math.log1p(-1.0 / nrm))
+    return terms
+
+
+def _quadratic_terms(field: NumberField, chi: np.ndarray, primes: np.ndarray,
+                     x: int) -> np.ndarray:
+    """The terms of a chunk of primes of a quadratic field, three slots per
+    prime (zero where a prime has fewer), flattened in summation order."""
+    log_p = np.fromiter(map(math.log1p, (-1.0 / primes).tolist()), float,
+                        len(primes))
+    sym = chi[primes % len(chi)]
+    terms = np.zeros((len(primes), 3))
+    terms[:, 0] = log_p
+    terms[sym >= 0, 1] = -log_p[sym >= 0]       # ramified, or split
+    terms[sym > 0, 2] = -log_p[sym > 0]         # the second split prime
+    inert = np.flatnonzero((sym < 0) & (primes <= math.isqrt(x - 1)))
+    terms[inert, 1] = [-math.log1p(-1.0 / q)
+                       for q in (primes[inert] ** 2).tolist()]
+    if primes[0] == 2:
+        row = _prime_terms(field, 2, x)
+        terms[0] = 0.0
+        terms[0, :len(row)] = row
+    return terms.ravel()
+
+
+def _kronecker_table(disc: int) -> np.ndarray:
+    """chi[r] = (disc/r), the Kronecker symbol, for 0 <= r < |disc|.
+
+    For disc = b^2 - 4c = 0, 1 mod 4 it is a character mod |disc|, so an
+    odd prime p splits in Z[x]/(x^2 + bx + c) when chi[p mod |disc|] = 1,
+    ramifies when it is 0 and stays inert when it is -1.
+    """
+    m = abs(disc)
+    chi_2 = 1 if disc % 8 == 1 else -1      # (disc/2), used for odd disc
+    chi = np.zeros(m, dtype=np.int8)
+    for r in range(1, m):
+        if math.gcd(r, m) == 1:
+            k = (r & -r).bit_length() - 1
+            chi[r] = chi_2 ** k * intmath.jacobi(disc, r >> k)
+    return chi
 
 
 def modulus_ratio(m0_factorization) -> Fraction:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from math import gcd, isqrt
 
+import numpy as np
+
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
 
 
@@ -32,15 +34,22 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def primes_below(bound: int) -> list[int]:
+def prime_sieve(bound: int) -> np.ndarray:
+    """The primes p < bound as an int64 array (sieve of Eratosthenes)."""
     if bound <= 2:
-        return []
-    sieve = bytearray([1]) * bound
-    sieve[0:2] = b"\x00\x00"
+        return np.zeros(0, dtype=np.int64)
+    sieve = np.ones(bound, dtype=bool)
+    sieve[:2] = False
     for p in range(2, isqrt(bound - 1) + 1):
         if sieve[p]:
-            sieve[p * p::p] = bytearray(len(sieve[p * p::p]))
-    return [i for i in range(bound) if sieve[i]]
+            sieve[p * p::p] = False
+    return np.flatnonzero(sieve).astype(np.int64, copy=False)
+
+
+def primes_below(bound: int) -> list[int]:
+    """The primes p < bound as Python ints: callers raise them to powers,
+    which would overflow int64."""
+    return prime_sieve(bound).tolist()
 
 
 def _pollard_rho(n: int, rng: random.Random) -> int:

@@ -264,10 +264,9 @@ def _reduce_cols(cols, run):
             [list(r) for r in zip(*(v[:n] for v in state.vecs))])
 
 
-def size_reduce(cols, transform=None):
+def size_reduce(cols):
     """Size reduction of b_j against b_{j-1}..b_0 for j = 1..n-1;
-    returns (new_cols, U) with new = old * U (columns).  `transform` is
-    not read."""
+    returns (new_cols, U) with new = old * U (columns)."""
     return _reduce_cols(cols, IntegralGSO.size_reduce)
 
 

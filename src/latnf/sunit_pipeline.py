@@ -3,6 +3,10 @@ the double Buchmann-Kessler-Pohst pass, verify full generation by a rank
 plus determinant check, and emit fundamental S-units in compact
 representation; class group, regulator, class-group discrete logarithms
 and principal-ideal generators are then read off the verified lattice.
+
+The determinant check compares against D = eta_0 sqrt(r), where eta_0
+comes from `det_verify.approx_rho`, the library's one residue bracket
+(`provable_d_value`).
 """
 
 from __future__ import annotations
@@ -12,9 +16,9 @@ import math
 from dataclasses import dataclass, field as dfield
 from fractions import Fraction
 
-from . import intmath, qlinalg, samplers
+from . import qlinalg, samplers
 from .approx_reduction import ApproxGenerators, bkp_twice
-from .det_verify import RhoBracket, approx_rho
+from .det_verify import approx_rho
 from .divisor_log import kessler_lambda1_lower, log_embedding
 from .dyadic import Q, RealBall, log_ball, sqrt_bracket
 from .ideal_arith import HnfIdeal, PrimeIdeal, hnf_inv, hnf_mul, ord_at
@@ -483,8 +487,8 @@ def provable_d_value(field: NumberField, cfg: PipelineConfig) -> tuple[float, di
         rb = approx_rho(field, mode="desk", h=cfg.classical_h,
                         regulator=cfg.classical_r, roots_of_unity=mu_count)
     else:
-        x = cfg.rho_truncation or _bach_truncation(field)
-        rb = approx_rho_float(field, x, mu_count)
+        rb = approx_rho(field, cfg.rho_truncation or _bach_truncation(field),
+                        mode="provable", roots_of_unity=mu_count)
     d_value = rb.eta0 * math.sqrt(r1)
     return d_value, {"rho0": rb.rho0, "eta0": rb.eta0, "mode": rb.mode,
                      "mu_K": mu_count, **rb.detail}
@@ -497,31 +501,6 @@ def _bach_truncation(field: NumberField) -> int:
                + field.n * math.log(x)) / math.sqrt(x) > target:
         x *= 2
     return x
-
-
-def approx_rho_float(field: NumberField, x: int, mu_count: int) -> RhoBracket:
-    """Provable-mode residue bracket with a float Euler product (the
-    certified ERH error dominates float rounding by many orders)."""
-    from .ideal_arith import splitting_degrees
-    log_a = 0.0
-    index_sq = int(field.disc_poly / field.disc_field)
-    for p in intmath.primes_below(x):
-        log_a += math.log1p(-1.0 / p)
-        if index_sq % p == 0:
-            raise ValueError("index-divisor prime in the Euler product")
-        for f, _e in splitting_degrees(field, p):
-            nrm = p ** f
-            if nrm < x:
-                log_a -= math.log1p(-1.0 / nrm)
-    err = 8 * (math.log(abs(field.disc_field))
-               + field.n * math.log(x)) / math.sqrt(x) + 1e-9
-    if math.exp(err) > 1.25:
-        raise ValueError("truncation too small in provable mode")
-    rho0 = math.exp(log_a)
-    eta0 = rho0 * mu_count * math.sqrt(abs(field.disc_field)) / (
-        2 ** field.n_real * (2 * math.pi) ** field.n_cplx)
-    return RhoBracket(rho0, eta0, rho0 * math.exp(-err), rho0 * math.exp(err),
-                      "provable", {"bach_error_log": err, "x": x})
 
 
 def compute_sunits(field: NumberField, fb_user: FactorBase, rng,

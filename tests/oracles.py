@@ -11,7 +11,12 @@ methods that never touch the library's own code paths.
 - a naive LLL that recomputes the rational Gram-Schmidt data after every
   basis change, the cross-check for the library's integral LLL, with an
   exact LLL-reducedness test and a row Hermite normal form for lattice
-  equality.
+  equality;
+- the residue bracket's Euler product as the library computed it before
+  its vectorised kernel: a per-prime float loop over a bytearray sieve
+  (bit-for-bit reference) and an exact `Fraction` product over
+  Kummer-Dedekind prime ideals.  These two take their splitting data from
+  the library's per-prime `splitting_degrees` and `kummer_dedekind`.
 """
 
 from __future__ import annotations
@@ -80,7 +85,7 @@ def quadratic_prime_norms(disc_field: int, bound: int) -> list[int]:
     ideals of norm <= bound in the quadratic field of discriminant D,
     computed purely from Kronecker symbols."""
     out = []
-    for p in _primes(bound + 1):
+    for p in primes_below_reference(bound + 1):
         if disc_field % p == 0:
             out.append(p)                  # ramified
         else:
@@ -101,12 +106,16 @@ def _kron2(disc: int) -> int:
     return 0
 
 
-def _primes(bound: int) -> list[int]:
-    sieve = bytearray([1]) * max(2, bound)
+def primes_below_reference(bound: int) -> list[int]:
+    """Primes p < bound by a bytearray sieve (the library's sieve before
+    it moved to numpy)."""
+    if bound <= 2:
+        return []
+    sieve = bytearray([1]) * bound
     sieve[0:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(bound - 1) + 1):
-        if sieve[i]:
-            sieve[i * i::i] = bytearray(len(sieve[i * i::i]))
+    for p in range(2, math.isqrt(bound - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytearray(len(sieve[p * p::p]))
     return [i for i in range(bound) if sieve[i]]
 
 
@@ -115,7 +124,7 @@ def quadratic_ideal_counts(disc_field: int, up_to: int) -> list[int]:
     up_to, by Euler-product expansion of the Dedekind zeta coefficients."""
     counts = [0] * (up_to + 1)
     counts[1] = 1
-    for p in _primes(up_to + 1):
+    for p in primes_below_reference(up_to + 1):
         if disc_field % p == 0:
             local = {p ** e: 1 for e in range(0, up_to.bit_length() * 2)
                      if p ** e <= up_to}
@@ -277,4 +286,53 @@ def hnf_rows(vectors) -> list[list[int]]:
         for k in range(i):
             q = out[k][col] // row[col]
             out[k] = [a - q * b for a, b in zip(out[k], row)]
+    return out
+
+
+def euler_log_product_reference(field, x: int) -> float:
+    """log A(x) by the per-prime loop of the old
+    `sunit_pipeline.approx_rho_float`, verbatim: the bit-for-bit reference
+    of `det_verify.euler_log_product`."""
+    from latnf.ideal_arith import splitting_degrees
+    log_a = 0.0
+    index_sq = int(field.disc_poly / field.disc_field)
+    for p in primes_below_reference(x):
+        log_a += math.log1p(-1.0 / p)
+        if index_sq % p == 0:
+            raise ValueError("index-divisor prime in the Euler product")
+        for f, _e in splitting_degrees(field, p):
+            nrm = p ** f
+            if nrm < x:
+                log_a -= math.log1p(-1.0 / nrm)
+    return log_a
+
+
+def approx_rho_float_reference(field, x: int, mu_count: int):
+    """The old `sunit_pipeline.approx_rho_float`: the bit-for-bit reference
+    of the provable branch of `det_verify.approx_rho`."""
+    from latnf.det_verify import RhoBracket
+    log_a = euler_log_product_reference(field, x)
+    err = 8 * (math.log(abs(field.disc_field))
+               + field.n * math.log(x)) / math.sqrt(x) + 1e-9
+    if math.exp(err) > 1.25:
+        raise ValueError("truncation too small in provable mode")
+    rho0 = math.exp(log_a)
+    eta0 = rho0 * mu_count * math.sqrt(abs(field.disc_field)) / (
+        2 ** field.n_real * (2 * math.pi) ** field.n_cplx)
+    return RhoBracket(rho0, eta0, rho0 * math.exp(-err), rho0 * math.exp(err),
+                      "provable", {"bach_error_log": err, "x": x})
+
+
+def bach_product(field, x: int) -> Fraction:
+    """A(x) = prod_{p < x} (1 - 1/p) / prod_{N(P) < x, P | p} (1 - 1/N(P)),
+    exact."""
+    from latnf.ideal_arith import kummer_dedekind
+    out = Fraction(1)
+    for p in primes_below_reference(x):
+        num = 1 - Fraction(1, p)
+        den = Fraction(1)
+        for prime, _e in kummer_dedekind(field, p):
+            if prime.norm() < x:
+                den *= 1 - Fraction(1, prime.norm())
+        out *= num / den
     return out

@@ -1,0 +1,128 @@
+"""The residue bracket's Euler-product kernel against the per-prime loop it
+replaced: bit-identical brackets, chunk boundaries, the Kronecker table,
+the general (degree > 2) path, the exact product, the index-divisor
+guard and the sieve."""
+
+import math
+from fractions import Fraction as Q
+
+import pytest
+
+from latnf import det_verify, intmath
+from latnf.det_verify import approx_rho, euler_log_product
+from latnf.ideal_arith import splitting_degrees
+from latnf.nf_core import new_field
+from latnf.sunit_pipeline import (PipelineConfig, _bach_truncation,
+                                  provable_d_value, roots_of_unity_count)
+
+from oracles import (approx_rho_float_reference, bach_product,
+                     euler_log_product_reference, primes_below_reference)
+
+# Q(i), Q(sqrt-5), Q(sqrt2), Q(sqrt-163), x^2-x-1, x^2-x+1
+QUADRATICS = [[1, 0, 1], [5, 0, 1], [-2, 0, 1], [163, 0, 1], [-1, -1, 1],
+              [1, -1, 1]]
+
+
+@pytest.fixture(scope="module", params=QUADRATICS, ids=str)
+def quad_case(request):
+    field = new_field(request.param)
+    x = _bach_truncation(field)
+    mu = roots_of_unity_count(field)
+    return field, x, mu, approx_rho_float_reference(field, x, mu)
+
+
+def _bracket(field, x, mu):
+    return approx_rho(field, truncation=x, mode="provable", roots_of_unity=mu)
+
+
+class TestBitIdentical:
+    def test_bracket_matches_reference(self, quad_case):
+        field, x, mu, ref = quad_case
+        assert x == 2_048_000
+        rb = _bracket(field, x, mu)
+        assert (rb.rho0, rb.eta0, rb.lo, rb.hi) == (ref.rho0, ref.eta0,
+                                                    ref.lo, ref.hi)
+        assert rb.detail["bach_error_log"] == ref.detail["bach_error_log"]
+        assert rb.detail["x"] == x
+
+    def test_small_chunks_cross_boundaries(self, monkeypatch):
+        monkeypatch.setattr(det_verify, "_EULER_CHUNK", 7)
+        for poly in QUADRATICS + [[2, -1, 1]]:     # x^2-x+2: 2 splits
+            field = new_field(poly)
+            got, _bound = euler_log_product(field, 20000)
+            assert got == euler_log_product_reference(field, 20000)
+
+    def test_small_chunks_full_truncation(self, monkeypatch):
+        field = new_field([5, 0, 1])
+        ref = euler_log_product_reference(field, 2_048_000)
+        monkeypatch.setattr(det_verify, "_EULER_CHUNK", 7)
+        assert euler_log_product(field, 2_048_000)[0] == ref
+
+    def test_inert_square_at_the_cut(self):
+        # 103 is inert in Q(i); its square is a term only when 103^2 < x
+        qi = new_field([1, 0, 1])
+        for x in (103 ** 2, 103 ** 2 + 1):
+            got, _bound = euler_log_product(qi, x)
+            assert got == euler_log_product_reference(qi, x)
+
+    def test_general_path_cubic(self):
+        field = new_field([-1, -1, 0, 1])          # x^3 - x - 1
+        got, bound = euler_log_product(field, 20000)
+        assert got == euler_log_product_reference(field, 20000)
+        assert 0 < bound < 1e-11
+
+
+class TestKroneckerTable:
+    def test_agrees_with_splitting_degrees(self):
+        field = new_field([1009, 0, 1])
+        disc = field.poly[1] ** 2 - 4 * field.poly[0]
+        assert abs(disc) == 4036
+        chi = det_verify._kronecker_table(disc)
+        assert len(chi) == 4036
+        kinds = {1: [(1, 1), (1, 1)], 0: [(1, 2)], -1: [(2, 1)]}
+        for p in primes_below_reference(10 ** 5)[1:]:
+            assert kinds[int(chi[p % 4036])] == splitting_degrees(field, p), p
+
+
+class TestExactProduct:
+    def test_bach_product_oracle(self):
+        qi = new_field([1, 0, 1])
+        exact = bach_product(qi, 2000)
+        log_a, bound = euler_log_product(qi, 2000)
+        assert abs(math.exp(log_a) / float(exact) - 1) < 1e-12
+        # the asserted rounding bound covers the float sum
+        assert abs(log_a - math.log(float(exact))) <= bound + 1e-15
+
+
+class TestRoundingBound:
+    def test_recorded_and_inside_slack(self, quad_case):
+        field, x, mu, _ref = quad_case
+        rb = _bracket(field, x, mu)
+        bound = rb.detail["float_rounding_log"]
+        assert 1e-11 < bound <= 1e-9
+
+    def test_pipeline_reports_it(self):
+        qi = new_field([1, 0, 1])
+        _d, info = provable_d_value(qi, PipelineConfig())
+        assert 0 < info["float_rounding_log"] <= 1e-9
+
+
+class TestGuards:
+    def test_index_divisor_prime(self):
+        field = new_field([23, 0, 1],
+                          integral_basis=[[1, 0], [Q(1, 2), Q(1, 2)]])
+        with pytest.raises(ValueError, match="index-divisor prime"):
+            provable_d_value(field, PipelineConfig())
+
+
+class TestSieve:
+    def test_matches_bytearray_sieve(self):
+        for bound in range(3001):
+            assert intmath.primes_below(bound) == primes_below_reference(bound)
+        assert intmath.primes_below(2) == []
+
+    def test_large_bound_python_ints(self):
+        got = intmath.primes_below(2_048_000)
+        assert got == primes_below_reference(2_048_000)
+        assert len(got) == 152_252
+        assert all(type(p) is int for p in got)
