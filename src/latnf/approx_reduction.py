@@ -18,17 +18,12 @@ from . import bkz, lattice_core, qlinalg
 from .dyadic import Q, RealBall, sqrt_bracket
 from .ideal_arith import HnfIdeal
 from .nf_core import NumberField
-from .qlinalg import dot, int_identity, mat_inv, mat_mul, transpose
+from .qlinalg import dot, mat_inv, transpose
 
 
 def rowmax_norm_sq(rows) -> Fraction:
     """max_j ||row_j||^2 exactly."""
     return max(dot([Q(x) for x in r], [Q(x) for x in r]) for r in rows)
-
-
-def rowmax_norm(rows) -> float:
-    import math
-    return math.sqrt(float(rowmax_norm_sq(rows)))
 
 
 def floor_log2(x: Fraction) -> int:

@@ -14,14 +14,13 @@ import json
 import math
 import random
 import sys
-from fractions import Fraction
 
 from . import __version__, serialize
 from .dyadic import Q
 from .ideal_arith import (HnfIdeal, SampleFailure, hnf_inv, hnf_mul,
                           kummer_dedekind, primes_up_to, sample_prime_uniform)
 from .nf_core import NumberField
-from .samplers import CapExceeded, GridBox, RadiusExpr, SamplerConfig
+from .samplers import CapExceeded, SamplerConfig
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -31,7 +30,7 @@ EXIT_CAP = 4
 
 def _config_echo(args) -> dict:
     keys = ("radius_constant", "b_sm", "b_rw", "kessler_c", "walk_b",
-            "tour_cap_c", "seed", "jobs")
+            "tour_cap_c", "seed")
     return {"version": __version__,
             **{k: getattr(args, k, None) for k in keys}}
 
@@ -50,7 +49,6 @@ def _add_constant_flags(p):
                    help="explicit walk prime bound B (provable mode)")
     p.add_argument("--tour-cap-c", dest="tour_cap_c", type=float, default=1.0,
                    help="BKZ tour-cap constant C (paper gap)")
-    p.add_argument("--jobs", type=int, default=1)
 
 
 def _load_field(path) -> NumberField:
@@ -219,8 +217,7 @@ def _pipeline_config(args):
                                  radius_constant=args.radius_constant))
     return PipelineConfig(relation=rel_cfg,
                           random_rel=RandomRelationConfig(relation=rel_cfg),
-                          kessler_c=args.kessler_c,
-                          jobs=args.jobs)
+                          kessler_c=args.kessler_c)
 
 
 def cmd_sunits(args) -> int:

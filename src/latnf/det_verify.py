@@ -20,7 +20,7 @@ from . import intmath, polyq, qlinalg
 from .dyadic import Q, sqrt_bracket
 from .ideal_arith import kummer_dedekind, splitting_degrees
 from .nf_core import NumberField
-from .qlinalg import dot, mat_det, mat_mul, transpose
+from .qlinalg import dot, mat_det
 
 
 def _gram_of_cols(cols):

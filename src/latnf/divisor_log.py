@@ -10,10 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from . import intmath
-from .dyadic import Q, RealBall, ball_exp, ball_sqrt, log_ball
+from .dyadic import Q, RealBall, ball_exp, ball_log, ball_sqrt, log_ball
 from .ideal_arith import HnfIdeal, PrimeIdeal, hnf_inv, hnf_mul, kummer_dedekind, ord_at
 from .nf_core import FieldElement, NumberField
 
@@ -50,10 +49,6 @@ class Divisor:
 
     def __sub__(self, other):
         return self + (-other)
-
-    def scale_infinite(self, c) -> "Divisor":
-        return Divisor(self.field, self.finite_part,
-                       [v * Q(c) for v in self.infinite_part])
 
     def euclid_norm_sq(self) -> RealBall:
         acc = RealBall(Q(0))
@@ -92,10 +87,9 @@ def ideal_divisor(a: HnfIdeal, primes=None) -> Divisor:
         if v:
             fin[p] = v
     # exactness check: product reconstructs a
-    from .ideal_arith import _prime_power
     recon = HnfIdeal.ring_of_integers(field)
     for p, e in fin.items():
-        step = _prime_power(p, abs(e))
+        step = p.power(abs(e))
         recon = hnf_mul(recon, step if e > 0 else hnf_inv(step))
     if recon != a:
         raise ValueError("support does not factor the ideal "
@@ -177,7 +171,7 @@ def log_embedding(alpha: FieldElement, prec: int = 64) -> LogVector:
                 a2 = pt.values[idx].abs2()
                 if a2.lo() <= 0:
                     raise _NeedMore
-                lg = _ball_log_interval(a2, prec + 8)
+                lg = ball_log(a2, prec + 8)
                 entries.append(lg * Q(nnu, 2))
             break
         except _NeedMore:
@@ -188,13 +182,6 @@ def log_embedding(alpha: FieldElement, prec: int = 64) -> LogVector:
 
 class _NeedMore(Exception):
     pass
-
-
-def _ball_log_interval(b: RealBall, prec: int) -> RealBall:
-    lo = log_ball(b.lo(), prec)
-    hi = log_ball(b.hi(), prec)
-    l, h = lo.lo(), hi.hi()
-    return RealBall((l + h) / 2, (h - l) / 2)
 
 
 @dataclass
@@ -222,11 +209,10 @@ def log_s_embed(alpha: FieldElement, s_primes: list[PrimeIdeal],
     field = alpha.field
     ideal = HnfIdeal.principal(field, alpha)
     vals = [ord_at(ideal, p) for p in s_primes]
-    from .ideal_arith import _prime_power
     recon = HnfIdeal.ring_of_integers(field)
     for p, e in zip(s_primes, vals):
         if e:
-            step = _prime_power(p, abs(e))
+            step = p.power(abs(e))
             recon = hnf_mul(recon, step if e > 0 else hnf_inv(step))
     if recon != ideal:
         offender = _first_offender(ideal, s_primes)
@@ -295,12 +281,6 @@ def gamma_k_bound(field: NumberField, cyclotomic: bool = False) -> float:
     if cyclotomic:
         return 1.0
     return abs(field.disc_field) ** (1.0 / field.n)
-
-
-def pic0_log_volume_bound(field: NumberField, m0_norm: int = 1,
-                          real_places_in_m: int = 0) -> float:
-    """Certified upper bound log vol(Pic0) <= log(N(m0) 2^{|mR|}) + log|D|."""
-    return math.log(m0_norm * 2 ** real_places_in_m) + math.log(abs(field.disc_field))
 
 
 def kessler_lambda1_lower(field: NumberField, c: int = 1000) -> Fraction:

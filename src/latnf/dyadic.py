@@ -167,9 +167,6 @@ class RealBall:
         hi = max(-self.lo(), self.hi())
         return RealBall(hi / 2, hi / 2)
 
-    def square(self):
-        return self * self
-
     def contains(self, x) -> bool:
         x = Q(x)
         return self.lo() <= x <= self.hi()
@@ -269,9 +266,6 @@ class ComplexBall:
         a = _abs_upper(self.re, self.im)
         rad = 2 * a * self.rad + self.rad * self.rad
         return RealBall(m, rad)
-
-    def abs_ball(self, prec: int) -> RealBall:
-        return ball_sqrt(self.abs2(), prec)
 
     def round_mid(self, prec: int) -> "ComplexBall":
         re = dyadic_round(self.re, prec)

@@ -149,6 +149,22 @@ class PrimeIdeal:
     def sort_key(self):
         return (self.norm(), self.p, self.hnf.hnf)
 
+    def power(self, k: int) -> HnfIdeal:
+        """p^k (k >= 0) by binary powering, cached on the field."""
+        if k == 0:
+            return HnfIdeal.ring_of_integers(self.field)
+        cache = self.field._prime_pow_cache
+        key = (self.hnf, k)
+        hit = cache.get(key)
+        if hit is not None:
+            return hit
+        half = self.power(k // 2)
+        out = hnf_mul(half, half)
+        if k % 2:
+            out = hnf_mul(out, self.hnf)
+        cache[key] = out
+        return out
+
     def __eq__(self, other):
         return isinstance(other, PrimeIdeal) and self.hnf == other.hnf
 
@@ -213,17 +229,6 @@ def hnf_inv(a: HnfIdeal) -> HnfIdeal:
     return HnfIdeal.from_module_columns(field, cols)
 
 
-_PRIME_INV_CACHE: dict = {}
-
-
-def _prime_inverse(p: PrimeIdeal) -> "HnfIdeal":
-    hit = _PRIME_INV_CACHE.get(p.hnf)
-    if hit is None:
-        hit = hnf_inv(p.hnf)
-        _PRIME_INV_CACHE[p.hnf] = hit
-    return hit
-
-
 def ord_at(a: HnfIdeal, p: PrimeIdeal) -> int:
     """Exact valuation of a at p (works for fractional a)."""
     field = a.field
@@ -233,25 +238,6 @@ def ord_at(a: HnfIdeal, p: PrimeIdeal) -> int:
         d_ideal = HnfIdeal.from_integer(field, a.denom)
         v -= _ord_integral(d_ideal, p)
     return v
-
-
-_PRIME_POW_CACHE: dict = {}
-
-
-def _prime_power(p: PrimeIdeal, k: int) -> "HnfIdeal":
-    """p^k via cached binary powering."""
-    if k == 0:
-        return HnfIdeal.ring_of_integers(p.field)
-    key = (p.hnf, k)
-    hit = _PRIME_POW_CACHE.get(key)
-    if hit is not None:
-        return hit
-    half = _prime_power(p, k // 2)
-    out = hnf_mul(half, half)
-    if k % 2:
-        out = hnf_mul(out, p.hnf)
-    _PRIME_POW_CACHE[key] = out
-    return out
 
 
 def _contained_in(a: HnfIdeal, b: HnfIdeal) -> bool:
@@ -279,7 +265,7 @@ def _ord_integral(a: HnfIdeal, p: PrimeIdeal) -> int:
     lo, hi = 0, vmax
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if _contained_in(a, _prime_power(p, mid)):
+        if _contained_in(a, p.power(mid)):
             lo = mid
         else:
             hi = mid - 1
@@ -288,11 +274,8 @@ def _ord_integral(a: HnfIdeal, p: PrimeIdeal) -> int:
 
 def kummer_dedekind(field: NumberField, p: int) -> list[tuple[PrimeIdeal, int]]:
     """Splitting of (p): [(prime, exponent)], requires p coprime to the
-    index [O_K : Z[theta]].  Cached per field."""
-    cache = getattr(field, "_kd_cache", None)
-    if cache is None:
-        cache = {}
-        field._kd_cache = cache
+    index [O_K : Z[theta]].  Cached on the field."""
+    cache = field._kd_cache
     if p in cache:
         return cache[p]
     out = _kummer_dedekind_uncached(field, p)

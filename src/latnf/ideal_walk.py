@@ -7,17 +7,15 @@ boundedness) and the shifting/norm-independence experiments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 from fractions import Fraction
 
-from . import intmath, samplers
-from .divisor_log import (Divisor, ideal_divisor_zero, log_embedding,
-                          principal_divisor)
+from . import samplers
+from .divisor_log import Divisor, ideal_divisor_zero, principal_divisor
 from .dyadic import Q, RealBall, exp_ball
 from .ideal_arith import HnfIdeal, hnf_mul, sample_prime_uniform
 from .nf_core import FieldElement, NumberField
-from .samplers import (BoxSampleResult, CapExceeded, SamplerConfig,
-                       klein_sample, sample_in_box, walk_radius)
+from .samplers import SamplerConfig, klein_sample, sample_in_box, walk_radius
 
 
 @dataclass
@@ -29,13 +27,6 @@ class WalkParams:
     delta: Fraction           # dyadic grid parameter
     omega: Fraction
     blocksize: int
-
-    def as_dict(self):
-        return {"B": self.prime_bound, "N": self.walk_length,
-                "s": str(self.s), "eps": str(self.eps),
-                "delta_log2": self.delta.denominator.bit_length() - 1
-                if self.delta < 1 else float(self.delta),
-                "omega": str(self.omega), "blocksize": self.blocksize}
 
 
 def walk_params(field: NumberField, m0: HnfIdeal | None, m_inf,

@@ -1,4 +1,5 @@
-"""Integer number theory helpers: primality, factoring, modular roots."""
+"""Integer number theory helpers: primality, factoring, the Jacobi symbol,
+exact integer and rational roots."""
 
 from __future__ import annotations
 
@@ -115,37 +116,6 @@ def jacobi(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
-
-
-def sqrt_mod(a: int, p: int) -> int | None:
-    """Square root of a modulo odd prime p, or None if non-residue."""
-    a %= p
-    if a == 0:
-        return 0
-    if p == 2:
-        return a
-    if jacobi(a, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # Tonelli-Shanks
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while jacobi(z, p) != -1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
 
 
 def nth_root_floor(n: int, k: int) -> int:

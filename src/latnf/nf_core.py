@@ -9,14 +9,13 @@ decided exactly through Liouville-type separation bounds.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from math import gcd
 
 import numpy as np
 
 from . import polyq, qlinalg
-from .dyadic import ComplexBall, Q, RealBall, ball_sqrt, dyadic_round
+from .dyadic import ComplexBall, Q, RealBall, dyadic_round
 
 GT, LE = "GT", "LE"
 
@@ -265,8 +264,10 @@ class NumberField:
         self.poly = poly
         self.poly_q = [Q(c) for c in poly]
         self.n = n
-        self._root_lock = threading.Lock()
         self._root_cache: dict = {}
+        # filled by ideal_arith: splitting of rational primes, prime powers
+        self._kd_cache: dict = {}
+        self._prime_pow_cache: dict = {}
         if not self._is_irreducible():
             raise ValueError("reducible defining polynomial")
         self.disc_poly = polyq.discriminant(self.poly_q)
@@ -439,13 +440,11 @@ class NumberField:
     # -- embeddings ----------------------------------------------------------
     def _all_roots(self, prec: int):
         """Certified balls for all n roots, cached per precision."""
-        with self._root_lock:
-            hit = self._root_cache.get(prec)
+        hit = self._root_cache.get(prec)
         if hit is not None:
             return hit
         roots = self._refine_roots(prec)
-        with self._root_lock:
-            self._root_cache[prec] = roots
+        self._root_cache[prec] = roots
         return roots
 
     def _refine_roots(self, prec: int, order: bool = True):
@@ -614,17 +613,6 @@ class NumberField:
 
         return decide_root_gt_int(scaled, refine, target_int)
 
-    def signed_pow_cmp(self, alpha: FieldElement, place_idx: int,
-                       k: int, g: Fraction) -> str:
-        """Decide sigma(alpha) > g^(1/k) at a real place (g >= 0)."""
-        g = Q(g)
-        if g < 0:
-            raise ValueError("signed comparison needs g >= 0")
-        s = self.sign_at_real_place(alpha, place_idx)
-        if s <= 0:
-            return GT if (s == 0 and g < 0) else LE
-        return self.abs2_pow_cmp(alpha, place_idx, k, g * g)  # (|a|^2)^k vs g^2
-
     # -- exact Minkowski Gram -------------------------------------------------
     def conj_automorphism(self):
         """Field automorphism realizing complex conjugation at every
@@ -690,26 +678,6 @@ class NumberField:
                 row.append((x * conj_elt(y)).trace())
             out.append(row)
         return out
-
-    def minkowski_columns(self, elements, prec: int):
-        """Real coordinates of elements in K_R (isometric basis): one
-        coordinate per real embedding, (sqrt2*Re, sqrt2*Im) per pair.
-        Returns columns of RealBalls."""
-        s2lo, s2hi = _sqrt_brackets(Q(2), prec + 8)
-        s2 = RealBall((s2lo + s2hi) / 2, (s2hi - s2lo) / 2)
-        cols = []
-        for e in elements:
-            pt = self.embed(e, prec + 8)
-            col = []
-            for i in range(self.n_real):
-                v = pt.values[i]
-                col.append(RealBall(v.re, v.rad))
-            for kidx in range(self.n_cplx):
-                v = pt.values[self.n_real + 2 * kidx]
-                col.append(RealBall(v.re, v.rad) * s2)
-                col.append(RealBall(v.im, v.rad) * s2)
-            cols.append(col)
-        return cols
 
     def __repr__(self):
         return f"NumberField({self.poly}, disc={self.disc_field})"

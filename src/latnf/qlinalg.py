@@ -12,28 +12,8 @@ from math import gcd
 Q = Fraction
 
 
-def vec_add(u, v):
-    return [a + b for a, b in zip(u, v)]
-
-
-def vec_sub(u, v):
-    return [a - b for a, b in zip(u, v)]
-
-
-def vec_scale(u, c):
-    return [a * c for a in u]
-
-
 def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
-
-
-def norm2(u):
-    return dot(u, u)
-
-
-def identity(n):
-    return [[Q(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def int_identity(n):
@@ -315,10 +295,3 @@ def smith_normal_form(mat: list[list[int]]) -> list[int]:
 
 def gram_matrix(vectors) -> list[list[Fraction]]:
     return [[dot(u, v) for v in vectors] for u in vectors]
-
-
-def content(xs) -> int:
-    g = 0
-    for x in xs:
-        g = gcd(g, x)
-    return g

@@ -9,8 +9,8 @@ import math
 from dataclasses import dataclass, field as dfield
 from fractions import Fraction
 
-from . import intmath, samplers
-from .divisor_log import kessler_lambda1_lower, log_s_embed, LogSUnitVector
+from . import samplers
+from .divisor_log import log_s_embed, LogSUnitVector
 from .dyadic import Q, exp_ball
 from .ideal_arith import (HnfIdeal, PrimeIdeal, hnf_inv, hnf_mul, ord_at,
                           primes_up_to)
@@ -45,9 +45,6 @@ class FactorBase:
         bad = {p.hnf for p in m0_primes}
         return FactorBase([p for p in self.primes if p.hnf not in bad])
 
-    def rational_primes(self):
-        return sorted({p.p for p in self.primes})
-
 
 def smooth_factor(a: HnfIdeal, fb: FactorBase):
     """Exact valuation vector of a over the factor base, or None if the
@@ -61,11 +58,10 @@ def smooth_factor(a: HnfIdeal, fb: FactorBase):
         if nrm % p.p:
             continue
         vals[i] = ord_at(a, p)
-    from latnf.ideal_arith import _prime_power
     recon = HnfIdeal.ring_of_integers(field)
     for p, v in zip(fb, vals):
         if v:
-            recon = hnf_mul(recon, _prime_power(p, v))
+            recon = hnf_mul(recon, p.power(v))
     if recon != a:
         return None
     return vals
@@ -172,16 +168,6 @@ class SUnitRelation:
         return log_s_embed(self.alpha, list(fb), prec)
 
 
-@dataclass
-class RelationStats:
-    attempts: int = 0
-    successes: int = 0
-    soft_bound: float | None = None
-
-    def rate(self):
-        return self.successes / self.attempts if self.attempts else 0.0
-
-
 def _walk_params_for(field: NumberField, m0: HnfIdeal, blocksize: int,
                      omega, cfg: RelationConfig) -> WalkParams:
     m0_norm = int(m0.norm())
@@ -201,8 +187,8 @@ def _walk_params_for(field: NumberField, m0: HnfIdeal, blocksize: int,
 
 
 def compute_one_relation(field: NumberField, a: HnfIdeal, fb: FactorBase,
-                         y, rng, cfg: RelationConfig, rho_tilde: float,
-                         stats: RelationStats | None = None) -> SUnitRelation:
+                         y, rng, cfg: RelationConfig,
+                         rho_tilde: float) -> SUnitRelation:
     """Algorithm: residue branch, then repeat the ideal sampler until
     alpha O_K a^{-1} is fb-smooth; outputs the verified relation."""
     blocksize = cfg.blocksize or default_blocksize(field)
@@ -214,7 +200,7 @@ def compute_one_relation(field: NumberField, a: HnfIdeal, fb: FactorBase,
     omega = choose_omega(field, int(m0.norm()), blocksize, x, cfg)
     params = _walk_params_for(field, m0, blocksize, omega, cfg)
     tau = _sample_tau(field, m0, m0_primes, rng)
-    stats = stats if stats is not None else RelationStats()
+    attempts = 0
     a_inv = hnf_inv(a)
     m0_arg = m0 if int(m0.norm()) > 1 else None
     import time as _time
@@ -222,8 +208,8 @@ def compute_one_relation(field: NumberField, a: HnfIdeal, fb: FactorBase,
     for _ in range(cfg.attempt_cap):
         if _time.monotonic() - t_start > cfg.time_budget:
             raise samplers.CapExceeded(
-                f"relation time budget spent after {stats.attempts} attempts")
-        stats.attempts += 1
+                f"relation time budget spent after {attempts} attempts")
+        attempts += 1
         try:
             trace = sample_beta(field, m0_arg, [], a, y, tau, params, rng,
                                 cfg.sampler)
@@ -233,10 +219,9 @@ def compute_one_relation(field: NumberField, a: HnfIdeal, fb: FactorBase,
         vals = smooth_factor(rel_ideal, fb)
         if vals is None:
             continue
-        stats.successes += 1
         total = [v + ord_at(a, p) for v, p in zip(vals, fb)]
         return SUnitRelation(trace.beta, tuple(vals), tuple(total), a,
-                             stats.attempts, origin=trace)
+                             attempts, origin=trace)
     raise samplers.CapExceeded(
         f"no smooth relation after {cfg.attempt_cap} attempts")
 
@@ -274,11 +259,6 @@ def rr_default_bound(field: NumberField, fb: FactorBase) -> float:
     when verification reports a proper sublattice.  The paper's analytic
     bound poly(log|Delta|, max log N(p)) is available via cfg.rr_bound."""
     return 1.0
-
-
-def rr_analytic_bound(field: NumberField, fb: FactorBase) -> float:
-    mx = max((math.log(p.norm()) for p in fb), default=1.0)
-    return 3 * max(1.0, math.log(abs(field.disc_field)), mx)
 
 
 def grid_denominator(field: NumberField, omega: int) -> int:

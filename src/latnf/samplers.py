@@ -12,14 +12,15 @@ Gaussian samplers carry a statistical-distance budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import intmath, lattice_core, qlinalg
-from .approx_reduction import approx_bkz_ideal
-from .dyadic import Q, RealBall, sqrt_bracket
+from .approx_reduction import (_lambda1_lower_sq, approx_bkz_ideal,
+                               minkowski_columns_x)
+from .dyadic import Q, sqrt_bracket
 from .ideal_arith import HnfIdeal, hnf_mul
-from .nf_core import GT, LE, FieldElement, NumberField, cmp_element
+from .nf_core import GT, FieldElement, NumberField, cmp_element
 from .qlinalg import dot, mat_inv, mat_vec, transpose
 
 RETRY_CAP = math.ceil(math.e ** 3 * 40)   # per uniform draw, then error
@@ -89,11 +90,6 @@ def _z_gaussian(s, c, t: float, delta: float, rng) -> int:
             return z
 
 
-def klein_window_t(n: int, eps_g: float) -> float:
-    """The per-coordinate truncation t = sqrt(log(2 n^2 / eps))."""
-    return math.sqrt(math.log(2.0 * n * n / eps_g))
-
-
 def klein_min_width(basis_cols, eps_g: float) -> float:
     """Smallest admissible s: sqrt((log(1/eps)+2 log n+3)/pi) max||b_i||."""
     n = len(basis_cols)
@@ -150,18 +146,6 @@ def gaussian_tail_continuous(s: float, n: int, eps: float) -> float:
 
 # ---------------------------------------------------------------------------
 # Perfectly uniform sampling in box x lattice
-
-
-@dataclass
-class AxisBox:
-    """Product of intervals and discs in the real Minkowski coordinates.
-
-    intervals: list of (coord index, halfwidth RadiusExpr-scaled) for the
-    1-dim factors; discs: list of ((i, j), radius) pairs of coordinates.
-    Halfwidths/radii are RadiusExpr values so membership stays exact.
-    """
-    intervals: list
-    discs: list
 
 
 class RadiusExpr:
@@ -233,14 +217,6 @@ def walk_radius(field: NumberField, modulus_norm: Fraction, blocksize: int,
            * Q(abs(field.disc_field)) ** (3 * b)
            * Q(modulus_norm) ** (2 * b))
     return RadiusExpr(val, k)
-
-
-@dataclass
-class BoxSpec:
-    radius: RadiusExpr
-    half_real_places: list       # real place indices carrying a sign constraint
-    signs: list                  # the sign of sigma(tau) at those places
-    shift: object = None
 
 
 def perfect_box_grid(cols, grid_n: int, box: "GridBox", c_scale, eps, rng):
@@ -415,7 +391,7 @@ def sample_in_box(field: NumberField, m0: HnfIdeal | None, m_inf: list[int],
         red = approx_bkz_ideal(x, bm, blocksize)
         if reduced_cache is not None:
             reduced_cache[cache_key] = red
-    cols_balls = _columns_with_x(field, red.elements, x, red.precision_bits)
+    cols_balls = minkowski_columns_x(field, red.elements, x, red.precision_bits)
     for col in cols_balls:
         norm_sq_up = sum((abs(c.mid) + c.rad) ** 2 for c in col)
         # || x b_i || <= r / (24 n^2): compare squares times (24 n^2)^2
@@ -459,7 +435,6 @@ def sample_in_box(field: NumberField, m0: HnfIdeal | None, m_inf: list[int],
         field, omega, cfg.radius_constant)
     # the instantiated N assumes a unit-scale lattice; rescale by the
     # certified lambda_1 lower bound when the ideal lattice is small
-    from .approx_reduction import _lambda1_lower_sq
     lam1_sq = _lambda1_lower_sq(field, x, bm)
     if lam1_sq < 1:
         shift = (lam1_sq.denominator.bit_length()
@@ -483,14 +458,14 @@ def sample_in_box(field: NumberField, m0: HnfIdeal | None, m_inf: list[int],
     while True:
         if cfg.time_budget and _time.monotonic() - t_start > cfg.time_budget:
             raise CapExceeded("box sampler time budget spent")
-        cols = _columns_with_x(field, red.elements, x, prec)
+        cols = minkowski_columns_x(field, red.elements, x, prec)
         max_err = max(c.rad for col in cols for c in col)
         if max_err > Q(1, 4 * grid_n):
             prec *= 2
             continue
         c_cols = [[Q(_round_half(c.mid * grid_n), grid_n) for c in col]
                   for col in cols]
-        g_col = _columns_with_x(field, [gamma_red], x, prec)[0]
+        g_col = minkowski_columns_x(field, [gamma_red], x, prec)[0]
         r_lo, r_hi = radius.bracket(prec)
         if r_hi - r_lo > Q(1, 4 * grid_n) or max(c.rad for c in g_col) > Q(1, 8 * grid_n):
             prec *= 2
@@ -537,11 +512,6 @@ def _in_tau_box(field: NumberField, beta0: FieldElement, x,
         if field.sign_at_real_place(beta0, place) != tau_signs[place]:
             return False
     return True
-
-
-def _columns_with_x(field: NumberField, elements, x, prec: int):
-    from .approx_reduction import minkowski_columns_x
-    return minkowski_columns_x(field, elements, x, prec)
 
 
 def _crt_shift(field: NumberField, b_ideal: HnfIdeal, m0: HnfIdeal,

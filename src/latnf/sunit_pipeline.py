@@ -11,7 +11,6 @@ comes from `det_verify.approx_rho`, the library's one residue bracket
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field as dfield
 from fractions import Fraction
@@ -21,13 +20,11 @@ from .approx_reduction import ApproxGenerators, bkp_twice
 from .det_verify import approx_rho
 from .divisor_log import kessler_lambda1_lower, log_embedding
 from .dyadic import Q, RealBall, log_ball, sqrt_bracket
-from .ideal_arith import HnfIdeal, PrimeIdeal, hnf_inv, hnf_mul, ord_at
-from .lattice_core import enumerate_minima_gram
+from .ideal_arith import HnfIdeal, hnf_mul, ord_at
 from .nf_core import FieldElement, NumberField
 from .relations import (FactorBase, RandomRelationConfig, RelationConfig,
                         SUnitRelation, compute_one_relation, exceptional_unit,
-                        modulus_branch, random_relation, rr_default_bound,
-                        sample_budget)
+                        modulus_branch, random_relation, sample_budget)
 
 
 class CompactElement:
@@ -444,7 +441,6 @@ class PipelineConfig:
     classical_h: int | None = None       # desk-mode injection
     classical_r: float | None = None
     kessler_c: int = 1000
-    jobs: int = 1
     progress: object = None              # optional callable(str)
 
     def echo(self):
@@ -464,7 +460,10 @@ class PipelineConfig:
 
 
 def roots_of_unity_count(field: NumberField) -> int:
-    """|mu_K| = #{v in O_K : T2-norm^2 = n} (Kronecker's theorem)."""
+    """|mu_K| = #{v in O_K : T2-norm^2 = n} (Kronecker's theorem); a
+    real place embeds mu_K in R, so then mu_K = {+-1}."""
+    if field.n_real > 0:
+        return 2
     basis = [field.element([Q(int(i == j)) for j in range(field.n)])
              for i in range(field.n)]
     gram = field.minkowski_gram(basis)

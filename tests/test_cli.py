@@ -157,6 +157,10 @@ class TestConfigEcho:
         assert cfgd["kessler_c"] == 900
         assert cfgd["radius_constant"] == 48
         assert cfgd["tour_cap_c"] == 1.0
+        assert "jobs" not in cfgd
+        with pytest.raises(SystemExit) as exc:
+            main(["field", qi_file, "--jobs", "2"])
+        assert exc.value.code == 2
 
 
 class TestEntryPoint:

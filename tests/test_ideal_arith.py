@@ -1,9 +1,13 @@
+import gc
 import random
 import sys
+import weakref
 from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 from oracles import chi2_uniform_stat, quadratic_prime_norms
@@ -12,7 +16,9 @@ from latnf.ideal_arith import (HnfIdeal, SampleFailure, hnf_inv, hnf_mul,
                                kummer_dedekind, ord_at, primes_up_to,
                                sample_prime_uniform, splitting_degrees)
 from latnf.ideal_walk import chi2_sf
+from latnf.intmath import factorint
 from latnf.nf_core import new_field
+from latnf.relations import FactorBase, smooth_factor
 
 
 @pytest.fixture(scope="module")
@@ -188,3 +194,87 @@ class TestSamplePrimeUniform:
         with pytest.raises(SampleFailure):
             sample_prime_uniform(qi, 20, None, lambda p: False, rng,
                                  max_attempts=300)
+
+
+class TestFieldLifetime:
+    def test_caches_die_with_the_field(self):
+        field = new_field([5, 0, 1])
+        ref = weakref.ref(field)
+        primes = primes_up_to(field, 12)
+        six = HnfIdeal.from_integer(field, 6)
+        for p in primes:
+            ord_at(six, p)
+            p.power(3)
+        assert smooth_factor(six, FactorBase(primes)) is not None
+        assert field._prime_pow_cache and field._kd_cache
+        del field, primes, six, p
+        gc.collect()
+        assert ref() is None
+
+
+# Q(i), Q(sqrt-5) (class number 2, 2 ramified) and x^2 - x + 2 (2 splits)
+PROPERTY_POLYS = {"Q(i)": [1, 0, 1], "Q(sqrt-5)": [5, 0, 1],
+                  "x^2-x+2": [2, -1, 1]}
+field_names = st.sampled_from(sorted(PROPERTY_POLYS))
+coords = st.tuples(st.integers(-15, 15), st.integers(-15, 15)).filter(any)
+denoms = st.integers(1, 6)
+
+
+@pytest.fixture(scope="module")
+def property_fields():
+    return {name: new_field(poly) for name, poly in PROPERTY_POLYS.items()}
+
+
+def _principal(field, xy, den):
+    return HnfIdeal.principal(field, field.element([Q(c, den) for c in xy]))
+
+
+def _support(*ideals):
+    """Every prime above a rational prime dividing a norm or denominator."""
+    field = ideals[0].field
+    rationals = set()
+    for a in ideals:
+        nrm = a.norm()
+        for m in (nrm.numerator, nrm.denominator, a.denom):
+            rationals |= set(factorint(m))
+    rationals.discard(1)
+    return [prime for q in sorted(rationals)
+            for prime, _e in kummer_dedekind(field, q)]
+
+
+class TestIdealProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(name=field_names, x=coords, dx=denoms, y=coords, dy=denoms)
+    def test_valuation_of_product(self, property_fields, name, x, dx, y, dy):
+        field = property_fields[name]
+        a, b = _principal(field, x, dx), _principal(field, y, dy)
+        ab = hnf_mul(a, b)
+        for p in _support(a, b) + primes_up_to(field, 7):
+            assert ord_at(ab, p) == ord_at(a, p) + ord_at(b, p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(name=field_names, idx=st.integers(0, 50), k=st.integers(0, 7))
+    def test_prime_power_is_repeated_product(self, property_fields, name,
+                                             idx, k):
+        field = property_fields[name]
+        primes = primes_up_to(field, 30)
+        p = primes[idx % len(primes)]
+        prod = HnfIdeal.ring_of_integers(field)
+        for _ in range(k):
+            prod = hnf_mul(prod, p.hnf)
+        assert p.power(k) == prod
+        if k:
+            assert p.power(k) is p.power(k)
+        assert ord_at(prod, p) == k
+
+    @settings(max_examples=100, deadline=None)
+    @given(name=field_names, x=coords, den=denoms, idx=st.integers(0, 50),
+           k=st.integers(0, 3))
+    def test_inverse(self, property_fields, name, x, den, idx, k):
+        field = property_fields[name]
+        primes = primes_up_to(field, 30)
+        p = primes[idx % len(primes)]
+        a = hnf_mul(_principal(field, x, den), p.power(k))
+        assert hnf_mul(a, hnf_inv(a)) == HnfIdeal.ring_of_integers(field)
+        assert hnf_mul(p.hnf, hnf_inv(p.hnf)) == \
+            HnfIdeal.ring_of_integers(field)

@@ -45,7 +45,6 @@ class TestSmoothFactor:
         assert smooth_factor(HnfIdeal.from_integer(qs5, 11), fb) is None
 
     def test_reconstruction_identity(self, qs5):
-        from latnf.ideal_arith import _prime_power
         fb = FactorBase(primes_up_to(qs5, 10))
         rng = random.Random(3)
         for _ in range(10):
@@ -60,7 +59,7 @@ class TestSmoothFactor:
             recon = HnfIdeal.ring_of_integers(qs5)
             for p, e in zip(fb, v):
                 if e:
-                    recon = hnf_mul(recon, _prime_power(p, e))
+                    recon = hnf_mul(recon, p.power(e))
             assert recon == ideal
 
 
@@ -103,11 +102,10 @@ class TestOneRelation:
         rng = random.Random(7)
         rel = compute_one_relation(qi, HnfIdeal.ring_of_integers(qi), fb,
                                    [1, 1], rng, FAST_CFG, 0.7854)
-        from latnf.ideal_arith import _prime_power
         recon = HnfIdeal.ring_of_integers(qi)
         for p, v in zip(fb, rel.valuations):
             if v:
-                recon = hnf_mul(recon, _prime_power(p, v))
+                recon = hnf_mul(recon, p.power(v))
         assert recon == HnfIdeal.principal(qi, rel.alpha)
 
     def test_nontrivial_input_ideal(self, qs5):
@@ -116,17 +114,16 @@ class TestOneRelation:
         rng = random.Random(8)
         rel = compute_one_relation(qs5, p2.hnf, fb, [1, 1], rng, FAST_CFG,
                                    1.405)
-        from latnf.ideal_arith import _prime_power
         recon = p2.hnf
         for p, v in zip(fb, rel.valuations):
             if v:
-                recon = hnf_mul(recon, _prime_power(p, v))
+                recon = hnf_mul(recon, p.power(v))
         assert recon == HnfIdeal.principal(qs5, rel.alpha)
         # total valuations describe (alpha) itself
         recon2 = HnfIdeal.ring_of_integers(qs5)
         for p, v in zip(fb, rel.total_valuations):
             if v:
-                recon2 = hnf_mul(recon2, _prime_power(p, v))
+                recon2 = hnf_mul(recon2, p.power(v))
         assert recon2 == HnfIdeal.principal(qs5, rel.alpha)
 
 
@@ -171,11 +168,10 @@ class TestExceptionalUnit:
                          if p.hnf != q.hnf])
         rng = random.Random(12)
         rel = exceptional_unit(qs5, q, fb, m0, m0_primes, rng, FAST_CFG)
-        from latnf.ideal_arith import _prime_power
         recon = q.hnf
         for p, v in zip(fb, rel.valuations):
             if v:
-                recon = hnf_mul(recon, _prime_power(p, v))
+                recon = hnf_mul(recon, p.power(v))
         assert recon == HnfIdeal.principal(qs5, rel.alpha)
 
     def test_q_must_divide_m0(self, qs5):

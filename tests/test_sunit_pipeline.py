@@ -48,6 +48,7 @@ class TestRootsOfUnity:
         assert roots_of_unity_count(qs5) == 2
         qs3 = new_field([1, -1, 1])
         assert roots_of_unity_count(qs3) == 6
+        assert roots_of_unity_count(new_field([-2, 0, 0, 1])) == 2
 
 
 class TestProvableD:
