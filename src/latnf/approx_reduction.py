@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from . import bkz, lattice_core, qlinalg
-from .dyadic import Q, RealBall, sqrt_bracket
+from .dyadic import Q, RealBall, round_half_up, sqrt_bracket
 from .ideal_arith import HnfIdeal
 from .nf_core import NumberField
 from .qlinalg import dot, mat_inv, transpose
@@ -96,7 +96,7 @@ def bkp_once(gens: ApproxGenerators) -> BkpResult:
     lam = Q(2) ** k * (Q(gens.r0) * norm_a / gens.mu) ** gens.r0
     # A-hat: entries (1/2) round(2^{q+1} a)
     scale = Q(2) ** (q + 1)
-    ahat = [[Q(_round_nearest(scale * Q(x)), 2) for x in row] for row in gens.rows]
+    ahat = [[Q(round_half_up(scale * Q(x)), 2) for x in row] for row in gens.rows]
     # lattice of rows of [I | A-hat], doubled to be integral
     vecs = []
     for i in range(k):
@@ -121,10 +121,6 @@ def bkp_once(gens: ApproxGenerators) -> BkpResult:
     basis_rows = [[sum(Q(m[i]) * Q(gens.rows[i][j]) for i in range(k))
                    for j in range(gens.width)] for m in m_rows]
     return BkpResult(r, m_rows, basis_rows, c_const)
-
-
-def _round_nearest(x: Fraction) -> int:
-    return (2 * x.numerator + x.denominator) // (2 * x.denominator)
 
 
 def bkp_twice(gens: ApproxGenerators) -> BkpResult:
@@ -166,8 +162,6 @@ class IdealBasisResult:
     x: list               # the per-embedding positive rational distortion
     tag: DuallyReducedTag
     precision_bits: int
-    approx_cols: list     # dyadic Minkowski columns used (midpoints)
-    approx_err: Fraction  # certified entrywise bound ||B~ - B||_2 <= this
 
 
 def minkowski_columns_x(field: NumberField, elements, x, prec: int):
@@ -242,7 +236,7 @@ def _lambda_n_upper_sq(field: NumberField, x, a: HnfIdeal) -> Fraction:
     return Q(n) * hi
 
 
-def dual_exp_reduce(x, a: HnfIdeal, target_tag: int = 3) -> IdealBasisResult:
+def dual_exp_reduce(x, a: HnfIdeal) -> IdealBasisResult:
     """Compute an exact Z-basis of the ideal a whose x-distorted Minkowski
     basis is 3-dually exponentially reduced, following the
     dual-then-BKP pipeline.  Self-certifying precision escalation."""
@@ -296,8 +290,7 @@ def dual_exp_reduce(x, a: HnfIdeal, target_tag: int = 3) -> IdealBasisResult:
                 if n_inv[i][j]:
                     acc = acc + elements[i] * n_inv[i][j]
             new_elements.append(acc)
-        return IdealBasisResult(new_elements, x, DuallyReducedTag(target_tag),
-                                prec, mids, err_b)
+        return IdealBasisResult(new_elements, x, DuallyReducedTag(3), prec)
 
 
 def _int_matrix_inverse(m):
@@ -313,8 +306,7 @@ def _int_matrix_inverse(m):
     return out
 
 
-def approx_bkz_ideal(x, a: HnfIdeal, blocksize: int,
-                     cfg: bkz.BkzConfig | None = None) -> IdealBasisResult:
+def approx_bkz_ideal(x, a: HnfIdeal, blocksize: int) -> IdealBasisResult:
     """Z-basis (x alpha_1 .. x alpha_n) of x a with
     ||x alpha_i|| <= 2n b^(2n/b) lambda_n(x a): dual reduction, then BKZ'
     on a rational approximation good enough for the closeness lemma."""
@@ -338,15 +330,9 @@ def approx_bkz_ideal(x, a: HnfIdeal, blocksize: int,
             break
         prec *= 2
     mids = [[c.mid for c in col] for col in cols]
-    den = 1
-    for col in mids:
-        for v in col:
-            den = den * v.denominator // gcd(den, v.denominator)
+    den = lcm(*(v.denominator for col in mids for v in col))
     int_cols = [[int(v * den) for v in col] for col in mids]
-    cfg = cfg or bkz.BkzConfig(blocksize=blocksize)
-    cfg.record_transform = True
-    cfg.blocksize = blocksize
-    _, trace = bkz.bkz_full(int_cols, cfg)
+    _, trace = bkz.bkz_full(int_cols, bkz.BkzConfig(blocksize=blocksize))
     u = trace.transform
     new_elements = []
     for j in range(n):
@@ -355,10 +341,7 @@ def approx_bkz_ideal(x, a: HnfIdeal, blocksize: int,
             if u[i][j]:
                 acc = acc + der.elements[i] * u[i][j]
         new_elements.append(acc)
-    new_cols = minkowski_columns_x(field, new_elements, x, prec)
-    return IdealBasisResult(new_elements, x, DuallyReducedTag(t_eff),
-                            prec, [[c.mid for c in col] for col in new_cols],
-                            err_b)
+    return IdealBasisResult(new_elements, x, DuallyReducedTag(t_eff), prec)
 
 
 def lattice_point_coeff_bound(tag: DuallyReducedTag, n: int,

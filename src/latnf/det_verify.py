@@ -27,7 +27,7 @@ def _gram_of_cols(cols):
     return [[dot(a, b) for b in cols] for a in cols]
 
 
-def inv_norm_bound(cols, minima_sq=None):
+def inv_norm_bound(cols):
     """Certified upper bound on ||A^{-1}||_2 via
     n^(n/2+1) * lambda_1^{-1} * prod(||a_j|| / lambda_j),
     together with a certified bracket of the true value from the exact
@@ -40,9 +40,8 @@ def inv_norm_bound(cols, minima_sq=None):
     g = _gram_of_cols(cols)
     if mat_det(g) == 0:
         raise ZeroDivisionError("singular basis")
-    if minima_sq is None:
-        from .lattice_core import enumerate_minima_gram
-        minima_sq = enumerate_minima_gram(g).minima_sq
+    from .lattice_core import enumerate_minima_gram
+    minima_sq = enumerate_minima_gram(g).minima_sq
     # bound^2 = n^(n+2) * lambda_1^{-2} * prod ||a_j||^2 / lambda_j^2
     bound_sq = Q(n) ** (n + 2) / minima_sq[0]
     for j in range(n):
@@ -56,10 +55,9 @@ def inv_norm_bound(cols, minima_sq=None):
     return bound, t_lo, t_hi
 
 
-def _smallest_positive_root_bracket(cp, prec: int = 64):
-    pq = [Q(c) for c in cp]
-    den = _lcm_den(pq)
-    sq_q = [Q(c) for c in polyq.squarefree_part_z([int(c * den) for c in pq])]
+def _smallest_positive_root_bracket(cp):
+    prec = 64
+    sq_q = [Q(c) for c in polyq.squarefree_part_z(polyq.primitive_z(cp))]
     roots = polyq.isolate_real_roots(sq_q)
     for lo, hi in roots:
         if hi <= 0:
@@ -75,14 +73,6 @@ def _smallest_positive_root_bracket(cp, prec: int = 64):
             if l2 > 0:
                 return l2, h2
     raise ValueError("no positive eigenvalue found")
-
-
-def _lcm_den(pq):
-    from math import gcd
-    den = 1
-    for c in pq:
-        den = den * c.denominator // gcd(den, c.denominator)
-    return den
 
 
 def epsilon_threshold(n: int, m: int, cond_product_upper: Fraction,

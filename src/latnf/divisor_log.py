@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import intmath
-from .dyadic import Q, RealBall, ball_exp, ball_log, ball_sqrt, log_ball
+from .dyadic import (Q, RealBall, ball_exp, ball_log, ball_sqrt, log_ball,
+                     sqrt_bracket)
 from .ideal_arith import HnfIdeal, PrimeIdeal, hnf_inv, hnf_mul, kummer_dedekind, ord_at
 from .nf_core import FieldElement, NumberField
 
@@ -111,11 +112,11 @@ def _support_primes(a: HnfIdeal) -> list[PrimeIdeal]:
     return out
 
 
-def ideal_divisor_zero(a: HnfIdeal, prec: int = 64, primes=None) -> Divisor:
-    """d0(a): degree-zero normalization of d(a)."""
+def ideal_divisor_zero(a: HnfIdeal) -> Divisor:
+    """d0(a): degree-zero normalization of d(a), at 64 bits."""
     field = a.field
-    d = ideal_divisor(a, primes=primes)
-    lognorm = log_ball(Q(a.norm()), prec) if a.norm() != 1 else RealBall(Q(0))
+    d = ideal_divisor(a)
+    lognorm = log_ball(Q(a.norm()), 64) if a.norm() != 1 else RealBall(Q(0))
     inf = []
     for _idx, nnu in field.places():
         inf.append(lognorm * Q(-nnu, field.n))
@@ -140,7 +141,6 @@ def principal_divisor(alpha: FieldElement, prec: int = 64,
 class LogVector:
     """Vector over the infinite places: entries n_nu*log|sigma_nu(.)|."""
     entries: list            # RealBall per place
-    weights: list            # n_nu per place
 
     def norm_sq(self) -> RealBall:
         acc = RealBall(Q(0))
@@ -160,8 +160,6 @@ def log_embedding(alpha: FieldElement, prec: int = 64) -> LogVector:
     if alpha.is_zero():
         raise ValueError("Log of zero")
     field = alpha.field
-    entries = []
-    weights = []
     work = prec + 16
     while True:
         pt = field.embed(alpha, work)
@@ -176,8 +174,7 @@ def log_embedding(alpha: FieldElement, prec: int = 64) -> LogVector:
             break
         except _NeedMore:
             work *= 2
-    weights = [nnu for _i, nnu in field.places()]
-    return LogVector(entries, weights)
+    return LogVector(entries)
 
 
 class _NeedMore(Exception):
@@ -189,7 +186,6 @@ class LogSUnitVector:
     """(-valuations over S, Log(alpha)): a Log-S-unit lattice point."""
     val_part: list           # ints, one per prime in S (negated valuations)
     inf_part: LogVector
-    provenance: object       # the S-unit itself (plain or compact)
 
     def norm_sq(self) -> RealBall:
         acc = RealBall(Q(sum(v * v for v in self.val_part)))
@@ -202,10 +198,10 @@ class LogSUnitVector:
         return acc + self.inf_part.sum()
 
 
-def log_s_embed(alpha: FieldElement, s_primes: list[PrimeIdeal],
-                prec: int = 64) -> LogSUnitVector:
-    """Log_S(alpha) = ((-v_p)_p, Log(alpha)); errors if alpha is not an
-    S-unit (reporting the first offending prime)."""
+def log_s_embed(alpha: FieldElement,
+                s_primes: list[PrimeIdeal]) -> LogSUnitVector:
+    """Log_S(alpha) = ((-v_p)_p, Log(alpha)), Log at 64 bits; errors if
+    alpha is not an S-unit (reporting the first offending prime)."""
     field = alpha.field
     ideal = HnfIdeal.principal(field, alpha)
     vals = [ord_at(ideal, p) for p in s_primes]
@@ -217,7 +213,7 @@ def log_s_embed(alpha: FieldElement, s_primes: list[PrimeIdeal],
     if recon != ideal:
         offender = _first_offender(ideal, s_primes)
         raise ValueError(f"element is not an S-unit; offending prime {offender}")
-    return LogSUnitVector([-v for v in vals], log_embedding(alpha, prec), alpha)
+    return LogSUnitVector([-v for v in vals], log_embedding(alpha))
 
 
 def _first_offender(ideal: HnfIdeal, s_primes):
@@ -231,10 +227,11 @@ def _first_offender(ideal: HnfIdeal, s_primes):
 # Closed-form volumes and bounds
 
 
-def exp_divisor(d: Divisor, prec: int = 64):
+def exp_divisor(d: Divisor):
     """Exp(d): returns (x, a, vol) where x is the per-embedding positive
     distortion e^(a_nu / n_nu) (balls), a = prod p^(a_p), and vol is the
-    certified ball sqrt|Delta| e^(deg d)."""
+    certified ball sqrt|Delta| e^(deg d); balls at 64 bits."""
+    prec = 64
     field = d.field
     a = HnfIdeal.ring_of_integers(field)
     for p, e in d.finite_part.items():
@@ -288,15 +285,10 @@ def kessler_lambda1_lower(field: NumberField, c: int = 1000) -> Fraction:
     lattice: 1 / (c sqrt(n) log(n)^3), clamped at 1."""
     n = field.n
     # rational upper bounds for sqrt(n) and log(n)^3
-    _, s_up = _sqrt_up(Q(n))
+    _, s_up = sqrt_bracket(Q(n), 32)
     ln = log_ball(Q(n), 32)
     l_up = ln.hi()
     denom = Q(c) * s_up * (l_up ** 3)
     if denom < 1:
         denom = Q(1)
     return Q(1) / denom
-
-
-def _sqrt_up(x: Fraction):
-    from .dyadic import sqrt_bracket
-    return sqrt_bracket(x, 32)

@@ -18,11 +18,14 @@ Q = Fraction
 _LN2_CACHE: dict[int, Fraction] = {}
 
 
+def round_half_up(x: Fraction) -> int:
+    """floor(x + 1/2): the nearest integer, halves rounded up."""
+    return (2 * x.numerator + x.denominator) // (2 * x.denominator)
+
+
 def dyadic_round(x: Fraction, prec: int) -> Fraction:
     """Nearest multiple of 2^-prec; error at most 2^-(prec+1)."""
-    scaled = x * (1 << prec)
-    m = (scaled.numerator * 2 + scaled.denominator) // (2 * scaled.denominator)
-    return Q(m, 1 << prec)
+    return Q(round_half_up(x * (1 << prec)), 1 << prec)
 
 
 def sqrt_bracket(x: Fraction, prec: int) -> tuple[Fraction, Fraction]:

@@ -29,9 +29,9 @@ class WalkParams:
     blocksize: int
 
 
-def walk_params(field: NumberField, m0: HnfIdeal | None, m_inf,
-                eps, omega=1, blocksize=2, b_override: int | None = None,
-                index: int = 1) -> WalkParams:
+def walk_params(field: NumberField, m0: HnfIdeal | None, m_inf, eps,
+                omega=1, blocksize=2,
+                b_override: int | None = None) -> WalkParams:
     """Walk length, prime bound and grid parameter from the paper's
     formulas, with the Pic-volume term replaced by its certified upper
     bound log(N(m0) 2^{|mR|}) + log|Delta|."""
@@ -41,8 +41,7 @@ def walk_params(field: NumberField, m0: HnfIdeal | None, m_inf,
         raise ValueError("eps must lie in (0, min(1, 20/n))")
     m0_norm = int(m0.norm()) if m0 is not None else 1
     pic_bound = math.log(m0_norm * 2 ** len(m_inf)) + math.log(abs(field.disc_field))
-    walk_n = math.ceil(7 * n + 2 * math.log(1 / float(eps)) + pic_bound
-                       - math.log(index) + 2)
+    walk_n = math.ceil(7 * n + 2 * math.log(1 / float(eps)) + pic_bound + 2)
     if b_override is not None:
         prime_b = b_override
     else:
@@ -72,7 +71,6 @@ def _delta_dyadic(field: NumberField, eps: Fraction, omega, s: Fraction) -> Frac
 class WalkTrace:
     primes: list
     grid_point: list          # the exact Gaussian grid sample on H
-    distortion: list          # the rational A_sigma per embedding
     beta: FieldElement
     b_tilde: HnfIdeal
     draws: int
@@ -135,7 +133,7 @@ def sample_beta(field: NumberField, m0: HnfIdeal | None, m_inf,
     res = sample_in_box(field, m0, m_inf, b_tilde, field.zero(), tau,
                         params.blocksize, x, params.omega, rng, cfg)
     m0_norm = Q(m0.norm()) if m0 is not None else Q(1)
-    return WalkTrace(primes, [Q(g) for g in grid], dist, res.beta, b_tilde,
+    return WalkTrace(primes, [Q(g) for g in grid], res.beta, b_tilde,
                      res.draws, params, b_ideal, y, m0_norm)
 
 
@@ -178,13 +176,11 @@ def check_norm_bound(trace: WalkTrace) -> bool:
     return lhs ** r.k <= rhs_base ** r.k * r.pow_value ** field.n
 
 
-def boundedness_check(trace: WalkTrace, m0: HnfIdeal | None = None,
-                      slack: float = 1e-6) -> bool:
+def boundedness_check(trace: WalkTrace) -> bool:
     """||(beta)|| <= 5 log(B^N r^n) + ||a|| + s sqrt(n log(8 n^2/eps))."""
     field = trace.beta.field
     params = trace.params
     n = field.n
-    prime_hint = list(trace.primes)
     div_b = principal_divisor(trace.beta, 96, finite_support=None)
     lhs = div_b.euclid_norm(96)
     r = samplers.walk_radius(field, trace.m0_norm,
@@ -195,13 +191,14 @@ def boundedness_check(trace: WalkTrace, m0: HnfIdeal | None = None,
     a_div = input_divisor_norm(trace)
     rhs = (5 * log_bnrn + float(a_div.hi())
            + float(params.s) * math.sqrt(n * math.log(8 * n * n / float(params.eps))))
-    return float(lhs.hi()) <= rhs + slack
+    return float(lhs.hi()) <= rhs + 1e-6
 
 
-def input_divisor_norm(trace: WalkTrace, prec: int = 64) -> RealBall:
-    """||d0(b) + Log(y)|| for the walk input."""
+def input_divisor_norm(trace: WalkTrace) -> RealBall:
+    """||d0(b) + Log(y)|| for the walk input, at 64 bits."""
+    prec = 64
     field = trace.beta.field
-    d0 = ideal_divisor_zero(trace.input_ideal, prec)
+    d0 = ideal_divisor_zero(trace.input_ideal)
     y_logs = []
     for (emb_idx, nnu) in field.places():
         from .dyadic import log_ball
@@ -292,7 +289,7 @@ def _gammainc_upper(a: float, x: float) -> float:
 
 def shifting_experiment(field: NumberField, b_ideal: HnfIdeal, y,
                         alpha: FieldElement, n_samples: int, params: WalkParams,
-                        rng, cfg=None, m0=None, m_inf=()):
+                        rng, cfg=None):
     """Empirical check of D_{a+((alpha))}(. alpha) = D_a(.): runs the
     sampler on a and on the alpha-shifted input, pulls the second stream
     back by alpha, and chi-square-compares the two."""
@@ -312,9 +309,9 @@ def shifting_experiment(field: NumberField, b_ideal: HnfIdeal, y,
     y_shift = _symmetrize_conj(field, y_shift)
     alpha_inv = alpha.inverse()
     for _ in range(n_samples):
-        t1 = sample_beta(field, m0, list(m_inf), b_ideal, y, tau, params, rng, cfg)
+        t1 = sample_beta(field, None, [], b_ideal, y, tau, params, rng, cfg)
         counts_a[t1.beta.coords] = counts_a.get(t1.beta.coords, 0) + 1
-        t2 = sample_beta(field, m0, list(m_inf), shifted_ideal, y_shift, tau,
+        t2 = sample_beta(field, None, [], shifted_ideal, y_shift, tau,
                          params, rng, cfg)
         pulled = t2.beta * alpha_inv
         counts_b[pulled.coords] = counts_b.get(pulled.coords, 0) + 1

@@ -67,7 +67,7 @@ def _pollard_rho(n: int, rng: random.Random) -> int:
             return d
 
 
-def factorint(n: int, rng: random.Random | None = None) -> dict[int, int]:
+def factorint(n: int) -> dict[int, int]:
     """Prime factorization of |n| as {p: e}; n must be nonzero."""
     if n == 0:
         raise ValueError("factorint(0)")
@@ -85,7 +85,7 @@ def factorint(n: int, rng: random.Random | None = None) -> dict[int, int]:
         f += 2
     if n == 1:
         return out
-    rng = rng or random.Random(0xFAC7)
+    rng = random.Random(0xFAC7)
     stack = [n]
     while stack:
         m = stack.pop()

@@ -506,24 +506,18 @@ def _span_contains(gen_rows, test_rows) -> bool:
     return _int_rank([list(r) for r in gen_rows] + [list(t) for t in test_rows]) == base
 
 
-def enumerate_minima_gram(g, up_to=None) -> EnumerationReport:
+def enumerate_minima_gram(g) -> EnumerationReport:
     """Exact successive minima, covering brackets and generating radius
     from a rational Gram matrix (dimension <= DIM_CAP)."""
     n = len(g)
     if n > DIM_CAP:
         raise ValueError(f"enumeration oracle capped at dimension {DIM_CAP}")
-    up_to = n if up_to is None else min(up_to, n)
-    minima_all, wits_all, gh, u = successive_minima_gram(g)
-    minima = minima_all[:up_to]
-    wits = wits_all[:up_to]
+    minima, wits, gh, u = successive_minima_gram(g)
     mu, d = gram_gso(gh)
     cov_up2 = sum(d) / 4          # Babai bound on the HKZ-reduced GSO
-    cov_lo2 = minima_all[n - 1] / 4
-    rr2_final = None
-    if up_to == n:
-        rr2_final = _generating_radius_search(gh, minima_all[n - 1],
-                                              4 * cov_up2, n)
-    return EnumerationReport(minima, wits, cov_up2, cov_lo2, rr2_final, n)
+    cov_lo2 = minima[n - 1] / 4
+    rr2 = _generating_radius_search(gh, minima[n - 1], 4 * cov_up2, n)
+    return EnumerationReport(minima, wits, cov_up2, cov_lo2, rr2, n)
 
 
 def _generating_radius_search(gh, lam_n_sq, limit_sq, n):
@@ -590,18 +584,17 @@ def _int_rank(rows) -> int:
     return sum(1 for r in h if any(r))
 
 
-def enumerate_minima(cols, up_to=None) -> EnumerationReport:
+def enumerate_minima(cols) -> EnumerationReport:
     ints, den = integral_cols(cols)
     g = int_gram(ints)
     if den != 1:
         g = [[Q(x, den * den) for x in row] for row in g]
-    return enumerate_minima_gram(g, up_to)
+    return enumerate_minima_gram(g)
 
 
-def count_in_box(cols, r, shift=None, box_shift=None, sign_constraints=None,
-                 cov_upper_sq=None):
-    """Exact |(L + t) cap r(X + t')| for the unit-infinity-ball X, plus
-    the counting-lemma interval when certifiable.
+def count_in_box(cols, r, shift=None, cov_upper_sq=None):
+    """Exact |(L + t) cap rX| for the unit-infinity-ball X, plus the
+    counting-lemma interval when certifiable.
 
     Returns dict with keys: count, interval (lo, hi floats) or None,
     certified (bool).
@@ -611,12 +604,11 @@ def count_in_box(cols, r, shift=None, box_shift=None, sign_constraints=None,
     n = len(cols)
     r = Q(r)
     t = [Q(x) for x in (shift or [0] * m)]
-    tp = [Q(x) for x in (box_shift or [0] * m)]
     if r < 0:
         raise ValueError("negative radius")
-    # per-axis bounds for v = B u:  v_i in [r*tp_i - r - t_i, r*tp_i + r - t_i]
-    lo = [r * tp[i] - r - t[i] for i in range(m)]
-    hi = [r * tp[i] + r - t[i] for i in range(m)]
+    # per-axis bounds for v = B u:  v_i in [-r - t_i, r - t_i]
+    lo = [-r - t[i] for i in range(m)]
+    hi = [r - t[i] for i in range(m)]
     binv = mat_inv(transpose([list(c) for c in cols]))
     ranges = []
     for i in range(n):
@@ -634,17 +626,7 @@ def count_in_box(cols, r, shift=None, box_shift=None, sign_constraints=None,
     u = [0] * n
 
     def ok(v):
-        for i in range(m):
-            if not (lo[i] <= v[i] <= hi[i]):
-                return False
-        if sign_constraints:
-            for axis, sgn in sign_constraints:
-                val = v[axis] + t[axis]
-                if sgn > 0 and val <= 0:
-                    return False
-                if sgn < 0 and val >= 0:
-                    return False
-        return True
+        return all(lo[i] <= v[i] <= hi[i] for i in range(m))
 
     def rec(i):
         nonlocal count
@@ -664,15 +646,14 @@ def count_in_box(cols, r, shift=None, box_shift=None, sign_constraints=None,
     if cov_upper_sq is None and n == m and n <= DIM_CAP:
         rep = enumerate_minima(cols)
         cov_upper_sq = rep.cov_upper_sq
-    if cov_upper_sq is not None and r > 0 and not sign_constraints:
+    if cov_upper_sq is not None and r > 0:
         c_val = math.sqrt(float(cov_upper_sq))
         if float(r) > 2 * c_val:
             covol = abs(float(qlinalg.mat_det(transpose([list(c) for c in cols]))))
             volx = 2.0 ** n
             mid = float(r) ** n * volx / covol
-            import math as _m
-            lo_e = mid * _m.exp(-2 * n * c_val / float(r))
-            hi_e = mid * _m.exp(2 * n * c_val / float(r))
+            lo_e = mid * math.exp(-2 * n * c_val / float(r))
+            hi_e = mid * math.exp(2 * n * c_val / float(r))
             interval = (lo_e, hi_e)
             certified = True
     return {"count": count, "interval": interval, "certified": certified}

@@ -1,23 +1,27 @@
 """Number fields with exact element arithmetic and certified embeddings.
 
 A field is defined by a monic integer polynomial; elements carry exact
-rational coordinates over a fixed integral basis.  Complex embeddings are
-produced as certified balls at any requested precision, and comparison of
-algebraic values against rational thresholds (or their k-th roots) is
-decided exactly through Liouville-type separation bounds.
+rational coordinates over a fixed integral basis.  One root certifier
+(`certify_roots`) turns a squarefree integer polynomial into disjoint
+certified root balls at any requested precision; fields order them
+canonically and evaluate elements on them to embed.  Comparisons of
+algebraic values against rational thresholds (or their k-th roots) are
+decided exactly: intervals first, then Liouville-type separation bounds
+(`_abs2_pow_gt` for (|w|^2)^k > c, `decide_root_gt_int` underneath).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from itertools import combinations
 
 import numpy as np
 
-from . import polyq, qlinalg
-from .dyadic import ComplexBall, Q, RealBall, dyadic_round
+from . import intmath, polyq, qlinalg
+from .dyadic import ComplexBall, Q, RealBall, dyadic_round, sqrt_bracket
 
 GT, LE = "GT", "LE"
+_UNSET = object()
 
 
 def liouville_separation(poly) -> Fraction:
@@ -85,26 +89,14 @@ def _kronecker_square_charpoly(poly):
                 for b in range(n):
                     if comp[a][b] != 0:
                         big[i * n + a][j * n + b] = comp[i][j] * comp[a][b]
-    cp = qlinalg.charpoly(big)
-    den = 1
-    for c in cp:
-        den = den * c.denominator // gcd(den, c.denominator)
-    return [int(c * den) for c in cp]
+    return polyq.primitive_z(qlinalg.charpoly(big))
 
 
 def _scale_roots_to_int(poly, b: int):
     """Integer polynomial whose roots are b * (roots of poly)."""
     poly = polyq.trim([Q(c) for c in poly])
     d = polyq.degree(poly)
-    scaled = [poly[i] * Q(b) ** (d - i) for i in range(d + 1)]
-    den = 1
-    for c in scaled:
-        den = den * c.denominator // gcd(den, c.denominator)
-    out = [int(c * den) for c in scaled]
-    cont = 0
-    for c in out:
-        cont = gcd(cont, c)
-    return [c // cont for c in out]
+    return polyq.primitive_z([poly[i] * Q(b) ** (d - i) for i in range(d + 1)])
 
 
 def decide_root_gt_int(int_poly, refine, c: int) -> str:
@@ -130,6 +122,135 @@ def decide_root_gt_int(int_poly, refine, c: int) -> str:
                 return GT if z > c else LE
             return GT if ball.mid > c else LE
         prec *= 2
+
+
+def certify_roots(poly, prec: int) -> list[ComplexBall]:
+    """Disjoint certified balls of radius <= 2^-prec around the complex
+    roots of a squarefree integer polynomial, in no particular order.
+
+    Newton's method runs from numpy's float roots at `work` bits; a ball
+    of radius n|f(z)|/|f'(z)| around z holds a root, and pairwise disjoint
+    balls hold distinct ones.  `work` doubles when a ball fails; after 40
+    doublings this raises RuntimeError.
+    """
+    f = [Q(c) for c in poly]
+    df = polyq.derivative(f)
+    target = Q(1, 1 << prec)
+    approx = np.roots(list(reversed([float(c) for c in poly])))
+    work = max(64, prec + 32)
+    for _attempt in range(40):
+        balls = []
+        for z0 in approx:
+            z = _newton_ball(f, df, z0, work, target)
+            if z is None:
+                break
+            balls.append(z)
+        else:
+            if _disjoint(balls):
+                return balls
+        work *= 2
+    raise RuntimeError("root refinement failed to certify")
+
+
+def _newton_ball(f, df, z0, work: int, target: Fraction):
+    """Newton's method on f from the float z0 with midpoints rounded to
+    `work` bits, until the certified radius n|f(z)|/|f'(z)| is <= target;
+    None if that takes more than work.bit_length() + 60 steps or f'(z)
+    vanishes."""
+    n = len(f) - 1
+    z = ComplexBall(dyadic_round(Q(float(z0.real)).limit_denominator(10 ** 12), work),
+                    dyadic_round(Q(float(z0.imag)).limit_denominator(10 ** 12), work))
+    for _ in range(work.bit_length() + 60):
+        fz = _ceval(f, z.re, z.im)
+        dfz = _ceval(df, z.re, z.im)
+        d2 = dfz[0] * dfz[0] + dfz[1] * dfz[1]
+        if d2 == 0:
+            return None
+        _, hi = sqrt_bracket((fz[0] * fz[0] + fz[1] * fz[1]) / d2, work)
+        rad = n * hi
+        if rad <= target:
+            return ComplexBall(z.re, z.im, rad)
+        # Newton step: z - f/f'
+        qre = (fz[0] * dfz[0] + fz[1] * dfz[1]) / d2
+        qim = (fz[1] * dfz[0] - fz[0] * dfz[1]) / d2
+        z = ComplexBall(dyadic_round(z.re - qre, work),
+                        dyadic_round(z.im - qim, work))
+    return None
+
+
+def _disjoint(balls) -> bool:
+    for i in range(len(balls)):
+        for j in range(i + 1, len(balls)):
+            d2 = ((balls[i].re - balls[j].re) ** 2
+                  + (balls[i].im - balls[j].im) ** 2)
+            r = balls[i].rad + balls[j].rad
+            if d2 <= r * r:
+                return False
+    return True
+
+
+def _abs2_pow_gt(ball_at, int_poly, k: int, c: Fraction) -> str:
+    """Decide (|w|^2)^k > c exactly for a rational c >= 0; equality
+    resolves LE.
+
+    `ball_at(prec)` returns a ComplexBall around w of radius <= 2^-prec.
+    Intervals at 48, 128 and 320 bits decide most cases; otherwise
+    `int_poly()` (called only then) gives an integer polynomial with root
+    w, and the Liouville bound on the k-th powers of the roots of its
+    Kronecker square (the products w_i w_j, |w|^2 among them) settles it.
+    """
+    for prec in (48, 128, 320):
+        tk = _ball_pow(ball_at(prec).abs2(), k)
+        if tk.definitely_gt(c):
+            return GT
+        if tk.definitely_lt(c) or tk.hi() == c:
+            return LE
+    kron = _kronecker_square_charpoly(int_poly())   # roots include |w|^2
+    powed = _compose_power(kron, k)                  # roots (|w|^2)^k
+    b = c.denominator
+    scaled = _scale_roots_to_int(powed, b)           # roots b*(...)
+
+    def refine(p):
+        tk = _ball_pow(ball_at(p + k.bit_length() * 4 + 8).abs2(), k)
+        return RealBall(tk.mid * b, tk.rad * b)
+
+    return decide_root_gt_int(scaled, refine, c.numerator)
+
+
+def _subset_factor_test(poly_q, roots):
+    """True when no product of (x - w) over at most half of the roots is
+    an integer polynomial dividing poly_q, False when one is; None when a
+    coefficient ball is too wide to tell (retry with tighter roots).
+
+    A monic factor over Q of a monic integer polynomial has integer
+    coefficients, so a subset whose coefficient ball excludes every
+    integer gives no factor; otherwise the nearest integers are tried by
+    exact division.
+    """
+    n = len(roots)
+    for size in range(1, n // 2 + 1):
+        for sub in combinations(range(n), size):
+            coeffs = [ComplexBall(1, 0)]
+            for i in sub:
+                z = roots[i]
+                new = [ComplexBall(0, 0) for _ in range(len(coeffs) + 1)]
+                for d, c in enumerate(coeffs):
+                    new[d + 1] = new[d + 1] + c
+                    new[d] = new[d] + c * (-z)
+                coeffs = new
+            cand = []
+            for c in coeffs:
+                if c.rad >= Q(1, 4):
+                    return None
+                z = round(c.re)
+                if abs(c.im) > c.rad or abs(c.re - z) > c.rad:
+                    break       # no integer in this ball: not a factor
+                cand.append(z)
+            else:
+                _, rem = polyq.poly_divmod(poly_q, [Q(c) for c in cand])
+                if not rem:
+                    return False
+    return True
 
 
 class EmbeddingPoint:
@@ -265,6 +386,8 @@ class NumberField:
         self.poly_q = [Q(c) for c in poly]
         self.n = n
         self._root_cache: dict = {}
+        self._mul_tensor = None     # mul_tensor()
+        self._conj = _UNSET         # conj_automorphism(); None if not found
         # filled by ideal_arith: splitting of rational primes, prime powers
         self._kd_cache: dict = {}
         self._prime_pow_cache: dict = {}
@@ -294,8 +417,6 @@ class NumberField:
 
     # -- construction helpers ----------------------------------------------
     def _is_irreducible(self) -> bool:
-        from . import intmath
-        n = self.n
         disc = polyq.discriminant(self.poly_q)
         if disc == 0:
             return False
@@ -309,52 +430,11 @@ class NumberField:
         # certified subset-of-roots factor search
         prec = 64
         while True:
-            try:
-                roots = self._refine_roots(prec, order=False)
-            except RuntimeError:
-                prec *= 2
-                continue
-            result = self._subset_factor_test(roots)
+            result = _subset_factor_test(self.poly_q,
+                                         certify_roots(self.poly, prec))
             if result is not None:
                 return result
             prec *= 2
-
-    def _subset_factor_test(self, roots):
-        from itertools import combinations
-        n = self.n
-        idx = range(n)
-        for size in range(1, n // 2 + 1):
-            for sub in combinations(idx, size):
-                coeffs = [ComplexBall(1, 0)]
-                for i in sub:
-                    z = roots[i]
-                    new = [ComplexBall(0, 0) for _ in range(len(coeffs) + 1)]
-                    for d, c in enumerate(coeffs):
-                        new[d + 1] = new[d + 1] + c
-                        new[d] = new[d] + c * (-z)
-                    coeffs = new
-                cand = []
-                ok = True
-                for c in coeffs:
-                    if c.rad >= Q(1, 4) or abs(c.im) > Q(1, 4) + c.rad:
-                        ok = False
-                        break
-                    z = round(c.re)
-                    if abs(c.re - z) + c.rad >= Q(1, 2):
-                        ok = False
-                        break
-                    cand.append(int(z))
-                if not ok:
-                    return None  # not enough precision to settle this subset
-                in_range = all(
-                    abs(Q(cand[d]) - coeffs[d].re) <= coeffs[d].rad + Q(1, 4)
-                    for d in range(len(cand)))
-                if not in_range:
-                    continue
-                _, rem = polyq.poly_divmod(self.poly_q, [Q(c) for c in cand])
-                if not rem:
-                    return False
-        return True
 
     def _check_basis_closed(self):
         for i in range(self.n):
@@ -403,9 +483,8 @@ class NumberField:
 
     def mul_tensor(self):
         """Structure constants: tensor[i][j] = coords of b_i * b_j."""
-        cached = getattr(self, "_mul_tensor", None)
-        if cached is not None:
-            return cached
+        if self._mul_tensor is not None:
+            return self._mul_tensor
         n = self.n
         tensor = []
         for i in range(n):
@@ -439,70 +518,16 @@ class NumberField:
 
     # -- embeddings ----------------------------------------------------------
     def _all_roots(self, prec: int):
-        """Certified balls for all n roots, cached per precision."""
+        """Certified balls for all n roots in canonical order (real roots
+        ascending, then each upper-half-plane root by (re, im) followed by
+        its conjugate), cached per precision."""
         hit = self._root_cache.get(prec)
-        if hit is not None:
-            return hit
-        roots = self._refine_roots(prec)
-        self._root_cache[prec] = roots
-        return roots
+        if hit is None:
+            hit = self._canonical_order(certify_roots(self.poly, prec))
+            self._root_cache[prec] = hit
+        return hit
 
-    def _refine_roots(self, prec: int, order: bool = True):
-        n = self.n
-        approx = np.roots(list(reversed([float(c) for c in self.poly])))
-        work = max(64, prec + 32)
-        f = self.poly_q
-        df = polyq.derivative(f)
-        for _attempt in range(40):
-            balls = []
-            ok = True
-            for z0 in approx:
-                z = ComplexBall(dyadic_round(Q(float(z0.real)).limit_denominator(10 ** 12), work),
-                                dyadic_round(Q(float(z0.imag)).limit_denominator(10 ** 12), work))
-                z = self._newton(z, f, df, work, prec)
-                if z is None:
-                    ok = False
-                    break
-                balls.append(z)
-            if ok and self._disks_disjoint(balls):
-                return self._canonical_order(balls, prec) if order else balls
-            work *= 2
-        raise RuntimeError("root refinement failed to certify")
-
-    def _newton(self, z: ComplexBall, f, df, work: int, prec: int):
-        n = self.n
-        target = Q(1, 1 << prec)
-        for _ in range(work.bit_length() + 60):
-            fz = _ceval(f, z.re, z.im)
-            dfz = _ceval(df, z.re, z.im)
-            d2 = dfz[0] * dfz[0] + dfz[1] * dfz[1]
-            if d2 == 0:
-                return None
-            # certified radius: n * |f(z)| / |f'(z)|
-            num2 = fz[0] * fz[0] + fz[1] * fz[1]
-            _, hi = _sqrt_brackets(num2 / d2, work)
-            rad = n * hi
-            if rad <= target:
-                return ComplexBall(z.re, z.im, rad)
-            # Newton step: z - f/f'
-            qre = (fz[0] * dfz[0] + fz[1] * dfz[1]) / d2
-            qim = (fz[1] * dfz[0] - fz[0] * dfz[1]) / d2
-            z = ComplexBall(dyadic_round(z.re - qre, work),
-                            dyadic_round(z.im - qim, work))
-        return None
-
-    @staticmethod
-    def _disks_disjoint(balls) -> bool:
-        for i in range(len(balls)):
-            for j in range(i + 1, len(balls)):
-                d2 = ((balls[i].re - balls[j].re) ** 2
-                      + (balls[i].im - balls[j].im) ** 2)
-                r = balls[i].rad + balls[j].rad
-                if d2 <= r * r:
-                    return False
-        return True
-
-    def _canonical_order(self, balls, prec: int):
+    def _canonical_order(self, balls):
         reals, complexes = [], []
         for b in balls:
             if abs(b.im) <= b.rad:
@@ -556,11 +581,6 @@ class NumberField:
             work *= 2
 
     # -- exact comparisons ---------------------------------------------------
-    def abs2_ball(self, alpha: FieldElement, place_idx: int, prec: int) -> RealBall:
-        emb_idx = self.places()[place_idx][0]
-        pt = self.embed(alpha, prec)
-        return pt.values[emb_idx].abs2()
-
     def sign_at_real_place(self, alpha: FieldElement, place_idx: int) -> int:
         """Exact sign of sigma(alpha) at a real place (0 iff alpha == 0)."""
         if alpha.is_zero():
@@ -586,40 +606,16 @@ class NumberField:
             return GT if not alpha.is_zero() else LE
         if alpha.is_zero():
             return LE
-        # fast interval path
-        for prec in (48, 128, 320):
-            t = self.abs2_ball(alpha, place_idx, prec)
-            tk = _ball_pow(t, k)
-            if tk.definitely_gt(c):
-                return GT
-            if tk.definitely_lt(c) or tk.hi() == c:
-                return LE
-        # certified Liouville path on the Kronecker-square polynomial
-        cp = alpha.charpoly()
-        den = 1
-        for cc in cp:
-            den = den * cc.denominator // gcd(den, cc.denominator)
-        int_cp = [int(cc * den) for cc in cp]
-        kron = _kronecker_square_charpoly(int_cp)       # roots include |sigma|^2
-        powed = _compose_power(kron, k)                 # roots (|sigma|^2)^k
-        b = c.denominator
-        scaled = _scale_roots_to_int(powed, b)          # roots b*(...)
-        target_int = c.numerator
-
-        def refine(p):
-            t = self.abs2_ball(alpha, place_idx, p + k.bit_length() * 4 + 8)
-            tk = _ball_pow(t, k)
-            return RealBall(tk.mid * b, tk.rad * b)
-
-        return decide_root_gt_int(scaled, refine, target_int)
+        emb_idx = self.places()[place_idx][0]
+        return _abs2_pow_gt(lambda prec: self.embed(alpha, prec).values[emb_idx],
+                            lambda: polyq.primitive_z(alpha.charpoly()), k, c)
 
     # -- exact Minkowski Gram -------------------------------------------------
     def conj_automorphism(self):
         """Field automorphism realizing complex conjugation at every
         embedding, as a FieldElement image of theta; None if not found."""
-        key = getattr(self, "_conj", "unset")
-        if key != "unset":
-            return key
+        if self._conj is not _UNSET:
+            return self._conj
         cand = []
         if self.n_cplx == 0:
             cand.append(self.theta())
@@ -724,11 +720,6 @@ def _ball_pow(b: RealBall, k: int) -> RealBall:
     return out
 
 
-def _sqrt_brackets(x: Fraction, prec: int):
-    from .dyadic import sqrt_bracket
-    return sqrt_bracket(x, prec)
-
-
 # ---------------------------------------------------------------------------
 # Spec-facing operation wrappers
 
@@ -746,11 +737,11 @@ def cmp_root_threshold(poly, which_root: int, g, k: int, mode: str) -> str:
 
     mode 'real_value': roots are the real roots in ascending order and
     the signed value is compared.  mode 'abs_value': roots are all complex
-    roots (canonically ordered) and |root| is compared; g must be >= 0.
+    roots of the squarefree part, their certified balls sorted by (re, im),
+    and |root| is compared; g must be >= 0.
     """
     g = Q(g)
     poly = [int(c) for c in poly]
-    pq = [Q(c) for c in poly]
     sq = polyq.squarefree_part_z(poly)
     sq_q = [Q(c) for c in sq]
     if mode == "real_value":
@@ -775,98 +766,20 @@ def cmp_root_threshold(poly, which_root: int, g, k: int, mode: str) -> str:
 
         def refine(p):
             l, h = polyq.refine_root_bisect(sq_q, lo, hi, p + k.bit_length() * 4 + 8)
-            ball = RealBall((l + h) / 2, (h - l) / 2)
-            return RealBall(_ball_pow(ball, k).mid * b, _ball_pow(ball, k).rad * b)
+            tk = _ball_pow(RealBall((l + h) / 2, (h - l) / 2), k)
+            return RealBall(tk.mid * b, tk.rad * b)
 
         return decide_root_gt_int(scaled, refine, g.numerator)
     if mode == "abs_value":
         if g < 0:
             raise ValueError("abs mode needs g >= 0")
-        helper = _RootAbsHelper(sq)
-        return helper.compare(which_root, g, k)
+
+        def ball_at(prec):
+            balls = certify_roots(sq, prec)
+            return sorted(balls, key=lambda b: (b.re, b.im))[which_root]
+
+        return _abs2_pow_gt(ball_at, lambda: sq, k, g * g)
     raise ValueError(f"unknown mode {mode!r}")
-
-
-class _RootAbsHelper:
-    """Decides |w_i| > g^(1/k) for roots of a squarefree integer poly."""
-
-    def __init__(self, poly):
-        self.poly = poly
-        self.pq = [Q(c) for c in poly]
-        self.df = polyq.derivative(self.pq)
-        self._ball_cache: dict = {}
-
-    def _balls(self, prec):
-        if prec in self._ball_cache:
-            return self._ball_cache[prec]
-        approx = np.roots(list(reversed([float(c) for c in self.poly])))
-        work = max(64, prec + 32)
-        nf_stub = _PolyRootRefiner(self.pq, self.df, len(self.pq) - 1)
-        while True:
-            balls = nf_stub.refine_all(approx, work, prec)
-            if balls is not None:
-                balls.sort(key=lambda b: (b.re, b.im))
-                self._ball_cache[prec] = balls
-                return balls
-            work *= 2
-
-    def compare(self, idx, g, k):
-        # fast path
-        for prec in (48, 160):
-            b = self._balls(prec)[idx]
-            t = _ball_pow(b.abs2(), k)
-            if t.definitely_gt(g * g):
-                return GT
-            if t.definitely_lt(g * g) or t.hi() == g * g:
-                return LE
-        kron = _kronecker_square_charpoly(self.poly)
-        powed = _compose_power(kron, k)
-        bden = (g * g).denominator
-        scaled = _scale_roots_to_int(powed, bden)
-
-        def refine(p):
-            b = self._balls(p + 8 * k + 16)[idx]
-            t = _ball_pow(b.abs2(), k)
-            return RealBall(t.mid * bden, t.rad * bden)
-
-        return decide_root_gt_int(scaled, refine, (g * g).numerator)
-
-
-class _PolyRootRefiner:
-    def __init__(self, pq, df, n):
-        self.pq, self.df, self.n = pq, df, n
-
-    def refine_all(self, approx, work, prec):
-        balls = []
-        for z0 in approx:
-            z = ComplexBall(dyadic_round(Q(float(z0.real)).limit_denominator(10 ** 12), work),
-                            dyadic_round(Q(float(z0.imag)).limit_denominator(10 ** 12), work))
-            z = self._newton(z, work, prec)
-            if z is None:
-                return None
-            balls.append(z)
-        if NumberField._disks_disjoint(balls):
-            return balls
-        return None
-
-    def _newton(self, z, work, prec):
-        target = Q(1, 1 << prec)
-        for _ in range(work.bit_length() + 60):
-            fz = _ceval(self.pq, z.re, z.im)
-            dfz = _ceval(self.df, z.re, z.im)
-            d2 = dfz[0] * dfz[0] + dfz[1] * dfz[1]
-            if d2 == 0:
-                return None
-            num2 = fz[0] * fz[0] + fz[1] * fz[1]
-            _, hi = _sqrt_brackets(num2 / d2, work)
-            rad = self.n * hi
-            if rad <= target:
-                return ComplexBall(z.re, z.im, rad)
-            qre = (fz[0] * dfz[0] + fz[1] * dfz[1]) / d2
-            qim = (fz[1] * dfz[0] - fz[0] * dfz[1]) / d2
-            z = ComplexBall(dyadic_round(z.re - qre, work),
-                            dyadic_round(z.im - qim, work))
-        return None
 
 
 def cmp_element(alpha: FieldElement, sigma: int, scale, g, k: int,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Q = Fraction
 
@@ -136,14 +136,11 @@ def _sign_changes(seq, x):
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_real_roots(p, lo=None, hi=None) -> int:
-    """Number of distinct real roots of squarefree p in (lo, hi]."""
+def count_real_roots(p) -> int:
+    """Number of distinct real roots of the squarefree p."""
     seq = sturm_sequence(p)
-    if lo is None or hi is None:
-        b = cauchy_bound(p)
-        lo = -b - 1 if lo is None else lo
-        hi = b + 1 if hi is None else hi
-    return _sign_changes(seq, Q(lo)) - _sign_changes(seq, Q(hi))
+    b = cauchy_bound(p)
+    return _sign_changes(seq, -b - 1) - _sign_changes(seq, b + 1)
 
 
 def cauchy_bound(p) -> Fraction:
@@ -259,9 +256,9 @@ def poly_powmod(a, e, mod_poly, m):
     return result
 
 
-def factor_mod_p(f, p, rng: random.Random | None = None) -> list[tuple[list[int], int]]:
+def factor_mod_p(f, p) -> list[tuple[list[int], int]]:
     """Full factorization of f over F_p: list of (monic irreducible, mult)."""
-    rng = rng or random.Random(20240201)
+    rng = random.Random(20240201)
     f = pmod(f, p)
     inv = pow(f[-1], -1, p)
     f = [c * inv % p for c in f]
@@ -351,12 +348,13 @@ def _factor_squarefree(f, p, rng) -> list[list[int]]:
 def squarefree_part_z(f) -> list:
     """Squarefree part of an integer polynomial (primitive output)."""
     g = poly_gcd_q(f, derivative(f))
-    sq, _ = poly_divmod(f, g)
-    den = 1
-    for c in sq:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in sq]
-    cont = 0
-    for c in ints:
-        cont = gcd(cont, c)
+    return primitive_z(poly_divmod(f, g)[0])
+
+
+def primitive_z(f) -> list[int]:
+    """The primitive integer multiple of a rational polynomial: f times
+    the lcm of its denominators, divided by the (positive) content."""
+    den = lcm(*(Q(c).denominator for c in f))
+    ints = [int(c * den) for c in f]
+    cont = gcd(*ints)
     return [c // cont for c in ints]

@@ -67,13 +67,13 @@ def smooth_factor(a: HnfIdeal, fb: FactorBase):
     return vals
 
 
-def smooth_density_lower(field: NumberField, a_cut, b_bound, x, rho_upper,
-                         b_sm: int = 16) -> float:
+def smooth_density_lower(field: NumberField, a_cut, b_bound, x,
+                         rho_upper) -> float:
     """Lower bound (4 log B)^(1-u) u^(-u) / (rho B) on the local density
     of ideals with prime factors of norm in (A, B]; preconditions are
     reported, never clamped."""
-    if b_bound < b_sm:
-        raise ValueError(f"B = {b_bound} below the smoothness floor {b_sm}")
+    if b_bound < 16:
+        raise ValueError(f"B = {b_bound} below the smoothness floor 16")
     if a_cut > b_bound / (4 * math.log(b_bound)):
         raise ValueError("A exceeds B/(4 log B)")
     if x < b_bound * math.e ** field.n:
@@ -126,8 +126,8 @@ def default_blocksize(field: NumberField) -> int:
     return max(2, min(field.n, math.ceil(field.n ** (2 / 3))))
 
 
-def choose_omega(field: NumberField, m0_norm, blocksize, x, cfg: RelationConfig,
-                 constant=None) -> int:
+def choose_omega(field: NumberField, m0_norm, blocksize, x,
+                 cfg: RelationConfig) -> int:
     """Smallest positive integer omega with
     r^n >= e^n max(B_sm, B_rw, 10 x^2)."""
     if cfg.omega_override is not None:
@@ -135,8 +135,8 @@ def choose_omega(field: NumberField, m0_norm, blocksize, x, cfg: RelationConfig,
     target = math.e ** field.n * max(cfg.b_sm, cfg.b_rw, 10 * x * x)
     target_q = Q(math.ceil(target * 2 ** 20), 2 ** 20)
     omega = 1
-    const = constant if constant is not None else (
-        cfg.sampler.radius_constant if cfg.sampler else samplers.RADIUS_CONSTANT)
+    const = (cfg.sampler.radius_constant if cfg.sampler
+             else samplers.RADIUS_CONSTANT)
     while True:
         r = walk_radius(field, Q(m0_norm), blocksize, omega, const)
         # r^n >= target  <=>  pow^n >= target^k
@@ -164,8 +164,8 @@ class SUnitRelation:
     attempts: int
     origin: object = None
 
-    def log_s_vector(self, fb: FactorBase, prec: int = 64) -> LogSUnitVector:
-        return log_s_embed(self.alpha, list(fb), prec)
+    def log_s_vector(self, fb: FactorBase) -> LogSUnitVector:
+        return log_s_embed(self.alpha, list(fb))
 
 
 def _walk_params_for(field: NumberField, m0: HnfIdeal, blocksize: int,
@@ -274,7 +274,6 @@ def grid_denominator(field: NumberField, omega: int) -> int:
 class RandomRelationOutput:
     vector: list                  # -(v_p + a_p) over fb
     relation: SUnitRelation
-    gauss_point: list             # the sampled divisor coordinates
     sigma: float
     r0_bound: float
 
@@ -353,8 +352,7 @@ def random_relation(field: NumberField, fb: FactorBase, rng,
     norm_sq = float(lsv.norm_sq().hi())
     if math.sqrt(norm_sq) > r0 + cfg.concentration_slack:
         raise RuntimeError("concentration bound violated")
-    return RandomRelationOutput(out_vec, rel, a_p + [float(b) for b in b_nu],
-                                sigma, r0)
+    return RandomRelationOutput(out_vec, rel, sigma, r0)
 
 
 def concentration_bound(field: NumberField, fb: FactorBase, sigma: float,

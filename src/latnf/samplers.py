@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import intmath, lattice_core, qlinalg
 from .approx_reduction import (_lambda1_lower_sq, approx_bkz_ideal,
                                minkowski_columns_x)
-from .dyadic import Q, sqrt_bracket
+from .dyadic import Q, round_half_up, sqrt_bracket
 from .ideal_arith import HnfIdeal, hnf_mul
 from .nf_core import GT, FieldElement, NumberField, cmp_element
 from .qlinalg import dot, mat_inv, mat_vec, transpose
@@ -85,7 +85,7 @@ def _z_gaussian(s, c, t: float, delta: float, rng) -> int:
     while True:
         g = rng.gauss(0.0, 1.0)
         offset = sigma_cont * Q(g).limit_denominator(1 << 48)
-        z = _round_half(c_q + offset)
+        z = round_half_up(c_q + offset)
         if abs(Q(z) - c_q) <= bound:
             return z
 
@@ -235,17 +235,13 @@ def perfect_box_grid(cols, grid_n: int, box: "GridBox", c_scale, eps, rng):
     u = _uniform_grid_point(box, grid_n, Q(c_scale) + Q(eps), rng)
     binv = mat_inv(transpose(cols))
     v = mat_vec(binv, u)
-    w = [_round_half(x) for x in v]
+    w = [round_half_up(x) for x in v]
     out = [Q(0)] * len(cols[0])
     for i in range(n):
         out = [a + w[i] * b for a, b in zip(out, cols[i])]
     if _box_member(box, out, Q(c_scale)):
         return w
     return None
-
-
-def _round_half(x: Fraction) -> int:
-    return (2 * x.numerator + x.denominator) // (2 * x.denominator)
 
 
 @dataclass
@@ -291,7 +287,7 @@ def _box_member(box: GridBox, point, scale) -> bool:
 
 
 def perfect_box_lattice(c_cols, grid_n: int, t_tilde, box: GridBox, eps,
-                        membership_oracle, rng, inner_cap: int = 200):
+                        membership_oracle, rng):
     """One attempt of the shifted-lattice perfect sampler.
 
     c_cols approximates the true basis B in (1/N)Z^n; t_tilde approximates
@@ -301,11 +297,11 @@ def perfect_box_lattice(c_cols, grid_n: int, t_tilde, box: GridBox, eps,
     """
     n = len(c_cols)
     cinv = mat_inv(transpose([[Q(x) for x in c] for c in c_cols]))
-    w0 = [_round_half(x) for x in mat_vec(cinv, [Q(x) for x in t_tilde])]
+    w0 = [round_half_up(x) for x in mat_vec(cinv, [Q(x) for x in t_tilde])]
     eps = Q(eps)
-    for _ in range(inner_cap):
+    for _ in range(200):
         u = _uniform_grid_point(box, grid_n, 1 + 4 * eps, rng)
-        v = [_round_half(x) for x in mat_vec(cinv, u)]
+        v = [round_half_up(x) for x in mat_vec(cinv, u)]
         cv = [Q(0)] * len(c_cols[0])
         for i in range(n):
             cv = [a + v[i] * Q(b) for a, b in zip(cv, c_cols[i])]
@@ -324,8 +320,6 @@ class BoxSampleResult:
     beta: FieldElement          # the algebraic part: x*beta lies in the box
     radius: RadiusExpr
     draws: int
-    reduced_basis: list
-    gamma_red: FieldElement
 
 
 @dataclass
@@ -365,8 +359,7 @@ def instantiate_grid_n(field: NumberField, omega, constant: int) -> int:
 def sample_in_box(field: NumberField, m0: HnfIdeal | None, m_inf: list[int],
                   b_ideal: HnfIdeal, gamma: FieldElement, tau: FieldElement,
                   blocksize: int, x, omega, rng,
-                  cfg: SamplerConfig | None = None,
-                  reduced_cache: dict | None = None) -> BoxSampleResult:
+                  cfg: SamplerConfig | None = None) -> BoxSampleResult:
     """Uniform sampling in x((b + gamma) cap tau K^{m,1}) cap r B_inf,
     r = RADIUS(x b m0).  Returns the algebraic element beta with
     beta in (b + gamma) cap tau K^{m,1} and x*beta inside the box.
@@ -384,13 +377,7 @@ def sample_in_box(field: NumberField, m0: HnfIdeal | None, m_inf: list[int],
                          cfg.radius_constant)
 
     # (1) reduced basis of x * b * m0 with the radiusboundofD check
-    cache_key = (bm, tuple(x), blocksize)
-    if reduced_cache is not None and cache_key in reduced_cache:
-        red = reduced_cache[cache_key]
-    else:
-        red = approx_bkz_ideal(x, bm, blocksize)
-        if reduced_cache is not None:
-            reduced_cache[cache_key] = red
+    red = approx_bkz_ideal(x, bm, blocksize)
     cols_balls = minkowski_columns_x(field, red.elements, x, red.precision_bits)
     for col in cols_balls:
         norm_sq_up = sum((abs(c.mid) + c.rad) ** 2 for c in col)
@@ -463,7 +450,7 @@ def sample_in_box(field: NumberField, m0: HnfIdeal | None, m_inf: list[int],
         if max_err > Q(1, 4 * grid_n):
             prec *= 2
             continue
-        c_cols = [[Q(_round_half(c.mid * grid_n), grid_n) for c in col]
+        c_cols = [[Q(round_half_up(c.mid * grid_n), grid_n) for c in col]
                   for col in cols]
         g_col = minkowski_columns_x(field, [gamma_red], x, prec)[0]
         r_lo, r_hi = radius.bracket(prec)
@@ -481,7 +468,7 @@ def sample_in_box(field: NumberField, m0: HnfIdeal | None, m_inf: list[int],
                 i, j = pos
                 t_true.append(-g_col[i].mid)
                 t_true.append(-g_col[j].mid)
-        t_tilde = [Q(_round_half(v * grid_n), grid_n) for v in t_true]
+        t_tilde = [Q(round_half_up(v * grid_n), grid_n) for v in t_true]
         while draws < cfg.retry_cap:
             if cfg.time_budget and _time.monotonic() - t_start > cfg.time_budget:
                 raise CapExceeded("box sampler time budget spent")
@@ -489,8 +476,7 @@ def sample_in_box(field: NumberField, m0: HnfIdeal | None, m_inf: list[int],
             got = perfect_box_lattice(c_cols, grid_n, t_tilde, box, eps,
                                       oracle, rng)
             if got is not None:
-                return BoxSampleResult(got, radius, draws, red.elements,
-                                       gamma_red)
+                return BoxSampleResult(got, radius, draws)
         raise CapExceeded(f"box sampler failed after {draws} draws")
 
 
@@ -546,7 +532,7 @@ def _babai_reduce(field: NumberField, gamma_m: FieldElement,
     t = mat_vec(mat_inv(transpose(cols)), list(gamma_m.coords))
     out = gamma_m
     for i in range(n):
-        q = _round_half(Q(t[i]))
+        q = round_half_up(Q(t[i]))
         if q:
             out = out - basis_elements[i] * q
     return out

@@ -85,9 +85,9 @@ def divisor_to_json(d) -> dict:
                                        default=Q(0)))}
 
 
-def matrix_to_json(cols, exact: bool = True) -> dict:
+def matrix_to_json(cols) -> dict:
     rows = len(cols[0])
-    return {"exact": exact, "rows": rows, "cols": len(cols),
+    return {"exact": True, "rows": rows, "cols": len(cols),
             "data": [[rational_to_str(x) for x in col] for col in cols]}
 
 

@@ -19,7 +19,7 @@ from . import qlinalg, samplers
 from .approx_reduction import ApproxGenerators, bkp_twice
 from .det_verify import approx_rho
 from .divisor_log import kessler_lambda1_lower, log_embedding
-from .dyadic import Q, RealBall, log_ball, sqrt_bracket
+from .dyadic import Q, RealBall, log_ball, round_half_up, sqrt_bracket
 from .ideal_arith import HnfIdeal, hnf_mul, ord_at
 from .nf_core import FieldElement, NumberField
 from .relations import (FactorBase, RandomRelationConfig, RelationConfig,
@@ -133,7 +133,6 @@ class PostprocessResult:
     basis_val: list         # exact integer valuation block of the basis
     basis_inf: list         # dyadic rows of the infinite parts
     precision_bits: int
-    cond_bound: Fraction
 
 
 def relation_log_rows(relations, fb: FactorBase, prec: int):
@@ -165,7 +164,7 @@ def postprocess(relations, fb: FactorBase, field: NumberField,
     """
     k = len(relations)
     if k == 0:
-        return PostprocessResult([], 0, [], [], 0, Q(1))
+        return PostprocessResult([], 0, [], [], 0)
     n = field.n
     s_len = len(fb)
     r1 = field.n_real + field.n_cplx
@@ -235,8 +234,7 @@ def postprocess(relations, fb: FactorBase, field: NumberField,
         n_matrix.append(combo)
         basis_val.append([0] * s_len)
         basis_inf.append(inf)
-    return PostprocessResult(n_matrix, rank, basis_val, basis_inf,
-                             out_prec, Q(2) ** (rank + 2))
+    return PostprocessResult(n_matrix, rank, basis_val, basis_inf, out_prec)
 
 
 def _reduced_kernel(val_rows):
@@ -266,7 +264,7 @@ def _babai_reduce_combo(combo, ker_basis):
     t = mat_vec(ginv, [Q(x) for x in proj])
     out = list(combo)
     for coeff, kb in zip(t, ker_basis):
-        q = (2 * coeff.numerator + coeff.denominator) // (2 * coeff.denominator)
+        q = round_half_up(coeff)
         if q:
             out = [a - q * b for a, b in zip(out, kb)]
     return out
@@ -285,16 +283,16 @@ def _unit_block_precision(field, kb, coeff_max, n_rels, mu, s_len, n) -> int:
     return max(128, int(-eps_log2) + 32)
 
 
-def postprocess_full_bkp(relations, fb: FactorBase, field: NumberField,
-                         kessler_c: int = 1000) -> PostprocessResult:
+def postprocess_full_bkp(relations, fb: FactorBase,
+                         field: NumberField) -> PostprocessResult:
     """The literal full-matrix double-BKP post-processing (used on tiny
     instances and to cross-check the split variant)."""
     k = len(relations)
     if k == 0:
-        return PostprocessResult([], 0, [], [], 0, Q(1))
+        return PostprocessResult([], 0, [], [], 0)
     n = field.n
     s_len = len(fb)
-    mu = kessler_lambda1_lower(field, kessler_c)
+    mu = kessler_lambda1_lower(field)
     rows0, _err0 = relation_log_rows(relations, fb, 32)
     a_sq = max(qlinalg.dot(r, r) for r in rows0) + 1
     _, a_up = sqrt_bracket(a_sq, 32)
@@ -318,8 +316,7 @@ def postprocess_full_bkp(relations, fb: FactorBase, field: NumberField,
             val.append(int(v))
         basis_val.append(val)
         basis_inf.append([Q(v) for v in row[s_len:]])
-    return PostprocessResult(res.m_rows, res.rank, basis_val, basis_inf,
-                             prec, Q(2) ** (res.rank + 2))
+    return PostprocessResult(res.m_rows, res.rank, basis_val, basis_inf, prec)
 
 
 def _log2_up(x: Fraction) -> int:
@@ -333,20 +330,19 @@ def _log2_up(x: Fraction) -> int:
 # Verification
 
 
-def euclid_correction_sq(fb: FactorBase, r1: int, prec: int = 64) -> RealBall:
+def euclid_correction_sq(fb: FactorBase, r1: int) -> RealBall:
     """J^2 = 1 + sum(log^2 N(p)) / (r+1): the exact Jacobian between the
     product measure and the Euclidean metric on the degree-zero S-divisor
-    space (r1 = n_R + n_C)."""
+    space (r1 = n_R + n_C), logs at 64 bits."""
     acc = RealBall(Q(0))
     for p in fb:
-        lg = log_ball(Q(p.norm()), prec)
+        lg = log_ball(Q(p.norm()), 64)
         acc = acc + lg * lg
     return RealBall(Q(1)) + acc * Q(1, r1)
 
 
 def verify_full(post: PostprocessResult, field: NumberField, fb: FactorBase,
-                d_value: float, relations=None,
-                prec: int = 96) -> VerifyTranscript:
+                d_value: float, relations=None) -> VerifyTranscript:
     """Rank + determinant verification, via the product-measure split
     (integer index x regulator Gram) and the direct Euclidean Gram ratio;
     both are emitted and must agree."""
@@ -503,8 +499,7 @@ def _bach_truncation(field: NumberField) -> int:
 
 
 def compute_sunits(field: NumberField, fb_user: FactorBase, rng,
-                   cfg: PipelineConfig | None = None,
-                   work_bound: int | None = None) -> SUnitResult:
+                   cfg: PipelineConfig | None = None) -> SUnitResult:
     """Full pipeline: repeat relation collection until the BKP +
     determinant verification confirms the whole Log-S-unit lattice, then
     append exceptional units for factor-base primes dividing m0.
@@ -522,7 +517,7 @@ def compute_sunits(field: NumberField, fb_user: FactorBase, rng,
     units_only = len(fb_user) == 0
     if units_only:
         from .ideal_arith import primes_up_to
-        bound = work_bound or max(
+        bound = max(
             50, math.ceil(6 * math.log(abs(field.disc_field)) ** 2))
         fb_user = FactorBase(primes_up_to(field, bound))
     fb_work = fb_user.excluding(m0_primes)

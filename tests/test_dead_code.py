@@ -1,10 +1,18 @@
-"""Every function, class and method of the library is used somewhere.
+"""Every function, class and method of the library is used somewhere,
+and every parameter with a default is set somewhere.
 
 A definition counts as used when its name appears outside its own body in
 `src/`, `tests/` or `perfbench/` (this file aside): as a name, an
 attribute, an imported name, or a string that is a dotted identifier (how
 `perfbench/tracing.py` and `getattr` name functions).  Comments and
 docstrings do not count.
+
+A parameter with a default (of a module-level function, of a method, or
+of a class's `__init__`) counts as set when some call of that name in the
+same tree passes it, by keyword or by position; a call that unpacks
+`*args` or `**kwargs` sets them all.  Calls are matched by the called
+name alone, so a parameter set through a same-named function counts as
+set.  Dataclass fields are not checked.
 """
 
 import ast
@@ -26,6 +34,17 @@ ALLOWED = {
         "user-facing output of the S-unit pipeline",
     "sunit_pipeline.principal_ideal_generator":
         "the paper's PIP step, kept until it gets a CLI path or is removed",
+}
+
+# "<module>.<qualname>(<parameter>)": reason its default stays although no
+# call site passes it
+ALLOWED_DEFAULTS = {
+    "sunit_pipeline.CompactElement.log_vector(prec)":
+        "precision of a user-facing output (allowlisted above)",
+    "sunit_pipeline.principal_ideal_generator(cfg)":
+        "interface of the PIP step, kept while the function is",
+    "sunit_pipeline.principal_ideal_generator(rho_tilde)":
+        "interface of the PIP step, kept while the function is",
 }
 
 
@@ -108,3 +127,71 @@ def test_allowlist_names_definitions():
                for path in LIBRARY.glob("*.py")
                for qualname, _node in _definitions(_parse(path))}
     assert sorted(set(ALLOWED) - defined) == []
+
+
+def _callables(tree):
+    """(qualname, called name, node, bound) for module-level functions,
+    methods and `__init__`s; `bound` is the number of leading parameters
+    the call does not pass (self or cls)."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node.name, node, 0
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef):
+                    continue
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in item.decorator_list)
+                called = node.name if item.name == "__init__" else item.name
+                yield (f"{node.name}.{item.name}", called, item,
+                       0 if static else 1)
+
+
+def _defaulted(fn):
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    out = [a.arg for a in positional[len(positional) - len(args.defaults):]]
+    out += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+            if d is not None]
+    return out
+
+
+def unset_defaults():
+    calls = {}                      # called name -> [ast.Call]
+    for top in SEARCHED:
+        for path in sorted(top.rglob("*.py")):
+            if path == THIS:
+                continue
+            for node in ast.walk(_parse(path)):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = (func.id if isinstance(func, ast.Name) else
+                            func.attr if isinstance(func, ast.Attribute)
+                            else None)
+                    calls.setdefault(name, []).append(node)
+    unset = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        for qualname, called, fn, bound in _callables(_parse(path)):
+            defaulted = _defaulted(fn)
+            if not defaulted:
+                continue
+            params = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+            passed = set()
+            for call in calls.get(called, []):
+                if (any(isinstance(a, ast.Starred) for a in call.args)
+                        or any(k.arg is None for k in call.keywords)):
+                    passed.update(defaulted)
+                    continue
+                passed.update(params[bound:bound + len(call.args)])
+                passed.update(k.arg for k in call.keywords)
+            unset += [f"{path.stem}.{qualname}({p})" for p in defaulted
+                      if p not in passed]
+    return unset
+
+
+def test_every_default_is_set():
+    assert sorted(set(unset_defaults()) - set(ALLOWED_DEFAULTS)) == []
+
+
+def test_default_allowlist_names_unset_parameters():
+    assert sorted(set(ALLOWED_DEFAULTS) - set(unset_defaults())) == []

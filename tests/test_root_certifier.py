@@ -1,0 +1,126 @@
+"""Certified root balls and the exact |root| comparisons built on them.
+
+The digests pin every certified root ball (exact midpoint and radius) of
+six fields at three precisions, as `NumberField._all_roots` returned them
+before the field path and the abs mode of `cmp_root_threshold` shared one
+root certifier.  The abs-mode cases below reach the Liouville fallback
+(equality holds, so no interval decides them).
+"""
+
+import hashlib
+import random
+from fractions import Fraction as Q
+
+import pytest
+
+from latnf import nf_core
+from latnf.dyadic import ComplexBall, sqrt_bracket
+from latnf.nf_core import GT, LE, cmp_root_threshold, new_field
+
+FIELDS = {"Q(i)": [1, 0, 1], "Q(sqrt-5)": [5, 0, 1], "Q(sqrt2)": [-2, 0, 1],
+          "Q(sqrt-163)": [163, 0, 1], "Q(zeta5)": [1, 1, 1, 1, 1],
+          "x^3-2": [-2, 0, 0, 1]}
+
+PINNED = {
+    ("Q(i)", 64): "5bd135912f820819",
+    ("Q(i)", 128): "5bd135912f820819",
+    ("Q(i)", 256): "5bd135912f820819",
+    ("Q(sqrt-5)", 64): "95d857053640842f",
+    ("Q(sqrt-5)", 128): "dfcf2be43756896d",
+    ("Q(sqrt-5)", 256): "c67c440e8c70b79b",
+    ("Q(sqrt2)", 64): "6828094dc0e08ab4",
+    ("Q(sqrt2)", 128): "371074ff26683309",
+    ("Q(sqrt2)", 256): "ee571b9d53975426",
+    ("Q(sqrt-163)", 64): "ebe056c6f6152c66",
+    ("Q(sqrt-163)", 128): "f04d1f19eb73bb3a",
+    ("Q(sqrt-163)", 256): "3a071837fc79e66d",
+    ("Q(zeta5)", 64): "1ed6b8e74e1f27ca",
+    ("Q(zeta5)", 128): "9b37a467589a219a",
+    ("Q(zeta5)", 256): "49690bcc1ddb2342",
+    ("x^3-2", 64): "6c8431f7cf84b865",
+    ("x^3-2", 128): "af338f8a4130f6b7",
+    ("x^3-2", 256): "9fe7146400a58595",
+}
+
+
+def _digest(balls):
+    h = hashlib.sha256()
+    for b in balls:
+        for x in (b.re, b.im, b.rad):
+            h.update(f"{x.numerator}/{x.denominator};".encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name,prec", sorted(PINNED))
+def test_all_roots_pinned(name, prec):
+    field = new_field(FIELDS[name])
+    assert _digest(field._all_roots(prec)) == PINNED[(name, prec)]
+
+
+class TestAbsModeFallback:
+    def test_sqrt_minus_two_pow_four(self):
+        # |sqrt(-2)|^2 = 2 and 2^4 = 16 = 4^2: equality resolves LE
+        assert cmp_root_threshold([2, 0, 1], 0, 4, 4, "abs_value") == LE
+
+    def test_cube_root_of_unity(self):
+        # |omega| = 1 = 1^(1/3)
+        assert cmp_root_threshold([1, 1, 1], 1, 1, 3, "abs_value") == LE
+
+    def test_just_above_equality(self):
+        assert cmp_root_threshold([2, 0, 1], 0, Q(3999, 1000), 4,
+                                  "abs_value") == GT
+
+
+def _eisenstein(rng, n):
+    """Random monic integer polynomial of degree n, Eisenstein at 2."""
+    body = [2 * rng.randrange(-4, 5) for _ in range(n - 1)]
+    return [2 * (2 * rng.randrange(-3, 3) + 1)] + body + [1]
+
+
+def test_abs_mode_agrees_with_interval_arithmetic():
+    rng = random.Random(7)
+    decided = 0
+    for _ in range(40):
+        poly = _eisenstein(rng, rng.choice((2, 3, 4)))
+        balls = sorted(new_field(poly)._all_roots(256),
+                       key=lambda b: (b.re, b.im))
+        idx = rng.randrange(len(balls))
+        k = rng.randrange(1, 4)
+        g = Q(rng.randrange(1, 400), rng.randrange(1, 20))
+        t = balls[idx].abs2()
+        tk = t
+        for _ in range(k - 1):
+            tk = tk * t
+        verdict = cmp_root_threshold(poly, idx, g, k, "abs_value")
+        if tk.definitely_gt(g * g):
+            assert verdict == GT
+            decided += 1
+        elif tk.definitely_lt(g * g):
+            assert verdict == LE
+            decided += 1
+    assert decided >= 30
+
+
+class TestZeta8:
+    """x^4 + 1 is reducible modulo every prime, so irreducibility rests on
+    the certified subset-of-roots factor search."""
+
+    @staticmethod
+    def _roots_64():
+        # (+-1 +- i)/sqrt(2), midpoints within 2^-70 of the roots
+        lo, _hi = sqrt_bracket(Q(1, 2), 70)
+        rad = Q(1, 1 << 64)
+        return [ComplexBall(s * lo, t * lo, rad)
+                for s in (1, -1) for t in (1, -1)]
+
+    def test_subset_test_settles_at_64_bits(self):
+        poly_q = [Q(c) for c in (1, 0, 0, 0, 1)]
+        assert nf_core._subset_factor_test(poly_q, self._roots_64()) is True
+
+    def test_constructs(self):
+        k = new_field([1, 0, 0, 0, 1])
+        assert (k.n_real, k.n_cplx, k.disc_field) == (0, 2, 256)
+
+    def test_biquadratic_product_still_reducible(self):
+        with pytest.raises(ValueError, match="reducible"):
+            new_field([2, 0, 3, 0, 1])     # (x^2 + 1)(x^2 + 2)
