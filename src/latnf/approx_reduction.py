@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from . import bkz, lattice_core, qlinalg
+from . import bkz, lattice_core
 from .dyadic import Q, RealBall, round_half_up, sqrt_bracket
 from .ideal_arith import HnfIdeal
 from .nf_core import NumberField

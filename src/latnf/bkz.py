@@ -28,7 +28,6 @@ class BkzConfig:
     blocksize: int
     tour_cap_constant: Fraction = Q(1)
     max_tours: int | None = None
-    record_transform: bool = True
 
 
 @dataclass
@@ -75,10 +74,8 @@ def _projected_cols(cols, j):
 
 
 def _tracked(ints, transform):
-    """Per basis column j: its entries, then column j of the transform
-    (when one is recorded), so one column operation updates both."""
-    if transform is None:
-        return [list(c) for c in ints]
+    """Per basis column j: its entries, then column j of the transform,
+    so one column operation updates both."""
     return [list(c) + [row[j] for row in transform] for j, c in enumerate(ints)]
 
 
@@ -89,9 +86,8 @@ def _state(vecs, m):
 
 
 def _untrack(state, m, den, trace):
-    """(Fraction columns, and the transform into trace when recorded)."""
-    if trace.transform is not None:
-        trace.transform = [list(r) for r in zip(*(v[m:] for v in state.vecs))]
+    """(Fraction columns, and the transform into trace)."""
+    trace.transform = [list(r) for r in zip(*(v[m:] for v in state.vecs))]
     return [[Q(x, den) for x in v[:m]] for v in state.vecs]
 
 
@@ -127,7 +123,7 @@ def bkz_prime(cols, cfg: BkzConfig):
         raise ValueError("blocksize must lie in [2, n]")
     ints, den = integral_cols(cols)
     m = len(ints[0])
-    trace = ReductionTrace(transform=int_identity(n) if cfg.record_transform else None)
+    trace = ReductionTrace(transform=int_identity(n))
     state = _state(_tracked(ints, trace.transform), m)
     # log-magnitudes via bit lengths (entries may be far beyond float range)
     max_norm_sq = Q(max(sum(x * x for x in c) for c in ints), den * den)
@@ -176,8 +172,7 @@ def bkz_full(cols, cfg: BkzConfig):
     """
     n = len(cols)
     b = cfg.blocksize
-    total_trace = ReductionTrace(
-        transform=int_identity(n) if cfg.record_transform else None)
+    total_trace = ReductionTrace(transform=int_identity(n))
     cols, tr = bkz_prime(cols, cfg)
     _absorb(total_trace, tr)
     ints, den = integral_cols(cols)
@@ -186,7 +181,7 @@ def bkz_full(cols, cfg: BkzConfig):
     for j in range(1, n - b + 1):
         block = _projected_ints(state, [v[:m] for v in state.vecs], den, j, n - j)
         sub_cfg = BkzConfig(blocksize=b, tour_cap_constant=cfg.tour_cap_constant,
-                            max_tours=cfg.max_tours, record_transform=True)
+                            max_tours=cfg.max_tours)
         _, tr_sub = bkz_prime(block, sub_cfg)
         state.vecs[j:] = combine_cols(state.vecs[j:], tr_sub.transform)
         state = _state(state.vecs, m)
@@ -200,8 +195,7 @@ def _absorb(total: ReductionTrace, tr: ReductionTrace):
     total.hkz_calls += tr.hkz_calls
     total.tours += tr.tours
     total.potential_sq_ledger.extend(tr.potential_sq_ledger)
-    if total.transform is not None and tr.transform is not None:
-        total.transform = lattice_core._int_mat_mul(total.transform, tr.transform)
+    total.transform = lattice_core._int_mat_mul(total.transform, tr.transform)
 
 
 def full_bound_sq_ok(cols, b: int, lambda_n_sq: Fraction) -> bool:

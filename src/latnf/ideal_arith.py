@@ -1,16 +1,25 @@
 """Fractional ideals in Hermite Normal Form over the integral basis.
 
 An ideal is (1/d) times the Z-span of the columns of an upper-triangular
-integer matrix H; the pair (d, H) is canonical, so equality is literal
-comparison.  Prime splitting uses Kummer-Dedekind, which requires the
-rational prime not to divide the index [O_K : Z[theta]] (a hard error
-otherwise; the corpus fields are index-free).
+integer matrix H; the pair (d, H) with gcd(content H, d) = 1 is unique,
+so equality is literal comparison.  Products, principal ideals and
+membership work on the integer columns through the field's integer
+structure tensor, so no rational arithmetic is involved.
+
+Prime splitting uses Kummer-Dedekind, which requires the rational prime
+not to divide the index [O_K : Z[theta]] (a hard error otherwise; a
+power basis is checked to be maximal when the field is built, so only a
+supplied integral basis can have index primes).  Each prime P above p
+carries an anti-uniformizer tau = (f/g)(theta), f/g taken mod p, with g
+the factor of f mod p that gives P: tau is not in pO_K and tau P lies in
+pO_K, so the valuation of an integral x is the number of steps
+x <- tau x / p that stay integral (Cohen Alg. 4.8.17).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import intmath, polyq, qlinalg
 from .dyadic import Q
@@ -34,30 +43,31 @@ class HnfIdeal:
     @staticmethod
     def from_generators(field: NumberField, gens: list[FieldElement]) -> "HnfIdeal":
         """Ideal generated (as an O_K-module) by the given elements."""
-        module_gens = []
+        den = lcm(*(c.denominator for g in gens for c in g.coords))
+        cols = []
         for g in gens:
-            for j in range(field.n):
-                bj = field.element([Q(int(k == j)) for k in range(field.n)])
-                module_gens.append(list((g * bj).coords))
-        return HnfIdeal.from_module_columns(field, module_gens)
+            cols += _mult_columns(field, [int(c * den) for c in g.coords])
+        return HnfIdeal._from_int_columns(field, den, cols)
 
     @staticmethod
     def from_module_columns(field: NumberField, cols) -> "HnfIdeal":
         """Z-module spanned by rational coordinate columns, normalized."""
-        den = 1
-        for c in cols:
-            for x in c:
-                x = Q(x)
-                den = den * x.denominator // gcd(den, x.denominator)
-        int_cols = [[int(Q(x) * den) for x in c] for c in cols]
-        int_cols = [c for c in int_cols if any(c)]
-        if not int_cols:
+        cols = [[Q(x) for x in c] for c in cols]
+        den = lcm(*(x.denominator for c in cols for x in c))
+        return HnfIdeal._from_int_columns(
+            field, den, [[int(x * den) for x in c] for c in cols])
+
+    @staticmethod
+    def _from_int_columns(field, den, cols) -> "HnfIdeal":
+        """(1/den) times the Z-span of integer columns, normalized."""
+        cols = [c for c in cols if any(c)]
+        if not cols:
             raise ValueError("zero module is not an ideal here")
-        h = qlinalg.hnf_upper(int_cols)
-        return HnfIdeal._normalized(field, den, h)
+        return HnfIdeal._normalized(field, den, qlinalg.hnf_upper(cols))
 
     @staticmethod
     def _normalized(field, den, hcols) -> "HnfIdeal":
+        """The unique pair (d, H) with gcd(content H, d) = 1."""
         cont = 0
         for c in hcols:
             for x in c:
@@ -104,18 +114,22 @@ class HnfIdeal:
         return out
 
     def contains(self, alpha: FieldElement) -> bool:
-        coords = [c * self.denom for c in alpha.coords]
-        # back-substitute against upper-triangular hnf columns
-        residual = list(coords)
-        for j in range(len(self.hnf) - 1, -1, -1):
-            piv = self.hnf[j][j]
-            q, r = divmod(Q(residual[j]), piv)
-            if r != 0 or q.denominator != 1:
+        residual = []
+        for c in alpha.coords:
+            c *= self.denom
+            if c.denominator != 1:      # the HNF columns span a sublattice of Z^n
                 return False
-            q = int(q)
-            for i in range(j + 1):
-                residual[i] -= q * self.hnf[j][i]
-        return all(x == 0 for x in residual)
+            residual.append(int(c))
+        # back-substitute against upper-triangular hnf columns
+        for j in range(len(self.hnf) - 1, -1, -1):
+            col = self.hnf[j]
+            q, r = divmod(residual[j], col[j])
+            if r:
+                return False
+            if q:
+                for i in range(j):
+                    residual[i] -= q * col[i]
+        return True
 
     def __eq__(self, other):
         return (isinstance(other, HnfIdeal) and self.field is other.field
@@ -129,15 +143,25 @@ class HnfIdeal:
 
 
 class PrimeIdeal:
-    """Prime ideal above a rational prime, with residue data."""
+    """Prime ideal above a rational prime, with residue data and the
+    integer matrix of multiplication by an anti-uniformizer tau: tau is in
+    O_K but not in pO_K, and tau P lies in pO_K (Cohen Alg. 4.8.17), so an
+    integral x lies in P exactly when tau x / p is integral."""
 
-    __slots__ = ("p", "hnf", "f", "e")
+    __slots__ = ("p", "hnf", "f", "e", "tau_matrix")
 
-    def __init__(self, p: int, hnf: HnfIdeal, f: int, e: int):
+    def __init__(self, p: int, hnf: HnfIdeal, f: int, e: int,
+                 tau: FieldElement):
         self.p = int(p)
         self.hnf = hnf
         self.f = int(f)
         self.e = int(e)
+        self.tau_matrix = tuple(tuple(int(x) for x in row)
+                                for row in hnf.field.mult_matrix(tau))
+        if all(int(c) % self.p == 0 for c in tau.coords):
+            raise RuntimeError("anti-uniformizer lies in pO_K")
+        if _tau_step(self.tau_matrix, hnf.hnf, self.p) is None:
+            raise RuntimeError("anti-uniformizer does not map P into pO_K")
 
     @property
     def field(self):
@@ -179,97 +203,107 @@ class PrimeIdeal:
 # Arithmetic
 
 
+def _mult_columns(field: NumberField, x) -> list[list[int]]:
+    """Columns x b_1, ..., x b_n for integer coordinates x, through the
+    field's integer structure tensor."""
+    n = field.n
+    tensor = field.mul_tensor
+    cols = []
+    for j in range(n):
+        col = [0] * n
+        for i, xi in enumerate(x):
+            if xi:
+                row = tensor[i][j]
+                for t in range(n):
+                    col[t] += xi * row[t]
+        cols.append(col)
+    return cols
+
+
 def hnf_mul(a: HnfIdeal, b: HnfIdeal) -> HnfIdeal:
+    """(1/(d_a d_b)) times the span of the products of the integer HNF
+    columns of a and b."""
     if a.field is not b.field:
         raise ValueError("ideals from different fields")
-    field = a.field
-    gens_a = a.basis_elements()
-    gens_b = b.basis_elements()
+    n = a.field.n
     cols = []
-    for x in gens_a:
-        for y in gens_b:
-            cols.append(list((x * y).coords))
-    return HnfIdeal.from_module_columns(field, cols)
+    for x in a.hnf:
+        mx = _mult_columns(a.field, x)
+        for y in b.hnf:
+            col = [0] * n
+            for j, yj in enumerate(y):
+                if yj:
+                    for t, m in enumerate(mx[j]):
+                        col[t] += yj * m
+            cols.append(col)
+    return HnfIdeal._from_int_columns(a.field, a.denom * b.denom, cols)
 
 
 def hnf_inv(a: HnfIdeal) -> HnfIdeal:
     """Exact inverse: a * hnf_inv(a) == O_K."""
     field = a.field
     n = field.n
-    num = HnfIdeal(field, 1, a.hnf)        # integral part: a = num / denom
-    nrm = int(num.norm())
-    # num^{-1} = (1/nrm) * {z in Z^n : z * g_j / nrm integral for all j}
-    gens = num.basis_elements()
-    stacked = []                            # rows of the n^2 x n map
-    for g in gens:
-        m = field.mult_matrix(g)
-        for row in m:
-            stacked.append(row)
-    den = 1
-    for row in stacked:
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-    m_int = [[int(x * den) for x in row] for row in stacked]
-    modulus = nrm * den
-    # lattice {z in Z^n : M z = 0 mod modulus}: kernel of [M | mod*I]
-    big_rows = []
-    for j in range(n):
-        big_rows.append([m_int[i][j] for i in range(len(m_int))])
-    for i in range(len(m_int)):
-        row = [0] * len(m_int)
-        row[i] = modulus
-        big_rows.append(row)
-    ker = qlinalg.int_kernel(big_rows)
-    zs = [k[:n] for k in ker]
-    zs = [z for z in zs if any(z)]
-    inv_int = HnfIdeal.from_module_columns(field, [[Q(x) for x in z] for z in zs])
-    # result = denom * inv_int / nrm
-    cols = [[Q(x * a.denom, inv_int.denom * nrm) for x in col]
-            for col in inv_int.hnf]
-    return HnfIdeal.from_module_columns(field, cols)
+    nrm = 1                                 # N(b) for the numerator b = d a
+    for j, col in enumerate(a.hnf):
+        nrm *= col[j]
+    # b^{-1} = (1/nrm) * {z in Z^n : z g / nrm integral for every HNF
+    # column g of b}: the kernel of [M | nrm*I], with row j of M the
+    # products g b_j for all g stacked
+    prods = [_mult_columns(field, g) for g in a.hnf]
+    rows = [[x for cols in prods for x in cols[j]] for j in range(n)]
+    rows += [[nrm * (i == k) for k in range(n * n)] for i in range(n * n)]
+    zs = [z[:n] for z in qlinalg.int_kernel(rows)]
+    inv = qlinalg.hnf_upper([z for z in zs if any(z)])
+    # a^{-1} = d b^{-1}, and d times an HNF is an HNF
+    return HnfIdeal._normalized(field, nrm,
+                                [[x * a.denom for x in col] for col in inv])
 
 
 def ord_at(a: HnfIdeal, p: PrimeIdeal) -> int:
-    """Exact valuation of a at p (works for fractional a)."""
-    field = a.field
-    num = HnfIdeal(field, 1, a.hnf)
-    v = _ord_integral(num, p)
-    if a.denom != 1:
-        d_ideal = HnfIdeal.from_integer(field, a.denom)
-        v -= _ord_integral(d_ideal, p)
+    """Exact valuation of a at p (works for fractional a): the valuation
+    of the integral numerator, the least over its HNF columns, minus e
+    times the p-adic order of the denominator."""
+    v = _ord_integral(a.hnf, p)
+    d = a.denom
+    while d % p.p == 0:
+        d //= p.p
+        v -= p.e
     return v
 
 
-def _contained_in(a: HnfIdeal, b: HnfIdeal) -> bool:
-    """a subseteq b for integral ideals (denom-1 HNFs)."""
-    for elt in a.basis_elements():
-        if not b.contains(elt):
-            return False
-    return True
-
-
-def _ord_integral(a: HnfIdeal, p: PrimeIdeal) -> int:
+def _ord_integral(cols, p: PrimeIdeal) -> int:
     # v > 0 requires N(p) | N(a); and N(p)^v | N(a) caps v
-    nrm = int(a.norm() * Q(a.denom) ** len(a.hnf))
-    if nrm % p.p:
-        return 0
+    nrm = 1
+    for j, col in enumerate(cols):
+        nrm *= col[j]
     vmax = 0
-    m = nrm
-    while m % p.p == 0:
-        m //= p.p
+    while nrm % p.p == 0:
+        nrm //= p.p
         vmax += 1
     vmax //= p.f
-    if vmax == 0:
-        return 0
-    # binary search for the largest v <= vmax with a subseteq p^v
-    lo, hi = 0, vmax
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if _contained_in(a, p.power(mid)):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    # each step tau x / p lowers v_p of every column by one
+    v = 0
+    while v < vmax:
+        cols = _tau_step(p.tau_matrix, cols, p.p)
+        if cols is None:
+            break
+        v += 1
+    return v
+
+
+def _tau_step(tau_matrix, cols, p: int):
+    """tau x / p for every integer column x, or None when one of them is
+    not integral."""
+    out = []
+    for x in cols:
+        y = []
+        for row in tau_matrix:
+            q, r = divmod(sum(m * xi for m, xi in zip(row, x)), p)
+            if r:
+                return None
+            y.append(q)
+        out.append(y)
+    return out
 
 
 def kummer_dedekind(field: NumberField, p: int) -> list[tuple[PrimeIdeal, int]]:
@@ -294,13 +328,13 @@ def _kummer_dedekind_uncached(field: NumberField, p: int):
             "data externally (corpus fields are index-free)")
     factors = polyq.factor_mod_p(field.poly, p)
     out = []
-    theta = field.theta()
     for g, e in factors:
-        gs = [Q(c) for c in g]
-        # p_i = (p, g_i(theta))
-        gt = field.from_power(gs)
-        ideal = HnfIdeal.from_generators(field, [field.one() * p, gt])
-        prime = PrimeIdeal(p, ideal, f=polyq.degree(g), e=e)
+        # p_i = (p, g_i(theta)); tau = (f / g_i)(theta) with f / g_i taken
+        # mod p: g_i(theta) tau = f(theta) = 0 mod p
+        ideal = HnfIdeal.from_generators(
+            field, [field.one() * p, field.from_power(g)])
+        tau = field.from_power(polyq.poly_divmod_p(field.poly, g, p)[0])
+        prime = PrimeIdeal(p, ideal, f=polyq.degree(g), e=e, tau=tau)
         out.append((prime, e))
     out.sort(key=lambda t: t[0].sort_key())
     total = sum(pr.e * pr.f for pr, _ in out)

@@ -15,7 +15,7 @@ from .divisor_log import Divisor, ideal_divisor_zero, principal_divisor
 from .dyadic import Q, RealBall, exp_ball
 from .ideal_arith import HnfIdeal, hnf_mul, sample_prime_uniform
 from .nf_core import FieldElement, NumberField
-from .samplers import SamplerConfig, klein_sample, sample_in_box, walk_radius
+from .samplers import SamplerConfig, klein_sample, sample_in_box
 
 
 @dataclass

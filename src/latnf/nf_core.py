@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import isqrt
 
 import numpy as np
 
 from . import intmath, polyq, qlinalg
-from .dyadic import ComplexBall, Q, RealBall, dyadic_round, sqrt_bracket
+from .dyadic import ComplexBall, Q, RealBall, round_half_up
 
 GT, LE = "GT", "LE"
 _UNSET = object()
@@ -128,63 +129,75 @@ def certify_roots(poly, prec: int) -> list[ComplexBall]:
     """Disjoint certified balls of radius <= 2^-prec around the complex
     roots of a squarefree integer polynomial, in no particular order.
 
-    Newton's method runs from numpy's float roots at `work` bits; a ball
-    of radius n|f(z)|/|f'(z)| around z holds a root, and pairwise disjoint
-    balls hold distinct ones.  `work` doubles when a ball fails; after 40
-    doublings this raises RuntimeError.
+    Newton's method runs from numpy's float roots on integer mantissas at
+    the shared exponent 2^-work; a ball of radius n|f(z)|/|f'(z)| around z
+    holds a root, and pairwise disjoint balls hold distinct ones.  `work`
+    doubles when a ball fails; after 40 doublings this raises RuntimeError.
     """
-    f = [Q(c) for c in poly]
-    df = polyq.derivative(f)
-    target = Q(1, 1 << prec)
+    f = [int(c) for c in poly]
+    df = [k * f[k] for k in range(1, len(f))]
     approx = np.roots(list(reversed([float(c) for c in poly])))
     work = max(64, prec + 32)
     for _attempt in range(40):
         balls = []
         for z0 in approx:
-            z = _newton_ball(f, df, z0, work, target)
+            z = _newton_ball(f, df, z0, work, prec)
             if z is None:
                 break
             balls.append(z)
         else:
             if _disjoint(balls):
-                return balls
+                scale = 1 << work
+                return [ComplexBall(Q(a, scale), Q(b, scale), Q(r, scale))
+                        for a, b, r in balls]
         work *= 2
     raise RuntimeError("root refinement failed to certify")
 
 
-def _newton_ball(f, df, z0, work: int, target: Fraction):
-    """Newton's method on f from the float z0 with midpoints rounded to
-    `work` bits, until the certified radius n|f(z)|/|f'(z)| is <= target;
+def _newton_ball(f, df, z0, work: int, prec: int):
+    """Newton's method on f from the float z0, with z = (a + bi) 2^-work
+    rounded half up to the grid after every step, until the certified
+    radius n|f(z)|/|f'(z)| (its square root rounded up to the grid) is at
+    most 2^-prec.  Returns the mantissas (a, b, r) of the ball z +- r 2^-work;
     None if that takes more than work.bit_length() + 60 steps or f'(z)
     vanishes."""
     n = len(f) - 1
-    z = ComplexBall(dyadic_round(Q(float(z0.real)).limit_denominator(10 ** 12), work),
-                    dyadic_round(Q(float(z0.imag)).limit_denominator(10 ** 12), work))
+    scale = 1 << work
+    a = round_half_up(Q(float(z0.real)).limit_denominator(10 ** 12) * scale)
+    b = round_half_up(Q(float(z0.imag)).limit_denominator(10 ** 12) * scale)
     for _ in range(work.bit_length() + 60):
-        fz = _ceval(f, z.re, z.im)
-        dfz = _ceval(df, z.re, z.im)
-        d2 = dfz[0] * dfz[0] + dfz[1] * dfz[1]
+        fr, fi = _horner(f, a, b, work)       # f(z) 2^(n work)
+        dr, di = _horner(df, a, b, work)      # f'(z) 2^((n-1) work)
+        d2 = dr * dr + di * di
         if d2 == 0:
             return None
-        _, hi = sqrt_bracket((fz[0] * fz[0] + fz[1] * fz[1]) / d2, work)
-        rad = n * hi
-        if rad <= target:
-            return ComplexBall(z.re, z.im, rad)
-        # Newton step: z - f/f'
-        qre = (fz[0] * dfz[0] + fz[1] * dfz[1]) / d2
-        qim = (fz[1] * dfz[0] - fz[0] * dfz[1]) / d2
-        z = ComplexBall(dyadic_round(z.re - qre, work),
-                        dyadic_round(z.im - qim, work))
+        # |f(z)/f'(z)|^2 = (fr^2 + fi^2) / d2 * 2^(-2 work)
+        f2 = fr * fr + fi * fi
+        r = n * (isqrt(f2 // d2) + 1) if f2 else 0
+        if r << prec <= scale:
+            return a, b, r
+        # Newton step z - f/f' = z - f(z) conj(f'(z)) / |f'(z)|^2
+        a = (2 * (a * d2 - (fr * dr + fi * di)) + d2) // (2 * d2)
+        b = (2 * (b * d2 - (fi * dr - fr * di)) + d2) // (2 * d2)
     return None
 
 
+def _horner(poly, a: int, b: int, work: int):
+    """poly((a + bi) 2^-work) * 2^(deg work) as an integer pair (re, im)."""
+    deg = len(poly) - 1
+    re, im = poly[deg], 0
+    for k in range(deg - 1, -1, -1):
+        re, im = (re * a - im * b + (poly[k] << (work * (deg - k))),
+                  re * b + im * a)
+    return re, im
+
+
 def _disjoint(balls) -> bool:
-    for i in range(len(balls)):
-        for j in range(i + 1, len(balls)):
-            d2 = ((balls[i].re - balls[j].re) ** 2
-                  + (balls[i].im - balls[j].im) ** 2)
-            r = balls[i].rad + balls[j].rad
-            if d2 <= r * r:
+    """Pairwise disjointness of balls given as mantissas (a, b, r) at one
+    shared exponent."""
+    for i, (ai, bi, ri) in enumerate(balls):
+        for aj, bj, rj in balls[i + 1:]:
+            if (ai - aj) ** 2 + (bi - bj) ** 2 <= (ri + rj) ** 2:
                 return False
     return True
 
@@ -296,7 +309,7 @@ class FieldElement:
         if isinstance(other, (int, Fraction)):
             return FieldElement(self.field, [a * other for a in self.coords])
         other = self.field.coerce(other)
-        tensor = self.field.mul_tensor()
+        tensor = self.field.mul_tensor
         n = self.field.n
         out = [Q(0)] * n
         for i, xi in enumerate(self.coords):
@@ -370,9 +383,10 @@ class FieldElement:
 class NumberField:
     """Monic-integer-polynomial number field with a fixed integral basis.
 
-    The integral basis defaults to the power basis, which the caller
-    asserts to be maximal; a supplied basis is verified to be closed
-    under multiplication (LLL-reducedness is assumed, not verified).
+    The integral basis defaults to the power basis, which is checked to
+    be maximal by Dedekind's criterion; a supplied basis is verified to be
+    closed under multiplication (maximality and LLL-reducedness are
+    assumed, not verified).
     """
 
     def __init__(self, poly, integral_basis=None):
@@ -386,7 +400,6 @@ class NumberField:
         self.poly_q = [Q(c) for c in poly]
         self.n = n
         self._root_cache: dict = {}
-        self._mul_tensor = None     # mul_tensor()
         self._conj = _UNSET         # conj_automorphism(); None if not found
         # filled by ideal_arith: splitting of rational primes, prime powers
         self._kd_cache: dict = {}
@@ -412,8 +425,10 @@ class NumberField:
         if disc_field.denominator != 1:
             raise ValueError("disc(poly)/[O_K:Z[theta]]^2 is not an integer")
         self.disc_field = int(disc_field)
-        self._check_basis_closed()
-
+        # structure constants: mul_tensor[i][j] = integer coords of b_i * b_j
+        self.mul_tensor = self._integral_mul_tensor()
+        if integral_basis is None:
+            self._check_power_basis_maximal()
 
     # -- construction helpers ----------------------------------------------
     def _is_irreducible(self) -> bool:
@@ -436,16 +451,46 @@ class NumberField:
                 return result
             prec *= 2
 
-    def _check_basis_closed(self):
-        for i in range(self.n):
-            for j in range(i, self.n):
-                bi = FieldElement(self, [Q(int(k == i)) for k in range(self.n)])
-                bj = FieldElement(self, [Q(int(k == j)) for k in range(self.n)])
-                prod = bi * bj
-                for c in prod.coords:
-                    if c.denominator != 1:
-                        raise ValueError(
-                            "supplied basis is not closed under multiplication")
+    def _integral_mul_tensor(self):
+        """Integer coordinates of every product b_i * b_j; ValueError when
+        one is not integral, i.e. the basis is not closed under
+        multiplication."""
+        n = self.n
+        tensor = []
+        for i in range(n):
+            row_i = []
+            for j in range(n):
+                prod = polyq.poly_divmod(
+                    polyq.poly_mul(self.basis_pb[i], self.basis_pb[j]),
+                    self.poly_q)[1]
+                coords = self.from_power(prod).coords
+                if any(c.denominator != 1 for c in coords):
+                    raise ValueError(
+                        "supplied basis is not closed under multiplication")
+                row_i.append(tuple(int(c) for c in coords))
+            tensor.append(tuple(row_i))
+        return tuple(tensor)
+
+    def _check_power_basis_maximal(self):
+        """Dedekind's criterion (Cohen Thm 6.1.4) at every p with p^2 | disc:
+        with f = prod g_i^e_i mod p, g = prod g_i, h = f/g mod p and
+        F = (g h - f)/p, Z[theta] is p-maximal iff gcd(F, g, h) = 1 mod p."""
+        disc = abs(int(self.disc_poly))
+        for p, k in intmath.factorint(disc).items():
+            if k < 2:
+                continue
+            g, h = [1], [1]
+            for t, e in polyq.factor_mod_p(self.poly, p):
+                g = polyq.poly_mulmod(g, t, p)
+                for _ in range(e - 1):
+                    h = polyq.poly_mulmod(h, t, p)
+            big_f = [c // p for c in polyq.poly_add(
+                polyq.poly_mul(g, h), polyq.poly_neg(self.poly))]
+            common = polyq.poly_gcd_p(polyq.poly_gcd_p(g, h, p), big_f, p)
+            if polyq.degree(common) > 0:
+                raise ValueError(
+                    f"power basis is not maximal at p = {p} (Dedekind's "
+                    "criterion); supply an integral basis")
 
     # -- element plumbing ----------------------------------------------------
     def element(self, coords) -> FieldElement:
@@ -481,27 +526,10 @@ class NumberField:
         poly = list(poly) + [Q(0)] * (self.n - len(poly))
         return FieldElement(self, qlinalg.mat_vec(self._pb_inv, poly[:self.n]))
 
-    def mul_tensor(self):
-        """Structure constants: tensor[i][j] = coords of b_i * b_j."""
-        if self._mul_tensor is not None:
-            return self._mul_tensor
-        n = self.n
-        tensor = []
-        for i in range(n):
-            row_i = []
-            pa = self.basis_pb[i]
-            for j in range(n):
-                prod = polyq.poly_divmod(
-                    polyq.poly_mul(pa, self.basis_pb[j]), self.poly_q)[1]
-                row_i.append(tuple(self.from_power(prod).coords))
-            tensor.append(row_i)
-        self._mul_tensor = tensor
-        return tensor
-
     def mult_matrix(self, elt: FieldElement):
         """Matrix of multiplication by elt on the integral basis (columns
         are images of basis vectors)."""
-        tensor = self.mul_tensor()
+        tensor = self.mul_tensor
         n = self.n
         cols = []
         for j in range(n):
@@ -692,14 +720,6 @@ def _is_root_in_field(field: NumberField, psi: FieldElement) -> bool:
     pw = field.to_power(psi)
     val = _poly_eval_mod(field.poly_q, pw, field.poly_q)
     return not polyq.trim(val)
-
-
-def _ceval(poly, re: Fraction, im: Fraction):
-    """Exact complex Horner at a rational point; returns (re, im)."""
-    are, aim = Q(0), Q(0)
-    for c in reversed(poly):
-        are, aim = are * re - aim * im + Q(c), are * im + aim * re
-    return are, aim
 
 
 def _ceval_ball(poly, z: ComplexBall, work: int) -> ComplexBall:

@@ -7,7 +7,6 @@ and gets transposed at the boundary where convenient.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 Q = Fraction
 

@@ -18,6 +18,9 @@ from .ideal_walk import WalkParams, sample_beta, walk_params
 from .nf_core import FieldElement, NumberField
 from .samplers import SamplerConfig, walk_radius
 
+# float slack on the concentration check of a random relation's Log-S norm
+CONCENTRATION_SLACK = 1e-6
+
 
 class FactorBase:
     """Sorted duplicate-free list of prime ideals with HNF lookup."""
@@ -115,7 +118,6 @@ class RelationConfig:
     kessler_c: int = 1000
     rr_bound: float | None = None
     blocksize: int | None = None          # default max(2, ceil(n^(2/3)))
-    omega_override: int | None = None
     walk_b_override: int | None = None
     sampler: SamplerConfig | None = None
     x_override: float | None = None
@@ -130,8 +132,6 @@ def choose_omega(field: NumberField, m0_norm, blocksize, x,
                  cfg: RelationConfig) -> int:
     """Smallest positive integer omega with
     r^n >= e^n max(B_sm, B_rw, 10 x^2)."""
-    if cfg.omega_override is not None:
-        return cfg.omega_override
     target = math.e ** field.n * max(cfg.b_sm, cfg.b_rw, 10 * x * x)
     target_q = Q(math.ceil(target * 2 ** 20), 2 ** 20)
     omega = 1
@@ -250,7 +250,6 @@ def _sample_tau(field: NumberField, m0: HnfIdeal, m0_primes, rng) -> FieldElemen
 class RandomRelationConfig:
     relation: RelationConfig = dfield(default_factory=RelationConfig)
     sigma_override: float | None = None
-    concentration_slack: float = 1e-6
 
 
 def rr_default_bound(field: NumberField, fb: FactorBase) -> float:
@@ -350,7 +349,7 @@ def random_relation(field: NumberField, fb: FactorBase, rng,
         raise RuntimeError("relation valuation identity failed")
     r0 = concentration_bound(field, fb, sigma, rel.origin.params)
     norm_sq = float(lsv.norm_sq().hi())
-    if math.sqrt(norm_sq) > r0 + cfg.concentration_slack:
+    if math.sqrt(norm_sq) > r0 + CONCENTRATION_SLACK:
         raise RuntimeError("concentration bound violated")
     return RandomRelationOutput(out_vec, rel, sigma, r0)
 

@@ -325,8 +325,6 @@ class BoxSampleResult:
 @dataclass
 class SamplerConfig:
     radius_constant: int = RADIUS_CONSTANT
-    retry_cap: int = RETRY_CAP
-    grid_n_override: int | None = None
     time_budget: float | None = 120.0   # wall seconds per box-sampler call
 
 
@@ -418,8 +416,7 @@ def sample_in_box(field: NumberField, m0: HnfIdeal | None, m_inf: list[int],
             discs.append(((i, j), _radius_times_sqrt2(radius)))
     box = GridBox(intervals, discs)
 
-    grid_n = cfg.grid_n_override or instantiate_grid_n(
-        field, omega, cfg.radius_constant)
+    grid_n = instantiate_grid_n(field, omega, cfg.radius_constant)
     # the instantiated N assumes a unit-scale lattice; rescale by the
     # certified lambda_1 lower bound when the ideal lattice is small
     lam1_sq = _lambda1_lower_sq(field, x, bm)
@@ -469,7 +466,7 @@ def sample_in_box(field: NumberField, m0: HnfIdeal | None, m_inf: list[int],
                 t_true.append(-g_col[i].mid)
                 t_true.append(-g_col[j].mid)
         t_tilde = [Q(round_half_up(v * grid_n), grid_n) for v in t_true]
-        while draws < cfg.retry_cap:
+        while draws < RETRY_CAP:
             if cfg.time_budget and _time.monotonic() - t_start > cfg.time_budget:
                 raise CapExceeded("box sampler time budget spent")
             draws += 1

@@ -7,7 +7,7 @@ import json
 from fractions import Fraction
 
 from .dyadic import Q, RealBall
-from .ideal_arith import HnfIdeal, PrimeIdeal
+from .ideal_arith import HnfIdeal, PrimeIdeal, kummer_dedekind
 from .nf_core import FieldElement, NumberField
 
 
@@ -65,8 +65,12 @@ def prime_to_json(p: PrimeIdeal) -> dict:
 
 
 def prime_from_json(field: NumberField, d) -> PrimeIdeal:
-    return PrimeIdeal(int(d["p"]), ideal_from_json(field, d),
-                      int(d["f"]), int(d["e"]))
+    """The prime of the field above d["p"] with the given HNF, f and e."""
+    hnf = ideal_from_json(field, d)
+    for prime, _e in kummer_dedekind(field, int(d["p"])):
+        if (prime.hnf, prime.f, prime.e) == (hnf, int(d["f"]), int(d["e"])):
+            return prime
+    raise ValueError(f"no prime above {d['p']} with this HNF, f and e")
 
 
 def element_to_json(e: FieldElement) -> list:

@@ -253,7 +253,7 @@ def _babai_reduce_combo(combo, ker_basis):
     """Shorten an integer combination by subtracting kernel vectors."""
     if not ker_basis:
         return combo
-    from .qlinalg import mat_inv, mat_vec, transpose
+    from .qlinalg import mat_inv, mat_vec
     g = [[sum(a * b for a, b in zip(u, v)) for v in ker_basis]
          for u in ker_basis]
     try:

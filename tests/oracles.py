@@ -16,7 +16,12 @@ methods that never touch the library's own code paths.
   its vectorised kernel: a per-prime float loop over a bytearray sieve
   (bit-for-bit reference) and an exact `Fraction` product over
   Kummer-Dedekind prime ideals.  These two take their splitting data from
-  the library's per-prime `splitting_degrees` and `kummer_dedekind`.
+  the library's per-prime `splitting_degrees` and `kummer_dedekind`;
+- the number-field kernels as `Fraction` arithmetic: ideal products and
+  membership by multiplying in the power basis and a row HNF,
+  valuations by searching for the largest k with a inside p^k, and root
+  balls by Newton's method on rational midpoints.  They read only the
+  field's polynomial and basis, and a prime's HNF and residue degree.
 """
 
 from __future__ import annotations
@@ -336,3 +341,184 @@ def bach_product(field, x: int) -> Fraction:
                 den *= 1 - Fraction(1, prime.norm())
         out *= num / den
     return out
+
+
+# ---------------------------------------------------------------------------
+# Number-field kernels in Fraction arithmetic
+
+
+def _solve_upper(rows, rhs):
+    """x with sum_k x_k rows[k] = rhs for rows in echelon form with
+    increasing pivots, or None when rhs is outside their rational span."""
+    x = [Fraction(0)] * len(rows)
+    resid = [Fraction(v) for v in rhs]
+    for k, row in enumerate(rows):
+        piv = next(j for j, v in enumerate(row) if v)
+        x[k] = resid[piv] / row[piv]
+        resid = [a - x[k] * b for a, b in zip(resid, row)]
+    return x if not any(resid) else None
+
+
+def _basis_matrix(field):
+    """Rows: power-basis coordinates of the integral basis."""
+    return [[Fraction(c) for c in row] for row in field.basis_pb]
+
+
+def field_product(field, x, y):
+    """Integral-basis coordinates of x*y, multiplied as polynomials in
+    theta modulo the defining polynomial."""
+    basis = _basis_matrix(field)
+    n = field.n
+    px = [sum(Fraction(x[i]) * basis[i][k] for i in range(n)) for k in range(n)]
+    py = [sum(Fraction(y[i]) * basis[i][k] for i in range(n)) for k in range(n)]
+    prod = [Fraction(0)] * (2 * n - 1)
+    for i, a in enumerate(px):
+        for j, b in enumerate(py):
+            prod[i + j] += a * b
+    for k in range(2 * n - 2, n - 1, -1):       # reduce mod the monic poly
+        c = prod[k]
+        if c:
+            for i in range(n + 1):
+                prod[k - n + i] -= c * field.poly[i]
+    return _coords_in(basis, prod[:n])
+
+
+def _coords_in(rows, vec):
+    """c with sum_i c_i rows[i] = vec (rows a basis of Q^n), by Gauss-Jordan
+    elimination on the transposed system."""
+    n = len(rows)
+    aug = [[rows[i][k] for i in range(n)] + [Fraction(vec[k])]
+           for k in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return [aug[k][n] for k in range(n)]
+
+
+def ideal_from_module(vectors) -> tuple[int, list[list[int]]]:
+    """(d, H) for the Z-module spanned by rational coordinate vectors:
+    H the upper-triangular column HNF of d times the module, with
+    gcd(d, content H) = 1, as `HnfIdeal` stores it."""
+    den = math.lcm(*(Fraction(v).denominator for vec in vectors for v in vec))
+    ints = [[int(Fraction(v) * den) for v in reversed(vec)] for vec in vectors]
+    rows = hnf_rows([r for r in ints if any(r)])
+    cols = [list(reversed(r)) for r in reversed(rows)]
+    g = math.gcd(den, *(v for c in cols for v in c))
+    return den // g, [[v // g for v in c] for c in cols]
+
+
+def ideal_vectors(field, denom, hnf):
+    return [[Fraction(v, denom) for v in col] for col in hnf]
+
+
+def ideal_product(field, a, b):
+    """(d, H) of the product of ideals given as (d, H) pairs."""
+    return ideal_from_module([field_product(field, x, y)
+                              for x in ideal_vectors(field, *a)
+                              for y in ideal_vectors(field, *b)])
+
+
+def principal_ideal(field, x):
+    """(d, H) of x O_K."""
+    unit = [[int(i == j) for j in range(field.n)] for i in range(field.n)]
+    return ideal_from_module([field_product(field, x, e) for e in unit])
+
+
+def ideal_contains(field, a, x) -> bool:
+    """x in the ideal (d, H), by an exact rational solve."""
+    vecs = ideal_vectors(field, *a)
+    rows = hnf_rows_rational(vecs)
+    coeffs = _solve_upper(rows, x)
+    return coeffs is not None and all(c.denominator == 1 for c in coeffs)
+
+
+def hnf_rows_rational(vecs):
+    den = math.lcm(*(v.denominator for vec in vecs for v in vec))
+    return [[Fraction(v, den) for v in r]
+            for r in hnf_rows([[int(v * den) for v in vec] for vec in vecs])]
+
+
+def valuation_by_containment(field, a, p_hnf, p_f, p) -> int:
+    """v_P(a) for the prime P = (1, p_hnf) above p of residue degree p_f:
+    the largest k with d a inside P^k, minus the same for d O_K, where
+    d is the denominator of a; k is capped by the p-part of the norm."""
+    def integral_valuation(ideal):
+        nrm = math.prod(ideal[1][j][j] for j in range(field.n))
+        cap = 0
+        while nrm % p == 0:
+            nrm //= p
+            cap += 1
+        cap //= p_f
+        power = (1, [[int(i == j) for j in range(field.n)]
+                     for i in range(field.n)])
+        k = 0
+        while k < cap:
+            power = ideal_product(field, power, (1, p_hnf))
+            if not all(ideal_contains(field, power, x)
+                       for x in ideal_vectors(field, *ideal)):
+                break
+            k += 1
+        return k
+
+    denom, hnf = a
+    scalar = [Fraction(denom)] + [Fraction(0)] * (field.n - 1)
+    d_ideal = principal_ideal(field, _coords_in(_basis_matrix(field), scalar))
+    return integral_valuation((1, hnf)) - integral_valuation(d_ideal)
+
+
+def _ceval(poly, re, im):
+    are, aim = Fraction(0), Fraction(0)
+    for c in reversed(poly):
+        are, aim = are * re - aim * im + c, are * im + aim * re
+    return are, aim
+
+
+def _round_dyadic(x: Fraction, prec: int) -> Fraction:
+    return Fraction(math.floor(x * (1 << prec) + Fraction(1, 2)), 1 << prec)
+
+
+def certify_roots_reference(poly, prec: int):
+    """(re, im, rad) triples: Newton's method from numpy's roots on
+    rational midpoints rounded half up to 2^-work, radius n|f|/|f'| with
+    its square root rounded up to 2^-work, `work` doubling on a failed or
+    overlapping ball; None after 40 doublings."""
+    import numpy as np
+    f = [Fraction(c) for c in poly]
+    n = len(f) - 1
+    df = [k * f[k] for k in range(1, n + 1)]
+    target = Fraction(1, 1 << prec)
+    approx = np.roots(list(reversed([float(c) for c in poly])))
+    work = max(64, prec + 32)
+    for _attempt in range(40):
+        balls = []
+        for z0 in approx:
+            re = _round_dyadic(Fraction(float(z0.real)).limit_denominator(10 ** 12), work)
+            im = _round_dyadic(Fraction(float(z0.imag)).limit_denominator(10 ** 12), work)
+            ball = None
+            for _ in range(work.bit_length() + 60):
+                fz, dfz = _ceval(f, re, im), _ceval(df, re, im)
+                d2 = dfz[0] ** 2 + dfz[1] ** 2
+                if d2 == 0:
+                    break
+                x = (fz[0] ** 2 + fz[1] ** 2) / d2
+                hi = (Fraction(math.isqrt(math.floor(x * (1 << 2 * work))) + 1,
+                               1 << work) if x else Fraction(0))
+                if n * hi <= target:
+                    ball = (re, im, n * hi)
+                    break
+                re, im = (_round_dyadic(re - (fz[0] * dfz[0] + fz[1] * dfz[1]) / d2, work),
+                          _round_dyadic(im - (fz[1] * dfz[0] - fz[0] * dfz[1]) / d2, work))
+            if ball is None:
+                break
+            balls.append(ball)
+        else:
+            if all((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 > (a[2] + b[2]) ** 2
+                   for i, a in enumerate(balls) for b in balls[i + 1:]):
+                return balls
+        work *= 2
+    return None

@@ -62,6 +62,20 @@ class TestFieldCommand:
         assert code == 2
 
 
+    def test_non_maximal_power_basis_precondition(self, tmp_path, capsys):
+        p = tmp_path / "z23.json"
+        p.write_text(json.dumps({"poly": [23, 0, 1]}))
+        code, _, err = run_cli(["field", str(p)], capsys)
+        assert code == 2
+        assert "not maximal" in err
+        p.write_text(json.dumps({"poly": [23, 0, 1],
+                                 "integral_basis": [[1, 0], ["1/2", "1/2"]]}))
+        # bound 1: Kummer-Dedekind cannot split 2, which divides the index
+        code, out, _ = run_cli(["field", str(p), "--split-bound", "1"],
+                               capsys)
+        assert code == 0 and json.loads(out)["disc"] == -23
+
+
 class TestIdealCommand:
     def test_norm_and_mul(self, qi_file, tmp_path, capsys):
         a = tmp_path / "a.json"

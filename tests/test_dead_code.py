@@ -13,6 +13,10 @@ same tree passes it, by keyword or by position; a call that unpacks
 `*args` or `**kwargs` sets them all.  Calls are matched by the called
 name alone, so a parameter set through a same-named function counts as
 set.  Dataclass fields are not checked.
+
+Every name a library module imports is used in the scope that imports it
+(the module, or the function holding a local import), or, for a
+module-level import, imported from that module by another file.
 """
 
 import ast
@@ -195,3 +199,51 @@ def test_every_default_is_set():
 
 def test_default_allowlist_names_unset_parameters():
     assert sorted(set(ALLOWED_DEFAULTS) - set(unset_defaults())) == []
+
+
+def _imported_names(tree):
+    """(scope, name, line) for every name an import statement binds, with
+    `scope` the innermost function around it, or the module."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child)
+                continue
+            if isinstance(child, ast.ImportFrom) and child.module == "__future__":
+                continue
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                for alias in child.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    out.append((scope, name, child.lineno))
+            visit(child, scope)
+
+    visit(tree, tree)
+    return out
+
+
+def unused_imports():
+    """Names a library module imports and never uses.  A module-level name
+    also counts as used when another file imports it from that module."""
+    reexported = set()              # (module stem, name)
+    for top in SEARCHED:
+        for path in sorted(top.rglob("*.py")):
+            for node in ast.walk(_parse(path)):
+                if isinstance(node, ast.ImportFrom) and node.module:
+                    stem = node.module.rsplit(".", 1)[-1]
+                    reexported.update((stem, a.name) for a in node.names)
+    unused = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        tree = _parse(path)
+        for scope, name, line in _imported_names(tree):
+            used = any(isinstance(n, ast.Name) and n.id == name
+                       for n in ast.walk(scope))
+            if not used and not (scope is tree
+                                 and (path.stem, name) in reexported):
+                unused.append(f"{path.stem}:{line}:{name}")
+    return unused
+
+
+def test_every_import_is_used():
+    assert unused_imports() == []

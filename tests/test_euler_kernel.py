@@ -19,7 +19,7 @@ from oracles import (approx_rho_float_reference, bach_product,
                      euler_log_product_reference, primes_below_reference)
 
 # Q(i), Q(sqrt-5), Q(sqrt2), Q(sqrt-163), x^2-x-1, x^2-x+1
-QUADRATICS = [[1, 0, 1], [5, 0, 1], [-2, 0, 1], [163, 0, 1], [-1, -1, 1],
+QUADRATICS = [[1, 0, 1], [5, 0, 1], [-2, 0, 1], [41, -1, 1], [-1, -1, 1],
               [1, -1, 1]]
 
 

@@ -51,6 +51,24 @@ class TestNewField:
         with pytest.raises(ValueError):
             new_field([1, 0, 1], integral_basis=[[1, 0], [0, Q(1, 2)]])
 
+    @pytest.mark.parametrize("poly", [[23, 0, 1],       # disc -92, index 2
+                                      [163, 0, 1],      # disc -652, index 2
+                                      [-5, 0, 1],       # disc 20, index 2
+                                      [-12, 0, 1],      # x^2 - 12: index 2
+                                      [9, 0, 0, 1],     # x^3 + 9: index 3
+                                      [-8, 0, 0, 0, 1]],  # x^4 - 8: index 2
+                             ids=str)
+    def test_non_maximal_power_basis_rejected(self, poly):
+        with pytest.raises(ValueError, match="power basis is not maximal"):
+            new_field(poly)
+
+    def test_maximal_power_basis_with_square_in_disc_accepted(self):
+        # p^2 | disc(f) but Dedekind's criterion holds at p
+        assert new_field([5, 0, 1]).disc_field == -20        # p = 2
+        assert new_field([-2, 0, 0, 1]).disc_field == -108   # p = 2, 3
+        assert new_field([1, 0, 0, 0, 1]).disc_field == 256  # Q(zeta8)
+        assert new_field([1, 1, 1, 1, 1]).disc_field == 125  # Q(zeta5)
+
     def test_half_integer_basis_accepted(self):
         # Q(sqrt(-23)) via x^2+23 plus the genuine (1+theta)/2 basis vector
         k = new_field([23, 0, 1], integral_basis=[[1, 0], [Q(1, 2), Q(1, 2)]])

@@ -9,15 +9,22 @@ products, of containment-search valuations and of Newton's method, so
 they pin the integer kernels to exactly the same ideals, valuations,
 balls, samples and relations (values, not number types: every entry is
 hashed as a reduced fraction).
+
+Property tests below compare the same kernels with the `Fraction`
+references in `oracles.py`: products, principal ideals and membership,
+valuations by containment search, and Newton root balls.
 """
 
 import hashlib
 import random
 from fractions import Fraction as Q
 
+import oracles
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from latnf import ideal_walk, relations
+from latnf import ideal_walk, polyq, relations
 from latnf.ideal_arith import (HnfIdeal, hnf_inv, hnf_mul, kummer_dedekind,
                                ord_at, primes_up_to)
 from latnf.intmath import primes_below
@@ -196,3 +203,62 @@ PINNED = {
 def test_pinned(case):
     fn, arg = CASES[case]
     assert fn(arg) == PINNED[case]
+
+
+# Hypothesis checks of the integer kernels against the Fraction references
+# in oracles.py, on fields with power and non-power integral bases.
+REFERENCE_FIELDS = ["Q(i)", "Q(sqrt-5)", "Q(sqrt-23)", "x^3-x+1"]
+small = st.integers(-12, 12)
+
+
+def _pair(a):
+    return a.denom, [list(c) for c in a.hnf]
+
+
+def _element(field, data, spread=12, max_den=4):
+    den = data.draw(st.integers(1, max_den))
+    coords = data.draw(st.lists(st.integers(-spread, spread), min_size=field.n,
+                                max_size=field.n).filter(any))
+    return field.element([Q(c, den) for c in coords])
+
+
+class TestAgainstReferences:
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(REFERENCE_FIELDS), data=st.data())
+    def test_products_and_membership(self, name, data):
+        field = _field(name)
+        x, y, z = (_element(field, data) for _ in range(3))
+        a, b = HnfIdeal.principal(field, x), HnfIdeal.principal(field, y)
+        assert _pair(a) == oracles.principal_ideal(field, x.coords)
+        ab = hnf_mul(a, b)
+        assert _pair(ab) == oracles.ideal_product(field, _pair(a), _pair(b))
+        for w in (z, x * z, x * y, y):
+            assert ab.contains(w) == oracles.ideal_contains(field, _pair(ab),
+                                                            w.coords)
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(REFERENCE_FIELDS), data=st.data(),
+           k=st.integers(0, 4))
+    def test_valuations(self, name, data, k):
+        field = _field(name)
+        primes = _primes(field, 13)
+        p = data.draw(st.sampled_from(primes))
+        a = hnf_mul(HnfIdeal.principal(field, _element(field, data)),
+                    p.power(k))
+        for q in primes:
+            assert ord_at(a, q) == oracles.valuation_by_containment(
+                field, _pair(a), q.hnf.hnf, q.f, q.p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(coeffs=st.lists(small, min_size=2, max_size=5),
+           lead=st.integers(1, 3), prec=st.integers(1, 300))
+    def test_root_balls(self, coeffs, lead, prec):
+        poly = coeffs + [lead]
+        assume(polyq.discriminant([Q(c) for c in poly]) != 0)
+        ref = oracles.certify_roots_reference(poly, prec)
+        if ref is None:
+            with pytest.raises(RuntimeError):
+                certify_roots(poly, prec)
+            return
+        got = certify_roots(poly, prec)
+        assert [(b.re, b.im, b.rad) for b in got] == ref
