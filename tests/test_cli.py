@@ -61,7 +61,6 @@ class TestFieldCommand:
         code, _, err = run_cli(["field", str(p)], capsys)
         assert code == 2
 
-
     def test_non_maximal_power_basis_precondition(self, tmp_path, capsys):
         p = tmp_path / "z23.json"
         p.write_text(json.dumps({"poly": [23, 0, 1]}))

@@ -15,6 +15,7 @@ references in `oracles.py`: products, principal ideals and membership,
 valuations by containment search, and Newton root balls.
 """
 
+import functools
 import hashlib
 import random
 from fractions import Fraction as Q
@@ -57,14 +58,10 @@ def _ideal(a):
     return [a.denom, a.hnf]
 
 
-_FIELD_CACHE = {}
-
-
+@functools.cache
 def _field(name):
-    if name not in _FIELD_CACHE:
-        poly, basis = FIELDS[name]
-        _FIELD_CACHE[name] = new_field(poly, basis)
-    return _FIELD_CACHE[name]
+    poly, basis = FIELDS[name]
+    return new_field(poly, basis)
 
 
 def _elements(field, rng, count, spread=20, max_den=6):
