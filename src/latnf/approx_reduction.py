@@ -17,7 +17,7 @@ from math import lcm
 from . import bkz, lattice_core
 from .dyadic import Q, RealBall, round_half_up, sqrt_bracket
 from .ideal_arith import HnfIdeal
-from .nf_core import NumberField
+from .nf_core import PRECISION_DOUBLINGS, NumberField
 from .qlinalg import dot, mat_inv, transpose
 
 
@@ -169,21 +169,32 @@ def minkowski_columns_x(field: NumberField, elements, x, prec: int):
 
     x is one positive rational per embedding (conjugate entries equal).
     Coordinates: real embeddings directly; complex pairs as
-    (sqrt2*Re, sqrt2*Im).
+    (sqrt2*Re, sqrt2*Im), sqrt2 taken as the ball of its dyadic bracket.
+    Each entry is the `RealBall` product of the value ball, the factor
+    (1 or sqrt2) and x, computed on integers into one `Fraction` for its
+    midpoint and one for its radius.
     """
     lo2, hi2 = sqrt_bracket(Q(2), prec + 8)
-    s2 = RealBall((lo2 + hi2) / 2, (hi2 - lo2) / 2)
+    d2 = 2 * lcm(lo2.denominator, hi2.denominator)
+    # the factor at a place of degree n_nu as a ball (t +- tr) / d
+    factor = {1: (1, 0, 1),
+              2: (int((lo2 + hi2) / 2 * d2), int((hi2 - lo2) / 2 * d2), d2)}
+    x = [Q(v) for v in x]
     cols = []
     for e in elements:
         pt = field.embed(e, prec + 8)
         col = []
-        for i in range(field.n_real):
-            col.append(RealBall(pt.values[i].re, pt.values[i].rad) * Q(x[i]))
-        for kidx in range(field.n_cplx):
-            j = field.n_real + 2 * kidx
-            v = pt.values[j]
-            col.append(RealBall(v.re, v.rad) * s2 * Q(x[j]))
-            col.append(RealBall(v.im, v.rad) * s2 * Q(x[j]))
+        for j, nnu in field.places():
+            v, xn, xd = pt.values[j], x[j].numerator, x[j].denominator
+            rn, rd = v.rad.numerator, v.rad.denominator
+            t, tr, d = factor[nnu]
+            for part in (v.re, v.im)[:nnu]:
+                # mid: part t x / d; rad: x (|part| tr + (t + tr) rad) / d
+                pn, pd = part.numerator, part.denominator
+                col.append(RealBall(
+                    Q(pn * t * xn, pd * xd * d),
+                    Q(xn * (abs(pn) * tr * rd + (t + tr) * rn * pd),
+                      pd * rd * xd * d)))
         cols.append(col)
     return cols
 
@@ -251,7 +262,7 @@ def dual_exp_reduce(x, a: HnfIdeal) -> IdealBasisResult:
     lo, _ = sqrt_bracket(mu_dual_sq, 64)
     mu_dual = lo if lo > 0 else mu_dual_sq  # rational lower bound
     prec = 128
-    while True:
+    for _ in range(PRECISION_DOUBLINGS):
         cols = minkowski_columns_x(field, elements, x, prec)
         mids = [[c.mid for c in col] for col in cols]
         err_entry = max(c.rad for col in cols for c in col)
@@ -291,6 +302,7 @@ def dual_exp_reduce(x, a: HnfIdeal) -> IdealBasisResult:
                     acc = acc + elements[i] * n_inv[i][j]
             new_elements.append(acc)
         return IdealBasisResult(new_elements, x, DuallyReducedTag(3), prec)
+    raise RuntimeError("dual reduction failed to certify its precision")
 
 
 def _int_matrix_inverse(m):
@@ -323,12 +335,14 @@ def approx_bkz_ideal(x, a: HnfIdeal, blocksize: int) -> IdealBasisResult:
     t_eff = t_tag + 3
     thresh = Q(1, 4) * lam1_lo / Q(2) ** ((t_eff + 2) * n)
     prec = max(der.precision_bits, 64)
-    while True:
+    for _ in range(PRECISION_DOUBLINGS):
         cols = minkowski_columns_x(field, der.elements, x, prec)
         err_b = Q(n) * max(c.rad for col in cols for c in col)
         if err_b <= thresh:
             break
         prec *= 2
+    else:
+        raise RuntimeError("approximate BKZ failed to certify its precision")
     mids = [[c.mid for c in col] for col in cols]
     den = lcm(*(v.denominator for col in mids for v in col))
     int_cols = [[int(v * den) for v in col] for col in mids]

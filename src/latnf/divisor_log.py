@@ -15,7 +15,7 @@ from . import intmath
 from .dyadic import (Q, RealBall, ball_exp, ball_log, ball_sqrt, log_ball,
                      sqrt_bracket)
 from .ideal_arith import HnfIdeal, PrimeIdeal, hnf_inv, hnf_mul, kummer_dedekind, ord_at
-from .nf_core import FieldElement, NumberField
+from .nf_core import PRECISION_DOUBLINGS, FieldElement, NumberField
 
 
 class Divisor:
@@ -161,24 +161,14 @@ def log_embedding(alpha: FieldElement, prec: int = 64) -> LogVector:
         raise ValueError("Log of zero")
     field = alpha.field
     work = prec + 16
-    while True:
+    for _ in range(PRECISION_DOUBLINGS):
         pt = field.embed(alpha, work)
-        try:
-            entries = []
-            for idx, nnu in field.places():
-                a2 = pt.values[idx].abs2()
-                if a2.lo() <= 0:
-                    raise _NeedMore
-                lg = ball_log(a2, prec + 8)
-                entries.append(lg * Q(nnu, 2))
-            break
-        except _NeedMore:
-            work *= 2
-    return LogVector(entries)
-
-
-class _NeedMore(Exception):
-    pass
+        squares = [(pt.values[idx].abs2(), nnu) for idx, nnu in field.places()]
+        if all(a2.lo() > 0 for a2, _nnu in squares):
+            return LogVector([ball_log(a2, prec + 8) * Q(nnu, 2)
+                              for a2, nnu in squares])
+        work *= 2
+    raise RuntimeError("log embedding failed to separate |sigma(alpha)| from 0")
 
 
 @dataclass

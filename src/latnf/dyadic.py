@@ -4,7 +4,10 @@ Every real quantity with an infinite binary expansion is carried as a
 RealBall: a dyadic midpoint plus a dyadic error radius that provably
 contains the true value.  All arithmetic here is exact (Python ints and
 Fractions); transcendental functions return balls whose radius accounts
-for both truncation and rounding.
+for both truncation and rounding.  The hot kernels of the embedding path
+(`nf_core` root balls, Horner evaluation and the |z|^2k test,
+`approx_reduction.minkowski_columns_x`) compute the same balls on integer
+mantissas over one denominator and return them as RealBall/ComplexBall.
 """
 
 from __future__ import annotations
@@ -180,10 +183,6 @@ class RealBall:
     def definitely_lt(self, x) -> bool:
         return self.hi() < Q(x)
 
-    def round_mid(self, prec: int) -> "RealBall":
-        m = dyadic_round(self.mid, prec)
-        return RealBall(m, self.rad + abs(m - self.mid))
-
     def __float__(self):
         return float(self.mid)
 
@@ -269,12 +268,6 @@ class ComplexBall:
         a = _abs_upper(self.re, self.im)
         rad = 2 * a * self.rad + self.rad * self.rad
         return RealBall(m, rad)
-
-    def round_mid(self, prec: int) -> "ComplexBall":
-        re = dyadic_round(self.re, prec)
-        im = dyadic_round(self.im, prec)
-        extra = abs(re - self.re) + abs(im - self.im)
-        return ComplexBall(re, im, self.rad + extra)
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))

@@ -3,18 +3,21 @@
 A field is defined by a monic integer polynomial; elements carry exact
 rational coordinates over a fixed integral basis.  One root certifier
 (`certify_roots`) turns a squarefree integer polynomial into disjoint
-certified root balls at any requested precision; fields order them
-canonically and evaluate elements on them to embed.  Comparisons of
-algebraic values against rational thresholds (or their k-th roots) are
-decided exactly: intervals first, then Liouville-type separation bounds
-(`_abs2_pow_gt` for (|w|^2)^k > c, `decide_root_gt_int` underneath).
+certified root balls at any requested precision; fields cache them as
+integer mantissas at one exponent 2^-W in canonical order and embed
+elements by Horner's scheme on integers (`_horner_ball`), building one
+`Fraction` per returned value.  Comparisons of algebraic values against
+rational thresholds (or their k-th roots) are decided exactly: integer
+intervals first, then Liouville-type separation bounds (`_abs2_pow_gt`
+for (|w|^2)^k > c, `decide_root_gt_int` underneath).  Precision-doubling
+loops stop after `PRECISION_DOUBLINGS` rounds with RuntimeError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt
+from math import isqrt, lcm
 
 import numpy as np
 
@@ -23,6 +26,8 @@ from .dyadic import ComplexBall, Q, RealBall, round_half_up
 
 GT, LE = "GT", "LE"
 _UNSET = object()
+# rounds of every precision-doubling retry loop on the embedding path
+PRECISION_DOUBLINGS = 40
 
 
 def liouville_separation(poly) -> Fraction:
@@ -127,18 +132,28 @@ def decide_root_gt_int(int_poly, refine, c: int) -> str:
 
 def certify_roots(poly, prec: int) -> list[ComplexBall]:
     """Disjoint certified balls of radius <= 2^-prec around the complex
-    roots of a squarefree integer polynomial, in no particular order.
+    roots of a squarefree integer polynomial, in no particular order."""
+    work, balls = _root_mantissas(poly, prec)
+    scale = 1 << work
+    return [ComplexBall(Q(a, scale), Q(b, scale), Q(r, scale))
+            for a, b, r in balls]
+
+
+def _root_mantissas(poly, prec: int):
+    """(work, [(a, b, r)]): the balls of `certify_roots` as integer
+    mantissas, each (a + bi) 2^-work +- r 2^-work.
 
     Newton's method runs from numpy's float roots on integer mantissas at
     the shared exponent 2^-work; a ball of radius n|f(z)|/|f'(z)| around z
     holds a root, and pairwise disjoint balls hold distinct ones.  `work`
-    doubles when a ball fails; after 40 doublings this raises RuntimeError.
+    doubles when a ball fails; after PRECISION_DOUBLINGS doublings this
+    raises RuntimeError.
     """
     f = [int(c) for c in poly]
     df = [k * f[k] for k in range(1, len(f))]
     approx = np.roots(list(reversed([float(c) for c in poly])))
     work = max(64, prec + 32)
-    for _attempt in range(40):
+    for _attempt in range(PRECISION_DOUBLINGS):
         balls = []
         for z0 in approx:
             z = _newton_ball(f, df, z0, work, prec)
@@ -147,9 +162,7 @@ def certify_roots(poly, prec: int) -> list[ComplexBall]:
             balls.append(z)
         else:
             if _disjoint(balls):
-                scale = 1 << work
-                return [ComplexBall(Q(a, scale), Q(b, scale), Q(r, scale))
-                        for a, b, r in balls]
+                return work, balls
         work *= 2
     raise RuntimeError("root refinement failed to certify")
 
@@ -212,22 +225,53 @@ def _abs2_pow_gt(ball_at, int_poly, k: int, c: Fraction) -> str:
     w, and the Liouville bound on the k-th powers of the roots of its
     Kronecker square (the products w_i w_j, |w|^2 among them) settles it.
     """
+    b = c.denominator
     for prec in (48, 128, 320):
-        tk = _ball_pow(ball_at(prec).abs2(), k)
-        if tk.definitely_gt(c):
+        mid, rad, den = _abs2_pow(ball_at(prec), k)
+        lhs, rhs = (mid - rad) * b, c.numerator * den
+        if lhs > rhs:
             return GT
-        if tk.definitely_lt(c) or tk.hi() == c:
+        if lhs + 2 * rad * b <= rhs:
             return LE
     kron = _kronecker_square_charpoly(int_poly())   # roots include |w|^2
     powed = _compose_power(kron, k)                  # roots (|w|^2)^k
-    b = c.denominator
     scaled = _scale_roots_to_int(powed, b)           # roots b*(...)
 
     def refine(p):
-        tk = _ball_pow(ball_at(p + k.bit_length() * 4 + 8).abs2(), k)
-        return RealBall(tk.mid * b, tk.rad * b)
+        mid, rad, den = _abs2_pow(ball_at(p + k.bit_length() * 4 + 8), k)
+        return RealBall(Q(mid * b, den), Q(rad * b, den))
 
     return decide_root_gt_int(scaled, refine, c.numerator)
+
+
+def _abs2_pow(z: ComplexBall, k: int):
+    """(mid, rad, den): the ball `z.abs2()` to the k-th power in
+    `RealBall` arithmetic, as integers over den."""
+    den, (re, im, r) = _over_lcm((z.re, z.im, z.rad))
+    mid, rad = _ball_pow(re * re + im * im, 2 * (abs(re) + abs(im)) * r + r * r,
+                         k)
+    return mid, rad, den ** (2 * k)
+
+
+def _over_lcm(xs):
+    """(den, nums): the rationals xs as integers over the lcm of their
+    denominators."""
+    den = lcm(*(x.denominator for x in xs))
+    return den, [x.numerator * (den // x.denominator) for x in xs]
+
+
+def _ball_pow(mid: int, rad: int, k: int):
+    """The ball (mid +- rad)^k by binary powering, as (mid, rad) over the
+    k-th power of the input's denominator."""
+    out_mid, out_rad = 1, 0
+    while k:
+        if k & 1:
+            out_mid, out_rad = (out_mid * mid, abs(out_mid) * rad
+                                + abs(mid) * out_rad + out_rad * rad)
+        k >>= 1
+        if k:
+            mid, rad = mid * mid, 2 * abs(mid) * rad + rad * rad
+    return out_mid, out_rad
 
 
 def _subset_factor_test(poly_q, roots):
@@ -546,30 +590,32 @@ class NumberField:
 
     # -- embeddings ----------------------------------------------------------
     def _all_roots(self, prec: int):
-        """Certified balls for all n roots in canonical order (real roots
+        """(W, [(a, b, r)]): certified balls (a + bi) 2^-W +- r 2^-W of
+        radius <= 2^-prec for all n roots in canonical order (real roots
         ascending, then each upper-half-plane root by (re, im) followed by
         its conjugate), cached per precision."""
         hit = self._root_cache.get(prec)
         if hit is None:
-            hit = self._canonical_order(certify_roots(self.poly, prec))
+            work, balls = _root_mantissas(self.poly, prec)
+            hit = work, self._canonical_order(balls)
             self._root_cache[prec] = hit
         return hit
 
     def _canonical_order(self, balls):
         reals, complexes = [], []
-        for b in balls:
-            if abs(b.im) <= b.rad:
-                reals.append(ComplexBall(b.re, Q(0), b.rad + abs(b.im)))
-            elif b.im > 0:
-                complexes.append(b)
+        for a, b, r in balls:
+            if abs(b) <= r:
+                reals.append((a, 0, r + abs(b)))
+            elif b > 0:
+                complexes.append((a, b, r))
         if len(reals) != self.n_real or len(complexes) != self.n_cplx:
             raise RuntimeError("signature mismatch in root certification")
-        reals.sort(key=lambda b: b.re)
-        complexes.sort(key=lambda b: (b.re, b.im))
+        reals.sort(key=lambda z: z[0])
+        complexes.sort(key=lambda z: (z[0], z[1]))
         ordered = list(reals)
-        for z in complexes:
-            ordered.append(z)
-            ordered.append(z.conj())
+        for a, b, r in complexes:
+            ordered.append((a, b, r))
+            ordered.append((a, -b, r))
         return ordered
 
     def places(self):
@@ -591,22 +637,22 @@ class NumberField:
         height = max((abs(c) for c in pa), default=Q(0))
         extra = max(16, int(height).bit_length() + 8 * self.n)
         work = precision_bits + extra
-        target = Q(1, 1 << precision_bits)
-        while True:
-            roots = self._all_roots(work)
+        den, coeffs = _over_lcm(pa)
+        for _ in range(PRECISION_DOUBLINGS):
+            root_work, roots = self._all_roots(work)
             vals = []
-            ok = True
             for z in roots:
-                v = _ceval_ball(pa, z, work)
-                if v.rad > target:
-                    ok = False
+                re, im, rad, s = _horner_ball(coeffs, den, z, root_work, work)
+                if rad << precision_bits > den << s:   # radius > 2^-precision_bits
                     break
-                vals.append(v)
-            if ok:
+                vals.append(ComplexBall(Q(re, 1 << work), Q(im, 1 << work),
+                                        Q(rad, den << s)))
+            else:
                 pt = EmbeddingPoint(vals, precision_bits)
                 alpha._cache[key] = pt
                 return pt
             work *= 2
+        raise RuntimeError("embedding failed to certify")
 
     # -- exact comparisons ---------------------------------------------------
     def sign_at_real_place(self, alpha: FieldElement, place_idx: int) -> int:
@@ -617,14 +663,14 @@ class NumberField:
         if nnu != 1:
             raise ValueError("sign only defined at real places")
         prec = 32
-        while True:
-            v = self.embed(alpha, prec).values[emb_idx].re
-            r = self.embed(alpha, prec).values[emb_idx].rad
-            if v - r > 0:
+        for _ in range(PRECISION_DOUBLINGS):
+            v = self.embed(alpha, prec).values[emb_idx]
+            if v.re - v.rad > 0:
                 return 1
-            if v + r < 0:
+            if v.re + v.rad < 0:
                 return -1
             prec *= 2
+        raise RuntimeError("sign at a real place failed to certify")
 
     def abs2_pow_cmp(self, alpha: FieldElement, place_idx: int,
                      k: int, c: Fraction) -> str:
@@ -722,22 +768,31 @@ def _is_root_in_field(field: NumberField, psi: FieldElement) -> bool:
     return not polyq.trim(val)
 
 
-def _ceval_ball(poly, z: ComplexBall, work: int) -> ComplexBall:
-    acc = ComplexBall(0, 0)
-    for c in reversed(poly):
-        acc = (acc * z + ComplexBall(Q(c), 0)).round_mid(work)
-    return acc
+def _horner_ball(coeffs, den: int, z, zw: int, work: int):
+    """(re, im, rad, s): the ball (re + i im) 2^-work +- rad/(den 2^s)
+    around p(z), for p = sum coeffs[j] x^j / den and the root ball
+    z = (a + bi) 2^-zw +- r 2^-zw.
 
-
-def _ball_pow(b: RealBall, k: int) -> RealBall:
-    out = RealBall(Q(1))
-    base = b
-    while k:
-        if k & 1:
-            out = out * base
-        base = base * base
-        k >>= 1
-    return out
+    Each Horner step is the `ComplexBall` product with z (radius
+    |acc|_1 r + |z|_1 rho + rho r, |.|_1 = |re| + |im|) plus the next
+    coefficient, its midpoint rounded half up to 2^-work and the rounding
+    error added to the radius; s grows by zw per step.
+    """
+    a, b, r = z
+    zr = abs(a) + abs(b) + r
+    dz = den << zw                  # the unrounded midpoint is n / dz 2^-work
+    re = im = rad = 0
+    s = work
+    for c in reversed(coeffs):
+        nr = (re * a - im * b) * den + (c << (work + zw))
+        ni = (re * b + im * a) * den
+        qr = (2 * nr + dz) // (2 * dz)
+        qi = (2 * ni + dz) // (2 * dz)
+        err = abs(qr * dz - nr) + abs(qi * dz - ni)
+        rad = (((abs(re) + abs(im)) * r * den + err) << (s - work)) + zr * rad
+        s += zw
+        re, im = qr, qi
+    return re, im, rad, s
 
 
 # ---------------------------------------------------------------------------
@@ -786,8 +841,9 @@ def cmp_root_threshold(poly, which_root: int, g, k: int, mode: str) -> str:
 
         def refine(p):
             l, h = polyq.refine_root_bisect(sq_q, lo, hi, p + k.bit_length() * 4 + 8)
-            tk = _ball_pow(RealBall((l + h) / 2, (h - l) / 2), k)
-            return RealBall(tk.mid * b, tk.rad * b)
+            den, (ln, hn) = _over_lcm((l, h))
+            mid, rad = _ball_pow(ln + hn, hn - ln, k)      # over (2 den)^k
+            return RealBall(Q(mid * b, (2 * den) ** k), Q(rad * b, (2 * den) ** k))
 
         return decide_root_gt_int(scaled, refine, g.numerator)
     if mode == "abs_value":

@@ -522,3 +522,53 @@ def certify_roots_reference(poly, prec: int):
                 return balls
         work *= 2
     return None
+
+
+# ---------------------------------------------------------------------------
+# The certified-embedding path in Fraction ball arithmetic
+
+
+def ceval_ball_reference(poly, z, work: int):
+    """Ball around poly(z) for rational coefficients and a ComplexBall z:
+    Horner in `ComplexBall` arithmetic, the midpoint rounded half up to
+    2^-work after every step and the rounding error added to the radius."""
+    from latnf.dyadic import ComplexBall
+    acc = ComplexBall(0, 0)
+    for c in reversed(poly):
+        acc = acc * z + ComplexBall(Fraction(c), 0)
+        re, im = _round_dyadic(acc.re, work), _round_dyadic(acc.im, work)
+        acc = ComplexBall(re, im, acc.rad + abs(re - acc.re) + abs(im - acc.im))
+    return acc
+
+
+def abs2_pow_reference(z, k: int):
+    """RealBall around (|z|^2)^k by binary powering of `z.abs2()`."""
+    from latnf.dyadic import RealBall
+    out, base = RealBall(Fraction(1)), z.abs2()
+    while k:
+        if k & 1:
+            out = out * base
+        base = base * base
+        k >>= 1
+    return out
+
+
+def minkowski_columns_reference(field, elements, x, prec: int):
+    """Minkowski coordinates of x*elements as RealBall products: real
+    embeddings times x, complex pairs as (sqrt2 Re, sqrt2 Im) times x."""
+    from latnf.dyadic import RealBall, sqrt_bracket
+    lo2, hi2 = sqrt_bracket(Fraction(2), prec + 8)
+    s2 = RealBall((lo2 + hi2) / 2, (hi2 - lo2) / 2)
+    cols = []
+    for e in elements:
+        pt = field.embed(e, prec + 8)
+        col = []
+        for i in range(field.n_real):
+            col.append(RealBall(pt.values[i].re, pt.values[i].rad) * Fraction(x[i]))
+        for kidx in range(field.n_cplx):
+            j = field.n_real + 2 * kidx
+            v = pt.values[j]
+            col.append(RealBall(v.re, v.rad) * s2 * Fraction(x[j]))
+            col.append(RealBall(v.im, v.rad) * s2 * Fraction(x[j]))
+        cols.append(col)
+    return cols

@@ -12,7 +12,12 @@ of a class's `__init__`) counts as set when some call of that name in the
 same tree passes it, by keyword or by position; a call that unpacks
 `*args` or `**kwargs` sets them all.  Calls are matched by the called
 name alone, so a parameter set through a same-named function counts as
-set.  Dataclass fields are not checked.
+set.
+
+Every field of a library dataclass is read somewhere: its name is loaded
+as an attribute (`obj.field`, not an assignment to it) or appears in a
+dotted-identifier string, anywhere in the same tree.  Reads are matched
+by name alone, like uses of definitions.
 
 Every name a library module imports is used in the scope that imports it
 (the module, or the function holding a local import), or, for a
@@ -199,6 +204,58 @@ def test_every_default_is_set():
 
 def test_default_allowlist_names_unset_parameters():
     assert sorted(set(ALLOWED_DEFAULTS) - set(unset_defaults())) == []
+
+
+# "<module>.<class>.<field>": reason the field stays although nothing reads it
+ALLOWED_FIELDS = {}
+
+
+def _dataclass_fields(tree):
+    """(qualname, field) for the annotated fields of module-level classes
+    decorated with `dataclass` or `dataclass(...)`."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d
+                      for d in node.decorator_list]
+        if not any(isinstance(d, ast.Name) and d.id == "dataclass"
+                   for d in decorators):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target,
+                                                              ast.Name):
+                yield f"{node.name}.{item.target.id}", item.target.id
+
+
+def unread_fields():
+    reads = set()
+    for top in SEARCHED:
+        for path in sorted(top.rglob("*.py")):
+            if path == THIS:
+                continue
+            tree = _parse(path)
+            docs = _docstrings(tree)
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Load)):
+                    reads.add(node.attr)
+                elif (isinstance(node, ast.Constant)
+                      and isinstance(node.value, str)
+                      and id(node) not in docs
+                      and DOTTED.fullmatch(node.value)):
+                    reads.update(node.value.split("."))
+    return [f"{path.stem}.{qualname}"
+            for path in sorted(LIBRARY.glob("*.py"))
+            for qualname, field in _dataclass_fields(_parse(path))
+            if field not in reads]
+
+
+def test_every_dataclass_field_is_read():
+    assert sorted(set(unread_fields()) - set(ALLOWED_FIELDS)) == []
+
+
+def test_field_allowlist_names_unread_fields():
+    assert sorted(set(ALLOWED_FIELDS) - set(unread_fields())) == []
 
 
 def _imported_names(tree):

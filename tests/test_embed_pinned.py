@@ -9,17 +9,28 @@ supplied basis, whose power coordinates have denominator 2.  They were
 recorded from the `Fraction` ball Horner (now
 `oracles.ceval_ball_reference`), so they pin the integer kernels to the
 same balls.  The `cmp_element` cases are equalities or near-ties that no
-interval decides: each reaches the Liouville fallback.
+interval decides, so each reaches the Liouville fallback, and two
+equalities on Q(i), whose root balls are exact, that the interval's upper
+end decides.
+
+Property tests below compare the integer Horner, the integer |z|^2k ball
+and the integer Minkowski columns with their `Fraction` references in
+`oracles.py`.
 """
 
 import hashlib
 import random
 from fractions import Fraction as Q
+from math import lcm
 
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latnf import nf_core
 from latnf.approx_reduction import minkowski_columns_x
+from latnf.dyadic import ComplexBall
 from latnf.nf_core import GT, LE, cmp_element, new_field
 
 # name -> (polynomial, integral basis or None for the power basis)
@@ -154,7 +165,9 @@ def _cmp_cases():
 CMP_VERDICTS = [LE, LE, GT, LE, LE, LE, LE, LE, GT, LE, LE, LE, LE, LE, GT]
 
 
-def test_cmp_element_liouville_fallback(monkeypatch):
+def _verdicts(monkeypatch, cases):
+    """cmp_element verdicts of the cases and the number of them that
+    reached the Liouville fallback."""
     calls = []
     decide = nf_core.decide_root_gt_int
 
@@ -164,10 +177,69 @@ def test_cmp_element_liouville_fallback(monkeypatch):
 
     monkeypatch.setattr(nf_core, "decide_root_gt_int", spy)
     fields = {name: new_field(*spec) for name, spec in FIELDS.items()}
-    got = []
-    for name, pw, place, scale, g, k, signed in _cmp_cases():
-        field = fields[name]
-        got.append(cmp_element(field.from_power(pw), place, scale, g, k,
-                               signed=signed))
-    assert got == CMP_VERDICTS
-    assert len(calls) == len(CMP_VERDICTS)
+    got = [cmp_element(fields[name].from_power(pw), place, scale, g, k,
+                       signed=signed)
+           for name, pw, place, scale, g, k, signed in cases]
+    return got, len(calls)
+
+
+def test_cmp_element_liouville_fallback(monkeypatch):
+    assert _verdicts(monkeypatch, _cmp_cases()) == (CMP_VERDICTS,
+                                                    len(CMP_VERDICTS))
+
+
+def test_cmp_element_equality_on_exact_balls(monkeypatch):
+    # the roots of x^2 + 1 are certified with radius 0, so these
+    # equalities are decided by the interval's upper end equal to c
+    cases = [("Q(i)", [1, 1], 0, 1, 4, 4, False),       # |1+i| = 4^(1/4)
+             ("Q(i)", [0, 3], 0, Q(1, 3), 1, 5, False)]  # |3i|/3 = 1
+    assert _verdicts(monkeypatch, cases) == ([LE, LE], 0)
+
+
+rationals = st.builds(Q, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 60))
+
+
+class TestAgainstReferences:
+    @settings(max_examples=150, deadline=None)
+    @given(poly=st.lists(rationals, max_size=6), zw=st.integers(1, 160),
+           work=st.integers(8, 240), data=st.data())
+    def test_horner(self, poly, zw, work, data):
+        # small zw makes exact halves common, so the rounding rule shows
+        bound = 1 << (zw + 4)
+        a, b = (data.draw(st.integers(-bound, bound)) for _ in range(2))
+        r = data.draw(st.integers(0, 1 << (zw // 2)))
+        if data.draw(st.booleans()):
+            b = 0                   # a real root
+        den = lcm(*(c.denominator for c in poly))
+        coeffs = [c.numerator * (den // c.denominator) for c in poly]
+        re, im, rad, s = nf_core._horner_ball(coeffs, den, (a, b, r), zw,
+                                              work)
+        scale = 1 << zw
+        ref = oracles.ceval_ball_reference(
+            poly, ComplexBall(Q(a, scale), Q(b, scale), Q(r, scale)), work)
+        assert (Q(re, 1 << work), Q(im, 1 << work), Q(rad, den << s)) == (
+            ref.re, ref.im, ref.rad)
+
+    @settings(max_examples=150, deadline=None)
+    @given(re=rationals, im=rationals, rad=rationals, k=st.integers(1, 17))
+    def test_abs2_pow(self, re, im, rad, k):
+        z = ComplexBall(re, im, abs(rad))
+        mid, r, den = nf_core._abs2_pow(z, k)
+        ref = oracles.abs2_pow_reference(z, k)
+        assert (Q(mid, den), Q(r, den)) == (ref.mid, ref.rad)
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(sorted(FIELDS)), prec=st.integers(8, 160),
+           data=st.data())
+    def test_minkowski_columns(self, name, prec, data):
+        field = new_field(*FIELDS[name])
+        coords = data.draw(st.lists(rationals, min_size=field.n,
+                                    max_size=field.n).filter(any))
+        x = []
+        for _emb, nnu in field.places():
+            x += [data.draw(rationals.filter(lambda v: v > 0))] * nnu
+        elements = [field.element(coords)]
+        got = minkowski_columns_x(field, elements, x, prec)
+        ref = oracles.minkowski_columns_reference(field, elements, x, prec)
+        assert [[(c.mid, c.rad) for c in col] for col in got] == [
+            [(c.mid, c.rad) for c in col] for col in ref]

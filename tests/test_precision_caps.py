@@ -1,0 +1,87 @@
+"""Every precision-doubling loop of the embedding path stops after
+`nf_core.PRECISION_DOUBLINGS` rounds with RuntimeError.
+
+Each test replaces the kernel inside one loop with a stub that returns a
+ball too wide to decide anything, so the loop runs its full cap cheaply
+(no precision is ever materialised) and must raise instead of spinning.
+"""
+
+from fractions import Fraction as Q
+
+import pytest
+
+from latnf import approx_reduction, divisor_log, nf_core
+from latnf.approx_reduction import (DuallyReducedTag, IdealBasisResult,
+                                    approx_bkz_ideal, dual_exp_reduce)
+from latnf.dyadic import ComplexBall, RealBall
+from latnf.ideal_arith import HnfIdeal
+from latnf.nf_core import PRECISION_DOUBLINGS, EmbeddingPoint, new_field
+
+
+class _Counter:
+    def __init__(self, result):
+        self.result, self.calls = result, 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.result
+
+
+def _wide_embedding(field):
+    return _Counter(EmbeddingPoint([ComplexBall(0, 0, 1)] * field.n, 8))
+
+
+def _wide_columns(n):
+    return _Counter([[RealBall(int(i == j), 1) for i in range(n)]
+                     for j in range(n)])
+
+
+def test_embed(monkeypatch):
+    field = new_field([5, 0, 1])
+    roots = _Counter((64, [(0, 0, 0)] * field.n))
+    monkeypatch.setattr(field, "_all_roots", roots)
+    monkeypatch.setattr(nf_core, "_horner_ball", lambda *args: (0, 0, 1, 0))
+    with pytest.raises(RuntimeError, match="embedding"):
+        field.embed(field.theta(), 64)
+    assert roots.calls == PRECISION_DOUBLINGS
+
+
+def test_sign_at_real_place(monkeypatch):
+    field = new_field([-2, 0, 1])
+    embed = _wide_embedding(field)
+    monkeypatch.setattr(field, "embed", embed)
+    with pytest.raises(RuntimeError, match="sign"):
+        field.sign_at_real_place(field.theta(), 0)
+    assert embed.calls == PRECISION_DOUBLINGS
+
+
+def test_log_embedding(monkeypatch):
+    field = new_field([5, 0, 1])
+    embed = _wide_embedding(field)
+    monkeypatch.setattr(field, "embed", embed)
+    with pytest.raises(RuntimeError, match="log embedding"):
+        divisor_log.log_embedding(field.theta())
+    assert embed.calls == PRECISION_DOUBLINGS
+
+
+def test_dual_exp_reduce(monkeypatch):
+    field = new_field([5, 0, 1])
+    cols = _wide_columns(field.n)
+    monkeypatch.setattr(approx_reduction, "minkowski_columns_x", cols)
+    with pytest.raises(RuntimeError, match="dual reduction"):
+        dual_exp_reduce([Q(1)] * field.n, HnfIdeal.ring_of_integers(field))
+    assert cols.calls == PRECISION_DOUBLINGS
+
+
+def test_approx_bkz_ideal(monkeypatch):
+    field = new_field([5, 0, 1])
+    a = HnfIdeal.ring_of_integers(field)
+    x = [Q(1)] * field.n
+    der = IdealBasisResult(a.basis_elements(), x, DuallyReducedTag(3), 128)
+    monkeypatch.setattr(approx_reduction, "dual_exp_reduce",
+                        lambda x, a: der)
+    cols = _wide_columns(field.n)
+    monkeypatch.setattr(approx_reduction, "minkowski_columns_x", cols)
+    with pytest.raises(RuntimeError, match="approximate BKZ"):
+        approx_bkz_ideal(x, a, 2)
+    assert cols.calls == PRECISION_DOUBLINGS
