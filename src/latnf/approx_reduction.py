@@ -17,7 +17,7 @@ from math import lcm
 from . import bkz, lattice_core
 from .dyadic import Q, RealBall, round_half_up, sqrt_bracket
 from .ideal_arith import HnfIdeal
-from .nf_core import PRECISION_DOUBLINGS, NumberField
+from .nf_core import PRECISION_DOUBLINGS, CapExceeded, NumberField
 from .qlinalg import dot, mat_inv, transpose
 
 
@@ -292,7 +292,9 @@ def dual_exp_reduce(x, a: HnfIdeal) -> IdealBasisResult:
             prec *= 2
             continue
         n_mat = res.m_rows                              # D' = N D
-        n_inv = _int_matrix_inverse(n_mat)
+        n_inv = mat_inv(n_mat)
+        if any(v.denominator != 1 for row in n_inv for v in row):
+            raise ValueError("BKP transform is not unimodular")
         # new primal basis: B' = B N^{-1}: columns transform
         new_elements = []
         for j in range(n):
@@ -302,20 +304,7 @@ def dual_exp_reduce(x, a: HnfIdeal) -> IdealBasisResult:
                     acc = acc + elements[i] * n_inv[i][j]
             new_elements.append(acc)
         return IdealBasisResult(new_elements, x, DuallyReducedTag(3), prec)
-    raise RuntimeError("dual reduction failed to certify its precision")
-
-
-def _int_matrix_inverse(m):
-    inv = mat_inv([[Q(v) for v in row] for row in m])
-    out = []
-    for row in inv:
-        r = []
-        for v in row:
-            if v.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            r.append(int(v))
-        out.append(r)
-    return out
+    raise CapExceeded("dual reduction failed to certify its precision")
 
 
 def approx_bkz_ideal(x, a: HnfIdeal, blocksize: int) -> IdealBasisResult:
@@ -342,7 +331,7 @@ def approx_bkz_ideal(x, a: HnfIdeal, blocksize: int) -> IdealBasisResult:
             break
         prec *= 2
     else:
-        raise RuntimeError("approximate BKZ failed to certify its precision")
+        raise CapExceeded("approximate BKZ failed to certify its precision")
     mids = [[c.mid for c in col] for col in cols]
     den = lcm(*(v.denominator for col in mids for v in col))
     int_cols = [[int(v * den) for v in col] for col in mids]

@@ -19,8 +19,8 @@ from math import gcd
 
 from . import lattice_core, qlinalg
 from .dyadic import Q
-from .lattice_core import IntegralGSO, combine_cols, int_gram, integral_cols
-from .qlinalg import int_identity
+from .lattice_core import IntegralGSO, combine_cols, int_gram
+from .qlinalg import int_identity, integral_cols
 
 
 @dataclass

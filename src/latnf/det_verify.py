@@ -20,11 +20,7 @@ from . import intmath, polyq, qlinalg
 from .dyadic import Q, sqrt_bracket
 from .ideal_arith import kummer_dedekind, splitting_degrees
 from .nf_core import NumberField
-from .qlinalg import dot, mat_det
-
-
-def _gram_of_cols(cols):
-    return [[dot(a, b) for b in cols] for a in cols]
+from .qlinalg import dot, gram_matrix, mat_det
 
 
 def inv_norm_bound(cols):
@@ -37,7 +33,7 @@ def inv_norm_bound(cols):
     """
     cols = [[Q(x) for x in c] for c in cols]
     n = len(cols)
-    g = _gram_of_cols(cols)
+    g = gram_matrix(cols)
     if mat_det(g) == 0:
         raise ZeroDivisionError("singular basis")
     from .lattice_core import enumerate_minima_gram
@@ -101,7 +97,7 @@ def gram_det_interval(b_tilde_cols, entry_err: Fraction,
     cols = [[Q(x) for x in c] for c in b_tilde_cols]
     n = len(cols)
     m = len(cols[0])
-    det = mat_det(_gram_of_cols(cols))
+    det = mat_det(gram_matrix(cols))
     eps = epsilon_threshold(n, m, cond_product_upper, lambda1_sq_lower,
                             norm_b_sq_upper)
     status = "certified" if Q(entry_err) <= eps else "insufficient_precision"
@@ -113,7 +109,7 @@ def decide_equal_lattice(b_tilde_cols, d_value: Fraction) -> str:
     D in [3/4, 5/4] covol(L), decide 'equal' vs 'proper_sublattice' by
     comparing det(B~^T B~) against 2 D^2."""
     cols = [[Q(x) for x in c] for c in b_tilde_cols]
-    det = mat_det(_gram_of_cols(cols))
+    det = mat_det(gram_matrix(cols))
     d_value = Q(d_value)
     return "equal" if det <= 2 * d_value * d_value else "proper_sublattice"
 

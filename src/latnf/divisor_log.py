@@ -15,7 +15,8 @@ from . import intmath
 from .dyadic import (Q, RealBall, ball_exp, ball_log, ball_sqrt, log_ball,
                      sqrt_bracket)
 from .ideal_arith import HnfIdeal, PrimeIdeal, hnf_inv, hnf_mul, kummer_dedekind, ord_at
-from .nf_core import PRECISION_DOUBLINGS, FieldElement, NumberField
+from .nf_core import (PRECISION_DOUBLINGS, CapExceeded, FieldElement,
+                      NumberField)
 
 
 class Divisor:
@@ -168,7 +169,7 @@ def log_embedding(alpha: FieldElement, prec: int = 64) -> LogVector:
             return LogVector([ball_log(a2, prec + 8) * Q(nnu, 2)
                               for a2, nnu in squares])
         work *= 2
-    raise RuntimeError("log embedding failed to separate |sigma(alpha)| from 0")
+    raise CapExceeded("log embedding failed to separate |sigma(alpha)| from 0")
 
 
 @dataclass

@@ -11,60 +11,43 @@ Minkowski metric) are supported too.
 Every LLL, size reduction and Gram-Schmidt read-off below runs on
 `IntegralGSO`, the fraction-free state of de Weger's integral LLL
 (Cohen, *A Course in Computational Algebraic Number Theory*, Alg. 2.6.7):
-rational inputs are scaled to integers by the lcm of their denominators,
-and every decision is an integer comparison that the scaling leaves
-unchanged, so no rational is ever normalised inside a reduction.
+rational inputs are scaled to integers by the lcm of their denominators
+(`qlinalg.integral_cols`), and every decision is an integer comparison
+that the scaling leaves unchanged, so no rational is ever normalised
+inside a reduction.  `gso` orthogonalises nothing itself: its b*, mu and
+potential are read off that state.  Ranks and independence tests go
+through `qlinalg.pivots`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from . import qlinalg
 from .dyadic import Q
-from .qlinalg import dot, mat_inv, mat_vec, transpose
+from .qlinalg import integral_cols, mat_inv, mat_vec, pivots, transpose
 
 
 def gso(cols):
     """Gram-Schmidt data: (bstar columns, mu lower-triangular, P(B)^2).
 
     mu[j][i] for i < j is the usual coefficient; P(B)^2 is the squared
-    potential prod ||b*_j||^(2(n+1-j)), an exact rational.
+    potential prod ||b*_j||^(2(n+1-j)), an exact rational.  All three are
+    read off `IntegralGSO` on the columns scaled by den: b*_j = d_j
+    pi_j(b_j) / (d_j den), mu_ji = lam_ji / d_{i+1}, and P(B)^2 = prod_i
+    d_i / den^(n(n+1)) (the norms d_{j+1}/d_j telescope).
     """
-    n = len(cols)
-    bstar = []
-    mu = [[Q(0)] * n for _ in range(n)]
-    d = []
-    for j in range(n):
-        v = [Q(x) for x in cols[j]]
-        for i in range(j):
-            if d[i] == 0:
-                raise ValueError("rank-deficient basis")
-            mu[j][i] = dot(cols[j], bstar[i]) / d[i]
-            v = [a - mu[j][i] * b for a, b in zip(v, bstar[i])]
-        bstar.append(v)
-        d.append(dot(v, v))
-        if d[-1] == 0:
-            raise ValueError("rank-deficient basis")
-    pot2 = Q(1)
-    for j in range(n):
-        pot2 *= d[j] ** (n - j)
-    return bstar, mu, pot2
-
-
-def integral_cols(cols):
-    """(integer columns, den): the columns times den, the lcm of the
-    denominators of their entries."""
-    cols = [[x if type(x) is int else Q(x) for x in c] for c in cols]
-    den = 1
-    for c in cols:
-        for x in c:
-            if type(x) is not int:
-                den = lcm(den, x.denominator)
-    return [[x if type(x) is int else x.numerator * (den // x.denominator)
-             for x in c] for c in cols], den
+    ints, den = integral_cols(cols)
+    n = len(ints)
+    state = IntegralGSO(int_gram(ints))
+    d, lam = state.d, state.lam
+    bstar = [[Q(x, d[j] * den) for x in state.projected(ints, j, 1)[0]]
+             for j in range(n)]
+    mu = [[Q(lam[j][i], d[i + 1]) if i < j else Q(0) for i in range(n)]
+          for j in range(n)]
+    return bstar, mu, Q(prod(d[1:]), den ** (n * (n + 1)))
 
 
 def int_gram(cols):
@@ -280,11 +263,8 @@ def lll(cols, delta=Q(3, 4)):
 
 
 def dual_basis(cols):
-    """Columns of B^{-T} for a square exact basis."""
-    rows = transpose([list(c) for c in cols])  # matrix with cols as columns
-    inv = mat_inv(rows)
-    # dual columns are rows of B^{-1}, i.e. columns of B^{-T}
-    return [list(r) for r in inv]
+    """Columns of B^{-T} for a square exact basis: the rows of B^{-1}."""
+    return mat_inv(transpose(cols))
 
 
 def _norm_weights(d, den):
@@ -442,19 +422,23 @@ def successive_minima_gram(g):
     # norms are carried times scale / den (see _norm_weights)
     scale, w = _norm_weights(d, 1)
     minima, chosen = [], []
+
+    def independent(vec):
+        return len(pivots(chosen + [vec])) > len(chosen)
+
     for _k in range(n):
         # levels fully inside the witness span may be skipped as a whole
         t_min = 0
         for t in range(1, len(chosen) + 1):
             basis_t = [[int(i == j) for j in range(n)] for i in range(t)]
-            if _span_contains(chosen, basis_t):
+            if len(pivots(chosen + basis_t)) == len(chosen):
                 t_min = t
             else:
                 break
         best_norm, best_vec = None, None
         for j in range(t_min, n):
             cand = [int(i == j) for i in range(n)]
-            if _int_rank(chosen + [cand]) == len(chosen) + 1:
+            if independent(cand):
                 nrm = gh[j][j] * scale
                 if best_norm is None or nrm < best_norm:
                     best_norm, best_vec = nrm, cand
@@ -471,7 +455,7 @@ def successive_minima_gram(g):
                 if not any(coeffs):
                     return
                 if partial < best[0] or best[1] is None:
-                    if _int_rank(chosen + [list(coeffs)]) == len(chosen) + 1:
+                    if independent(list(coeffs)):
                         best[0], best[1] = partial, list(coeffs)
                 return
             if i + 1 <= t_min and not nonzero_hi:
@@ -496,14 +480,6 @@ def successive_minima_gram(g):
         chosen.append(best[1])
     wits = [[int(x) for x in mat_vec(u, c)] for c in chosen]
     return minima, wits, [[Q(x, den) for x in row] for row in gh], u
-
-
-def _span_contains(gen_rows, test_rows) -> bool:
-    """True iff every test row lies in the rational span of gen_rows."""
-    if not gen_rows:
-        return not test_rows
-    base = _int_rank(gen_rows)
-    return _int_rank([list(r) for r in gen_rows] + [list(t) for t in test_rows]) == base
 
 
 def enumerate_minima_gram(g) -> EnumerationReport:
@@ -577,11 +553,6 @@ class _Echelon:
             v = [(a // g) * w - (b // g) * r for r, w in zip(row, v)]
             self.index = self.index // abs(a) * abs(g)
         return self.rank == self.n and self.index == 1
-
-
-def _int_rank(rows) -> int:
-    h, _ = qlinalg.hnf_with_transform([list(r) for r in rows])
-    return sum(1 for r in h if any(r))
 
 
 def enumerate_minima(cols) -> EnumerationReport:

@@ -10,7 +10,7 @@ elements by Horner's scheme on integers (`_horner_ball`), building one
 rational thresholds (or their k-th roots) are decided exactly: integer
 intervals first, then Liouville-type separation bounds (`_abs2_pow_gt`
 for (|w|^2)^k > c, `decide_root_gt_int` underneath).  Precision-doubling
-loops stop after `PRECISION_DOUBLINGS` rounds with RuntimeError.
+loops stop after `PRECISION_DOUBLINGS` rounds with `CapExceeded`.
 """
 
 from __future__ import annotations
@@ -28,6 +28,10 @@ GT, LE = "GT", "LE"
 _UNSET = object()
 # rounds of every precision-doubling retry loop on the embedding path
 PRECISION_DOUBLINGS = 40
+
+
+class CapExceeded(RuntimeError):
+    """A retry or precision-doubling loop ran out of its rounds."""
 
 
 def liouville_separation(poly) -> Fraction:
@@ -147,7 +151,7 @@ def _root_mantissas(poly, prec: int):
     the shared exponent 2^-work; a ball of radius n|f(z)|/|f'(z)| around z
     holds a root, and pairwise disjoint balls hold distinct ones.  `work`
     doubles when a ball fails; after PRECISION_DOUBLINGS doublings this
-    raises RuntimeError.
+    raises CapExceeded.
     """
     f = [int(c) for c in poly]
     df = [k * f[k] for k in range(1, len(f))]
@@ -164,7 +168,7 @@ def _root_mantissas(poly, prec: int):
             if _disjoint(balls):
                 return work, balls
         work *= 2
-    raise RuntimeError("root refinement failed to certify")
+    raise CapExceeded("root refinement failed to certify")
 
 
 def _newton_ball(f, df, z0, work: int, prec: int):
@@ -652,7 +656,7 @@ class NumberField:
                 alpha._cache[key] = pt
                 return pt
             work *= 2
-        raise RuntimeError("embedding failed to certify")
+        raise CapExceeded("embedding failed to certify")
 
     # -- exact comparisons ---------------------------------------------------
     def sign_at_real_place(self, alpha: FieldElement, place_idx: int) -> int:
@@ -670,7 +674,7 @@ class NumberField:
             if v.re + v.rad < 0:
                 return -1
             prec *= 2
-        raise RuntimeError("sign at a real place failed to certify")
+        raise CapExceeded("sign at a real place failed to certify")
 
     def abs2_pow_cmp(self, alpha: FieldElement, place_idx: int,
                      k: int, c: Fraction) -> str:

@@ -2,11 +2,17 @@
 
 Matrices are lists of rows; a lattice basis is a list of column vectors
 and gets transposed at the boundary where convenient.
+
+Elimination over Q happens in one place, `_eliminate`: fraction-free
+Bareiss elimination on rows scaled to integers by `integral_cols`, under
+`mat_det`, `mat_inv`, `solve` and `pivots` (the rank and the independent
+rows).  Exact results are unique, so they equal `Fraction` elimination's.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
 
 Q = Fraction
 
@@ -32,49 +38,91 @@ def mat_vec(a, v):
     return [dot(row, v) for row in a]
 
 
+def integral_cols(cols):
+    """(integer columns, den): the columns times den, the lcm of the
+    denominators of their entries."""
+    if all(type(x) is int for c in cols for x in c):
+        return [list(c) for c in cols], 1
+    cols = [[x if type(x) is int else Q(x) for x in c] for c in cols]
+    den = lcm(*{x.denominator for c in cols for x in c if type(x) is not int})
+    return [[x * den if type(x) is int else x.numerator * (den // x.denominator)
+             for x in c] for c in cols], den
+
+
+def _eliminate(rows, width):
+    """Fraction-free elimination (Bareiss; Cohen, GTM 138, Alg. 2.2.6) on
+    the first `width` columns of the rows, each scaled by `integral_cols`.
+
+    Per column, the first remaining row with a nonzero entry p is the pivot
+    row (zero columns are skipped), and each row r below it becomes
+    (p r - r[c] pivot_row) / last, exactly, last the previous pivot.  Rows
+    carrying columns past `width` to solve for are eliminated above the
+    pivot too (Gauss-Jordan); those columns end as last times the
+    solution.  Entries left of the current column are not read again, so
+    not updated.  Returns (rows, product of the row scales, pivot columns,
+    sign of the row swaps, last pivot)."""
+    scaled = [integral_cols([row]) for row in rows]
+    a = [ints for (ints,), _ in scaled]
+    den = prod(d for _, d in scaled)
+    jordan = any(len(row) > width for row in a)
+    cols, sign, last = [], 1, 1
+    for c in range(width):
+        k = len(cols)
+        r = next((i for i in range(k, len(a)) if a[i][c]), None)
+        if r is None:
+            continue
+        if r != k:
+            a[k], a[r] = a[r], a[k]
+            sign = -sign
+        prow = a[k][c:]
+        p = prow[0]
+        for i in range(0 if jordan else k + 1, len(a)):
+            if i == k:
+                continue
+            row = a[i]
+            f = row[c]
+            if f:
+                row[c:] = [(p * x - f * y) // last
+                           for x, y in zip(row[c:], prow)]
+            elif p != last:
+                row[c:] = [p * x // last for x in row[c:]]
+        cols.append(c)
+        last = p
+    return a, den, cols, sign, last
+
+
 def mat_det(m):
-    """Determinant by exact fraction elimination."""
+    """Determinant, exact."""
     n = len(m)
-    a = [[Q(x) for x in row] for row in m]
-    det = Q(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Q(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col]:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
+    _, den, cols, sign, last = _eliminate(m, n)
+    return Q(sign * last, den) if len(cols) == n else Q(0)
+
+
+def _solve_block(m, rhs_cols):
+    """X with m X = the columns rhs_cols (m square); ZeroDivisionError
+    when m is singular."""
+    n = len(m)
+    a, _, cols, _, last = _eliminate(
+        [list(row) + [c[i] for c in rhs_cols] for i, row in enumerate(m)], n)
+    if len(cols) < n:
+        raise ZeroDivisionError("singular matrix")
+    return [[Q(x, last) for x in row[n:]] for row in a]
 
 
 def mat_inv(m):
     n = len(m)
-    a = [[Q(x) for x in row] + [Q(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+    return _solve_block(m, [[int(i == j) for i in range(n)] for j in range(n)])
 
 
 def solve(m, rhs):
     """Solve m x = rhs exactly (m square nonsingular)."""
-    inv = mat_inv(m)
-    return mat_vec(inv, rhs)
+    return [row[0] for row in _solve_block(m, [rhs])]
+
+
+def pivots(rows):
+    """Indices of the rows that are independent of the rows before them;
+    the rank of the rows is the length."""
+    return _eliminate(transpose(rows), len(rows))[2]
 
 
 def charpoly(m):

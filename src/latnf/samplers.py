@@ -20,16 +20,12 @@ from .approx_reduction import (_lambda1_lower_sq, approx_bkz_ideal,
                                minkowski_columns_x)
 from .dyadic import Q, round_half_up, sqrt_bracket
 from .ideal_arith import HnfIdeal, hnf_mul
-from .nf_core import GT, FieldElement, NumberField, cmp_element
-from .qlinalg import dot, mat_inv, mat_vec, transpose
+from .nf_core import GT, CapExceeded, FieldElement, NumberField, cmp_element
+from .qlinalg import dot, mat_inv, mat_vec, solve, transpose
 
 RETRY_CAP = math.ceil(math.e ** 3 * 40)   # per uniform draw, then error
 RADIUS_CONSTANT = 48
 RADIUS_C_HALF = 24                        # the C/2 of the basis-shortness check
-
-
-class CapExceeded(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +229,7 @@ def perfect_box_grid(cols, grid_n: int, box: "GridBox", c_scale, eps, rng):
             if (x * grid_n).denominator != 1:
                 raise ValueError("basis columns must lie in (1/N)Z^n")
     u = _uniform_grid_point(box, grid_n, Q(c_scale) + Q(eps), rng)
-    binv = mat_inv(transpose(cols))
-    v = mat_vec(binv, u)
-    w = [round_half_up(x) for x in v]
+    w = [round_half_up(x) for x in solve(transpose(cols), u)]
     out = [Q(0)] * len(cols[0])
     for i in range(n):
         out = [a + w[i] * b for a, b in zip(out, cols[i])]
@@ -526,7 +520,7 @@ def _babai_reduce(field: NumberField, gamma_m: FieldElement,
     """gamma_m minus its round-off in the given algebraic basis."""
     n = field.n
     cols = [list(e.coords) for e in basis_elements]
-    t = mat_vec(mat_inv(transpose(cols)), list(gamma_m.coords))
+    t = solve(transpose(cols), list(gamma_m.coords))
     out = gamma_m
     for i in range(n):
         q = round_half_up(Q(t[i]))

@@ -253,15 +253,11 @@ def _babai_reduce_combo(combo, ker_basis):
     """Shorten an integer combination by subtracting kernel vectors."""
     if not ker_basis:
         return combo
-    from .qlinalg import mat_inv, mat_vec
-    g = [[sum(a * b for a, b in zip(u, v)) for v in ker_basis]
-         for u in ker_basis]
+    proj = [qlinalg.dot(combo, kb) for kb in ker_basis]
     try:
-        ginv = mat_inv([[Q(x) for x in row] for row in g])
+        t = qlinalg.solve(qlinalg.gram_matrix(ker_basis), proj)
     except ZeroDivisionError:
         return combo
-    proj = [sum(c * k for c, k in zip(combo, kb)) for kb in ker_basis]
-    t = mat_vec(ginv, [Q(x) for x in proj])
     out = list(combo)
     for coeff, kb in zip(t, ker_basis):
         q = round_half_up(coeff)
@@ -385,8 +381,7 @@ def verify_full(post: PostprocessResult, field: NumberField, fb: FactorBase,
             for c, inf in zip(comb, post.basis_inf):
                 row = [a + c * b for a, b in zip(row, inf)]
             unit_rows.append(row)
-        gram = [[qlinalg.dot(a, b) for b in unit_rows] for a in unit_rows]
-        det = qlinalg.mat_det(gram)
+        det = qlinalg.mat_det(qlinalg.gram_matrix(unit_rows))
         reg_cov = math.sqrt(max(0.0, float(det)))       # = R' sqrt(r1)
         regulator = reg_cov / math.sqrt(r1)
     else:
@@ -400,8 +395,7 @@ def verify_full(post: PostprocessResult, field: NumberField, fb: FactorBase,
     # --- direct route: Euclidean Gram of the mixed basis vs D * J
     mixed = [[Q(v) for v in val] + list(inf)
              for val, inf in zip(post.basis_val, post.basis_inf)]
-    det_mixed = qlinalg.mat_det([[qlinalg.dot(a, b) for b in mixed]
-                                 for a in mixed])
+    det_mixed = qlinalg.mat_det(qlinalg.gram_matrix(mixed))
     j_sq = euclid_correction_sq(fb, r1)
     d_euclid = d_value * math.sqrt(float(j_sq.mid))
     tr.direct_ratio = math.sqrt(max(0.0, float(det_mixed))) / d_euclid
@@ -677,8 +671,7 @@ def _quick_precheck(relations, fb: FactorBase, field: NumberField,
     # Gram/LLL the kernel rows to find reg_rank short independent ones
     red, _u2 = lattice_core_lll_rows(unit_rows)
     best = red[:reg_rank]
-    gram = [[qlinalg.dot(a, b) for b in best] for a in best]
-    det = qlinalg.mat_det(gram)
+    det = qlinalg.mat_det(qlinalg.gram_matrix(best))
     if det <= 0:
         return False
     reg_cov = math.sqrt(float(det))
@@ -686,17 +679,10 @@ def _quick_precheck(relations, fb: FactorBase, field: NumberField,
 
 
 def lattice_core_lll_rows(rows):
-    """LLL on (possibly rank-deficient) row vectors: drops near-zero rows
-    first via exact Gram pivoting, then LLL-reduces the rest."""
+    """LLL on (possibly rank-deficient) row vectors: keeps the rows
+    independent of the rows before them, then LLL-reduces those."""
     from . import lattice_core
-    live = [r for r in rows if any(x != 0 for x in r)]
-    # greedy exact rank filter
-    chosen = []
-    for r in live:
-        cand = chosen + [r]
-        g = [[qlinalg.dot(a, b) for b in cand] for a in cand]
-        if qlinalg.mat_det(g) != 0:
-            chosen.append(r)
+    chosen = [rows[i] for i in qlinalg.pivots(rows)]
     if not chosen:
         return [], None
     red, u = lattice_core.lll(chosen)

@@ -8,6 +8,9 @@ methods that never touch the library's own code paths.
 - brute-force ideal counting straight from prime splitting data computed
   with Legendre symbols;
 - chi-square helpers (cross-checked against scipy in the tests);
+- determinants and inverses by `Fraction` Gaussian and Gauss-Jordan
+  elimination, as the library computed them before its fraction-free
+  kernel;
 - a naive LLL that recomputes the rational Gram-Schmidt data after every
   basis change, the cross-check for the library's integral LLL, with an
   exact LLL-reducedness test and a row Hermite normal form for lattice
@@ -201,8 +204,49 @@ def chi2_uniform_stat(counts: dict, support: int, total: int) -> tuple[float, in
     return stat, support - 1
 
 
+def mat_det_reference(m):
+    """Determinant by Fraction Gaussian elimination."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        inv = 1 / a[col][col]
+        for r in range(col + 1, n):
+            if a[r][col]:
+                f = a[r][col] * inv
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return det
+
+
+def mat_inv_reference(m):
+    """Inverse by Fraction Gauss-Jordan; ZeroDivisionError if singular."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(m)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise ZeroDivisionError("singular matrix")
+        a[col], a[piv] = a[piv], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
 def _gso_mu_norms(cols):
-    """mu (lower triangular) and ||b*_i||^2 of rational columns."""
+    """mu (lower triangular), ||b*_i||^2 and the b*_i of rational
+    columns."""
     n = len(cols)
     bstar, norms = [], []
     mu = [[Fraction(0)] * n for _ in range(n)]
@@ -215,7 +259,7 @@ def _gso_mu_norms(cols):
         norms.append(sum(x * x for x in v))
         if norms[-1] == 0:
             raise ValueError("rank-deficient basis")
-    return mu, norms
+    return mu, norms, bstar
 
 
 def lll_reference(cols, delta=Fraction(3, 4)):
@@ -226,7 +270,7 @@ def lll_reference(cols, delta=Fraction(3, 4)):
     n = len(cols)
     b = [[Fraction(x) for x in c] for c in cols]
     u = [[int(i == j) for j in range(n)] for i in range(n)]
-    mu, d = _gso_mu_norms(b)
+    mu, d, _ = _gso_mu_norms(b)
     k = 1
     while k < n:
         for i in range(k - 1, -1, -1):
@@ -235,14 +279,14 @@ def lll_reference(cols, delta=Fraction(3, 4)):
                 b[k] = [x - q * y for x, y in zip(b[k], b[i])]
                 for r in range(n):
                     u[r][k] -= q * u[r][i]
-                mu, d = _gso_mu_norms(b)
+                mu, d, _ = _gso_mu_norms(b)
         if d[k] >= (delta - mu[k][k - 1] ** 2) * d[k - 1]:
             k += 1
         else:
             b[k], b[k - 1] = b[k - 1], b[k]
             for r in range(n):
                 u[r][k], u[r][k - 1] = u[r][k - 1], u[r][k]
-            mu, d = _gso_mu_norms(b)
+            mu, d, _ = _gso_mu_norms(b)
             k = max(k - 1, 1)
     return b, u
 
@@ -254,7 +298,7 @@ def gso_norms(cols) -> list[Fraction]:
 
 def is_lll_reduced(cols, delta=Fraction(3, 4)) -> bool:
     """|mu_kj| <= 1/2 and the Lovasz condition, in exact rationals."""
-    mu, d = _gso_mu_norms(cols)
+    mu, d, _ = _gso_mu_norms(cols)
     n = len(cols)
     for k in range(1, n):
         if any(abs(mu[k][j]) > Fraction(1, 2) for j in range(k)):

@@ -3,7 +3,9 @@ from fractions import Fraction as Q
 
 import pytest
 
-from latnf.approx_reduction import (ApproxGenerators, DuallyReducedTag,
+from latnf import approx_reduction
+from latnf.approx_reduction import (ApproxGenerators, BkpResult,
+                                    DuallyReducedTag,
                                     approx_bkz_ideal, bkp_once, bkp_twice,
                                     dual_exp_reduce,
                                     lattice_point_coeff_bound, rowmax_norm_sq)
@@ -151,6 +153,13 @@ class TestDualExpReduce:
         g = qi.minkowski_gram(res.elements)
         dd = mat_inv(mat_inv(g))
         assert dd == g
+
+    def test_non_unimodular_transform_rejected(self, qi, monkeypatch):
+        monkeypatch.setattr(
+            approx_reduction, "bkp_twice",
+            lambda gens: BkpResult(2, [[2, 0], [0, 1]], gens.rows, Q(1)))
+        with pytest.raises(ValueError, match="not unimodular"):
+            dual_exp_reduce([1, 1], HnfIdeal.ring_of_integers(qi))
 
 
 class TestApproxBkzIdeal:

@@ -29,7 +29,7 @@ from latnf import ideal_walk, polyq, relations
 from latnf.ideal_arith import (HnfIdeal, hnf_inv, hnf_mul, kummer_dedekind,
                                ord_at, primes_up_to)
 from latnf.intmath import primes_below
-from latnf.nf_core import certify_roots, new_field
+from latnf.nf_core import CapExceeded, certify_roots, new_field
 from latnf.samplers import SamplerConfig
 
 # name -> (polynomial, integral basis or None for the power basis)
@@ -254,7 +254,7 @@ class TestAgainstReferences:
         assume(polyq.discriminant([Q(c) for c in poly]) != 0)
         ref = oracles.certify_roots_reference(poly, prec)
         if ref is None:
-            with pytest.raises(RuntimeError):
+            with pytest.raises(CapExceeded):
                 certify_roots(poly, prec)
             return
         got = certify_roots(poly, prec)

@@ -1,11 +1,13 @@
 """Every precision-doubling loop of the embedding path stops after
-`nf_core.PRECISION_DOUBLINGS` rounds with RuntimeError.
+`nf_core.PRECISION_DOUBLINGS` rounds with `CapExceeded`, which the CLI
+reports as exit 4.
 
 Each test replaces the kernel inside one loop with a stub that returns a
 ball too wide to decide anything, so the loop runs its full cap cheaply
 (no precision is ever materialised) and must raise instead of spinning.
 """
 
+import json
 from fractions import Fraction as Q
 
 import pytest
@@ -13,9 +15,11 @@ import pytest
 from latnf import approx_reduction, divisor_log, nf_core
 from latnf.approx_reduction import (DuallyReducedTag, IdealBasisResult,
                                     approx_bkz_ideal, dual_exp_reduce)
+from latnf.cli import EXIT_CAP, main
 from latnf.dyadic import ComplexBall, RealBall
 from latnf.ideal_arith import HnfIdeal
-from latnf.nf_core import PRECISION_DOUBLINGS, EmbeddingPoint, new_field
+from latnf.nf_core import (PRECISION_DOUBLINGS, CapExceeded, EmbeddingPoint,
+                            new_field)
 
 
 class _Counter:
@@ -36,12 +40,20 @@ def _wide_columns(n):
                      for j in range(n)])
 
 
+def test_certify_roots(monkeypatch):
+    newton = _Counter(None)
+    monkeypatch.setattr(nf_core, "_newton_ball", newton)
+    with pytest.raises(CapExceeded, match="root refinement"):
+        nf_core.certify_roots([5, 0, 1], 64)
+    assert newton.calls == PRECISION_DOUBLINGS
+
+
 def test_embed(monkeypatch):
     field = new_field([5, 0, 1])
     roots = _Counter((64, [(0, 0, 0)] * field.n))
     monkeypatch.setattr(field, "_all_roots", roots)
     monkeypatch.setattr(nf_core, "_horner_ball", lambda *args: (0, 0, 1, 0))
-    with pytest.raises(RuntimeError, match="embedding"):
+    with pytest.raises(CapExceeded, match="embedding"):
         field.embed(field.theta(), 64)
     assert roots.calls == PRECISION_DOUBLINGS
 
@@ -50,7 +62,7 @@ def test_sign_at_real_place(monkeypatch):
     field = new_field([-2, 0, 1])
     embed = _wide_embedding(field)
     monkeypatch.setattr(field, "embed", embed)
-    with pytest.raises(RuntimeError, match="sign"):
+    with pytest.raises(CapExceeded, match="sign"):
         field.sign_at_real_place(field.theta(), 0)
     assert embed.calls == PRECISION_DOUBLINGS
 
@@ -59,7 +71,7 @@ def test_log_embedding(monkeypatch):
     field = new_field([5, 0, 1])
     embed = _wide_embedding(field)
     monkeypatch.setattr(field, "embed", embed)
-    with pytest.raises(RuntimeError, match="log embedding"):
+    with pytest.raises(CapExceeded, match="log embedding"):
         divisor_log.log_embedding(field.theta())
     assert embed.calls == PRECISION_DOUBLINGS
 
@@ -68,7 +80,7 @@ def test_dual_exp_reduce(monkeypatch):
     field = new_field([5, 0, 1])
     cols = _wide_columns(field.n)
     monkeypatch.setattr(approx_reduction, "minkowski_columns_x", cols)
-    with pytest.raises(RuntimeError, match="dual reduction"):
+    with pytest.raises(CapExceeded, match="dual reduction"):
         dual_exp_reduce([Q(1)] * field.n, HnfIdeal.ring_of_integers(field))
     assert cols.calls == PRECISION_DOUBLINGS
 
@@ -82,6 +94,19 @@ def test_approx_bkz_ideal(monkeypatch):
                         lambda x, a: der)
     cols = _wide_columns(field.n)
     monkeypatch.setattr(approx_reduction, "minkowski_columns_x", cols)
-    with pytest.raises(RuntimeError, match="approximate BKZ"):
+    with pytest.raises(CapExceeded, match="approximate BKZ"):
         approx_bkz_ideal(x, a, 2)
+    assert cols.calls == PRECISION_DOUBLINGS
+
+
+def test_cli_reports_cap_exceeded(monkeypatch, tmp_path, capsys):
+    field_file = tmp_path / "qi.json"
+    field_file.write_text(json.dumps({"poly": [1, 0, 1]}))
+    cols = _wide_columns(2)
+    monkeypatch.setattr(approx_reduction, "minkowski_columns_x", cols)
+    code = main(["sample", str(field_file), "--mode", "box", "--count", "1"])
+    assert code == EXIT_CAP == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "cap-exceeded"
+    assert "dual reduction" in err["error"]
     assert cols.calls == PRECISION_DOUBLINGS
