@@ -19,8 +19,8 @@ from . import __version__, serialize
 from .dyadic import Q
 from .ideal_arith import (HnfIdeal, SampleFailure, hnf_inv, hnf_mul,
                           kummer_dedekind, primes_up_to, sample_prime_uniform)
-from .nf_core import NumberField
-from .samplers import CapExceeded, SamplerConfig
+from .nf_core import CapExceeded, NumberField
+from .samplers import SamplerConfig
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2

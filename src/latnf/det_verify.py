@@ -1,8 +1,8 @@
 """Determinant stability under perturbation, the decide-equal-lattice
 test, and residue/regulator brackets feeding it.
 
-`approx_rho` is the library's one residue bracket.  Its provable branch
-evaluates Bach's ERH-truncated Euler product with one kernel,
+`approx_rho` is the library's one residue bracket.  It evaluates Bach's
+ERH-truncated Euler product with one kernel,
 `euler_log_product`: a numpy sieve, the splitting type of quadratic
 fields read from a Kronecker-character table mod |disc|, and the log-sum
 taken chunk by chunk in the order of a per-prime loop, with its float
@@ -131,41 +131,22 @@ class RhoBracket:
     eta0: float             # approximates h_K * R_K
     lo: float
     hi: float
-    mode: str               # "desk" | "provable"
     detail: dict
 
 
-def exact_rho(field: NumberField, h: int, regulator: float,
-              roots_of_unity: int) -> float:
-    """Class-number-formula value of the Dedekind residue."""
-    return (2 ** field.n_real * (2 * math.pi) ** field.n_cplx * regulator * h
-            / (roots_of_unity * math.sqrt(abs(field.disc_field))))
-
-
-def approx_rho(field: NumberField, truncation: int = 100, mode: str = "desk",
-               h: int | None = None, regulator: float | None = None,
+def approx_rho(field: NumberField, truncation: int = 100,
                roots_of_unity: int = 2) -> RhoBracket:
     """rho_0 in [3/4,5/4] rho_K and eta_0 in [3/4,5/4] h R.
 
-    Desk mode injects the classically known (h, R) pair and is labeled as
-    such; provable mode evaluates Bach's truncated Euler product
-    (`euler_log_product`) with the certified ERH bracket, widened by a
-    1e-9 slack that must cover the product's float rounding, and reports
-    failure when the truncation cannot reach the [3/4, 5/4] window.
+    Evaluates Bach's truncated Euler product (`euler_log_product`) with
+    the certified ERH bracket, widened by a 1e-9 slack that must cover
+    the product's float rounding, and reports failure when the truncation
+    cannot reach the [3/4, 5/4] window.
     """
     if truncation < 100:
         raise ValueError("truncation must be >= 100")
     n = field.n
     disc = abs(field.disc_field)
-    if mode == "desk":
-        if h is None or regulator is None:
-            raise ValueError("desk mode needs the classical h and R")
-        rho = exact_rho(field, h, regulator, roots_of_unity)
-        return RhoBracket(rho, h * regulator, 0.75 * rho, 1.25 * rho, "desk",
-                          {"labeled": "exact classical invariants injected",
-                           "h": h, "R": regulator})
-    if mode != "provable":
-        raise ValueError("mode must be 'desk' or 'provable'")
     err = (8 * (math.log(disc) + n * math.log(truncation))
            / math.sqrt(truncation) + _FLOAT_SLACK_LOG)
     if math.exp(err) > 1.25:
@@ -179,8 +160,8 @@ def approx_rho(field: NumberField, truncation: int = 100, mode: str = "desk",
     eta0 = rho0 * roots_of_unity * math.sqrt(disc) / (
         2 ** field.n_real * (2 * math.pi) ** field.n_cplx)
     return RhoBracket(rho0, eta0, rho0 * math.exp(-err), rho0 * math.exp(err),
-                      "provable", {"bach_error_log": err, "x": truncation,
-                                   "float_rounding_log": rounding})
+                      {"bach_error_log": err, "x": truncation,
+                       "float_rounding_log": rounding})
 
 
 def euler_log_product(field: NumberField, x: int) -> tuple[float, float]:

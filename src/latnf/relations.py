@@ -15,11 +15,13 @@ from .dyadic import Q, exp_ball
 from .ideal_arith import (HnfIdeal, PrimeIdeal, hnf_inv, hnf_mul, ord_at,
                           primes_up_to)
 from .ideal_walk import WalkParams, sample_beta, walk_params
-from .nf_core import FieldElement, NumberField
+from .nf_core import CapExceeded, FieldElement, NumberField
 from .samplers import SamplerConfig, walk_radius
 
 # float slack on the concentration check of a random relation's Log-S norm
 CONCENTRATION_SLACK = 1e-6
+# sampler calls per relation input (and per exceptional unit), then error
+ATTEMPT_CAP = 250
 
 
 class FactorBase:
@@ -112,15 +114,8 @@ def modulus_branch(field: NumberField, rho_tilde: float,
 class RelationConfig:
     b_sm: int = 16
     b_rw: int = 16
-    budget_c: Fraction = Q(1)
-    attempt_cap: int = 250
-    time_budget: float = 90.0     # wall seconds per relation input, then redraw
-    kessler_c: int = 1000
-    rr_bound: float | None = None
-    blocksize: int | None = None          # default max(2, ceil(n^(2/3)))
     walk_b_override: int | None = None
     sampler: SamplerConfig | None = None
-    x_override: float | None = None
     eps_override: Fraction | None = None
 
 
@@ -191,8 +186,8 @@ def compute_one_relation(field: NumberField, a: HnfIdeal, fb: FactorBase,
                          rho_tilde: float) -> SUnitRelation:
     """Algorithm: residue branch, then repeat the ideal sampler until
     alpha O_K a^{-1} is fb-smooth; outputs the verified relation."""
-    blocksize = cfg.blocksize or default_blocksize(field)
-    x, m0, m0_primes = modulus_branch(field, rho_tilde, cfg.x_override)
+    blocksize = default_blocksize(field)
+    x, m0, m0_primes = modulus_branch(field, rho_tilde)
     if m0_primes and any(fb.index_of(p) is not None for p in m0_primes):
         raise ValueError("factor base may not contain divisors of m0")
     if any(ord_at(a, p) != 0 for p in m0_primes):
@@ -203,17 +198,12 @@ def compute_one_relation(field: NumberField, a: HnfIdeal, fb: FactorBase,
     attempts = 0
     a_inv = hnf_inv(a)
     m0_arg = m0 if int(m0.norm()) > 1 else None
-    import time as _time
-    t_start = _time.monotonic()
-    for _ in range(cfg.attempt_cap):
-        if _time.monotonic() - t_start > cfg.time_budget:
-            raise samplers.CapExceeded(
-                f"relation time budget spent after {attempts} attempts")
+    for _ in range(ATTEMPT_CAP):
         attempts += 1
         try:
             trace = sample_beta(field, m0_arg, [], a, y, tau, params, rng,
                                 cfg.sampler)
-        except samplers.CapExceeded:
+        except CapExceeded:
             continue
         rel_ideal = hnf_mul(HnfIdeal.principal(field, trace.beta), a_inv)
         vals = smooth_factor(rel_ideal, fb)
@@ -222,8 +212,7 @@ def compute_one_relation(field: NumberField, a: HnfIdeal, fb: FactorBase,
         total = [v + ord_at(a, p) for v, p in zip(vals, fb)]
         return SUnitRelation(trace.beta, tuple(vals), tuple(total), a,
                              attempts, origin=trace)
-    raise samplers.CapExceeded(
-        f"no smooth relation after {cfg.attempt_cap} attempts")
+    raise CapExceeded(f"no smooth relation after {ATTEMPT_CAP} attempts")
 
 
 def _sample_tau(field: NumberField, m0: HnfIdeal, m0_primes, rng) -> FieldElement:
@@ -249,15 +238,6 @@ def _sample_tau(field: NumberField, m0: HnfIdeal, m0_primes, rng) -> FieldElemen
 @dataclass
 class RandomRelationConfig:
     relation: RelationConfig = dfield(default_factory=RelationConfig)
-    sigma_override: float | None = None
-
-
-def rr_default_bound(field: NumberField, fb: FactorBase) -> float:
-    """Desk default for the generating-radius prior: 1.0, so the Gaussian
-    width starts at 3 max(sqrt(log n0), 1) and the pipeline escalates it
-    when verification reports a proper sublattice.  The paper's analytic
-    bound poly(log|Delta|, max log N(p)) is available via cfg.rr_bound."""
-    return 1.0
 
 
 def grid_denominator(field: NumberField, omega: int) -> int:
@@ -279,20 +259,23 @@ class RandomRelationOutput:
 
 def random_relation(field: NumberField, fb: FactorBase, rng,
                     cfg: RandomRelationConfig | None = None,
-                    rho_tilde: float | None = None) -> RandomRelationOutput:
+                    rho_tilde: float | None = None,
+                    sigma: float | None = None) -> RandomRelationOutput:
     """Gaussian divisor input -> one relation; output lies in the
-    Log-S-unit lattice, with a certified concentration bound checked."""
+    Log-S-unit lattice, with a certified concentration bound checked.
+
+    The Gaussian width defaults to 3 max(sqrt(log n0), 1): the
+    generating-radius prior is 1, not the paper's analytic bound
+    poly(log|Delta|, max log N(p)), and `compute_sunits` passes a wider
+    `sigma` when verification reports a proper sublattice."""
     cfg = cfg or RandomRelationConfig()
     rel_cfg = cfg.relation
     n = field.n
     r1 = field.n_real + field.n_cplx
-    blocksize = rel_cfg.blocksize or default_blocksize(field)
-    x, m0, m0_primes = modulus_branch(field, rho_tilde or 1.0,
-                                      rel_cfg.x_override)
+    blocksize = default_blocksize(field)
+    x, m0, m0_primes = modulus_branch(field, rho_tilde or 1.0)
     omega = choose_omega(field, int(m0.norm()), blocksize, x, rel_cfg)
-    rr_b = rel_cfg.rr_bound if rel_cfg.rr_bound is not None else (
-        rr_default_bound(field, fb))
-    sigma = cfg.sigma_override or 3 * max(math.sqrt(math.log(r1 + len(fb))), rr_b)
+    sigma = sigma or 3 * max(math.sqrt(math.log(r1 + len(fb))), 1.0)
     grid_n = grid_denominator(field, omega)
     # Klein over Div_{K,S,N}: standard basis e_p, plus e_nu / N
     dim = len(fb) + r1
@@ -337,11 +320,11 @@ def random_relation(field: NumberField, fb: FactorBase, rng,
             rel = compute_one_relation(field, a_ideal, fb, y, rng, rel_cfg,
                                        rho_tilde if rho_tilde is not None else 1.0)
             break
-        except samplers.CapExceeded:
+        except CapExceeded:
             continue      # redraw the Gaussian input
     if rel is None:
-        raise samplers.CapExceeded("random relation: every Gaussian redraw "
-                                   "exhausted its attempt cap")
+        raise CapExceeded("random relation: every Gaussian redraw "
+                          "exhausted its attempt cap")
     out_vec = [-(v + ap) for v, ap in zip(rel.valuations, a_p)]
     # identity check: the finite part of Log_S(alpha) equals out_vec
     lsv = rel.log_s_vector(fb)
@@ -382,8 +365,8 @@ def exceptional_unit(field: NumberField, q: PrimeIdeal, fb: FactorBase,
     if any(fb.index_of(p) is not None for p in m0_primes):
         raise ValueError("factor base may not contain divisors of m0")
     m0_over_q = hnf_mul(m0, hnf_inv(q.hnf))
-    blocksize = cfg.blocksize or default_blocksize(field)
-    x = cfg.x_override if cfg.x_override is not None else branch_x(field)
+    blocksize = default_blocksize(field)
+    x = branch_x(field)
     omega = choose_omega(field, int(m0_over_q.norm()), blocksize, x, cfg)
     params = _walk_params_for(field, m0_over_q, blocksize, omega, cfg)
     rest = [p for p in m0_primes if p != q]
@@ -392,7 +375,7 @@ def exceptional_unit(field: NumberField, q: PrimeIdeal, fb: FactorBase,
     q_inv = hnf_inv(q.hnf)
     m0_arg = m0_over_q if int(m0_over_q.norm()) > 1 else None
     attempts = 0
-    for _ in range(cfg.attempt_cap):
+    for _ in range(ATTEMPT_CAP):
         attempts += 1
         trace = sample_beta(field, m0_arg, [], q.hnf, [Q(1)] * field.n, tau,
                             params, rng, cfg.sampler)
@@ -402,17 +385,16 @@ def exceptional_unit(field: NumberField, q: PrimeIdeal, fb: FactorBase,
             continue
         return SUnitRelation(trace.beta, tuple(vals), tuple(vals), q.hnf,
                              attempts, origin=trace)
-    raise samplers.CapExceeded(
-        f"no exceptional unit after {cfg.attempt_cap} attempts")
+    raise CapExceeded(f"no exceptional unit after {ATTEMPT_CAP} attempts")
 
 
-def sample_budget(field: NumberField, s_size: int, sigma: float, k: int,
-                  c: float = 1.0) -> int:
-    """6k + 6(|S|+r)[log((|S|+r) sigma) + C loglog|D|]: a hint, not a
-    guarantee (verification is by the determinant check)."""
+def sample_budget(field: NumberField, s_size: int, sigma: float,
+                  k: int) -> int:
+    """6k + 6(|S|+r)[log((|S|+r) sigma) + C loglog|D|] with C = 1: a hint,
+    not a guarantee (verification is by the determinant check)."""
     r = field.n_real + field.n_cplx - 1
     m = s_size + r
     if m == 0:
         return 6 * k
     return math.ceil(6 * k + 6 * m * (math.log(m * sigma)
-                                      + c * math.log(math.log(abs(field.disc_field)))))
+                                      + math.log(math.log(abs(field.disc_field)))))

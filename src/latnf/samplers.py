@@ -20,7 +20,8 @@ from .approx_reduction import (_lambda1_lower_sq, approx_bkz_ideal,
                                minkowski_columns_x)
 from .dyadic import Q, round_half_up, sqrt_bracket
 from .ideal_arith import HnfIdeal, hnf_mul
-from .nf_core import GT, CapExceeded, FieldElement, NumberField, cmp_element
+from .nf_core import (GT, PRECISION_DOUBLINGS, CapExceeded, FieldElement,
+                      NumberField, cmp_element)
 from .qlinalg import dot, mat_inv, mat_vec, solve, transpose
 
 RETRY_CAP = math.ceil(math.e ** 3 * 40)   # per uniform draw, then error
@@ -319,7 +320,6 @@ class BoxSampleResult:
 @dataclass
 class SamplerConfig:
     radius_constant: int = RADIUS_CONSTANT
-    time_budget: float | None = 120.0   # wall seconds per box-sampler call
 
 
 def _real_coord_layout(field: NumberField):
@@ -430,12 +430,7 @@ def sample_in_box(field: NumberField, m0: HnfIdeal | None, m_inf: list[int],
         return None
 
     prec = max(red.precision_bits, 2 * grid_n.bit_length() + 96)
-    draws = 0
-    import time as _time
-    t_start = _time.monotonic()
-    while True:
-        if cfg.time_budget and _time.monotonic() - t_start > cfg.time_budget:
-            raise CapExceeded("box sampler time budget spent")
+    for _ in range(PRECISION_DOUBLINGS):
         cols = minkowski_columns_x(field, red.elements, x, prec)
         max_err = max(c.rad for col in cols for c in col)
         if max_err > Q(1, 4 * grid_n):
@@ -460,15 +455,13 @@ def sample_in_box(field: NumberField, m0: HnfIdeal | None, m_inf: list[int],
                 t_true.append(-g_col[i].mid)
                 t_true.append(-g_col[j].mid)
         t_tilde = [Q(round_half_up(v * grid_n), grid_n) for v in t_true]
-        while draws < RETRY_CAP:
-            if cfg.time_budget and _time.monotonic() - t_start > cfg.time_budget:
-                raise CapExceeded("box sampler time budget spent")
-            draws += 1
+        for draws in range(1, RETRY_CAP + 1):
             got = perfect_box_lattice(c_cols, grid_n, t_tilde, box, eps,
                                       oracle, rng)
             if got is not None:
                 return BoxSampleResult(got, radius, draws)
-        raise CapExceeded(f"box sampler failed after {draws} draws")
+        raise CapExceeded(f"box sampler failed after {RETRY_CAP} draws")
+    raise CapExceeded("box sampler failed to certify its precision")
 
 
 def _in_tau_box(field: NumberField, beta0: FieldElement, x,

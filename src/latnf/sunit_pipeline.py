@@ -21,7 +21,7 @@ from .det_verify import approx_rho
 from .divisor_log import kessler_lambda1_lower, log_embedding
 from .dyadic import Q, RealBall, log_ball, round_half_up, sqrt_bracket
 from .ideal_arith import HnfIdeal, hnf_mul, ord_at
-from .nf_core import FieldElement, NumberField
+from .nf_core import CapExceeded, FieldElement, NumberField
 from .relations import (FactorBase, RandomRelationConfig, RelationConfig,
                         SUnitRelation, compute_one_relation, exceptional_unit,
                         modulus_branch, random_relation, sample_budget)
@@ -420,16 +420,18 @@ def _ratio_verdict(ratio: float) -> str:
 # The full algorithm
 
 
+# random relations drawn between two prechecks
+BATCH = 4
+# relations kept before the pipeline gives up verifying
+MAX_RELATIONS = 400
+# consecutive draws that add no relation (capped or duplicate), then error
+IDLE_DRAW_CAP = MAX_RELATIONS
+
+
 @dataclass
 class PipelineConfig:
     relation: RelationConfig = dfield(default_factory=RelationConfig)
     random_rel: RandomRelationConfig | None = None
-    batch: int = 4
-    max_relations: int = 400
-    rho_mode: str = "provable"           # or "desk"
-    rho_truncation: int | None = None
-    classical_h: int | None = None       # desk-mode injection
-    classical_r: float | None = None
     kessler_c: int = 1000
     progress: object = None              # optional callable(str)
 
@@ -439,13 +441,14 @@ class PipelineConfig:
             "radius_constant": (rel.sampler.radius_constant
                                 if rel.sampler else samplers.RADIUS_CONSTANT),
             "b_sm": rel.b_sm, "b_rw": rel.b_rw,
-            "budget_c": str(rel.budget_c),
+            "budget_c": "1",
             "kessler_c": self.kessler_c,
             "walk_b_override": rel.walk_b_override,
             "eps_override": str(rel.eps_override) if rel.eps_override else None,
-            "blocksize": rel.blocksize,
-            "rho_mode": self.rho_mode,
-            "batch": self.batch,
+            # constants, kept so that reports keep their keys
+            "blocksize": None,
+            "rho_mode": "provable",
+            "batch": BATCH,
         }
 
 
@@ -470,16 +473,9 @@ def provable_d_value(field: NumberField, cfg: PipelineConfig) -> tuple[float, di
     """D in [3/4,5/4] h R sqrt(r1) through the residue bracket."""
     r1 = field.n_real + field.n_cplx
     mu_count = roots_of_unity_count(field)
-    if cfg.rho_mode == "desk":
-        if cfg.classical_h is None or cfg.classical_r is None:
-            raise ValueError("desk rho mode needs classical h and R")
-        rb = approx_rho(field, mode="desk", h=cfg.classical_h,
-                        regulator=cfg.classical_r, roots_of_unity=mu_count)
-    else:
-        rb = approx_rho(field, cfg.rho_truncation or _bach_truncation(field),
-                        mode="provable", roots_of_unity=mu_count)
+    rb = approx_rho(field, _bach_truncation(field), roots_of_unity=mu_count)
     d_value = rb.eta0 * math.sqrt(r1)
-    return d_value, {"rho0": rb.rho0, "eta0": rb.eta0, "mode": rb.mode,
+    return d_value, {"rho0": rb.rho0, "eta0": rb.eta0, "mode": "provable",
                      "mu_K": mu_count, **rb.detail}
 
 
@@ -507,7 +503,7 @@ def compute_sunits(field: NumberField, fb_user: FactorBase, rng,
     rr_cfg = cfg.random_rel or RandomRelationConfig(relation=rel_cfg)
     d_value, rho_info = provable_d_value(field, cfg)
     rho0 = rho_info["rho0"]
-    x, m0, m0_primes = modulus_branch(field, rho0, rel_cfg.x_override)
+    x, m0, m0_primes = modulus_branch(field, rho0)
     units_only = len(fb_user) == 0
     if units_only:
         from .ideal_arith import primes_up_to
@@ -522,29 +518,32 @@ def compute_sunits(field: NumberField, fb_user: FactorBase, rng,
     post = None
     transcript = None
     r1 = field.n_real + field.n_cplx
-    budget = sample_budget(field, len(fb_work), 3.0, 3,
-                           float(rel_cfg.budget_c))
+    budget = sample_budget(field, len(fb_work), 3.0, 3)
     sigma_boost = 1.0
     stall = 0
+    idle = 0                       # consecutive draws that added nothing
     note = cfg.progress or (lambda s: None)
-    while len(relations) < cfg.max_relations:
-        for _ in range(cfg.batch):
-            saved = rr_cfg.sigma_override
-            if saved is None and sigma_boost > 1.0:
-                rr_cfg.sigma_override = sigma_boost * 3 * max(
+    while len(relations) < MAX_RELATIONS:
+        for _ in range(BATCH):
+            if idle >= IDLE_DRAW_CAP:
+                raise CapExceeded(f"no new relation in {idle} draws")
+            idle += 1
+            sigma = None
+            if sigma_boost > 1.0:
+                sigma = sigma_boost * 3 * max(
                     1.0, math.sqrt(math.log(r1 + len(fb_work))))
             try:
-                out = random_relation(field, fb_work, rng, rr_cfg, rho0)
-            except samplers.CapExceeded as exc:
+                out = random_relation(field, fb_work, rng, rr_cfg, rho0,
+                                      sigma)
+            except CapExceeded as exc:
                 note(f"relation skipped: {exc}")
-                rr_cfg.sigma_override = saved
                 continue
-            rr_cfg.sigma_override = saved
             key = (tuple(out.relation.total_valuations),
                    out.relation.alpha.coords)
             if key in seen:
                 continue
             seen.add(key)
+            idle = 0
             relations.append(out.relation)
             note(f"relation {len(relations)} "
                  f"(attempts {out.relation.attempts})")

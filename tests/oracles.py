@@ -80,6 +80,12 @@ def real_quadratic_regulator(d: int) -> float:
     return math.log(x + y * math.sqrt(d))
 
 
+def exact_rho(field, h: int, regulator: float, roots_of_unity: int) -> float:
+    """Class-number-formula value of the Dedekind residue."""
+    return (2 ** field.n_real * (2 * math.pi) ** field.n_cplx * regulator * h
+            / (roots_of_unity * math.sqrt(abs(field.disc_field))))
+
+
 def legendre(a: int, p: int) -> int:
     a %= p
     if a == 0:
@@ -369,7 +375,7 @@ def approx_rho_float_reference(field, x: int, mu_count: int):
     eta0 = rho0 * mu_count * math.sqrt(abs(field.disc_field)) / (
         2 ** field.n_real * (2 * math.pi) ** field.n_cplx)
     return RhoBracket(rho0, eta0, rho0 * math.exp(-err), rho0 * math.exp(err),
-                      "provable", {"bach_error_log": err, "x": x})
+                      {"bach_error_log": err, "x": x})
 
 
 def bach_product(field, x: int) -> Fraction:

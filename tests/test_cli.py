@@ -1,6 +1,8 @@
+import itertools
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -159,6 +161,16 @@ class TestSampleCommand:
         _, out2, _ = run_cli(["sample", qi_file, "--mode", "prime",
                               "--count", "4", "--seed", "9"], capsys)
         assert out1 == out2
+
+    def test_output_does_not_depend_on_the_clock(self, qi_file, capsys,
+                                                 monkeypatch):
+        args = ["sample", qi_file, "--mode", "box", "--count", "2",
+                "--seed", "5", "--radius-constant", "2"]
+        want = run_cli(args, capsys)[:2]
+        assert want[0] == 0
+        clock = itertools.count(step=3600.0)     # an hour per reading
+        monkeypatch.setattr(time, "monotonic", lambda: next(clock))
+        assert run_cli(args, capsys)[:2] == want
 
 
 class TestConfigEcho:

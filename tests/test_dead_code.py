@@ -19,6 +19,12 @@ as an attribute (`obj.field`, not an assignment to it) or appears in a
 dotted-identifier string, anywhere in the same tree.  Reads are matched
 by name alone, like uses of definitions.
 
+Every field of a library dataclass with a plain default (not a
+`default_factory`) is set somewhere in the same tree: passed by keyword
+or by position in a call of its class's name, or assigned as an
+attribute (matched by name alone).  A default that nothing sets is a
+constant.
+
 Every name a library module imports is used in the scope that imports it
 (the module, or the function holding a local import), or, for a
 module-level import, imported from that module by another file.
@@ -165,36 +171,50 @@ def _defaulted(fn):
     return out
 
 
-def unset_defaults():
-    calls = {}                      # called name -> [ast.Call]
+def _searched_nodes():
+    """Every AST node of `src/`, `tests/` and `perfbench/`, this file aside."""
     for top in SEARCHED:
         for path in sorted(top.rglob("*.py")):
-            if path == THIS:
-                continue
-            for node in ast.walk(_parse(path)):
-                if isinstance(node, ast.Call):
-                    func = node.func
-                    name = (func.id if isinstance(func, ast.Name) else
-                            func.attr if isinstance(func, ast.Attribute)
-                            else None)
-                    calls.setdefault(name, []).append(node)
+            if path != THIS:
+                yield from ast.walk(_parse(path))
+
+
+def _calls():
+    """called name -> [ast.Call], over the searched tree."""
+    calls = {}
+    for node in _searched_nodes():
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name) else
+                    func.attr if isinstance(func, ast.Attribute) else None)
+            calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _passed(calls, positional):
+    """The names these calls pass by keyword, or by position with
+    `positional` the parameters in order; None when a call unpacks
+    `*args` or `**kwargs` and so may pass any of them."""
+    passed = set()
+    for call in calls:
+        if (any(isinstance(a, ast.Starred) for a in call.args)
+                or any(k.arg is None for k in call.keywords)):
+            return None
+        passed.update(positional[:len(call.args)])
+        passed.update(k.arg for k in call.keywords)
+    return passed
+
+
+def unset_defaults():
+    calls = _calls()
     unset = []
     for path in sorted(LIBRARY.glob("*.py")):
         for qualname, called, fn, bound in _callables(_parse(path)):
-            defaulted = _defaulted(fn)
-            if not defaulted:
-                continue
             params = [a.arg for a in fn.args.posonlyargs + fn.args.args]
-            passed = set()
-            for call in calls.get(called, []):
-                if (any(isinstance(a, ast.Starred) for a in call.args)
-                        or any(k.arg is None for k in call.keywords)):
-                    passed.update(defaulted)
-                    continue
-                passed.update(params[bound:bound + len(call.args)])
-                passed.update(k.arg for k in call.keywords)
-            unset += [f"{path.stem}.{qualname}({p})" for p in defaulted
-                      if p not in passed]
+            passed = _passed(calls.get(called, []), params[bound:])
+            if passed is not None:
+                unset += [f"{path.stem}.{qualname}({p})"
+                          for p in _defaulted(fn) if p not in passed]
     return unset
 
 
@@ -210,8 +230,8 @@ def test_default_allowlist_names_unset_parameters():
 ALLOWED_FIELDS = {}
 
 
-def _dataclass_fields(tree):
-    """(qualname, field) for the annotated fields of module-level classes
+def _dataclasses(tree):
+    """(class node, annotated field nodes) for module-level classes
     decorated with `dataclass` or `dataclass(...)`."""
     for node in tree.body:
         if not isinstance(node, ast.ClassDef):
@@ -221,10 +241,16 @@ def _dataclass_fields(tree):
         if not any(isinstance(d, ast.Name) and d.id == "dataclass"
                    for d in decorators):
             continue
-        for item in node.body:
-            if isinstance(item, ast.AnnAssign) and isinstance(item.target,
-                                                              ast.Name):
-                yield f"{node.name}.{item.target.id}", item.target.id
+        yield node, [item for item in node.body
+                     if isinstance(item, ast.AnnAssign)
+                     and isinstance(item.target, ast.Name)]
+
+
+def _dataclass_fields(tree):
+    """(qualname, field) for the annotated fields of library dataclasses."""
+    for cls, fields in _dataclasses(tree):
+        for item in fields:
+            yield f"{cls.name}.{item.target.id}", item.target.id
 
 
 def unread_fields():
@@ -256,6 +282,47 @@ def test_every_dataclass_field_is_read():
 
 def test_field_allowlist_names_unread_fields():
     assert sorted(set(ALLOWED_FIELDS) - set(unread_fields())) == []
+
+
+# "<module>.<class>.<field>": reason its plain default stays although
+# nothing sets the field
+ALLOWED_UNSET_FIELDS = {}
+
+
+def _plain_default(item):
+    """True when an annotated field has a default other than
+    `field(default_factory=...)`."""
+    value = item.value
+    if value is None:
+        return False
+    return not (isinstance(value, ast.Call)
+                and any(k.arg == "default_factory" for k in value.keywords))
+
+
+def unset_fields():
+    calls = _calls()
+    assigned = {node.attr for node in _searched_nodes()
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)}
+    unset = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        for cls, fields in _dataclasses(_parse(path)):
+            names = [item.target.id for item in fields]
+            passed = _passed(calls.get(cls.name, []), names)
+            if passed is not None:
+                unset += [f"{path.stem}.{cls.name}.{name}"
+                          for item, name in zip(fields, names)
+                          if _plain_default(item)
+                          and name not in passed | assigned]
+    return unset
+
+
+def test_every_defaulted_field_is_set():
+    assert sorted(set(unset_fields()) - set(ALLOWED_UNSET_FIELDS)) == []
+
+
+def test_unset_field_allowlist_names_unset_fields():
+    assert sorted(set(ALLOWED_UNSET_FIELDS) - set(unset_fields())) == []
 
 
 def _imported_names(tree):

@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 import pytest
 
 from latnf.det_verify import (approx_rho, decide_equal_lattice,
-                              epsilon_threshold, exact_rho, gram_det_interval,
+                              epsilon_threshold, gram_det_interval,
                               grenie_molteni_bound, inv_norm_bound,
                               mertens_bracket, mertens_product, modulus_ratio,
                               rho_ratio_bracket)
@@ -13,9 +13,7 @@ from latnf.ideal_arith import kummer_dedekind, primes_up_to
 from latnf.nf_core import new_field
 from latnf.qlinalg import mat_det, mat_inv
 
-from oracles import bach_product
-
-PELL_REG = math.log(1 + math.sqrt(2))
+from oracles import bach_product, exact_rho
 
 
 @pytest.fixture(scope="module")
@@ -26,11 +24,6 @@ def qi():
 @pytest.fixture(scope="module")
 def qs5():
     return new_field([5, 0, 1])
-
-
-@pytest.fixture(scope="module")
-def qr2():
-    return new_field([-2, 0, 1])
 
 
 class TestInvNormBound:
@@ -148,38 +141,13 @@ class TestDecideEqual:
 
 
 class TestApproxRho:
-    def test_desk_qi(self, qi):
-        rb = approx_rho(qi, mode="desk", h=1, regulator=1.0, roots_of_unity=4)
-        assert abs(rb.rho0 - math.pi / 4) < 1e-12
-        assert rb.lo <= math.pi / 4 <= rb.hi
-        assert rb.detail["labeled"].startswith("exact classical")
-
-    def test_desk_qs5(self, qs5):
-        rb = approx_rho(qs5, mode="desk", h=2, regulator=1.0,
-                        roots_of_unity=2)
-        assert abs(rb.rho0 - 2 * math.pi / math.sqrt(20)) < 1e-12
-
-    def test_desk_qr2(self, qr2):
-        rb = approx_rho(qr2, mode="desk", h=1, regulator=PELL_REG,
-                        roots_of_unity=2)
-        assert abs(rb.rho0 - 4 * PELL_REG / (2 * math.sqrt(8))) < 1e-12
-        assert abs(rb.eta0 - PELL_REG) < 1e-12
-
     def test_provable_too_small(self, qi):
         with pytest.raises(ValueError, match="truncation too small"):
-            approx_rho(qi, truncation=100, mode="provable", roots_of_unity=4)
+            approx_rho(qi, truncation=100, roots_of_unity=4)
 
     def test_bach_product_converges(self, qi):
         ax = bach_product(qi, 2000)
         assert abs(float(ax) - math.pi / 4) < 0.05
-
-    def test_brackets_contain_exact_rho(self, qi, qs5, qr2):
-        cases = [(qi, 1, 1.0, 4), (qs5, 2, 1.0, 2), (qr2, 1, PELL_REG, 2)]
-        for field, h, reg, w in cases:
-            rb = approx_rho(field, mode="desk", h=h, regulator=reg,
-                            roots_of_unity=w)
-            truth = exact_rho(field, h, reg, w)
-            assert rb.lo <= truth <= rb.hi
 
 
 class TestModulusRatio:

@@ -32,7 +32,7 @@ def quad_case(request):
 
 
 def _bracket(field, x, mu):
-    return approx_rho(field, truncation=x, mode="provable", roots_of_unity=mu)
+    return approx_rho(field, truncation=x, roots_of_unity=mu)
 
 
 class TestBitIdentical:

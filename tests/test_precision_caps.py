@@ -8,11 +8,12 @@ ball too wide to decide anything, so the loop runs its full cap cheaply
 """
 
 import json
+import random
 from fractions import Fraction as Q
 
 import pytest
 
-from latnf import approx_reduction, divisor_log, nf_core
+from latnf import approx_reduction, divisor_log, nf_core, samplers
 from latnf.approx_reduction import (DuallyReducedTag, IdealBasisResult,
                                     approx_bkz_ideal, dual_exp_reduce)
 from latnf.cli import EXIT_CAP, main
@@ -97,6 +98,21 @@ def test_approx_bkz_ideal(monkeypatch):
     with pytest.raises(CapExceeded, match="approximate BKZ"):
         approx_bkz_ideal(x, a, 2)
     assert cols.calls == PRECISION_DOUBLINGS
+
+
+def test_sample_in_box(monkeypatch):
+    field = new_field([5, 0, 1])
+    a = HnfIdeal.ring_of_integers(field)
+    x = [Q(1)] * field.n
+    red = IdealBasisResult(a.basis_elements(), x, DuallyReducedTag(3), 128)
+    monkeypatch.setattr(samplers, "approx_bkz_ideal", lambda x, a, b: red)
+    cols = _wide_columns(field.n)
+    monkeypatch.setattr(samplers, "minkowski_columns_x", cols)
+    with pytest.raises(CapExceeded, match="box sampler"):
+        samplers.sample_in_box(field, None, [], a, field.zero(), field.one(),
+                               2, x, 1, random.Random(1))
+    # one call for the basis-length check, then one per precision round
+    assert cols.calls == 1 + PRECISION_DOUBLINGS
 
 
 def test_cli_reports_cap_exceeded(monkeypatch, tmp_path, capsys):

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -107,6 +109,20 @@ class TestOneRelation:
             if v:
                 recon = hnf_mul(recon, p.power(v))
         assert recon == HnfIdeal.principal(qi, rel.alpha)
+
+    def test_output_does_not_depend_on_the_clock(self, qi, monkeypatch):
+        fb = FactorBase(primes_up_to(qi, 40))
+
+        def relation():
+            rel = compute_one_relation(qi, HnfIdeal.ring_of_integers(qi), fb,
+                                       [1, 1], random.Random(7), FAST_CFG,
+                                       0.7854)
+            return rel.alpha.coords, rel.valuations, rel.attempts
+
+        want = relation()
+        clock = itertools.count(step=3600.0)     # an hour per reading
+        monkeypatch.setattr(time, "monotonic", lambda: next(clock))
+        assert relation() == want
 
     def test_nontrivial_input_ideal(self, qs5):
         fb = FactorBase(primes_up_to(qs5, 40))

@@ -4,11 +4,14 @@ from fractions import Fraction as Q
 
 import pytest
 
+from latnf import sunit_pipeline
 from latnf.ideal_arith import HnfIdeal, hnf_mul, kummer_dedekind, primes_up_to
-from latnf.nf_core import new_field
-from latnf.relations import FactorBase, RelationConfig, SUnitRelation
+from latnf.nf_core import CapExceeded, new_field
+from latnf.relations import (FactorBase, RandomRelationOutput, RelationConfig,
+                             SUnitRelation)
 from latnf.samplers import SamplerConfig
-from latnf.sunit_pipeline import (CompactElement, class_group_from_basis,
+from latnf.sunit_pipeline import (IDLE_DRAW_CAP, CompactElement,
+                                  class_group_from_basis, compute_sunits,
                                   euclid_correction_sq, postprocess,
                                   postprocess_full_bkp, provable_d_value,
                                   roots_of_unity_count, verify_full,
@@ -58,12 +61,6 @@ class TestProvableD:
         for field, truth in cases:
             d, info = provable_d_value(field, cfg)
             assert 0.74 < d / truth < 1.26
-
-    def test_desk_mode(self, qi):
-        cfg = PipelineConfig(rho_mode="desk", classical_h=1, classical_r=1.0)
-        d, info = provable_d_value(qi, cfg)
-        assert abs(d - 1.0) < 1e-9
-        assert info["mode"] == "desk"
 
 
 class TestPostprocess:
@@ -220,3 +217,34 @@ class TestCompactElement:
         cu = CompactElement([a], [10 ** 6])
         with pytest.raises(ValueError):
             cu.expand()
+
+
+class TestIdleDrawCap:
+    """Draws that add no relation (capped or duplicate) end the collection
+    with `CapExceeded` after `IDLE_DRAW_CAP` in a row.  Each stub fails the
+    test on a draw past the cap instead of letting the loop spin."""
+
+    def _run(self, field, monkeypatch, draw):
+        calls = []
+
+        def stub(*args):
+            calls.append(args)
+            assert len(calls) <= 1 + IDLE_DRAW_CAP, "drawn past the idle cap"
+            return draw()
+
+        monkeypatch.setattr(sunit_pipeline, "random_relation", stub)
+        with pytest.raises(CapExceeded, match="no new relation"):
+            compute_sunits(field, FactorBase(primes_up_to(field, 13)),
+                           random.Random(1))
+        return len(calls)
+
+    def test_capped_draws(self, qi, monkeypatch):
+        def draw():
+            raise CapExceeded("stub: attempt cap")
+        assert self._run(qi, monkeypatch, draw) == IDLE_DRAW_CAP
+
+    def test_duplicate_draws(self, qi, monkeypatch):
+        fb = FactorBase(primes_up_to(qi, 13))
+        out = RandomRelationOutput([], _rel(qi, [1, 1], fb), 1.0, 1.0)
+        # the first draw is kept, every later one is a duplicate
+        assert self._run(qi, monkeypatch, lambda: out) == 1 + IDLE_DRAW_CAP
