@@ -6,8 +6,9 @@ contains the true value.  All arithmetic here is exact (Python ints and
 Fractions); transcendental functions return balls whose radius accounts
 for both truncation and rounding.  The hot kernels of the embedding path
 (`nf_core` root balls, Horner evaluation and the |z|^2k test,
-`approx_reduction.minkowski_columns_x`) compute the same balls on integer
-mantissas over one denominator and return them as RealBall/ComplexBall.
+`approx_reduction.minkowski_columns_x`) and the certified logarithm
+`log_ball` compute the same balls on integer mantissas over one
+denominator and return them as RealBall/ComplexBall.
 """
 
 from __future__ import annotations
@@ -19,6 +20,10 @@ from math import isqrt
 Q = Fraction
 
 _LN2_CACHE: dict[int, Fraction] = {}
+# log_ball's series works at 2^-(prec + _LOG_WORK_BITS), and its z^2
+# steps at 2^-(work + _LOG_GUARD)
+_LOG_WORK_BITS = 24
+_LOG_GUARD = 64
 
 
 def round_half_up(x: Fraction) -> int:
@@ -46,14 +51,22 @@ def sqrt_bracket(x: Fraction, prec: int) -> tuple[Fraction, Fraction]:
 
 
 def ln2(prec: int) -> Fraction:
-    """Dyadic approximation of log 2 with error < 2^-prec."""
+    """Dyadic approximation of log 2 with error < 2^-prec.
+
+    The series below loses less than (5K + 4)·2^-work over its K steps
+    (the bound `log_ball` derives, at z = 1/3, with K <= work/3 + 1), and
+    the rounding to 2^-prec at most 2^15·2^-work, so the error stays
+    below 2^16·2^-work = 2^-prec while 5K + 4 <= 2^15: for prec up to
+    about 19,600 bits.  Beyond that, ValueError.
+    """
     key = prec
     if key in _LN2_CACHE:
         return _LN2_CACHE[key]
     # log 2 = 2 atanh(1/3) = 2 sum z^(2k+1)/(2k+1), z = 1/3
     work = prec + 16
+    if 5 * (work // 3 + 1) + 4 > 1 << 15:
+        raise ValueError(f"ln2: {prec} bits exceed the series' guard bits")
     scale = 1 << work
-    z_num, z_den = 1, 3
     term = scale // 3          # z * scale, floor
     total = 0
     k = 0
@@ -68,32 +81,73 @@ def ln2(prec: int) -> Fraction:
 
 
 def log_ball(x: Fraction, prec: int) -> "RealBall":
-    """Ball containing log(x) for rational x > 0, radius <= 2^-prec."""
+    """Ball containing log(x) for rational x > 0, radius 2^-prec.
+
+    Write x = 2^e·m with m = a/b in [1, 2) and z = (m - 1)/(m + 1) = p/q
+    in [0, 1/3), p = a - b and q = a + b (unreduced: no floor below
+    depends on how the ratio is reduced).  Then log x = e·log 2 +
+    2·atanh z, and with W = work = prec + 24 the series runs on integers
+    at 2^-W: t_0 = floor(z·2^W), t_{k+1} = floor(t_k·z^2), and
+    S = sum_{k<K} floor(t_k/(2k+1)), stopping at the first t_K = 0.
+
+    Error bound, with T_k = z^(2k+1)·2^W (every loss one-sided):
+    - 0 <= T_k - t_k < 1 + z^2 + z^4 + ... <= 9/8 (each floor loses < 1,
+      and earlier losses shrink by z^2 <= 1/9 per step);
+    - each term then loses < 9/8 + 1 = 17/8 to T_k/(2k+1);
+    - the tail sum_{k>=K} T_k/(2k+1) is < (9/8)·(9/8) < 2, as T_K < 9/8;
+    so 2S·2^-W is below log m by less than (17K/4 + 4)·2^-W <=
+    (5K + 4)·2^-W.  ln2(W) is within 2^-W of log 2, which adds
+    |e|·2^-W, and rounding the midpoint to 2^-(prec+8) adds at most
+    2^-(prec+9) = 2^15·2^-W.  The radius 2^-prec = 2^24·2^-W therefore
+    holds whenever 5K + 4 + |e| <= 2^24 - 2^15.  Each step divides the
+    term by at least 9 and t_0 < 2^W/3, so K <= W/3 + 1; the check below
+    uses that cap, before the series runs, and only prec or |e| in the
+    millions of bits fail it (ln2 stops prec near 19,600 bits first).
+    Outside that range, ValueError.
+
+    The step t_k·z^2 runs on zf = floor(p^2·2^g/q^2), g = W +
+    _LOG_GUARD: t_k·z^2·2^g lies in [t_k·zf, t_k·zf + t_k), so when the
+    two ends shifted down by g agree they give the floor exactly, and
+    otherwise the step takes the exact t_k·p^2 // q^2.
+    """
     if x <= 0:
         raise ValueError("log of non-positive rational")
-    work = prec + 24
-    # write x = 2^e * m with m in [1, 2)
-    e = x.numerator.bit_length() - x.denominator.bit_length()
-    m = x / (Q(2) ** e)
-    if m < 1:
-        m *= 2
+    work = prec + _LOG_WORK_BITS
+    a, b = x.numerator, x.denominator
+    e = a.bit_length() - b.bit_length()
+    if e >= 0:
+        b <<= e
+    else:
+        a <<= -e
+    if a < b:
+        a <<= 1
         e -= 1
-    # atanh series on z = (m-1)/(m+1) in [0, 1/3)
-    z = (m - 1) / (m + 1)
-    scale = 1 << work
-    z_scaled = (z.numerator * scale) // z.denominator
-    z2_num, z2_den = (z * z).numerator, (z * z).denominator
+    k_cap = work // 3 + 1
+    if 5 * k_cap + 4 + abs(e) > (1 << _LOG_WORK_BITS) - (1 << 15):
+        raise ValueError(f"log_ball: the error bound at {prec} bits and "
+                         f"exponent {e} exceeds the guard bits")
+    l2 = ln2(work)             # a dyadic at 2^-work or coarser
+    p, q = a - b, a + b
+    p2, q2 = p * p, q * q
+    g = work + _LOG_GUARD
+    zf = (p2 << g) // q2
+    term = (p << work) // q
     total = 0
-    term = z_scaled
     k = 0
     while term:
         total += term // (2 * k + 1)
-        term = (term * z2_num) // z2_den
+        t = term * zf
+        nxt = t >> g
+        if nxt != (t + term - 1) >> g:
+            nxt = term * p2 // q2
+        term = nxt
         k += 1
-    lnm = Q(2 * total, scale)
-    val = lnm + e * ln2(work)
-    # truncation + floor errors are comfortably below 2^-(prec+4)
-    return RealBall(dyadic_round(val, prec + 8), Q(1, 1 << prec))
+    l2_work = l2.numerator << (work + 1 - l2.denominator.bit_length())
+    val = 2 * total + e * l2_work
+    # round half up from 2^-work to 2^-(prec+8)
+    shift = _LOG_WORK_BITS - 8
+    mid = (val + (1 << (shift - 1))) >> shift
+    return RealBall(Q(mid, 1 << (prec + 8)), Q(1, 1 << prec))
 
 
 def exp_ball(t: Fraction, prec: int) -> "RealBall":

@@ -36,15 +36,21 @@ def is_prime(n: int) -> bool:
 
 
 def prime_sieve(bound: int) -> np.ndarray:
-    """The primes p < bound as an int64 array (sieve of Eratosthenes)."""
+    """The primes p < bound as an int64 array (sieve of Eratosthenes over
+    the odd numbers: slot i stands for 2i + 1, and slot 0 for 2)."""
     if bound <= 2:
         return np.zeros(0, dtype=np.int64)
-    sieve = np.ones(bound, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, isqrt(bound - 1) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = False
-    return np.flatnonzero(sieve).astype(np.int64, copy=False)
+    sieve = np.ones(bound // 2, dtype=bool)
+    for i in range(1, (isqrt(bound - 1) - 1) // 2 + 1):
+        if sieve[i]:
+            p = 2 * i + 1
+            sieve[p * p // 2::p] = False
+    # scaled in place: a concatenated or masked copy raises peak memory
+    primes = np.flatnonzero(sieve).astype(np.int64, copy=False)
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    return primes
 
 
 def primes_below(bound: int) -> list[int]:

@@ -24,7 +24,10 @@ methods that never touch the library's own code paths.
   membership by multiplying in the power basis and a row HNF,
   valuations by searching for the largest k with a inside p^k, and root
   balls by Newton's method on rational midpoints.  They read only the
-  field's polynomial and basis, and a prime's HNF and residue degree.
+  field's polynomial and basis, and a prime's HNF and residue degree;
+- the certified logarithm as an atanh series on `Fraction` ratios, and
+  the prime sieve over every integer, as the library computed them
+  before their integer-mantissa and odd-only kernels.
 """
 
 from __future__ import annotations
@@ -131,6 +134,20 @@ def primes_below_reference(bound: int) -> list[int]:
         if sieve[p]:
             sieve[p * p::p] = bytearray(len(sieve[p * p::p]))
     return [i for i in range(bound) if sieve[i]]
+
+
+def prime_sieve_reference(bound: int):
+    """The primes p < bound as an int64 array, sieving every integer (the
+    library's numpy sieve before it sieved odd numbers only)."""
+    import numpy as np
+    if bound <= 2:
+        return np.zeros(0, dtype=np.int64)
+    sieve = np.ones(bound, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(bound - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    return np.flatnonzero(sieve).astype(np.int64, copy=False)
 
 
 def quadratic_ideal_counts(disc_field: int, up_to: int) -> list[int]:
@@ -622,3 +639,38 @@ def minkowski_columns_reference(field, elements, x, prec: int):
             col.append(RealBall(v.im, v.rad) * s2 * Fraction(x[j]))
         cols.append(col)
     return cols
+
+
+def ln2_reference(prec: int) -> Fraction:
+    """log 2 = 2 atanh(1/3) by a floored series at 2^-(prec+16), rounded
+    half up to 2^-prec."""
+    work = prec + 16
+    term, total, k = (1 << work) // 3, 0, 0
+    while term:
+        total += term // (2 * k + 1)
+        term //= 9
+        k += 1
+    return _round_dyadic(Fraction(2 * total, 1 << work), prec)
+
+
+def log_ball_reference(x: Fraction, prec: int) -> tuple[Fraction, Fraction]:
+    """(mid, rad) of log x for rational x > 0: x = 2^e m with m in
+    [1, 2), the atanh series on the reduced z = (m-1)/(m+1) and z^2 at
+    2^-(prec+24) with a floor after every product, plus e·log 2, the
+    midpoint rounded half up to 2^-(prec+8) and the radius 2^-prec."""
+    work = prec + 24
+    e = x.numerator.bit_length() - x.denominator.bit_length()
+    m = x / Fraction(2) ** e
+    if m < 1:
+        m *= 2
+        e -= 1
+    z = (m - 1) / (m + 1)
+    z2 = z * z
+    term = (z.numerator << work) // z.denominator
+    total, k = 0, 0
+    while term:
+        total += term // (2 * k + 1)
+        term = term * z2.numerator // z2.denominator
+        k += 1
+    val = Fraction(2 * total, 1 << work) + e * ln2_reference(work)
+    return _round_dyadic(val, prec + 8), Fraction(1, 1 << prec)

@@ -6,6 +6,7 @@ guard and the sieve."""
 import math
 from fractions import Fraction as Q
 
+import numpy as np
 import pytest
 
 from latnf import det_verify, intmath
@@ -16,7 +17,8 @@ from latnf.sunit_pipeline import (PipelineConfig, _bach_truncation,
                                   provable_d_value, roots_of_unity_count)
 
 from oracles import (approx_rho_float_reference, bach_product,
-                     euler_log_product_reference, primes_below_reference)
+                     euler_log_product_reference, prime_sieve_reference,
+                     primes_below_reference)
 
 # Q(i), Q(sqrt-5), Q(sqrt2), Q(sqrt-163), x^2-x-1, x^2-x+1
 QUADRATICS = [[1, 0, 1], [5, 0, 1], [-2, 0, 1], [41, -1, 1], [-1, -1, 1],
@@ -116,6 +118,12 @@ class TestGuards:
 
 
 class TestSieve:
+    def test_odd_sieve_matches_full_sieve(self):
+        for bound in [*range(501), 2_048_000, 2_048_001, 4_096_000]:
+            got = intmath.prime_sieve(bound)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, prime_sieve_reference(bound))
+
     def test_matches_bytearray_sieve(self):
         for bound in range(3001):
             assert intmath.primes_below(bound) == primes_below_reference(bound)

@@ -12,18 +12,28 @@ The digests hash the exact (mid, rad) of `dyadic.log_ball` and
   `perfbench`'s `reverify` verifies;
 - log N(p) at 64 bits over the primes of norm <= 60 of both fields.
 
-They were recorded from the `Fraction` atanh series, so they pin any
-other kernel to the same balls.
+They were recorded from the `Fraction` atanh series (now
+`oracles.log_ball_reference`), so they pin the integer kernel to the
+same balls.
+
+Property tests below compare the kernel with that reference on rationals
+up to 4,000 bits, also with no guard bits (so that most series steps take
+the exact fallback), check its balls against mpmath at four times the
+precision, and check that inputs beyond its error budget raise.
 """
 
 import functools
 import hashlib
+import random
 from fractions import Fraction as Q
 
+import oracles
 import pytest
 import test_linalg_pinned
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from latnf import sunit_pipeline
+from latnf import dyadic, sunit_pipeline
 from latnf.dyadic import ball_log, log_ball
 from latnf.ideal_arith import primes_up_to
 
@@ -119,3 +129,68 @@ def test_unit_block_precision():
     # block; Q(sqrt2) reaches it at the precision the pins above cover
     assert _unit_block_precision("sqrt-5") is None
     assert _unit_block_precision("sqrt2") == 593
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel against the Fraction series
+
+
+@st.composite
+def log_inputs(draw):
+    """Positive rationals up to 4,000 bits, with x = 1, powers of two,
+    mantissas just below 2 and x < 1 drawn on purpose."""
+    kind = draw(st.sampled_from(["random", "one", "power", "below2", "small"]))
+    if kind == "one":
+        return Q(1)
+    k = draw(st.integers(-4000, 4000))
+    if kind == "power":
+        return Q(2) ** k
+    if kind == "below2":
+        n = draw(st.integers(1, 2000))
+        return Q((1 << (n + 1)) - draw(st.integers(1, 3)), 1 << n) * Q(2) ** k
+    num = draw(st.integers(1, 2 ** draw(st.integers(1, 4000))))
+    den = draw(st.integers(1, 2 ** draw(st.integers(1, 4000))))
+    if kind == "small" and num > den:
+        num, den = den, num
+    return Q(num, den)
+
+
+@settings(max_examples=250, deadline=None)
+@given(log_inputs(), st.integers(1, 2048))
+def test_kernel_matches_fraction_series(x, prec):
+    ball = log_ball(x, prec)
+    assert (ball.mid, ball.rad) == oracles.log_ball_reference(x, prec)
+
+
+def test_exact_fallback_matches_fraction_series(monkeypatch):
+    # with no guard bits every step with a term above 1 falls back to the
+    # exact product and division
+    monkeypatch.setattr(dyadic, "_LOG_GUARD", 0)
+    rng = random.Random("log-fallback")
+    for _ in range(60):
+        x = Q(rng.getrandbits(rng.randrange(1, 3000)) + 1,
+              rng.getrandbits(rng.randrange(1, 3000)) + 1)
+        prec = rng.randrange(1, 1024)
+        ball = log_ball(x, prec)
+        assert (ball.mid, ball.rad) == oracles.log_ball_reference(x, prec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(log_inputs(), st.integers(1, 2048))
+def test_ball_contains_mpmath_log(x, prec):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(4 * prec + 64):
+        ref = mpmath.log(mpmath.mpf(x.numerator) / x.denominator)
+    ref = Q(*(int(v) for v in mpmath.libmp.to_rational(ref._mpf_)))
+    ball = log_ball(x, prec)
+    # the reference is within 2^-(3 prec) of log x
+    assert abs(ref - ball.mid) + Q(1, 1 << (3 * prec)) <= ball.rad
+
+
+def test_beyond_the_error_budget_raises():
+    with pytest.raises(ValueError, match="guard bits"):
+        log_ball(Q(3), 20_000)
+    with pytest.raises(ValueError, match="guard bits"):
+        log_ball(Q(1 << (1 << 24)), 64)
+    with pytest.raises(ValueError, match="non-positive"):
+        log_ball(Q(0), 64)
