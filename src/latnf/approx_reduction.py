@@ -4,58 +4,124 @@ dual-exponential reduction of ideal-lattice bases, and the end-to-end
 approximate BKZ with closeness guarantees.
 
 Matrix rows are the generating vectors here (matching the underlying LLL
-on [I | A-hat]); everything is exact rational, approximation errors enter
-only as certified bounds.
+on [I | A-hat]).  The BKP passes run on one integer matrix over a positive
+common denominator.  Their constants C, T and lambda are powers of
+unreduced integer pairs and are never formed as rationals: each decision
+that reads them is taken on the top 64 bits of every factor and, only
+when that bracket cannot decide, on the exact products, so every
+decision is the exact rational one.  Approximation errors enter only as
+certified bounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm, prod
 
 from . import bkz, lattice_core
-from .dyadic import Q, RealBall, round_half_up, sqrt_bracket
+from .dyadic import Q, RealBall, sqrt_bracket
 from .ideal_arith import HnfIdeal
 from .nf_core import PRECISION_DOUBLINGS, CapExceeded, NumberField
-from .qlinalg import dot, mat_inv, transpose
+from .qlinalg import (dot, integral_cols, inverse_scaled, mat_inv, mat_mul,
+                      transpose)
 
 
-def rowmax_norm_sq(rows) -> Fraction:
+def rowmax_norm_sq(rows):
     """max_j ||row_j||^2 exactly."""
-    return max(dot([Q(x) for x in r], [Q(x) for x in r]) for r in rows)
+    return max(dot(r, r) for r in rows)
 
 
-def floor_log2(x: Fraction) -> int:
-    if x <= 0:
-        raise ValueError("floor_log2 of non-positive")
-    n, d = x.numerator, x.denominator
+# A side (shift, [(base, exp), ...]) stands for 2^shift prod base^exp,
+# with integer bases >= 0 and some exp >= 1.  BKP compares such products
+# of big unreduced integers without forming the powers unless the top
+# bits of the bases cannot decide.
+
+
+def _bracket(side):
+    """(lo, hi, s) with lo 2^s <= the value of side < hi 2^s, from the top
+    64 bits t of every base: t 2^s <= base < (t + 1) 2^s."""
+    shift, factors = side
+    lo = hi = 1
+    for base, e in factors:
+        s = max(0, base.bit_length() - 64)
+        t = base >> s
+        lo *= t ** e
+        hi *= (t + 1) ** e
+        shift += s * e
+    return lo, hi, shift
+
+
+def _exact(side):
+    shift, factors = side
+    return prod(base ** e for base, e in factors), shift
+
+
+def _cmp_scaled(a: int, s: int, b: int, u: int) -> int:
+    """Sign of a 2^s - b 2^u, for a, b >= 0."""
+    if not a or not b:
+        return (a > 0) - (b > 0)
+    la, lb = a.bit_length() + s, b.bit_length() + u
+    if la != lb:
+        return 1 if la > lb else -1
+    if s >= u:
+        a <<= s - u
+    else:
+        b <<= u - s
+    return (a > b) - (a < b)
+
+
+def _compare(lhs, rhs) -> int:
+    """Sign of lhs - rhs for two sides: from their brackets when those do
+    not overlap, else from the exact products."""
+    llo, lhi, ls = _bracket(lhs)
+    rlo, rhi, rs = _bracket(rhs)
+    if _cmp_scaled(lhi, ls, rlo, rs) <= 0:
+        return -1
+    if _cmp_scaled(rhi, rs, llo, ls) <= 0:
+        return 1
+    return _cmp_scaled(*_exact(lhs), *_exact(rhs))
+
+
+def _ilog2(n: int, d: int) -> int:
+    """floor(log2(n / d)) for integers n, d > 0."""
     e = n.bit_length() - d.bit_length()
-    if (n << max(0, -e)) >> max(0, e) >= d if e >= 0 else False:
-        pass
-    # adjust: want largest e with 2^e <= n/d
-    while Q(2) ** e > x:
-        e -= 1
-    while Q(2) ** (e + 1) <= x:
-        e += 1
-    return e
+    return e if _cmp_scaled(n, 0, d, e) >= 0 else e - 1
+
+
+def _floor_log2(num, den) -> int:
+    """floor(log2(num / den)) for two sides of positive value: from their
+    brackets when those fix it, else exactly."""
+    nlo, nhi, ns = _bracket(num)
+    dlo, dhi, ds = _bracket(den)
+    # nlo/dhi 2^(ns-ds) < num/den < nhi/dlo 2^(ns-ds)
+    q = _ilog2(nlo, dhi)
+    if _cmp_scaled(nhi, 0, dlo, q + 1) <= 0:
+        return q + ns - ds
+    (n, s), (d, u) = _exact(num), _exact(den)
+    return _ilog2(n, d) + s - u
+
+
+def _require_below(err, bound, what: str):
+    """ValueError unless err < bound, for err = (en, ed) an integer pair
+    and bound = (num, den) a pair of sides.  The message gives the bound's
+    binade, not its value."""
+    (en, ed), ((sn, fn), (sd, fd)) = err, bound
+    if _compare((sd, [(en, 1)] + fd), (sn, [(ed, 1)] + fn)) < 0:
+        return
+    e = _floor_log2(*bound)
+    raise ValueError(f"approximation error too large for {what} (need err "
+                     f"< a bound in [2^{e}, 2^{e + 1}))")
 
 
 @dataclass
 class ApproxGenerators:
-    rows: list            # k rows, each length n1 + n2, Fractions (dyadic)
+    rows: list            # k rows, each length n1 + n2, rationals times den
     err: Fraction         # certified bound on ||A~ - A||_{2,inf}
     mu: Fraction          # certified lower bound on lambda_1(Lambda)
     r0: int               # rank upper bound
     n1: int = 0           # leading integer coordinates
-
-    @property
-    def k(self):
-        return len(self.rows)
-
-    @property
-    def width(self):
-        return len(self.rows[0])
+    den: int = 1          # A~ = rows / den, den > 0
 
 
 @dataclass
@@ -63,21 +129,38 @@ class BkpResult:
     rank: int
     m_rows: list          # integer matrix M (rank x k): M A is a basis
     basis_rows: list      # B~ = M A~ (rational rows)
-    c_constant: Fraction  # the C (or C0) used
 
 
-def _norm_upper(gens: ApproxGenerators) -> Fraction:
-    """Rational upper bound on ||A||_{2,inf} from the approximation."""
-    m2 = rowmax_norm_sq(gens.rows)
-    _, up = sqrt_bracket(m2, 32)
-    return up + gens.err
+def _int_gens(gens: ApproxGenerators):
+    """(R, D, err, mu): A~ = R / D with R an integer matrix and D > 0,
+    err and mu as (numerator, denominator) pairs."""
+    err, mu = Q(gens.err), Q(gens.mu)
+    if not gens.rows:
+        raise ValueError("need k >= 1 and n2 >= 1")
+    if gens.r0 < 1 or mu <= 0 or err < 0:
+        raise ValueError("BKP needs r0 >= 1, mu > 0 and err >= 0")
+    rows, den = integral_cols(gens.rows)
+    return (rows, den * gens.den, (err.numerator, err.denominator),
+            (mu.numerator, mu.denominator))
 
 
-def bkp_once(gens: ApproxGenerators) -> BkpResult:
-    """Single Buchmann-Kessler-Pohst pass: basis + rank from approximate
-    generators.  Requires err < mu / (4C)."""
-    k = gens.k
-    n2 = gens.width - gens.n1
+def _norm_ratio(rows, den: int, err, mu, r0: int):
+    """(a, b) with a / b = r0 ||A||^ / mu, where ||A||^ = sqrt_bracket's
+    upper end at 32 bits of max ||R_j||^2 / D^2, plus err: the rational
+    upper bound on ||A||_{2,inf} that the BKP constants are powers of."""
+    m2 = rowmax_norm_sq(rows)
+    hi = isqrt((m2 << 64) // (den * den)) + 1 if m2 else 0   # 2^32 bracket
+    (en, ed), (mn, md) = err, mu
+    if not hi and not en:
+        raise ValueError("BKP needs a nonzero generator or error bound")
+    return r0 * (hi * ed + (en << 32)) * md, (ed << 32) * mn
+
+
+def _bkp_pass(rows, den: int, err, mu, r0: int, n1: int):
+    """Single Buchmann-Kessler-Pohst pass on A~ = rows / den: the integer
+    rows M with M A a basis.  Requires err < mu / (4C)."""
+    k = len(rows)
+    n2 = len(rows[0]) - n1 if k else 0
     if n2 < 1 or k < 1:
         raise ValueError("need k >= 1 and n2 >= 1")
     # the analysis needs 2^k >= k sqrt(n2)/2 + sqrt(k); verify with
@@ -86,65 +169,74 @@ def bkp_once(gens: ApproxGenerators) -> BkpResult:
     _, s_k = sqrt_bracket(Q(k), 32)
     if Q(2) ** k < Q(k) * s_n2 / 2 + s_k:
         raise ValueError("too few generators for the BKP analysis")
-    norm_a = _norm_upper(gens)
-    c_const = Q(2) ** (4 * k) * (Q(gens.r0) * norm_a / gens.mu) ** (gens.r0 + 1)
-    if not gens.err < gens.mu / (4 * c_const):
-        raise ValueError("approximation error too large for BKP "
-                         f"(need err < {float(gens.mu / (4 * c_const)):.3e})")
-    t_const = (Q(2) ** (3 * k) / gens.mu) * (Q(gens.r0) * norm_a / gens.mu) ** gens.r0
-    q = floor_log2(t_const)
-    lam = Q(2) ** k * (Q(gens.r0) * norm_a / gens.mu) ** gens.r0
-    # A-hat: entries (1/2) round(2^{q+1} a)
-    scale = Q(2) ** (q + 1)
-    ahat = [[Q(round_half_up(scale * Q(x)), 2) for x in row] for row in gens.rows]
-    # lattice of rows of [I | A-hat], doubled to be integral
-    vecs = []
-    for i in range(k):
-        ident = [2 * int(i == j) for j in range(k)]
-        vecs.append([Q(v) for v in ident] + [2 * x for x in ahat[i]])
+    xa, xb = _norm_ratio(rows, den, err, mu, r0)      # x = r0 ||A||^ / mu
+    mn, md = mu
+    # C = 2^(4k) x^(r0+1);  need err < mu / (4C)
+    _require_below(err, ((0, [(mn, 1), (xb, r0 + 1)]),
+                         (4 * k + 2, [(md, 1), (xa, r0 + 1)])), "BKP")
+    # q = floor(log2 T),  T = 2^(3k) x^r0 / mu
+    e = _floor_log2((3 * k, [(md, 1), (xa, r0)]),
+                    (0, [(mn, 1), (xb, r0)])) + 1
+    # the lattice of rows [2I | 2 A-hat], 2 A-hat = round(2^(q+1) A~)
+    if e >= 0:
+        ahat = [[((x << (e + 1)) + den) // (2 * den) for x in row]
+                for row in rows]
+    else:
+        d2 = den << -e
+        ahat = [[(2 * x + d2) // (2 * d2) for x in row] for row in rows]
+    vecs = [[2 * int(i == j) for j in range(k)] + ahat[i] for i in range(k)]
     red, _u = lattice_core.lll(vecs, Q(3, 4))
-    threshold_sq = 4 * Q(2) ** (k - 1) * lam * lam   # (2 * 2^{(k-1)/2} lam)^2
+    # lambda = 2^k x^r0;  a relation has tail^2 <= 4 2^(k-1) lambda^2
+    threshold = (3 * k + 1, [(xa, 2 * r0)])
     m_rows, rel_count = [], 0
     for w in red:
-        coef = [Q(x) / 2 for x in w[:k]]
-        tail = w[k:]
-        tail_sq = dot(tail, tail)
-        if tail_sq <= threshold_sq:
+        tail_sq = sum(v.numerator ** 2 for v in w[k:])
+        if _compare((0, [(tail_sq, 1), (xb, 2 * r0)]), threshold) <= 0:
             rel_count += 1
         else:
-            m_rows.append([int(c) for c in coef])
+            m_rows.append([v.numerator // 2 for v in w[:k]])
     r = k - rel_count
     if len(m_rows) != r:
         raise RuntimeError("BKP row classification inconsistent")
-    if r > gens.r0:
+    if r > r0:
         raise RuntimeError("BKP rank exceeds the supplied rank bound")
-    basis_rows = [[sum(Q(m[i]) * Q(gens.rows[i][j]) for i in range(k))
-                   for j in range(gens.width)] for m in m_rows]
-    return BkpResult(r, m_rows, basis_rows, c_const)
+    return m_rows
+
+
+def _over(rows, den: int):
+    return [[Q(x, den) for x in row] for row in rows]
+
+
+def bkp_once(gens: ApproxGenerators) -> BkpResult:
+    """Single Buchmann-Kessler-Pohst pass: basis + rank from approximate
+    generators.  Requires err < mu / (4C)."""
+    rows, den, err, mu = _int_gens(gens)
+    m_rows = _bkp_pass(rows, den, err, mu, gens.r0, gens.n1)
+    return BkpResult(len(m_rows), m_rows, _over(mat_mul(m_rows, rows), den))
 
 
 def bkp_twice(gens: ApproxGenerators) -> BkpResult:
     """Double BKP pass: rank plus a well-conditioned basis with
-    ||b_j|| <= (sqrt(r n2) + 2) 2^((r-1)/2) lambda_j."""
-    k = gens.k
-    norm_a = _norm_upper(gens)
-    c0 = Q(2) ** (8 * k) * (Q(gens.r0) * Q(4) ** k * norm_a / gens.mu) ** (2 * (gens.r0 + 1))
-    if not gens.err < gens.mu / (4 * c0):
-        raise ValueError("approximation error too large for double BKP "
-                         f"(need err < {float(gens.mu / (4 * c0)):.3e})")
-    first = bkp_once(gens)
-    r = first.rank
-    gens2 = ApproxGenerators(rows=first.basis_rows,
-                             err=first.c_constant * gens.err,
-                             mu=gens.mu, r0=r, n1=gens.n1)
-    second = bkp_once(gens2)
-    if second.rank != r:
+    ||b_j|| <= (sqrt(r n2) + 2) 2^((r-1)/2) lambda_j.
+
+    The second pass runs on M_1 R over the same denominator, with the
+    error bound C err of the first pass's constant C."""
+    rows, den, err, mu = _int_gens(gens)
+    k, r0 = len(rows), gens.r0
+    xa, xb = _norm_ratio(rows, den, err, mu, r0)
+    (mn, md), e0 = mu, 2 * (r0 + 1)
+    # C0 = 2^(8k) (4^k x)^(2(r0+1));  need err < mu / (4 C0)
+    _require_below(err, ((0, [(mn, 1), (xb, e0)]),
+                         (8 * k + 2 * k * e0 + 2, [(md, 1), (xa, e0)])),
+                   "double BKP")
+    first = _bkp_pass(rows, den, err, mu, r0, gens.n1)
+    r = len(first)
+    err2 = ((err[0] * xa ** (r0 + 1)) << (4 * k), err[1] * xb ** (r0 + 1))
+    second = _bkp_pass(mat_mul(first, rows), den, err2, mu, r, gens.n1)
+    if len(second) != r:
         raise RuntimeError("rank changed between BKP passes")
-    n_rows = [[sum(second.m_rows[i][t] * first.m_rows[t][j] for t in range(r))
-               for j in range(k)] for i in range(r)]
-    basis_rows = [[sum(Q(n_rows[i][t]) * Q(gens.rows[t][j]) for t in range(k))
-                   for j in range(gens.width)] for i in range(r)]
-    return BkpResult(r, n_rows, basis_rows, c0)
+    n_rows = mat_mul(second, first)
+    return BkpResult(r, n_rows, _over(mat_mul(n_rows, rows), den))
 
 
 # ---------------------------------------------------------------------------
@@ -268,21 +360,22 @@ def dual_exp_reduce(x, a: HnfIdeal) -> IdealBasisResult:
         err_entry = max(c.rad for col in cols for c in col)
         err_b = Q(n) * err_entry                       # ||.||_2 <= n * max entry
         try:
-            binv = mat_inv(transpose(mids))            # rows of B~^{-1}
+            # rows of B~^{-1} = dual vecs, times binv_den
+            binv, binv_den = inverse_scaled(transpose(mids))
         except ZeroDivisionError:
             prec *= 2
             continue
         # certified bound: ||B^{-1}|| <= ||B~^{-1}|| /(1 - ||B~^{-1}|| ||B-B~||)
-        binv_fro_sq = sum(v * v for row in binv for v in row)
+        binv_fro_sq = Q(sum(v * v for row in binv for v in row),
+                        binv_den * binv_den)
         _, binv_up = sqrt_bracket(binv_fro_sq, 64)
         if binv_up * err_b >= Q(1, 4):
             prec *= 2
             continue
         binv_true_up = binv_up / (1 - binv_up * err_b)
         err_dual = 2 * binv_true_up ** 2 * err_b
-        dual_rows = [list(r) for r in binv]            # rows of B~^{-1} = dual vecs
-        gens = ApproxGenerators(rows=dual_rows, err=err_dual,
-                                mu=mu_dual, r0=n, n1=0)
+        gens = ApproxGenerators(rows=binv, err=err_dual, mu=mu_dual, r0=n,
+                                n1=0, den=binv_den)
         try:
             res = bkp_twice(gens)
         except ValueError:

@@ -120,7 +120,7 @@ def decide_root_gt_int(int_poly, refine, c: int) -> str:
     sep = liouville_separation(int_poly)
     prec = 32
     target = sep / 4
-    while True:
+    for _ in range(PRECISION_DOUBLINGS):
         ball = refine(prec)
         if ball.definitely_gt(c):
             return GT
@@ -132,6 +132,8 @@ def decide_root_gt_int(int_poly, refine, c: int) -> str:
                 return GT if z > c else LE
             return GT if ball.mid > c else LE
         prec *= 2
+    raise CapExceeded("root comparison did not decide within the "
+                      "precision cap")
 
 
 def certify_roots(poly, prec: int) -> list[ComplexBall]:
@@ -492,12 +494,14 @@ class NumberField:
                 return True
         # certified subset-of-roots factor search
         prec = 64
-        while True:
+        for _ in range(PRECISION_DOUBLINGS):
             result = _subset_factor_test(self.poly_q,
                                          certify_roots(self.poly, prec))
             if result is not None:
                 return result
             prec *= 2
+        raise CapExceeded("irreducibility test did not decide within the "
+                          "precision cap")
 
     def _integral_mul_tensor(self):
         """Integer coordinates of every product b_i * b_j; ValueError when

@@ -5,8 +5,9 @@ and gets transposed at the boundary where convenient.
 
 Elimination over Q happens in one place, `_eliminate`: fraction-free
 Bareiss elimination on rows scaled to integers by `integral_cols`, under
-`mat_det`, `mat_inv`, `solve` and `pivots` (the rank and the independent
-rows).  Exact results are unique, so they equal `Fraction` elimination's.
+`mat_det`, `mat_inv`, `inverse_scaled`, `solve` and `pivots` (the rank
+and the independent rows).  Exact results are unique, so they equal
+`Fraction` elimination's.
 """
 
 from __future__ import annotations
@@ -98,25 +99,35 @@ def mat_det(m):
     return Q(sign * last, den) if len(cols) == n else Q(0)
 
 
-def _solve_block(m, rhs_cols):
-    """X with m X = the columns rhs_cols (m square); ZeroDivisionError
-    when m is singular."""
+def _solve_scaled(m, rhs_cols):
+    """(Y, d): the integer matrix Y and the integer d > 0 with m X = the
+    columns rhs_cols for X = Y / d (m square); ZeroDivisionError when m
+    is singular."""
     n = len(m)
     a, _, cols, _, last = _eliminate(
         [list(row) + [c[i] for c in rhs_cols] for i, row in enumerate(m)], n)
     if len(cols) < n:
         raise ZeroDivisionError("singular matrix")
-    return [[Q(x, last) for x in row[n:]] for row in a]
+    s = -1 if last < 0 else 1
+    return [[s * x for x in row[n:]] for row in a], s * last
+
+
+def inverse_scaled(m):
+    """(Y, d): m^-1 = Y / d with Y an integer matrix and d > 0, both read
+    off the Bareiss elimination without building a `Fraction`."""
+    n = len(m)
+    return _solve_scaled(m, [[int(i == j) for i in range(n)] for j in range(n)])
 
 
 def mat_inv(m):
-    n = len(m)
-    return _solve_block(m, [[int(i == j) for i in range(n)] for j in range(n)])
+    y, d = inverse_scaled(m)
+    return [[Q(x, d) for x in row] for row in y]
 
 
 def solve(m, rhs):
     """Solve m x = rhs exactly (m square nonsingular)."""
-    return [row[0] for row in _solve_block(m, [rhs])]
+    y, d = _solve_scaled(m, [rhs])
+    return [Q(row[0], d) for row in y]
 
 
 def pivots(rows):

@@ -27,7 +27,11 @@ methods that never touch the library's own code paths.
   field's polynomial and basis, and a prime's HNF and residue degree;
 - the certified logarithm as an atanh series on `Fraction` ratios, and
   the prime sieve over every integer, as the library computed them
-  before their integer-mantissa and odd-only kernels.
+  before their integer-mantissa and odd-only kernels;
+- the Buchmann-Kessler-Pohst passes on `Fraction` rows, with the
+  constants C, T and lambda as rational powers, as the library computed
+  them before its integer-row kernel.  They share the library's LLL,
+  which both paths run on the same integer lattice.
 """
 
 from __future__ import annotations
@@ -674,3 +678,81 @@ def log_ball_reference(x: Fraction, prec: int) -> tuple[Fraction, Fraction]:
         k += 1
     val = Fraction(2 * total, 1 << work) + e * ln2_reference(work)
     return _round_dyadic(val, prec + 8), Fraction(1, 1 << prec)
+
+
+def _sqrt_upper(x: Fraction, prec: int) -> Fraction:
+    """The upper end of the dyadic bracket of sqrt(x) at 2^-prec (0 at 0)."""
+    if x == 0:
+        return Fraction(0)
+    r = math.isqrt((x.numerator << 2 * prec) // x.denominator)
+    return Fraction(r + 1, 1 << prec)
+
+
+def _floor_log2(x: Fraction) -> int:
+    e = x.numerator.bit_length() - x.denominator.bit_length()
+    while Fraction(2) ** e > x:
+        e -= 1
+    while Fraction(2) ** (e + 1) <= x:
+        e += 1
+    return e
+
+
+def bkp_once_reference(rows, err, mu, r0: int, n1: int = 0):
+    """(rank, m_rows, basis_rows, C) of one BKP pass on the rational rows,
+    every constant a `Fraction`; ValueError when err >= mu / (4C)."""
+    from latnf import lattice_core
+    Q = Fraction
+    k = len(rows)
+    width = len(rows[0])
+    n2 = width - n1
+    if n2 < 1 or k < 1:
+        raise ValueError("need k >= 1 and n2 >= 1")
+    if Q(2) ** k < Q(k) * _sqrt_upper(Q(n2), 32) / 2 + _sqrt_upper(Q(k), 32):
+        raise ValueError("too few generators for the BKP analysis")
+    norm_a = _sqrt_upper(max(sum(Q(x) ** 2 for x in r) for r in rows), 32) + err
+    c_const = Q(2) ** (4 * k) * (Q(r0) * norm_a / mu) ** (r0 + 1)
+    if not err < mu / (4 * c_const):
+        raise ValueError("approximation error too large for BKP")
+    t_const = (Q(2) ** (3 * k) / mu) * (Q(r0) * norm_a / mu) ** r0
+    scale = Q(2) ** (_floor_log2(t_const) + 1)
+    lam = Q(2) ** k * (Q(r0) * norm_a / mu) ** r0
+    vecs = []
+    for i in range(k):
+        tail = []
+        for x in rows[i]:
+            y = scale * Q(x)
+            tail.append(Q((2 * y.numerator + y.denominator)
+                          // (2 * y.denominator)))
+        vecs.append([Q(2 * int(i == j)) for j in range(k)] + tail)
+    red, _u = lattice_core.lll(vecs, Q(3, 4))
+    threshold_sq = 4 * Q(2) ** (k - 1) * lam * lam
+    m_rows = []
+    for w in red:
+        tail = w[k:]
+        if sum(t * t for t in tail) > threshold_sq:
+            m_rows.append([int(Q(x) / 2) for x in w[:k]])
+    if len(m_rows) > r0:
+        raise RuntimeError("BKP rank exceeds the supplied rank bound")
+    basis_rows = [[sum(Q(m[i]) * Q(rows[i][j]) for i in range(k))
+                   for j in range(width)] for m in m_rows]
+    return len(m_rows), m_rows, basis_rows, c_const
+
+
+def bkp_twice_reference(rows, err, mu, r0: int, n1: int = 0):
+    """(rank, m_rows, basis_rows) of the double BKP pass on `Fraction`
+    rows; ValueError when err >= mu / (4 C0) or a pass refuses."""
+    Q = Fraction
+    k = len(rows)
+    norm_a = _sqrt_upper(max(sum(Q(x) ** 2 for x in r) for r in rows), 32) + err
+    c0 = Q(2) ** (8 * k) * (Q(r0) * Q(4) ** k * norm_a / mu) ** (2 * (r0 + 1))
+    if not err < mu / (4 * c0):
+        raise ValueError("approximation error too large for double BKP")
+    r, m1, b1, c_const = bkp_once_reference(rows, err, mu, r0, n1)
+    r2, m2, _, _ = bkp_once_reference(b1, c_const * err, mu, r, n1)
+    if r2 != r:
+        raise RuntimeError("rank changed between BKP passes")
+    n_rows = [[sum(m2[i][t] * m1[t][j] for t in range(r)) for j in range(k)]
+              for i in range(r)]
+    basis_rows = [[sum(Q(n_rows[i][t]) * Q(rows[t][j]) for t in range(k))
+                   for j in range(len(rows[0]))] for i in range(r)]
+    return r, n_rows, basis_rows

@@ -1,4 +1,5 @@
-"""Every precision-doubling loop of the embedding path stops after
+"""Every precision-doubling loop of the embedding path, of the
+irreducibility test and of the exact root comparison stops after
 `nf_core.PRECISION_DOUBLINGS` rounds with `CapExceeded`, which the CLI
 reports as exit 4.
 
@@ -47,6 +48,24 @@ def test_certify_roots(monkeypatch):
     with pytest.raises(CapExceeded, match="root refinement"):
         nf_core.certify_roots([5, 0, 1], 64)
     assert newton.calls == PRECISION_DOUBLINGS
+
+
+def test_irreducibility_subset_search(monkeypatch):
+    # x^4 + 1 splits modulo every prime, so only the certified search over
+    # root subsets can prove it irreducible
+    field = new_field([1, 0, 0, 0, 1])
+    roots = _Counter([ComplexBall(0, 0, 1)] * field.n)
+    monkeypatch.setattr(nf_core, "certify_roots", roots)
+    with pytest.raises(CapExceeded, match="irreducibility"):
+        field._is_irreducible()
+    assert roots.calls == PRECISION_DOUBLINGS
+
+
+def test_decide_root_gt_int(monkeypatch):
+    refine = _Counter(RealBall(0, 1))
+    with pytest.raises(CapExceeded, match="root comparison"):
+        nf_core.decide_root_gt_int([-2, 0, 1], refine, 0)
+    assert refine.calls == PRECISION_DOUBLINGS
 
 
 def test_embed(monkeypatch):
