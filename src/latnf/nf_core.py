@@ -26,7 +26,7 @@ from .dyadic import ComplexBall, Q, RealBall, round_half_up
 
 GT, LE = "GT", "LE"
 _UNSET = object()
-# rounds of every precision-doubling retry loop on the embedding path
+# rounds of every precision-doubling retry loop
 PRECISION_DOUBLINGS = 40
 
 

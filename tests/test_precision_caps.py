@@ -61,7 +61,7 @@ def test_irreducibility_subset_search(monkeypatch):
     assert roots.calls == PRECISION_DOUBLINGS
 
 
-def test_decide_root_gt_int(monkeypatch):
+def test_decide_root_gt_int():
     refine = _Counter(RealBall(0, 1))
     with pytest.raises(CapExceeded, match="root comparison"):
         nf_core.decide_root_gt_int([-2, 0, 1], refine, 0)
