@@ -207,14 +207,6 @@ def _over(rows, den: int):
     return [[Q(x, den) for x in row] for row in rows]
 
 
-def bkp_once(gens: ApproxGenerators) -> BkpResult:
-    """Single Buchmann-Kessler-Pohst pass: basis + rank from approximate
-    generators.  Requires err < mu / (4C)."""
-    rows, den, err, mu = _int_gens(gens)
-    m_rows = _bkp_pass(rows, den, err, mu, gens.r0, gens.n1)
-    return BkpResult(len(m_rows), m_rows, _over(mat_mul(m_rows, rows), den))
-
-
 def bkp_twice(gens: ApproxGenerators) -> BkpResult:
     """Double BKP pass: rank plus a well-conditioned basis with
     ||b_j|| <= (sqrt(r n2) + 2) 2^((r-1)/2) lambda_j.
@@ -339,6 +331,20 @@ def _lambda_n_upper_sq(field: NumberField, x, a: HnfIdeal) -> Fraction:
     return Q(n) * hi
 
 
+def _transform_elements(elements, m):
+    """The field elements sum_i elements[i] m[i][j], one per column j of
+    the square matrix m."""
+    field = elements[0].field
+    out = []
+    for j in range(len(elements)):
+        acc = field.zero()
+        for i, e in enumerate(elements):
+            if m[i][j]:
+                acc = acc + e * m[i][j]
+        out.append(acc)
+    return out
+
+
 def dual_exp_reduce(x, a: HnfIdeal) -> IdealBasisResult:
     """Compute an exact Z-basis of the ideal a whose x-distorted Minkowski
     basis is 3-dually exponentially reduced, following the
@@ -347,7 +353,6 @@ def dual_exp_reduce(x, a: HnfIdeal) -> IdealBasisResult:
     x = _check_x(field, x)
     n = field.n
     elements = a.basis_elements()
-    mu_sq = _lambda1_lower_sq(field, x, a)
     # mu for the dual: lambda_1(dual) >= 1/lambda_n(primal)
     lam_n_up_sq = _lambda_n_upper_sq(field, x, a)
     mu_dual_sq = Q(1) / lam_n_up_sq
@@ -389,14 +394,8 @@ def dual_exp_reduce(x, a: HnfIdeal) -> IdealBasisResult:
         if any(v.denominator != 1 for row in n_inv for v in row):
             raise ValueError("BKP transform is not unimodular")
         # new primal basis: B' = B N^{-1}: columns transform
-        new_elements = []
-        for j in range(n):
-            acc = field.zero()
-            for i in range(n):
-                if n_inv[i][j]:
-                    acc = acc + elements[i] * n_inv[i][j]
-            new_elements.append(acc)
-        return IdealBasisResult(new_elements, x, DuallyReducedTag(3), prec)
+        return IdealBasisResult(_transform_elements(elements, n_inv), x,
+                                DuallyReducedTag(3), prec)
     raise CapExceeded("dual reduction failed to certify its precision")
 
 
@@ -429,21 +428,5 @@ def approx_bkz_ideal(x, a: HnfIdeal, blocksize: int) -> IdealBasisResult:
     den = lcm(*(v.denominator for col in mids for v in col))
     int_cols = [[int(v * den) for v in col] for col in mids]
     _, trace = bkz.bkz_full(int_cols, bkz.BkzConfig(blocksize=blocksize))
-    u = trace.transform
-    new_elements = []
-    for j in range(n):
-        acc = field.zero()
-        for i in range(n):
-            if u[i][j]:
-                acc = acc + der.elements[i] * u[i][j]
-        new_elements.append(acc)
-    return IdealBasisResult(new_elements, x, DuallyReducedTag(t_eff), prec)
-
-
-def lattice_point_coeff_bound(tag: DuallyReducedTag, n: int,
-                              v_norm_sq_upper: Fraction,
-                              lambda1_sq_lower: Fraction) -> Fraction:
-    """Certified bound on ||u||^2 for v = B u over a T-dually reduced B:
-    ||u||^2 <= n^3 2^(nT) ||v||^2 / lambda_1^2."""
-    return (Q(n) ** 3 * Q(2) ** (n * tag.T) * Q(v_norm_sq_upper)
-            / Q(lambda1_sq_lower))
+    return IdealBasisResult(_transform_elements(der.elements, trace.transform),
+                            x, DuallyReducedTag(t_eff), prec)

@@ -64,15 +64,6 @@ def _projected_ints(state, ints, den, j, count):
     return [[x // g for x in v] for v in us]
 
 
-def _projected_cols(cols, j):
-    """pi_j(b_j..b_{n-1}): components orthogonal to b_0..b_{j-1}."""
-    ints, den = integral_cols(cols)
-    state = IntegralGSO(int_gram(ints))
-    scale = state.d[j] * den
-    return [[Q(x, scale) for x in v]
-            for v in state.projected(ints, j, len(ints) - j)]
-
-
 def _tracked(ints, transform):
     """Per basis column j: its entries, then column j of the transform,
     so one column operation updates both."""
@@ -153,6 +144,9 @@ def bkz_prime(cols, cfg: BkzConfig):
                 changed = True
         return state, changed
 
+    # Ends: a tour that changes nothing stops it, and past the cap so does
+    # the first tour that meets the c_1 bound, which Hanrot-Pujol-Stehle
+    # prove holds after O(n^3/b^2 log(...)) tours of exact-HKZ BKZ'.
     while True:
         state, changed = one_tour(state)
         trace.tours += 1

@@ -1,5 +1,5 @@
-"""Divisors, degree and Exp/Log maps, S-unit log embeddings, and the
-closed-form volume bounds attached to them.
+"""Divisors, degree and Log maps, S-unit log embeddings, and Kessler's
+lower bound on the first minimum of the log-unit lattice.
 
 Infinite coordinates are certified RealBalls throughout, so degrees,
 norms and volumes all come with tracked error bounds.
@@ -7,13 +7,11 @@ norms and volumes all come with tracked error bounds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import intmath
-from .dyadic import (Q, RealBall, ball_exp, ball_log, ball_sqrt, log_ball,
-                     sqrt_bracket)
+from .dyadic import Q, RealBall, ball_log, ball_sqrt, log_ball, sqrt_bracket
 from .ideal_arith import HnfIdeal, PrimeIdeal, hnf_inv, hnf_mul, kummer_dedekind, ord_at
 from .nf_core import (PRECISION_DOUBLINGS, CapExceeded, FieldElement,
                       NumberField)
@@ -215,60 +213,7 @@ def _first_offender(ideal: HnfIdeal, s_primes):
 
 
 # ---------------------------------------------------------------------------
-# Closed-form volumes and bounds
-
-
-def exp_divisor(d: Divisor):
-    """Exp(d): returns (x, a, vol) where x is the per-embedding positive
-    distortion e^(a_nu / n_nu) (balls), a = prod p^(a_p), and vol is the
-    certified ball sqrt|Delta| e^(deg d); balls at 64 bits."""
-    prec = 64
-    field = d.field
-    a = HnfIdeal.ring_of_integers(field)
-    for p, e in d.finite_part.items():
-        step = p.hnf if e > 0 else hnf_inv(p.hnf)
-        for _ in range(abs(e)):
-            a = hnf_mul(a, step)
-    xs = []
-    for (idx, nnu), coeff in zip(field.places(), d.infinite_part):
-        scaled = coeff * Q(1, nnu)
-        e_lo = ball_exp(RealBall(scaled.lo()), prec)
-        e_hi = ball_exp(RealBall(scaled.hi()), prec)
-        l, h = e_lo.lo(), e_hi.hi()
-        ball = RealBall((l + h) / 2, (h - l) / 2)
-        xs.append(ball)
-        if nnu == 2:
-            xs.append(ball)
-    deg = degree(d, prec)
-    e_lo = ball_exp(RealBall(deg.lo()), prec)
-    e_hi = ball_exp(RealBall(deg.hi()), prec)
-    ev = RealBall((e_lo.lo() + e_hi.hi()) / 2, (e_hi.hi() - e_lo.lo()) / 2)
-    sq = ball_sqrt(RealBall(Q(abs(field.disc_field))), prec)
-    return xs, a, sq * ev
-
-
-def simplex_volume(field: NumberField, alpha: float) -> float:
-    """vol of {b_nu <= n_nu*alpha, sum b = 0}: sqrt(r+1) (n alpha)^r / r!."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    r = field.n_real + field.n_cplx - 1
-    return math.sqrt(r + 1) * (field.n * alpha) ** r / math.factorial(r)
-
-
-def unit_lattice_covolume_target(field: NumberField, h: int, reg: float) -> float:
-    """Product-measure covolume of the Log-S-unit lattice:
-    h * R * sqrt(n_R + n_C)."""
-    if h < 1 or reg <= 0:
-        raise ValueError("need h >= 1 and R > 0")
-    return h * reg * math.sqrt(field.n_real + field.n_cplx)
-
-
-def gamma_k_bound(field: NumberField, cyclotomic: bool = False) -> float:
-    """Certified upper bound on the ideal-lattice gap Gamma_K; exactly 1
-    for (caller-flagged) cyclotomic fields."""
-    if cyclotomic:
-        return 1.0
-    return abs(field.disc_field) ** (1.0 / field.n)
+# The first minimum of the log-unit lattice
 
 
 def kessler_lambda1_lower(field: NumberField, c: int = 1000) -> Fraction:

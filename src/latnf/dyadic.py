@@ -272,13 +272,6 @@ def ball_log(b: RealBall, prec: int) -> RealBall:
     return RealBall((l + h) / 2, (h - l) / 2)
 
 
-def ball_exp(b: RealBall, prec: int) -> RealBall:
-    el = exp_ball(b.lo(), prec)
-    eh = exp_ball(b.hi(), prec)
-    l, h = el.lo(), eh.hi()
-    return RealBall((l + h) / 2, (h - l) / 2)
-
-
 class ComplexBall:
     """Complex interval: exact rational midpoint, shared radius."""
 

@@ -49,13 +49,6 @@ class HnfIdeal:
             cols += _mult_columns(field, [int(c * den) for c in g.coords])
         return HnfIdeal._from_int_columns(field, den, cols)
 
-    @staticmethod
-    def from_module_columns(field: NumberField, cols) -> "HnfIdeal":
-        """Z-module spanned by rational coordinate columns, normalized."""
-        cols = [[Q(x) for x in c] for c in cols]
-        den = lcm(*(x.denominator for c in cols for x in c))
-        return HnfIdeal._from_int_columns(
-            field, den, [[int(x * den) for x in c] for c in cols])
 
     @staticmethod
     def _from_int_columns(field, den, cols) -> "HnfIdeal":
@@ -88,12 +81,6 @@ class HnfIdeal:
             raise ValueError("zero element generates the zero ideal")
         return HnfIdeal.from_generators(field, [alpha])
 
-    @staticmethod
-    def from_integer(field: NumberField, m) -> "HnfIdeal":
-        m = Q(m)
-        if m == 0:
-            raise ValueError("zero ideal")
-        return HnfIdeal.principal(field, field.one() * m)
 
     # -- basic data ------------------------------------------------------------
     def norm(self) -> Fraction:

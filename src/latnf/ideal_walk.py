@@ -1,7 +1,6 @@
 """The ideal sampler: random-walk prime multiplication, Gaussian
 distortion on the discretized hyperplane, box sampling; plus the
-per-sample hard checks (membership, congruence, signs, norm bound,
-boundedness) and the shifting/norm-independence experiments.
+per-sample hard checks (membership, norm bound, boundedness).
 """
 
 from __future__ import annotations
@@ -145,25 +144,6 @@ def check_membership(trace: WalkTrace) -> bool:
     return trace.b_tilde.contains(trace.beta)
 
 
-def check_congruence(trace: WalkTrace, m0: HnfIdeal | None,
-                     tau: FieldElement) -> bool:
-    if m0 is None:
-        return True
-    field = trace.beta.field
-    if m0 == HnfIdeal.ring_of_integers(field):
-        return True
-    return m0.contains(trace.beta - tau)
-
-
-def check_signs(trace: WalkTrace, m_inf, tau: FieldElement) -> bool:
-    field = trace.beta.field
-    for place in m_inf:
-        if (field.sign_at_real_place(trace.beta, place)
-                != field.sign_at_real_place(tau, place)):
-            return False
-    return True
-
-
 def check_norm_bound(trace: WalkTrace) -> bool:
     """|N(beta)| <= N(b) B^N r^n with r = RADIUS(m0), exactly."""
     field = trace.beta.field
@@ -206,124 +186,3 @@ def input_divisor_norm(trace: WalkTrace) -> RealBall:
     total = Divisor(field, d0.finite_part,
                     [a + b for a, b in zip(d0.infinite_part, y_logs)])
     return total.euclid_norm(prec)
-
-
-# ---------------------------------------------------------------------------
-# Statistical experiments
-
-
-def chi2_two_sample(counts_a: dict, counts_b: dict) -> tuple[float, int]:
-    """Two-sample chi-square statistic and degrees of freedom over the
-    union of observed categories (small categories pooled)."""
-    keys = sorted(set(counts_a) | set(counts_b), key=str)
-    na = sum(counts_a.values())
-    nb = sum(counts_b.values())
-    stat = 0.0
-    used = 0
-    pooled_a = pooled_b = 0
-    for k in keys:
-        a = counts_a.get(k, 0)
-        b = counts_b.get(k, 0)
-        if a + b < 10:
-            pooled_a += a
-            pooled_b += b
-            continue
-        ea = (a + b) * na / (na + nb)
-        eb = (a + b) * nb / (na + nb)
-        stat += (a - ea) ** 2 / ea + (b - eb) ** 2 / eb
-        used += 1
-    if pooled_a + pooled_b >= 10:
-        ea = (pooled_a + pooled_b) * na / (na + nb)
-        eb = (pooled_a + pooled_b) * nb / (na + nb)
-        stat += (pooled_a - ea) ** 2 / ea + (pooled_b - eb) ** 2 / eb
-        used += 1
-    return stat, max(1, used - 1)
-
-
-def chi2_sf(stat: float, dof: int) -> float:
-    """Survival function of the chi-square distribution (regularized
-    upper incomplete gamma), float precision."""
-    return _gammainc_upper(dof / 2.0, stat / 2.0)
-
-
-def _gammainc_upper(a: float, x: float) -> float:
-    if x < 0 or a <= 0:
-        raise ValueError
-    if x == 0:
-        return 1.0
-    if x < a + 1:
-        # lower series
-        term = 1.0 / a
-        total = term
-        k = a
-        for _ in range(10000):
-            k += 1
-            term *= x / k
-            total += term
-            if abs(term) < abs(total) * 1e-15:
-                break
-        lower = total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-        return max(0.0, 1.0 - lower)
-    # continued fraction for upper
-    tiny = 1e-300
-    b = x + 1 - a
-    c = 1 / tiny
-    d = 1 / b
-    h = d
-    for i in range(1, 10000):
-        an = -i * (i - a)
-        b += 2
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1) < 1e-15:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def shifting_experiment(field: NumberField, b_ideal: HnfIdeal, y,
-                        alpha: FieldElement, n_samples: int, params: WalkParams,
-                        rng, cfg=None):
-    """Empirical check of D_{a+((alpha))}(. alpha) = D_a(.): runs the
-    sampler on a and on the alpha-shifted input, pulls the second stream
-    back by alpha, and chi-square-compares the two."""
-    tau = field.one()
-    counts_a: dict = {}
-    counts_b: dict = {}
-    shifted_ideal = hnf_mul(b_ideal, HnfIdeal.principal(field, alpha))
-    # y' = y * |sigma(alpha)|^{-1}: rational only if the embeddings are;
-    # instead fold alpha into the box by exact division of the output.
-    pt = field.embed(alpha, 64)
-    y_shift = []
-    for emb_idx in range(field.n):
-        a2 = pt.values[emb_idx].abs2()
-        # rational approximation of |sigma(alpha)|^{-1}; statistical only
-        approx = Q(1) / Q(math.sqrt(float(a2.mid))).limit_denominator(10 ** 9)
-        y_shift.append(Q(y[emb_idx]) * approx)
-    y_shift = _symmetrize_conj(field, y_shift)
-    alpha_inv = alpha.inverse()
-    for _ in range(n_samples):
-        t1 = sample_beta(field, None, [], b_ideal, y, tau, params, rng, cfg)
-        counts_a[t1.beta.coords] = counts_a.get(t1.beta.coords, 0) + 1
-        t2 = sample_beta(field, None, [], shifted_ideal, y_shift, tau,
-                         params, rng, cfg)
-        pulled = t2.beta * alpha_inv
-        counts_b[pulled.coords] = counts_b.get(pulled.coords, 0) + 1
-    stat, dof = chi2_two_sample(counts_a, counts_b)
-    return {"chi2": stat, "dof": dof, "p_value": chi2_sf(stat, dof),
-            "support_a": len(counts_a), "support_b": len(counts_b)}
-
-
-def _symmetrize_conj(field: NumberField, xs):
-    out = list(xs)
-    for k in range(field.n_cplx):
-        j = field.n_real + 2 * k
-        v = (out[j] + out[j + 1]) / 2
-        out[j] = out[j + 1] = v
-    return out

@@ -134,6 +134,8 @@ def nth_root_floor(n: int, k: int) -> int:
         return n
     # Newton on integers, seeded from the bit length
     r = 1 << -(-n.bit_length() // k)
+    # Ends: r starts above the root and every pass that does not break
+    # lowers the positive integer r (Newton from above on x^k - n).
     while True:
         nr = ((k - 1) * r + n // r ** (k - 1)) // k
         if nr >= r:

@@ -1,6 +1,6 @@
-"""Exact lattice infrastructure: one integral LLL/GSO kernel, duals,
+"""Exact lattice infrastructure: one integral LLL/GSO kernel and the
 enumeration oracles for successive minima / covering-radius brackets /
-generating radius, and exact box counting.
+generating radius.
 
 A basis is a list of column vectors with rational entries.  All norms are
 carried as squared rationals so every certified bound can be compared
@@ -27,7 +27,7 @@ from math import gcd, lcm, prod
 
 from . import qlinalg
 from .dyadic import Q
-from .qlinalg import integral_cols, mat_inv, mat_vec, pivots, transpose
+from .qlinalg import integral_cols, mat_vec, pivots
 
 
 def gso(cols):
@@ -262,11 +262,6 @@ def lll(cols, delta=Q(3, 4)):
     return _reduce_cols(cols, lambda state: state.lll(delta))
 
 
-def dual_basis(cols):
-    """Columns of B^{-T} for a square exact basis: the rows of B^{-1}."""
-    return mat_inv(transpose(cols))
-
-
 def _norm_weights(d, den):
     """(S, w): S the lcm of den and every d_i d_{i+1}, w_i = S / (d_i
     d_{i+1}).  With t_i = d_{i+1} x_i + sum_{j>i} lam_ji x_j the squared
@@ -309,6 +304,8 @@ def enumerate_short_gram(g, radius2: Fraction, max_count=None):
         di, wi, s, li = d[i + 1], w[i], sums[i], lrows[i]
         base = (di - 2 * s) // (2 * di)     # nearest integer to -s/d_{i+1}
         for z, step in ((base, 1), (base - 1, -1)):
+            # Ends: z walks away from base, the integer nearest -s/d_{i+1},
+            # so |t| and the cost (d_{i+1} > 0, w_i > 0) grow past rem.
             while True:
                 t = di * z + s
                 cost = t * t * wi
@@ -463,6 +460,8 @@ def successive_minima_gram(g):
             di, wi, s, li = d[i + 1], w[i], sums[i], lrows[i]
             base = (di - 2 * s) // (2 * di)
             for z, step in ((base, 1), (base - 1, -1)):
+                # Ends: as in enumerate_short_gram, the cost grows with
+                # |z - base| past the fixed bound best[0] - partial.
                 while True:
                     t = di * z + s
                     cost = t * t * wi
@@ -506,6 +505,8 @@ def _generating_radius_search(gh, lam_n_sq, limit_sq, n):
     radius = Q(lam_n_sq)
     echelon = _Echelon(n)
     seen = 0
+    # Ends: radius > 0 grows by 9/8 per pass up to limit_sq, and the pass
+    # at limit_sq returns.
     while True:
         try:
             vecs = enumerate_short_gram(gh, radius, max_count=200000)
@@ -561,70 +562,3 @@ def enumerate_minima(cols) -> EnumerationReport:
     if den != 1:
         g = [[Q(x, den * den) for x in row] for row in g]
     return enumerate_minima_gram(g)
-
-
-def count_in_box(cols, r, shift=None, cov_upper_sq=None):
-    """Exact |(L + t) cap rX| for the unit-infinity-ball X, plus the
-    counting-lemma interval when certifiable.
-
-    Returns dict with keys: count, interval (lo, hi floats) or None,
-    certified (bool).
-    """
-    import math
-    m = len(cols[0])
-    n = len(cols)
-    r = Q(r)
-    t = [Q(x) for x in (shift or [0] * m)]
-    if r < 0:
-        raise ValueError("negative radius")
-    # per-axis bounds for v = B u:  v_i in [-r - t_i, r - t_i]
-    lo = [-r - t[i] for i in range(m)]
-    hi = [r - t[i] for i in range(m)]
-    binv = mat_inv(transpose([list(c) for c in cols]))
-    ranges = []
-    for i in range(n):
-        a, b = Q(0), Q(0)
-        for j in range(m):
-            c = binv[i][j]
-            if c >= 0:
-                a += c * lo[j]
-                b += c * hi[j]
-            else:
-                a += c * hi[j]
-                b += c * lo[j]
-        ranges.append((math.ceil(a), math.floor(b)))
-    count = 0
-    u = [0] * n
-
-    def ok(v):
-        return all(lo[i] <= v[i] <= hi[i] for i in range(m))
-
-    def rec(i):
-        nonlocal count
-        if i == n:
-            v = [sum(cols[j][k] * u[j] for j in range(n)) for k in range(m)]
-            if ok(v):
-                count += 1
-            return
-        a, b = ranges[i]
-        for z in range(a, b + 1):
-            u[i] = z
-            rec(i + 1)
-
-    rec(0)
-    interval = None
-    certified = False
-    if cov_upper_sq is None and n == m and n <= DIM_CAP:
-        rep = enumerate_minima(cols)
-        cov_upper_sq = rep.cov_upper_sq
-    if cov_upper_sq is not None and r > 0:
-        c_val = math.sqrt(float(cov_upper_sq))
-        if float(r) > 2 * c_val:
-            covol = abs(float(qlinalg.mat_det(transpose([list(c) for c in cols]))))
-            volx = 2.0 ** n
-            mid = float(r) ** n * volx / covol
-            lo_e = mid * math.exp(-2 * n * c_val / float(r))
-            hi_e = mid * math.exp(2 * n * c_val / float(r))
-            interval = (lo_e, hi_e)
-            certified = True
-    return {"count": count, "interval": interval, "certified": certified}

@@ -420,11 +420,6 @@ class FieldElement:
     def charpoly(self):
         return qlinalg.charpoly(self.field.mult_matrix(self))
 
-    def size(self) -> int:
-        total = 0
-        for c in self.coords:
-            total += abs(c.numerator).bit_length() + c.denominator.bit_length()
-        return total
 
     def __repr__(self):
         return f"FieldElement({list(self.coords)})"
@@ -815,57 +810,6 @@ def embed(alpha: FieldElement, precision_bits: int) -> EmbeddingPoint:
     return alpha.field.embed(alpha, precision_bits)
 
 
-def cmp_root_threshold(poly, which_root: int, g, k: int, mode: str) -> str:
-    """Exact comparison of a root of an integer polynomial against g^(1/k).
-
-    mode 'real_value': roots are the real roots in ascending order and
-    the signed value is compared.  mode 'abs_value': roots are all complex
-    roots of the squarefree part, their certified balls sorted by (re, im),
-    and |root| is compared; g must be >= 0.
-    """
-    g = Q(g)
-    poly = [int(c) for c in poly]
-    sq = polyq.squarefree_part_z(poly)
-    sq_q = [Q(c) for c in sq]
-    if mode == "real_value":
-        intervals = polyq.isolate_real_roots(sq_q)
-        if which_root >= len(intervals):
-            raise IndexError("real root index out of range")
-        lo, hi = intervals[which_root]
-        if g < 0:
-            raise ValueError("negative g has no real k-th root here")
-        # sign first
-        lo2, hi2 = polyq.refine_root_bisect(sq_q, lo, hi, 16)
-        while lo2 < 0 < hi2:
-            lo2, hi2 = polyq.refine_root_bisect(sq_q, lo2, hi2, 64)
-            if polyq.poly_eval(sq_q, Q(0)) == 0 and lo2 <= 0 <= hi2:
-                break
-        if hi2 <= 0:
-            return LE if g >= 0 else GT
-        # positive root: compare value^k vs g
-        powed = _compose_power(sq_q, k)
-        b = g.denominator
-        scaled = _scale_roots_to_int(powed, b)
-
-        def refine(p):
-            l, h = polyq.refine_root_bisect(sq_q, lo, hi, p + k.bit_length() * 4 + 8)
-            den, (ln, hn) = _over_lcm((l, h))
-            mid, rad = _ball_pow(ln + hn, hn - ln, k)      # over (2 den)^k
-            return RealBall(Q(mid * b, (2 * den) ** k), Q(rad * b, (2 * den) ** k))
-
-        return decide_root_gt_int(scaled, refine, g.numerator)
-    if mode == "abs_value":
-        if g < 0:
-            raise ValueError("abs mode needs g >= 0")
-
-        def ball_at(prec):
-            balls = certify_roots(sq, prec)
-            return sorted(balls, key=lambda b: (b.re, b.im))[which_root]
-
-        return _abs2_pow_gt(ball_at, lambda: sq, k, g * g)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 def cmp_element(alpha: FieldElement, sigma: int, scale, g, k: int,
                 signed: bool = False) -> str:
     """Decide scale*|sigma(alpha)| > g^(1/k) (or the signed variant at a
@@ -884,7 +828,3 @@ def cmp_element(alpha: FieldElement, sigma: int, scale, g, k: int,
     # scale*|a| > g^(1/k)  <=>  (|a|^2)^k > g^2 / scale^(2k)
     c = g * g / scale ** (2 * k)
     return field.abs2_pow_cmp(alpha, sigma, k, c)
-
-
-def element_norm(alpha: FieldElement) -> Fraction:
-    return alpha.norm()

@@ -96,6 +96,8 @@ def resultant(p, q):
     if not p or not q:
         return Q(0)
     res = Q(1)
+    # Ends: q becomes the remainder p mod q, so deg q falls every pass
+    # until degree 0 or a zero remainder returns.
     while True:
         dp, dq = degree(p), degree(q)
         if dq == 0:

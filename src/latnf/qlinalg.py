@@ -311,6 +311,8 @@ def smith_normal_form(mat: list[list[int]]) -> list[int]:
         a[top], a[i0] = a[i0], a[top]
         for r in a:
             r[top], r[j0] = r[j0], r[top]
+        # Ends: a pass that sets `changed` swaps in a nonzero remainder as
+        # the pivot, so the positive integer |a[top][top]| falls each time.
         while True:
             # clear column
             changed = False

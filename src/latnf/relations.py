@@ -72,21 +72,6 @@ def smooth_factor(a: HnfIdeal, fb: FactorBase):
     return vals
 
 
-def smooth_density_lower(field: NumberField, a_cut, b_bound, x,
-                         rho_upper) -> float:
-    """Lower bound (4 log B)^(1-u) u^(-u) / (rho B) on the local density
-    of ideals with prime factors of norm in (A, B]; preconditions are
-    reported, never clamped."""
-    if b_bound < 16:
-        raise ValueError(f"B = {b_bound} below the smoothness floor 16")
-    if a_cut > b_bound / (4 * math.log(b_bound)):
-        raise ValueError("A exceeds B/(4 log B)")
-    if x < b_bound * math.e ** field.n:
-        raise ValueError("x below B e^n")
-    u = math.log(x) / math.log(b_bound)
-    return (4 * math.log(b_bound)) ** (1 - u) * u ** (-u) / (rho_upper * b_bound)
-
-
 def branch_x(field: NumberField) -> float:
     """x = max(log^(2/3)|D| / log^(4/3) log|D|, n^(2/3)/log^(2/3) n)."""
     ld = math.log(abs(field.disc_field))
@@ -132,6 +117,8 @@ def choose_omega(field: NumberField, m0_norm, blocksize, x,
     omega = 1
     const = (cfg.sampler.radius_constant if cfg.sampler
              else samplers.RADIUS_CONSTANT)
+    # Ends for a positive radius constant: r is proportional to omega, so
+    # r^n passes the fixed target at some finite omega.
     while True:
         r = walk_radius(field, Q(m0_norm), blocksize, omega, const)
         # r^n >= target  <=>  pow^n >= target^k
@@ -140,19 +127,9 @@ def choose_omega(field: NumberField, m0_norm, blocksize, x,
         omega += 1
 
 
-def b_max_bound(field: NumberField, m0_norm, blocksize, omega, x,
-                cfg: RelationConfig) -> float:
-    """max(exp(sqrt(log r^n loglog r^n)), B_sm, B_rw, 10 x^2)."""
-    r = walk_radius(field, Q(m0_norm), blocksize, omega)
-    _lo, hi = r.bracket(40)
-    log_rn = field.n * math.log(float(hi))
-    return max(math.exp(math.sqrt(log_rn * math.log(log_rn))),
-               cfg.b_sm, cfg.b_rw, 10 * x * x)
-
-
 @dataclass
 class SUnitRelation:
-    alpha: object                 # FieldElement (or CompactElement downstream)
+    alpha: object                 # FieldElement
     valuations: tuple             # v over fb: alpha O_K * a^{-1} = prod p^v
     total_valuations: tuple       # valuations of (alpha) over fb
     input_ideal: HnfIdeal

@@ -1,7 +1,6 @@
-"""Discrete Gaussian sampling with certified statistical distance, the
-Gaussian tail/smoothing helpers, and perfectly uniform sampling in
-(shifted lattice) x (box with ray constraints): the box sampler that the
-ideal walk builds on.
+"""Discrete Gaussian sampling with certified statistical distance, and
+perfectly uniform sampling in (shifted lattice) x (box with ray
+constraints): the box sampler that the ideal walk builds on.
 
 Exactness discipline: all membership decisions happen through exact
 rational comparisons (k-th powers of the box radius stay rational), so
@@ -125,22 +124,6 @@ def klein_sample(basis_cols, s, center, eps_g, rng):
     return coeffs, vec
 
 
-def smoothing_upper(minima_sq_last: Fraction, n: int, eps: float) -> float:
-    """eta_eps(L) <= sqrt(log(2n(1+1/eps))/pi) * lambda_n."""
-    return math.sqrt(math.log(2 * n * (1 + 1 / eps)) / math.pi) * math.sqrt(
-        float(minima_sq_last))
-
-
-def gaussian_tail_discrete(s: float, n: int, eps: float) -> float:
-    """Banaszczyk-type: Pr[||x|| >= s sqrt(log(1/eps) + 2n)] <= eps."""
-    return s * math.sqrt(math.log(1 / eps) + 2 * n)
-
-
-def gaussian_tail_continuous(s: float, n: int, eps: float) -> float:
-    """Chernoff/union: Pr[||x|| >= s sqrt(2n log(2n/eps))] <= eps."""
-    return s * math.sqrt(2 * n * math.log(2 * n / eps))
-
-
 # ---------------------------------------------------------------------------
 # Perfectly uniform sampling in box x lattice
 
@@ -214,29 +197,6 @@ def walk_radius(field: NumberField, modulus_norm: Fraction, blocksize: int,
            * Q(abs(field.disc_field)) ** (3 * b)
            * Q(modulus_norm) ** (2 * b))
     return RadiusExpr(val, k)
-
-
-def perfect_box_grid(cols, grid_n: int, box: "GridBox", c_scale, eps, rng):
-    """Perfectly uniform sample from c*S intersected with the lattice
-    spanned by cols (subset of (1/N)Z^n).
-
-    box describes S as a product of symmetric intervals/discs with
-    RadiusExpr halfwidths; returns integer coefficient vector or None.
-    """
-    n = len(cols)
-    cols = [[Q(x) for x in c] for c in cols]
-    for col in cols:
-        for x in col:
-            if (x * grid_n).denominator != 1:
-                raise ValueError("basis columns must lie in (1/N)Z^n")
-    u = _uniform_grid_point(box, grid_n, Q(c_scale) + Q(eps), rng)
-    w = [round_half_up(x) for x in solve(transpose(cols), u)]
-    out = [Q(0)] * len(cols[0])
-    for i in range(n):
-        out = [a + w[i] * b for a, b in zip(out, cols[i])]
-    if _box_member(box, out, Q(c_scale)):
-        return w
-    return None
 
 
 @dataclass

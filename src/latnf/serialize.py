@@ -1,13 +1,13 @@
-"""JSON wire formats: rationals as "p/q" strings, dyadic balls as
-{"mid","err"}, plus field / ideal / divisor / matrix / result codecs."""
+"""JSON wire formats: rationals as "p/q" strings, plus field / ideal /
+element / matrix / relation / result codecs."""
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
 
-from .dyadic import Q, RealBall
-from .ideal_arith import HnfIdeal, PrimeIdeal, kummer_dedekind
+from .dyadic import Q
+from .ideal_arith import HnfIdeal
 from .nf_core import FieldElement, NumberField
 
 
@@ -23,20 +23,6 @@ def rational_from_str(s) -> Fraction:
         num, den = s.split("/")
         return Q(int(num), int(den))
     return Q(int(s))
-
-
-def ball_to_json(b: RealBall) -> dict:
-    return {"mid": rational_to_str(b.mid), "err": rational_to_str(b.rad)}
-
-
-def ball_from_json(d) -> RealBall:
-    return RealBall(rational_from_str(d["mid"]), rational_from_str(d["err"]))
-
-
-def field_to_json(field: NumberField) -> dict:
-    return {"poly": list(field.poly),
-            "integral_basis": [[rational_to_str(x) for x in row]
-                               for row in field.basis_pb]}
 
 
 def field_from_json(d) -> NumberField:
@@ -58,35 +44,12 @@ def ideal_from_json(field: NumberField, d) -> HnfIdeal:
     return HnfIdeal(field, int(d["denom"]), d["hnf"])
 
 
-def prime_to_json(p: PrimeIdeal) -> dict:
-    out = ideal_to_json(p.hnf)
-    out.update({"p": p.p, "e": p.e, "f": p.f})
-    return out
-
-
-def prime_from_json(field: NumberField, d) -> PrimeIdeal:
-    """The prime of the field above d["p"] with the given HNF, f and e."""
-    hnf = ideal_from_json(field, d)
-    for prime, _e in kummer_dedekind(field, int(d["p"])):
-        if (prime.hnf, prime.f, prime.e) == (hnf, int(d["f"]), int(d["e"])):
-            return prime
-    raise ValueError(f"no prime above {d['p']} with this HNF, f and e")
-
-
 def element_to_json(e: FieldElement) -> list:
     return [rational_to_str(c) for c in e.coords]
 
 
 def element_from_json(field: NumberField, data) -> FieldElement:
     return field.element([rational_from_str(c) for c in data])
-
-
-def divisor_to_json(d) -> dict:
-    return {"finite": [{"prime": prime_to_json(p), "exp": e}
-                       for p, e in d.finite_part.items()],
-            "infinite": [rational_to_str(v.mid) for v in d.infinite_part],
-            "err": rational_to_str(max((v.rad for v in d.infinite_part),
-                                       default=Q(0)))}
 
 
 def matrix_to_json(cols) -> dict:

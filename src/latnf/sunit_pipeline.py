@@ -1,8 +1,9 @@
 """End-to-end S-unit computation: collect relations, post-process with
 the double Buchmann-Kessler-Pohst pass, verify full generation by a rank
-plus determinant check, and emit fundamental S-units in compact
-representation; class group, regulator, class-group discrete logarithms
-and principal-ideal generators are then read off the verified lattice.
+plus determinant check, and read the class group and regulator off the
+verified lattice.  The fundamental S-units come out in compact
+representation: the rows of `exponent_matrix` over the collected
+`generators` (what `latnf sunits` writes).
 
 The determinant check compares against D = eta_0 sqrt(r), where eta_0
 comes from `det_verify.approx_rho`, the library's one residue bracket
@@ -19,73 +20,11 @@ from . import qlinalg, samplers
 from .approx_reduction import ApproxGenerators, bkp_twice
 from .det_verify import approx_rho
 from .divisor_log import kessler_lambda1_lower, log_embedding
-from .dyadic import Q, RealBall, log_ball, round_half_up, sqrt_bracket
-from .ideal_arith import HnfIdeal, hnf_mul, ord_at
-from .nf_core import CapExceeded, FieldElement, NumberField
+from .dyadic import Q, RealBall, log_ball, round_half_up
+from .nf_core import CapExceeded, NumberField
 from .relations import (FactorBase, RandomRelationConfig, RelationConfig,
-                        SUnitRelation, compute_one_relation, exceptional_unit,
-                        modulus_branch, random_relation, sample_budget)
-
-
-class CompactElement:
-    """Formal power product of field elements; evaluated homomorphically
-    (valuations, logs, norms) and expanded only under a size cap."""
-
-    EXPANSION_BIT_CAP = 1 << 16
-
-    def __init__(self, generators, exponents):
-        self.generators = list(generators)
-        self.exponents = [int(e) for e in exponents]
-        if len(self.generators) != len(self.exponents):
-            raise ValueError("generator/exponent length mismatch")
-
-    def valuations(self, fb: FactorBase):
-        out = [0] * len(fb)
-        for g, e in zip(self.generators, self.exponents):
-            if e == 0:
-                continue
-            ideal = HnfIdeal.principal(g.field, g)
-            for i, p in enumerate(fb):
-                v = ord_at(ideal, p)
-                if v:
-                    out[i] += e * v
-        return out
-
-    def log_vector(self, prec: int = 64):
-        entries = None
-        for g, e in zip(self.generators, self.exponents):
-            if e == 0:
-                continue
-            lv = log_embedding(g, prec)
-            if entries is None:
-                entries = [v * e for v in lv.entries]
-            else:
-                entries = [a + v * e for a, v in zip(entries, lv.entries)]
-        if entries is None:
-            fld = self.generators[0].field
-            entries = [RealBall(Q(0)) for _ in fld.places()]
-        return entries
-
-    def norm(self) -> Fraction:
-        out = Q(1)
-        for g, e in zip(self.generators, self.exponents):
-            out *= Q(g.norm()) ** e
-        return out
-
-    def expanded_size_estimate(self) -> int:
-        total = 0
-        for g, e in zip(self.generators, self.exponents):
-            total += abs(e) * max(1, g.size())
-        return total
-
-    def expand(self) -> FieldElement:
-        if self.expanded_size_estimate() > self.EXPANSION_BIT_CAP:
-            raise ValueError("compact element exceeds the expansion cap")
-        fld = self.generators[0].field
-        out = fld.one()
-        for g, e in zip(self.generators, self.exponents):
-            out = out * (g ** e)
-        return out
+                        SUnitRelation, exceptional_unit, modulus_branch,
+                        random_relation, sample_budget)
 
 
 @dataclass
@@ -117,10 +56,6 @@ class SUnitResult:
     relations: list                    # SUnitRelation records
     config_echo: dict = dfield(default_factory=dict)
 
-    def fundamental_sunits(self):
-        return [CompactElement([r.alpha for r in self.relations],
-                               row) for row in self.exponent_matrix]
-
 
 # ---------------------------------------------------------------------------
 # Post-processing: exact relation matrix -> BKP -> basis
@@ -133,21 +68,6 @@ class PostprocessResult:
     basis_val: list         # exact integer valuation block of the basis
     basis_inf: list         # dyadic rows of the infinite parts
     precision_bits: int
-
-
-def relation_log_rows(relations, fb: FactorBase, prec: int):
-    """Exact-valuation + dyadic-infinite rows of Log_S for the relations."""
-    rows = []
-    max_err = Q(0)
-    for rel in relations:
-        lv = log_embedding(rel.alpha, prec)
-        val = [-v for v in rel.total_valuations]
-        inf = []
-        for ball in lv.entries:
-            inf.append(ball.mid)
-            max_err = max(max_err, ball.rad)
-        rows.append([Q(v) for v in val] + inf)
-    return rows, max_err
 
 
 def postprocess(relations, fb: FactorBase, field: NumberField,
@@ -277,42 +197,6 @@ def _unit_block_precision(field, kb, coeff_max, n_rels, mu, s_len, n) -> int:
                 + (2 * kb + 1) * (kb + 2) + _log2_up(a_up) - 2 * _log2_up(mu))
     eps_log2 = -_log2_up(Q(1) / mu) - c0_log2 - det_log2
     return max(128, int(-eps_log2) + 32)
-
-
-def postprocess_full_bkp(relations, fb: FactorBase,
-                         field: NumberField) -> PostprocessResult:
-    """The literal full-matrix double-BKP post-processing (used on tiny
-    instances and to cross-check the split variant)."""
-    k = len(relations)
-    if k == 0:
-        return PostprocessResult([], 0, [], [], 0)
-    n = field.n
-    s_len = len(fb)
-    mu = kessler_lambda1_lower(field)
-    rows0, _err0 = relation_log_rows(relations, fb, 32)
-    a_sq = max(qlinalg.dot(r, r) for r in rows0) + 1
-    _, a_up = sqrt_bracket(a_sq, 32)
-    c0_log2 = (8 * k + 2 * (k + 1) * _log2_up(Q(k) * Q(4) ** k * a_up / mu))
-    det_log2 = (6 + (k + 6) * _log2_up(Q(n + s_len))
-                + (2 * k + 1) * (k + 2) + _log2_up(a_up) - 2 * _log2_up(mu))
-    eps_log2 = -_log2_up(Q(1) / mu) - c0_log2 - det_log2
-    prec = max(96, int(-eps_log2) + 32)
-    rows, err = relation_log_rows(relations, fb, prec)
-    gens = ApproxGenerators(rows=rows, err=Q(n + s_len) * err, mu=mu,
-                            r0=min(k, s_len + field.n_real + field.n_cplx - 1),
-                            n1=s_len)
-    res = bkp_twice(gens)
-    basis_val = []
-    basis_inf = []
-    for row in res.basis_rows:
-        val = []
-        for v in row[:s_len]:
-            if Q(v).denominator != 1:
-                raise RuntimeError("valuation block not integral after BKP")
-            val.append(int(v))
-        basis_val.append(val)
-        basis_inf.append([Q(v) for v in row[s_len:]])
-    return PostprocessResult(res.m_rows, res.rank, basis_val, basis_inf, prec)
 
 
 def _log2_up(x: Fraction) -> int:
@@ -701,71 +585,3 @@ def class_group_from_basis(basis_val):
         index *= max(1, f)
     return nontrivial, index
 
-
-# ---------------------------------------------------------------------------
-# Applications of the verified lattice
-
-
-def class_discrete_log(a: HnfIdeal, result: SUnitResult, rng,
-                       cfg: RelationConfig | None = None,
-                       rho_tilde: float | None = None):
-    """(alpha, v) with a = alpha O_K prod p^{-v} over the verified base."""
-    if not result.verified:
-        raise ValueError("result must be verified")
-    field = result.field
-    cfg = cfg or RelationConfig()
-    rho = rho_tilde if rho_tilde is not None else 1.0
-    rel = compute_one_relation(field, a, result.fb, [Q(1)] * field.n, rng,
-                               cfg, rho)
-    # re-verify: a * prod p^v = (alpha)
-    recon = a
-    for p, v in zip(result.fb, rel.valuations):
-        for _ in range(v):
-            recon = hnf_mul(recon, p.hnf)
-    if recon != HnfIdeal.principal(field, rel.alpha):
-        raise RuntimeError("class discrete log reconstruction failed")
-    return CompactElement([rel.alpha], [1]), list(rel.valuations)
-
-
-class NotPrincipal(Exception):
-    def __init__(self, witness):
-        super().__init__(f"ideal is not principal; class witness {witness}")
-        self.witness = witness
-
-
-def principal_ideal_generator(a: HnfIdeal, result: SUnitResult, rng,
-                              cfg: RelationConfig | None = None,
-                              rho_tilde: float | None = None) -> CompactElement:
-    """Generator of a principal ideal in compact representation; raises
-    NotPrincipal with a class witness otherwise."""
-    field = result.field
-    alpha_c, v = class_discrete_log(a, result, rng, cfg, rho_tilde)
-    alpha = alpha_c.generators[0]
-    # need v in the verified valuation lattice: solve z * V = v over Z
-    v_rows = [[-vv for vv in rel.total_valuations] for rel in result.relations]
-    coeffs = qlinalg.express_int_combination(
-        [list(r) for r in v_rows], list(v))
-    if coeffs is None:
-        reduced = _reduce_mod_lattice(v, v_rows)
-        raise NotPrincipal(reduced)
-    gens = [alpha] + [rel.alpha for rel in result.relations]
-    exps = [1] + [c for c in coeffs]
-    cand = CompactElement(gens, exps)
-    vals = cand.valuations(result.fb)
-    expect = [ord_at(a, p) for p in result.fb]
-    if vals != expect:
-        raise RuntimeError("generator verification failed on valuations")
-    if abs(cand.norm()) != abs(Q(a.norm())):
-        raise RuntimeError("generator verification failed on norms")
-    return cand
-
-
-def _reduce_mod_lattice(v, rows):
-    h, _u = qlinalg.hnf_with_transform([list(r) for r in rows])
-    live = [r for r in h if any(r)]
-    resid = list(v)
-    for row in live:
-        piv_col = next(j for j, x in enumerate(row) if x)
-        q = resid[piv_col] // row[piv_col]
-        resid = [a - q * b for a, b in zip(resid, row)]
-    return resid

@@ -32,6 +32,13 @@ methods that never touch the library's own code paths.
   constants C, T and lambda as rational powers, as the library computed
   them before its integer-row kernel.  They share the library's LLL,
   which both paths run on the same integer lattice.
+
+Shared by several test modules, and run by no command of the library:
+the chi-square survival function (`chi2_sf`), the integer single BKP
+pass (`bkp_once`, the first half of `bkp_twice`), exact lattice-point
+counting in a box with the counting lemma's interval (`count_in_box`),
+and |root| > g^(1/k) for a root of an integer polynomial through the
+library's |sigma|^2k decision (`abs_root_gt`).
 """
 
 from __future__ import annotations
@@ -229,6 +236,53 @@ def chi2_uniform_stat(counts: dict, support: int, total: int) -> tuple[float, in
     stat = sum((c - expected) ** 2 / expected for c in counts.values())
     stat += (support - len(counts)) * expected   # unseen cells
     return stat, support - 1
+
+
+def chi2_sf(stat: float, dof: int) -> float:
+    """Survival function of the chi-square distribution (regularized
+    upper incomplete gamma), float precision."""
+    return _gammainc_upper(dof / 2.0, stat / 2.0)
+
+
+def _gammainc_upper(a: float, x: float) -> float:
+    if x < 0 or a <= 0:
+        raise ValueError
+    if x == 0:
+        return 1.0
+    if x < a + 1:
+        # lower series
+        term = 1.0 / a
+        total = term
+        k = a
+        for _ in range(10000):
+            k += 1
+            term *= x / k
+            total += term
+            if abs(term) < abs(total) * 1e-15:
+                break
+        lower = total * math.exp(-x + a * math.log(x) - math.lgamma(a))
+        return max(0.0, 1.0 - lower)
+    # continued fraction for upper
+    tiny = 1e-300
+    b = x + 1 - a
+    c = 1 / tiny
+    d = 1 / b
+    h = d
+    for i in range(1, 10000):
+        an = -i * (i - a)
+        b += 2
+        d = an * d + b
+        if abs(d) < tiny:
+            d = tiny
+        c = b + an / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1) < 1e-15:
+            break
+    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 
 def mat_det_reference(m):
@@ -756,3 +810,99 @@ def bkp_twice_reference(rows, err, mu, r0: int, n1: int = 0):
     basis_rows = [[sum(Q(n_rows[i][t]) * Q(rows[t][j]) for t in range(k))
                    for j in range(len(rows[0]))] for i in range(r)]
     return r, n_rows, basis_rows
+
+
+def bkp_once(gens):
+    """Single Buchmann-Kessler-Pohst pass: basis + rank from approximate
+    generators.  Requires err < mu / (4C).  The library's integer pass,
+    which `bkp_twice` runs twice."""
+    from latnf.approx_reduction import BkpResult, _bkp_pass, _int_gens, _over
+    from latnf.qlinalg import mat_mul
+    rows, den, err, mu = _int_gens(gens)
+    m_rows = _bkp_pass(rows, den, err, mu, gens.r0, gens.n1)
+    return BkpResult(len(m_rows), m_rows, _over(mat_mul(m_rows, rows), den))
+
+
+def count_in_box(cols, r, shift=None, cov_upper_sq=None):
+    """Exact |(L + t) cap rX| for the unit-infinity-ball X, plus the
+    counting-lemma interval when certifiable.
+
+    Returns dict with keys: count, interval (lo, hi floats) or None,
+    certified (bool).
+    """
+    from latnf import qlinalg
+    from latnf.lattice_core import DIM_CAP, enumerate_minima
+    from latnf.qlinalg import mat_inv, transpose
+    Q = Fraction
+    m = len(cols[0])
+    n = len(cols)
+    r = Q(r)
+    t = [Q(x) for x in (shift or [0] * m)]
+    if r < 0:
+        raise ValueError("negative radius")
+    # per-axis bounds for v = B u:  v_i in [-r - t_i, r - t_i]
+    lo = [-r - t[i] for i in range(m)]
+    hi = [r - t[i] for i in range(m)]
+    binv = mat_inv(transpose([list(c) for c in cols]))
+    ranges = []
+    for i in range(n):
+        a, b = Q(0), Q(0)
+        for j in range(m):
+            c = binv[i][j]
+            if c >= 0:
+                a += c * lo[j]
+                b += c * hi[j]
+            else:
+                a += c * hi[j]
+                b += c * lo[j]
+        ranges.append((math.ceil(a), math.floor(b)))
+    count = 0
+    u = [0] * n
+
+    def ok(v):
+        return all(lo[i] <= v[i] <= hi[i] for i in range(m))
+
+    def rec(i):
+        nonlocal count
+        if i == n:
+            v = [sum(cols[j][k] * u[j] for j in range(n)) for k in range(m)]
+            if ok(v):
+                count += 1
+            return
+        a, b = ranges[i]
+        for z in range(a, b + 1):
+            u[i] = z
+            rec(i + 1)
+
+    rec(0)
+    interval = None
+    certified = False
+    if cov_upper_sq is None and n == m and n <= DIM_CAP:
+        rep = enumerate_minima(cols)
+        cov_upper_sq = rep.cov_upper_sq
+    if cov_upper_sq is not None and r > 0:
+        c_val = math.sqrt(float(cov_upper_sq))
+        if float(r) > 2 * c_val:
+            covol = abs(float(qlinalg.mat_det(transpose([list(c) for c in cols]))))
+            volx = 2.0 ** n
+            mid = float(r) ** n * volx / covol
+            lo_e = mid * math.exp(-2 * n * c_val / float(r))
+            hi_e = mid * math.exp(2 * n * c_val / float(r))
+            interval = (lo_e, hi_e)
+            certified = True
+    return {"count": count, "interval": interval, "certified": certified}
+
+
+def abs_root_gt(poly, which_root: int, g, k: int) -> str:
+    """GT when |w| > g^(1/k), LE otherwise, for the root w numbered
+    `which_root` among the `certify_roots` balls of the squarefree integer
+    polynomial sorted by (re, im): the library's |sigma|^2k decision
+    `_abs2_pow_gt`, the core `cmp_element` runs, with c = g^2."""
+    from latnf import nf_core
+
+    def ball_at(prec):
+        balls = nf_core.certify_roots(poly, prec)
+        return sorted(balls, key=lambda b: (b.re, b.im))[which_root]
+
+    return nf_core._abs2_pow_gt(ball_at, lambda: poly, k,
+                                Fraction(g) * Fraction(g))

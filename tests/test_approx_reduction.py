@@ -5,14 +5,26 @@ import pytest
 
 from latnf import approx_reduction
 from latnf.approx_reduction import (ApproxGenerators, BkpResult,
-                                    DuallyReducedTag,
-                                    approx_bkz_ideal, bkp_once, bkp_twice,
-                                    dual_exp_reduce,
-                                    lattice_point_coeff_bound, rowmax_norm_sq)
+                                    DuallyReducedTag, approx_bkz_ideal,
+                                    bkp_twice, dual_exp_reduce,
+                                    rowmax_norm_sq)
 from latnf.ideal_arith import HnfIdeal, hnf_mul, kummer_dedekind
 from latnf.lattice_core import enumerate_minima_gram
 from latnf.nf_core import new_field
 from latnf.qlinalg import mat_det, mat_inv
+from oracles import bkp_once
+
+
+# The paper's bound on the coefficients of a lattice point over a
+# T-dually reduced basis, checked here against enumeration.
+
+def lattice_point_coeff_bound(tag: DuallyReducedTag, n: int,
+                              v_norm_sq_upper: Q,
+                              lambda1_sq_lower: Q) -> Q:
+    """Certified bound on ||u||^2 for v = B u over a T-dually reduced B:
+    ||u||^2 <= n^3 2^(nT) ||v||^2 / lambda_1^2."""
+    return (Q(n) ** 3 * Q(2) ** (n * tag.T) * Q(v_norm_sq_upper)
+            / Q(lambda1_sq_lower))
 
 
 class TestRowmaxNorm:

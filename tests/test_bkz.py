@@ -4,9 +4,10 @@ from fractions import Fraction as Q
 import pytest
 
 from latnf.bkz import (BkzConfig, bkz_full, bkz_prime, c1_bound_sq_ok,
-                       full_bound_sq_ok, hkz_reduce, _projected_cols)
-from latnf.lattice_core import enumerate_minima, gso, shortest_gram
-from latnf.qlinalg import dot, gram_matrix, mat_det, transpose
+                       full_bound_sq_ok, hkz_reduce)
+from latnf.lattice_core import (IntegralGSO, enumerate_minima, gso, int_gram,
+                                shortest_gram)
+from latnf.qlinalg import dot, gram_matrix, integral_cols, mat_det, transpose
 
 
 def _random_basis(rng, n, spread):
@@ -33,10 +34,14 @@ class TestHkz:
             out, u = hkz_reduce(cols)
             assert abs(mat_det([[Q(x) for x in r] for r in u])) == 1
             bstar, _, _ = gso(out)
+            ints, den = integral_cols(out)
+            state = IntegralGSO(int_gram(ints))
             for j in range(3):
-                g = gram_matrix(_projected_cols(out, j))
+                # pi_j(b_j..b_2), scaled to integers by d_j den
+                g = gram_matrix(state.projected(ints, j, 3 - j))
                 _, lam2 = shortest_gram(g)
-                assert dot(bstar[j], bstar[j]) == lam2
+                scale = state.d[j] * den
+                assert dot(bstar[j], bstar[j]) * scale * scale == lam2
 
     def test_potential_increase_bound(self):
         rng = random.Random(6)

@@ -28,6 +28,16 @@ constant.
 Every name a library module imports is used in the scope that imports it
 (the module, or the function holding a local import), or, for a
 module-level import, imported from that module by another file.
+
+Every library definition is reached from `src/` or `perfbench/`, not
+from the tests alone.  A definition is reached when its name is used
+there outside its own body and outside every definition not yet
+reached; the reached set grows from the entry points in `ENTRY_POINTS`
+until nothing more is added, so definitions that only use one another
+(a chain or a cycle) stay unreached.  Uses are matched by name as above,
+except that an import is not a use (the imported name's own uses count)
+and a method is reached only through an attribute or a dotted string,
+never through a plain name such as a local variable.
 """
 
 import ast
@@ -43,24 +53,11 @@ DOTTED = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*")
 # "<module>.<qualname>": reason it stays without a caller in the tree
 ALLOWED = {
     "cli.main": "console-script entry point declared in pyproject.toml",
-    "sunit_pipeline.SUnitResult.fundamental_sunits":
-        "user-facing output of the S-unit pipeline",
-    "sunit_pipeline.CompactElement.log_vector":
-        "user-facing output of the S-unit pipeline",
-    "sunit_pipeline.principal_ideal_generator":
-        "the paper's PIP step, kept until it gets a CLI path or is removed",
 }
 
 # "<module>.<qualname>(<parameter>)": reason its default stays although no
 # call site passes it
-ALLOWED_DEFAULTS = {
-    "sunit_pipeline.CompactElement.log_vector(prec)":
-        "precision of a user-facing output (allowlisted above)",
-    "sunit_pipeline.principal_ideal_generator(cfg)":
-        "interface of the PIP step, kept while the function is",
-    "sunit_pipeline.principal_ideal_generator(rho_tilde)":
-        "interface of the PIP step, kept while the function is",
-}
+ALLOWED_DEFAULTS = {}
 
 
 def _definitions(tree):
@@ -142,6 +139,91 @@ def test_allowlist_names_definitions():
                for path in LIBRARY.glob("*.py")
                for qualname, _node in _definitions(_parse(path))}
     assert sorted(set(ALLOWED) - defined) == []
+
+
+# Searched by the reach guard: what the commands, the pipeline and the
+# benchmark run, without the tests.
+REACHING = [ROOT / "src", ROOT / "perfbench"]
+
+# "<module>.<qualname>": reason it counts as reached although nothing in
+# `REACHING` reaches it
+ENTRY_POINTS = {
+    "cli.main": "console-script entry point declared in pyproject.toml",
+    "det_verify.decide_equal_lattice":
+        "certified equal-lattice decision, kept for the certified verdict "
+        "of verify_full (ROADMAP item 2)",
+    "det_verify.gram_det_interval":
+        "certified determinant window, kept for the certified verdict "
+        "of verify_full (ROADMAP item 2)",
+    "det_verify.epsilon_threshold":
+        "error budget of gram_det_interval, kept with it (ROADMAP item 2)",
+    "det_verify.DetVerdict":
+        "result of gram_det_interval, kept with it (ROADMAP item 2)",
+    "det_verify.inv_norm_bound":
+        "certified ||B^-1|| bound that gram_det_interval's budget needs "
+        "(ROADMAP item 2)",
+    "det_verify._smallest_positive_root_bracket":
+        "eigenvalue bracket of inv_norm_bound, over the polyq real-root "
+        "isolation, kept with it (ROADMAP item 2)",
+}
+
+
+def _reach_uses(tree):
+    """(name, line, bare) for every use of a name in the tree, imports
+    aside; `bare` marks a plain name, which cannot call a method."""
+    docs = _docstrings(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno, True
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno, False
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docs and DOTTED.fullmatch(node.value)):
+            for part in node.value.split("."):
+                yield part, node.lineno, False
+
+
+def unreached_definitions():
+    spans = {}              # "<module>.<qualname>" -> (path, first, last)
+    for path in sorted(LIBRARY.glob("*.py")):
+        for qualname, node in _definitions(_parse(path)):
+            spans[f"{path.stem}.{qualname}"] = (path, node.lineno,
+                                                 node.end_lineno)
+    uses = {}               # name -> [(path, line, bare)]
+    for top in REACHING:
+        for path in sorted(top.rglob("*.py")):
+            for name, line, bare in _reach_uses(_parse(path)):
+                uses.setdefault(name, []).append((path, line, bare))
+
+    def inside(path, line, key):
+        p, first, last = spans[key]
+        return p == path and first <= line <= last
+
+    reached = set(ENTRY_POINTS) & set(spans)
+    grew = True
+    while grew:
+        grew = False
+        unreached = [key for key in spans if key not in reached]
+        for key in unreached:
+            method = key.count(".") == 2
+            name = key.rsplit(".", 1)[-1]
+            if any(not (bare and method)
+                   and not any(inside(path, line, u) for u in unreached)
+                   for path, line, bare in uses.get(name, [])):
+                reached.add(key)
+                grew = True
+    return sorted(key for key in spans if key not in reached)
+
+
+def test_every_definition_is_reached():
+    assert unreached_definitions() == []
+
+
+def test_entry_points_name_definitions():
+    defined = {f"{path.stem}.{qualname}"
+               for path in LIBRARY.glob("*.py")
+               for qualname, _node in _definitions(_parse(path))}
+    assert sorted(set(ENTRY_POINTS) - defined) == []
 
 
 def _callables(tree):

@@ -4,16 +4,75 @@ from fractions import Fraction as Q
 
 import pytest
 
+from latnf import intmath
 from latnf.det_verify import (approx_rho, decide_equal_lattice,
                               epsilon_threshold, gram_det_interval,
-                              grenie_molteni_bound, inv_norm_bound,
-                              mertens_bracket, mertens_product, modulus_ratio,
-                              rho_ratio_bracket)
+                              inv_norm_bound)
 from latnf.ideal_arith import kummer_dedekind, primes_up_to
-from latnf.nf_core import new_field
+from latnf.nf_core import NumberField, new_field
 from latnf.qlinalg import mat_det, mat_inv
 
 from oracles import bach_product, exact_rho
+
+
+# The paper's modulus, Mertens and Grenie-Molteni bounds, checked here
+# against the primes and residues the library computes.
+
+def modulus_ratio(m0_factorization) -> Q:
+    """N(m0)/phi(m0) = prod over distinct prime divisors of 1/(1-1/N(P))."""
+    out = Q(1)
+    seen = set()
+    for prime in m0_factorization:
+        if prime in seen:
+            continue
+        seen.add(prime)
+        out *= Q(1) / (Q(1) - Q(1, prime.norm()))
+    return out
+
+
+def mertens_product(x: int) -> Q:
+    """prod_{p < x} 1/(1 - 1/p), exact."""
+    out = Q(1)
+    for p in intmath.primes_below(x):
+        out *= Q(1) / (Q(1) - Q(1, p))
+    return out
+
+
+def mertens_bracket(x: int):
+    """(product, lo, hi) with the Mertens third-theorem bracket
+    [log x, 6 log x]."""
+    if x < 2:
+        raise ValueError("x must be >= 2")
+    prod = mertens_product(x)
+    return prod, math.log(x), 6 * math.log(x)
+
+
+def rho_ratio_bracket(field: NumberField, x: int, rho_exact: float):
+    """Interval guaranteed to contain N(m0)/(phi(m0) rho_K) for
+    m0 = prod of primes of norm < x, from the c0 in [-8,8], c1 in [0,2]
+    form; returns (value, lo, hi)."""
+    if x < 10:
+        raise ValueError("x must be >= 10 here")
+    primes = []
+    for p in intmath.primes_below(x):
+        for prime, _e in kummer_dedekind(field, p):
+            if prime.norm() < x:
+                primes.append(prime)
+    value = float(modulus_ratio(primes)) / rho_exact
+    spread = 8 * (math.log(abs(field.disc_field)) + field.n * math.log(x)) / math.sqrt(x)
+    lo = math.log(x) * math.exp(0 - spread)
+    hi = math.log(x) * math.exp(2 + spread)
+    return value, lo, hi
+
+
+def grenie_molteni_bound(field: NumberField, x: int) -> float:
+    """ERH bound on log N(m0) for m0 = prod of primes of norm < x."""
+    if x <= 100:
+        raise ValueError("x must exceed 100")
+    n = field.n
+    ld = math.log(abs(field.disc_field))
+    return x + math.sqrt(x) * ((math.log(x) / (2 * math.pi) + 2) * ld
+                               + (math.log(x) ** 2 / (8 * math.pi) + 2) * n)
 
 
 @pytest.fixture(scope="module")

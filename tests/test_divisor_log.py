@@ -4,16 +4,79 @@ from fractions import Fraction as Q
 
 import pytest
 
-from latnf.divisor_log import (Divisor, degree, exp_divisor, gamma_k_bound,
-                               ideal_divisor_zero, kessler_lambda1_lower,
-                               log_embedding, log_s_embed, principal_divisor,
-                               simplex_volume, unit_lattice_covolume_target)
-from latnf.dyadic import RealBall, log_ball
-from latnf.ideal_arith import HnfIdeal, kummer_dedekind, primes_up_to
+from latnf.divisor_log import (Divisor, degree, ideal_divisor_zero,
+                               kessler_lambda1_lower, log_embedding,
+                               log_s_embed, principal_divisor)
+from latnf.dyadic import RealBall, ball_sqrt, exp_ball, log_ball
+from latnf.ideal_arith import (HnfIdeal, hnf_inv, hnf_mul, kummer_dedekind,
+                               primes_up_to)
 from latnf.lattice_core import enumerate_minima_gram, enumerate_short_gram
-from latnf.nf_core import new_field
+from latnf.nf_core import NumberField, new_field
 
 PELL_REG = math.log(1 + math.sqrt(2))
+
+
+# The paper's Exp map and volume formulas, checked here against the
+# library's Log maps and lattice enumeration.
+
+def ball_exp(b: RealBall, prec: int) -> RealBall:
+    el = exp_ball(b.lo(), prec)
+    eh = exp_ball(b.hi(), prec)
+    l, h = el.lo(), eh.hi()
+    return RealBall((l + h) / 2, (h - l) / 2)
+
+
+def exp_divisor(d: Divisor):
+    """Exp(d): returns (x, a, vol) where x is the per-embedding positive
+    distortion e^(a_nu / n_nu) (balls), a = prod p^(a_p), and vol is the
+    certified ball sqrt|Delta| e^(deg d); balls at 64 bits."""
+    prec = 64
+    field = d.field
+    a = HnfIdeal.ring_of_integers(field)
+    for p, e in d.finite_part.items():
+        step = p.hnf if e > 0 else hnf_inv(p.hnf)
+        for _ in range(abs(e)):
+            a = hnf_mul(a, step)
+    xs = []
+    for (idx, nnu), coeff in zip(field.places(), d.infinite_part):
+        scaled = coeff * Q(1, nnu)
+        e_lo = ball_exp(RealBall(scaled.lo()), prec)
+        e_hi = ball_exp(RealBall(scaled.hi()), prec)
+        l, h = e_lo.lo(), e_hi.hi()
+        ball = RealBall((l + h) / 2, (h - l) / 2)
+        xs.append(ball)
+        if nnu == 2:
+            xs.append(ball)
+    deg = degree(d, prec)
+    e_lo = ball_exp(RealBall(deg.lo()), prec)
+    e_hi = ball_exp(RealBall(deg.hi()), prec)
+    ev = RealBall((e_lo.lo() + e_hi.hi()) / 2, (e_hi.hi() - e_lo.lo()) / 2)
+    sq = ball_sqrt(RealBall(Q(abs(field.disc_field))), prec)
+    return xs, a, sq * ev
+
+
+def simplex_volume(field: NumberField, alpha: float) -> float:
+    """vol of {b_nu <= n_nu*alpha, sum b = 0}: sqrt(r+1) (n alpha)^r / r!."""
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    r = field.n_real + field.n_cplx - 1
+    return math.sqrt(r + 1) * (field.n * alpha) ** r / math.factorial(r)
+
+
+def unit_lattice_covolume_target(field: NumberField, h: int, reg: float) -> float:
+    """Product-measure covolume of the Log-S-unit lattice:
+    h * R * sqrt(n_R + n_C)."""
+    if h < 1 or reg <= 0:
+        raise ValueError("need h >= 1 and R > 0")
+    return h * reg * math.sqrt(field.n_real + field.n_cplx)
+
+
+def gamma_k_bound(field: NumberField, cyclotomic: bool = False) -> float:
+    """Certified upper bound on the ideal-lattice gap Gamma_K; exactly 1
+    for (caller-flagged) cyclotomic fields."""
+    if cyclotomic:
+        return 1.0
+    return abs(field.disc_field) ** (1.0 / field.n)
 
 
 @pytest.fixture(scope="module")

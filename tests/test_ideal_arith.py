@@ -10,12 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import chi2_uniform_stat, quadratic_prime_norms
+from oracles import chi2_sf, chi2_uniform_stat, quadratic_prime_norms
 
 from latnf.ideal_arith import (HnfIdeal, SampleFailure, hnf_inv, hnf_mul,
                                kummer_dedekind, ord_at, primes_up_to,
                                sample_prime_uniform, splitting_degrees)
-from latnf.ideal_walk import chi2_sf
 from latnf.intmath import factorint
 from latnf.nf_core import new_field
 from latnf.relations import FactorBase, smooth_factor
@@ -34,7 +33,8 @@ def qs5():
 class TestHnfMul:
     def test_p2_squared_is_two(self, qs5):
         p2 = kummer_dedekind(qs5, 2)[0][0]
-        assert hnf_mul(p2.hnf, p2.hnf) == HnfIdeal.from_integer(qs5, 2)
+        two = HnfIdeal.principal(qs5, qs5.one() * 2)
+        assert hnf_mul(p2.hnf, p2.hnf) == two
 
     def test_identity(self, qs5):
         ok = HnfIdeal.ring_of_integers(qs5)
@@ -44,7 +44,7 @@ class TestHnfMul:
     def test_p3_conjugates_give_three(self, qs5):
         s3 = kummer_dedekind(qs5, 3)
         assert hnf_mul(s3[0][0].hnf, s3[1][0].hnf) == \
-            HnfIdeal.from_integer(qs5, 3)
+            HnfIdeal.principal(qs5, qs5.one() * 3)
 
     def test_norm_multiplicative(self, qs5):
         p2 = kummer_dedekind(qs5, 2)[0][0]
@@ -59,7 +59,7 @@ class TestHnfMul:
 
 class TestHnfInv:
     def test_principal_two(self, qi):
-        two = HnfIdeal.from_integer(qi, 2)
+        two = HnfIdeal.principal(qi, qi.one() * 2)
         inv = hnf_inv(two)
         assert inv.denom == 2
         assert hnf_mul(two, inv) == HnfIdeal.ring_of_integers(qi)
@@ -79,7 +79,7 @@ class TestHnfInv:
         s3 = kummer_dedekind(qs5, 3)
         pa = HnfIdeal.principal(qs5, qs5.element([1, 1]))
         ideals = [p2.hnf, s3[0][0].hnf, s3[1][0].hnf,
-                  HnfIdeal.from_integer(qs5, 2), pa]
+                  HnfIdeal.principal(qs5, qs5.one() * 2), pa]
         ok = HnfIdeal.ring_of_integers(qs5)
         for _ in range(12):
             a, b, c = (rng.choice(ideals) for _ in range(3))
@@ -90,7 +90,7 @@ class TestHnfInv:
 class TestOrd:
     def test_two_at_p2(self, qs5):
         p2 = kummer_dedekind(qs5, 2)[0][0]
-        assert ord_at(HnfIdeal.from_integer(qs5, 2), p2) == 2
+        assert ord_at(HnfIdeal.principal(qs5, qs5.one() * 2), p2) == 2
 
     def test_ring_everywhere_zero(self, qs5):
         ok = HnfIdeal.ring_of_integers(qs5)
@@ -103,7 +103,7 @@ class TestOrd:
         assert ord_at(pa, p2) == 1
 
     def test_fractional(self, qi):
-        half = HnfIdeal.from_module_columns(qi, [[Q(1, 2), 0], [0, Q(1, 2)]])
+        half = HnfIdeal._from_int_columns(qi, 2, [[1, 0], [0, 1]])
         p = primes_up_to(qi, 2)[0]
         assert ord_at(half, p) == -2
 
@@ -129,7 +129,7 @@ class TestKummerDedekind:
             for prime, e in kummer_dedekind(qs5, p):
                 for _ in range(e):
                     acc = hnf_mul(acc, prime.hnf)
-            assert acc == HnfIdeal.from_integer(qs5, p)
+            assert acc == HnfIdeal.principal(qs5, qs5.one() * p)
 
     def test_sum_ef_equals_degree(self, qi, qs5):
         for field in (qi, qs5):
@@ -153,7 +153,7 @@ class TestPrimesUpTo:
         assert primes_up_to(qi, 1) == []
 
     def test_avoid(self, qs5):
-        two = HnfIdeal.from_integer(qs5, 2)
+        two = HnfIdeal.principal(qs5, qs5.one() * 2)
         pr = primes_up_to(qs5, 3, avoid=two)
         assert len(pr) == 2 and all(p.norm() == 3 for p in pr)
 
@@ -201,7 +201,7 @@ class TestFieldLifetime:
         field = new_field([5, 0, 1])
         ref = weakref.ref(field)
         primes = primes_up_to(field, 12)
-        six = HnfIdeal.from_integer(field, 6)
+        six = HnfIdeal.principal(field, field.one() * 6)
         for p in primes:
             ord_at(six, p)
             p.power(3)

@@ -5,12 +5,12 @@ from fractions import Fraction as Q
 import pytest
 
 from latnf.ideal_arith import HnfIdeal, hnf_mul, primes_up_to
-from latnf.ideal_walk import (WalkParams, boundedness_check, check_congruence,
-                              check_membership, check_norm_bound, check_signs,
-                              chi2_sf, chi2_two_sample, sample_beta,
-                              shifting_experiment, walk_params)
-from latnf.nf_core import new_field
+from latnf.ideal_walk import (WalkParams, WalkTrace, boundedness_check,
+                              check_membership, check_norm_bound, sample_beta,
+                              walk_params)
+from latnf.nf_core import FieldElement, NumberField, new_field
 from latnf.samplers import SamplerConfig
+from oracles import chi2_sf
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +24,98 @@ def qr2():
 
 
 FAST = SamplerConfig(radius_constant=2)
+
+
+# The congruence and sign checks and the shifting experiment of the
+# paper, run here on the library's sampler.
+
+def check_congruence(trace: WalkTrace, m0: HnfIdeal | None,
+                     tau: FieldElement) -> bool:
+    if m0 is None:
+        return True
+    field = trace.beta.field
+    if m0 == HnfIdeal.ring_of_integers(field):
+        return True
+    return m0.contains(trace.beta - tau)
+
+
+def check_signs(trace: WalkTrace, m_inf, tau: FieldElement) -> bool:
+    field = trace.beta.field
+    for place in m_inf:
+        if (field.sign_at_real_place(trace.beta, place)
+                != field.sign_at_real_place(tau, place)):
+            return False
+    return True
+
+
+def chi2_two_sample(counts_a: dict, counts_b: dict) -> tuple[float, int]:
+    """Two-sample chi-square statistic and degrees of freedom over the
+    union of observed categories (small categories pooled)."""
+    keys = sorted(set(counts_a) | set(counts_b), key=str)
+    na = sum(counts_a.values())
+    nb = sum(counts_b.values())
+    stat = 0.0
+    used = 0
+    pooled_a = pooled_b = 0
+    for k in keys:
+        a = counts_a.get(k, 0)
+        b = counts_b.get(k, 0)
+        if a + b < 10:
+            pooled_a += a
+            pooled_b += b
+            continue
+        ea = (a + b) * na / (na + nb)
+        eb = (a + b) * nb / (na + nb)
+        stat += (a - ea) ** 2 / ea + (b - eb) ** 2 / eb
+        used += 1
+    if pooled_a + pooled_b >= 10:
+        ea = (pooled_a + pooled_b) * na / (na + nb)
+        eb = (pooled_a + pooled_b) * nb / (na + nb)
+        stat += (pooled_a - ea) ** 2 / ea + (pooled_b - eb) ** 2 / eb
+        used += 1
+    return stat, max(1, used - 1)
+
+
+def shifting_experiment(field: NumberField, b_ideal: HnfIdeal, y,
+                        alpha: FieldElement, n_samples: int, params: WalkParams,
+                        rng, cfg=None):
+    """Empirical check of D_{a+((alpha))}(. alpha) = D_a(.): runs the
+    sampler on a and on the alpha-shifted input, pulls the second stream
+    back by alpha, and chi-square-compares the two."""
+    tau = field.one()
+    counts_a: dict = {}
+    counts_b: dict = {}
+    shifted_ideal = hnf_mul(b_ideal, HnfIdeal.principal(field, alpha))
+    # y' = y * |sigma(alpha)|^{-1}: rational only if the embeddings are;
+    # instead fold alpha into the box by exact division of the output.
+    pt = field.embed(alpha, 64)
+    y_shift = []
+    for emb_idx in range(field.n):
+        a2 = pt.values[emb_idx].abs2()
+        # rational approximation of |sigma(alpha)|^{-1}; statistical only
+        approx = Q(1) / Q(math.sqrt(float(a2.mid))).limit_denominator(10 ** 9)
+        y_shift.append(Q(y[emb_idx]) * approx)
+    y_shift = _symmetrize_conj(field, y_shift)
+    alpha_inv = alpha.inverse()
+    for _ in range(n_samples):
+        t1 = sample_beta(field, None, [], b_ideal, y, tau, params, rng, cfg)
+        counts_a[t1.beta.coords] = counts_a.get(t1.beta.coords, 0) + 1
+        t2 = sample_beta(field, None, [], shifted_ideal, y_shift, tau,
+                         params, rng, cfg)
+        pulled = t2.beta * alpha_inv
+        counts_b[pulled.coords] = counts_b.get(pulled.coords, 0) + 1
+    stat, dof = chi2_two_sample(counts_a, counts_b)
+    return {"chi2": stat, "dof": dof, "p_value": chi2_sf(stat, dof),
+            "support_a": len(counts_a), "support_b": len(counts_b)}
+
+
+def _symmetrize_conj(field: NumberField, xs):
+    out = list(xs)
+    for k in range(field.n_cplx):
+        j = field.n_real + 2 * k
+        v = (out[j] + out[j + 1]) / 2
+        out[j] = out[j + 1] = v
+    return out
 
 
 def fast_params(field, eps=Q(1, 4), b_override=40):
@@ -82,7 +174,7 @@ class TestSampleBetaHardChecks:
 
     def test_congruence_mod_three(self, qi):
         rng = random.Random(22)
-        m0 = HnfIdeal.from_integer(qi, 3)
+        m0 = HnfIdeal.principal(qi, qi.one() * 3)
         tau = qi.element([2, 0])
         ok_ring = HnfIdeal.ring_of_integers(qi)
         params = walk_params(qi, m0, [], Q(1, 4), b_override=40)

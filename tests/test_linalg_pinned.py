@@ -6,7 +6,8 @@ Each pinned case runs a public entry point whose result passes through
 or `lattice_core.gso`, and hashes what it returns: Klein samples on an
 integer, a dyadic and an 18-dimensional rational basis, the
 post-processed basis and verification transcript of two relation sets,
-dual-reduced and BKZ-reduced ideal bases, exact box counts, inverses and
+dual-reduced and BKZ-reduced ideal bases, exact box counts
+(`oracles.count_in_box`, over `mat_inv`), inverses and
 norms over a field given with its own integral basis, and the
 independent rows `lattice_core_lll_rows` keeps.  The digests were
 recorded from the `Fraction` Gaussian elimination and the rational
@@ -150,7 +151,7 @@ def _counts():
             ([[2, 1, 0], [0, 3, 1], [1, 0, 4]], 9, [1, Q(1, 2), 0]),
             ([[5, 1, 0, 0], [1, 4, 1, 0], [0, 1, 3, 1], [0, 0, 1, 6]], 7,
              None)):
-        res = lattice_core.count_in_box(cols, r, shift=shift)
+        res = oracles.count_in_box(cols, r, shift=shift)
         out.append([res["count"], res["interval"], res["certified"]])
     return _digest(out)
 

@@ -4,9 +4,9 @@ from fractions import Fraction as Q
 
 import pytest
 
-from latnf.nf_core import (GT, LE, NumberField, cmp_element,
-                           cmp_root_threshold, element_norm, embed,
+from latnf.nf_core import (GT, LE, NumberField, cmp_element, embed,
                            liouville_separation, new_field)
+from oracles import abs_root_gt
 
 
 @pytest.fixture(scope="module")
@@ -126,25 +126,20 @@ class TestLiouville:
 
 
 class TestCmpRootThreshold:
-    def test_pell_near_zero(self):
-        # 408 sqrt(2) - 577 is about -0.0008665; its minimal polynomial is
-        # x^2 + 1154 x + 1
-        assert cmp_root_threshold([1, 1154, 1], 1, 0, 1, "real_value") == LE
+    """A root against g^(1/k): signed at a real place by `cmp_element`,
+    in absolute value by `oracles.abs_root_gt`."""
 
-    def test_sqrt2_above_one(self):
-        assert cmp_root_threshold([-2, 0, 1], 1, 1, 1, "real_value") == GT
+    def test_pell_near_zero(self, qr2):
+        # 408 sqrt(2) - 577 is about -0.0008665 at the place sqrt(2) > 0
+        alpha = qr2.element([-577, 408])
+        assert cmp_element(alpha, 1, 1, 0, 1, signed=True) == LE
+
+    def test_sqrt2_above_one(self, qr2):
+        assert cmp_element(qr2.element([0, 1]), 1, 1, 1, 1, signed=True) == GT
 
     def test_abs_i_vs_two(self):
         # |i| = 1 <= 4^(1/2)
-        assert cmp_root_threshold([1, 0, 1], 0, 4, 2, "abs_value") == LE
-
-    def test_index_range(self):
-        with pytest.raises(IndexError):
-            cmp_root_threshold([-2, 0, 1], 5, 1, 1, "real_value")
-
-    def test_abs_negative_g(self):
-        with pytest.raises(ValueError):
-            cmp_root_threshold([1, 0, 1], 0, -1, 2, "abs_value")
+        assert abs_root_gt([1, 0, 1], 0, 4, 2) == LE
 
 
 class TestCmpElement:
@@ -181,16 +176,16 @@ class TestCmpElement:
 
 class TestNorm:
     def test_examples(self, qi, qs5):
-        assert element_norm(qi.element([1, 1])) == 2
-        assert element_norm(qi.one()) == 1
-        assert element_norm(qs5.element([1, 1])) == 6
+        assert qi.element([1, 1]).norm() == 2
+        assert qi.one().norm() == 1
+        assert qs5.element([1, 1]).norm() == 6
 
     def test_multiplicative(self, qi):
         rng = random.Random(1)
         for _ in range(40):
             x = qi.element([rng.randrange(-9, 10) for _ in range(2)])
             y = qi.element([rng.randrange(-9, 10) for _ in range(2)])
-            assert element_norm(x * y) == element_norm(x) * element_norm(y)
+            assert (x * y).norm() == x.norm() * y.norm()
 
 
 class TestArithmetic:

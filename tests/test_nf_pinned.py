@@ -118,7 +118,8 @@ def _valuations(name):
                 ideals.append(hnf_mul(ideals[k % 8], p.power(k)))
     for p in primes[:4]:
         ideals.append(hnf_mul(ideals[0], hnf_inv(p.power(2))))
-    ideals.append(HnfIdeal.from_integer(field, Q(2 ** 7 * 3 ** 4 * 5 ** 5, 7)))
+    ideals.append(HnfIdeal.principal(
+        field, field.one() * Q(2 ** 7 * 3 ** 4 * 5 ** 5, 7)))
     return _digest([[ord_at(a, p) for p in primes] for a in ideals])
 
 

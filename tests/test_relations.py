@@ -8,14 +8,41 @@ import pytest
 
 from latnf.ideal_arith import (HnfIdeal, hnf_mul, kummer_dedekind,
                                primes_up_to)
-from latnf.nf_core import new_field
+from latnf.nf_core import NumberField, new_field
 from latnf.relations import (FactorBase, RandomRelationConfig, RelationConfig,
-                             b_max_bound, branch_x, choose_omega,
-                             compute_one_relation, default_blocksize,
-                             exceptional_unit, modulus_branch, random_relation,
-                             sample_budget, smooth_density_lower,
+                             branch_x, choose_omega, compute_one_relation,
+                             default_blocksize, exceptional_unit,
+                             modulus_branch, random_relation, sample_budget,
                              smooth_factor)
-from latnf.samplers import SamplerConfig
+from latnf.samplers import SamplerConfig, walk_radius
+
+
+# The paper's smooth-density lower bound and the bound B_max on the
+# primes a relation may need, checked here against the library's walk.
+
+def smooth_density_lower(field: NumberField, a_cut, b_bound, x,
+                         rho_upper) -> float:
+    """Lower bound (4 log B)^(1-u) u^(-u) / (rho B) on the local density
+    of ideals with prime factors of norm in (A, B]; preconditions are
+    reported, never clamped."""
+    if b_bound < 16:
+        raise ValueError(f"B = {b_bound} below the smoothness floor 16")
+    if a_cut > b_bound / (4 * math.log(b_bound)):
+        raise ValueError("A exceeds B/(4 log B)")
+    if x < b_bound * math.e ** field.n:
+        raise ValueError("x below B e^n")
+    u = math.log(x) / math.log(b_bound)
+    return (4 * math.log(b_bound)) ** (1 - u) * u ** (-u) / (rho_upper * b_bound)
+
+
+def b_max_bound(field: NumberField, m0_norm, blocksize, omega, x,
+                cfg: RelationConfig) -> float:
+    """max(exp(sqrt(log r^n loglog r^n)), B_sm, B_rw, 10 x^2)."""
+    r = walk_radius(field, Q(m0_norm), blocksize, omega)
+    _lo, hi = r.bracket(40)
+    log_rn = field.n * math.log(float(hi))
+    return max(math.exp(math.sqrt(log_rn * math.log(log_rn))),
+               cfg.b_sm, cfg.b_rw, 10 * x * x)
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +62,7 @@ FAST_CFG = RelationConfig(eps_override=Q(1, 4), walk_b_override=40,
 class TestSmoothFactor:
     def test_six(self, qs5):
         fb = FactorBase(primes_up_to(qs5, 3))
-        v = smooth_factor(HnfIdeal.from_integer(qs5, 6), fb)
+        v = smooth_factor(HnfIdeal.principal(qs5, qs5.one() * 6), fb)
         assert sorted(v) == [1, 1, 2]
 
     def test_ring(self, qs5):
@@ -44,7 +71,8 @@ class TestSmoothFactor:
 
     def test_inert_not_smooth(self, qs5):
         fb = FactorBase(primes_up_to(qs5, 3))
-        assert smooth_factor(HnfIdeal.from_integer(qs5, 11), fb) is None
+        eleven = HnfIdeal.principal(qs5, qs5.one() * 11)
+        assert smooth_factor(eleven, fb) is None
 
     def test_reconstruction_identity(self, qs5):
         fb = FactorBase(primes_up_to(qs5, 10))

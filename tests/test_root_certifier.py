@@ -2,9 +2,11 @@
 
 The digests pin every certified root ball (exact midpoint and radius) of
 six fields at three precisions, as `NumberField._all_roots` returned them
-before the field path and the abs mode of `cmp_root_threshold` shared one
-root certifier.  The abs-mode cases below reach the Liouville fallback
-(equality holds, so no interval decides them).
+before the field path and a second, polynomial-level root comparator
+shared one root certifier.  The |root| comparisons below run the
+|sigma|^2k decision `nf_core._abs2_pow_gt` (the core of `cmp_element`) on
+`certify_roots` balls, through `oracles.abs_root_gt`; the fallback cases
+reach its Liouville bound (equality holds, so no interval decides them).
 """
 
 import hashlib
@@ -15,7 +17,8 @@ import pytest
 
 from latnf import nf_core
 from latnf.dyadic import ComplexBall, sqrt_bracket
-from latnf.nf_core import GT, LE, cmp_root_threshold, new_field
+from latnf.nf_core import GT, LE, new_field
+from oracles import abs_root_gt
 
 FIELDS = {"Q(i)": [1, 0, 1], "Q(sqrt-5)": [5, 0, 1], "Q(sqrt2)": [-2, 0, 1],
           "Q(sqrt-163)": [163, 0, 1], "Q(zeta5)": [1, 1, 1, 1, 1],
@@ -65,15 +68,14 @@ def test_all_roots_pinned(name, prec):
 class TestAbsModeFallback:
     def test_sqrt_minus_two_pow_four(self):
         # |sqrt(-2)|^2 = 2 and 2^4 = 16 = 4^2: equality resolves LE
-        assert cmp_root_threshold([2, 0, 1], 0, 4, 4, "abs_value") == LE
+        assert abs_root_gt([2, 0, 1], 0, 4, 4) == LE
 
     def test_cube_root_of_unity(self):
         # |omega| = 1 = 1^(1/3)
-        assert cmp_root_threshold([1, 1, 1], 1, 1, 3, "abs_value") == LE
+        assert abs_root_gt([1, 1, 1], 1, 1, 3) == LE
 
     def test_just_above_equality(self):
-        assert cmp_root_threshold([2, 0, 1], 0, Q(3999, 1000), 4,
-                                  "abs_value") == GT
+        assert abs_root_gt([2, 0, 1], 0, Q(3999, 1000), 4) == GT
 
 
 def _eisenstein(rng, n):
@@ -87,7 +89,7 @@ def test_abs_mode_agrees_with_interval_arithmetic():
     decided = 0
     for _ in range(40):
         poly = _eisenstein(rng, rng.choice((2, 3, 4)))
-        # the balls `cmp_root_threshold` numbers (the power basis of an
+        # the balls `abs_root_gt` numbers (the power basis of an
         # Eisenstein polynomial need not be maximal, so no field is built)
         balls = sorted(nf_core.certify_roots(poly, 256),
                        key=lambda b: (b.re, b.im))
@@ -98,7 +100,7 @@ def test_abs_mode_agrees_with_interval_arithmetic():
         tk = t
         for _ in range(k - 1):
             tk = tk * t
-        verdict = cmp_root_threshold(poly, idx, g, k, "abs_value")
+        verdict = abs_root_gt(poly, idx, g, k)
         if tk.definitely_gt(g * g):
             assert verdict == GT
             decided += 1

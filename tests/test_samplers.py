@@ -7,17 +7,14 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import chi2_uniform_stat
+from oracles import chi2_sf, chi2_uniform_stat
 
 from latnf.ideal_arith import HnfIdeal, hnf_mul, kummer_dedekind, primes_up_to
-from latnf.ideal_walk import chi2_sf
 from latnf.nf_core import new_field
 from latnf.samplers import (GridBox, RadiusExpr, SamplerConfig,
-                            _radius_times_sqrt2, gaussian_tail_continuous,
-                            gaussian_tail_discrete, klein_min_width,
-                            klein_sample, perfect_box_grid,
-                            perfect_box_lattice, sample_in_box,
-                            sample_z_gaussian, smoothing_upper, walk_radius)
+                            _radius_times_sqrt2, klein_min_width,
+                            klein_sample, perfect_box_lattice, sample_in_box,
+                            sample_z_gaussian, walk_radius)
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +25,25 @@ def qi():
 @pytest.fixture(scope="module")
 def qr2():
     return new_field([-2, 0, 1])
+
+
+# The smoothing-parameter and Gaussian-tail bounds of the paper, checked
+# here against the library's samplers.
+
+def smoothing_upper(minima_sq_last: Q, n: int, eps: float) -> float:
+    """eta_eps(L) <= sqrt(log(2n(1+1/eps))/pi) * lambda_n."""
+    return math.sqrt(math.log(2 * n * (1 + 1 / eps)) / math.pi) * math.sqrt(
+        float(minima_sq_last))
+
+
+def gaussian_tail_discrete(s: float, n: int, eps: float) -> float:
+    """Banaszczyk-type: Pr[||x|| >= s sqrt(log(1/eps) + 2n)] <= eps."""
+    return s * math.sqrt(math.log(1 / eps) + 2 * n)
+
+
+def gaussian_tail_continuous(s: float, n: int, eps: float) -> float:
+    """Chernoff/union: Pr[||x|| >= s sqrt(2n log(2n/eps))] <= eps."""
+    return s * math.sqrt(2 * n * math.log(2 * n / eps))
 
 
 class TestZGaussian:
@@ -200,13 +216,18 @@ class TestRadiusExpr:
 
 
 class TestPerfectBoxGrid:
+    """The unshifted grid case of `perfect_box_lattice`: a zero shift and
+    an oracle that accepts every candidate."""
+
     def test_exact_uniform_z2(self):
         rng = random.Random(9)
         box = GridBox([(0, RadiusExpr.exact(5)), (1, RadiusExpr.exact(5))], [])
         counts = {}
         n = 24000
         for _ in range(n):
-            w = perfect_box_grid([[1, 0], [0, 1]], 1, box, 1, Q(1, 10), rng)
+            # draws on [-6, 6]^2 (1 + 4 eps = 6/5), keeps [-5, 5]^2
+            w = perfect_box_lattice([[1, 0], [0, 1]], 1, [0, 0], box,
+                                    Q(1, 20), lambda cand: cand, rng)
             assert w is not None
             counts[tuple(w)] = counts.get(tuple(w), 0) + 1
         assert len(counts) == 121
@@ -218,7 +239,8 @@ class TestPerfectBoxGrid:
         # degenerate: box smaller than D/eps
         box = GridBox([(0, RadiusExpr.exact(Q(1, 100))),
                        (1, RadiusExpr.exact(Q(1, 100)))], [])
-        w = perfect_box_grid([[1, 0], [0, 1]], 1, box, 1, Q(1, 10), rng)
+        w = perfect_box_lattice([[1, 0], [0, 1]], 1, [0, 0], box, Q(1, 10),
+                                lambda cand: cand, rng)
         assert w is None or w == [0, 0]
 
     def test_cell_count_identity(self):

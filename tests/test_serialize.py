@@ -2,7 +2,6 @@ import json
 from fractions import Fraction as Q
 
 from latnf import serialize
-from latnf.dyadic import RealBall
 from latnf.ideal_arith import HnfIdeal, kummer_dedekind, primes_up_to
 from latnf.nf_core import new_field
 from latnf.relations import SUnitRelation
@@ -14,21 +13,24 @@ def test_rational_round_trip():
 
 
 def test_field_round_trip():
+    # a field file as `latnf field` reads it, with and without its basis
     k = new_field([5, 0, 1])
-    k2 = serialize.field_from_json(serialize.field_to_json(k))
+    k2 = serialize.field_from_json({"poly": [5, 0, 1],
+                                    "integral_basis": [[1, 0], [0, 1]]})
     assert k2.poly == k.poly and k2.disc_field == k.disc_field
     # non-power basis survives
-    k3 = new_field([23, 0, 1], integral_basis=[[1, 0], [Q(1, 2), Q(1, 2)]])
-    k4 = serialize.field_from_json(serialize.field_to_json(k3))
+    k4 = serialize.field_from_json({"poly": [23, 0, 1],
+                                    "integral_basis": [[1, 0],
+                                                       ["1/2", "1/2"]]})
     assert k4.disc_field == -23
 
 
 def test_ideal_and_prime_round_trip():
+    # a prime ideal goes through the ideal codec as its HNF
     k = new_field([5, 0, 1])
     p2 = kummer_dedekind(k, 2)[0][0]
-    d = serialize.prime_to_json(p2)
-    p2b = serialize.prime_from_json(k, d)
-    assert p2b == p2 and p2b.f == p2.f and p2b.e == p2.e
+    d = serialize.ideal_to_json(p2.hnf)
+    assert serialize.ideal_from_json(k, json.loads(json.dumps(d))) == p2.hnf
 
 
 def test_element_round_trip():
@@ -36,12 +38,6 @@ def test_element_round_trip():
     e = k.element([Q(3, 2), Q(-7)])
     assert serialize.element_from_json(
         k, serialize.element_to_json(e)).coords == e.coords
-
-
-def test_ball_round_trip():
-    b = RealBall(Q(22, 7), Q(1, 1024))
-    b2 = serialize.ball_from_json(serialize.ball_to_json(b))
-    assert b2.mid == b.mid and b2.rad == b.rad
 
 
 def test_matrix_round_trip():
@@ -63,12 +59,3 @@ def test_relation_dump_resumable(tmp_path):
     assert loaded[0].alpha.coords == alpha.coords
     assert loaded[0].total_valuations == (1, 0, 0)
     assert loaded[0].attempts == 7
-
-
-def test_divisor_json():
-    from latnf.divisor_log import principal_divisor
-    k = new_field([1, 0, 1])
-    d = serialize.divisor_to_json(principal_divisor(k.element([1, 1])))
-    assert len(d["finite"]) == 1
-    assert d["finite"][0]["exp"] == 1
-    json.dumps(d)   # serializable end to end

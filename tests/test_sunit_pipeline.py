@@ -4,20 +4,77 @@ from fractions import Fraction as Q
 
 import pytest
 
-from latnf import sunit_pipeline
+from latnf import qlinalg, sunit_pipeline
+from latnf.approx_reduction import ApproxGenerators, bkp_twice
+from latnf.divisor_log import kessler_lambda1_lower, log_embedding
+from latnf.dyadic import sqrt_bracket
 from latnf.ideal_arith import HnfIdeal, hnf_mul, kummer_dedekind, primes_up_to
-from latnf.nf_core import CapExceeded, new_field
+from latnf.nf_core import CapExceeded, NumberField, new_field
 from latnf.relations import (FactorBase, RandomRelationOutput, RelationConfig,
                              SUnitRelation)
 from latnf.samplers import SamplerConfig
-from latnf.sunit_pipeline import (IDLE_DRAW_CAP, CompactElement,
+from latnf.sunit_pipeline import (IDLE_DRAW_CAP, PostprocessResult, _log2_up,
                                   class_group_from_basis, compute_sunits,
                                   euclid_correction_sq, postprocess,
-                                  postprocess_full_bkp, provable_d_value,
-                                  roots_of_unity_count, verify_full,
-                                  PipelineConfig)
+                                  provable_d_value, roots_of_unity_count,
+                                  verify_full, PipelineConfig)
 
 PELL_REG = math.log(1 + math.sqrt(2))
+
+
+# The paper's literal post-processing, one double BKP pass over the whole
+# Log_S matrix: the cross-check for `postprocess`, which splits off the
+# exact valuation block first.
+
+def relation_log_rows(relations, fb: FactorBase, prec: int):
+    """Exact-valuation + dyadic-infinite rows of Log_S for the relations."""
+    rows = []
+    max_err = Q(0)
+    for rel in relations:
+        lv = log_embedding(rel.alpha, prec)
+        val = [-v for v in rel.total_valuations]
+        inf = []
+        for ball in lv.entries:
+            inf.append(ball.mid)
+            max_err = max(max_err, ball.rad)
+        rows.append([Q(v) for v in val] + inf)
+    return rows, max_err
+
+
+def postprocess_full_bkp(relations, fb: FactorBase,
+                         field: NumberField) -> PostprocessResult:
+    """The literal full-matrix double-BKP post-processing (used on tiny
+    instances and to cross-check the split variant)."""
+    k = len(relations)
+    if k == 0:
+        return PostprocessResult([], 0, [], [], 0)
+    n = field.n
+    s_len = len(fb)
+    mu = kessler_lambda1_lower(field)
+    rows0, _err0 = relation_log_rows(relations, fb, 32)
+    a_sq = max(qlinalg.dot(r, r) for r in rows0) + 1
+    _, a_up = sqrt_bracket(a_sq, 32)
+    c0_log2 = (8 * k + 2 * (k + 1) * _log2_up(Q(k) * Q(4) ** k * a_up / mu))
+    det_log2 = (6 + (k + 6) * _log2_up(Q(n + s_len))
+                + (2 * k + 1) * (k + 2) + _log2_up(a_up) - 2 * _log2_up(mu))
+    eps_log2 = -_log2_up(Q(1) / mu) - c0_log2 - det_log2
+    prec = max(96, int(-eps_log2) + 32)
+    rows, err = relation_log_rows(relations, fb, prec)
+    gens = ApproxGenerators(rows=rows, err=Q(n + s_len) * err, mu=mu,
+                            r0=min(k, s_len + field.n_real + field.n_cplx - 1),
+                            n1=s_len)
+    res = bkp_twice(gens)
+    basis_val = []
+    basis_inf = []
+    for row in res.basis_rows:
+        val = []
+        for v in row[:s_len]:
+            if Q(v).denominator != 1:
+                raise RuntimeError("valuation block not integral after BKP")
+            val.append(int(v))
+        basis_val.append(val)
+        basis_inf.append([Q(v) for v in row[s_len:]])
+    return PostprocessResult(res.m_rows, res.rank, basis_val, basis_inf, prec)
 
 
 @pytest.fixture(scope="module")
@@ -188,35 +245,6 @@ class TestClassGroupExtraction:
         fb_factors, _ = class_group_from_basis(
             postprocess(rels_b, fb, qs5).basis_val)
         assert fa == fb_factors == [2]
-
-
-class TestCompactElement:
-    def test_homomorphic_valuations(self, qs5):
-        fb = FactorBase(primes_up_to(qs5, 3))
-        a = qs5.element([1, 1])
-        b = qs5.element([2, 0])
-        cu = CompactElement([a, b], [2, -1])
-        vals = cu.valuations(fb)
-        from latnf.ideal_arith import ord_at
-        va = [ord_at(HnfIdeal.principal(qs5, a), p) for p in fb]
-        vb = [ord_at(HnfIdeal.principal(qs5, b), p) for p in fb]
-        assert vals == [2 * x - y for x, y in zip(va, vb)]
-
-    def test_norm_homomorphic(self, qs5):
-        a = qs5.element([1, 1])
-        cu = CompactElement([a], [3])
-        assert cu.norm() == Q(6) ** 3
-
-    def test_expand_small(self, qi):
-        a = qi.element([1, 1])
-        cu = CompactElement([a], [2])
-        assert cu.expand().coords == (a * a).coords
-
-    def test_expansion_cap(self, qi):
-        a = qi.element([12345, 67890])
-        cu = CompactElement([a], [10 ** 6])
-        with pytest.raises(ValueError):
-            cu.expand()
 
 
 class TestIdleDrawCap:
