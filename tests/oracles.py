@@ -15,6 +15,8 @@ methods that never touch the library's own code paths.
   basis change, the cross-check for the library's integral LLL, with an
   exact LLL-reducedness test and a row Hermite normal form for lattice
   equality;
+- the Smith invariant factors from determinantal divisors (gcds of
+  minors);
 - the residue bracket's Euler product as the library computed it before
   its vectorised kernel: a per-prime float loop over a bytearray sieve
   (bit-for-bit reference) and an exact `Fraction` product over
@@ -43,6 +45,7 @@ library's |sigma|^2k decision (`abs_root_gt`).
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -417,6 +420,26 @@ def hnf_rows(vectors) -> list[list[int]]:
             q = out[k][col] // row[col]
             out[k] = [a - q * b for a, b in zip(out[k], row)]
     return out
+
+
+def smith_reference(rows) -> list[int]:
+    """Nonzero invariant factors of an integer matrix from its
+    determinantal divisors: d_k is the gcd of the k x k minors, and the
+    k-th factor is d_k / d_(k-1), until d_k = 0."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    factors, last = [], 1
+    for k in range(1, min(m, n) + 1):
+        d_k = 0
+        for ri in itertools.combinations(range(m), k):
+            for ci in itertools.combinations(range(n), k):
+                minor = [[rows[i][j] for j in ci] for i in ri]
+                d_k = math.gcd(d_k, int(mat_det_reference(minor)))
+        if d_k == 0:
+            break
+        factors.append(d_k // last)
+        last = d_k
+    return factors
 
 
 def euler_log_product_reference(field, x: int) -> float:
