@@ -364,11 +364,6 @@ def primes_up_to(field: NumberField, bound: int,
 class SampleFailure(Exception):
     """Uniform prime sampling exhausted its retry budget."""
 
-    def __init__(self, message, attempts=0, acceptance_rate=0.0):
-        super().__init__(message)
-        self.attempts = attempts
-        self.acceptance_rate = acceptance_rate
-
 
 def sample_prime_uniform(field: NumberField, bound: int, m0: HnfIdeal | None,
                          class_oracle, rng, max_attempts: int = 200000) -> PrimeIdeal:
@@ -376,8 +371,7 @@ def sample_prime_uniform(field: NumberField, bound: int, m0: HnfIdeal | None,
     class_oracle(p)}: draw p uniform in [0, B], primality-test, split,
     filter, accept a uniform candidate with probability k/n."""
     n = field.n
-    accepted = 0
-    for attempt in range(1, max_attempts + 1):
+    for _ in range(max_attempts):
         p = rng.randint(0, bound)
         if p < 2 or not intmath.is_prime(p):
             continue
@@ -399,6 +393,4 @@ def sample_prime_uniform(field: NumberField, bound: int, m0: HnfIdeal | None,
         choice = cands[rng.randrange(k)]
         if rng.random() < k / n:
             return choice
-    raise SampleFailure(
-        f"no prime accepted after {max_attempts} attempts",
-        attempts=max_attempts, acceptance_rate=accepted / max_attempts)
+    raise SampleFailure(f"no prime accepted after {max_attempts} attempts")

@@ -380,7 +380,7 @@ def _complete_unimodular(vec, n):
         a, b = v[0], v[i]
         if b == 0:
             continue
-        g_, x, y = qlinalg._xgcd(a, b)
+        g_, x, y = _xgcd(a, b)
         # rows (0, i) of V <- [[x, y], [-b/g, a/g]] (rows 0, i);
         # columns (0, i) of U <- (cols 0, i) [[a/g, -y], [b/g, x]]
         p, q = a // g_, b // g_
@@ -391,6 +391,15 @@ def _complete_unimodular(vec, n):
         for row in u:
             row[0] = -row[0]
     return u
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
 
 
 def shortest_gram(g):
@@ -501,9 +510,11 @@ def _generating_radius_search(gh, lam_n_sq, limit_sq, n):
 
     The vectors come sorted by (norm, coefficients), so those of a larger
     radius start with those of the smaller one: only the new ones are
-    fed to the echelon form."""
+    added, one at a time, to the Hermite normal form of the vectors
+    before them.  The vectors generate Z^n once that form has n unit
+    pivots."""
     radius = Q(lam_n_sq)
-    echelon = _Echelon(n)
+    hnf = []
     seen = 0
     # Ends: radius > 0 grows by 9/8 per pass up to limit_sq, and the pass
     # at limit_sq returns.
@@ -513,47 +524,13 @@ def _generating_radius_search(gh, lam_n_sq, limit_sq, n):
         except RuntimeError:
             return None
         for c, nrm in vecs[seen:]:
-            if echelon.insert(c):
+            hnf = [row for row in qlinalg._hermite(hnf + [c], n) if any(row)]
+            if len(hnf) == n and all(hnf[k][k] == 1 for k in range(n)):
                 return nrm
         seen = len(vecs)
         if radius >= limit_sq:
             return None
         radius = min(limit_sq, radius * Q(9, 8))
-
-
-class _Echelon:
-    """Integer row echelon form of the lattice spanned by the vectors
-    inserted so far, one row per pivot column, so rank and index in Z^n
-    read off the pivots."""
-
-    def __init__(self, n):
-        self.n = n
-        self.rows = [None] * n
-        self.rank = 0
-        self.index = 1      # product of |pivots| once rank == n
-
-    def insert(self, vec) -> bool:
-        """Add vec; True iff the vectors so far generate Z^n."""
-        v = list(vec)
-        for c in range(self.n):
-            if v[c] == 0:
-                continue
-            row = self.rows[c]
-            if row is None:
-                self.rows[c] = v if v[c] > 0 else [-x for x in v]
-                self.rank += 1
-                self.index *= abs(v[c])
-                break
-            a, b = row[c], v[c]
-            if b % a == 0:
-                q = b // a
-                v = [y - q * x for x, y in zip(row, v)]
-                continue
-            g, x, y = qlinalg._xgcd(a, b)
-            self.rows[c] = [x * r + y * w for r, w in zip(row, v)]
-            v = [(a // g) * w - (b // g) * r for r, w in zip(row, v)]
-            self.index = self.index // abs(a) * abs(g)
-        return self.rank == self.n and self.index == 1
 
 
 def enumerate_minima(cols) -> EnumerationReport:

@@ -8,12 +8,23 @@ Bareiss elimination on rows scaled to integers by `integral_cols`, under
 `mat_det`, `mat_inv`, `inverse_scaled`, `solve` and `pivots` (the rank
 and the independent rows).  Exact results are unique, so they equal
 `Fraction` elimination's.
+
+Elimination over Z happens in one place too, `_hermite`: the row
+Hermite normal form by Euclid on row subtractions, carrying columns past
+the ones it reduces through the same row operations.  `hnf_with_transform`
+carries the identity to get U (and with it `int_kernel`, `kernel_rows` and
+`express_int_combination`), `hnf_upper` runs it on reversed columns for
+ideals, `lattice_core` asks it whether vectors generate Z^n, and
+`smith_normal_form` runs its gcd steps on one row or column at a time.
+The HNF and the invariant factors are unique, and U comes from the same
+row operations, so every result equals that of the separate integer
+eliminations the kernel replaced.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 Q = Fraction
 
@@ -158,61 +169,59 @@ def charpoly(m):
 # Integer matrices: HNF / SNF / kernels
 
 
+def _hermite(rows, width):
+    """Row Hermite normal form of the first `width` columns of integer
+    rows, carrying any columns past `width` through the same row
+    operations.
+
+    Per column, the first remaining row with a nonzero entry is the
+    pivot row (zero columns are skipped); Euclid by row subtraction
+    clears the column below it, the pivot is made positive and the
+    entries above it are reduced into [0, pivot).  Returns the rows; the
+    nonzero ones (restricted to the first `width` columns) come first."""
+    a = [list(row) for row in rows]
+    m = len(a)
+    r = 0
+    for col in range(width):
+        piv = next((i for i in range(r, m) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        for i in range(r + 1, m):
+            # Ends: each step leaves a remainder of smaller absolute
+            # value in one of the two rows.
+            while a[i][col]:
+                if abs(a[i][col]) <= abs(a[r][col]):
+                    q = a[r][col] // a[i][col]
+                    a[r] = [x - q * y for x, y in zip(a[r], a[i])]
+                    a[r], a[i] = a[i], a[r]
+                else:
+                    q = a[i][col] // a[r][col]
+                    a[i] = [x - q * y for x, y in zip(a[i], a[r])]
+        if a[r][col] < 0:
+            a[r] = [-x for x in a[r]]
+        for i in range(r):
+            q = a[i][col] // a[r][col]
+            if q:
+                a[i] = [x - q * y for x, y in zip(a[i], a[r])]
+        r += 1
+    return a
+
+
 def hnf_upper(cols: list[list[int]]) -> list[list[int]]:
     """Column-style upper-triangular HNF of the lattice spanned by the
     given integer columns (full rank n assumed).
 
     Returns n columns h_1..h_n with h_j[i] = 0 for i > j, h_j[j] > 0 and
     0 <= h_j[i] < h_i[i] for i < j.  This is the canonical representation
-    used for ideals.
+    used for ideals: the row HNF of the columns with their coordinates
+    reversed, read back in reverse.
     """
     n = len(cols[0])
-    work = [list(c) for c in cols]
-    basis: list[list[int]] = []
-    # eliminate from the bottom row upward
-    for row in range(n - 1, -1, -1):
-        # gcd-combine all columns with nonzero entry at `row`
-        live = [c for c in work if any(c[i] for i in range(row + 1))]
-        carrier = None
-        rest = []
-        for c in live:
-            if c[row] == 0:
-                rest.append(c)
-                continue
-            if carrier is None:
-                carrier = c
-                continue
-            # extended gcd step on (carrier, c) at position row
-            a, b = carrier[row], c[row]
-            g, x, y = _xgcd(a, b)
-            new_car = [x * p + y * q for p, q in zip(carrier, c)]
-            new_oth = [(-b // g) * p + (a // g) * q for p, q in zip(carrier, c)]
-            carrier, c2 = new_car, new_oth
-            rest.append(c2)
-        if carrier is None:
-            raise ValueError("rank-deficient generator set for HNF")
-        if carrier[row] < 0:
-            carrier = [-x for x in carrier]
-        basis.append(carrier)
-        work = rest
-    basis.reverse()  # basis[j] has pivot at row j
-    # reduce off-diagonal entries: 0 <= h_j[i] < h_i[i] for i < j
-    for j in range(n):
-        for i in range(j - 1, -1, -1):
-            piv = basis[i][i]
-            q = basis[j][i] // piv
-            if q:
-                basis[j] = [a - q * b for a, b in zip(basis[j], basis[i])]
-    return basis
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
+    h = _hermite([c[::-1] for c in cols], n)
+    if len(h) < n or not all(h[k][k] for k in range(n)):
+        raise ValueError("rank-deficient generator set for HNF")
+    return [row[::-1] for row in reversed(h[:n])]
 
 
 def hnf_with_transform(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
@@ -220,49 +229,19 @@ def hnf_with_transform(rows: list[list[int]]) -> tuple[list[list[int]], list[lis
     H in lower echelon form processed column by column (pivot cols first)."""
     m = len(rows)
     n = len(rows[0]) if m else 0
-    a = [list(r) for r in rows]
-    u = int_identity(m)
-    r = 0
-    for col in range(n):
-        piv = None
-        for i in range(r, m):
-            if a[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        u[r], u[piv] = u[piv], u[r]
-        for i in range(r + 1, m):
-            while a[i][col] != 0:
-                q = a[r][col] // a[i][col] if a[i][col] != 0 else 0
-                if abs(a[i][col]) <= abs(a[r][col]):
-                    q = a[r][col] // a[i][col]
-                    a[r] = [x - q * y for x, y in zip(a[r], a[i])]
-                    u[r] = [x - q * y for x, y in zip(u[r], u[i])]
-                    a[r], a[i] = a[i], a[r]
-                    u[r], u[i] = u[i], u[r]
-                else:
-                    q = a[i][col] // a[r][col]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
-        if a[r][col] < 0:
-            a[r] = [-x for x in a[r]]
-            u[r] = [-x for x in u[r]]
-        for i in range(r):
-            q = a[i][col] // a[r][col]
-            if q:
-                a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[r])]
-        r += 1
-    return a, u
+    a = _hermite([list(row) + e for row, e in zip(rows, int_identity(m))], n)
+    return [row[:n] for row in a], [row[n:] for row in a]
+
+
+def kernel_rows(h, u):
+    """The rows of U whose rows of H are zero, for (H, U) from
+    `hnf_with_transform`: a Z-basis of the left kernel."""
+    return [ui for hi, ui in zip(h, u) if not any(hi)]
 
 
 def int_kernel(rows: list[list[int]]) -> list[list[int]]:
     """Z-basis of {x : x^T rows = 0} (left kernel of the row matrix)."""
-    h, u = hnf_with_transform(rows)
-    ker = [u[i] for i in range(len(rows)) if all(v == 0 for v in h[i])]
-    return ker
+    return kernel_rows(*hnf_with_transform(rows))
 
 
 def express_int_combination(gen_rows: list[list[int]], target: list[int]):
@@ -289,68 +268,35 @@ def express_int_combination(gen_rows: list[list[int]], target: list[int]):
 
 
 def smith_normal_form(mat: list[list[int]]) -> list[int]:
-    """Invariant factors d_1 | d_2 | ... of an integer matrix."""
-    a = [list(r) for r in mat]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    factors = []
-    top = 0
-    while top < min(m, n):
-        # find nonzero pivot
-        piv = None
-        for i in range(top, m):
-            for j in range(top, n):
-                if a[i][j] != 0:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
+    """Invariant factors d_1 | d_2 | ... of an integer matrix (the nonzero
+    ones, one per unit of rank).
+
+    Diagonalises in the shape of Cohen, GTM 138, Alg. 2.4.14: the Hermite
+    kernel on the first column puts its gcd p in the corner and clears
+    the column; when p divides the rest of the first row, column
+    subtractions clear the row and p is a diagonal entry, else the kernel
+    on the first row (as a column of the transpose) leaves a smaller
+    corner.  Pairs of diagonal entries then become their gcd and lcm."""
+    a = mat
+    diag = []
+    # Ends: every pass either takes one row and one column off `a` or
+    # strictly lowers the positive corner entry.
+    while a and a[0]:
+        cols = [c for c in transpose(a) if any(c)]
+        if not cols:
             break
-        i0, j0 = piv
-        a[top], a[i0] = a[i0], a[top]
-        for r in a:
-            r[top], r[j0] = r[j0], r[top]
-        # Ends: a pass that sets `changed` swaps in a nonzero remainder as
-        # the pivot, so the positive integer |a[top][top]| falls each time.
-        while True:
-            # clear column
-            changed = False
-            for i in range(top + 1, m):
-                if a[i][top]:
-                    q = a[i][top] // a[top][top]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[top])]
-                    if a[i][top]:
-                        a[top], a[i] = a[i], a[top]
-                        changed = True
-            # clear row
-            for j in range(top + 1, n):
-                if a[top][j]:
-                    q = a[top][j] // a[top][top]
-                    for i in range(m):
-                        a[i][j] -= q * a[i][top]
-                    if a[top][j]:
-                        for i in range(m):
-                            a[i][top], a[i][j] = a[i][j], a[i][top]
-                        changed = True
-            if not changed:
-                break
-        # ensure divisibility of the rest
-        p = a[top][top]
-        fix = False
-        for i in range(top + 1, m):
-            for j in range(top + 1, n):
-                if a[i][j] % p:
-                    a[top] = [x + y for x, y in zip(a[top], a[i])]
-                    fix = True
-                    break
-            if fix:
-                break
-        if fix:
+        a = _hermite(transpose(cols), 1)
+        p = a[0][0]
+        if any(x % p for x in a[0][1:]):
+            a = transpose(_hermite(transpose(a), 1))
             continue
-        factors.append(abs(p))
-        top += 1
-    return factors
+        diag.append(p)
+        a = [row[1:] for row in a[1:]]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] // g * diag[j]
+    return diag
 
 
 def gram_matrix(vectors) -> list[list[Fraction]]:

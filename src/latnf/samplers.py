@@ -23,7 +23,7 @@ from .nf_core import (GT, PRECISION_DOUBLINGS, CapExceeded, FieldElement,
                       NumberField, cmp_element)
 from .qlinalg import dot, mat_inv, mat_vec, solve, transpose
 
-RETRY_CAP = math.ceil(math.e ** 3 * 40)   # per uniform draw, then error
+RETRY_CAP = math.ceil(math.e ** 3 * 40)   # draws per rejection loop, then error
 RADIUS_CONSTANT = 48
 RADIUS_C_HALF = 24                        # the C/2 of the basis-shortness check
 
@@ -78,12 +78,13 @@ def _z_gaussian(s, c, t: float, delta: float, rng) -> int:
     c_q = Q(c) if not isinstance(c, float) else Q(cf).limit_denominator(1 << 40)
     sigma_cont = s_q * Q(math.floor(2 ** 40 / math.sqrt(2 * math.pi)), 2 ** 40)
     bound = s_q * Q(math.ceil(t * 2 ** 20), 2 ** 20)
-    while True:
+    for _ in range(RETRY_CAP):
         g = rng.gauss(0.0, 1.0)
         offset = sigma_cont * Q(g).limit_denominator(1 << 48)
         z = round_half_up(c_q + offset)
         if abs(Q(z) - c_q) <= bound:
             return z
+    raise CapExceeded(f"integer Gaussian rejected {RETRY_CAP} draws")
 
 
 def klein_min_width(basis_cols, eps_g: float) -> float:
@@ -187,7 +188,10 @@ class RadiusExpr:
 def walk_radius(field: NumberField, modulus_norm: Fraction, blocksize: int,
                 omega, constant: int = RADIUS_CONSTANT) -> RadiusExpr:
     """RADIUS(m) = const * omega * b^(2n/b) * n^(7/2) * |D|^(3/(2n)) * N(m)^(1/n),
-    held exactly as a (2 b n)-th root of a rational."""
+    held exactly as a (2 b n)-th root of a rational; the constant is at
+    least 1."""
+    if constant < 1:
+        raise ValueError(f"radius constant {constant} is below 1")
     n = field.n
     b = blocksize
     k = 2 * b * n
@@ -219,7 +223,7 @@ def _uniform_grid_point(box: GridBox, grid_n: int, scale, rng):
     for (ci, cj), rad in box.discs:
         kmax = rad.floor_times(Q(scale) * grid_n)
         r_scaled = rad.scale(Q(scale))
-        while True:
+        for _ in range(RETRY_CAP):
             k1 = rng.randint(-kmax, kmax)
             k2 = rng.randint(-kmax, kmax)
             v_sq = Q(k1 * k1 + k2 * k2, grid_n * grid_n)
@@ -227,6 +231,8 @@ def _uniform_grid_point(box: GridBox, grid_n: int, scale, rng):
                 out[ci] = Q(k1, grid_n)
                 out[cj] = Q(k2, grid_n)
                 break
+        else:
+            raise CapExceeded(f"disc draw rejected {RETRY_CAP} points")
     return out
 
 

@@ -92,11 +92,12 @@ def postprocess(relations, fb: FactorBase, field: NumberField,
     if s_len:
         h_rows, u = qlinalg.hnf_with_transform([list(r) for r in val_rows])
         pivot_rows = [i for i in range(k) if any(h_rows[i])]
+        kernel = _reduced_kernel(h_rows, u)
     else:
         h_rows = [[] for _ in range(k)]
         u = qlinalg.int_identity(k)
         pivot_rows = []
-    kernel = _reduced_kernel(val_rows) if s_len else qlinalg.int_identity(k)
+        kernel = qlinalg.int_identity(k)
     mu = kessler_lambda1_lower(field, kessler_c)
     # unit-block BKP at the precision its own constants demand
     kb = len(kernel)
@@ -157,11 +158,11 @@ def postprocess(relations, fb: FactorBase, field: NumberField,
     return PostprocessResult(n_matrix, rank, basis_val, basis_inf, out_prec)
 
 
-def _reduced_kernel(val_rows):
+def _reduced_kernel(h_rows, u):
     """LLL-reduced integer basis of the left kernel of the valuation
-    rows (naive HNF transforms can carry exponentially large entries)."""
-    ker = qlinalg.int_kernel([list(r) for r in val_rows])
-    ker = [k for k in ker if any(k)]
+    rows, from their (H, U) (naive HNF transforms can carry exponentially
+    large entries)."""
+    ker = qlinalg.kernel_rows(h_rows, u)
     if not ker:
         return []
     from .lattice_core import lll
@@ -236,23 +237,18 @@ def verify_full(post: PostprocessResult, field: NumberField, fb: FactorBase,
     s_len = len(fb)
     # --- split route: integer part index via HNF, unit part via Gram
     if s_len:
-        h_rows, _u = qlinalg.hnf_with_transform([list(r) for r in post.basis_val])
-        live = [r for r in h_rows if any(r)]
-        if len(live) < s_len:
+        h_rows, u = qlinalg.hnf_with_transform([list(r) for r in post.basis_val])
+        index = _class_index(h_rows, s_len)
+        if index is None:
             tr.verdict = "sublattice"
             tr.notes["reason"] = "valuation block rank-deficient"
             return tr
-        index = 1
-        for row in live:
-            index *= abs(next(x for x in row if x))
+        # unit part: integer kernel of the valuation block
+        kernel = qlinalg.kernel_rows(h_rows, u)
     else:
         index = 1
-    tr.class_index = index
-    # unit part: integer kernel of the valuation block
-    if s_len:
-        kernel = qlinalg.int_kernel([list(r) for r in post.basis_val])
-    else:
         kernel = qlinalg.int_identity(post.rank)
+    tr.class_index = index
     reg_rank = r1 - 1
     if len(kernel) != reg_rank:
         tr.verdict = "inconclusive"
@@ -290,6 +286,16 @@ def verify_full(post: PostprocessResult, field: NumberField, fb: FactorBase,
                                     "disagree")
         tr.verdict = "inconclusive"
     return tr
+
+
+def _class_index(h_rows, s_len):
+    """Index in Z^S of the lattice of the valuation rows, from their HNF:
+    the product of the leading entries of the nonzero rows, or None when
+    fewer than s_len rows are nonzero (rank-deficient)."""
+    live = [r for r in h_rows if any(r)]
+    if len(live) < s_len:
+        return None
+    return math.prod(next(x for x in r if x) for r in live)
 
 
 def _ratio_verdict(ratio: float) -> str:
@@ -524,13 +530,10 @@ def _quick_precheck(relations, fb: FactorBase, field: NumberField,
     val_rows = [[-v for v in rel.total_valuations] for rel in relations]
     if s_len:
         h_rows, u = qlinalg.hnf_with_transform([list(r) for r in val_rows])
-        live = [r for r in h_rows if any(r)]
-        if len(live) < s_len:
+        index = _class_index(h_rows, s_len)
+        if index is None:
             return False
-        index = 1
-        for row in live:
-            index *= abs(next(x for x in row if x))
-        kernel = _reduced_kernel(val_rows)
+        kernel = _reduced_kernel(h_rows, u)
     else:
         index = 1
         kernel = qlinalg.int_identity(len(relations))

@@ -1,5 +1,6 @@
 import itertools
 import json
+import signal
 import subprocess
 import sys
 import time
@@ -25,6 +26,10 @@ def qr2_file(tmp_path):
     p = tmp_path / "qr2.json"
     p.write_text(json.dumps(FIELD_QR2))
     return str(p)
+
+
+def _alarm(signum, frame):
+    raise TimeoutError("command still running")
 
 
 def run_cli(args, capsys):
@@ -171,6 +176,25 @@ class TestSampleCommand:
         clock = itertools.count(step=3600.0)     # an hour per reading
         monkeypatch.setattr(time, "monotonic", lambda: next(clock))
         assert run_cli(args, capsys)[:2] == want
+
+
+class TestRelationCommand:
+    @pytest.mark.parametrize("constant", ["0", "-2"])
+    def test_radius_constant_below_one_is_a_precondition(self, qi_file,
+                                                         capsys, constant):
+        """A constant below 1 used to keep `choose_omega` searching for an
+        omega that never comes; the alarm turns a hang into a failure."""
+        handler = signal.signal(signal.SIGALRM, _alarm)
+        signal.alarm(20)
+        try:
+            code, _, err = run_cli(["relation", qi_file, "--primes-bound",
+                                    "40", "--walk-b", "20", "--seed", "1",
+                                    "--radius-constant", constant], capsys)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, handler)
+        assert code == 2
+        assert json.loads(err)["kind"] == "precondition"
 
 
 class TestConfigEcho:

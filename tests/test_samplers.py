@@ -10,9 +10,10 @@ sys.path.insert(0, str(Path(__file__).parent))
 from oracles import chi2_sf, chi2_uniform_stat
 
 from latnf.ideal_arith import HnfIdeal, hnf_mul, kummer_dedekind, primes_up_to
-from latnf.nf_core import new_field
-from latnf.samplers import (GridBox, RadiusExpr, SamplerConfig,
-                            _radius_times_sqrt2, klein_min_width,
+from latnf.nf_core import CapExceeded, new_field
+from latnf.samplers import (RETRY_CAP, GridBox, RadiusExpr, SamplerConfig,
+                            _radius_times_sqrt2, _uniform_grid_point,
+                            _z_gaussian, klein_min_width,
                             klein_sample, perfect_box_lattice, sample_in_box,
                             sample_z_gaussian, walk_radius)
 
@@ -82,6 +83,39 @@ class TestZGaussian:
             sample_z_gaussian(0.0, 0.0, 0.1, rng)
         with pytest.raises(ValueError):
             sample_z_gaussian(1.0, 0.0, 1.5, rng)
+
+
+class _NeverAccepts:
+    """An rng whose draws every rejection loop refuses: Gaussians far
+    outside any window, and grid coordinates in the corner of the box."""
+
+    def __init__(self):
+        self.draws = 0
+
+    def gauss(self, mu, sigma):
+        self.draws += 1
+        return 1e9
+
+    def randint(self, lo, hi):
+        self.draws += 1
+        return hi
+
+
+class TestRejectionCaps:
+    def test_rounded_gaussian_stops_at_the_cap(self):
+        # s = 10^7 takes the rounded-continuous branch
+        rng = _NeverAccepts()
+        with pytest.raises(CapExceeded, match="integer Gaussian"):
+            _z_gaussian(10 ** 7, 0, 3.0, 0.5, rng)
+        assert rng.draws == RETRY_CAP
+
+    def test_disc_draw_stops_at_the_cap(self):
+        # the corner (5, 5) lies outside the disc of radius 5
+        rng = _NeverAccepts()
+        box = GridBox([], [((0, 1), RadiusExpr.exact(5))])
+        with pytest.raises(CapExceeded, match="disc draw"):
+            _uniform_grid_point(box, 1, 1, rng)
+        assert rng.draws == 2 * RETRY_CAP
 
 
 class TestKlein:
@@ -208,6 +242,11 @@ class TestRadiusExpr:
         r = walk_radius(qi, Q(1), 2, 1)
         expected = 48 * 2 ** 2 * 2 ** 3.5 * 4 ** 0.75
         assert abs(float(r) - expected) / expected < 1e-9
+
+    @pytest.mark.parametrize("constant", [0, -2])
+    def test_walk_radius_rejects_a_constant_below_one(self, qi, constant):
+        with pytest.raises(ValueError, match="below 1"):
+            walk_radius(qi, Q(1), 2, 1, constant)
 
     def test_sqrt2_scaling(self):
         r = RadiusExpr(Q(16), 4)
