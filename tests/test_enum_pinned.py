@@ -1,0 +1,182 @@
+"""Pinned outputs of the Fincke-Pohst enumeration on the blocks the
+approximate ideal reduction hands it.
+
+The inputs are the scaled Minkowski bases `approx_bkz_ideal` passes to
+`bkz_full` on Q(zeta5) and Q(sqrt-163) (one ideal each, drawn by the
+`ideal_sample` benchmark workload), and the projected 2x2 blocks that
+`bkz_prime` passes to `hkz_reduce` on the way; their Gram entries run
+from about 5,000 to 22,500 bits.  Each case hashes everything one entry
+point returns:
+
+- `shortest_gram`: the vector and its norm;
+- `hkz_reduce`: the basis, the transform, `hkz_calls` and
+  `potential_sq_ledger`;
+- `enumerate_short_gram` at the radius of the longest HKZ-reduced basis
+  vector, so at least one vector lies on the boundary (a tie);
+- `enumerate_minima` on a planted dimension-8 lattice and on the
+  Q(zeta5) basis.
+
+The digests were recorded from the enumeration that compared norms at
+the lcm scale of the GSO denominators.
+"""
+
+import functools
+import hashlib
+import random
+from fractions import Fraction as Q
+
+import pytest
+
+from latnf import approx_reduction, bkz, lattice_core
+from latnf.ideal_arith import HnfIdeal
+from latnf.nf_core import new_field
+from latnf.qlinalg import gram_matrix
+
+_X5 = (Q("17004539824166333894898463590617230796226404893621326630491812469"
+         "876579731542274400255623249560245/17087896287367280659160173649356"
+         "416916821636178853222159576332862577757806245124400183696695492608"),
+       Q("85858306824876375636144700152029955221073147933145745160974034218"
+         "24160463960115354502825767631797/854394814368364032958008682467820"
+         "8458410818089426611079788166431288878903122562200091848347746304"))
+
+CASES_IN = {
+    "zeta5": ([1, 1, 1, 1, 1], [_X5[0], _X5[0], _X5[1], _X5[1]],
+              ((3458987198955290200, 0, 0, 0),
+               (1875178533446939600, 29746796114200, 0, 0),
+               (2883338035016861840, 21860841953720, 17446801240, 0),
+               (2158775681424076520, 13849744914200, 3550228240, 40))),
+    "sqrt163": ([41, -1, 1], [1, 1],
+                ((53142555546636988582769609705611384789565719, 0),
+                 (21923193091665591510330075593430872649400347, 1440803))),
+}
+
+
+def _canon(x):
+    if isinstance(x, (list, tuple)):
+        return "[" + ",".join(_canon(v) for v in x) + "]"
+    x = Q(x)     # hex: the decimal form of a big entry passes str()'s limit
+    return f"{x.numerator:x}/{x.denominator:x}"
+
+
+def _digest(*parts):
+    return hashlib.sha256(_canon(list(parts)).encode()).hexdigest()[:16]
+
+
+@functools.lru_cache(maxsize=None)
+def _captured(name):
+    """(basis handed to bkz_full, the distinct blocks handed to
+    hkz_reduce) by one `approx_bkz_ideal` call."""
+    poly, x, hnf = CASES_IN[name]
+    field = new_field(poly)
+    seen = {"full": None, "blocks": []}
+    full, hkz = bkz.bkz_full, bkz.hkz_reduce
+
+    def rec_full(cols, cfg):
+        seen["full"] = [list(c) for c in cols]
+        return full(cols, cfg)
+
+    def rec_hkz(cols, trace=None):
+        if cols not in seen["blocks"]:
+            seen["blocks"].append([list(c) for c in cols])
+        return hkz(cols, trace)
+
+    bkz.bkz_full, bkz.hkz_reduce = rec_full, rec_hkz
+    try:
+        approx_reduction.approx_bkz_ideal(x, HnfIdeal(field, 1, hnf), 2)
+    finally:
+        bkz.bkz_full, bkz.hkz_reduce = full, hkz
+    return seen["full"], seen["blocks"]
+
+
+def _input(key):
+    """'zeta5/full', or 'sqrt163/3' for the block with the 4th-largest
+    entries (ties broken by capture order)."""
+    name, which = key.split("/")
+    full, blocks = _captured(name)
+    if which == "full":
+        return full
+    order = sorted(range(len(blocks)),
+                   key=lambda k: -max(abs(v) for c in blocks[k] for v in c))
+    return blocks[order[int(which)]]
+
+
+def _planted8():
+    """Scrambled basis of a near-orthogonal lattice in dimension 8."""
+    rng = random.Random("pinned-enumeration")
+    cols = [[rng.randrange(-3, 4) for _ in range(8)] for _ in range(8)]
+    for k in range(8):
+        cols[k][k] = rng.randrange(220, 256)
+    for _ in range(12):
+        i, j = rng.sample(range(8), 2)
+        m = rng.choice((-1, 1)) * rng.randrange(1, 4)
+        cols[i] = [a + m * b for a, b in zip(cols[i], cols[j])]
+    return cols
+
+
+def _shortest(cols):
+    return _digest(*lattice_core.shortest_gram(gram_matrix(cols)))
+
+
+def _hkz(cols):
+    trace = bkz.ReductionTrace()
+    out, u = bkz.hkz_reduce(cols, trace)
+    return _digest(out, u, trace.hkz_calls, trace.potential_sq_ledger)
+
+
+def _short_at_tie(cols):
+    out, _ = bkz.hkz_reduce(cols)
+    radius = max(sum(v * v for v in c) for c in out)
+    vecs = lattice_core.enumerate_short_gram(gram_matrix(cols), radius)
+    assert vecs[-1][1] == radius
+    return _digest(vecs)
+
+
+def _minima(cols):
+    rep = lattice_core.enumerate_minima(cols)
+    return _digest(rep.minima_sq, rep.witnesses, rep.cov_upper_sq,
+                   rep.cov_lower_sq, rep.rr_sq)
+
+
+CASES = {}
+for _key in ("zeta5/full", "zeta5/0", "zeta5/1", "zeta5/3",
+             "sqrt163/full", "sqrt163/1"):
+    for _label, _fn in (("shortest", _shortest), ("hkz", _hkz),
+                        ("short-tie", _short_at_tie)):
+        CASES[f"{_label}-{_key}"] = (_fn, functools.partial(_input, _key))
+CASES["minima-zeta5/full"] = (_minima, functools.partial(_input, "zeta5/full"))
+CASES["minima-planted8"] = (_minima, _planted8)
+
+PINNED = {
+    "hkz-sqrt163/1": "2eb2728df3b696fb",
+    "hkz-sqrt163/full": "c9c2d7c73eb738c9",
+    "hkz-zeta5/0": "5d1ea6f1fc22a1af",
+    "hkz-zeta5/1": "7b40416e17c1e766",
+    "hkz-zeta5/3": "83798f6b47e1df2b",
+    "hkz-zeta5/full": "22e1fe5679178af1",
+    "minima-planted8": "1e9725d7c87241e8",
+    "minima-zeta5/full": "a9a3c0cadc7dd7c0",
+    "short-tie-sqrt163/1": "8cb928974295c9e6",
+    "short-tie-sqrt163/full": "483ad34b1d331c84",
+    "short-tie-zeta5/0": "1f312a8189d41443",
+    "short-tie-zeta5/1": "a1d5b6ca3f048158",
+    "short-tie-zeta5/3": "2d5e78d4dcc7f219",
+    "short-tie-zeta5/full": "77e54809a40d3ae0",
+    "shortest-sqrt163/1": "b56495b45e59e4f8",
+    "shortest-sqrt163/full": "aa7ae9c98fa9f33f",
+    "shortest-zeta5/0": "e048541debd06912",
+    "shortest-zeta5/1": "759dc45e3c28b8da",
+    "shortest-zeta5/3": "9a951ac7d243cef3",
+    "shortest-zeta5/full": "6fdc2abed9ecbd9f",
+}
+
+
+def test_inputs_span_the_measured_sizes():
+    bits = [max(abs(v) for r in gram_matrix(_input(k)) for v in r).bit_length()
+            for k in ("zeta5/full", "zeta5/0", "zeta5/3", "sqrt163/1")]
+    assert min(bits) >= 2000 and max(bits) >= 22000
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_pinned(name):
+    fn, make = CASES[name]
+    assert fn(make()) == PINNED[name]
