@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 from . import qlinalg
 from .dyadic import Q
@@ -262,61 +262,139 @@ def lll(cols, delta=Q(3, 4)):
     return _reduce_cols(cols, lambda state: state.lll(delta))
 
 
-def _norm_weights(d, den):
-    """(S, w): S the lcm of den and every d_i d_{i+1}, w_i = S / (d_i
-    d_{i+1}).  With t_i = d_{i+1} x_i + sum_{j>i} lam_ji x_j the squared
-    norm of x is sum_i t_i^2 / (d_i d_{i+1}) = sum_i w_i t_i^2 / S, so
-    enumeration bounds are integer comparisons at the scale S."""
-    n = len(d) - 1
-    scale = den
-    for i in range(n):
-        scale = lcm(scale, d[i] * d[i + 1])
-    return scale, [scale // (d[i] * d[i + 1]) for i in range(n)]
+# A level k prunes in floats while B_k = (d_{k+1}/d_k) / R lies in
+# (2^-FLOAT_EXP, 2^FLOAT_EXP); outside it the level compares exactly.
+FLOAT_EXP = 960
 
 
-def enumerate_short_gram(g, radius2: Fraction, max_count=None):
-    """All nonzero (coeff, norm2) with norm2 <= radius2, one per +-pair,
-    sorted by norm2.  Fincke-Pohst over the integral GSO of g (see
-    `_norm_weights`).  Raises RuntimeError when max_count vectors are
-    exceeded."""
-    n = len(g)
-    gi, den = integral_cols(g)
-    try:
-        state = IntegralGSO(gi)
-    except ValueError:
-        raise ValueError("Gram matrix not positive definite") from None
-    radius2 = Q(radius2) * den
-    scale, w = _norm_weights(state.d, radius2.denominator)
-    budget = radius2.numerator * (scale // radius2.denominator)
+class _Radius:
+    """The enumeration radius R = num / den > 0 and, per level k, the
+    weight B_k = d_{k+1} / (d_k R) as a correctly rounded float, or None
+    where B_k leaves (2^-FLOAT_EXP, 2^FLOAT_EXP).  `set` only ever lowers
+    R, and rewrites `weights` in place so every level sees the new B_k."""
+
+    __slots__ = ("d", "num", "den", "weights")
+
+    def __init__(self, d, num, den):
+        self.d = d
+        self.weights = [None] * (len(d) - 1)
+        self.set(num, den)
+
+    def set(self, num, den):
+        self.num, self.den = num, den
+        d, weights = self.d, self.weights
+        for k in range(len(weights)):
+            a, b = d[k + 1] * den, d[k] * num
+            if abs(a.bit_length() - b.bit_length()) < FLOAT_EXP:
+                weights[k] = a / b
+            else:
+                weights[k] = None
+
+
+def _fincke_pohst(g, state, radius, leaf, floor=0):
+    """Depth-first Fincke-Pohst over `state`, the IntegralGSO of the
+    integer Gram g: calls leaf(coeffs, x^T g x) on every nonzero x that
+    the bound `radius` does not prune, x_{n-1} first.  The walk at each
+    level goes from the integer nearest the centre outwards, up, then
+    down.  Below level `floor` it enters only when some x_k with k >=
+    floor is nonzero.
+
+    With t_k = d_{k+1} x_k + sum_{j>k} lam_jk x_j, the squared norm of
+    the projection of x orthogonal to b_0..b_{i-1} is P_i = sum_{k>=i}
+    t_k^2 / (d_k d_{k+1}), and a node at level i is pruned only when
+    P_i > R is proved:
+
+    - in floats, on p = sum_{k>=i} y_k^2 B_k with y_k = t_k / d_{k+1}
+      and B_k = (d_{k+1}/d_k) / R, both correctly rounded int/int
+      quotients (relative error <= u = 2^-53).  A term fl(fl(y y) B)
+      carries at most 5 such factors and the running sum of nonnegative
+      terms at most n - 1 more, so p <= (1+u)^(n+4) P_i / R, plus the
+      underflow: a subnormal result errs by at most 2^-1075, magnified
+      at most by B_k < 2^960, under 2^-113 per term.  If P_i <= R, then
+      p < 1 + (n+4) 2^-52 = `limit` (n < 2^40); so p > limit proves
+      P_i > R.  No float overflows: a surviving p is <= limit, and |y_k|
+      <= sqrt(limit / B_k) + 1 < 2^481 when B_k > 2^-960.
+    - exactly, on a level whose B_k is None: e = d_i P_i is the integer
+      det Gram(b_0..b_{i-1}, x), from x^T g x and the sums lam_{x,k} =
+      sum_j lam_jk x_j by the fraction-free recurrence of
+      `IntegralGSO`; the level goes on with p = e / (d_i R) rounded.
+
+    A radius that falls during the walk (`_Radius.set`) leaves every
+    carried p a lower bound, since P_i / R grows as R falls.
+
+    The exact norm x^T g x travels with the path: q, the norm of the
+    coefficients above level i, and h_j = (g x)_j for j <= i, so a node
+    costs O(i) products of a Gram entry or lam entry by a small z.
+    """
+    n = state.n
     d = state.d
     lrows = [state.lam[i][:i] for i in range(n)]
-    out = []
+    grows = [g[i][:i] for i in range(n)]
+    weights = radius.weights
+    limit = 1 + (n + 4) * 2.0 ** -52
     coeffs = [0] * n
 
-    def recurse(i, rem, sums):
-        # sums[j] = sum_{k>i} lam_kj x_k for j <= i
-        if i < 0:
-            if any(coeffs):
-                out.append((tuple(coeffs), budget - rem))
-                if max_count is not None and len(out) > max_count:
-                    raise RuntimeError("enumeration cap exceeded")
-            return
-        di, wi, s, li = d[i + 1], w[i], sums[i], lrows[i]
+    def level(i, p, q, h, sums, nonzero):
+        if i < floor and not nonzero:
+            return          # x_floor.. are all 0: the subtree is skipped
+        di, s, wi, li, gi = d[i + 1], sums[i], weights[i], lrows[i], grows[i]
+        h2, gii = 2 * h[i], g[i][i]
         base = (di - 2 * s) // (2 * di)     # nearest integer to -s/d_{i+1}
         for z, step in ((base, 1), (base - 1, -1)):
-            # Ends: z walks away from base, the integer nearest -s/d_{i+1},
-            # so |t| and the cost (d_{i+1} > 0, w_i > 0) grow past rem.
+            # Ends: z walks away from base, so |t| = |d_{i+1} z + s| never
+            # falls and grows past every bound; P_i grows with t^2.  A
+            # float level stops once p passes `limit`, which it must: p
+            # is within a factor (1+u)^(n+4) of P_i / R and cannot
+            # overflow first.  An exact level stops on e > d_i R.
             while True:
-                t = di * z + s
-                cost = t * t * wi
-                if cost > rem:
-                    break
+                if wi is not None:
+                    y = (di * z + s) / di
+                    pz = p + y * y * wi
+                    if pz > limit:
+                        break
+                    qz = q + z * (h2 + z * gii)
+                    sz = None
+                else:
+                    qz = q + z * (h2 + z * gii)
+                    sz = [a + z * b for a, b in zip(sums, li)]
+                    e = qz
+                    for k in range(i):
+                        e = (d[k + 1] * e - sz[k] * sz[k]) // d[k]
+                    if e * radius.den > radius.num * d[i]:
+                        break
+                    pz = e * radius.den / (d[i] * radius.num)
                 coeffs[i] = z
-                recurse(i - 1, rem - cost, [a + z * b for a, b in zip(sums, li)])
+                nz = nonzero or (z != 0 and i >= floor)
+                if i == 0:
+                    if nz:
+                        leaf(coeffs, qz)
+                elif z:
+                    level(i - 1, pz, qz, [a + z * b for a, b in zip(h, gi)],
+                          sz or [a + z * b for a, b in zip(sums, li)], nz)
+                else:
+                    level(i - 1, pz, qz, h, sums, nz)
                 z += step
         coeffs[i] = 0
 
-    recurse(n - 1, budget, [0] * n)
+    level(n - 1, 0.0, 0, [0] * n, [0] * n, False)
+
+
+def _short_vectors(g, state, radius2, den=1, max_count=None):
+    """enumerate_short_gram on the integer Gram g over den, with state
+    its IntegralGSO."""
+    radius2 = Q(radius2) * den
+    num, rden = radius2.numerator, radius2.denominator
+    if num <= 0:
+        return []
+    out = []
+
+    def leaf(coeffs, nrm):
+        if nrm * rden <= num:
+            out.append((tuple(coeffs), nrm))
+            if max_count is not None and len(out) > max_count:
+                raise RuntimeError("enumeration cap exceeded")
+
+    _fincke_pohst(g, state, _Radius(state.d, num, rden), leaf)
     # deduplicate +-x: keep representative with last nonzero coeff > 0
     seen = {}
     for c, nrm in out:
@@ -324,8 +402,24 @@ def enumerate_short_gram(g, radius2: Fraction, max_count=None):
         rep = c if firstnz > 0 else tuple(-x for x in c)
         if rep not in seen:
             seen[rep] = nrm
-    return [(c, Q(nrm, scale * den))
+    return [(c, Q(nrm, den))
             for c, nrm in sorted(seen.items(), key=lambda t: (t[1], t[0]))]
+
+
+def enumerate_short_gram(g, radius2: Fraction, max_count=None):
+    """All nonzero (coeff, norm2) with norm2 <= radius2, one per +-pair,
+    sorted by norm2 (then by coefficients).  Fincke-Pohst over the
+    integral GSO of g (see `_fincke_pohst`): inner nodes are pruned on a
+    rigorous float lower bound of the projected norm, or exactly where
+    a GSO ratio leaves the float range, and the exact integer norm
+    x^T g x decides every vector.  Raises RuntimeError when max_count
+    vectors (counting both signs) are exceeded."""
+    gi, den = integral_cols(g)
+    try:
+        state = IntegralGSO(gi)
+    except ValueError:
+        raise ValueError("Gram matrix not positive definite") from None
+    return _short_vectors(gi, state, radius2, den, max_count)
 
 
 @dataclass
@@ -409,9 +503,9 @@ def shortest_gram(g):
     state.lll()
     u = state.transform()
     g2 = _int_congruence(gi, u)
-    radius2 = min(g2[i][i] for i in range(len(g2)))
-    vecs = enumerate_short_gram(g2, radius2)
-    best_c, best_n = vecs[0]
+    # the LLL state is the integral GSO of g2
+    best_c, best_n = _short_vectors(g2, state, min(g2[i][i] for i in
+                                                   range(len(g2))))[0]
     # map back through u
     return [sum(map(int.__mul__, row, best_c)) for row in u], Q(best_n, den)
 
@@ -423,10 +517,6 @@ def successive_minima_gram(g):
     n = len(g)
     gi, den = integral_cols(g)
     gh, u, state = _hkz_int(gi)
-    d = state.d
-    lrows = [state.lam[i][:i] for i in range(n)]
-    # norms are carried times scale / den (see _norm_weights)
-    scale, w = _norm_weights(d, 1)
     minima, chosen = [], []
 
     def independent(vec):
@@ -445,46 +535,23 @@ def successive_minima_gram(g):
         for j in range(t_min, n):
             cand = [int(i == j) for i in range(n)]
             if independent(cand):
-                nrm = gh[j][j] * scale
+                nrm = gh[j][j]
                 if best_norm is None or nrm < best_norm:
                     best_norm, best_vec = nrm, cand
         if best_vec is None:
             raise RuntimeError("no independent basis vector found")
         best = [best_norm, best_vec]
+        radius = _Radius(state.d, best_norm, 1)
 
-        coeffs = [0] * n
+        def leaf(coeffs, nrm):
+            # the first strictly shorter independent vector in walk order
+            # wins; the radius falls to it
+            if nrm < best[0] and independent(list(coeffs)):
+                best[0], best[1] = nrm, list(coeffs)
+                radius.set(nrm, 1)
 
-        def rec(i, partial, sums, nonzero_hi):
-            if partial > best[0]:
-                return
-            if i < 0:
-                if not any(coeffs):
-                    return
-                if partial < best[0] or best[1] is None:
-                    if independent(list(coeffs)):
-                        best[0], best[1] = partial, list(coeffs)
-                return
-            if i + 1 <= t_min and not nonzero_hi:
-                return      # whole remaining subtree lies in the span
-            di, wi, s, li = d[i + 1], w[i], sums[i], lrows[i]
-            base = (di - 2 * s) // (2 * di)
-            for z, step in ((base, 1), (base - 1, -1)):
-                # Ends: as in enumerate_short_gram, the cost grows with
-                # |z - base| past the fixed bound best[0] - partial.
-                while True:
-                    t = di * z + s
-                    cost = t * t * wi
-                    if cost > best[0] - partial:
-                        break
-                    coeffs[i] = z
-                    rec(i - 1, partial + cost,
-                        [a + z * b for a, b in zip(sums, li)],
-                        nonzero_hi or (z != 0 and i >= t_min))
-                    z += step
-            coeffs[i] = 0
-
-        rec(n - 1, 0, [0] * n, False)
-        minima.append(Q(best[0], scale * den))
+        _fincke_pohst(gh, state, radius, leaf, floor=t_min)
+        minima.append(Q(best[0], den))
         chosen.append(best[1])
     wits = [[int(x) for x in mat_vec(u, c)] for c in chosen]
     return minima, wits, [[Q(x, den) for x in row] for row in gh], u

@@ -15,6 +15,9 @@ methods that never touch the library's own code paths.
   basis change, the cross-check for the library's integral LLL, with an
   exact LLL-reducedness test and a row Hermite normal form for lattice
   equality;
+- the short vectors of a Gram matrix by searching a box that holds them
+  all, with no Gram-Schmidt data: the cross-check for the library's
+  Fincke-Pohst enumeration;
 - the Smith invariant factors from determinantal divisors (gcds of
   minors);
 - the residue bracket's Euler product as the library computed it before
@@ -326,6 +329,38 @@ def mat_inv_reference(m):
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return [row[n:] for row in a]
+
+
+def short_vectors_reference(g, radius2):
+    """All nonzero x with x^T g x <= radius2, one per +-pair (the last
+    nonzero coordinate positive), as (x, norm) sorted by (norm, x).
+
+    Searches the box |x_i| <= isqrt(floor(radius2 (g^-1)_ii)), with g^-1
+    exact: x_i = (g^-1 e_i)^T g x, so by Cauchy-Schwarz in the form g,
+    x_i^2 <= (g^-1)_ii x^T g x."""
+    n = len(g)
+    radius2 = Fraction(radius2)
+    if radius2 <= 0:
+        return []
+    ginv = mat_inv_reference(g)
+    bounds = [math.isqrt(math.floor(radius2 * ginv[i][i])) for i in range(n)]
+    out = []
+    for x in itertools.product(*(range(-b, b + 1) for b in bounds)):
+        last = next((v for v in reversed(x) if v), 0)
+        if last <= 0:
+            continue
+        nrm = sum(x[i] * Fraction(g[i][j]) * x[j]
+                  for i in range(n) for j in range(n) if x[i] and x[j])
+        if nrm <= radius2:
+            out.append((x, nrm))
+    return sorted(out, key=lambda t: (t[1], t[0]))
+
+
+def short_box_size(g, radius2) -> int:
+    """The number of points `short_vectors_reference` searches."""
+    ginv = mat_inv_reference(g)
+    return math.prod(2 * math.isqrt(math.floor(Fraction(radius2) * ginv[i][i]))
+                     + 1 for i in range(len(g)))
 
 
 def _gso_mu_norms(cols):
