@@ -1,5 +1,6 @@
 """Integer number theory helpers: primality, factoring, the Jacobi symbol,
-exact integer and rational roots."""
+exact integer and rational roots.  `CapExceeded` lives here, at the
+bottom of the import graph, so that every module can raise it."""
 
 from __future__ import annotations
 
@@ -9,6 +10,13 @@ from math import gcd, isqrt
 import numpy as np
 
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+# draws of a randomised split (Pollard rho, Cantor-Zassenhaus) before
+# CapExceeded; a Cantor-Zassenhaus draw splits with probability >= 1/2
+RANDOM_TRIES = 64
+
+
+class CapExceeded(RuntimeError):
+    """A retry or precision-doubling loop ran out of its rounds."""
 
 
 def is_prime(n: int) -> bool:
@@ -60,10 +68,16 @@ def primes_below(bound: int) -> list[int]:
 
 
 def _pollard_rho(n: int, rng: random.Random) -> int:
-    while True:
+    """A proper factor of the composite n, by Floyd's cycle walk on
+    x -> x^2 + c; a walk that closes its cycle modulo all of n at once
+    fails, and the next draws a new c and start, up to RANDOM_TRIES."""
+    for _ in range(RANDOM_TRIES):
         c = rng.randrange(1, n)
         x = y = rng.randrange(2, n)
         d = 1
+        # Ends: x_k mod n is eventually periodic, and once y = x_2k has
+        # entered the cycle and k is a multiple of its length, x = y
+        # and d = n.
         while d == 1:
             x = (x * x + c) % n
             y = (y * y + c) % n
@@ -71,6 +85,7 @@ def _pollard_rho(n: int, rng: random.Random) -> int:
             d = gcd(abs(x - y), n)
         if d != n:
             return d
+    raise CapExceeded(f"Pollard rho failed {RANDOM_TRIES} times")
 
 
 def factorint(n: int) -> dict[int, int]:

@@ -23,15 +23,12 @@ import numpy as np
 
 from . import intmath, polyq, qlinalg
 from .dyadic import ComplexBall, Q, RealBall, round_half_up
+from .intmath import CapExceeded    # re-exported: callers catch it from here
 
 GT, LE = "GT", "LE"
 _UNSET = object()
 # rounds of every precision-doubling retry loop
 PRECISION_DOUBLINGS = 40
-
-
-class CapExceeded(RuntimeError):
-    """A retry or precision-doubling loop ran out of its rounds."""
 
 
 def liouville_separation(poly) -> Fraction:

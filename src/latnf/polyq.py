@@ -11,6 +11,8 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
+from .intmath import RANDOM_TRIES, CapExceeded
+
 Q = Fraction
 
 
@@ -327,7 +329,7 @@ def _factor_squarefree(f, p, rng) -> list[list[int]]:
             if degree(cur) == d:
                 out.append(cur)
                 continue
-            while True:
+            for _ in range(RANDOM_TRIES):
                 r = [rng.randrange(p) for _ in range(degree(cur))] + [1]
                 if p == 2:
                     t = r
@@ -344,6 +346,9 @@ def _factor_squarefree(f, p, rng) -> list[list[int]]:
                     stack.append(w)
                     stack.append(poly_divmod_p(cur, w, p)[0])
                     break
+            else:
+                raise CapExceeded(f"equal-degree split failed {RANDOM_TRIES} "
+                                  "times")
     return out
 
 

@@ -283,6 +283,8 @@ def random_relation(field: NumberField, fb: FactorBase, rng,
         # a-ideal and rational y close to exp of the infinite part
         a_ideal = HnfIdeal.ring_of_integers(field)
         for p, e in zip(fb, a_p):
+            if e == 0:
+                continue
             step = p.hnf if e > 0 else hnf_inv(p.hnf)
             for _ in range(abs(e)):
                 a_ideal = hnf_mul(a_ideal, step)

@@ -191,6 +191,32 @@ class TestRandomRelation:
             lsv = out.relation.log_s_vector(fb)
             assert math.sqrt(float(lsv.norm_sq().hi())) <= out.r0_bound
 
+    def test_inverts_only_negative_exponents(self, qi, monkeypatch):
+        # the a-ideal prod p^{a_p} inverts p only when a_p < 0: a zero
+        # exponent contributes nothing and needs no inverse
+        from latnf import relations, samplers
+        fb = FactorBase(primes_up_to(qi, 40))
+        draws, inverted = [], []
+        klein, inv = samplers.klein_sample, relations.hnf_inv
+
+        def rec_klein(*args):
+            out = klein(*args)
+            draws.append([int(v) for v in out[1][:len(fb)]])
+            return out
+
+        def rec_inv(ideal):
+            hits = [k for k, p in enumerate(fb) if p.hnf is ideal]
+            if hits:
+                inverted.append((len(draws) - 1, hits[0]))
+            return inv(ideal)
+
+        monkeypatch.setattr(samplers, "klein_sample", rec_klein)
+        monkeypatch.setattr(relations, "hnf_inv", rec_inv)
+        random_relation(qi, fb, random.Random(9),
+                        RandomRelationConfig(relation=FAST_CFG), 0.7854)
+        assert any(0 in a for a in draws) and inverted
+        assert all(draws[k][i] < 0 for k, i in inverted)
+
     def test_corrupted_identity_detected(self, qi):
         fb = FactorBase(primes_up_to(qi, 40))
         rng = random.Random(11)
