@@ -4,7 +4,8 @@ of its one elimination kernel.
 Each pinned case runs a public entry point whose result passes through
 `qlinalg.mat_det`, `mat_inv`, `solve`, the rank and independence tests
 or `lattice_core.gso`, and hashes what it returns: Klein samples on an
-integer, a dyadic and an 18-dimensional rational basis, the
+integer, a dyadic and an 18-dimensional rational basis and on the
+18-dimensional basis of a relation over Q(i) with S <= 60, the
 post-processed basis and verification transcript of two relation sets,
 dual-reduced and BKZ-reduced ideal bases, exact box counts
 (`oracles.count_in_box`, over `mat_inv`), inverses and
@@ -78,6 +79,28 @@ def _klein(key, seed):
     center = [Q(rng.randrange(-50, 51), 7) for _ in cols[0]]
     draws = [samplers.klein_sample(cols, s, center, eps_g, rng)
              for _ in range(3)]
+    return _digest(draws)
+
+
+def _klein_relation(seed):
+    """Klein on the basis of a relation over Q(i) with S <= 60: a unit
+    column per prime of norm <= 60 (17 of them) and e_nu / N for the one
+    place, N = `relations.grid_denominator` at omega 1, at the width
+    `random_relation` takes for 18 dimensions.  Four draws at the zero
+    center it uses, then two at a rational center."""
+    field = _field((1, 0, 1))
+    k = len(primes_up_to(field, 60))
+    dim = k + 1
+    cols = [[Q(int(i == j)) for i in range(dim)] for j in range(k)]
+    cols.append([Q(0)] * k + [Q(1, relations.grid_denominator(field, 1))])
+    sigma = 3 * max(math.sqrt(math.log(dim)), 1.0)
+    s = Q(math.ceil(sigma * 2 ** 12), 2 ** 12)
+    rng = random.Random(seed)
+    draws = [samplers.klein_sample(cols, s, [Q(0)] * dim, 1 / 100, rng)
+             for _ in range(4)]
+    center = [Q(rng.randrange(-50, 51), 7) for _ in range(dim)]
+    draws += [samplers.klein_sample(cols, s, center, 1 / 100, rng)
+              for _ in range(2)]
     return _digest(draws)
 
 
@@ -186,6 +209,7 @@ CASES = {
     "klein-dyadic4-s3": lambda: _klein("dyadic4", 3),
     "klein-dyadic4-s4": lambda: _klein("dyadic4", 4),
     "klein-rational18-s5": lambda: _klein("rational18", 5),
+    "klein-relation18-s6": lambda: _klein_relation(6),
     "verify-sqrt-5": lambda: _verify((5, 0, 1), "pinned-qs5", 2, 1.0),
     "verify-sqrt2": lambda: _verify((-2, 0, 1), "pinned-qr2", 1,
                                     math.log(1 + math.sqrt(2))),
@@ -208,6 +232,7 @@ PINNED = {
     "klein-int2-s1": "0898eac6ceec2564",
     "klein-int2-s2": "724841facc3f8cfb",
     "klein-rational18-s5": "15b480800668797d",
+    "klein-relation18-s6": "1ff7db0fca03ce21",
     "verify-sqrt-5": "bee1a649943f7a31",
     "verify-sqrt2": "2ccef68263d605c7",
 }
