@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
 
 from . import bkz, lattice_core
-from .dyadic import Q, RealBall, sqrt_bracket
+from .dyadic import Q, sqrt_bracket
 from .ideal_arith import HnfIdeal
 from .nf_core import PRECISION_DOUBLINGS, CapExceeded, NumberField
 from .qlinalg import (dot, integral_cols, inverse_scaled, mat_inv, mat_mul,
@@ -248,39 +248,80 @@ class IdealBasisResult:
     precision_bits: int
 
 
+@dataclass
+class MinkowskiColumns:
+    """Certified balls on integers, one column per element: entry i of
+    column j has midpoint mids[j][i] / mid_dens[j] and radius
+    rads[j][i] / rad_dens[j], both denominators positive and mid_dens[j]
+    dividing rad_dens[j]."""
+    mids: list
+    mid_dens: list
+    rads: list
+    rad_dens: list
+
+    def max_rad(self) -> Fraction:
+        """The largest radius, one `Fraction` per column."""
+        return max(Q(max(r), d) for r, d in zip(self.rads, self.rad_dens))
+
+    def abs_upper(self):
+        """Per column, (|mid| + rad of every entry as integers, their
+        denominator rad_dens[j])."""
+        return [([abs(m) * (dr // dm) + r for m, r in zip(mids, rads)], dr)
+                for mids, dm, rads, dr in zip(self.mids, self.mid_dens,
+                                              self.rads, self.rad_dens)]
+
+    def rad_exceeds(self, num: int, den: int) -> bool:
+        """Whether some radius exceeds num / den."""
+        return any(max(r) * den > num * d
+                   for r, d in zip(self.rads, self.rad_dens))
+
+
 def minkowski_columns_x(field: NumberField, elements, x, prec: int):
-    """Real Minkowski coordinates of x*elements as certified balls.
+    """Real Minkowski coordinates of x*elements as certified balls, a
+    `MinkowskiColumns`.
 
     x is one positive rational per embedding (conjugate entries equal).
     Coordinates: real embeddings directly; complex pairs as
-    (sqrt2*Re, sqrt2*Im), sqrt2 taken as the ball of its dyadic bracket.
-    Each entry is the `RealBall` product of the value ball, the factor
-    (1 or sqrt2) and x, computed on integers into one `Fraction` for its
-    midpoint and one for its radius.
+    (sqrt2*Re, sqrt2*Im), sqrt2 taken as the ball (t +- tr) / d of its
+    dyadic bracket.  Each entry is the `RealBall` product of the value
+    ball, the factor (1 or sqrt2) and x, read off `embed`'s integer
+    balls: with the value part p 2^-W +- r / R, the midpoint is
+    p t x / (2^W d) and the radius x (|p| tr (R / 2^W) + (t + tr) r) /
+    (R d), put over d lcm(den x) times 2^W and R per column (2^W divides
+    R).
     """
-    lo2, hi2 = sqrt_bracket(Q(2), prec + 8)
-    d2 = 2 * lcm(lo2.denominator, hi2.denominator)
-    # the factor at a place of degree n_nu as a ball (t +- tr) / d
-    factor = {1: (1, 0, 1),
-              2: (int((lo2 + hi2) / 2 * d2), int((hi2 - lo2) / 2 * d2), d2)}
     x = [Q(v) for v in x]
-    cols = []
+    den_x = lcm(*(v.denominator for v in x))
+    d = 1
+    if field.n_cplx:
+        lo2, hi2 = sqrt_bracket(Q(2), prec + 8)
+        d = 2 * lcm(lo2.denominator, hi2.denominator)
+        t, tr = int((lo2 + hi2) / 2 * d), int((hi2 - lo2) / 2 * d)
+    # per coordinate: (embedding, 0 for Re or 1 for Im, then the factors
+    # of the midpoint, of |p| and of r, all times d den_x)
+    coords = []
+    for j, nnu in field.places():
+        g = x[j].numerator * (den_x // x[j].denominator)
+        if nnu == 1:
+            coords.append((j, 0, g * d, 0, g * d))
+        else:
+            coords += [(j, part, g * t, g * tr, g * (t + tr))
+                       for part in (0, 1)]
+    out = MinkowskiColumns([], [], [], [])
     for e in elements:
         pt = field.embed(e, prec + 8)
-        col = []
-        for j, nnu in field.places():
-            v, xn, xd = pt.values[j], x[j].numerator, x[j].denominator
-            rn, rd = v.rad.numerator, v.rad.denominator
-            t, tr, d = factor[nnu]
-            for part in (v.re, v.im)[:nnu]:
-                # mid: part t x / d; rad: x (|part| tr + (t + tr) rad) / d
-                pn, pd = part.numerator, part.denominator
-                col.append(RealBall(
-                    Q(pn * t * xn, pd * xd * d),
-                    Q(xn * (abs(pn) * tr * rd + (t + tr) * rn * pd),
-                      pd * rd * xd * d)))
-        cols.append(col)
-    return cols
+        q = pt.rad_den >> pt.work
+        mids, rads = [], []
+        for j, part, fm, fp, fr in coords:
+            ball = pt.balls[j]
+            p = ball[part]
+            mids.append(p * fm)
+            rads.append(abs(p) * fp * q + fr * ball[2])
+        out.mids.append(mids)
+        out.rads.append(rads)
+        out.mid_dens.append((d * den_x) << pt.work)
+        out.rad_dens.append(d * den_x * pt.rad_den)
+    return out
 
 
 def _check_x(field: NumberField, x):
@@ -361,15 +402,15 @@ def dual_exp_reduce(x, a: HnfIdeal) -> IdealBasisResult:
     prec = 128
     for _ in range(PRECISION_DOUBLINGS):
         cols = minkowski_columns_x(field, elements, x, prec)
-        mids = [[c.mid for c in col] for col in cols]
-        err_entry = max(c.rad for col in cols for c in col)
-        err_b = Q(n) * err_entry                       # ||.||_2 <= n * max entry
+        err_b = Q(n) * cols.max_rad()                  # ||.||_2 <= n * max entry
         try:
-            # rows of B~^{-1} = dual vecs, times binv_den
-            binv, binv_den = inverse_scaled(transpose(mids))
+            # B~ = M^T diag(1 / mid_dens): rows of B~^{-1} = dual vecs,
+            # times binv_den
+            y, binv_den = inverse_scaled(transpose(cols.mids))
         except ZeroDivisionError:
             prec *= 2
             continue
+        binv = [[dm * v for v in row] for dm, row in zip(cols.mid_dens, y)]
         # certified bound: ||B^{-1}|| <= ||B~^{-1}|| /(1 - ||B~^{-1}|| ||B-B~||)
         binv_fro_sq = Q(sum(v * v for row in binv for v in row),
                         binv_den * binv_den)
@@ -418,15 +459,18 @@ def approx_bkz_ideal(x, a: HnfIdeal, blocksize: int) -> IdealBasisResult:
     prec = max(der.precision_bits, 64)
     for _ in range(PRECISION_DOUBLINGS):
         cols = minkowski_columns_x(field, der.elements, x, prec)
-        err_b = Q(n) * max(c.rad for col in cols for c in col)
-        if err_b <= thresh:
+        if Q(n) * cols.max_rad() <= thresh:
             break
         prec *= 2
     else:
         raise CapExceeded("approximate BKZ failed to certify its precision")
-    mids = [[c.mid for c in col] for col in cols]
-    den = lcm(*(v.denominator for col in mids for v in col))
-    int_cols = [[int(v * den) for v in col] for col in mids]
+    # the midpoints times the lcm of their reduced denominators
+    reduced = []
+    for col, dm in zip(cols.mids, cols.mid_dens):
+        g = gcd(dm, *col)
+        reduced.append(([v // g for v in col], dm // g))
+    den = lcm(*(dm for _, dm in reduced))
+    int_cols = [[v * (den // dm) for v in col] for col, dm in reduced]
     _, trace = bkz.bkz_full(int_cols, bkz.BkzConfig(blocksize=blocksize))
     return IdealBasisResult(_transform_elements(der.elements, trace.transform),
                             x, DuallyReducedTag(t_eff), prec)

@@ -187,8 +187,7 @@ def euler_log_product(field: NumberField, x: int) -> tuple[float, float]:
     (relative u) is magnified by at most 1/log 2 < 1.5 on [-1/2, 0); the
     rest covers second-order terms and the float evaluation of sum |t_i|.
     """
-    index_sq = int(field.disc_poly / field.disc_field)
-    if index_sq > 1 and min(intmath.factorint(index_sq)) < x:
+    if field.index_sq > 1 and min(intmath.factorint(field.index_sq)) < x:
         raise ValueError("index-divisor prime in the Euler product")
     primes = intmath.prime_sieve(x)
     chi = None

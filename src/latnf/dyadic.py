@@ -8,7 +8,10 @@ for both truncation and rounding.  The hot kernels of the embedding path
 (`nf_core` root balls, Horner evaluation and the |z|^2k test,
 `approx_reduction.minkowski_columns_x`) and the certified logarithm
 `log_ball` compute the same balls on integer mantissas over one
-denominator and return them as RealBall/ComplexBall.
+denominator.  `log_ball` and the |z|^2k test return them as RealBalls;
+`embed` keeps its integer balls and builds ComplexBalls for the callers
+that read them, and the Minkowski columns stay integer mantissas over
+one denominator per column.
 """
 
 from __future__ import annotations
@@ -26,9 +29,15 @@ _LOG_WORK_BITS = 24
 _LOG_GUARD = 64
 
 
+def round_ratio(num: int, den: int) -> int:
+    """floor(num / den + 1/2) for den > 0: the nearest integer, halves
+    rounded up."""
+    return (2 * num + den) // (2 * den)
+
+
 def round_half_up(x: Fraction) -> int:
     """floor(x + 1/2): the nearest integer, halves rounded up."""
-    return (2 * x.numerator + x.denominator) // (2 * x.denominator)
+    return round_ratio(x.numerator, x.denominator)
 
 
 def dyadic_round(x: Fraction, prec: int) -> Fraction:

@@ -307,9 +307,7 @@ def kummer_dedekind(field: NumberField, p: int) -> list[tuple[PrimeIdeal, int]]:
 def _kummer_dedekind_uncached(field: NumberField, p: int):
     if not intmath.is_prime(p):
         raise ValueError(f"{p} is not prime")
-    index2 = field.disc_poly / field.disc_field
-    index_sq = int(index2)
-    if index_sq % p == 0:
+    if field.index_sq % p == 0:
         raise ValueError(
             f"prime {p} divides the index [O_K:Z[theta]]; supply splitting "
             "data externally (corpus fields are index-free)")
@@ -375,8 +373,7 @@ def sample_prime_uniform(field: NumberField, bound: int, m0: HnfIdeal | None,
         p = rng.randint(0, bound)
         if p < 2 or not intmath.is_prime(p):
             continue
-        index_sq = int(field.disc_poly / field.disc_field)
-        if index_sq % p == 0:
+        if field.index_sq % p == 0:
             continue
         cands = []
         for prime, _e in kummer_dedekind(field, p):

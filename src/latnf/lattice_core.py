@@ -105,24 +105,30 @@ class IntegralGSO:
 
     def __init__(self, gram, vecs=None):
         n = self.n = len(gram)
-        d = self.d = [1] * (n + 1)
-        lam = self.lam = [[0] * n for _ in range(n)]
+        self.d = [1] * (n + 1)
+        self.lam = []
         for i in range(n):
-            li, gi = lam[i], gram[i]
-            for j in range(i + 1):
-                lj = lam[j]
-                val = gi[j]
-                for k in range(j):
-                    val = (d[k + 1] * val - li[k] * lj[k]) // d[k]
-                if j < i:
-                    li[j] = val
-                elif val <= 0:
-                    raise ValueError("rank-deficient basis")
-                else:
-                    d[i + 1] = val
+            row = self.coefficients(gram[i][:i + 1])
+            if row[i] <= 0:
+                raise ValueError("rank-deficient basis")
+            self.d[i + 1], row[i] = row[i], 0
+            self.lam.append(row + [0] * (n - i - 1))
         self.vecs = (vecs if vecs is not None else
                      [[int(i == j) for i in range(n)] for j in range(n)])
         self.shears = 0
+
+    def coefficients(self, dots):
+        """[lam_j(v) for j < len(dots)], lam_j(v) = d[j+1] mu_j(v), of an
+        integer vector v with <v, b_j> = dots[j] (Cohen, Alg. 2.6.7's
+        recurrence, exact divisions).  On b_i's Gram row up to the
+        diagonal, the rows before b_i known, the last entry is d[i+1]."""
+        d, lam, out = self.d, self.lam, []
+        for j, val in enumerate(dots):
+            lj = lam[j] if j < len(lam) else out
+            for k in range(j):
+                val = (d[k + 1] * val - out[k] * lj[k]) // d[k]
+            out.append(val)
+        return out
 
     def reduce(self, k, l):
         """b_k -= q b_l with q the nearest integer to mu_kl, ties up."""

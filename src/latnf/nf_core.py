@@ -5,8 +5,9 @@ rational coordinates over a fixed integral basis.  One root certifier
 (`certify_roots`) turns a squarefree integer polynomial into disjoint
 certified root balls at any requested precision; fields cache them as
 integer mantissas at one exponent 2^-W in canonical order and embed
-elements by Horner's scheme on integers (`_horner_ball`), building one
-`Fraction` per returned value.  Comparisons of algebraic values against
+elements by Horner's scheme on integers (`_horner_ball`), keeping the
+integer balls (`EmbeddingPoint`) and building `Fraction` values only for
+callers that read them.  Comparisons of algebraic values against
 rational thresholds (or their k-th roots) are decided exactly: integer
 intervals first, then Liouville-type separation bounds (`_abs2_pow_gt`
 for (|w|^2)^k > c, `decide_root_gt_int` underneath).  Precision-doubling
@@ -314,13 +315,28 @@ def _subset_factor_test(poly_q, roots):
 
 
 class EmbeddingPoint:
-    """Certified complex values of an element at every embedding."""
+    """Certified complex values of an element at every embedding, on
+    integers: value j is the ball (re + i im) 2^-work +- rad / rad_den
+    for (re, im, rad) = balls[j].  `values` gives them as `ComplexBall`s,
+    built on first use."""
 
-    __slots__ = ("values", "precision_bits")
+    __slots__ = ("balls", "work", "rad_den", "precision_bits", "_values")
 
-    def __init__(self, values, precision_bits):
-        self.values = values
+    def __init__(self, balls, work, rad_den, precision_bits):
+        self.balls = balls
+        self.work = work
+        self.rad_den = rad_den
         self.precision_bits = precision_bits
+        self._values = None
+
+    @property
+    def values(self):
+        if self._values is None:
+            scale = 1 << self.work
+            self._values = [ComplexBall(Q(re, scale), Q(im, scale),
+                                        Q(rad, self.rad_den))
+                            for re, im, rad in self.balls]
+        return self._values
 
     def __repr__(self):
         return f"EmbeddingPoint({[complex(v) for v in self.values]})"
@@ -453,7 +469,10 @@ class NumberField:
         self.n_real = polyq.count_real_roots(self.poly_q)
         self.n_cplx = (n - self.n_real) // 2
         # integral basis: rows basis_pb[i] = power-basis coords of b_i
-        if integral_basis is None:
+        # without a supplied basis the coordinates are the power-basis
+        # ones, and to_power / from_power copy them
+        self.power_basis = integral_basis is None
+        if self.power_basis:
             self.basis_pb = [[Q(int(i == j)) for j in range(n)] for i in range(n)]
         else:
             self.basis_pb = [[Q(c) for c in row] for row in integral_basis]
@@ -467,9 +486,10 @@ class NumberField:
         if disc_field.denominator != 1:
             raise ValueError("disc(poly)/[O_K:Z[theta]]^2 is not an integer")
         self.disc_field = int(disc_field)
+        self.index_sq = int(index2)         # [O_K:Z[theta]]^2
         # structure constants: mul_tensor[i][j] = integer coords of b_i * b_j
         self.mul_tensor = self._integral_mul_tensor()
-        if integral_basis is None:
+        if self.power_basis:
             self._check_power_basis_maximal()
 
     # -- construction helpers ----------------------------------------------
@@ -560,15 +580,18 @@ class NumberField:
 
     def to_power(self, elt: FieldElement):
         """Power-basis polynomial of an element."""
-        vec = qlinalg.mat_vec(self._pb_matrix, list(elt.coords))
-        return polyq.trim(vec)
+        if self.power_basis:
+            return polyq.trim(list(elt.coords))
+        return polyq.trim(qlinalg.mat_vec(self._pb_matrix, list(elt.coords)))
 
     def from_power(self, poly) -> FieldElement:
         poly = [Q(c) for c in poly]
         if len(poly) > self.n:
             poly = polyq.poly_divmod(poly, self.poly_q)[1]
         poly = list(poly) + [Q(0)] * (self.n - len(poly))
-        return FieldElement(self, qlinalg.mat_vec(self._pb_inv, poly[:self.n]))
+        if self.power_basis:
+            return FieldElement(self, poly)
+        return FieldElement(self, qlinalg.mat_vec(self._pb_inv, poly))
 
     def mult_matrix(self, elt: FieldElement):
         """Matrix of multiplication by elt on the integral basis (columns
@@ -640,15 +663,16 @@ class NumberField:
         den, coeffs = _over_lcm(pa)
         for _ in range(PRECISION_DOUBLINGS):
             root_work, roots = self._all_roots(work)
-            vals = []
+            balls = []
             for z in roots:
                 re, im, rad, s = _horner_ball(coeffs, den, z, root_work, work)
                 if rad << precision_bits > den << s:   # radius > 2^-precision_bits
                     break
-                vals.append(ComplexBall(Q(re, 1 << work), Q(im, 1 << work),
-                                        Q(rad, den << s)))
+                balls.append((re, im, rad))
             else:
-                pt = EmbeddingPoint(vals, precision_bits)
+                # s depends on the coefficients and the root exponent only,
+                # so every ball has radius denominator den 2^s
+                pt = EmbeddingPoint(balls, work, den << s, precision_bits)
                 alpha._cache[key] = pt
                 return pt
             work *= 2

@@ -17,11 +17,11 @@ from fractions import Fraction
 from . import intmath, lattice_core, qlinalg
 from .approx_reduction import (_lambda1_lower_sq, approx_bkz_ideal,
                                minkowski_columns_x)
-from .dyadic import Q, round_half_up, sqrt_bracket
+from .dyadic import Q, round_half_up, round_ratio, sqrt_bracket
 from .ideal_arith import HnfIdeal, hnf_mul
 from .nf_core import (GT, PRECISION_DOUBLINGS, CapExceeded, FieldElement,
                       NumberField, cmp_element)
-from .qlinalg import dot, mat_inv, mat_vec, solve, transpose
+from .qlinalg import dot, integral_cols, inverse_scaled, solve, transpose
 
 RETRY_CAP = math.ceil(math.e ** 3 * 40)   # draws per rejection loop, then error
 RADIUS_CONSTANT = 48
@@ -88,10 +88,11 @@ def _z_gaussian(s, c, t: float, delta: float, rng) -> int:
 
 
 def klein_min_width(basis_cols, eps_g: float) -> float:
-    """Smallest admissible s: sqrt((log(1/eps)+2 log n+3)/pi) max||b_i||."""
-    n = len(basis_cols)
-    maxn = max(math.sqrt(float(dot([Q(x) for x in c], [Q(x) for x in c])))
-               for c in basis_cols)
+    """Smallest admissible s: sqrt((log(1/eps)+2 log n+3)/pi) max||b_i||,
+    the norms read off the columns scaled to integers."""
+    ints, den = integral_cols(basis_cols)
+    n = len(ints)
+    maxn = math.sqrt(max(sum(x * x for x in c) for c in ints) / (den * den))
     return math.sqrt((math.log(1 / eps_g) + 2 * math.log(n) + 3) / math.pi) * maxn
 
 
@@ -100,33 +101,57 @@ def klein_sample(basis_cols, s, center, eps_g, rng):
 
     Returns (coeffs, vector).  Every output satisfies the hard bound
     ||v - c|| <= s sqrt(n log(2 n^2 / eps_g)) by per-coordinate windowing.
+
+    The columns and the center are scaled to integers B_i and C by one
+    den, and `IntegralGSO` of the B_i gives d_i and lam_ji.  Level i
+    draws around c_i = (lam_i(C) - sum_{j>i} z_j lam_ji) / d_{i+1} with
+    width s_i, s_i^2 = s^2 d_i den^2 / d_{i+1}: the rationals
+    <c, b*_i> / ||b*_i||^2 of the residual center and s^2 / ||b*_i||^2
+    of the rational Gram-Schmidt basis, as integers over one
+    denominator each.
     """
     n = len(basis_cols)
     s = Q(s)
     if float(s) < klein_min_width(basis_cols, eps_g) * (1 - 1e-12):
         raise ValueError("Gaussian width below the sampler's precondition")
-    center = [Q(x) for x in center]
-    bstar, mu, _ = lattice_core.gso([list(map(Q, c)) for c in basis_cols])
-    d = [dot(b, b) for b in bstar]
+    (*cols, c_int), den = integral_cols(list(basis_cols) + [center])
+    state = lattice_core.IntegralGSO(lattice_core.int_gram(cols))
+    d, lam = state.d, state.lam
+    lam_c = state.coefficients([sum(map(int.__mul__, c_int, b)) for b in cols])
+    s_num, s_den = s.numerator ** 2 * den * den, s.denominator ** 2
     delta = eps_g / (2 * n)
     t = math.sqrt(math.log(n / delta))
-    c_res = list(center)
     coeffs = [0] * n
     for i in range(n - 1, -1, -1):
-        ci = dot(c_res, bstar[i]) / d[i]
-        lo_s, hi_s = sqrt_bracket(Q(s) * Q(s) / d[i], 64)
-        si = (lo_s + hi_s) / 2
-        z = _z_gaussian(si, ci, t, delta, rng)
-        coeffs[i] = z
-        c_res = [a - z * b for a, b in zip(c_res, basis_cols[i])]
-    vec = [Q(0)] * len(basis_cols[0])
-    for i in range(n):
-        vec = [a + coeffs[i] * Q(b) for a, b in zip(vec, basis_cols[i])]
-    return coeffs, vec
+        c_num = lam_c[i] - sum(coeffs[j] * lam[j][i] for j in range(i + 1, n))
+        lo_s, hi_s = sqrt_bracket(Q(s_num * d[i], s_den * d[i + 1]), 64)
+        coeffs[i] = _z_gaussian((lo_s + hi_s) / 2, Q(c_num, d[i + 1]), t,
+                                delta, rng)
+    vec = [0] * len(c_int)
+    for z, col in zip(coeffs, cols):
+        if z:
+            vec = [a + z * b for a, b in zip(vec, col)]
+    return coeffs, [Q(v, den) for v in vec]
 
 
 # ---------------------------------------------------------------------------
 # Perfectly uniform sampling in box x lattice
+
+
+def _cmp_powers(num: int, den: int, k: int, p: Fraction, e: int) -> int:
+    """sign((num / den)^k - p^e) for integers num >= 0, den > 0 and a
+    rational p >= 0: from bit lengths when they decide (a^j has between
+    j (bl(a) - 1) + 1 and j bl(a) bits), else from the exact products."""
+    pn, pd = p.numerator, p.denominator
+    if num and pn:
+        bn, bd, bpn, bpd = (num.bit_length(), den.bit_length(),
+                            pn.bit_length(), pd.bit_length())
+        if k * bn + e * bpd <= k * (bd - 1) + e * (bpn - 1):
+            return -1
+        if k * bd + e * bpn <= k * (bn - 1) + e * (bpd - 1):
+            return 1
+    lhs, rhs = num ** k * pd ** e, pn ** e * den ** k
+    return (lhs > rhs) - (lhs < rhs)
 
 
 class RadiusExpr:
@@ -151,23 +176,15 @@ class RadiusExpr:
             raise ValueError
         return RadiusExpr(self.pow_value * c ** self.k, self.k)
 
-    def cmp_value(self, v: Fraction) -> int:
-        """sign(v - r) for rational v >= 0."""
-        v = Q(v)
-        if v < 0:
+    def cmp_value(self, num: int, den: int = 1) -> int:
+        """sign(v - r) for v = num / den, integers, den > 0."""
+        if num < 0:
             return -1
-        lhs = v ** self.k
-        if lhs < self.pow_value:
-            return -1
-        if lhs > self.pow_value:
-            return 1
-        return 0
+        return _cmp_powers(num, den, self.k, self.pow_value, 1)
 
-    def cmp_value_sq(self, v_sq: Fraction) -> int:
-        """sign(sqrt(v_sq) - r) for rational v_sq >= 0."""
-        lhs = Q(v_sq) ** self.k
-        rhs = self.pow_value ** 2
-        return -1 if lhs < rhs else (1 if lhs > rhs else 0)
+    def cmp_value_sq(self, num: int, den: int = 1) -> int:
+        """sign(sqrt(v_sq) - r) for v_sq = num / den >= 0, integers."""
+        return _cmp_powers(num, den, self.k, self.pow_value, 2)
 
     def bracket(self, prec: int = 64):
         return intmath.rational_root_bracket(self.pow_value, self.k, prec)
@@ -214,35 +231,34 @@ class GridBox:
 
 
 def _uniform_grid_point(box: GridBox, grid_n: int, scale, rng):
-    """Exactly uniform point of scale*box intersected with (1/N)Z^dim."""
-    dim = box.dim()
-    out = [Q(0)] * dim
+    """N times an exactly uniform point of scale*box intersected with
+    (1/N)Z^dim: an integer vector."""
+    out = [0] * box.dim()
     for coord, hw in box.intervals:
         kmax = hw.floor_times(Q(scale) * grid_n)
-        out[coord] = Q(rng.randint(-kmax, kmax), grid_n)
+        out[coord] = rng.randint(-kmax, kmax)
     for (ci, cj), rad in box.discs:
         kmax = rad.floor_times(Q(scale) * grid_n)
         r_scaled = rad.scale(Q(scale))
         for _ in range(RETRY_CAP):
             k1 = rng.randint(-kmax, kmax)
             k2 = rng.randint(-kmax, kmax)
-            v_sq = Q(k1 * k1 + k2 * k2, grid_n * grid_n)
-            if r_scaled.cmp_value_sq(v_sq) <= 0:
-                out[ci] = Q(k1, grid_n)
-                out[cj] = Q(k2, grid_n)
+            if r_scaled.cmp_value_sq(k1 * k1 + k2 * k2, grid_n * grid_n) <= 0:
+                out[ci], out[cj] = k1, k2
                 break
         else:
             raise CapExceeded(f"disc draw rejected {RETRY_CAP} points")
     return out
 
 
-def _box_member(box: GridBox, point, scale) -> bool:
+def _box_member(box: GridBox, point, grid_n: int, scale) -> bool:
+    """Whether point / N lies in scale*box, for an integer vector point."""
     for coord, hw in box.intervals:
-        if hw.scale(scale).cmp_value(abs(Q(point[coord]))) > 0:
+        if hw.scale(scale).cmp_value(abs(point[coord]), grid_n) > 0:
             return False
     for (ci, cj), rad in box.discs:
-        v_sq = Q(point[ci]) ** 2 + Q(point[cj]) ** 2
-        if rad.scale(scale).cmp_value_sq(v_sq) > 0:
+        v_sq = point[ci] ** 2 + point[cj] ** 2
+        if rad.scale(scale).cmp_value_sq(v_sq, grid_n * grid_n) > 0:
             return False
     return True
 
@@ -251,22 +267,25 @@ def perfect_box_lattice(c_cols, grid_n: int, t_tilde, box: GridBox, eps,
                         membership_oracle, rng):
     """One attempt of the shifted-lattice perfect sampler.
 
-    c_cols approximates the true basis B in (1/N)Z^n; t_tilde approximates
-    the shift.  Draws u until the (1+3eps) pre-filter accepts, then makes
-    a single call to the exact membership oracle on the integer vector
-    v + w0 and returns the oracle's payload (or None on failure).
+    c_cols are the integer columns of N C~, C~ an approximation of the
+    true basis B in (1/N)Z^n; t_tilde = N t~ likewise for the shift.
+    Draws u until the (1+3eps) pre-filter accepts, then makes a single
+    call to the exact membership oracle on the integer vector v + w0 and
+    returns the oracle's payload (or None on failure).  With
+    (N C~)^-1 = Y / det, C~^-1 u = Y (N u) / det, so every step runs on
+    integers.
     """
-    n = len(c_cols)
-    cinv = mat_inv(transpose([[Q(x) for x in c] for c in c_cols]))
-    w0 = [round_half_up(x) for x in mat_vec(cinv, [Q(x) for x in t_tilde])]
+    y, det = inverse_scaled(transpose(c_cols))
+    w0 = [round_ratio(dot(row, t_tilde), det) for row in y]
     eps = Q(eps)
     for _ in range(200):
         u = _uniform_grid_point(box, grid_n, 1 + 4 * eps, rng)
-        v = [round_half_up(x) for x in mat_vec(cinv, u)]
-        cv = [Q(0)] * len(c_cols[0])
-        for i in range(n):
-            cv = [a + v[i] * Q(b) for a, b in zip(cv, c_cols[i])]
-        if _box_member(box, cv, 1 + 3 * eps):
+        v = [round_ratio(dot(row, u), det) for row in y]
+        cv = [0] * len(c_cols[0])
+        for vi, col in zip(v, c_cols):
+            if vi:
+                cv = [a + vi * b for a, b in zip(cv, col)]
+        if _box_member(box, cv, grid_n, 1 + 3 * eps):
             cand = [vi + wi for vi, wi in zip(v, w0)]
             return membership_oracle(cand)
     return None
@@ -336,11 +355,11 @@ def sample_in_box(field: NumberField, m0: HnfIdeal | None, m_inf: list[int],
 
     # (1) reduced basis of x * b * m0 with the radiusboundofD check
     red = approx_bkz_ideal(x, bm, blocksize)
-    cols_balls = minkowski_columns_x(field, red.elements, x, red.precision_bits)
-    for col in cols_balls:
-        norm_sq_up = sum((abs(c.mid) + c.rad) ** 2 for c in col)
+    cols = minkowski_columns_x(field, red.elements, x, red.precision_bits)
+    for ups, den in cols.abs_upper():
         # || x b_i || <= r / (24 n^2): compare squares times (24 n^2)^2
-        if radius.cmp_value_sq(norm_sq_up * Q(RADIUS_C_HALF * n * n) ** 2) > 0:
+        norm_sq_up = sum(v * v for v in ups) * (RADIUS_C_HALF * n * n) ** 2
+        if radius.cmp_value_sq(norm_sq_up, den * den) > 0:
             raise ValueError("reduced basis too long for the radius "
                              "(radiusboundofD check failed)")
 
@@ -398,29 +417,26 @@ def sample_in_box(field: NumberField, m0: HnfIdeal | None, m_inf: list[int],
     prec = max(red.precision_bits, 2 * grid_n.bit_length() + 96)
     for _ in range(PRECISION_DOUBLINGS):
         cols = minkowski_columns_x(field, red.elements, x, prec)
-        max_err = max(c.rad for col in cols for c in col)
-        if max_err > Q(1, 4 * grid_n):
+        if cols.rad_exceeds(1, 4 * grid_n):
             prec *= 2
             continue
-        c_cols = [[Q(round_half_up(c.mid * grid_n), grid_n) for c in col]
-                  for col in cols]
-        g_col = minkowski_columns_x(field, [gamma_red], x, prec)[0]
+        # N C~ and N t~: the midpoints times N rounded to integers
+        c_cols = [[round_ratio(m * grid_n, dm) for m in mids]
+                  for mids, dm in zip(cols.mids, cols.mid_dens)]
+        g_col = minkowski_columns_x(field, [gamma_red], x, prec)
         r_lo, r_hi = radius.bracket(prec)
-        if r_hi - r_lo > Q(1, 4 * grid_n) or max(c.rad for c in g_col) > Q(1, 8 * grid_n):
+        if r_hi - r_lo > Q(1, 4 * grid_n) or g_col.rad_exceeds(1, 8 * grid_n):
             prec *= 2
             continue
-        t_true = []
-        for kind, place, pos in layout:
-            if kind == "real":
-                base = -g_col[pos].mid
-                if pos in shift_centers:
-                    base = base + shift_centers[pos] * (r_lo + r_hi) / 4
-                t_true.append(base)
-            else:
-                i, j = pos
-                t_true.append(-g_col[i].mid)
-                t_true.append(-g_col[j].mid)
-        t_tilde = [Q(round_half_up(v * grid_n), grid_n) for v in t_true]
+        # the shift is -gamma_red, plus sign(tau) r/2 at constrained places
+        half_r = (r_lo + r_hi) / 4 * grid_n
+        offsets = {pos: sgn * half_r for pos, sgn in shift_centers.items()}
+        gd = g_col.mid_dens[0]
+        t_tilde = []
+        for pos, m in enumerate(g_col.mids[0]):
+            c = offsets.get(pos)
+            cn, cd = (0, 1) if c is None else (c.numerator, c.denominator)
+            t_tilde.append(round_ratio(cn * gd - m * grid_n * cd, gd * cd))
         for draws in range(1, RETRY_CAP + 1):
             got = perfect_box_lattice(c_cols, grid_n, t_tilde, box, eps,
                                       oracle, rng)

@@ -33,6 +33,10 @@ methods that never touch the library's own code paths.
 - the certified logarithm as an atanh series on `Fraction` ratios, and
   the prime sieve over every integer, as the library computed them
   before their integer-mantissa and odd-only kernels;
+- Klein's sampler on the rational Gram-Schmidt basis with a `Fraction`
+  residual center, as the library ran it before its integral kernel.
+  It shares the library's windowed integer Gaussian and square-root
+  bracket, which both paths call with equal rationals;
 - the Buchmann-Kessler-Pohst passes on `Fraction` rows, with the
   constants C, T and lambda as rational powers, as the library computed
   them before its integer-row kernel.  They share the library's LLL,
@@ -379,6 +383,38 @@ def _gso_mu_norms(cols):
         if norms[-1] == 0:
             raise ValueError("rank-deficient basis")
     return mu, norms, bstar
+
+
+def klein_sample_reference(basis_cols, s, center, eps_g, rng):
+    """(coeffs, vector) of `samplers.klein_sample` from the rational
+    Gram-Schmidt basis of `_gso_mu_norms`: level i draws around
+    <c_res, b*_i> / ||b*_i||^2 with width the midpoint of the 64-bit
+    bracket of sqrt(s^2 / ||b*_i||^2), and c_res -= z_i b_i."""
+    from latnf.dyadic import sqrt_bracket
+    from latnf.samplers import _z_gaussian
+    n = len(basis_cols)
+    s = Fraction(s)
+    maxn = max(math.sqrt(float(sum(Fraction(x) ** 2 for x in c)))
+               for c in basis_cols)
+    width = math.sqrt((math.log(1 / eps_g) + 2 * math.log(n) + 3)
+                      / math.pi) * maxn
+    if float(s) < width * (1 - 1e-12):
+        raise ValueError("Gaussian width below the sampler's precondition")
+    _mu, norms, bstar = _gso_mu_norms(basis_cols)
+    delta = eps_g / (2 * n)
+    t = math.sqrt(math.log(n / delta))
+    c_res = [Fraction(x) for x in center]
+    coeffs = [0] * n
+    for i in range(n - 1, -1, -1):
+        ci = sum(a * b for a, b in zip(c_res, bstar[i])) / norms[i]
+        lo_s, hi_s = sqrt_bracket(s * s / norms[i], 64)
+        z = _z_gaussian((lo_s + hi_s) / 2, ci, t, delta, rng)
+        coeffs[i] = z
+        c_res = [a - z * Fraction(b) for a, b in zip(c_res, basis_cols[i])]
+    vec = [Fraction(0)] * len(basis_cols[0])
+    for z, col in zip(coeffs, basis_cols):
+        vec = [a + z * Fraction(b) for a, b in zip(vec, col)]
+    return coeffs, vec
 
 
 def lll_reference(cols, delta=Fraction(3, 4)):

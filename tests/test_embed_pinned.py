@@ -15,7 +15,9 @@ end decides.
 
 Property tests below compare the integer Horner, the integer |z|^2k ball
 and the integer Minkowski columns with their `Fraction` references in
-`oracles.py`.
+`oracles.py`.  The columns are integer mantissas over one midpoint and
+one radius denominator per column; both the pins and the property test
+read each entry back as the fractions (mid, rad).
 """
 
 import hashlib
@@ -81,12 +83,21 @@ def _x_vectors(field):
     return [[Q(3, 7)] * field.n, per_place]
 
 
+def _balls(cols):
+    """(mid, rad) of every entry of a `MinkowskiColumns`, column by
+    column, as reduced fractions."""
+    return [[(Q(m, dm), Q(r, dr)) for m, r in zip(mids, rads)]
+            for mids, dm, rads, dr in zip(cols.mids, cols.mid_dens,
+                                          cols.rads, cols.rad_dens)]
+
+
 def _columns(name, prec):
     field = new_field(*FIELDS[name])
     rows = []
     for x in _x_vectors(field):
-        for col in minkowski_columns_x(field, _elements(field, name), x, prec):
-            rows += [(c.mid, c.rad) for c in col]
+        for col in _balls(minkowski_columns_x(field, _elements(field, name),
+                                              x, prec)):
+            rows += col
     return _digest(rows)
 
 
@@ -241,5 +252,4 @@ class TestAgainstReferences:
         elements = [field.element(coords)]
         got = minkowski_columns_x(field, elements, x, prec)
         ref = oracles.minkowski_columns_reference(field, elements, x, prec)
-        assert [[(c.mid, c.rad) for c in col] for col in got] == [
-            [(c.mid, c.rad) for c in col] for col in ref]
+        assert _balls(got) == [[(c.mid, c.rad) for c in col] for col in ref]

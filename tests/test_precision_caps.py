@@ -16,7 +16,8 @@ import pytest
 
 from latnf import approx_reduction, divisor_log, nf_core, samplers
 from latnf.approx_reduction import (DuallyReducedTag, IdealBasisResult,
-                                    approx_bkz_ideal, dual_exp_reduce)
+                                    MinkowskiColumns, approx_bkz_ideal,
+                                    dual_exp_reduce)
 from latnf.cli import EXIT_CAP, main
 from latnf.dyadic import ComplexBall, RealBall
 from latnf.ideal_arith import HnfIdeal
@@ -34,12 +35,16 @@ class _Counter:
 
 
 def _wide_embedding(field):
-    return _Counter(EmbeddingPoint([ComplexBall(0, 0, 1)] * field.n, 8))
+    # every value the ball 0 +- 1: mantissas (0, 0, 1), exponent 0,
+    # radius denominator 1
+    return _Counter(EmbeddingPoint([(0, 0, 1)] * field.n, 0, 1, 8))
 
 
 def _wide_columns(n):
-    return _Counter([[RealBall(int(i == j), 1) for i in range(n)]
-                     for j in range(n)])
+    # the identity matrix, every entry with radius 1
+    return _Counter(MinkowskiColumns(
+        [[int(i == j) for i in range(n)] for j in range(n)], [1] * n,
+        [[1] * n for _ in range(n)], [1] * n))
 
 
 def test_certify_roots(monkeypatch):

@@ -5,9 +5,11 @@ from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import chi2_sf, chi2_uniform_stat
+from oracles import chi2_sf, chi2_uniform_stat, klein_sample_reference
 
 from latnf.ideal_arith import HnfIdeal, hnf_mul, kummer_dedekind, primes_up_to
 from latnf.nf_core import CapExceeded, new_field
@@ -228,6 +230,49 @@ class TestTails:
         assert (1 - eps) * s * s <= total <= (1 + eps) * s * s + 1e-9
 
 
+_rationals = st.builds(Q, st.integers(-10 ** 6, 10 ** 6),
+                       st.integers(1, 2 ** 20))
+
+
+@st.composite
+def klein_inputs(draw):
+    """(columns, s, center, rng seed): n columns of length m in 1..6 with
+    m >= n; a random rational basis, or the shape of a relation's basis
+    (unit columns, the last one scaled by 1/N for N a power of two); a
+    width s between the minimum and three times it; a rational center."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(n, 6))
+    if draw(st.booleans()):
+        cols = [[Q(int(i == j)) for i in range(m)] for j in range(n)]
+        cols[-1][n - 1] = Q(1, 2 ** draw(st.integers(0, 120)))
+    else:
+        cols = [draw(st.lists(_rationals, min_size=m, max_size=m))
+                for _ in range(n)]
+    center = draw(st.lists(_rationals, min_size=m, max_size=m))
+    return cols, center, draw(st.integers(1024, 3072)), draw(st.integers(0, 2 ** 32))
+
+
+class TestKleinAgainstReference:
+    """`klein_sample` on the integral Gram-Schmidt data draws what the
+    rational Gram-Schmidt sampler draws, from one seeded rng."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(klein_inputs())
+    def test_same_draws(self, inputs):
+        cols, center, stretch, seed = inputs
+        eps_g = 1 / 100
+        s = Q(math.ceil(klein_min_width(cols, eps_g) * stretch) + 1, 1024)
+        results = []
+        for sampler in (klein_sample, klein_sample_reference):
+            rng = random.Random(seed)
+            try:
+                results.append([sampler(cols, s, center, eps_g, rng)
+                                for _ in range(2)])
+            except ValueError as exc:     # a rank-deficient basis
+                results.append(str(exc))
+        assert results[0] == results[1]
+
+
 class TestRadiusExpr:
     def test_fourth_root(self):
         r = RadiusExpr(Q(16), 4)
@@ -308,7 +353,8 @@ class TestPerfectBoxLattice:
         counts = {}
         n_accepted = 0
         while n_accepted < 12000:
-            got = perfect_box_lattice([[1, 0], [0, 1]], 2, t, box,
+            # C~ = I and t~ = t on the grid (1/2)Z^2, passed as N C~, N t~
+            got = perfect_box_lattice([[2, 0], [0, 2]], 2, [1, 1], box,
                                       Q(1, 12), oracle, rng)
             if got is None:
                 continue
