@@ -580,18 +580,19 @@ class NumberField:
 
     def to_power(self, elt: FieldElement):
         """Power-basis polynomial of an element."""
-        if self.power_basis:
-            return polyq.trim(list(elt.coords))
-        return polyq.trim(qlinalg.mat_vec(self._pb_matrix, list(elt.coords)))
+        vec = list(elt.coords)
+        if not self.power_basis:
+            vec = qlinalg.mat_vec(self._pb_matrix, vec)
+        return polyq.trim(vec)
 
     def from_power(self, poly) -> FieldElement:
         poly = [Q(c) for c in poly]
         if len(poly) > self.n:
             poly = polyq.poly_divmod(poly, self.poly_q)[1]
         poly = list(poly) + [Q(0)] * (self.n - len(poly))
-        if self.power_basis:
-            return FieldElement(self, poly)
-        return FieldElement(self, qlinalg.mat_vec(self._pb_inv, poly))
+        if not self.power_basis:
+            poly = qlinalg.mat_vec(self._pb_inv, poly)
+        return FieldElement(self, poly)
 
     def mult_matrix(self, elt: FieldElement):
         """Matrix of multiplication by elt on the integral basis (columns

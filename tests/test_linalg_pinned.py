@@ -3,17 +3,17 @@ of its one elimination kernel.
 
 Each pinned case runs a public entry point whose result passes through
 `qlinalg.mat_det`, `mat_inv`, `solve`, the rank and independence tests
-or `lattice_core.gso`, and hashes what it returns: Klein samples on an
-integer, a dyadic and an 18-dimensional rational basis and on the
-18-dimensional basis of a relation over Q(i) with S <= 60, the
-post-processed basis and verification transcript of two relation sets,
-dual-reduced and BKZ-reduced ideal bases, exact box counts
-(`oracles.count_in_box`, over `mat_inv`), inverses and
-norms over a field given with its own integral basis, and the
-independent rows `lattice_core_lll_rows` keeps.  The digests were
-recorded from the `Fraction` Gaussian elimination and the rational
-Gram-Schmidt that preceded the fraction-free kernel, so they pin it to
-the same values (every entry is hashed as a reduced fraction).
+or the Gram-Schmidt data of `lattice_core.IntegralGSO`, and hashes what
+it returns: Klein samples on an integer, a dyadic and an 18-dimensional
+rational basis and on the 18-dimensional basis of a relation over Q(i)
+with S <= 60, the post-processed basis and verification transcript of
+two relation sets, dual-reduced and BKZ-reduced ideal bases, exact box
+counts (`oracles.count_in_box`, over `mat_inv`), inverses and norms over
+a field given with its own integral basis, and the independent rows
+`lattice_core_lll_rows` keeps.  The digests were recorded from the
+`Fraction` Gaussian elimination and the rational Gram-Schmidt that
+preceded the fraction-free kernel, so they pin it to the same values
+(every entry is hashed as a reduced fraction).
 
 The property tests compare the kernel's entries with the `Fraction`
 references in `oracles.py` on random rational matrices, singular ones
@@ -56,7 +56,7 @@ def _field(poly, basis=None):
 
 
 # ---------------------------------------------------------------------------
-# Klein's sampler (lattice_core.gso)
+# Klein's sampler (the d_i and lambda_ij of lattice_core.IntegralGSO)
 
 
 def _klein_bases():

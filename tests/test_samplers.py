@@ -293,6 +293,24 @@ class TestRadiusExpr:
         with pytest.raises(ValueError, match="below 1"):
             walk_radius(qi, Q(1), 2, 1, constant)
 
+    @settings(max_examples=300, deadline=None)
+    @given(num=st.integers(0, 2 ** 300), den=st.integers(1, 2 ** 300),
+           k=st.integers(1, 40), pn=st.integers(0, 2 ** 600),
+           pd=st.integers(1, 2 ** 600), shift=st.integers(-8, 8))
+    def test_comparisons_match_fractions(self, num, den, k, pn, pd, shift):
+        # v^k against pow_value and v_sq^k against pow_value^2, taken from
+        # bit lengths when they decide; shift moves p next to v^k so that
+        # the exact products decide too
+        v = Q(num, den)
+        p = Q(pn, pd) if shift % 2 else v ** k * Q(2) ** shift
+        r = RadiusExpr(p, k)
+
+        def sign(a, b):
+            return (a > b) - (a < b)
+
+        assert r.cmp_value(num, den) == sign(v ** k, p)
+        assert r.cmp_value_sq(num, den) == sign(v ** k, p * p)
+
     def test_sqrt2_scaling(self):
         r = RadiusExpr(Q(16), 4)
         r2 = _radius_times_sqrt2(r)
