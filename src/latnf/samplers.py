@@ -278,14 +278,15 @@ def perfect_box_lattice(c_cols, grid_n: int, t_tilde, box: GridBox, eps,
     y, det = inverse_scaled(transpose(c_cols))
     w0 = [round_ratio(dot(row, t_tilde), det) for row in y]
     eps = Q(eps)
+    draw_scale, member_scale = 1 + 4 * eps, 1 + 3 * eps
     for _ in range(200):
-        u = _uniform_grid_point(box, grid_n, 1 + 4 * eps, rng)
+        u = _uniform_grid_point(box, grid_n, draw_scale, rng)
         v = [round_ratio(dot(row, u), det) for row in y]
         cv = [0] * len(c_cols[0])
         for vi, col in zip(v, c_cols):
             if vi:
                 cv = [a + vi * b for a, b in zip(cv, col)]
-        if _box_member(box, cv, grid_n, 1 + 3 * eps):
+        if _box_member(box, cv, grid_n, member_scale):
             cand = [vi + wi for vi, wi in zip(v, w0)]
             return membership_oracle(cand)
     return None

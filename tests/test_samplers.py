@@ -236,10 +236,11 @@ _rationals = st.builds(Q, st.integers(-10 ** 6, 10 ** 6),
 
 @st.composite
 def klein_inputs(draw):
-    """(columns, s, center, rng seed): n columns of length m in 1..6 with
-    m >= n; a random rational basis, or the shape of a relation's basis
-    (unit columns, the last one scaled by 1/N for N a power of two); a
-    width s between the minimum and three times it; a rational center."""
+    """(columns, center, stretch, rng seed): n columns of length m in
+    1..6 with m >= n, a random rational basis or the shape of a
+    relation's basis (unit columns, the last one scaled by 1/N for N a
+    power of two); a rational center; the width is stretch / 1024 times
+    the minimum, stretch in [1024, 3072]."""
     n = draw(st.integers(1, 6))
     m = draw(st.integers(n, 6))
     if draw(st.booleans()):
@@ -249,7 +250,8 @@ def klein_inputs(draw):
         cols = [draw(st.lists(_rationals, min_size=m, max_size=m))
                 for _ in range(n)]
     center = draw(st.lists(_rationals, min_size=m, max_size=m))
-    return cols, center, draw(st.integers(1024, 3072)), draw(st.integers(0, 2 ** 32))
+    stretch = draw(st.integers(1024, 3072))
+    return cols, center, stretch, draw(st.integers(0, 2 ** 32))
 
 
 class TestKleinAgainstReference:
