@@ -10,7 +10,9 @@ unreduced integer pairs and are never formed as rationals: each decision
 that reads them is taken on the top 64 bits of every factor and, only
 when that bracket cannot decide, on the exact products, so every
 decision is the exact rational one.  Approximation errors enter only as
-certified bounds.
+certified bounds.  The Minkowski columns of ideal bases
+(`minkowski_columns_x`) are integer mantissas computed from `embed`'s
+integer balls; no ball object is built on this path.
 """
 
 from __future__ import annotations
@@ -283,9 +285,10 @@ def minkowski_columns_x(field: NumberField, elements, x, prec: int):
     x is one positive rational per embedding (conjugate entries equal).
     Coordinates: real embeddings directly; complex pairs as
     (sqrt2*Re, sqrt2*Im), sqrt2 taken as the ball (t +- tr) / d of its
-    dyadic bracket.  Each entry is the `RealBall` product of the value
-    ball, the factor (1 or sqrt2) and x, read off `embed`'s integer
-    balls: with the value part p 2^-W +- r / R, the midpoint is
+    dyadic bracket.  Each entry is the midpoint-radius product of the
+    value ball, the factor (1 or sqrt2) and x (a +- ra times b +- rb has
+    radius |a| rb + |b| ra + ra rb), read off `embed`'s integer balls:
+    with the value part p 2^-W +- r / R, the midpoint is
     p t x / (2^W d) and the radius x (|p| tr (R / 2^W) + (t + tr) r) /
     (R d), put over d lcm(den x) times 2^W and R per column (2^W divides
     R).

@@ -59,7 +59,6 @@ def _load_field(path) -> NumberField:
 def cmd_field(args) -> int:
     field = _load_field(args.field_file)
     n = field.n
-    mink = (Q(4) ** 0 if field.n_cplx == 0 else Q(1))
     minkowski = (math.factorial(n) / n ** n * (4 / math.pi) ** field.n_cplx
                  * math.sqrt(abs(field.disc_field)))
     split = {}

@@ -12,9 +12,10 @@ from fractions import Fraction
 
 from . import intmath
 from .dyadic import Q, RealBall, ball_log, ball_sqrt, log_ball, sqrt_bracket
-from .ideal_arith import HnfIdeal, PrimeIdeal, hnf_inv, hnf_mul, kummer_dedekind, ord_at
+from .ideal_arith import (HnfIdeal, PrimeIdeal, kummer_dedekind, ord_at,
+                          prime_product)
 from .nf_core import (PRECISION_DOUBLINGS, CapExceeded, FieldElement,
-                      NumberField)
+                      NumberField, _abs2_pow)
 
 
 class Divisor:
@@ -87,11 +88,7 @@ def ideal_divisor(a: HnfIdeal, primes=None) -> Divisor:
         if v:
             fin[p] = v
     # exactness check: product reconstructs a
-    recon = HnfIdeal.ring_of_integers(field)
-    for p, e in fin.items():
-        step = p.power(abs(e))
-        recon = hnf_mul(recon, step if e > 0 else hnf_inv(step))
-    if recon != a:
+    if prime_product(field, fin.items()) != a:
         raise ValueError("support does not factor the ideal "
                          "(index-divisor prime or incomplete support)")
     return Divisor(field, fin, None)
@@ -162,10 +159,11 @@ def log_embedding(alpha: FieldElement, prec: int = 64) -> LogVector:
     work = prec + 16
     for _ in range(PRECISION_DOUBLINGS):
         pt = field.embed(alpha, work)
-        squares = [(pt.values[idx].abs2(), nnu) for idx, nnu in field.places()]
-        if all(a2.lo() > 0 for a2, _nnu in squares):
-            return LogVector([ball_log(a2, prec + 8) * Q(nnu, 2)
-                              for a2, nnu in squares])
+        squares = [(_abs2_pow(pt, idx, 1), nnu) for idx, nnu in field.places()]
+        if all(mid > rad for (mid, rad, _den), _nnu in squares):
+            return LogVector([ball_log(RealBall(Q(mid, den), Q(rad, den)),
+                                       prec + 8) * Q(nnu, 2)
+                              for (mid, rad, den), nnu in squares])
         work *= 2
     raise CapExceeded("log embedding failed to separate |sigma(alpha)| from 0")
 
@@ -194,12 +192,7 @@ def log_s_embed(alpha: FieldElement,
     field = alpha.field
     ideal = HnfIdeal.principal(field, alpha)
     vals = [ord_at(ideal, p) for p in s_primes]
-    recon = HnfIdeal.ring_of_integers(field)
-    for p, e in zip(s_primes, vals):
-        if e:
-            step = p.power(abs(e))
-            recon = hnf_mul(recon, step if e > 0 else hnf_inv(step))
-    if recon != ideal:
+    if prime_product(field, zip(s_primes, vals)) != ideal:
         offender = _first_offender(ideal, s_primes)
         raise ValueError(f"element is not an S-unit; offending prime {offender}")
     return LogSUnitVector([-v for v in vals], log_embedding(alpha))

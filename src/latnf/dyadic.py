@@ -1,17 +1,16 @@
 """Certified dyadic interval arithmetic.
 
-Every real quantity with an infinite binary expansion is carried as a
-RealBall: a dyadic midpoint plus a dyadic error radius that provably
+Every real quantity with an infinite binary expansion on the log side
+(`divisor_log`, `ideal_walk`, `relations`, `sunit_pipeline`) is carried
+as a RealBall: a dyadic midpoint plus a dyadic error radius that provably
 contains the true value.  All arithmetic here is exact (Python ints and
 Fractions); transcendental functions return balls whose radius accounts
-for both truncation and rounding.  The hot kernels of the embedding path
-(`nf_core` root balls, Horner evaluation and the |z|^2k test,
-`approx_reduction.minkowski_columns_x`) and the certified logarithm
-`log_ball` compute the same balls on integer mantissas over one
-denominator.  `log_ball` and the |z|^2k test return them as RealBalls;
-`embed` keeps its integer balls and builds ComplexBalls for the callers
-that read them, and the Minkowski columns stay integer mantissas over
-one denominator per column.
+for both truncation and rounding.  The certified logarithm `log_ball`
+computes on integer mantissas and returns a RealBall.  The embedding path
+keeps its complex balls as integer mantissas and never builds a ball
+object: `nf_core`'s root balls, Horner evaluation and |z|^2k test, and
+`approx_reduction.minkowski_columns_x`, whose columns are integer
+mantissas over one denominator per column.
 """
 
 from __future__ import annotations
@@ -240,12 +239,6 @@ class RealBall:
         x = Q(x)
         return self.lo() <= x <= self.hi()
 
-    def definitely_gt(self, x) -> bool:
-        return self.lo() > Q(x)
-
-    def definitely_lt(self, x) -> bool:
-        return self.hi() < Q(x)
-
     def __float__(self):
         return float(self.mid)
 
@@ -279,67 +272,3 @@ def ball_log(b: RealBall, prec: int) -> RealBall:
     bh = log_ball(hi, prec)
     l, h = bl.lo(), bh.hi()
     return RealBall((l + h) / 2, (h - l) / 2)
-
-
-class ComplexBall:
-    """Complex interval: exact rational midpoint, shared radius."""
-
-    __slots__ = ("re", "im", "rad")
-
-    def __init__(self, re, im, rad=Q(0)):
-        self.re = Q(re)
-        self.im = Q(im)
-        self.rad = Q(rad)
-
-    def __add__(self, other):
-        o = _ccoerce(other)
-        return ComplexBall(self.re + o.re, self.im + o.im, self.rad + o.rad)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ComplexBall(-self.re, -self.im, self.rad)
-
-    def __sub__(self, other):
-        return self + (-_ccoerce(other))
-
-    def __mul__(self, other):
-        o = _ccoerce(other)
-        re = self.re * o.re - self.im * o.im
-        im = self.re * o.im + self.im * o.re
-        # |z w - z0 w0| <= |z0| rw + |w0| rz + rz rw; use |.|_1-style bound
-        a = _abs_upper(self.re, self.im)
-        b = _abs_upper(o.re, o.im)
-        rad = a * o.rad + b * self.rad + self.rad * o.rad
-        return ComplexBall(re, im, rad)
-
-    __rmul__ = __mul__
-
-    def conj(self):
-        return ComplexBall(self.re, -self.im, self.rad)
-
-    def abs2(self) -> RealBall:
-        """Ball containing |z|^2."""
-        m = self.re * self.re + self.im * self.im
-        a = _abs_upper(self.re, self.im)
-        rad = 2 * a * self.rad + self.rad * self.rad
-        return RealBall(m, rad)
-
-    def __complex__(self):
-        return complex(float(self.re), float(self.im))
-
-    def __repr__(self):
-        return f"ComplexBall({complex(self):.6g} ± {float(self.rad):.3g})"
-
-
-def _abs_upper(re: Fraction, im: Fraction) -> Fraction:
-    """Cheap rational upper bound on sqrt(re^2+im^2)."""
-    return abs(re) + abs(im)
-
-
-def _ccoerce(x) -> ComplexBall:
-    if isinstance(x, ComplexBall):
-        return x
-    if isinstance(x, RealBall):
-        return ComplexBall(x.mid, Q(0), x.rad)
-    return ComplexBall(Q(x), Q(0))

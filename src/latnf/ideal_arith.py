@@ -19,6 +19,7 @@ x <- tau x / p that stay integral (Cohen Alg. 4.8.17).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 
 from . import intmath, polyq, qlinalg
@@ -164,6 +165,8 @@ class PrimeIdeal:
         """p^k (k >= 0) by binary powering, cached on the field."""
         if k == 0:
             return HnfIdeal.ring_of_integers(self.field)
+        if k == 1:
+            return self.hnf
         cache = self.field._prime_pow_cache
         key = (self.hnf, k)
         hit = cache.get(key)
@@ -244,6 +247,19 @@ def hnf_inv(a: HnfIdeal) -> HnfIdeal:
     # a^{-1} = d b^{-1}, and d times an HNF is an HNF
     return HnfIdeal._normalized(field, nrm,
                                 [[x * a.denom for x in col] for col in inv])
+
+
+def prime_product(field: NumberField, factors) -> HnfIdeal:
+    """The ideal prod P^e over (prime, exponent) pairs: the primes with
+    e > 0 through their cached powers `PrimeIdeal.power`, times one
+    inverse of the product of those with e < 0.  The HNF of an ideal is
+    unique, so the order of the products does not show in the result."""
+    factors = list(factors)
+    parts = [p.power(e) for p, e in factors if e > 0]
+    neg = [p.power(-e) for p, e in factors if e < 0]
+    if neg:
+        parts.append(hnf_inv(reduce(hnf_mul, neg)))
+    return reduce(hnf_mul, parts) if parts else HnfIdeal.ring_of_integers(field)
 
 
 def ord_at(a: HnfIdeal, p: PrimeIdeal) -> int:

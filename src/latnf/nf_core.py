@@ -2,12 +2,13 @@
 
 A field is defined by a monic integer polynomial; elements carry exact
 rational coordinates over a fixed integral basis.  One root certifier
-(`certify_roots`) turns a squarefree integer polynomial into disjoint
-certified root balls at any requested precision; fields cache them as
-integer mantissas at one exponent 2^-W in canonical order and embed
-elements by Horner's scheme on integers (`_horner_ball`), keeping the
-integer balls (`EmbeddingPoint`) and building `Fraction` values only for
-callers that read them.  Comparisons of algebraic values against
+(`_root_mantissas`) turns a squarefree integer polynomial into disjoint
+certified root balls on integer mantissas at one exponent 2^-W, at any
+requested precision; fields cache them in canonical order and embed
+elements by Horner's scheme on integers (`_horner_ball`).  Every reader
+works on these integer balls (`EmbeddingPoint`): the signs at real
+places, the conjugation test, |w|^2k (`_abs2_pow`) and the irreducibility
+test's root-subset search.  Comparisons of algebraic values against
 rational thresholds (or their k-th roots) are decided exactly: integer
 intervals first, then Liouville-type separation bounds (`_abs2_pow_gt`
 for (|w|^2)^k > c, `decide_root_gt_int` underneath).  Precision-doubling
@@ -23,7 +24,7 @@ from math import isqrt, lcm
 import numpy as np
 
 from . import intmath, polyq, qlinalg
-from .dyadic import ComplexBall, Q, RealBall, round_half_up
+from .dyadic import Q, round_half_up
 from .intmath import CapExceeded    # re-exported: callers catch it from here
 
 GT, LE = "GT", "LE"
@@ -111,41 +112,35 @@ def decide_root_gt_int(int_poly, refine, c: int) -> str:
     """Decide whether a designated real root w of int_poly satisfies
     w > c (GT) or w <= c (LE), for an integer threshold c.
 
-    `refine(prec)` must return a RealBall certified to contain w with
-    radius <= 2^-prec.  Exact integer roots are snapped via the
-    separation bound; equality resolves LE.
+    `refine(prec)` must return integers (mid, rad, den), den > 0, whose
+    ball mid/den +- rad/den is certified to contain w with radius
+    <= 2^-prec.  Exact integer roots are snapped via the separation
+    bound, to the midpoint rounded half to even; equality resolves LE.
     """
     sep = liouville_separation(int_poly)
+    sn, sd = sep.numerator, sep.denominator
     prec = 32
-    target = sep / 4
     for _ in range(PRECISION_DOUBLINGS):
-        ball = refine(prec)
-        if ball.definitely_gt(c):
+        mid, rad, den = refine(prec)
+        cd = c * den
+        if mid - rad > cd:
             return GT
-        if ball.definitely_lt(c) or ball.hi() == c:
+        if mid + rad <= cd:
             return LE
-        if ball.rad <= target:
-            z = round(ball.mid)
-            if abs(ball.mid - z) + ball.rad < sep / 2:
+        if 4 * rad * sd <= sn * den:                # radius <= sep/4
+            z = round(Q(mid, den))
+            if 2 * (abs(mid - z * den) + rad) * sd < sn * den:
                 return GT if z > c else LE
-            return GT if ball.mid > c else LE
+            return GT if mid > cd else LE
         prec *= 2
     raise CapExceeded("root comparison did not decide within the "
                       "precision cap")
 
 
-def certify_roots(poly, prec: int) -> list[ComplexBall]:
-    """Disjoint certified balls of radius <= 2^-prec around the complex
-    roots of a squarefree integer polynomial, in no particular order."""
-    work, balls = _root_mantissas(poly, prec)
-    scale = 1 << work
-    return [ComplexBall(Q(a, scale), Q(b, scale), Q(r, scale))
-            for a, b, r in balls]
-
-
 def _root_mantissas(poly, prec: int):
-    """(work, [(a, b, r)]): the balls of `certify_roots` as integer
-    mantissas, each (a + bi) 2^-work +- r 2^-work.
+    """(work, [(a, b, r)]): disjoint certified balls (a + bi) 2^-work +-
+    r 2^-work of radius <= 2^-prec around the complex roots of a
+    squarefree integer polynomial, in no particular order.
 
     Newton's method runs from numpy's float roots on integer mantissas at
     the shared exponent 2^-work; a ball of radius n|f(z)|/|f'(z)| around z
@@ -219,19 +214,20 @@ def _disjoint(balls) -> bool:
     return True
 
 
-def _abs2_pow_gt(ball_at, int_poly, k: int, c: Fraction) -> str:
+def _abs2_pow_gt(point_at, j: int, int_poly, k: int, c: Fraction) -> str:
     """Decide (|w|^2)^k > c exactly for a rational c >= 0; equality
     resolves LE.
 
-    `ball_at(prec)` returns a ComplexBall around w of radius <= 2^-prec.
-    Intervals at 48, 128 and 320 bits decide most cases; otherwise
-    `int_poly()` (called only then) gives an integer polynomial with root
-    w, and the Liouville bound on the k-th powers of the roots of its
-    Kronecker square (the products w_i w_j, |w|^2 among them) settles it.
+    `point_at(prec)` returns an `EmbeddingPoint` whose value j is a ball
+    around w of radius <= 2^-prec.  Intervals at 48, 128 and 320 bits
+    decide most cases; otherwise `int_poly()` (called only then) gives an
+    integer polynomial with root w, and the Liouville bound on the k-th
+    powers of the roots of its Kronecker square (the products w_i w_j,
+    |w|^2 among them) settles it.
     """
     b = c.denominator
     for prec in (48, 128, 320):
-        mid, rad, den = _abs2_pow(ball_at(prec), k)
+        mid, rad, den = _abs2_pow(point_at(prec), j, k)
         lhs, rhs = (mid - rad) * b, c.numerator * den
         if lhs > rhs:
             return GT
@@ -242,19 +238,24 @@ def _abs2_pow_gt(ball_at, int_poly, k: int, c: Fraction) -> str:
     scaled = _scale_roots_to_int(powed, b)           # roots b*(...)
 
     def refine(p):
-        mid, rad, den = _abs2_pow(ball_at(p + k.bit_length() * 4 + 8), k)
-        return RealBall(Q(mid * b, den), Q(rad * b, den))
+        mid, rad, den = _abs2_pow(point_at(p + k.bit_length() * 4 + 8), j, k)
+        return mid * b, rad * b, den
 
     return decide_root_gt_int(scaled, refine, c.numerator)
 
 
-def _abs2_pow(z: ComplexBall, k: int):
-    """(mid, rad, den): the ball `z.abs2()` to the k-th power in
-    `RealBall` arithmetic, as integers over den."""
-    den, (re, im, r) = _over_lcm((z.re, z.im, z.rad))
+def _abs2_pow(pt: EmbeddingPoint, j: int, k: int):
+    """(mid, rad, den): the ball around |z|^2k for the value z of pt at
+    embedding j, as integers over den.  Over the common denominator
+    pt.rad_den, z = (re + i im) +- r and |z|^2 lies in (re^2 + im^2) +-
+    (2 |z|_1 r + r^2), |z|_1 = |re| + |im|; `_ball_pow` raises that ball
+    to the k-th power."""
+    re, im, r = pt.balls[j]
+    s = pt.rad_den >> pt.work
+    re, im = re * s, im * s
     mid, rad = _ball_pow(re * re + im * im, 2 * (abs(re) + abs(im)) * r + r * r,
                          k)
-    return mid, rad, den ** (2 * k)
+    return mid, rad, pt.rad_den ** (2 * k)
 
 
 def _over_lcm(xs):
@@ -278,33 +279,41 @@ def _ball_pow(mid: int, rad: int, k: int):
     return out_mid, out_rad
 
 
-def _subset_factor_test(poly_q, roots):
+def _subset_factor_test(poly_q, work: int, roots):
     """True when no product of (x - w) over at most half of the roots is
     an integer polynomial dividing poly_q, False when one is; None when a
     coefficient ball is too wide to tell (retry with tighter roots).
 
-    A monic factor over Q of a monic integer polynomial has integer
-    coefficients, so a subset whose coefficient ball excludes every
-    integer gives no factor; otherwise the nearest integers are tried by
-    exact division.
+    `roots` are the balls (a + bi) 2^-work +- r 2^-work as mantissas
+    (a, b, r).  A product over m roots has coefficient balls at
+    2^-(m work); each factor (x - w) adds |c|_1 r + |w|_1 rho + rho r
+    (|.|_1 = |re| + |im|) to a coefficient c +- rho.  A monic factor over
+    Q of a monic integer polynomial has integer coefficients, so a subset
+    whose coefficient ball excludes every integer gives no factor;
+    otherwise the midpoints rounded half to even are tried by exact
+    division.
     """
     n = len(roots)
     for size in range(1, n // 2 + 1):
+        scale = 1 << (size * work)
         for sub in combinations(range(n), size):
-            coeffs = [ComplexBall(1, 0)]
+            coeffs = [(1, 0, 0)]
             for i in sub:
-                z = roots[i]
-                new = [ComplexBall(0, 0) for _ in range(len(coeffs) + 1)]
-                for d, c in enumerate(coeffs):
-                    new[d + 1] = new[d + 1] + c
-                    new[d] = new[d] + c * (-z)
-                coeffs = new
+                a, b, r = roots[i]
+                zr = abs(a) + abs(b)
+                # x c(x) - w c(x), x c(x) raised to the next exponent
+                shifted = [(0, 0, 0)] + [(cr << work, ci << work, cq << work)
+                                         for cr, ci, cq in coeffs]
+                coeffs = [(sr - (cr * a - ci * b), si - (cr * b + ci * a),
+                           sq + (abs(cr) + abs(ci)) * r + zr * cq + cq * r)
+                          for (sr, si, sq), (cr, ci, cq)
+                          in zip(shifted, coeffs + [(0, 0, 0)])]
             cand = []
-            for c in coeffs:
-                if c.rad >= Q(1, 4):
+            for cr, ci, cq in coeffs:
+                if 4 * cq >= scale:          # radius >= 1/4
                     return None
-                z = round(c.re)
-                if abs(c.im) > c.rad or abs(c.re - z) > c.rad:
+                z = round(Q(cr, scale))
+                if abs(ci) > cq or abs(cr - z * scale) > cq:
                     break       # no integer in this ball: not a factor
                 cand.append(z)
             else:
@@ -317,29 +326,14 @@ def _subset_factor_test(poly_q, roots):
 class EmbeddingPoint:
     """Certified complex values of an element at every embedding, on
     integers: value j is the ball (re + i im) 2^-work +- rad / rad_den
-    for (re, im, rad) = balls[j].  `values` gives them as `ComplexBall`s,
-    built on first use."""
+    for (re, im, rad) = balls[j], where rad_den is a multiple of 2^work."""
 
-    __slots__ = ("balls", "work", "rad_den", "precision_bits", "_values")
+    __slots__ = ("balls", "work", "rad_den")
 
-    def __init__(self, balls, work, rad_den, precision_bits):
+    def __init__(self, balls, work, rad_den):
         self.balls = balls
         self.work = work
         self.rad_den = rad_den
-        self.precision_bits = precision_bits
-        self._values = None
-
-    @property
-    def values(self):
-        if self._values is None:
-            scale = 1 << self.work
-            self._values = [ComplexBall(Q(re, scale), Q(im, scale),
-                                        Q(rad, self.rad_den))
-                            for re, im, rad in self.balls]
-        return self._values
-
-    def __repr__(self):
-        return f"EmbeddingPoint({[complex(v) for v in self.values]})"
 
 
 class FieldElement:
@@ -508,7 +502,7 @@ class NumberField:
         prec = 64
         for _ in range(PRECISION_DOUBLINGS):
             result = _subset_factor_test(self.poly_q,
-                                         certify_roots(self.poly, prec))
+                                         *_root_mantissas(self.poly, prec))
             if result is not None:
                 return result
             prec *= 2
@@ -673,7 +667,7 @@ class NumberField:
             else:
                 # s depends on the coefficients and the root exponent only,
                 # so every ball has radius denominator den 2^s
-                pt = EmbeddingPoint(balls, work, den << s, precision_bits)
+                pt = EmbeddingPoint(balls, work, den << s)
                 alpha._cache[key] = pt
                 return pt
             work *= 2
@@ -689,10 +683,12 @@ class NumberField:
             raise ValueError("sign only defined at real places")
         prec = 32
         for _ in range(PRECISION_DOUBLINGS):
-            v = self.embed(alpha, prec).values[emb_idx]
-            if v.re - v.rad > 0:
+            pt = self.embed(alpha, prec)
+            re, _im, rad = pt.balls[emb_idx]
+            re *= pt.rad_den >> pt.work         # over rad_den, as rad
+            if re > rad:
                 return 1
-            if v.re + v.rad < 0:
+            if re < -rad:
                 return -1
             prec *= 2
         raise CapExceeded("sign at a real place failed to certify")
@@ -706,7 +702,7 @@ class NumberField:
         if alpha.is_zero():
             return LE
         emb_idx = self.places()[place_idx][0]
-        return _abs2_pow_gt(lambda prec: self.embed(alpha, prec).values[emb_idx],
+        return _abs2_pow_gt(lambda prec: self.embed(alpha, prec), emb_idx,
                             lambda: polyq.primitive_z(alpha.charpoly()), k, c)
 
     # -- exact Minkowski Gram -------------------------------------------------
@@ -734,15 +730,19 @@ class NumberField:
         return None
 
     def _certify_conjugation(self, psi: FieldElement) -> bool:
+        """Whether sigma_i(psi) and the conjugate of sigma_i(theta) lie
+        within their radii plus 2^-40 in both parts at every embedding i,
+        compared over one denominator (a multiple of 2^work of both
+        points, so of 2^40)."""
         prec = 64
         pts = self.embed(psi, prec)
         th = self.embed(self.theta(), prec)
-        for i in range(self.n):
-            a = pts.values[i]
-            b = th.values[i].conj()
-            if abs(a.re - b.re) > a.rad + b.rad + Q(1, 1 << 40):
-                return False
-            if abs(a.im - b.im) > a.rad + b.rad + Q(1, 1 << 40):
+        den = lcm(pts.rad_den, th.rad_den)
+        sa, sb = den >> pts.work, den >> th.work
+        ra, rb = den // pts.rad_den, den // th.rad_den
+        for (are, aim, arad), (bre, bim, brad) in zip(pts.balls, th.balls):
+            tol = arad * ra + brad * rb + (den >> 40)
+            if abs(are * sa - bre * sb) > tol or abs(aim * sa + bim * sb) > tol:
                 return False
         return True
 
@@ -798,7 +798,7 @@ def _horner_ball(coeffs, den: int, z, zw: int, work: int):
     around p(z), for p = sum coeffs[j] x^j / den and the root ball
     z = (a + bi) 2^-zw +- r 2^-zw.
 
-    Each Horner step is the `ComplexBall` product with z (radius
+    Each Horner step is the complex ball product with z (radius
     |acc|_1 r + |z|_1 rho + rho r, |.|_1 = |re| + |im|) plus the next
     coefficient, its midpoint rounded half up to 2^-work and the rounding
     error added to the radius; s grows by zw per step.

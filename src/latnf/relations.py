@@ -13,7 +13,7 @@ from . import samplers
 from .divisor_log import log_s_embed, LogSUnitVector
 from .dyadic import Q, exp_ball
 from .ideal_arith import (HnfIdeal, PrimeIdeal, hnf_inv, hnf_mul, ord_at,
-                          primes_up_to)
+                          prime_product, primes_up_to)
 from .ideal_walk import WalkParams, sample_beta, walk_params
 from .nf_core import CapExceeded, FieldElement, NumberField
 from .samplers import SamplerConfig, walk_radius
@@ -63,11 +63,7 @@ def smooth_factor(a: HnfIdeal, fb: FactorBase):
         if nrm % p.p:
             continue
         vals[i] = ord_at(a, p)
-    recon = HnfIdeal.ring_of_integers(field)
-    for p, v in zip(fb, vals):
-        if v:
-            recon = hnf_mul(recon, p.power(v))
-    if recon != a:
+    if prime_product(field, zip(fb, vals)) != a:
         return None
     return vals
 
@@ -89,10 +85,7 @@ def modulus_branch(field: NumberField, rho_tilde: float,
         return x, HnfIdeal.ring_of_integers(field), []
     prims = [p for p in primes_up_to(field, math.ceil(x))
              if p.norm() < x]
-    m0 = HnfIdeal.ring_of_integers(field)
-    for p in prims:
-        m0 = hnf_mul(m0, p.hnf)
-    return x, m0, prims
+    return x, prime_product(field, [(p, 1) for p in prims]), prims
 
 
 @dataclass
@@ -281,13 +274,7 @@ def random_relation(field: NumberField, fb: FactorBase, rng,
         if sum(abs(a) * l for a, l in zip(a_p, log2_norms)) > size_clamp:
             continue
         # a-ideal and rational y close to exp of the infinite part
-        a_ideal = HnfIdeal.ring_of_integers(field)
-        for p, e in zip(fb, a_p):
-            if e == 0:
-                continue
-            step = p.hnf if e > 0 else hnf_inv(p.hnf)
-            for _ in range(abs(e)):
-                a_ideal = hnf_mul(a_ideal, step)
+        a_ideal = prime_product(field, zip(fb, a_p))
         rel_bits = grid_n.bit_length() + 16
         y = [Q(1)] * n
         for (emb_idx, nnu), b in zip(field.places(), b_nu):

@@ -19,21 +19,57 @@ def rational_to_str(x) -> str:
 def rational_from_str(s) -> Fraction:
     if isinstance(s, int):
         return Q(s)
+    if not isinstance(s, str):
+        raise ValueError(f"expected a rational, not {type(s).__name__}")
     if "/" in s:
         num, den = s.split("/")
         return Q(int(num), int(den))
     return Q(int(s))
 
 
+# The decoders raise ValueError on malformed input: a value that is not a
+# JSON object, a missing key, or a value of the wrong type.
+
+
+def _entry(d, key: str, kind):
+    """d[key] of a JSON object d, checked to be an instance of kind."""
+    if not isinstance(d, dict):
+        raise ValueError(f"expected a JSON object, not {type(d).__name__}")
+    if key not in d:
+        raise ValueError(f"missing key {key!r}")
+    value = d[key]
+    if not isinstance(value, kind):
+        raise ValueError(f"key {key!r} has the wrong type "
+                         f"{type(value).__name__}")
+    return value
+
+
+def _rows(d, key: str) -> list:
+    """d[key], checked to be a list of lists."""
+    rows = _entry(d, key, list)
+    if not all(isinstance(row, list) for row in rows):
+        raise ValueError(f"key {key!r} is not a list of lists")
+    return rows
+
+
+def _int(x) -> int:
+    """An integer given as a JSON number or a decimal string."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise ValueError(f"expected an integer, not {type(x).__name__}")
+    return int(x)
+
+
 def field_from_json(d) -> NumberField:
-    basis = d.get("integral_basis")
-    if basis is not None:
-        basis = [[rational_from_str(x) for x in row] for row in basis]
+    poly = [_int(c) for c in _entry(d, "poly", list)]
+    basis = None
+    if d.get("integral_basis") is not None:
+        basis = [[rational_from_str(x) for x in row]
+                 for row in _rows(d, "integral_basis")]
         # the power basis needs no explicit matrix
-        if basis == [[Q(int(i == j)) for j in range(len(d["poly"]) - 1)]
-                     for i in range(len(d["poly"]) - 1)]:
+        if basis == [[Q(int(i == j)) for j in range(len(poly) - 1)]
+                     for i in range(len(poly) - 1)]:
             basis = None
-    return NumberField([int(c) for c in d["poly"]], basis)
+    return NumberField(poly, basis)
 
 
 def ideal_to_json(a: HnfIdeal) -> dict:
@@ -41,7 +77,11 @@ def ideal_to_json(a: HnfIdeal) -> dict:
 
 
 def ideal_from_json(field: NumberField, d) -> HnfIdeal:
-    return HnfIdeal(field, int(d["denom"]), d["hnf"])
+    cols = [[_int(x) for x in col] for col in _rows(d, "hnf")]
+    if len(cols) != field.n or any(len(col) != field.n for col in cols):
+        raise ValueError(f"key 'hnf' is not {field.n} columns of "
+                         f"{field.n} integers")
+    return HnfIdeal(field, _int(_entry(d, "denom", (int, str))), cols)
 
 
 def element_to_json(e: FieldElement) -> list:
@@ -59,7 +99,10 @@ def matrix_to_json(cols) -> dict:
 
 
 def matrix_from_json(d):
-    cols = [[rational_from_str(x) for x in col] for col in d["data"]]
+    cols = [[rational_from_str(x) for x in col] for col in _rows(d, "data")]
+    if not cols or not cols[0] or any(len(c) != len(cols[0]) for c in cols):
+        raise ValueError("key 'data' is not a nonempty list of columns of "
+                         "one nonzero length")
     return cols
 
 
@@ -73,11 +116,12 @@ def relation_to_json(rel, fb) -> dict:
 
 def relation_from_json(field: NumberField, d):
     from .relations import SUnitRelation
-    return SUnitRelation(element_from_json(field, d["alpha"]),
-                         tuple(d["valuations"]),
-                         tuple(d["total_valuations"]),
-                         ideal_from_json(field, d["input_ideal"]),
-                         int(d["attempts"]))
+    return SUnitRelation(
+        element_from_json(field, _entry(d, "alpha", list)),
+        tuple(_int(v) for v in _entry(d, "valuations", list)),
+        tuple(_int(v) for v in _entry(d, "total_valuations", list)),
+        ideal_from_json(field, _entry(d, "input_ideal", dict)),
+        _int(_entry(d, "attempts", (int, str))))
 
 
 def result_to_json(res) -> dict:

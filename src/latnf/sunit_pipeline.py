@@ -85,19 +85,10 @@ def postprocess(relations, fb: FactorBase, field: NumberField,
     k = len(relations)
     if k == 0:
         return PostprocessResult([], 0, [], [], 0)
-    n = field.n
     s_len = len(fb)
     r1 = field.n_real + field.n_cplx
-    val_rows = [[-v for v in rel.total_valuations] for rel in relations]
-    if s_len:
-        h_rows, u = qlinalg.hnf_with_transform([list(r) for r in val_rows])
-        pivot_rows = [i for i in range(k) if any(h_rows[i])]
-        kernel = _reduced_kernel(h_rows, u)
-    else:
-        h_rows = [[] for _ in range(k)]
-        u = qlinalg.int_identity(k)
-        pivot_rows = []
-        kernel = qlinalg.int_identity(k)
+    h_rows, u, kernel = _relation_lattice(relations, s_len)
+    pivot_rows = [i for i in range(k) if any(h_rows[i])]
     mu = kessler_lambda1_lower(field, kessler_c)
     # unit-block BKP at the precision its own constants demand
     kb = len(kernel)
@@ -108,19 +99,12 @@ def postprocess(relations, fb: FactorBase, field: NumberField,
         coeff_max = max(abs(c) for row in kernel for c in row)
         prec = _unit_block_precision(field, kb, coeff_max, len(relations),
                                      mu, s_len, field.n)
-        logs = [log_embedding(rel.alpha, prec) for rel in relations]
-        rows = []
-        max_err = Q(0)
-        for comb in kernel:
-            acc = [Q(0)] * r1
-            err = Q(0)
-            for j in range(k):
-                c = comb[j]
-                if c:
-                    acc = [a + c * b.mid for a, b in zip(acc, logs[j].entries)]
-                    err += abs(c) * max(b.rad for b in logs[j].entries)
-            rows.append(acc)
-            max_err = max(max_err, err)
+        logs = [log_embedding(rel.alpha, prec).entries for rel in relations]
+        mids = [[b.mid for b in lv] for lv in logs]
+        rads = [max(b.rad for b in lv) for lv in logs]
+        rows = [_combine(comb, mids) for comb in kernel]
+        max_err = max(sum(abs(c) * r for c, r in zip(comb, rads))
+                      for comb in kernel)
         gens = ApproxGenerators(rows=rows, err=Q(r1) * max_err, mu=mu,
                                 r0=min(kb, r1 - 1), n1=0)
         if all(all(abs(x) <= Q(r1) * max_err for x in row) for row in rows):
@@ -140,17 +124,14 @@ def postprocess(relations, fb: FactorBase, field: NumberField,
     # assemble the basis rows: HNF valuation rows first, then unit rows;
     # pivot combinations are Babai-shortened against the kernel
     out_prec = 128
-    logs_out = [log_embedding(rel.alpha, out_prec) for rel in relations]
+    mids_out = [[b.mid for b in log_embedding(rel.alpha, out_prec).entries]
+                for rel in relations]
     n_matrix, basis_val, basis_inf = [], [], []
     for i in pivot_rows:
         combo = _babai_reduce_combo(list(u[i]), kernel)
         n_matrix.append(combo)
         basis_val.append(list(h_rows[i]))
-        acc = [Q(0)] * r1
-        for j, c in enumerate(combo):
-            if c:
-                acc = [a + c * b.mid for a, b in zip(acc, logs_out[j].entries)]
-        basis_inf.append(acc)
+        basis_inf.append(_combine(combo, mids_out))
     for combo, inf in zip(unit_basis_combos, unit_inf_rows):
         n_matrix.append(combo)
         basis_val.append([0] * s_len)
@@ -158,16 +139,33 @@ def postprocess(relations, fb: FactorBase, field: NumberField,
     return PostprocessResult(n_matrix, rank, basis_val, basis_inf, out_prec)
 
 
-def _reduced_kernel(h_rows, u):
-    """LLL-reduced integer basis of the left kernel of the valuation
-    rows, from their (H, U) (naive HNF transforms can carry exponentially
-    large entries)."""
+def _relation_lattice(relations, s_len: int):
+    """(H, U, kernel) of the valuation rows V (the negated total
+    valuations of the relations): the row HNF H = U V and an LLL-reduced
+    integer basis of V's left kernel, read off (H, U) (naive HNF
+    transforms can carry exponentially large entries).  An empty factor
+    base gives empty rows of H, and the identity for U and the kernel."""
+    k = len(relations)
+    if not s_len:
+        ident = qlinalg.int_identity(k)
+        return [[] for _ in range(k)], ident, ident
+    h_rows, u = qlinalg.hnf_with_transform(
+        [[-v for v in rel.total_valuations] for rel in relations])
     ker = qlinalg.kernel_rows(h_rows, u)
     if not ker:
-        return []
+        return h_rows, u, []
     from .lattice_core import lll
-    red, _u = lll([list(k) for k in ker])
-    return [[int(x) for x in col] for col in red]
+    red, _u = lll([list(row) for row in ker])
+    return h_rows, u, [[int(x) for x in col] for col in red]
+
+
+def _combine(comb, rows):
+    """sum_j comb[j] rows[j]: an integer combination of rational rows."""
+    acc = [Q(0)] * len(rows[0])
+    for c, row in zip(comb, rows):
+        if c:
+            acc = [a + c * b for a, b in zip(acc, row)]
+    return acc
 
 
 def _babai_reduce_combo(combo, ker_basis):
@@ -255,12 +253,7 @@ def verify_full(post: PostprocessResult, field: NumberField, fb: FactorBase,
         tr.notes["reason"] = "unit-part rank unexpected"
         return tr
     if reg_rank:
-        unit_rows = []
-        for comb in kernel:
-            row = [Q(0)] * (len(post.basis_inf[0]))
-            for c, inf in zip(comb, post.basis_inf):
-                row = [a + c * b for a, b in zip(row, inf)]
-            unit_rows.append(row)
+        unit_rows = [_combine(comb, post.basis_inf) for comb in kernel]
         det = qlinalg.mat_det(qlinalg.gram_matrix(unit_rows))
         reg_cov = math.sqrt(max(0.0, float(det)))       # = R' sqrt(r1)
         regulator = reg_cov / math.sqrt(r1)
@@ -526,34 +519,19 @@ def _quick_precheck(relations, fb: FactorBase, field: NumberField,
     the integer valuation block, Gram the unit kernel at modest precision,
     and test the split covolume window."""
     r1 = field.n_real + field.n_cplx
-    s_len = len(fb)
-    val_rows = [[-v for v in rel.total_valuations] for rel in relations]
-    if s_len:
-        h_rows, u = qlinalg.hnf_with_transform([list(r) for r in val_rows])
-        index = _class_index(h_rows, s_len)
-        if index is None:
-            return False
-        kernel = _reduced_kernel(h_rows, u)
-    else:
-        index = 1
-        kernel = qlinalg.int_identity(len(relations))
+    h_rows, _u, kernel = _relation_lattice(relations, len(fb))
+    index = _class_index(h_rows, len(fb))
+    if index is None:
+        return False
     reg_rank = r1 - 1
     if reg_rank == 0:
         return _ratio_verdict(index / d_value) == "verified"
     if len(kernel) < reg_rank:
         return False
     # log vectors of a few short kernel combinations at modest precision
-    logs = []
-    for rel in relations:
-        lv = log_embedding(rel.alpha, 64)
-        logs.append([b.mid for b in lv.entries])
-    unit_rows = []
-    for comb in kernel:
-        row = [Q(0)] * r1
-        for c, lg in zip(comb, logs):
-            if c:
-                row = [a + c * b for a, b in zip(row, lg)]
-        unit_rows.append(row)
+    logs = [[b.mid for b in log_embedding(rel.alpha, 64).entries]
+            for rel in relations]
+    unit_rows = [_combine(comb, logs) for comb in kernel]
     # Gram/LLL the kernel rows to find reg_rank short independent ones
     red, _u2 = lattice_core_lll_rows(unit_rows)
     best = red[:reg_rank]

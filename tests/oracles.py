@@ -33,6 +33,11 @@ methods that never touch the library's own code paths.
 - the certified logarithm as an atanh series on `Fraction` ratios, and
   the prime sieve over every integer, as the library computed them
   before their integer-mantissa and odd-only kernels;
+- the library's complex balls as `Fraction` `ComplexBall`s
+  (`certify_roots`, `embedding_values`), and the readers it ran on them
+  before they moved onto integer mantissas: the log embedding, the sign
+  at a real place, the |sigma|^2k decision with its Liouville fallback
+  and the root-subset factor search;
 - Klein's sampler on the rational Gram-Schmidt basis with a `Fraction`
   residual center, as the library ran it before its integral kernel.
   It shares the library's windowed integer Gaussian and square-root
@@ -747,11 +752,62 @@ def certify_roots_reference(poly, prec: int):
 # The certified-embedding path in Fraction ball arithmetic
 
 
+class ComplexBall:
+    """Complex interval with an exact rational midpoint and one shared
+    radius, the library's complex ball before its embedding readers moved
+    onto integer mantissas."""
+
+    __slots__ = ("re", "im", "rad")
+
+    def __init__(self, re, im, rad=0):
+        self.re = Fraction(re)
+        self.im = Fraction(im)
+        self.rad = Fraction(rad)
+
+    def __add__(self, other):
+        return ComplexBall(self.re + other.re, self.im + other.im,
+                           self.rad + other.rad)
+
+    def __neg__(self):
+        return ComplexBall(-self.re, -self.im, self.rad)
+
+    def __mul__(self, other):
+        # |z w - z0 w0| <= |z0|_1 rw + |w0|_1 rz + rz rw, |.|_1 = |re| + |im|
+        a = abs(self.re) + abs(self.im)
+        b = abs(other.re) + abs(other.im)
+        return ComplexBall(self.re * other.re - self.im * other.im,
+                           self.re * other.im + self.im * other.re,
+                           a * other.rad + b * self.rad + self.rad * other.rad)
+
+    def abs2(self):
+        """RealBall containing |z|^2."""
+        from latnf.dyadic import RealBall
+        a = abs(self.re) + abs(self.im)
+        return RealBall(self.re * self.re + self.im * self.im,
+                        2 * a * self.rad + self.rad * self.rad)
+
+
+def certify_roots(poly, prec: int) -> list:
+    """The library's certified root balls (`nf_core._root_mantissas`) as
+    `ComplexBall`s, in its order."""
+    from latnf import nf_core
+    work, balls = nf_core._root_mantissas(poly, prec)
+    scale = 1 << work
+    return [ComplexBall(Fraction(a, scale), Fraction(b, scale),
+                        Fraction(r, scale)) for a, b, r in balls]
+
+
+def embedding_values(pt) -> list:
+    """The values of an `EmbeddingPoint` as `ComplexBall`s."""
+    scale = 1 << pt.work
+    return [ComplexBall(Fraction(re, scale), Fraction(im, scale),
+                        Fraction(rad, pt.rad_den)) for re, im, rad in pt.balls]
+
+
 def ceval_ball_reference(poly, z, work: int):
     """Ball around poly(z) for rational coefficients and a ComplexBall z:
     Horner in `ComplexBall` arithmetic, the midpoint rounded half up to
     2^-work after every step and the rounding error added to the radius."""
-    from latnf.dyadic import ComplexBall
     acc = ComplexBall(0, 0)
     for c in reversed(poly):
         acc = acc * z + ComplexBall(Fraction(c), 0)
@@ -772,6 +828,102 @@ def abs2_pow_reference(z, k: int):
     return out
 
 
+def log_embedding_reference(field, alpha, prec: int):
+    """The balls of `divisor_log.log_embedding`, n_nu/2 times the
+    `ball_log` of `ComplexBall.abs2` at each place, with the same
+    precision doubling; None where that would exceed its cap."""
+    from latnf.dyadic import ball_log
+    work = prec + 16
+    for _ in range(40):
+        values = embedding_values(field.embed(alpha, work))
+        squares = [(values[idx].abs2(), nnu) for idx, nnu in field.places()]
+        if all(a2.lo() > 0 for a2, _nnu in squares):
+            return [ball_log(a2, prec + 8) * Fraction(nnu, 2)
+                    for a2, nnu in squares]
+        work *= 2
+    return None
+
+
+def sign_at_real_place_reference(field, alpha, place_idx: int):
+    """The sign of sigma(alpha) at a real place, read off the first
+    `ComplexBall` value (at 32, 64, ... bits) that excludes 0."""
+    emb_idx = field.places()[place_idx][0]
+    prec = 32
+    for _ in range(40):
+        v = embedding_values(field.embed(alpha, prec))[emb_idx]
+        if v.re - v.rad > 0:
+            return 1
+        if v.re + v.rad < 0:
+            return -1
+        prec *= 2
+    return None
+
+
+def abs2_pow_gt_reference(ball_at, int_poly, k: int, c: Fraction):
+    """(verdict, fallback): `nf_core._abs2_pow_gt` in RealBall arithmetic
+    on the `ComplexBall` `ball_at(prec)`, and whether the Liouville
+    fallback ran.  The fallback refines b (|w|^2)^k, b = den(c), against
+    the integer num(c), snapping to the midpoint rounded half to even
+    within the separation bound of its integer polynomial."""
+    from latnf import nf_core
+    for prec in (48, 128, 320):
+        t = abs2_pow_reference(ball_at(prec), k)
+        if t.lo() > c:
+            return nf_core.GT, False
+        if t.hi() <= c:
+            return nf_core.LE, False
+    b, cn = c.denominator, c.numerator
+    kron = nf_core._kronecker_square_charpoly(int_poly())
+    scaled = nf_core._scale_roots_to_int(nf_core._compose_power(kron, k), b)
+    sep = nf_core.liouville_separation(scaled)
+    prec = 32
+    for _ in range(40):
+        ball = abs2_pow_reference(ball_at(prec + k.bit_length() * 4 + 8), k) * b
+        if ball.lo() > cn:
+            return nf_core.GT, True
+        if ball.hi() <= cn:
+            return nf_core.LE, True
+        if ball.rad <= sep / 4:
+            z = round(ball.mid)
+            if abs(ball.mid - z) + ball.rad < sep / 2:
+                return (nf_core.GT if z > cn else nf_core.LE), True
+            return (nf_core.GT if ball.mid > cn else nf_core.LE), True
+        prec *= 2
+    return None, True
+
+
+def subset_factor_test_reference(poly_q, roots):
+    """`nf_core._subset_factor_test` on `ComplexBall` roots: the products
+    of (x - w) over subsets of at most half the roots in `ComplexBall`
+    arithmetic, each coefficient tried at its midpoint rounded half to
+    even."""
+    from latnf import polyq
+    n = len(roots)
+    for size in range(1, n // 2 + 1):
+        for sub in itertools.combinations(range(n), size):
+            coeffs = [ComplexBall(1, 0)]
+            for i in sub:
+                z = roots[i]
+                new = [ComplexBall(0, 0) for _ in range(len(coeffs) + 1)]
+                for d, c in enumerate(coeffs):
+                    new[d + 1] = new[d + 1] + c
+                    new[d] = new[d] + c * (-z)
+                coeffs = new
+            cand = []
+            for c in coeffs:
+                if c.rad >= Fraction(1, 4):
+                    return None
+                z = round(c.re)
+                if abs(c.im) > c.rad or abs(c.re - z) > c.rad:
+                    break
+                cand.append(z)
+            else:
+                _, rem = polyq.poly_divmod(poly_q, [Fraction(c) for c in cand])
+                if not rem:
+                    return False
+    return True
+
+
 def minkowski_columns_reference(field, elements, x, prec: int):
     """Minkowski coordinates of x*elements as RealBall products: real
     embeddings times x, complex pairs as (sqrt2 Re, sqrt2 Im) times x."""
@@ -780,13 +932,13 @@ def minkowski_columns_reference(field, elements, x, prec: int):
     s2 = RealBall((lo2 + hi2) / 2, (hi2 - lo2) / 2)
     cols = []
     for e in elements:
-        pt = field.embed(e, prec + 8)
+        values = embedding_values(field.embed(e, prec + 8))
         col = []
         for i in range(field.n_real):
-            col.append(RealBall(pt.values[i].re, pt.values[i].rad) * Fraction(x[i]))
+            col.append(RealBall(values[i].re, values[i].rad) * Fraction(x[i]))
         for kidx in range(field.n_cplx):
             j = field.n_real + 2 * kidx
-            v = pt.values[j]
+            v = values[j]
             col.append(RealBall(v.re, v.rad) * s2 * Fraction(x[j]))
             col.append(RealBall(v.im, v.rad) * s2 * Fraction(x[j]))
         cols.append(col)
@@ -989,14 +1141,14 @@ def count_in_box(cols, r, shift=None, cov_upper_sq=None):
 
 def abs_root_gt(poly, which_root: int, g, k: int) -> str:
     """GT when |w| > g^(1/k), LE otherwise, for the root w numbered
-    `which_root` among the `certify_roots` balls of the squarefree integer
+    `which_root` among the certified root balls of the squarefree integer
     polynomial sorted by (re, im): the library's |sigma|^2k decision
     `_abs2_pow_gt`, the core `cmp_element` runs, with c = g^2."""
     from latnf import nf_core
 
-    def ball_at(prec):
-        balls = nf_core.certify_roots(poly, prec)
-        return sorted(balls, key=lambda b: (b.re, b.im))[which_root]
+    def point_at(prec):
+        work, balls = nf_core._root_mantissas(poly, prec)
+        return nf_core.EmbeddingPoint(sorted(balls), work, 1 << work)
 
-    return nf_core._abs2_pow_gt(ball_at, lambda: poly, k,
+    return nf_core._abs2_pow_gt(point_at, which_root, lambda: poly, k,
                                 Fraction(g) * Fraction(g))

@@ -129,6 +129,42 @@ class TestReduceCommand:
         assert code == 2
 
 
+class TestMalformedInput:
+    """Malformed input files are preconditions: exit 2, reported as such."""
+
+    def _assert_precondition(self, args, capsys):
+        code, _, err = run_cli(args, capsys)
+        assert code == 2
+        assert json.loads(err)["kind"] == "precondition"
+
+    @pytest.mark.parametrize("content", [{}, [1, 2]])
+    def test_field_file(self, tmp_path, capsys, content):
+        p = tmp_path / "f.json"
+        p.write_text(json.dumps(content))
+        self._assert_precondition(["field", str(p)], capsys)
+
+    def test_ideal_without_hnf(self, qi_file, tmp_path, capsys):
+        a = tmp_path / "a.json"
+        a.write_text(json.dumps({"denom": 1}))
+        self._assert_precondition(["ideal", qi_file, str(a)], capsys)
+
+    @pytest.mark.parametrize("content", [
+        {"cols": 5},                                    # no data
+        {"data": [["1"], ["0", "1"]]},                  # ragged columns
+        {"data": []}])
+    def test_matrix_file(self, tmp_path, capsys, content):
+        m = tmp_path / "m.json"
+        m.write_text(json.dumps(content))
+        self._assert_precondition(["reduce", str(m)], capsys)
+
+    def test_relation_dump_line_without_valuations(self, qi_file, tmp_path,
+                                                    capsys):
+        dump = tmp_path / "rels.jsonl"
+        dump.write_text(json.dumps({"alpha": ["1", "0"]}) + "\n")
+        self._assert_precondition(["verify", qi_file, str(dump),
+                                   "--primes-bound", "10"], capsys)
+
+
 class TestSampleCommand:
     def test_prime_mode(self, qi_file, capsys):
         code, out, _ = run_cli(["sample", qi_file, "--mode", "prime",

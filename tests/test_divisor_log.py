@@ -12,6 +12,7 @@ from latnf.ideal_arith import (HnfIdeal, hnf_inv, hnf_mul, kummer_dedekind,
                                primes_up_to)
 from latnf.lattice_core import enumerate_minima_gram, enumerate_short_gram
 from latnf.nf_core import NumberField, new_field
+from oracles import embedding_values
 
 PELL_REG = math.log(1 + math.sqrt(2))
 
@@ -288,7 +289,7 @@ def _lambda_n_inf_sq(field):
             if c:
                 elt = elt + b * c
         pt = field.embed(elt, 48)
-        inf_sq = max(float(v.abs2().hi()) for v in pt.values)
+        inf_sq = max(float(v.abs2().hi()) for v in embedding_values(pt))
         best.append((inf_sq, coeffs))
     best.sort()
     chosen = []

@@ -17,7 +17,12 @@ Property tests below compare the integer Horner, the integer |z|^2k ball
 and the integer Minkowski columns with their `Fraction` references in
 `oracles.py`.  The columns are integer mantissas over one midpoint and
 one radius denominator per column; both the pins and the property test
-read each entry back as the fractions (mid, rad).
+read each entry back as the fractions (mid, rad).  The readers of the
+integer embedding balls (the log embedding, the sign at a real place and
+the |sigma|^2k decision with its Liouville fallback) and the root-subset
+factor search are compared with the `ComplexBall` readers they replaced
+(`oracles.log_embedding_reference` and its neighbours), which read the
+same balls as fractions (`oracles.embedding_values`).
 """
 
 import hashlib
@@ -27,13 +32,17 @@ from math import lcm
 
 import oracles
 import pytest
+from functools import lru_cache
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latnf import nf_core
+from latnf import intmath, nf_core, polyq
 from latnf.approx_reduction import minkowski_columns_x
-from latnf.dyadic import ComplexBall
+from latnf.divisor_log import log_embedding
 from latnf.nf_core import GT, LE, cmp_element, new_field
+from oracles import ComplexBall
 
 # name -> (polynomial, integral basis or None for the power basis)
 FIELDS = {
@@ -45,6 +54,22 @@ FIELDS = {
     "x^3-2": ([-2, 0, 0, 1], None),
     "Q(sqrt-23)": ([23, 0, 1], [[1, 0], [Q(1, 2), Q(1, 2)]]),
 }
+
+
+# |theta|^2 = T^(1/root) at every place, as (T, root)
+THETA_ABS2 = {"Q(i)": (1, 1), "Q(sqrt-5)": (5, 1), "Q(sqrt2)": (2, 1),
+              "x^2-x+41": (41, 1), "Q(zeta5)": (1, 1), "x^3-2": (4, 3),
+              "Q(sqrt-23)": (23, 1)}
+# polynomial -> irreducible: each splits modulo every prime that misses
+# its discriminant, so `_is_irreducible` decides it by the root subsets
+SUBSET_POLYS = {(1, 0, 0, 0, 1): True,          # x^4 + 1
+                (1, 0, -10, 0, 1): True,        # sqrt2 + sqrt3
+                (2, 0, 3, 0, 1): False}         # (x^2 + 1)(x^2 + 2)
+
+
+@lru_cache(maxsize=None)
+def _field(name):
+    return new_field(*FIELDS[name])
 
 
 def _digest(rows):
@@ -72,7 +97,7 @@ def _embeds(name, prec):
     field = new_field(*FIELDS[name])
     return _digest([(v.re, v.im, v.rad)
                     for alpha in _elements(field, name)
-                    for v in field.embed(alpha, prec).values])
+                    for v in oracles.embedding_values(field.embed(alpha, prec))])
 
 
 def _x_vectors(field):
@@ -210,6 +235,14 @@ def test_cmp_element_equality_on_exact_balls(monkeypatch):
 rationals = st.builds(Q, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 60))
 
 
+def _abs2_pow_gt_reference(field, alpha, emb_idx, k, c):
+    """(verdict, fallback ran) of the `ComplexBall` reference of
+    `abs2_pow_cmp` on the same embedding balls."""
+    return oracles.abs2_pow_gt_reference(
+        lambda p: oracles.embedding_values(field.embed(alpha, p))[emb_idx],
+        lambda: polyq.primitive_z(alpha.charpoly()), k, c)
+
+
 class TestAgainstReferences:
     @settings(max_examples=150, deadline=None)
     @given(poly=st.lists(rationals, max_size=6), zw=st.integers(1, 160),
@@ -232,12 +265,107 @@ class TestAgainstReferences:
             ref.re, ref.im, ref.rad)
 
     @settings(max_examples=150, deadline=None)
-    @given(re=rationals, im=rationals, rad=rationals, k=st.integers(1, 17))
-    def test_abs2_pow(self, re, im, rad, k):
-        z = ComplexBall(re, im, abs(rad))
-        mid, r, den = nf_core._abs2_pow(z, k)
-        ref = oracles.abs2_pow_reference(z, k)
-        assert (Q(mid, den), Q(r, den)) == (ref.mid, ref.rad)
+    @given(re=st.integers(-10 ** 12, 10 ** 12),
+           im=st.integers(-10 ** 12, 10 ** 12), rad=st.integers(0, 10 ** 8),
+           work=st.integers(0, 60), shift=st.integers(0, 40),
+           den=st.integers(1, 60), k=st.integers(1, 17))
+    def test_abs2_pow(self, re, im, rad, work, shift, den, k):
+        # an embedding ball as `embed` makes them: midpoint at 2^-work,
+        # radius over a multiple of 2^work
+        pt = nf_core.EmbeddingPoint([(re, im, rad)], work,
+                                    den << (work + shift))
+        mid, r, d = nf_core._abs2_pow(pt, 0, k)
+        ref = oracles.abs2_pow_reference(oracles.embedding_values(pt)[0], k)
+        assert (Q(mid, d), Q(r, d)) == (ref.mid, ref.rad)
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(FIELDS)), prec=st.integers(8, 320),
+           data=st.data())
+    def test_log_embedding_and_sign(self, name, prec, data):
+        field = _field(name)
+        coords = data.draw(st.lists(rationals, min_size=field.n,
+                                    max_size=field.n).filter(any))
+        alpha = field.element(coords)
+        got = log_embedding(alpha, prec)
+        ref = oracles.log_embedding_reference(field, alpha, prec)
+        assert [(b.mid, b.rad) for b in got.entries] == [
+            (b.mid, b.rad) for b in ref]
+        for place in range(field.n_real):
+            assert field.sign_at_real_place(alpha, place) == (
+                oracles.sign_at_real_place_reference(field, alpha, place))
+
+    @settings(max_examples=80, deadline=None)
+    @given(name=st.sampled_from(sorted(FIELDS)), prec=st.integers(8, 320),
+           m=st.integers(0, 2),
+           q=st.builds(Q, st.integers(-30, 30).filter(bool),
+                       st.integers(1, 6)),
+           shift=st.sampled_from([0, 1, -1, None]), data=st.data())
+    def test_abs2_pow_gt(self, name, prec, m, q, shift, data):
+        # alpha = q theta^m has (|sigma(alpha)|^2)^k = q^2k T^(mk/root) at
+        # every place, with |theta|^2 = T^(1/root); c is that value, or it
+        # moved by a relative 10^-120 (both reach the Liouville fallback
+        # unless the root balls are exact), or a ball midpoint at prec bits.
+        # Small q and k keep each fallback within seconds.
+        field = _field(name)
+        t_num, root = THETA_ABS2[name]
+        k = root * data.draw(st.integers(1, 3 if root == 1 else 2))
+        alpha = field.theta() ** m * q
+        place = data.draw(st.integers(0, len(field.places()) - 1))
+        emb_idx = field.places()[place][0]
+        if shift is None:
+            mid, _rad, den = nf_core._abs2_pow(field.embed(alpha, prec),
+                                               emb_idx, k)
+            c = Q(mid, den)
+        else:
+            c = q ** (2 * k) * Q(t_num) ** (m * k // root)
+            c += shift * c / 10 ** 120
+        decide = mock.patch.object(nf_core, "decide_root_gt_int",
+                                   wraps=nf_core.decide_root_gt_int)
+        with decide as spy:
+            got = field.abs2_pow_cmp(alpha, place, k, c)
+        assert (got, spy.call_count > 0) == _abs2_pow_gt_reference(
+            field, alpha, emb_idx, k, c)
+
+    @pytest.mark.parametrize("case", range(len(CMP_VERDICTS)))
+    def test_abs2_pow_gt_fallback_cases(self, case):
+        name, pw, place, scale, g, k, _signed = _cmp_cases()[case]
+        field = _field(name)
+        alpha = field.from_power(pw)
+        emb_idx = field.places()[place][0]
+        c = Q(g) * Q(g) / Q(scale) ** (2 * k)
+        ref = _abs2_pow_gt_reference(field, alpha, emb_idx, k, c)
+        assert ref[1]
+        assert field.abs2_pow_cmp(alpha, place, k, c) == ref[0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(poly=st.sampled_from(sorted(SUBSET_POLYS)),
+           prec=st.integers(8, 320))
+    def test_subset_factor_test(self, poly, prec):
+        poly_q = [Q(c) for c in poly]
+        work, balls = nf_core._root_mantissas(list(poly), prec)
+        assert nf_core._subset_factor_test(poly_q, work, balls) == (
+            oracles.subset_factor_test_reference(
+                poly_q, oracles.certify_roots(list(poly), prec)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(poly=st.sampled_from(sorted(SUBSET_POLYS)), work=st.integers(1, 12),
+           data=st.data())
+    def test_subset_factor_test_on_coarse_balls(self, poly, work, data):
+        # the certified roots cut to 2^-work, with radii up to 2^-3, so
+        # that wide coefficient balls (None), balls that exclude every
+        # integer and exact factors (False) all occur
+        poly_q = [Q(c) for c in poly]
+        root_work, roots = nf_core._root_mantissas(list(poly), 8)
+        cut = root_work - work
+        balls = [(a >> cut, b >> cut,
+                  data.draw(st.integers(0, max(1, (1 << work) >> 3))))
+                 for a, b, _r in roots]
+        scale = 1 << work
+        ref = oracles.subset_factor_test_reference(
+            poly_q, [ComplexBall(Q(a, scale), Q(b, scale), Q(r, scale))
+                     for a, b, r in balls])
+        assert nf_core._subset_factor_test(poly_q, work, balls) == ref
+
 
     @settings(max_examples=40, deadline=None)
     @given(name=st.sampled_from(sorted(FIELDS)), prec=st.integers(8, 160),
@@ -253,3 +381,17 @@ class TestAgainstReferences:
         got = minkowski_columns_x(field, elements, x, prec)
         ref = oracles.minkowski_columns_reference(field, elements, x, prec)
         assert _balls(got) == [[(c.mid, c.rad) for c in col] for col in ref]
+
+
+@pytest.mark.parametrize("poly", sorted(SUBSET_POLYS))
+def test_subset_search_verdicts(poly):
+    # no prime below 80 that misses the discriminant shows the polynomial
+    # irreducible, so `_is_irreducible` reaches the root-subset search
+    poly_q = [Q(c) for c in poly]
+    disc = polyq.discriminant(poly_q)
+    for p in intmath.primes_below(80):
+        if disc % p:
+            fac = polyq.factor_mod_p(list(poly), p)
+            assert not (len(fac) == 1 and fac[0][1] == 1)
+    work, balls = nf_core._root_mantissas(list(poly), 64)
+    assert nf_core._subset_factor_test(poly_q, work, balls) is SUBSET_POLYS[poly]

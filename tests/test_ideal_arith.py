@@ -13,8 +13,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 from oracles import chi2_sf, chi2_uniform_stat, quadratic_prime_norms
 
 from latnf.ideal_arith import (HnfIdeal, SampleFailure, hnf_inv, hnf_mul,
-                               kummer_dedekind, ord_at, primes_up_to,
-                               sample_prime_uniform, splitting_degrees)
+                               kummer_dedekind, ord_at, prime_product,
+                               primes_up_to, sample_prime_uniform,
+                               splitting_degrees)
 from latnf.intmath import factorint
 from latnf.nf_core import new_field
 from latnf.relations import FactorBase, smooth_factor
@@ -106,6 +107,26 @@ class TestOrd:
         half = HnfIdeal._from_int_columns(qi, 2, [[1, 0], [0, 1]])
         p = primes_up_to(qi, 2)[0]
         assert ord_at(half, p) == -2
+
+
+class TestPrimeProduct:
+    def test_inverts_only_the_negative_part(self, qi, monkeypatch):
+        from latnf import ideal_arith
+        p = primes_up_to(qi, 30)[:4]
+        inverted, inv = [], ideal_arith.hnf_inv
+
+        def rec_inv(a):
+            inverted.append(a)
+            return inv(a)
+
+        monkeypatch.setattr(ideal_arith, "hnf_inv", rec_inv)
+        assert prime_product(qi, zip(p, [2, 0, 1, 0])) == hnf_mul(
+            p[0].power(2), p[2].hnf)
+        assert inverted == []
+        assert prime_product(qi, zip(p, [0, -2, 1, -1])) == hnf_mul(
+            p[2].hnf, inv(hnf_mul(p[1].power(2), p[3].hnf)))
+        assert inverted == [hnf_mul(p[1].power(2), p[3].hnf)]
+        assert prime_product(qi, []) == HnfIdeal.ring_of_integers(qi)
 
 
 class TestKummerDedekind:
@@ -266,6 +287,22 @@ class TestIdealProperties:
         if k:
             assert p.power(k) is p.power(k)
         assert ord_at(prod, p) == k
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=field_names,
+           exps=st.lists(st.integers(-3, 3), min_size=0, max_size=6))
+    def test_prime_product_is_prime_by_prime(self, property_fields, name,
+                                             exps):
+        # one product of the cached powers and one inverse give the ideal
+        # that a product of single primes and their inverses gives
+        field = property_fields[name]
+        primes = primes_up_to(field, 30)[:len(exps)]
+        prod = HnfIdeal.ring_of_integers(field)
+        for p, e in zip(primes, exps):
+            step = p.hnf if e > 0 else hnf_inv(p.hnf)
+            for _ in range(abs(e)):
+                prod = hnf_mul(prod, step)
+        assert prime_product(field, zip(primes, exps)) == prod
 
     @settings(max_examples=100, deadline=None)
     @given(name=field_names, x=coords, den=denoms, idx=st.integers(0, 50),

@@ -10,7 +10,7 @@ from latnf.ideal_walk import (WalkParams, WalkTrace, boundedness_check,
                               walk_params)
 from latnf.nf_core import FieldElement, NumberField, new_field
 from latnf.samplers import SamplerConfig
-from oracles import chi2_sf
+from oracles import chi2_sf, embedding_values
 
 
 @pytest.fixture(scope="module")
@@ -88,10 +88,10 @@ def shifting_experiment(field: NumberField, b_ideal: HnfIdeal, y,
     shifted_ideal = hnf_mul(b_ideal, HnfIdeal.principal(field, alpha))
     # y' = y * |sigma(alpha)|^{-1}: rational only if the embeddings are;
     # instead fold alpha into the box by exact division of the output.
-    pt = field.embed(alpha, 64)
+    values = embedding_values(field.embed(alpha, 64))
     y_shift = []
     for emb_idx in range(field.n):
-        a2 = pt.values[emb_idx].abs2()
+        a2 = values[emb_idx].abs2()
         # rational approximation of |sigma(alpha)|^{-1}; statistical only
         approx = Q(1) / Q(math.sqrt(float(a2.mid))).limit_denominator(10 ** 9)
         y_shift.append(Q(y[emb_idx]) * approx)

@@ -83,7 +83,7 @@ def _abs2_logs(name, prec):
     for rel in rels:
         pt = field.embed(rel.alpha, prec + 16)
         for idx, _nnu in field.places():
-            a2 = pt.values[idx].abs2()
+            a2 = oracles.embedding_values(pt)[idx].abs2()
             out += [log_ball(a2.lo(), prec + 8), log_ball(a2.hi(), prec + 8),
                     ball_log(a2, prec + 8)]
     return _digest(out)

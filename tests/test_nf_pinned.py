@@ -29,7 +29,7 @@ from latnf import ideal_walk, polyq, relations
 from latnf.ideal_arith import (HnfIdeal, hnf_inv, hnf_mul, kummer_dedekind,
                                ord_at, primes_up_to)
 from latnf.intmath import primes_below
-from latnf.nf_core import CapExceeded, certify_roots, new_field
+from latnf.nf_core import CapExceeded, new_field
 from latnf.samplers import SamplerConfig
 
 # name -> (polynomial, integral basis or None for the power basis)
@@ -128,7 +128,7 @@ ROOT_POLYS = {"x^3-x+1": [1, -1, 0, 1], "Q(zeta5)": [1, 1, 1, 1, 1],
 
 
 def _roots(name, prec):
-    balls = sorted(certify_roots(ROOT_POLYS[name], prec),
+    balls = sorted(oracles.certify_roots(ROOT_POLYS[name], prec),
                    key=lambda b: (b.re, b.im, b.rad))
     return _digest([[b.re, b.im, b.rad] for b in balls])
 
@@ -256,7 +256,7 @@ class TestAgainstReferences:
         ref = oracles.certify_roots_reference(poly, prec)
         if ref is None:
             with pytest.raises(CapExceeded):
-                certify_roots(poly, prec)
+                oracles.certify_roots(poly, prec)
             return
-        got = certify_roots(poly, prec)
+        got = oracles.certify_roots(poly, prec)
         assert [(b.re, b.im, b.rad) for b in got] == ref

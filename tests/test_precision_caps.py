@@ -19,7 +19,6 @@ from latnf.approx_reduction import (DuallyReducedTag, IdealBasisResult,
                                     MinkowskiColumns, approx_bkz_ideal,
                                     dual_exp_reduce)
 from latnf.cli import EXIT_CAP, main
-from latnf.dyadic import ComplexBall, RealBall
 from latnf.ideal_arith import HnfIdeal
 from latnf.nf_core import (PRECISION_DOUBLINGS, CapExceeded, EmbeddingPoint,
                             new_field)
@@ -37,7 +36,7 @@ class _Counter:
 def _wide_embedding(field):
     # every value the ball 0 +- 1: mantissas (0, 0, 1), exponent 0,
     # radius denominator 1
-    return _Counter(EmbeddingPoint([(0, 0, 1)] * field.n, 0, 1, 8))
+    return _Counter(EmbeddingPoint([(0, 0, 1)] * field.n, 0, 1))
 
 
 def _wide_columns(n):
@@ -51,7 +50,7 @@ def test_certify_roots(monkeypatch):
     newton = _Counter(None)
     monkeypatch.setattr(nf_core, "_newton_ball", newton)
     with pytest.raises(CapExceeded, match="root refinement"):
-        nf_core.certify_roots([5, 0, 1], 64)
+        nf_core._root_mantissas([5, 0, 1], 64)
     assert newton.calls == PRECISION_DOUBLINGS
 
 
@@ -59,15 +58,16 @@ def test_irreducibility_subset_search(monkeypatch):
     # x^4 + 1 splits modulo every prime, so only the certified search over
     # root subsets can prove it irreducible
     field = new_field([1, 0, 0, 0, 1])
-    roots = _Counter([ComplexBall(0, 0, 1)] * field.n)
-    monkeypatch.setattr(nf_core, "certify_roots", roots)
+    # every root the ball 0 +- 1: mantissas (0, 0, 1) at exponent 0
+    roots = _Counter((0, [(0, 0, 1)] * field.n))
+    monkeypatch.setattr(nf_core, "_root_mantissas", roots)
     with pytest.raises(CapExceeded, match="irreducibility"):
         field._is_irreducible()
     assert roots.calls == PRECISION_DOUBLINGS
 
 
 def test_decide_root_gt_int():
-    refine = _Counter(RealBall(0, 1))
+    refine = _Counter((0, 1, 1))         # the ball 0 +- 1
     with pytest.raises(CapExceeded, match="root comparison"):
         nf_core.decide_root_gt_int([-2, 0, 1], refine, 0)
     assert refine.calls == PRECISION_DOUBLINGS

@@ -192,30 +192,47 @@ class TestRandomRelation:
             assert math.sqrt(float(lsv.norm_sq().hi())) <= out.r0_bound
 
     def test_inverts_only_negative_exponents(self, qi, monkeypatch):
-        # the a-ideal prod p^{a_p} inverts p only when a_p < 0: a zero
-        # exponent contributes nothing and needs no inverse
-        from latnf import relations, samplers
+        # the a-ideal prod p^{a_p} is formed from the draw's exponents with
+        # one inverse, of the product of the p^{-a_p} with a_p < 0: a zero
+        # or positive exponent needs no inverse
+        from functools import reduce
+        from latnf import ideal_arith, relations, samplers
         fb = FactorBase(primes_up_to(qi, 40))
-        draws, inverted = [], []
-        klein, inv = samplers.klein_sample, relations.hnf_inv
+        draws, products = [], []
+        klein, product = samplers.klein_sample, relations.prime_product
+        inv = ideal_arith.hnf_inv
 
         def rec_klein(*args):
             out = klein(*args)
             draws.append([int(v) for v in out[1][:len(fb)]])
             return out
 
-        def rec_inv(ideal):
-            hits = [k for k, p in enumerate(fb) if p.hnf is ideal]
-            if hits:
-                inverted.append((len(draws) - 1, hits[0]))
-            return inv(ideal)
+        def rec_product(field, factors):
+            factors, inverted = list(factors), []
+
+            def rec_inv(ideal):
+                inverted.append(ideal)
+                return inv(ideal)
+
+            with monkeypatch.context() as m:
+                m.setattr(ideal_arith, "hnf_inv", rec_inv)
+                out = product(field, factors)
+            products.append((len(draws) - 1, factors, inverted))
+            return out
 
         monkeypatch.setattr(samplers, "klein_sample", rec_klein)
-        monkeypatch.setattr(relations, "hnf_inv", rec_inv)
+        monkeypatch.setattr(relations, "prime_product", rec_product)
         random_relation(qi, fb, random.Random(9),
                         RandomRelationConfig(relation=FAST_CFG), 0.7854)
-        assert any(0 in a for a in draws) and inverted
-        assert all(draws[k][i] < 0 for k, i in inverted)
+        a_ideals = [(draws[k], factors, inverted)
+                    for k, factors, inverted in products
+                    if [e for _p, e in factors] == draws[k]]
+        assert any(0 in a for a in draws)
+        assert any(inverted for _a, _f, inverted in a_ideals)
+        for a, factors, inverted in a_ideals:
+            assert [p for p, _e in factors] == list(fb)
+            neg = [p.power(-e) for p, e in zip(fb, a) if e < 0]
+            assert inverted == ([reduce(hnf_mul, neg)] if neg else [])
 
     def test_corrupted_identity_detected(self, qi):
         fb = FactorBase(primes_up_to(qi, 40))

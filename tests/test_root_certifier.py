@@ -5,7 +5,7 @@ six fields at three precisions, as `NumberField._all_roots` returned them
 before the field path and a second, polynomial-level root comparator
 shared one root certifier.  The |root| comparisons below run the
 |sigma|^2k decision `nf_core._abs2_pow_gt` (the core of `cmp_element`) on
-`certify_roots` balls, through `oracles.abs_root_gt`; the fallback cases
+the certified root balls, through `oracles.abs_root_gt`; the fallback cases
 reach its Liouville bound (equality holds, so no interval decides them).
 """
 
@@ -16,9 +16,9 @@ from fractions import Fraction as Q
 import pytest
 
 from latnf import nf_core
-from latnf.dyadic import ComplexBall, sqrt_bracket
+from latnf.dyadic import sqrt_bracket
 from latnf.nf_core import GT, LE, new_field
-from oracles import abs_root_gt
+from oracles import abs_root_gt, certify_roots
 
 FIELDS = {"Q(i)": [1, 0, 1], "Q(sqrt-5)": [5, 0, 1], "Q(sqrt2)": [-2, 0, 1],
           "Q(sqrt-163)": [163, 0, 1], "Q(zeta5)": [1, 1, 1, 1, 1],
@@ -91,7 +91,7 @@ def test_abs_mode_agrees_with_interval_arithmetic():
         poly = _eisenstein(rng, rng.choice((2, 3, 4)))
         # the balls `abs_root_gt` numbers (the power basis of an
         # Eisenstein polynomial need not be maximal, so no field is built)
-        balls = sorted(nf_core.certify_roots(poly, 256),
+        balls = sorted(certify_roots(poly, 256),
                        key=lambda b: (b.re, b.im))
         idx = rng.randrange(len(balls))
         k = rng.randrange(1, 4)
@@ -101,10 +101,10 @@ def test_abs_mode_agrees_with_interval_arithmetic():
         for _ in range(k - 1):
             tk = tk * t
         verdict = abs_root_gt(poly, idx, g, k)
-        if tk.definitely_gt(g * g):
+        if tk.lo() > g * g:
             assert verdict == GT
             decided += 1
-        elif tk.definitely_lt(g * g):
+        elif tk.hi() < g * g:
             assert verdict == LE
             decided += 1
     assert decided >= 30
@@ -116,15 +116,15 @@ class TestZeta8:
 
     @staticmethod
     def _roots_64():
-        # (+-1 +- i)/sqrt(2), midpoints within 2^-70 of the roots
+        # (+-1 +- i)/sqrt(2), midpoints within 2^-70 of the roots, radius
+        # 2^-64: mantissas at 2^-70
         lo, _hi = sqrt_bracket(Q(1, 2), 70)
-        rad = Q(1, 1 << 64)
-        return [ComplexBall(s * lo, t * lo, rad)
-                for s in (1, -1) for t in (1, -1)]
+        m = int(lo * (1 << 70))
+        return [(s * m, t * m, 1 << 6) for s in (1, -1) for t in (1, -1)]
 
     def test_subset_test_settles_at_64_bits(self):
         poly_q = [Q(c) for c in (1, 0, 0, 0, 1)]
-        assert nf_core._subset_factor_test(poly_q, self._roots_64()) is True
+        assert nf_core._subset_factor_test(poly_q, 70, self._roots_64()) is True
 
     def test_constructs(self):
         k = new_field([1, 0, 0, 0, 1])
