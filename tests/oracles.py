@@ -45,7 +45,11 @@ methods that never touch the library's own code paths.
 - the Buchmann-Kessler-Pohst passes on `Fraction` rows, with the
   constants C, T and lambda as rational powers, as the library computed
   them before its integer-row kernel.  They share the library's LLL,
-  which both paths run on the same integer lattice.
+  which both paths run on the same integer lattice;
+- BKZ' and the recursive BKZ' as the library ran them before their
+  one-state loop: the integral GSO rebuilt from the Gram after every
+  block change, and each block reduced by `hkz_reduce` as its projected
+  vectors.  They share the library's GSO state and HKZ reduction.
 
 Shared by several test modules, and run by no command of the library:
 the chi-square survival function (`chi2_sf`), the integer single BKP
@@ -1067,6 +1071,99 @@ def bkp_once(gens):
     rows, den, err, mu = _int_gens(gens)
     m_rows = _bkp_pass(rows, den, err, mu, gens.r0, gens.n1)
     return BkpResult(len(m_rows), m_rows, _over(mat_mul(m_rows, rows), den))
+
+
+def _projected_block_reference(state, ints, den, j, count):
+    """pi_j(b_j..b_{j+count-1}) of the basis ints / den as integer
+    vectors over the gcd of their entries and d_j den."""
+    us = state.projected(ints, j, count)
+    g = math.gcd(state.d[j] * den, *(x for v in us for x in v))
+    return [[x // g for x in v] for v in us]
+
+
+def _rebuilt_state(vecs, m):
+    from latnf.lattice_core import IntegralGSO, int_gram
+    return IntegralGSO(int_gram([v[:m] for v in vecs]), vecs)
+
+
+def bkz_prime_reference(cols, cfg, blocks=None):
+    """(columns, transform, tours, hkz_calls) of BKZ', as the library ran
+    it before its one-state loop: the integral GSO rebuilt from the Gram
+    after every block change, and each block handed to `hkz_reduce` as
+    its projected vectors.  Each block goes into `blocks`, when given, as
+    (basis columns scaled to integers, j, projected vectors)."""
+    from latnf import bkz
+    from latnf.lattice_core import combine_cols
+    from latnf.qlinalg import integral_cols
+    n, b = len(cols), cfg.blocksize
+    ints, den = integral_cols(cols)
+    m = len(ints[0])
+    state = _rebuilt_state([list(c) + [int(i == j) for i in range(n)]
+                            for j, c in enumerate(ints)], m)
+    norm_sq = Fraction(max(sum(x * x for x in c) for c in ints), den * den)
+    log2_norm = max(1, norm_sq.numerator.bit_length()
+                    - norm_sq.denominator.bit_length()) / 2
+    detg = Fraction(state.d[n], den ** (2 * n))
+    log2_det = (detg.numerator.bit_length()
+                - detg.denominator.bit_length()) / (2 * n)
+    log_q = max(2.0, (log2_norm - log2_det) * math.log(2))
+    cap = cfg.max_tours
+    if cap is None:
+        base = n ** 3 / b ** 2 * (math.log(n) + math.log(
+            max(2.0, math.log(max(2.0, log_q) + 2))))
+        cap = max(64, math.ceil(float(cfg.tour_cap_constant) * base) * 8)
+    ident = [[int(i == j) for j in range(b)] for i in range(b)]
+    tours = calls = 0
+    while True:
+        changed = False
+        for k in range(n - b + 1):
+            basis = [v[:m] for v in state.vecs]
+            block = _projected_block_reference(state, basis, den, k, b)
+            if blocks is not None:
+                blocks.append((basis, k, block))
+            _, u = bkz.hkz_reduce(block)
+            calls += 1
+            if u != ident:
+                changed = True
+                state.vecs[k:k + b] = combine_cols(state.vecs[k:k + b], u)
+                state = _rebuilt_state(state.vecs, m)
+            shears = state.shears
+            state.size_reduce()
+            changed = changed or state.shears != shears
+        tours += 1
+        out = [[Fraction(x, den) for x in v[:m]] for v in state.vecs]
+        if not changed or (tours >= cap and bkz.c1_bound_sq_ok(out, b)):
+            return (out, [list(r) for r in zip(*(v[m:] for v in state.vecs))],
+                    tours, calls)
+
+
+def bkz_full_reference(cols, cfg, blocks=None):
+    """(columns, transform, tours, hkz_calls) of the recursive BKZ' as the
+    library ran it before its one-state loop (`bkz_prime_reference` on
+    the basis, then on each projected tail, the GSO rebuilt after each).
+    `tours` counts the first BKZ' alone, as the library's trace does."""
+    from latnf import bkz
+    from latnf.lattice_core import combine_cols
+    from latnf.qlinalg import integral_cols
+    n, b = len(cols), cfg.blocksize
+    out, u, tours, calls = bkz_prime_reference(cols, cfg, blocks)
+    ints, den = integral_cols(out)
+    m = len(ints[0])
+    state = _rebuilt_state([list(c) + [row[j] for row in u]
+                            for j, c in enumerate(ints)], m)
+    for j in range(1, n - b + 1):
+        block = _projected_block_reference(
+            state, [v[:m] for v in state.vecs], den, j, n - j)
+        sub = bkz.BkzConfig(blocksize=b,
+                            tour_cap_constant=cfg.tour_cap_constant,
+                            max_tours=cfg.max_tours)
+        _, u_sub, _, sub_calls = bkz_prime_reference(block, sub, blocks)
+        state.vecs[j:] = combine_cols(state.vecs[j:], u_sub)
+        state = _rebuilt_state(state.vecs, m)
+        calls += sub_calls
+    state.size_reduce()
+    return ([[Fraction(x, den) for x in v[:m]] for v in state.vecs],
+            [list(r) for r in zip(*(v[m:] for v in state.vecs))], tours, calls)
 
 
 def count_in_box(cols, r, shift=None, cov_upper_sq=None):

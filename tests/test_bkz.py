@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction as Q
 
+import oracles
 import pytest
+from test_lattice_pinned import _dyadic
 
 from latnf.bkz import (BkzConfig, bkz_full, bkz_prime, c1_bound_sq_ok,
                        full_bound_sq_ok, hkz_reduce)
@@ -85,14 +87,6 @@ class TestBkzPrime:
         assert recon == [[Q(x) for x in c] for c in out]
         assert abs(mat_det([[Q(x) for x in r] for r in tr.transform])) == 1
 
-    def test_potential_ledger(self):
-        rng = random.Random(14)
-        cols = _random_basis(rng, 5, 40)
-        p0 = gso([[Q(x) for x in c] for c in cols])[2]
-        out, tr = bkz_prime(cols, BkzConfig(blocksize=3))
-        for i, p2 in enumerate(tr.potential_sq_ledger):
-            assert p2 <= Q(3) ** (4 * 9 * (i + 1)) * p0
-
     def test_coefficient_bit_bound(self):
         # every size-reduced intermediate coefficient fits in
         # 5 log2(n P) + 3 bits: check the final basis
@@ -135,3 +129,41 @@ class TestBkzFull:
             out, _ = hkz_reduce(cols)
             rep = enumerate_minima(cols)
             assert dot(out[0], out[0]) == rep.minima_sq[0]
+
+
+class TestAgainstReference:
+    """BKZ' and the recursive BKZ' give the basis, transform, tour count
+    and HKZ count of `oracles.bkz_prime_reference` and
+    `bkz_full_reference`, the loops that rebuilt the GSO after every
+    block change and reduced each block as projected vectors."""
+
+    @staticmethod
+    def _bases():
+        rng = random.Random(18)
+        bases = [(_random_basis(rng, n, spread), b)
+                 for n, spread, b in ((4, 20, 2), (5, 60, 3), (6, 30, 3),
+                                      (6, 255, 4), (7, 40, 3))]
+        bases += [(_dyadic(rng, 4), 2), (_dyadic(rng, 5, 96), 3),
+                  (_dyadic(rng, 6, 128), 2)]
+        bases.append(([[Q(rng.randrange(-40, 41), rng.randrange(1, 9))
+                        for _ in range(4)] for _ in range(4)], 2))
+        return bases
+
+    @pytest.mark.parametrize("fn,ref", [
+        (bkz_prime, oracles.bkz_prime_reference),
+        (bkz_full, oracles.bkz_full_reference)])
+    def test_seeded_bases(self, fn, ref):
+        for cols, b in self._bases():
+            cfg = BkzConfig(blocksize=b)
+            out, tr = fn(cols, cfg)
+            assert (out, tr.transform, tr.tours, tr.hkz_calls) == \
+                ref(cols, cfg)
+
+    def test_tour_cap(self):
+        rng = random.Random(19)
+        cols = _random_basis(rng, 6, 255)
+        for tours in (1, 2):
+            cfg = BkzConfig(blocksize=2, max_tours=tours)
+            out, tr = bkz_full(cols, cfg)
+            assert (out, tr.transform, tr.tours, tr.hkz_calls) == \
+                oracles.bkz_full_reference(cols, cfg)

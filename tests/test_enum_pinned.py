@@ -4,20 +4,23 @@ approximate ideal reduction hands it.
 The inputs are the scaled Minkowski bases `approx_bkz_ideal` passes to
 `bkz_full` on Q(zeta5) and Q(sqrt-163) (one ideal each, drawn by the
 `ideal_sample` benchmark workload), and the projected 2x2 blocks that
-`bkz_prime` passes to `hkz_reduce` on the way; their Gram entries run
-from about 5,000 to 22,500 bits.  Each case hashes everything one entry
+BKZ' reduces on the way, as projected vectors over their gcd: the blocks
+`oracles.bkz_full_reference` hands to `hkz_reduce` when it replays that
+`bkz_full` call.  Their Gram entries run from about 5,000 to 22,500
+bits.  Each case hashes everything one entry
 point returns:
 
 - `shortest_gram`: the vector and its norm;
-- `hkz_reduce`: the basis, the transform, `hkz_calls` and
-  `potential_sq_ledger`;
+- `hkz_reduce`: the basis, the transform and `hkz_calls`;
 - `enumerate_short_gram` at the radius of the longest HKZ-reduced basis
   vector, so at least one vector lies on the boundary (a tie);
 - `enumerate_minima` on a planted dimension-8 lattice and on the
   Q(zeta5) basis.
 
 The digests were recorded from the enumeration that compared norms at
-the lcm scale of the GSO denominators.
+the lcm scale of the GSO denominators.  The `hkz_reduce` digests once
+hashed the potential ledger as well; they were recorded again without it
+when the ledger was deleted, from the library as it stood just before.
 """
 
 import functools
@@ -25,6 +28,7 @@ import hashlib
 import random
 from fractions import Fraction as Q
 
+import oracles
 import pytest
 
 from latnf import approx_reduction, bkz, lattice_core
@@ -63,29 +67,39 @@ def _digest(*parts):
 
 
 @functools.lru_cache(maxsize=None)
-def _captured(name):
-    """(basis handed to bkz_full, the distinct blocks handed to
-    hkz_reduce) by one `approx_bkz_ideal` call."""
+def captured_reduction(name):
+    """(basis and config handed to bkz_full by one `approx_bkz_ideal`
+    call, the blocks of that reduction as `oracles.bkz_full_reference`
+    records them)."""
     poly, x, hnf = CASES_IN[name]
     field = new_field(poly)
-    seen = {"full": None, "blocks": []}
-    full, hkz = bkz.bkz_full, bkz.hkz_reduce
+    seen = []
+    full = bkz.bkz_full
 
     def rec_full(cols, cfg):
-        seen["full"] = [list(c) for c in cols]
+        seen.append(([list(c) for c in cols], cfg))
         return full(cols, cfg)
 
-    def rec_hkz(cols, trace=None):
-        if cols not in seen["blocks"]:
-            seen["blocks"].append([list(c) for c in cols])
-        return hkz(cols, trace)
-
-    bkz.bkz_full, bkz.hkz_reduce = rec_full, rec_hkz
+    bkz.bkz_full = rec_full
     try:
         approx_reduction.approx_bkz_ideal(x, HnfIdeal(field, 1, hnf), 2)
     finally:
-        bkz.bkz_full, bkz.hkz_reduce = full, hkz
-    return seen["full"], seen["blocks"]
+        bkz.bkz_full = full
+    (cols, cfg), = seen
+    blocks = []
+    oracles.bkz_full_reference(cols, cfg, blocks)
+    return cols, cfg, blocks
+
+
+def _captured(name):
+    """(basis handed to bkz_full, the distinct projected blocks of its
+    reduction in order of first appearance)."""
+    cols, _, blocks = captured_reduction(name)
+    distinct = []
+    for _, _, block in blocks:
+        if block not in distinct:
+            distinct.append(block)
+    return cols, distinct
 
 
 def _input(key):
@@ -120,7 +134,7 @@ def _shortest(cols):
 def _hkz(cols):
     trace = bkz.ReductionTrace()
     out, u = bkz.hkz_reduce(cols, trace)
-    return _digest(out, u, trace.hkz_calls, trace.potential_sq_ledger)
+    return _digest(out, u, trace.hkz_calls)
 
 
 def _short_at_tie(cols):
@@ -147,12 +161,12 @@ CASES["minima-zeta5/full"] = (_minima, functools.partial(_input, "zeta5/full"))
 CASES["minima-planted8"] = (_minima, _planted8)
 
 PINNED = {
-    "hkz-sqrt163/1": "2eb2728df3b696fb",
-    "hkz-sqrt163/full": "c9c2d7c73eb738c9",
-    "hkz-zeta5/0": "5d1ea6f1fc22a1af",
-    "hkz-zeta5/1": "7b40416e17c1e766",
-    "hkz-zeta5/3": "83798f6b47e1df2b",
-    "hkz-zeta5/full": "22e1fe5679178af1",
+    "hkz-sqrt163/1": "e4c3a3616fbb9306",
+    "hkz-sqrt163/full": "c80b87f098ad465c",
+    "hkz-zeta5/0": "5436e0ab8ab581e6",
+    "hkz-zeta5/1": "e98faa6e26f036a4",
+    "hkz-zeta5/3": "67b8a529bb3b86b2",
+    "hkz-zeta5/full": "a34de4d25d2157c3",
     "minima-planted8": "1e9725d7c87241e8",
     "minima-zeta5/full": "a9a3c0cadc7dd7c0",
     "short-tie-sqrt163/1": "8cb928974295c9e6",
