@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt, lcm, prod
 
 from . import bkz, lattice_core
@@ -130,7 +131,13 @@ class ApproxGenerators:
 class BkpResult:
     rank: int
     m_rows: list          # integer matrix M (rank x k): M A is a basis
-    basis_rows: list      # B~ = M A~ (rational rows)
+    int_rows: list        # R, the generators: A~ = R / den
+    den: int
+
+    @cached_property
+    def basis_rows(self):
+        """B~ = M A~ (rational rows), built on first read."""
+        return _over(mat_mul(self.m_rows, self.int_rows), self.den)
 
 
 def _int_gens(gens: ApproxGenerators):
@@ -229,8 +236,7 @@ def bkp_twice(gens: ApproxGenerators) -> BkpResult:
     second = _bkp_pass(mat_mul(first, rows), den, err2, mu, r, gens.n1)
     if len(second) != r:
         raise RuntimeError("rank changed between BKP passes")
-    n_rows = mat_mul(second, first)
-    return BkpResult(r, n_rows, _over(mat_mul(n_rows, rows), den))
+    return BkpResult(r, mat_mul(second, first), rows, den)
 
 
 # ---------------------------------------------------------------------------

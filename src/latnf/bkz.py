@@ -5,15 +5,26 @@ basis vector by 2n * b^(2n/b) * lambda_n.
 All shortness bounds are checked by exact rational comparisons of suitable
 integer powers, so no floating point enters any guarantee.  The loops run
 on integer columns (the input times the lcm of its denominators) and on
-the integral GSO state of `lattice_core.IntegralGSO`: one state per basis
-change serves the size reduction, the projected blocks handed to HKZ and
-the potential ledger (P(B)^2 = d_1 ... d_n).
+one integral GSO state of `lattice_core.IntegralGSO` per reduction:
+
+- each block's HKZ runs on the block's projected Gram, read off the
+  state's d and lam (`projected_gram`), scaled by d_j and divided by the
+  gcd of its entries.  Every HKZ decision is invariant under positive
+  scaling of the Gram, so the transform is the one `hkz_reduce` finds on
+  the block's projected vectors;
+- each block transform, and each transform of a projected tail in
+  `bkz_full`, is applied to the state in place by exact elementary column
+  operations (`IntegralGSO.apply`).  The integral GSO of a basis is
+  unique, so the state equals a rebuild from the new basis;
+- a block left HKZ-reduced, with no operation on the basis since, is not
+  reduced again: its transform is the identity.  It still counts in
+  `ReductionTrace.hkz_calls`, which counts the blocks a reduction visits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -34,26 +45,28 @@ class BkzConfig:
 class ReductionTrace:
     hkz_calls: int = 0
     tours: int = 0
-    potential_sq_ledger: list = field(default_factory=list)
     transform: list | None = None
 
 
 def hkz_reduce(cols, trace: ReductionTrace | None = None):
     """HKZ-reduce an exact basis (dimension <= enumeration cap);
     returns (columns, U) with out = in * U."""
-    n = len(cols)
-    if n > lattice_core.DIM_CAP:
+    if len(cols) > lattice_core.DIM_CAP:
         raise ValueError("HKZ oracle capped at dimension "
                          f"{lattice_core.DIM_CAP}")
     ints, den = integral_cols(cols)
-    _, u, state = lattice_core._hkz_int(int_gram(ints))
-    out = [[Q(x, den) for x in c] for c in combine_cols(ints, u)]
+    _, u, _ = lattice_core._hkz_int(int_gram(ints))
     if trace is not None:
         trace.hkz_calls += 1
-        # P(out)^2 = d_1 ... d_n, each d_k scaled by den^(2k)
-        trace.potential_sq_ledger.append(
-            Q(math.prod(state.d[1:]), den ** (n * (n + 1))))
-    return out, u
+    return [[Q(x, den) for x in c] for c in combine_cols(ints, u)], u
+
+
+def _hkz_block(state, j, count):
+    """HKZ transform of the state's block pi_j(b_j..b_{j+count-1}), from
+    its Gram scaled by d[j] and divided by the gcd of its entries."""
+    gram = state.projected_gram(j, count)
+    g = gcd(*(x for row in gram for x in row))
+    return lattice_core._hkz_int([[x // g for x in row] for row in gram])[1]
 
 
 def _projected_ints(state, ints, den, j, count):
@@ -64,16 +77,12 @@ def _projected_ints(state, ints, den, j, count):
     return [[x // g for x in v] for v in us]
 
 
-def _tracked(ints, transform):
-    """Per basis column j: its entries, then column j of the transform,
-    so one column operation updates both."""
-    return [list(c) + [row[j] for row in transform] for j, c in enumerate(ints)]
-
-
-def _state(vecs, m):
-    """Integral GSO of the basis held in entries [:m] of the tracked
-    vectors."""
-    return IntegralGSO(int_gram([v[:m] for v in vecs]), vecs)
+def _state(ints, transform):
+    """Integral GSO of the integer columns ints, tracking per column its
+    entries and then its column of the transform, so one column
+    operation updates both."""
+    return IntegralGSO(int_gram(ints), [list(c) + [row[j] for row in transform]
+                                        for j, c in enumerate(ints)])
 
 
 def _untrack(state, m, den, trace):
@@ -114,8 +123,8 @@ def bkz_prime(cols, cfg: BkzConfig):
         raise ValueError("blocksize must lie in [2, n]")
     ints, den = integral_cols(cols)
     m = len(ints[0])
-    trace = ReductionTrace(transform=int_identity(n))
-    state = _state(_tracked(ints, trace.transform), m)
+    trace = ReductionTrace()
+    state = _state(ints, int_identity(n))
     # log-magnitudes via bit lengths (entries may be far beyond float range)
     max_norm_sq = Q(max(sum(x * x for x in c) for c in ints), den * den)
     log2_norm = max(1, max_norm_sq.numerator.bit_length()
@@ -128,27 +137,33 @@ def bkz_prime(cols, cfg: BkzConfig):
         base = n ** 3 / b ** 2 * (math.log(n) + math.log(max(2.0, math.log(max(2.0, log_q) + 2))))
         cap = max(64, math.ceil(float(cfg.tour_cap_constant) * base) * 8)
     ident_b = int_identity(b)
+    # reduced[k] is state.shears when block k was last left HKZ-reduced.
+    # While no operation has run since, its HKZ transform is the identity:
+    # `_hkz_int` fixes its own output, and the size reduction leaves the
+    # projected block alone, since the block is size-reduced already.
+    reduced = [None] * (n - b + 1)
 
-    def one_tour(state):
+    def one_tour():
         changed = False
         for k in range(0, n - b + 1):
-            block = _projected_ints(state, [v[:m] for v in state.vecs], den, k, b)
-            _, u_blk = hkz_reduce(block, trace)
-            if u_blk != ident_b:
-                changed = True
-                state.vecs[k:k + b] = combine_cols(state.vecs[k:k + b], u_blk)
-                state = _state(state.vecs, m)
+            trace.hkz_calls += 1
+            if reduced[k] != state.shears:
+                u_blk = _hkz_block(state, k, b)
+                if u_blk != ident_b:
+                    changed = True
+                    state.apply(k, u_blk)
             shears = state.shears
             state.size_reduce()
             if state.shears != shears:
                 changed = True
-        return state, changed
+            reduced[k] = state.shears
+        return changed
 
     # Ends: a tour that changes nothing stops it, and past the cap so does
     # the first tour that meets the c_1 bound, which Hanrot-Pujol-Stehle
     # prove holds after O(n^3/b^2 log(...)) tours of exact-HKZ BKZ'.
     while True:
-        state, changed = one_tour(state)
+        changed = one_tour()
         trace.tours += 1
         if not changed:
             break
@@ -166,30 +181,21 @@ def bkz_full(cols, cfg: BkzConfig):
     """
     n = len(cols)
     b = cfg.blocksize
-    total_trace = ReductionTrace(transform=int_identity(n))
-    cols, tr = bkz_prime(cols, cfg)
-    _absorb(total_trace, tr)
+    cols, total_trace = bkz_prime(cols, cfg)
+    if n == b:
+        return cols, total_trace    # no tail, and BKZ' ends size-reduced
     ints, den = integral_cols(cols)
     m = len(ints[0])
-    state = _state(_tracked(ints, total_trace.transform), m)
+    state = _state(ints, total_trace.transform)
     for j in range(1, n - b + 1):
         block = _projected_ints(state, [v[:m] for v in state.vecs], den, j, n - j)
         sub_cfg = BkzConfig(blocksize=b, tour_cap_constant=cfg.tour_cap_constant,
                             max_tours=cfg.max_tours)
         _, tr_sub = bkz_prime(block, sub_cfg)
-        state.vecs[j:] = combine_cols(state.vecs[j:], tr_sub.transform)
-        state = _state(state.vecs, m)
+        state.apply(j, tr_sub.transform)
         total_trace.hkz_calls += tr_sub.hkz_calls
-        total_trace.potential_sq_ledger.extend(tr_sub.potential_sq_ledger)
     state.size_reduce()
     return _untrack(state, m, den, total_trace), total_trace
-
-
-def _absorb(total: ReductionTrace, tr: ReductionTrace):
-    total.hkz_calls += tr.hkz_calls
-    total.tours += tr.tours
-    total.potential_sq_ledger.extend(tr.potential_sq_ledger)
-    total.transform = lattice_core._int_mat_mul(total.transform, tr.transform)
 
 
 def full_bound_sq_ok(cols, b: int, lambda_n_sq: Fraction) -> bool:

@@ -246,6 +246,10 @@ def cmd_verify(args) -> int:
     field = _load_field(args.field_file)
     fb = FactorBase(primes_up_to(field, args.primes_bound))
     relations = serialize.load_relations(args.relations, field)
+    for k, rel in enumerate(relations):
+        if not len(rel.valuations) == len(rel.total_valuations) == len(fb):
+            raise ValueError(f"relation {k}: valuations do not match the "
+                             f"{len(fb)} primes of the factor base")
     cfg = _pipeline_config(args)
     d_value, rho_info = provable_d_value(field, cfg)
     post = postprocess(relations, fb, field, args.kessler_c)

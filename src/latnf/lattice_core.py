@@ -133,16 +133,30 @@ class IntegralGSO:
     def reduce(self, k, l):
         """b_k -= q b_l with q the nearest integer to mu_kl, ties up."""
         dl = self.d[l + 1]
-        lk = self.lam[k]
-        q = (2 * lk[l] + dl) // (2 * dl)
+        q = (2 * self.lam[k][l] + dl) // (2 * dl)
         if q:
-            ll = self.lam[l]
-            lk[l] -= q * dl
-            for i in range(l):
-                lk[i] -= q * ll[i]
-            vecs = self.vecs
-            vecs[k] = [a - q * b for a, b in zip(vecs[k], vecs[l])]
-            self.shears += 1
+            self.shear(k, l, q)
+
+    def shear(self, k, l, q):
+        """b_k -= q b_l for l < k: lam[k] moves, d does not."""
+        lk, ll = self.lam[k], self.lam[l]
+        lk[l] -= q * self.d[l + 1]
+        for i in range(l):
+            lk[i] -= q * ll[i]
+        vecs = self.vecs
+        vecs[k] = [a - q * b for a, b in zip(vecs[k], vecs[l])]
+        self.shears += 1
+
+    def negate(self, k):
+        """b_k -> -b_k: the signs of lam's row and column k flip."""
+        lam = self.lam
+        lk = lam[k]
+        for i in range(k):
+            lk[i] = -lk[i]
+        for i in range(k + 1, self.n):
+            lam[i][k] = -lam[i][k]
+        self.vecs[k] = [-a for a in self.vecs[k]]
+        self.shears += 1
 
     def swap(self, k):
         """Exchange b_{k-1} and b_k, updating d and lam (Cohen's SWAPI)."""
@@ -188,6 +202,41 @@ class IntegralGSO:
             for l in range(k - 1, -1, -1):
                 self.reduce(k, l)
 
+    def apply(self, j, u):
+        """Replace b_j..b_{j+r-1} by (b_j..b_{j+r-1}) U, for U an r x r
+        unimodular integer matrix, by adjacent swaps, shears of a vector
+        by an earlier one and negations.  The integral GSO of a basis is
+        unique, so d and lam end as a rebuild's would.
+
+        With target = current * M, M = U at first, a column operation E
+        on the basis turns M into E^-1 M, a row operation; the operations
+        are chosen to bring M to the identity.  Euclid's algorithm on
+        adjacent rows, column by column, makes M upper triangular; the
+        signs of its diagonal go next, then the entries above it, from
+        the last column back."""
+        m = [list(row) for row in u]
+        r = len(m)
+        for c in range(r):
+            for i in range(r - 1, c, -1):
+                while m[i][c]:
+                    a, b = m[i - 1][c], m[i][c]
+                    q = (2 * a + b) // (2 * b)    # nearest to a / b
+                    if q:
+                        # row i-1 -= q row i  <->  b_{j+i} += q b_{j+i-1}
+                        m[i - 1] = [x - q * y for x, y in zip(m[i - 1], m[i])]
+                        self.shear(j + i, j + i - 1, -q)
+                    m[i - 1], m[i] = m[i], m[i - 1]
+                    self.swap(j + i)
+        for c in range(r):
+            if m[c][c] < 0:
+                m[c] = [-x for x in m[c]]
+                self.negate(j + c)
+        # row c is e_c once the columns after c are clear
+        for c in range(r - 1, 0, -1):
+            for l in range(c):
+                if m[l][c]:
+                    self.shear(j + c, j + l, -m[l][c])
+
     def transform(self):
         """U, row-major, when the tracked vectors are its columns."""
         return [list(r) for r in zip(*self.vecs)]
@@ -201,18 +250,24 @@ class IntegralGSO:
                 mu[i][j] = Q(self.lam[i][j], d[j + 1])
         return mu, [Q(d[i + 1], d[i]) for i in range(n)]
 
-    def projected_gram(self, gram, j):
-        """d[j] times the Gram of pi_j(b_j..b_{n-1}), an integer matrix."""
-        d, lam, n = self.d, self.lam, self.n
-        out = [[0] * (n - j) for _ in range(n - j)]
-        for a in range(j, n):
-            la = lam[a]
-            for b in range(j, a + 1):
-                lb = lam[b]
-                val = gram[a][b]
-                for k in range(j):
-                    val = (d[k + 1] * val - la[k] * lb[k]) // d[k]
-                out[a - j][b - j] = out[b - j][a - j] = val
+    def projected_gram(self, j, count):
+        """d[j] times the Gram of pi_j(b_j..b_{j+count-1}), an integer
+        matrix, from d and lam alone.  For s <= t, v_k = d[k] <pi_k(b_s),
+        pi_k(b_t)> starts at v_s = lam[t][s] (d[s+1] when s = t) and
+        runs down to k = j by v_k = (d[k] v_{k+1} + lam[s][k] lam[t][k])
+        / d[k+1], the recurrence of `coefficients` inverted (exact
+        divisions)."""
+        d, lam = self.d, self.lam
+        out = [[0] * count for _ in range(count)]
+        for a in range(count):
+            lt = lam[j + a]
+            for b in range(a + 1):
+                s = j + b
+                ls = lam[s]
+                val = lt[s] if a != b else d[s + 1]
+                for k in range(s - 1, j - 1, -1):
+                    val = (d[k] * val + ls[k] * lt[k]) // d[k + 1]
+                out[a][b] = out[b][a] = val
         return out
 
     def projected(self, cols, j, count):
@@ -451,7 +506,7 @@ def _hkz_int(g):
         # shortest vector of the projection orthogonal to b_0..b_{j-1},
         # coefficients on columns j..n-1; the projected Gram comes scaled
         # by d_j, which moves no LLL decision and no enumeration order
-        sub = state.projected_gram(g, j)
+        sub = g if j == 0 else state.projected_gram(j, n - j)
         vec, lam2 = shortest_gram(sub)
         if lam2 >= sub[0][0]:
             continue  # current b*_j already attains the minimum

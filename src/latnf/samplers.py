@@ -263,19 +263,20 @@ def _box_member(box: GridBox, point, grid_n: int, scale) -> bool:
     return True
 
 
-def perfect_box_lattice(c_cols, grid_n: int, t_tilde, box: GridBox, eps,
-                        membership_oracle, rng):
+def perfect_box_lattice(c_cols, c_inv, grid_n: int, t_tilde, box: GridBox,
+                        eps, membership_oracle, rng):
     """One attempt of the shifted-lattice perfect sampler.
 
     c_cols are the integer columns of N C~, C~ an approximation of the
     true basis B in (1/N)Z^n; t_tilde = N t~ likewise for the shift.
     Draws u until the (1+3eps) pre-filter accepts, then makes a single
     call to the exact membership oracle on the integer vector v + w0 and
-    returns the oracle's payload (or None on failure).  With
-    (N C~)^-1 = Y / det, C~^-1 u = Y (N u) / det, so every step runs on
+    returns the oracle's payload (or None on failure).  c_inv = (Y, det)
+    with (N C~)^-1 = Y / det, as `qlinalg.inverse_scaled` gives it for
+    the rows of N C~; C~^-1 u = Y (N u) / det, so every step runs on
     integers.
     """
-    y, det = inverse_scaled(transpose(c_cols))
+    y, det = c_inv
     w0 = [round_ratio(dot(row, t_tilde), det) for row in y]
     eps = Q(eps)
     draw_scale, member_scale = 1 + 4 * eps, 1 + 3 * eps
@@ -438,9 +439,10 @@ def sample_in_box(field: NumberField, m0: HnfIdeal | None, m_inf: list[int],
             c = offsets.get(pos)
             cn, cd = (0, 1) if c is None else (c.numerator, c.denominator)
             t_tilde.append(round_ratio(cn * gd - m * grid_n * cd, gd * cd))
+        c_inv = inverse_scaled(transpose(c_cols))
         for draws in range(1, RETRY_CAP + 1):
-            got = perfect_box_lattice(c_cols, grid_n, t_tilde, box, eps,
-                                      oracle, rng)
+            got = perfect_box_lattice(c_cols, c_inv, grid_n, t_tilde, box,
+                                      eps, oracle, rng)
             if got is not None:
                 return BoxSampleResult(got, radius, draws)
         raise CapExceeded(f"box sampler failed after {RETRY_CAP} draws")

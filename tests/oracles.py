@@ -1066,11 +1066,10 @@ def bkp_once(gens):
     """Single Buchmann-Kessler-Pohst pass: basis + rank from approximate
     generators.  Requires err < mu / (4C).  The library's integer pass,
     which `bkp_twice` runs twice."""
-    from latnf.approx_reduction import BkpResult, _bkp_pass, _int_gens, _over
-    from latnf.qlinalg import mat_mul
+    from latnf.approx_reduction import BkpResult, _bkp_pass, _int_gens
     rows, den, err, mu = _int_gens(gens)
     m_rows = _bkp_pass(rows, den, err, mu, gens.r0, gens.n1)
-    return BkpResult(len(m_rows), m_rows, _over(mat_mul(m_rows, rows), den))
+    return BkpResult(len(m_rows), m_rows, rows, den)
 
 
 def _projected_block_reference(state, ints, den, j, count):

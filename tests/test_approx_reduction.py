@@ -169,7 +169,7 @@ class TestDualExpReduce:
     def test_non_unimodular_transform_rejected(self, qi, monkeypatch):
         monkeypatch.setattr(
             approx_reduction, "bkp_twice",
-            lambda gens: BkpResult(2, [[2, 0], [0, 1]], gens.rows))
+            lambda gens: BkpResult(2, [[2, 0], [0, 1]], gens.rows, gens.den))
         with pytest.raises(ValueError, match="not unimodular"):
             dual_exp_reduce([1, 1], HnfIdeal.ring_of_integers(qi))
 

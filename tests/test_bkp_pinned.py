@@ -135,6 +135,29 @@ def test_dual_reduction_inputs_match(monkeypatch, poly, prime):
     assert isinstance(seen[-1], tuple) and seen[-1][0] == field.n
 
 
+def test_dual_reduction_builds_no_basis_rows(monkeypatch):
+    # dual_exp_reduce reads only the rank and M, so no result of its
+    # bkp_twice calls builds the rational rows (a cached property)
+    results = []
+    kernel = approx_reduction.bkp_twice
+
+    def spy(gens):
+        results.append(kernel(gens))
+        return results[-1]
+
+    monkeypatch.setattr(approx_reduction, "bkp_twice", spy)
+    for poly in ([1, 0, 1], [1, 1, 1, 1, 1]):
+        field = new_field(poly)
+        approx_reduction.dual_exp_reduce(
+            [Q(1)] * field.n, HnfIdeal.ring_of_integers(field))
+    assert results
+    assert not any("basis_rows" in vars(res) for res in results)
+    res = results[-1]
+    assert res.basis_rows == [[Q(sum(m * x for m, x in zip(row, col)), res.den)
+                               for col in zip(*res.int_rows)]
+                              for row in res.m_rows]
+
+
 class _ExactSpy:
     """Counts the exact-product fallbacks, by the shift of the side."""
 

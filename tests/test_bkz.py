@@ -142,9 +142,10 @@ class TestAgainstReference:
         rng = random.Random(18)
         bases = [(_random_basis(rng, n, spread), b)
                  for n, spread, b in ((4, 20, 2), (5, 60, 3), (6, 30, 3),
-                                      (6, 255, 4), (7, 40, 3))]
+                                      (6, 255, 4), (7, 40, 3), (5, 90, 4),
+                                      (4, 60, 4))]
         bases += [(_dyadic(rng, 4), 2), (_dyadic(rng, 5, 96), 3),
-                  (_dyadic(rng, 6, 128), 2)]
+                  (_dyadic(rng, 6, 128), 2), (_dyadic(rng, 3, 128), 2)]
         bases.append(([[Q(rng.randrange(-40, 41), rng.randrange(1, 9))
                         for _ in range(4)] for _ in range(4)], 2))
         return bases

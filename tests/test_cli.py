@@ -164,6 +164,20 @@ class TestMalformedInput:
         self._assert_precondition(["verify", qi_file, str(dump),
                                    "--primes-bound", "10"], capsys)
 
+    @pytest.mark.parametrize("vals,totals", [([1], [1]), ([0] * 4, [1]),
+                                             ([0] * 5, [0] * 4)])
+    def test_relation_valuations_off_the_factor_base(self, qi_file, tmp_path,
+                                                     capsys, vals, totals):
+        # the primes of norm <= 10 in Z[i] are 4: (1+i), (2+-i), (3)
+        dump = tmp_path / "rels.jsonl"
+        dump.write_text(json.dumps(
+            {"alpha": ["1", "0"], "valuations": vals,
+             "total_valuations": totals,
+             "input_ideal": {"denom": 1, "hnf": [[1, 0], [0, 1]]},
+             "attempts": 1}) + "\n")
+        self._assert_precondition(["verify", qi_file, str(dump),
+                                   "--primes-bound", "10"], capsys)
+
 
 class TestSampleCommand:
     def test_prime_mode(self, qi_file, capsys):

@@ -13,6 +13,7 @@ from oracles import chi2_sf, chi2_uniform_stat, klein_sample_reference
 
 from latnf.ideal_arith import HnfIdeal, hnf_mul, kummer_dedekind, primes_up_to
 from latnf.nf_core import CapExceeded, new_field
+from latnf.qlinalg import inverse_scaled, transpose
 from latnf.samplers import (RETRY_CAP, GridBox, RadiusExpr, SamplerConfig,
                             _radius_times_sqrt2, _uniform_grid_point,
                             _z_gaussian, klein_min_width,
@@ -319,6 +320,14 @@ class TestRadiusExpr:
         assert abs(float(r2) - 2 * math.sqrt(2)) < 1e-9
 
 
+_EYE = [[1, 0], [0, 1]]
+
+
+def _inverse(cols):
+    """(Y, det) with cols^-1 = Y / det, as `sample_in_box` passes it."""
+    return inverse_scaled(transpose(cols))
+
+
 class TestPerfectBoxGrid:
     """The unshifted grid case of `perfect_box_lattice`: a zero shift and
     an oracle that accepts every candidate."""
@@ -330,7 +339,7 @@ class TestPerfectBoxGrid:
         n = 24000
         for _ in range(n):
             # draws on [-6, 6]^2 (1 + 4 eps = 6/5), keeps [-5, 5]^2
-            w = perfect_box_lattice([[1, 0], [0, 1]], 1, [0, 0], box,
+            w = perfect_box_lattice(_EYE, _inverse(_EYE), 1, [0, 0], box,
                                     Q(1, 20), lambda cand: cand, rng)
             assert w is not None
             counts[tuple(w)] = counts.get(tuple(w), 0) + 1
@@ -343,8 +352,8 @@ class TestPerfectBoxGrid:
         # degenerate: box smaller than D/eps
         box = GridBox([(0, RadiusExpr.exact(Q(1, 100))),
                        (1, RadiusExpr.exact(Q(1, 100)))], [])
-        w = perfect_box_lattice([[1, 0], [0, 1]], 1, [0, 0], box, Q(1, 10),
-                                lambda cand: cand, rng)
+        w = perfect_box_lattice(_EYE, _inverse(_EYE), 1, [0, 0], box,
+                                Q(1, 10), lambda cand: cand, rng)
         assert w is None or w == [0, 0]
 
     def test_cell_count_identity(self):
@@ -372,10 +381,12 @@ class TestPerfectBoxLattice:
 
         counts = {}
         n_accepted = 0
+        # C~ = I and t~ = t on the grid (1/2)Z^2, passed as N C~, N t~
+        cols = [[2, 0], [0, 2]]
+        c_inv = _inverse(cols)
         while n_accepted < 12000:
-            # C~ = I and t~ = t on the grid (1/2)Z^2, passed as N C~, N t~
-            got = perfect_box_lattice([[2, 0], [0, 2]], 2, [1, 1], box,
-                                      Q(1, 12), oracle, rng)
+            got = perfect_box_lattice(cols, c_inv, 2, [1, 1], box, Q(1, 12),
+                                      oracle, rng)
             if got is None:
                 continue
             counts[got] = counts.get(got, 0) + 1
@@ -391,7 +402,7 @@ class TestPerfectBoxLattice:
         def oracle(v):
             return tuple(v) if all(abs(x) <= 4 for x in v) else None
 
-        got = perfect_box_lattice([[1, 0], [0, 1]], 1, [Q(0), Q(0)], box,
+        got = perfect_box_lattice(_EYE, _inverse(_EYE), 1, [Q(0), Q(0)], box,
                                   Q(1, 12), oracle, rng)
         assert got is not None
 
