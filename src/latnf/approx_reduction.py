@@ -137,7 +137,8 @@ class BkpResult:
     @cached_property
     def basis_rows(self):
         """B~ = M A~ (rational rows), built on first read."""
-        return _over(mat_mul(self.m_rows, self.int_rows), self.den)
+        return [[Q(x, self.den) for x in row]
+                for row in mat_mul(self.m_rows, self.int_rows)]
 
 
 def _int_gens(gens: ApproxGenerators):
@@ -210,10 +211,6 @@ def _bkp_pass(rows, den: int, err, mu, r0: int, n1: int):
     if r > r0:
         raise RuntimeError("BKP rank exceeds the supplied rank bound")
     return m_rows
-
-
-def _over(rows, den: int):
-    return [[Q(x, den) for x in row] for row in rows]
 
 
 def bkp_twice(gens: ApproxGenerators) -> BkpResult:
