@@ -55,7 +55,7 @@ def hkz_reduce(cols, trace: ReductionTrace | None = None):
         raise ValueError("HKZ oracle capped at dimension "
                          f"{lattice_core.DIM_CAP}")
     ints, den = integral_cols(cols)
-    _, u, _ = lattice_core._hkz_int(int_gram(ints))
+    u = lattice_core._hkz_int(int_gram(ints)).transform()
     if trace is not None:
         trace.hkz_calls += 1
     return [[Q(x, den) for x in c] for c in combine_cols(ints, u)], u
@@ -66,7 +66,8 @@ def _hkz_block(state, j, count):
     its Gram scaled by d[j] and divided by the gcd of its entries."""
     gram = state.projected_gram(j, count)
     g = gcd(*(x for row in gram for x in row))
-    return lattice_core._hkz_int([[x // g for x in row] for row in gram])[1]
+    gram = [[x // g for x in row] for row in gram]
+    return lattice_core._hkz_int(gram).transform()
 
 
 def _projected_ints(state, ints, den, j, count):
@@ -92,21 +93,23 @@ def _untrack(state, m, den, trace):
 
 
 def c1_bound_sq_ok(cols, b: int) -> bool:
-    """Check ||c_1|| <= 2 b^((n-1)/(2(b-1)) + 3/2) covol^(1/n) exactly.
-
-    Raise both sides to the power 2n(b-1):
-    ||c1||^(2n(b-1)) <= 4^(n(b-1)) * b^(n(n-1) + 3n(b-1)) * det(G)^(b-1).
-    """
+    """Check ||c_1|| <= 2 b^((n-1)/(2(b-1)) + 3/2) covol^(1/n) exactly."""
     n = len(cols)
-    ints, den = integral_cols(cols)
+    ints, _ = integral_cols(cols)
     try:
-        detg = Q(IntegralGSO(int_gram(ints)).d[n], den ** (2 * n))
+        dn = IntegralGSO(int_gram(ints)).d[n]
     except ValueError:
-        detg = Q(0)      # dependent columns
-    lhs = Q(sum(x * x for x in ints[0]), den * den) ** (n * (b - 1))
-    rhs = (Q(4) ** (n * (b - 1)) * Q(b) ** (n * (n - 1) + 3 * n * (b - 1))
-           * detg ** (b - 1))
-    return lhs <= rhs
+        dn = 0           # dependent columns
+    return _c1_bound_ok(sum(x * x for x in ints[0]), dn, n, b)
+
+
+def _c1_bound_ok(d1, dn, n, b):
+    """The bound of `c1_bound_sq_ok` on integer columns over den, from the
+    integers d1 = ||den c_1||^2 and dn = det(den^2 G).  Raised to the
+    power 2n(b-1) it reads ||c1||^(2n(b-1)) <= 4^(n(b-1)) b^(n(n-1) +
+    3n(b-1)) det(G)^(b-1), and den^(2n(b-1)) cancels on both sides."""
+    e = n * (b - 1)
+    return d1 ** e <= 4 ** e * b ** (n * (n - 1) + 3 * e) * dn ** (b - 1)
 
 
 def bkz_prime(cols, cfg: BkzConfig):
@@ -167,8 +170,7 @@ def bkz_prime(cols, cfg: BkzConfig):
         trace.tours += 1
         if not changed:
             break
-        if trace.tours >= cap and c1_bound_sq_ok(
-                [[Q(x, den) for x in v[:m]] for v in state.vecs], b):
+        if trace.tours >= cap and _c1_bound_ok(state.d[1], state.d[n], n, b):
             break
     return _untrack(state, m, den, trace), trace
 

@@ -17,6 +17,10 @@ that the scaling leaves unchanged, so no rational is ever normalised
 inside a reduction.  `gso` orthogonalises nothing itself: its b*, mu and
 potential are read off that state.  Ranks and independence tests go
 through `qlinalg.pivots`.
+
+HKZ (`_hkz_int`) runs on one state, moved in place by `IntegralGSO.apply`
+after each improving step; the enumeration report walks that state for
+its minima and generating radius and reads its covering bracket off d.
 """
 
 from __future__ import annotations
@@ -59,16 +63,6 @@ def int_gram(cols):
         for j in range(i + 1):
             g[i][j] = g[j][i] = sum(map(int.__mul__, ci, cols[j]))
     return g
-
-
-def _int_mat_mul(a, b):
-    bt = list(zip(*b))
-    return [[sum(map(int.__mul__, row, col)) for col in bt] for row in a]
-
-
-def _int_congruence(g, u):
-    """U^T g U for integer matrices."""
-    return _int_mat_mul([list(c) for c in zip(*u)], _int_mat_mul(g, u))
 
 
 def combine_cols(cols, u):
@@ -241,14 +235,12 @@ class IntegralGSO:
         """U, row-major, when the tracked vectors are its columns."""
         return [list(r) for r in zip(*self.vecs)]
 
-    def gram_gso(self):
-        """(mu, ||b*_i||^2) as rationals."""
-        d, n = self.d, self.n
-        mu = [[Q(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i):
-                mu[i][j] = Q(self.lam[i][j], d[j + 1])
-        return mu, [Q(d[i + 1], d[i]) for i in range(n)]
+    def copy(self):
+        out = object.__new__(IntegralGSO)
+        out.n, out.shears, out.d = self.n, self.shears, list(self.d)
+        out.lam = [list(r) for r in self.lam]
+        out.vecs = [list(v) for v in self.vecs]
+        return out
 
     def projected_gram(self, j, count):
         """d[j] times the Gram of pi_j(b_j..b_{j+count-1}), an integer
@@ -283,16 +275,6 @@ class IntegralGSO:
                 lt = lam[t][k]
                 us[t] = [(dk1 * a - lt * b) // dk for a, b in zip(us[t], uk)]
         return us[j:]
-
-
-def gram_gso(g):
-    """(mu, d) from a rational Gram matrix: d[i] = ||b*_i||^2."""
-    gi, den = integral_cols(g)
-    try:
-        mu, d = IntegralGSO(gi).gram_gso()
-    except ValueError:
-        raise ValueError("Gram matrix not positive definite") from None
-    return mu, (d if den == 1 else [x / den for x in d])
 
 
 def _reduce_cols(cols, run):
@@ -497,29 +479,26 @@ DIM_CAP = 12
 
 
 def _hkz_int(g):
-    """HKZ-reduce an integer Gram matrix: (gram, U, state) with gram =
-    U^T g U and state its IntegralGSO."""
+    """HKZ-reduce an integer Gram matrix on one IntegralGSO, which it
+    returns: the state tracks U (`transform`), and the reduced Gram U^T g
+    U is its `projected_gram(0, n)`.
+
+    Step j searches the projection orthogonal to b_0..b_{j-1} for a
+    shortest vector, on the projected Gram read off d and lam (scaled by
+    d_j, which moves no LLL decision and no enumeration order; at step 0
+    on a copy of the state itself, since d_0 = 1).  Unless b*_j attains
+    that minimum already, the vector's coefficients are completed to a
+    unimodular U_j and the state moves by `apply(j, U_j)`.  The integral
+    GSO of a basis is unique, so d and lam end as a rebuild's would."""
     n = len(g)
-    u_total = [[int(i == j) for j in range(n)] for i in range(n)]
     state = IntegralGSO(g)
     for j in range(n - 1):
-        # shortest vector of the projection orthogonal to b_0..b_{j-1},
-        # coefficients on columns j..n-1; the projected Gram comes scaled
-        # by d_j, which moves no LLL decision and no enumeration order
-        sub = g if j == 0 else state.projected_gram(j, n - j)
-        vec, lam2 = shortest_gram(sub)
-        if lam2 >= sub[0][0]:
-            continue  # current b*_j already attains the minimum
-        ucol = _complete_unimodular(vec, n - j)
-        u_step = [[int(r == c) for c in range(n)] for r in range(n)]
-        for r in range(n - j):
-            u_step[j + r][j:] = ucol[r]
-        g = _int_congruence(g, u_step)
-        u_total = _int_mat_mul(u_total, u_step)
-        state = IntegralGSO(g)
+        vec, lam2 = (shortest_gram(state.projected_gram(j, n - j)) if j
+                     else _shortest(state.copy()))
+        if lam2 < state.d[j + 1]:          # d_j ||b*_j||^2 = d_{j+1}
+            state.apply(j, _complete_unimodular(vec, n - j))
     state.size_reduce()
-    u_sr = state.transform()
-    return _int_congruence(g, u_sr), _int_mat_mul(u_total, u_sr), state
+    return state
 
 
 def _complete_unimodular(vec, n):
@@ -560,24 +539,32 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 def shortest_gram(g):
     """(coefficient vector, norm2) of a shortest nonzero vector."""
     gi, den = integral_cols(g)
-    state = IntegralGSO(gi)
+    vec, nrm = _shortest(IntegralGSO(gi))
+    return vec, nrm / den
+
+
+def _shortest(state):
+    """shortest_gram on state, the IntegralGSO of an integer Gram with the
+    identity tracked, which it LLL-reduces in place."""
     state.lll()
     u = state.transform()
-    g2 = _int_congruence(gi, u)
-    # the LLL state is the integral GSO of g2
+    g2 = state.projected_gram(0, state.n)      # d_0 = 1: the reduced Gram
     best_c, best_n = _short_vectors(g2, state, min(g2[i][i] for i in
-                                                   range(len(g2))))[0]
+                                                   range(state.n)))[0]
     # map back through u
-    return [sum(map(int.__mul__, row, best_c)) for row in u], Q(best_n, den)
+    return [sum(map(int.__mul__, row, best_c)) for row in u], best_n
 
 
 def successive_minima_gram(g):
     """Exact successive minima with witnesses, by per-index
-    branch-and-bound over the HKZ-reduced GSO.  Returns
-    (minima_sq list, witnesses in the ORIGINAL basis, hkz_gram, U)."""
+    branch-and-bound over the HKZ-reduced GSO.  Returns (minima_sq list,
+    witnesses in the ORIGINAL basis, gh, state, den): den is the lcm of
+    the denominators of g, gh the HKZ-reduced Gram U^T (den g) U as
+    integers and state its IntegralGSO, tracking U."""
     n = len(g)
     gi, den = integral_cols(g)
-    gh, u, state = _hkz_int(gi)
+    state = _hkz_int(gi)
+    gh = state.projected_gram(0, n)
     minima, chosen = [], []
 
     def independent(vec):
@@ -614,8 +601,9 @@ def successive_minima_gram(g):
         _fincke_pohst(gh, state, radius, leaf, floor=t_min)
         minima.append(Q(best[0], den))
         chosen.append(best[1])
+    u = state.transform()
     wits = [[int(x) for x in mat_vec(u, c)] for c in chosen]
-    return minima, wits, [[Q(x, den) for x in row] for row in gh], u
+    return minima, wits, gh, state, den
 
 
 def enumerate_minima_gram(g) -> EnumerationReport:
@@ -624,16 +612,18 @@ def enumerate_minima_gram(g) -> EnumerationReport:
     n = len(g)
     if n > DIM_CAP:
         raise ValueError(f"enumeration oracle capped at dimension {DIM_CAP}")
-    minima, wits, gh, u = successive_minima_gram(g)
-    mu, d = gram_gso(gh)
-    cov_up2 = sum(d) / 4          # Babai bound on the HKZ-reduced GSO
+    minima, wits, gh, state, den = successive_minima_gram(g)
+    # Babai bound on the HKZ-reduced GSO: ||b*_i||^2 = d_{i+1} / (d_i den)
+    d = state.d
+    cov_up2 = sum(Q(d[i + 1], d[i] * den) for i in range(n)) / 4
     cov_lo2 = minima[n - 1] / 4
-    rr2 = _generating_radius_search(gh, minima[n - 1], 4 * cov_up2, n)
+    rr2 = _generating_radius_search(gh, state, den, minima[n - 1], 4 * cov_up2)
     return EnumerationReport(minima, wits, cov_up2, cov_lo2, rr2, n)
 
 
-def _generating_radius_search(gh, lam_n_sq, limit_sq, n):
-    """Exact rr^2 by growing the enumeration radius from lambda_n to
+def _generating_radius_search(gh, state, den, lam_n_sq, limit_sq):
+    """Exact rr^2 of the lattice of the integer Gram gh over den (state its
+    IntegralGSO), by growing the enumeration radius from lambda_n to
     2*cov; None when the vector count cap is hit (skewed lattices).
 
     The vectors come sorted by (norm, coefficients), so those of a larger
@@ -641,6 +631,7 @@ def _generating_radius_search(gh, lam_n_sq, limit_sq, n):
     added, one at a time, to the Hermite normal form of the vectors
     before them.  The vectors generate Z^n once that form has n unit
     pivots."""
+    n = state.n
     radius = Q(lam_n_sq)
     hnf = []
     seen = 0
@@ -648,7 +639,7 @@ def _generating_radius_search(gh, lam_n_sq, limit_sq, n):
     # at limit_sq returns.
     while True:
         try:
-            vecs = enumerate_short_gram(gh, radius, max_count=200000)
+            vecs = _short_vectors(gh, state, radius, den, max_count=200000)
         except RuntimeError:
             return None
         for c, nrm in vecs[seen:]:

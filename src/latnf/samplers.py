@@ -229,21 +229,23 @@ class GridBox:
     def dim(self):
         return len(self.intervals) + 2 * len(self.discs)
 
+    def scale(self, c) -> "GridBox":
+        return GridBox([(k, hw.scale(c)) for k, hw in self.intervals],
+                       [(k, rad.scale(c)) for k, rad in self.discs])
 
-def _uniform_grid_point(box: GridBox, grid_n: int, scale, rng):
-    """N times an exactly uniform point of scale*box intersected with
-    (1/N)Z^dim: an integer vector."""
+
+def _uniform_grid_point(box: GridBox, kmax, grid_n: int, rng):
+    """N times an exactly uniform point of box intersected with
+    (1/N)Z^dim, an integer vector; kmax lists floor(N r) for the box's
+    half-widths r, then for its disc radii r."""
     out = [0] * box.dim()
-    for coord, hw in box.intervals:
-        kmax = hw.floor_times(Q(scale) * grid_n)
-        out[coord] = rng.randint(-kmax, kmax)
-    for (ci, cj), rad in box.discs:
-        kmax = rad.floor_times(Q(scale) * grid_n)
-        r_scaled = rad.scale(Q(scale))
+    for (coord, _), k in zip(box.intervals, kmax):
+        out[coord] = rng.randint(-k, k)
+    for ((ci, cj), rad), k in zip(box.discs, kmax[len(box.intervals):]):
         for _ in range(RETRY_CAP):
-            k1 = rng.randint(-kmax, kmax)
-            k2 = rng.randint(-kmax, kmax)
-            if r_scaled.cmp_value_sq(k1 * k1 + k2 * k2, grid_n * grid_n) <= 0:
+            k1 = rng.randint(-k, k)
+            k2 = rng.randint(-k, k)
+            if rad.cmp_value_sq(k1 * k1 + k2 * k2, grid_n * grid_n) <= 0:
                 out[ci], out[cj] = k1, k2
                 break
         else:
@@ -251,14 +253,14 @@ def _uniform_grid_point(box: GridBox, grid_n: int, scale, rng):
     return out
 
 
-def _box_member(box: GridBox, point, grid_n: int, scale) -> bool:
-    """Whether point / N lies in scale*box, for an integer vector point."""
+def _box_member(box: GridBox, point, grid_n: int) -> bool:
+    """Whether point / N lies in box, for an integer vector point."""
     for coord, hw in box.intervals:
-        if hw.scale(scale).cmp_value(abs(point[coord]), grid_n) > 0:
+        if hw.cmp_value(abs(point[coord]), grid_n) > 0:
             return False
     for (ci, cj), rad in box.discs:
         v_sq = point[ci] ** 2 + point[cj] ** 2
-        if rad.scale(scale).cmp_value_sq(v_sq, grid_n * grid_n) > 0:
+        if rad.cmp_value_sq(v_sq, grid_n * grid_n) > 0:
             return False
     return True
 
@@ -279,15 +281,17 @@ def perfect_box_lattice(c_cols, c_inv, grid_n: int, t_tilde, box: GridBox,
     y, det = c_inv
     w0 = [round_ratio(dot(row, t_tilde), det) for row in y]
     eps = Q(eps)
-    draw_scale, member_scale = 1 + 4 * eps, 1 + 3 * eps
+    # the draw and pre-filter boxes, and the draw's grid bounds, per call
+    draw, member = box.scale(1 + 4 * eps), box.scale(1 + 3 * eps)
+    kmax = [r.floor_times(grid_n) for _, r in draw.intervals + draw.discs]
     for _ in range(200):
-        u = _uniform_grid_point(box, grid_n, draw_scale, rng)
+        u = _uniform_grid_point(draw, kmax, grid_n, rng)
         v = [round_ratio(dot(row, u), det) for row in y]
         cv = [0] * len(c_cols[0])
         for vi, col in zip(v, c_cols):
             if vi:
                 cv = [a + vi * b for a, b in zip(cv, col)]
-        if _box_member(box, cv, grid_n, member_scale):
+        if _box_member(member, cv, grid_n):
             cand = [vi + wi for vi, wi in zip(v, w0)]
             return membership_oracle(cand)
     return None

@@ -49,7 +49,12 @@ methods that never touch the library's own code paths.
 - BKZ' and the recursive BKZ' as the library ran them before their
   one-state loop: the integral GSO rebuilt from the Gram after every
   block change, and each block reduced by `hkz_reduce` as its projected
-  vectors.  They share the library's GSO state and HKZ reduction.
+  vectors.  They share the library's GSO state and HKZ reduction;
+- HKZ on an integer Gram as the library ran it before its one-state
+  loop: each improving step's transform applied to the Gram by the
+  congruence U^T G U, and the GSO rebuilt from the new Gram.  It shares
+  the library's GSO state, shortest-vector search and unimodular
+  completion.
 
 Shared by several test modules, and run by no command of the library:
 the chi-square survival function (`chi2_sf`), the integer single BKP
@@ -1163,6 +1168,44 @@ def bkz_full_reference(cols, cfg, blocks=None):
     state.size_reduce()
     return ([[Fraction(x, den) for x in v[:m]] for v in state.vecs],
             [list(r) for r in zip(*(v[m:] for v in state.vecs))], tours, calls)
+
+
+def _mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+def _congruence(g, u):
+    """U^T g U for integer matrices."""
+    return _mat_mul([list(col) for col in zip(*u)], _mat_mul(g, u))
+
+
+def hkz_int_reference(g):
+    """(gram, U, d, lam) of HKZ on the integer Gram g, as the library ran
+    it before its one-state loop: each improving step's unimodular U_j is
+    embedded in the n x n identity, the Gram moves to U_j^T g U_j, U to U
+    U_j, and the integral GSO is built again from the new Gram; the
+    final size reduction's transform goes the same way."""
+    from latnf.lattice_core import (IntegralGSO, _complete_unimodular,
+                                    shortest_gram)
+    n = len(g)
+    u_total = [[int(i == j) for j in range(n)] for i in range(n)]
+    state = IntegralGSO(g)
+    for j in range(n - 1):
+        sub = g if j == 0 else state.projected_gram(j, n - j)
+        vec, lam2 = shortest_gram(sub)
+        if lam2 >= sub[0][0]:
+            continue
+        ucol = _complete_unimodular(vec, n - j)
+        u_step = [[int(r == c) for c in range(n)] for r in range(n)]
+        for r in range(n - j):
+            u_step[j + r][j:] = ucol[r]
+        g = _congruence(g, u_step)
+        u_total = _mat_mul(u_total, u_step)
+        state = IntegralGSO(g)
+    state.size_reduce()
+    u_sr = state.transform()
+    return _congruence(g, u_sr), _mat_mul(u_total, u_sr), state.d, state.lam
 
 
 def count_in_box(cols, r, shift=None, cov_upper_sq=None):

@@ -269,3 +269,44 @@ class TestEntryPoint:
             capture_output=True, text=True, timeout=120)
         assert out.returncode == 0
         assert json.loads(out.stdout)["disc"] == -4
+
+
+# Monic polynomials of degree 2-4, coefficients from x^0 up: fields of
+# every signature, fields whose power basis is not maximal at 2, and
+# reducible ones.
+SWEEP = [
+    [-5, 0, 1],             # x^2 - 5: power basis not maximal
+    [1, -1, 0, 0, 1],       # x^4 - x + 1
+    [-4, 0, 1],             # x^2 - 4: reducible
+    [-1, 0, 0, 0, 1],       # x^4 - 1: reducible
+    [1, 1, 1],
+    [3, 0, 1],
+    [-2, 0, 0, 1],
+    [1, 1, 0, 1],
+    [1, -3, 0, 1],
+    [2, -2, 0, 1],
+    [1, 0, 0, 0, 1],
+    [-2, 0, 0, 0, 1],
+    [-3, 1, 0, 0, 1],
+]
+
+
+class TestFieldSweep:
+    """Every command on every sweep field ends in a documented exit code:
+    0, 2 (precondition), 3 (verification) or 4 (retry cap)."""
+
+    @pytest.mark.parametrize("poly", SWEEP, ids=str)
+    def test_commands_end_in_an_exit_code(self, tmp_path, capsys, poly):
+        p = tmp_path / "f.json"
+        p.write_text(json.dumps({"poly": poly}))
+        old = signal.signal(signal.SIGALRM, _alarm)
+        signal.alarm(30)
+        try:
+            for args in (["field", str(p)],
+                         ["sample", str(p), "--mode", "beta", "--count", "1",
+                          "--walk-b", "40"]):
+                code, _, _ = run_cli(args, capsys)
+                assert code in (0, 2, 3, 4), (args[0], code)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)

@@ -7,17 +7,23 @@ The hypothesis Grams come from upper-triangular bases whose columns sit
 at scales 2^0 to 2^1500, reordered and multiplied by 2^k with k up to
 4,000; the radius is the shortest basis vector's norm or twice that
 vector's (both ties), or one more than the shortest.
+
+The enumeration report of a Gram scaled by a positive rational has the
+same witnesses, and its minima, covering brackets and generating radius
+scale with it.
 """
 
 import signal
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from latnf.lattice_core import (FLOAT_EXP, IntegralGSO, _Radius,
-                                enumerate_short_gram, shortest_gram,
-                                successive_minima_gram)
+                                enumerate_minima_gram, enumerate_short_gram,
+                                shortest_gram, successive_minima_gram)
+from latnf.qlinalg import mat_det
 from oracles import short_box_size, short_vectors_reference
 
 
@@ -84,7 +90,7 @@ def test_a_tiny_weight_below_a_tie(alarm):
     # B_0 = 2^-3000, which a float walk would underflow to 0 and never
     # leave
     g = [[1, 0], [0, 2 ** 3000]]
-    minima, wits, _, _ = successive_minima_gram(g)
+    minima, wits, *_ = successive_minima_gram(g)
     assert minima == [1, 2 ** 3000]
     assert wits == [[1, 0], [0, 1]]
     assert shortest_gram([[2 ** 3000, 0], [0, 1]]) == ([0, 1], 1)
@@ -104,3 +110,26 @@ def test_float_range_edge():
     # B_k = 2^(FLOAT_EXP - 1) is a float level, 2^(FLOAT_EXP + 1) exact
     d = [1, 2 ** (FLOAT_EXP - 1), 2 ** (2 * FLOAT_EXP)]
     assert _Radius(d, 1, 1).weights == [2.0 ** (FLOAT_EXP - 1), None]
+
+
+@st.composite
+def small_grams(draw):
+    n = draw(st.integers(1, 4))
+    cols = draw(st.lists(st.lists(st.integers(-6, 6), min_size=n,
+                                  max_size=n), min_size=n, max_size=n))
+    g = _gram(cols)
+    assume(mat_det(g) != 0)
+    return g
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_grams(), st.sampled_from((Fraction(1, 4), Fraction(3, 2),
+                                       Fraction(9, 8))))
+def test_report_scales_with_the_gram(g, c):
+    rep = enumerate_minima_gram(g)
+    scaled = enumerate_minima_gram([[x * c for x in row] for row in g])
+    assert scaled.witnesses == rep.witnesses
+    assert scaled.minima_sq == [m * c for m in rep.minima_sq]
+    assert scaled.cov_upper_sq == rep.cov_upper_sq * c
+    assert scaled.cov_lower_sq == rep.cov_lower_sq * c
+    assert scaled.rr_sq == (None if rep.rr_sq is None else rep.rr_sq * c)

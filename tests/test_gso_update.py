@@ -13,6 +13,11 @@ HKZ it reads off that state.
   the captured reductions it must give the transform `hkz_reduce` finds
   on the block's projected vectors, and `bkz_full` must give the
   reference's basis, transform, tours and HKZ count.
+- `lattice_core._hkz_int` runs HKZ on one state, moved by `apply` after
+  each improving step; its Gram, U, d and lam must equal those of
+  `oracles.hkz_int_reference`, which rebuilds the Gram and the state
+  after each step: on small uniform Grams, on the dyadic big-entry
+  bases, in dimensions 1 and 2, and where b_0 attains lambda_1 already.
 """
 
 import random
@@ -25,7 +30,8 @@ from test_enum_pinned import captured_reduction
 from test_lattice_pinned import _dyadic
 
 from latnf import bkz
-from latnf.lattice_core import IntegralGSO, combine_cols, int_gram
+from latnf.lattice_core import (IntegralGSO, _hkz_int, combine_cols, int_gram,
+                                shortest_gram)
 from latnf.qlinalg import mat_det, transpose
 
 CAPTURED = ("zeta5", "sqrt163")
@@ -156,3 +162,46 @@ def test_bkz_full_matches_reference_captured(name):
     assert (out, tr.transform, tr.tours, tr.hkz_calls) == \
         oracles.bkz_full_reference(cols, cfg)
     assert abs(mat_det(transpose(tr.transform))) == 1
+
+
+def _check_hkz(g):
+    state = _hkz_int(g)
+    got = (state.projected_gram(0, len(g)), state.transform(), state.d,
+           state.lam)
+    assert got == oracles.hkz_int_reference(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(uniform_bases())
+def test_hkz_matches_reference_uniform(cols):
+    _check_hkz(int_gram(cols))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 6), prec=st.sampled_from([64, 96, 128]),
+       seed=st.integers(0, 2 ** 32))
+def test_hkz_matches_reference_dyadic(n, prec, seed):
+    _check_hkz(int_gram(_dyadic(random.Random(seed), n, prec)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_hkz_matches_reference_small_dimensions(cols):
+    assume(mat_det(int_gram(cols)) != 0)
+    _check_hkz(int_gram(cols))
+
+
+@settings(max_examples=40, deadline=None)
+@given(uniform_bases(), st.integers(1, 3))
+def test_hkz_matches_reference_when_b0_is_shortest(cols, scale):
+    # b_0 = scale e_0 in a lattice whose vectors' squared norms are
+    # multiples of scale^2: step 0 finds no shorter vector
+    cols = [[scale * int(i == 0) for i in range(len(cols[0]))]] + [
+        [scale * x for x in c] for c in cols[1:]]
+    assume(mat_det(int_gram(cols)) != 0)
+    g = int_gram(cols)
+    assert shortest_gram(g)[1] == g[0][0]
+    _check_hkz(g)
+    assert _hkz_int(g).vecs[0] == [int(i == 0) for i in range(len(g))]

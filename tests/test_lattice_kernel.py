@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction as Q
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -80,6 +81,14 @@ def test_c1_bound_matches_oracle_determinant(cols, b):
     rhs = (Q(4) ** (n * (b - 1)) * Q(b) ** (n * (n - 1) + 3 * n * (b - 1))
            * detg ** (b - 1))
     assert c1_bound_sq_ok(cols, b) == (c1 ** (n * (b - 1)) <= rhs)
+
+
+@pytest.mark.parametrize("cols, b", [
+    ([[1, 2], [2, 4]], 2), ([[0, 0], [1, 1]], 3),
+    ([[3, 0, 0], [0, 0, 0], [1, 1, 0]], 2), ([[Q(1, 2), 1], [1, 2]], 4)])
+def test_c1_bound_dependent_columns(cols, b):
+    # det(G) = 0: the bound holds only when c_1 = 0
+    assert c1_bound_sq_ok(cols, b) == (not any(cols[0]))
 
 
 class TestTieRule:

@@ -117,7 +117,7 @@ class TestRejectionCaps:
         rng = _NeverAccepts()
         box = GridBox([], [((0, 1), RadiusExpr.exact(5))])
         with pytest.raises(CapExceeded, match="disc draw"):
-            _uniform_grid_point(box, 1, 1, rng)
+            _uniform_grid_point(box, [5], 1, rng)
         assert rng.draws == 2 * RETRY_CAP
 
 
