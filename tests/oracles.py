@@ -59,9 +59,12 @@ methods that never touch the library's own code paths.
 Shared by several test modules, and run by no command of the library:
 the chi-square survival function (`chi2_sf`), the integer single BKP
 pass (`bkp_once`, the first half of `bkp_twice`), exact lattice-point
-counting in a box with the counting lemma's interval (`count_in_box`),
-and |root| > g^(1/k) for a root of an integer polynomial through the
-library's |sigma|^2k decision (`abs_root_gt`).
+counting in a box with the counting lemma's interval (`count_in_box`,
+over Babai's covering bound on the HKZ basis, `covering_upper_sq`),
+|root| > g^(1/k) for a root of an integer polynomial through the
+library's |sigma|^2k decision (`abs_root_gt`), ball containment
+(`ball_contains`) and the degree of a divisor or Log-S-unit vector
+(`divisor_degree`, the product-formula check).
 """
 
 from __future__ import annotations
@@ -837,6 +840,25 @@ def abs2_pow_reference(z, k: int):
     return out
 
 
+def ball_contains(ball, x) -> bool:
+    """True when the rational x lies in the closed RealBall."""
+    return ball.lo() <= Fraction(x) <= ball.hi()
+
+
+def divisor_degree(finite, infinite, prec: int = 64):
+    """RealBall around deg = sum_p a_p log N(p) + sum_nu a_nu, with
+    `finite` the (prime, a_p) pairs and `infinite` the balls a_nu: exact
+    up to the certified log balls at prec bits.  By the product formula
+    it is 0 on a principal divisor and on a Log-S-unit vector."""
+    from latnf.dyadic import RealBall, log_ball
+    acc = RealBall(Fraction(0))
+    for p, e in finite:
+        acc = acc + log_ball(Fraction(p.norm()), prec) * Fraction(e)
+    for v in infinite:
+        acc = acc + v
+    return acc
+
+
 def log_embedding_reference(field, alpha, prec: int):
     """The balls of `divisor_log.log_embedding`, n_nu/2 times the
     `ball_log` of `ComplexBall.abs2` at each place, with the same
@@ -1208,6 +1230,19 @@ def hkz_int_reference(g):
     return _congruence(g, u_sr), _mat_mul(u_total, u_sr), state.d, state.lam
 
 
+def covering_upper_sq(cols):
+    """Babai's certified upper bound sum_i ||b*_i||^2 / 4 on the squared
+    covering radius of the lattice of cols, over its HKZ-reduced basis
+    (`lattice_core._hkz_int` on the Gram of the columns scaled to
+    integers)."""
+    from latnf.lattice_core import _hkz_int, int_gram
+    from latnf.qlinalg import integral_cols
+    ints, den = integral_cols(cols)
+    d = _hkz_int(int_gram(ints)).d
+    return (sum(Fraction(d[i + 1], d[i]) for i in range(len(ints)))
+            / (4 * den * den))
+
+
 def count_in_box(cols, r, shift=None, cov_upper_sq=None):
     """Exact |(L + t) cap rX| for the unit-infinity-ball X, plus the
     counting-lemma interval when certifiable.
@@ -1216,7 +1251,7 @@ def count_in_box(cols, r, shift=None, cov_upper_sq=None):
     certified (bool).
     """
     from latnf import qlinalg
-    from latnf.lattice_core import DIM_CAP, enumerate_minima
+    from latnf.lattice_core import DIM_CAP
     from latnf.qlinalg import mat_inv, transpose
     Q = Fraction
     m = len(cols[0])
@@ -1263,8 +1298,7 @@ def count_in_box(cols, r, shift=None, cov_upper_sq=None):
     interval = None
     certified = False
     if cov_upper_sq is None and n == m and n <= DIM_CAP:
-        rep = enumerate_minima(cols)
-        cov_upper_sq = rep.cov_upper_sq
+        cov_upper_sq = covering_upper_sq(cols)
     if cov_upper_sq is not None and r > 0:
         c_val = math.sqrt(float(cov_upper_sq))
         if float(r) > 2 * c_val:

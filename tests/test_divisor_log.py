@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from latnf.divisor_log import (Divisor, degree, ideal_divisor_zero,
+from latnf.divisor_log import (Divisor, ideal_divisor_zero,
                                kessler_lambda1_lower, log_embedding,
                                log_s_embed, principal_divisor)
 from latnf.dyadic import RealBall, ball_sqrt, exp_ball, log_ball
@@ -12,7 +12,7 @@ from latnf.ideal_arith import (HnfIdeal, hnf_inv, hnf_mul, kummer_dedekind,
                                primes_up_to)
 from latnf.lattice_core import enumerate_minima_gram, enumerate_short_gram
 from latnf.nf_core import NumberField, new_field
-from oracles import embedding_values
+from oracles import ball_contains, divisor_degree, embedding_values
 
 PELL_REG = math.log(1 + math.sqrt(2))
 
@@ -25,6 +25,18 @@ def ball_exp(b: RealBall, prec: int) -> RealBall:
     eh = exp_ball(b.hi(), prec)
     l, h = el.lo(), eh.hi()
     return RealBall((l + h) / 2, (h - l) / 2)
+
+
+def degree(d: Divisor, prec: int = 64) -> RealBall:
+    return divisor_degree(d.finite_part.items(), d.infinite_part, prec)
+
+
+def add_divisors(d1: Divisor, d2: Divisor) -> Divisor:
+    fin = dict(d1.finite_part)
+    for p, e in d2.finite_part.items():
+        fin[p] = fin.get(p, 0) + e
+    return Divisor(d1.field, fin, [a + b for a, b in zip(d1.infinite_part,
+                                                         d2.infinite_part)])
 
 
 def exp_divisor(d: Divisor):
@@ -98,7 +110,7 @@ def qs5():
 class TestDegree:
     def test_single_place(self, qi):
         d = Divisor(qi, {}, [Q(1)])
-        assert degree(d).contains(1)
+        assert ball_contains(degree(d), 1)
 
     def test_zero_normalized_prime(self, qs5):
         p2 = kummer_dedekind(qs5, 2)[0][0]
@@ -148,7 +160,7 @@ class TestExpDivisor:
     def test_zero_divisor_volume(self, qi):
         xs, ideal, vol = exp_divisor(Divisor(qi))
         assert ideal == HnfIdeal.ring_of_integers(qi)
-        assert vol.contains(2)
+        assert ball_contains(vol, 2)
 
     def test_degree_zero_prime(self, qs5):
         p2 = kummer_dedekind(qs5, 2)[0][0]
@@ -174,7 +186,7 @@ class TestExpDivisor:
                          [Q(rng.randrange(-2, 3), 4)])
             xs1, a1, v1 = exp_divisor(d1)
             xs2, a2, v2 = exp_divisor(d2)
-            xs12, a12, v12 = exp_divisor(d1 + d2)
+            xs12, a12, v12 = exp_divisor(add_divisors(d1, d2))
             from latnf.ideal_arith import hnf_mul
             assert a12 == hnf_mul(a1, a2)
             for x12, x1, x2 in zip(xs12, xs1, xs2):
@@ -225,7 +237,7 @@ class TestLogSEmbed:
     def test_degree_zero(self, qi):
         p = primes_up_to(qi, 2)[0]
         v = log_s_embed(qi.element([1, 1]), [p])
-        deg = v.degree([p])
+        deg = divisor_degree(zip([p], v.val_part), v.inf_part.entries)
         assert abs(float(deg.mid)) <= float(deg.rad) + 1e-12
 
 

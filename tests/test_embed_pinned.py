@@ -41,7 +41,7 @@ from hypothesis import strategies as st
 from latnf import intmath, nf_core, polyq
 from latnf.approx_reduction import minkowski_columns_x
 from latnf.divisor_log import log_embedding
-from latnf.nf_core import GT, LE, cmp_element, new_field
+from latnf.nf_core import GT, LE, NumberField, cmp_element
 from oracles import ComplexBall
 
 # name -> (polynomial, integral basis or None for the power basis)
@@ -69,7 +69,7 @@ SUBSET_POLYS = {(1, 0, 0, 0, 1): True,          # x^4 + 1
 
 @lru_cache(maxsize=None)
 def _field(name):
-    return new_field(*FIELDS[name])
+    return NumberField(*FIELDS[name])
 
 
 def _digest(rows):
@@ -94,7 +94,7 @@ def _elements(field, name):
 
 
 def _embeds(name, prec):
-    field = new_field(*FIELDS[name])
+    field = NumberField(*FIELDS[name])
     return _digest([(v.re, v.im, v.rad)
                     for alpha in _elements(field, name)
                     for v in oracles.embedding_values(field.embed(alpha, prec))])
@@ -117,7 +117,7 @@ def _balls(cols):
 
 
 def _columns(name, prec):
-    field = new_field(*FIELDS[name])
+    field = NumberField(*FIELDS[name])
     rows = []
     for x in _x_vectors(field):
         for col in _balls(minkowski_columns_x(field, _elements(field, name),
@@ -212,7 +212,7 @@ def _verdicts(monkeypatch, cases):
         return decide(int_poly, refine, c)
 
     monkeypatch.setattr(nf_core, "decide_root_gt_int", spy)
-    fields = {name: new_field(*spec) for name, spec in FIELDS.items()}
+    fields = {name: NumberField(*spec) for name, spec in FIELDS.items()}
     got = [cmp_element(fields[name].from_power(pw), place, scale, g, k,
                        signed=signed)
            for name, pw, place, scale, g, k, signed in cases]
@@ -371,7 +371,7 @@ class TestAgainstReferences:
     @given(name=st.sampled_from(sorted(FIELDS)), prec=st.integers(8, 160),
            data=st.data())
     def test_minkowski_columns(self, name, prec, data):
-        field = new_field(*FIELDS[name])
+        field = NumberField(*FIELDS[name])
         coords = data.draw(st.lists(rationals, min_size=field.n,
                                     max_size=field.n).filter(any))
         x = []

@@ -11,16 +11,20 @@ bits.  Each case hashes everything one entry
 point returns:
 
 - `shortest_gram`: the vector and its norm;
-- `hkz_reduce`: the basis, the transform and `hkz_calls`;
+- `hkz_reduce`: the basis and the transform;
 - `enumerate_short_gram` at the radius of the longest HKZ-reduced basis
   vector, so at least one vector lies on the boundary (a tie);
 - `enumerate_minima` on a planted dimension-8 lattice and on the
-  Q(zeta5) basis.
+  Q(zeta5) basis: the successive minima.
 
 The digests were recorded from the enumeration that compared norms at
 the lcm scale of the GSO denominators.  The `hkz_reduce` digests once
 hashed the potential ledger as well; they were recorded again without it
 when the ledger was deleted, from the library as it stood just before.
+The same was done for the `hkz_reduce` digests without `hkz_calls`
+(always 1) when `hkz_reduce` lost its trace, and for the
+`enumerate_minima` digests without the witnesses, covering brackets and
+generating radius when the report was cut to its minima.
 """
 
 import functools
@@ -132,9 +136,8 @@ def _shortest(cols):
 
 
 def _hkz(cols):
-    trace = bkz.ReductionTrace()
-    out, u = bkz.hkz_reduce(cols, trace)
-    return _digest(out, u, trace.hkz_calls)
+    out, u = bkz.hkz_reduce(cols)
+    return _digest(out, u)
 
 
 def _short_at_tie(cols):
@@ -146,9 +149,7 @@ def _short_at_tie(cols):
 
 
 def _minima(cols):
-    rep = lattice_core.enumerate_minima(cols)
-    return _digest(rep.minima_sq, rep.witnesses, rep.cov_upper_sq,
-                   rep.cov_lower_sq, rep.rr_sq)
+    return _digest(lattice_core.enumerate_minima(cols).minima_sq)
 
 
 CASES = {}
@@ -161,14 +162,14 @@ CASES["minima-zeta5/full"] = (_minima, functools.partial(_input, "zeta5/full"))
 CASES["minima-planted8"] = (_minima, _planted8)
 
 PINNED = {
-    "hkz-sqrt163/1": "e4c3a3616fbb9306",
-    "hkz-sqrt163/full": "c80b87f098ad465c",
-    "hkz-zeta5/0": "5436e0ab8ab581e6",
-    "hkz-zeta5/1": "e98faa6e26f036a4",
-    "hkz-zeta5/3": "67b8a529bb3b86b2",
-    "hkz-zeta5/full": "a34de4d25d2157c3",
-    "minima-planted8": "1e9725d7c87241e8",
-    "minima-zeta5/full": "a9a3c0cadc7dd7c0",
+    "hkz-sqrt163/1": "70f62e51047946ee",
+    "hkz-sqrt163/full": "ac4eb3302012ca15",
+    "hkz-zeta5/0": "2e8a087ca83b388f",
+    "hkz-zeta5/1": "6fcc21ad55c025b7",
+    "hkz-zeta5/3": "a3f730c98d2af353",
+    "hkz-zeta5/full": "c6f37ee98b6d7f8b",
+    "minima-planted8": "1b1c3d65f1a05239",
+    "minima-zeta5/full": "64feeec28241bdbf",
     "short-tie-sqrt163/1": "8cb928974295c9e6",
     "short-tie-sqrt163/full": "483ad34b1d331c84",
     "short-tie-zeta5/0": "1f312a8189d41443",

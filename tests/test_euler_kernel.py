@@ -12,7 +12,7 @@ import pytest
 from latnf import det_verify, intmath
 from latnf.det_verify import approx_rho, euler_log_product
 from latnf.ideal_arith import splitting_degrees
-from latnf.nf_core import new_field
+from latnf.nf_core import NumberField, new_field
 from latnf.sunit_pipeline import (PipelineConfig, _bach_truncation,
                                   provable_d_value, roots_of_unity_count)
 
@@ -111,8 +111,7 @@ class TestRoundingBound:
 
 class TestGuards:
     def test_index_divisor_prime(self):
-        field = new_field([23, 0, 1],
-                          integral_basis=[[1, 0], [Q(1, 2), Q(1, 2)]])
+        field = NumberField([23, 0, 1], [[1, 0], [Q(1, 2), Q(1, 2)]])
         with pytest.raises(ValueError, match="index-divisor prime"):
             provable_d_value(field, PipelineConfig())
 

@@ -5,13 +5,11 @@ the integer Hermite normal form and hashes what it returns:
 `hnf_with_transform` (H and U), `int_kernel`, `express_int_combination`
 and `hnf_upper` on seeded integer matrices (rectangular, rank-deficient,
 with zero rows), `hnf_inv` and `hnf_mul` on products of prime ideals,
-`smith_normal_form` on seeded matrices and HNF-shaped blocks, and the
-generating radius `enumerate_minima(...).rr_sq` on seeded bases.  The
-digests were recorded from the four separate integer eliminations that
+and `smith_normal_form` on seeded matrices and HNF-shaped blocks.  The
+digests were recorded from the separate integer eliminations that
 preceded the one Hermite kernel (pairwise xgcd for `hnf_upper`, Euclid
-by row subtraction for `hnf_with_transform`, an incremental xgcd
-echelon for the generating radius, and the clearing loops of the Smith
-form), so they pin the kernel to the same values.
+by row subtraction for `hnf_with_transform`, and the clearing loops of
+the Smith form), so they pin the kernel to the same values.
 
 The property tests compare the kernel's outputs with the row HNF
 `oracles.hnf_rows` and the Smith form with `oracles.smith_reference`
@@ -30,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latnf import lattice_core, qlinalg
+from latnf import qlinalg
 from latnf.ideal_arith import hnf_inv, hnf_mul, primes_up_to
 from latnf.nf_core import new_field
 
@@ -147,21 +145,6 @@ def _smith(label):
     return _digest(out)
 
 
-def _generating_radii(label):
-    rng = random.Random(label)
-    out = []
-    for k in range(24):
-        n = 2 + k % 4
-        while True:
-            cols = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-            if qlinalg.mat_det(cols) != 0:
-                break
-        if k % 3 == 2:
-            cols[0] = [x * 3 + y for x, y in zip(cols[0], cols[1])]
-        out.append(lattice_core.enumerate_minima(cols).rr_sq)
-    return _digest(out)
-
-
 CASES = {
     "hnf_with_transform": lambda: _hnf_transform("pinned-hnf"),
     "int_kernel": lambda: _kernels("pinned-kernel"),
@@ -171,11 +154,9 @@ CASES = {
     "ideals-x3-x+1": lambda: _ideals((1, -1, 0, 1), 20),
     "ideals-zeta5": lambda: _ideals((1, 1, 1, 1, 1), 12),
     "smith_normal_form": lambda: _smith("pinned-smith"),
-    "enumerate_minima-rr_sq": lambda: _generating_radii("pinned-rr"),
 }
 
 PINNED = {
-    "enumerate_minima-rr_sq": "02341e4993b34b37",
     "express_int_combination": "fdd3c3c47c23ab22",
     "hnf_upper": "df86c41b0c302f58",
     "hnf_with_transform": "47c375ccf631f576",

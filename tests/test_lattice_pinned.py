@@ -9,6 +9,10 @@ transforms (values, not number types: every entry is hashed as a
 reduced fraction).  The HKZ and block-reduction digests once hashed the
 per-block potential ledger as well; they were recorded again without it
 when the ledger was deleted, from the library as it stood just before.
+The same was done for the HKZ digests without `hkz_calls` (always 1)
+when `hkz_reduce` lost its trace, and for the minima digests without
+the witnesses, covering brackets and generating radius when the
+enumeration report was cut to its minima.
 
 The bases: uniform and knapsack integer bases, one basis with rational
 entries, and one dyadic big-entry basis shaped like the scaled Minkowski
@@ -99,9 +103,8 @@ def _size_reduce(cols):
 
 
 def _hkz(cols):
-    trace = bkz.ReductionTrace()
-    out, u = bkz.hkz_reduce(cols, trace)
-    return _digest(out, u, trace.hkz_calls)
+    out, u = bkz.hkz_reduce(cols)
+    return _digest(out, u)
 
 
 def _block(fn, cols, b):
@@ -116,9 +119,7 @@ def _c1(cols):
 
 
 def _minima(cols):
-    rep = lattice_core.enumerate_minima(cols)
-    return _digest(rep.minima_sq, rep.witnesses, rep.cov_upper_sq,
-                   rep.cov_lower_sq, rep.rr_sq)
+    return _digest(lattice_core.enumerate_minima(cols).minima_sq)
 
 
 def _shortest(cols):
@@ -178,11 +179,11 @@ PINNED = {
     "bkz_prime-u5-b2": "dc204510b465eacf",
     "bkz_prime-u6-b3": "6c0040aee0c8badf",
     "bkz_prime-u8-b3": "350ba37701ee6097",
-    "hkz-dy4": "dfb2918a91cb5bf4",
-    "hkz-q4": "271c461771395e69",
-    "hkz-u4": "5eac49692eda1fef",
-    "hkz-u5": "d3e163171f014fbe",
-    "hkz-u8": "897b8a03fb48ce4b",
+    "hkz-dy4": "a54656f12897c696",
+    "hkz-q4": "abf2bb257f1ec021",
+    "hkz-u4": "af33a34ece5114c3",
+    "hkz-u5": "334f110f063fe269",
+    "hkz-u8": "e434be3f46e0c225",
     "lll-dy4": "23d83f19c72fb27a",
     "lll-dy6": "4e4e4ab0c7b4a59a",
     "lll-k10": "d8899df415b67bc4",
@@ -191,8 +192,8 @@ PINNED = {
     "lll-u4": "1a2e790e4cf15d0e",
     "lll-u6": "b8c27fdbdf6e0408",
     "lll-u6-delta99": "b0841efa41724dad",
-    "minima-q4": "de061fbc4ae7f820",
-    "minima-u4": "b38b3262c884ba71",
+    "minima-q4": "1053e841ec5dc78e",
+    "minima-u4": "09a3d84c44670b08",
     "shortest-q4": "efd5ea4ebf0e9143",
     "size_reduce-dy4": "c03524ff3ced3708",
     "size_reduce-k16": "2a8ac46dbaf25fed",

@@ -13,7 +13,10 @@ a field given with its own integral basis, and the independent rows
 `lattice_core_lll_rows` keeps.  The digests were recorded from the
 `Fraction` Gaussian elimination and the rational Gram-Schmidt that
 preceded the fraction-free kernel, so they pin it to the same values
-(every entry is hashed as a reduced fraction).
+(every entry is hashed as a reduced fraction).  The reduced-ideal digests
+once hashed each result's dually-reduced tag as well (always 3 and 6);
+they were recorded again without it when the tag was deleted, from the
+library as it stood just before.
 
 The property tests compare the kernel's entries with the `Fraction`
 references in `oracles.py` on random rational matrices, singular ones
@@ -34,7 +37,7 @@ from hypothesis import strategies as st
 from latnf import lattice_core, qlinalg, relations, samplers, sunit_pipeline
 from latnf.approx_reduction import approx_bkz_ideal, dual_exp_reduce
 from latnf.ideal_arith import HnfIdeal, hnf_mul, primes_up_to
-from latnf.nf_core import new_field
+from latnf.nf_core import NumberField
 from latnf.relations import FactorBase, SUnitRelation
 
 
@@ -52,7 +55,7 @@ def _digest(*parts):
 
 @functools.cache
 def _field(poly, basis=None):
-    return new_field(list(poly), basis and [list(r) for r in basis])
+    return NumberField(list(poly), basis and [list(r) for r in basis])
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +164,7 @@ def _reduced_ideal_bases(poly, bound, x):
     der = dual_exp_reduce(x, a)
     bkz = approx_bkz_ideal(x, a, 2)
     return _digest([e.coords for e in der.elements], der.precision_bits,
-                   der.tag.T, [e.coords for e in bkz.elements],
-                   bkz.precision_bits, bkz.tag.T)
+                   [e.coords for e in bkz.elements], bkz.precision_bits)
 
 
 def _counts():
@@ -223,8 +225,8 @@ CASES = {
 
 PINNED = {
     "count_in_box": "b1e9d3f71cdafd11",
-    "ideal-sqrt-5": "30a86b862f490a5a",
-    "ideal-x3-x+1": "edfa6750a379ee8e",
+    "ideal-sqrt-5": "473c12795e149cda",
+    "ideal-x3-x+1": "71177f85b474cec9",
     "independent-rows": "e72f96ba01bbf022",
     "inverse-norm-sqrt-23": "3a09995d351f7386",
     "klein-dyadic4-s3": "fa6550b7ebb8060e",

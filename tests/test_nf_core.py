@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from latnf.nf_core import (GT, LE, NumberField, cmp_element, embed,
+from latnf.nf_core import (GT, LE, NumberField, cmp_element,
                            liouville_separation, new_field)
 from oracles import abs_root_gt, embedding_values
 
@@ -49,7 +49,7 @@ class TestNewField:
     def test_supplied_basis_closure_checked(self):
         # (1, theta/2) is not closed under multiplication for x^2+1
         with pytest.raises(ValueError):
-            new_field([1, 0, 1], integral_basis=[[1, 0], [0, Q(1, 2)]])
+            NumberField([1, 0, 1], [[1, 0], [0, Q(1, 2)]])
 
     @pytest.mark.parametrize("poly", [[23, 0, 1],       # disc -92, index 2
                                       [163, 0, 1],      # disc -652, index 2
@@ -71,7 +71,7 @@ class TestNewField:
 
     def test_half_integer_basis_accepted(self):
         # Q(sqrt(-23)) via x^2+23 plus the genuine (1+theta)/2 basis vector
-        k = new_field([23, 0, 1], integral_basis=[[1, 0], [Q(1, 2), Q(1, 2)]])
+        k = NumberField([23, 0, 1], [[1, 0], [Q(1, 2), Q(1, 2)]])
         assert k.disc_field == -23
 
     def test_discriminant_lower_bound(self):
@@ -84,13 +84,13 @@ class TestNewField:
 
 class TestEmbed:
     def test_one_embeds_to_one(self, qi):
-        pt = embed(qi.one(), 30)
+        pt = qi.embed(qi.one(), 30)
         for v in embedding_values(pt):
             assert v.re - v.rad <= 1 <= v.re + v.rad
             assert abs(v.im) <= v.rad
 
     def test_sqrt2(self, qr2):
-        pt = embed(qr2.theta(), 30)
+        pt = qr2.embed(qr2.theta(), 30)
         vals = sorted(float(v.re) for v in embedding_values(pt))
         assert abs(vals[0] + math.sqrt(2)) < 2 ** -29
         assert abs(vals[1] - math.sqrt(2)) < 2 ** -29
@@ -98,18 +98,18 @@ class TestEmbed:
             assert v.rad <= Q(1, 2 ** 30)
 
     def test_i_embeds_to_pm_i(self, qi):
-        pt = embed(qi.theta(), 20)
+        pt = qi.embed(qi.theta(), 20)
         ims = sorted(float(v.im) for v in embedding_values(pt))
         assert abs(ims[0] + 1) < 1e-5 and abs(ims[1] - 1) < 1e-5
 
     def test_precision_floor(self, qi):
         with pytest.raises(ValueError):
-            embed(qi.one(), 4)
+            qi.embed(qi.one(), 4)
 
     def test_nested_intervals(self, qr2):
         alpha = qr2.element([3, 5])
-        p1 = embed(alpha, 30)
-        p2 = embed(alpha, 60)
+        p1 = qr2.embed(alpha, 30)
+        p2 = qr2.embed(alpha, 60)
         for a, b in zip(embedding_values(p1), embedding_values(p2)):
             assert abs(a.re - b.re) <= a.rad + b.rad
 

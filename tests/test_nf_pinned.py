@@ -29,7 +29,7 @@ from latnf import ideal_walk, polyq, relations
 from latnf.ideal_arith import (HnfIdeal, hnf_inv, hnf_mul, kummer_dedekind,
                                ord_at, primes_up_to)
 from latnf.intmath import primes_below
-from latnf.nf_core import CapExceeded, new_field
+from latnf.nf_core import CapExceeded, NumberField
 from latnf.samplers import SamplerConfig
 
 # name -> (polynomial, integral basis or None for the power basis)
@@ -61,7 +61,7 @@ def _ideal(a):
 @functools.cache
 def _field(name):
     poly, basis = FIELDS[name]
-    return new_field(poly, basis)
+    return NumberField(poly, basis)
 
 
 def _elements(field, rng, count, spread=20, max_den=6):

@@ -15,6 +15,7 @@ from latnf.relations import (FactorBase, RandomRelationConfig, RelationConfig,
                              modulus_branch, random_relation, sample_budget,
                              smooth_factor)
 from latnf.samplers import SamplerConfig, walk_radius
+from oracles import divisor_degree
 
 
 # The paper's smooth-density lower bound and the bound B_max on the
@@ -179,7 +180,7 @@ class TestRandomRelation:
         out = random_relation(qi, fb, rng, cfg, 0.7854)
         lsv = out.relation.log_s_vector(fb)
         assert list(lsv.val_part) == out.vector
-        deg = lsv.degree(list(fb))
+        deg = divisor_degree(zip(fb, lsv.val_part), lsv.inf_part.entries)
         assert abs(float(deg.mid)) <= float(deg.rad) + 1e-9
 
     def test_concentration(self, qi):

@@ -17,7 +17,7 @@ import pytest
 
 from latnf import nf_core
 from latnf.dyadic import sqrt_bracket
-from latnf.nf_core import GT, LE, new_field
+from latnf.nf_core import GT, LE, NumberField, new_field
 from oracles import abs_root_gt, certify_roots
 
 FIELDS = {"Q(i)": [1, 0, 1], "Q(sqrt-5)": [5, 0, 1], "Q(sqrt2)": [-2, 0, 1],
@@ -61,7 +61,7 @@ def _digest(work, balls):
 
 @pytest.mark.parametrize("name,prec", sorted(PINNED))
 def test_all_roots_pinned(name, prec):
-    field = new_field(FIELDS[name], BASES.get(name))
+    field = NumberField(FIELDS[name], BASES.get(name))
     assert _digest(*field._all_roots(prec)) == PINNED[(name, prec)]
 
 

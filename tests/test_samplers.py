@@ -417,10 +417,11 @@ class TestSampleInBox:
         res = sample_in_box(qi, None, [], ok_ring, qi.zero(), qi.one(), 2,
                             [Q(1), Q(1)], 1, rng, cfg)
         assert ok_ring.contains(res.beta)
-        # |sigma(beta)|^2 <= r^2 exactly
+        # |sigma(beta)| <= r = RADIUS(b m0 x), b = m0 = O_K, x = (1, 1)
+        radius = walk_radius(qi, Q(1), 2, 1, 2)
         from latnf.nf_core import cmp_element
-        assert cmp_element(res.beta, 0, 1, res.radius.pow_value,
-                           res.radius.k) == "LE"
+        assert cmp_element(res.beta, 0, 1, radius.pow_value,
+                           radius.k) == "LE"
 
     def test_congruence_modulus(self, qi):
         # m0 = (1+i)^2 = (2i): outputs must be = tau mod m0
