@@ -25,7 +25,7 @@ from math import gcd, isqrt, lcm, prod
 from . import bkz, lattice_core
 from .dyadic import Q, sqrt_bracket
 from .ideal_arith import HnfIdeal
-from .nf_core import PRECISION_DOUBLINGS, CapExceeded, NumberField
+from .nf_core import NumberField, precision_ladder
 from .qlinalg import (dot, integral_cols, inverse_scaled, mat_inv, mat_mul,
                       transpose)
 
@@ -240,16 +240,13 @@ def bkp_twice(gens: ApproxGenerators) -> BkpResult:
 # Ideal-lattice reduction
 
 
-@dataclass
-class DuallyReducedTag:
-    T: int
+# T of the T-dually exponentially reduced bases `dual_exp_reduce` returns
+DUAL_TAG = 3
 
 
 @dataclass
 class IdealBasisResult:
     elements: list        # exact algebraic basis (alpha_1..alpha_n) of a
-    x: list               # the per-embedding positive rational distortion
-    tag: DuallyReducedTag
     precision_bits: int
 
 
@@ -405,8 +402,8 @@ def dual_exp_reduce(x, a: HnfIdeal) -> IdealBasisResult:
     mu_dual_sq = Q(1) / lam_n_up_sq
     lo, _ = sqrt_bracket(mu_dual_sq, 64)
     mu_dual = lo if lo > 0 else mu_dual_sq  # rational lower bound
-    prec = 128
-    for _ in range(PRECISION_DOUBLINGS):
+    for prec in precision_ladder(128, "dual reduction failed to certify its "
+                                 "precision"):
         cols = minkowski_columns_x(field, elements, x, prec)
         err_b = Q(n) * cols.max_rad()                  # ||.||_2 <= n * max entry
         try:
@@ -414,7 +411,6 @@ def dual_exp_reduce(x, a: HnfIdeal) -> IdealBasisResult:
             # times binv_den
             y, binv_den = inverse_scaled(transpose(cols.mids))
         except ZeroDivisionError:
-            prec *= 2
             continue
         binv = [[dm * v for v in row] for dm, row in zip(cols.mid_dens, y)]
         # certified bound: ||B^{-1}|| <= ||B~^{-1}|| /(1 - ||B~^{-1}|| ||B-B~||)
@@ -422,7 +418,6 @@ def dual_exp_reduce(x, a: HnfIdeal) -> IdealBasisResult:
                         binv_den * binv_den)
         _, binv_up = sqrt_bracket(binv_fro_sq, 64)
         if binv_up * err_b >= Q(1, 4):
-            prec *= 2
             continue
         binv_true_up = binv_up / (1 - binv_up * err_b)
         err_dual = 2 * binv_true_up ** 2 * err_b
@@ -431,19 +426,15 @@ def dual_exp_reduce(x, a: HnfIdeal) -> IdealBasisResult:
         try:
             res = bkp_twice(gens)
         except ValueError:
-            prec *= 2
             continue
         if res.rank != n:
-            prec *= 2
             continue
         n_mat = res.m_rows                              # D' = N D
         n_inv = mat_inv(n_mat)
         if any(v.denominator != 1 for row in n_inv for v in row):
             raise ValueError("BKP transform is not unimodular")
         # new primal basis: B' = B N^{-1}: columns transform
-        return IdealBasisResult(_transform_elements(elements, n_inv), x,
-                                DuallyReducedTag(3), prec)
-    raise CapExceeded("dual reduction failed to certify its precision")
+        return IdealBasisResult(_transform_elements(elements, n_inv), prec)
 
 
 def approx_bkz_ideal(x, a: HnfIdeal, blocksize: int) -> IdealBasisResult:
@@ -454,22 +445,18 @@ def approx_bkz_ideal(x, a: HnfIdeal, blocksize: int) -> IdealBasisResult:
     x = _check_x(field, x)
     n = field.n
     der = dual_exp_reduce(x, a)
-    t_tag = der.tag.T
     mu_sq = _lambda1_lower_sq(field, x, a)
     lo, _ = sqrt_bracket(mu_sq, 64)
     lam1_lo = lo
     # closeness precondition: ||B~ - B|| <= 1/4 2^{-(T+2)n} min lambda1;
-    # the re-approximated basis is (T+3)-der, use T = der tag + 3
-    t_eff = t_tag + 3
+    # the re-approximated basis is (T+3)-der, use T = DUAL_TAG + 3
+    t_eff = DUAL_TAG + 3
     thresh = Q(1, 4) * lam1_lo / Q(2) ** ((t_eff + 2) * n)
-    prec = max(der.precision_bits, 64)
-    for _ in range(PRECISION_DOUBLINGS):
+    for prec in precision_ladder(max(der.precision_bits, 64), "approximate "
+                                 "BKZ failed to certify its precision"):
         cols = minkowski_columns_x(field, der.elements, x, prec)
         if Q(n) * cols.max_rad() <= thresh:
             break
-        prec *= 2
-    else:
-        raise CapExceeded("approximate BKZ failed to certify its precision")
     # the midpoints times the lcm of their reduced denominators
     reduced = []
     for col, dm in zip(cols.mids, cols.mid_dens):
@@ -479,4 +466,4 @@ def approx_bkz_ideal(x, a: HnfIdeal, blocksize: int) -> IdealBasisResult:
     int_cols = [[v * (den // dm) for v in col] for col, dm in reduced]
     _, trace = bkz.bkz_full(int_cols, bkz.BkzConfig(blocksize=blocksize))
     return IdealBasisResult(_transform_elements(der.elements, trace.transform),
-                            x, DuallyReducedTag(t_eff), prec)
+                            prec)

@@ -48,7 +48,7 @@ class ReductionTrace:
     transform: list | None = None
 
 
-def hkz_reduce(cols, trace: ReductionTrace | None = None):
+def hkz_reduce(cols):
     """HKZ-reduce an exact basis (dimension <= enumeration cap);
     returns (columns, U) with out = in * U."""
     if len(cols) > lattice_core.DIM_CAP:
@@ -56,8 +56,6 @@ def hkz_reduce(cols, trace: ReductionTrace | None = None):
                          f"{lattice_core.DIM_CAP}")
     ints, den = integral_cols(cols)
     u = lattice_core._hkz_int(int_gram(ints)).transform()
-    if trace is not None:
-        trace.hkz_calls += 1
     return [[Q(x, den) for x in c] for c in combine_cols(ints, u)], u
 
 

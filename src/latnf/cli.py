@@ -139,7 +139,7 @@ def cmd_sample(args) -> int:
     lines = []
     if args.mode == "prime":
         for _ in range(args.count):
-            p = sample_prime_uniform(field, args.bound, None, None, rng)
+            p = sample_prime_uniform(field, args.bound, None, rng)
             lines.append({"p": p.p, "f": p.f, "N": p.norm(),
                           "checks": {"norm_le_bound": p.norm() <= args.bound}})
     elif args.mode == "gaussian":

@@ -1,8 +1,8 @@
-"""Divisors, degree and Log maps, S-unit log embeddings, and Kessler's
+"""Divisors and Log maps, S-unit log embeddings, and Kessler's
 lower bound on the first minimum of the log-unit lattice.
 
-Infinite coordinates are certified RealBalls throughout, so degrees,
-norms and volumes all come with tracked error bounds.
+Infinite coordinates are certified RealBalls throughout, so norms and
+volumes all come with tracked error bounds.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from . import intmath
 from .dyadic import Q, RealBall, ball_log, ball_sqrt, log_ball, sqrt_bracket
 from .ideal_arith import (HnfIdeal, PrimeIdeal, kummer_dedekind, ord_at,
                           prime_product)
-from .nf_core import (PRECISION_DOUBLINGS, CapExceeded, FieldElement,
-                      NumberField, _abs2_pow)
+from .nf_core import FieldElement, NumberField, _abs2_pow, precision_ladder
 
 
 class Divisor:
@@ -35,22 +34,6 @@ class Divisor:
         if len(self.infinite_part) != len(places):
             raise ValueError("one infinite coefficient per place required")
 
-    def __add__(self, other):
-        if self.field is not other.field:
-            raise ValueError("divisors over different fields")
-        fin = dict(self.finite_part)
-        for p, e in other.finite_part.items():
-            fin[p] = fin.get(p, 0) + e
-        inf = [a + b for a, b in zip(self.infinite_part, other.infinite_part)]
-        return Divisor(self.field, fin, inf)
-
-    def __neg__(self):
-        return Divisor(self.field, {p: -e for p, e in self.finite_part.items()},
-                       [-v for v in self.infinite_part])
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def euclid_norm_sq(self) -> RealBall:
         acc = RealBall(Q(0))
         for e in self.finite_part.values():
@@ -65,17 +48,6 @@ class Divisor:
     def __repr__(self):
         fin = {f"N={p.norm()}": e for p, e in self.finite_part.items()}
         return f"Divisor({fin}, {[float(v) for v in self.infinite_part]})"
-
-
-def degree(d: Divisor, prec: int = 64) -> RealBall:
-    """deg = sum a_p log N(p) + sum a_nu, exact finite part modulo the
-    certified log balls."""
-    acc = RealBall(Q(0))
-    for p, e in d.finite_part.items():
-        acc = acc + log_ball(Q(p.norm()), prec) * Q(e)
-    for v in d.infinite_part:
-        acc = acc + v
-    return acc
 
 
 def ideal_divisor(a: HnfIdeal, primes=None) -> Divisor:
@@ -122,7 +94,8 @@ def ideal_divisor_zero(a: HnfIdeal) -> Divisor:
 def principal_divisor(alpha: FieldElement, prec: int = 64,
                       finite_support=None) -> Divisor:
     """((alpha)): ord part over the support of (alpha), infinite part
-    -n_nu log|sigma_nu(alpha)|; degree certified near zero."""
+    -n_nu log|sigma_nu(alpha)| at prec bits.  Its degree is zero by the
+    product formula; nothing here checks it."""
     if alpha.is_zero():
         raise ValueError("zero element has no divisor")
     field = alpha.field
@@ -144,28 +117,20 @@ class LogVector:
             acc = acc + v * v
         return acc
 
-    def sum(self) -> RealBall:
-        acc = RealBall(Q(0))
-        for v in self.entries:
-            acc = acc + v
-        return acc
-
 
 def log_embedding(alpha: FieldElement, prec: int = 64) -> LogVector:
     """Log(alpha) = (n_nu log|sigma_nu(alpha)|)_nu as certified balls."""
     if alpha.is_zero():
         raise ValueError("Log of zero")
     field = alpha.field
-    work = prec + 16
-    for _ in range(PRECISION_DOUBLINGS):
+    for work in precision_ladder(prec + 16, "log embedding failed to "
+                                 "separate |sigma(alpha)| from 0"):
         pt = field.embed(alpha, work)
         squares = [(_abs2_pow(pt, idx, 1), nnu) for idx, nnu in field.places()]
         if all(mid > rad for (mid, rad, _den), _nnu in squares):
             return LogVector([ball_log(RealBall(Q(mid, den), Q(rad, den)),
                                        prec + 8) * Q(nnu, 2)
                               for (mid, rad, den), nnu in squares])
-        work *= 2
-    raise CapExceeded("log embedding failed to separate |sigma(alpha)| from 0")
 
 
 @dataclass
@@ -177,12 +142,6 @@ class LogSUnitVector:
     def norm_sq(self) -> RealBall:
         acc = RealBall(Q(sum(v * v for v in self.val_part)))
         return acc + self.inf_part.norm_sq()
-
-    def degree(self, s_primes, prec: int = 64) -> RealBall:
-        acc = RealBall(Q(0))
-        for v, p in zip(self.val_part, s_primes):
-            acc = acc + log_ball(Q(p.norm()), prec) * Q(v)
-        return acc + self.inf_part.sum()
 
 
 def log_s_embed(alpha: FieldElement,

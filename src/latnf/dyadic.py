@@ -207,16 +207,8 @@ class RealBall:
         other = _coerce(other)
         return RealBall(self.mid + other.mid, self.rad + other.rad)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return RealBall(-self.mid, self.rad)
-
-    def __sub__(self, other):
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -224,20 +216,6 @@ class RealBall:
         rad = (abs(self.mid) * other.rad + abs(other.mid) * self.rad
                + self.rad * other.rad)
         return RealBall(mid, rad)
-
-    __rmul__ = __mul__
-
-    def __abs__(self):
-        if self.lo() >= 0:
-            return self
-        if self.hi() <= 0:
-            return -self
-        hi = max(-self.lo(), self.hi())
-        return RealBall(hi / 2, hi / 2)
-
-    def contains(self, x) -> bool:
-        x = Q(x)
-        return self.lo() <= x <= self.hi()
 
     def __float__(self):
         return float(self.mid)

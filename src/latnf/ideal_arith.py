@@ -359,16 +359,13 @@ def splitting_degrees(field: NumberField, p: int) -> list[tuple[int, int]]:
     return [(polyq.degree(g), e) for g, e in polyq.factor_mod_p(field.poly, p)]
 
 
-def primes_up_to(field: NumberField, bound: int,
-                 avoid: HnfIdeal | None = None) -> list[PrimeIdeal]:
-    """All prime ideals with norm <= bound that do not divide avoid,
-    sorted by (norm, canonical HNF)."""
+def primes_up_to(field: NumberField, bound: int) -> list[PrimeIdeal]:
+    """All prime ideals with norm <= bound, sorted by (norm, canonical
+    HNF)."""
     out = []
     for p in intmath.primes_below(bound + 1):
         for prime, _e in kummer_dedekind(field, p):
             if prime.norm() > bound:
-                continue
-            if avoid is not None and ord_at(avoid, prime) != 0:
                 continue
             out.append(prime)
     out.sort(key=lambda pr: pr.sort_key())
@@ -379,13 +376,17 @@ class SampleFailure(Exception):
     """Uniform prime sampling exhausted its retry budget."""
 
 
+# Draws of p in [0, B] before `sample_prime_uniform` gives up.
+SAMPLE_ATTEMPTS = 200000
+
+
 def sample_prime_uniform(field: NumberField, bound: int, m0: HnfIdeal | None,
-                         class_oracle, rng, max_attempts: int = 200000) -> PrimeIdeal:
-    """Uniform sample from {p prime : N(p) <= B, p coprime to m0,
-    class_oracle(p)}: draw p uniform in [0, B], primality-test, split,
-    filter, accept a uniform candidate with probability k/n."""
+                         rng) -> PrimeIdeal:
+    """Uniform sample from {p prime : N(p) <= B, p coprime to m0}: draw p
+    uniform in [0, B], primality-test, split, filter, accept a uniform
+    candidate with probability k/n."""
     n = field.n
-    for _ in range(max_attempts):
+    for _ in range(SAMPLE_ATTEMPTS):
         p = rng.randint(0, bound)
         if p < 2 or not intmath.is_prime(p):
             continue
@@ -397,8 +398,6 @@ def sample_prime_uniform(field: NumberField, bound: int, m0: HnfIdeal | None,
                 continue
             if m0 is not None and ord_at(m0, prime) != 0:
                 continue
-            if class_oracle is not None and not class_oracle(prime):
-                continue
             cands.append(prime)
         if not cands:
             continue
@@ -406,4 +405,4 @@ def sample_prime_uniform(field: NumberField, bound: int, m0: HnfIdeal | None,
         choice = cands[rng.randrange(k)]
         if rng.random() < k / n:
             return choice
-    raise SampleFailure(f"no prime accepted after {max_attempts} attempts")
+    raise SampleFailure(f"no prime accepted after {SAMPLE_ATTEMPTS} attempts")

@@ -107,7 +107,7 @@ def sample_beta(field: NumberField, m0: HnfIdeal | None, m_inf,
     primes = []
     b_tilde = b_ideal
     for _ in range(params.walk_length):
-        p = sample_prime_uniform(field, params.prime_bound, m0, None, rng)
+        p = sample_prime_uniform(field, params.prime_bound, m0, rng)
         primes.append(p)
         b_tilde = hnf_mul(b_tilde, p.hnf)
     # Gaussian distortion on the discretized hyperplane

@@ -1,6 +1,5 @@
 """Exact lattice infrastructure: one integral LLL/GSO kernel and the
-enumeration oracles for successive minima / covering-radius brackets /
-generating radius.
+enumeration oracles for short vectors and successive minima.
 
 A basis is a list of column vectors with rational entries.  All norms are
 carried as squared rationals so every certified bound can be compared
@@ -20,7 +19,8 @@ through `qlinalg.pivots`.
 
 HKZ (`_hkz_int`) runs on one state, moved in place by `IntegralGSO.apply`
 after each improving step; the enumeration report walks that state for
-its minima and generating radius and reads its covering bracket off d.
+the successive minima, the only thing `latnf reduce`, the benchmark and
+`det_verify` read of it.
 """
 
 from __future__ import annotations
@@ -29,9 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 
-from . import qlinalg
 from .dyadic import Q
-from .qlinalg import integral_cols, mat_vec, pivots
+from .qlinalg import integral_cols, pivots
 
 
 def gso(cols):
@@ -422,7 +421,7 @@ def _fincke_pohst(g, state, radius, leaf, floor=0):
     level(n - 1, 0.0, 0, [0] * n, [0] * n, False)
 
 
-def _short_vectors(g, state, radius2, den=1, max_count=None):
+def _short_vectors(g, state, radius2, den=1):
     """enumerate_short_gram on the integer Gram g over den, with state
     its IntegralGSO."""
     radius2 = Q(radius2) * den
@@ -434,8 +433,6 @@ def _short_vectors(g, state, radius2, den=1, max_count=None):
     def leaf(coeffs, nrm):
         if nrm * rden <= num:
             out.append((tuple(coeffs), nrm))
-            if max_count is not None and len(out) > max_count:
-                raise RuntimeError("enumeration cap exceeded")
 
     _fincke_pohst(g, state, _Radius(state.d, num, rden), leaf)
     # deduplicate +-x: keep representative with last nonzero coeff > 0
@@ -449,30 +446,24 @@ def _short_vectors(g, state, radius2, den=1, max_count=None):
             for c, nrm in sorted(seen.items(), key=lambda t: (t[1], t[0]))]
 
 
-def enumerate_short_gram(g, radius2: Fraction, max_count=None):
+def enumerate_short_gram(g, radius2: Fraction):
     """All nonzero (coeff, norm2) with norm2 <= radius2, one per +-pair,
     sorted by norm2 (then by coefficients).  Fincke-Pohst over the
     integral GSO of g (see `_fincke_pohst`): inner nodes are pruned on a
     rigorous float lower bound of the projected norm, or exactly where
     a GSO ratio leaves the float range, and the exact integer norm
-    x^T g x decides every vector.  Raises RuntimeError when max_count
-    vectors (counting both signs) are exceeded."""
+    x^T g x decides every vector."""
     gi, den = integral_cols(g)
     try:
         state = IntegralGSO(gi)
     except ValueError:
         raise ValueError("Gram matrix not positive definite") from None
-    return _short_vectors(gi, state, radius2, den, max_count)
+    return _short_vectors(gi, state, radius2, den)
 
 
 @dataclass
 class EnumerationReport:
     minima_sq: list          # exact squared successive minima
-    witnesses: list          # coefficient vectors attaining them
-    cov_upper_sq: Fraction   # certified (covering radius)^2 upper bracket
-    cov_lower_sq: Fraction   # certified lower bracket
-    rr_sq: Fraction          # exact squared generating radius
-    dim: int = 0
 
 
 DIM_CAP = 12
@@ -555,13 +546,12 @@ def _shortest(state):
     return [sum(map(int.__mul__, row, best_c)) for row in u], best_n
 
 
-def successive_minima_gram(g):
-    """Exact successive minima with witnesses, by per-index
-    branch-and-bound over the HKZ-reduced GSO.  Returns (minima_sq list,
-    witnesses in the ORIGINAL basis, gh, state, den): den is the lcm of
-    the denominators of g, gh the HKZ-reduced Gram U^T (den g) U as
-    integers and state its IntegralGSO, tracking U."""
+def enumerate_minima_gram(g) -> EnumerationReport:
+    """Exact successive minima of a rational Gram matrix (dimension <=
+    DIM_CAP), by per-index branch-and-bound over its HKZ-reduced GSO."""
     n = len(g)
+    if n > DIM_CAP:
+        raise ValueError(f"enumeration oracle capped at dimension {DIM_CAP}")
     gi, den = integral_cols(g)
     state = _hkz_int(gi)
     gh = state.projected_gram(0, n)
@@ -601,55 +591,7 @@ def successive_minima_gram(g):
         _fincke_pohst(gh, state, radius, leaf, floor=t_min)
         minima.append(Q(best[0], den))
         chosen.append(best[1])
-    u = state.transform()
-    wits = [[int(x) for x in mat_vec(u, c)] for c in chosen]
-    return minima, wits, gh, state, den
-
-
-def enumerate_minima_gram(g) -> EnumerationReport:
-    """Exact successive minima, covering brackets and generating radius
-    from a rational Gram matrix (dimension <= DIM_CAP)."""
-    n = len(g)
-    if n > DIM_CAP:
-        raise ValueError(f"enumeration oracle capped at dimension {DIM_CAP}")
-    minima, wits, gh, state, den = successive_minima_gram(g)
-    # Babai bound on the HKZ-reduced GSO: ||b*_i||^2 = d_{i+1} / (d_i den)
-    d = state.d
-    cov_up2 = sum(Q(d[i + 1], d[i] * den) for i in range(n)) / 4
-    cov_lo2 = minima[n - 1] / 4
-    rr2 = _generating_radius_search(gh, state, den, minima[n - 1], 4 * cov_up2)
-    return EnumerationReport(minima, wits, cov_up2, cov_lo2, rr2, n)
-
-
-def _generating_radius_search(gh, state, den, lam_n_sq, limit_sq):
-    """Exact rr^2 of the lattice of the integer Gram gh over den (state its
-    IntegralGSO), by growing the enumeration radius from lambda_n to
-    2*cov; None when the vector count cap is hit (skewed lattices).
-
-    The vectors come sorted by (norm, coefficients), so those of a larger
-    radius start with those of the smaller one: only the new ones are
-    added, one at a time, to the Hermite normal form of the vectors
-    before them.  The vectors generate Z^n once that form has n unit
-    pivots."""
-    n = state.n
-    radius = Q(lam_n_sq)
-    hnf = []
-    seen = 0
-    # Ends: radius > 0 grows by 9/8 per pass up to limit_sq, and the pass
-    # at limit_sq returns.
-    while True:
-        try:
-            vecs = _short_vectors(gh, state, radius, den, max_count=200000)
-        except RuntimeError:
-            return None
-        for c, nrm in vecs[seen:]:
-            hnf = [row for row in qlinalg._hermite(hnf + [c], n) if any(row)]
-            if len(hnf) == n and all(hnf[k][k] == 1 for k in range(n)):
-                return nrm
-        seen = len(vecs)
-        if radius >= limit_sq:
-            return None
-        radius = min(limit_sq, radius * Q(9, 8))
+    return EnumerationReport(minima)
 
 
 def enumerate_minima(cols) -> EnumerationReport:

@@ -11,8 +11,9 @@ places, the conjugation test, |w|^2k (`_abs2_pow`) and the irreducibility
 test's root-subset search.  Comparisons of algebraic values against
 rational thresholds (or their k-th roots) are decided exactly: integer
 intervals first, then Liouville-type separation bounds (`_abs2_pow_gt`
-for (|w|^2)^k > c, `decide_root_gt_int` underneath).  Precision-doubling
-loops stop after `PRECISION_DOUBLINGS` rounds with `CapExceeded`.
+for (|w|^2)^k > c, `decide_root_gt_int` underneath).  Every
+precision-doubling loop of the library runs on `precision_ladder`, which
+stops at `PRECISION_CAP_BITS` bits with `CapExceeded`.
 """
 
 from __future__ import annotations
@@ -29,8 +30,22 @@ from .intmath import CapExceeded    # re-exported: callers catch it from here
 
 GT, LE = "GT", "LE"
 _UNSET = object()
-# rounds of every precision-doubling retry loop
-PRECISION_DOUBLINGS = 40
+# The largest precision, in bits, a precision-doubling loop may try: the
+# power of two at or above 64 times the largest precision any tier-1 test
+# or benchmark op reaches (4,173 bits, a root refinement under the tests'
+# embeddings; the benchmark ops reach 2,256).
+PRECISION_CAP_BITS = 1 << 19
+
+
+def precision_ladder(start: int, message: str):
+    """The precisions start, 2 start, 4 start, ... of a loop that doubles
+    its precision until a ball decides, up to PRECISION_CAP_BITS; past
+    that, CapExceeded(message)."""
+    prec = start
+    while prec <= PRECISION_CAP_BITS:
+        yield prec
+        prec *= 2
+    raise CapExceeded(message)
 
 
 def liouville_separation(poly) -> Fraction:
@@ -119,8 +134,8 @@ def decide_root_gt_int(int_poly, refine, c: int) -> str:
     """
     sep = liouville_separation(int_poly)
     sn, sd = sep.numerator, sep.denominator
-    prec = 32
-    for _ in range(PRECISION_DOUBLINGS):
+    for prec in precision_ladder(32, "root comparison did not decide "
+                                 "within the precision cap"):
         mid, rad, den = refine(prec)
         cd = c * den
         if mid - rad > cd:
@@ -132,9 +147,6 @@ def decide_root_gt_int(int_poly, refine, c: int) -> str:
             if 2 * (abs(mid - z * den) + rad) * sd < sn * den:
                 return GT if z > c else LE
             return GT if mid > cd else LE
-        prec *= 2
-    raise CapExceeded("root comparison did not decide within the "
-                      "precision cap")
 
 
 def _root_mantissas(poly, prec: int):
@@ -145,14 +157,14 @@ def _root_mantissas(poly, prec: int):
     Newton's method runs from numpy's float roots on integer mantissas at
     the shared exponent 2^-work; a ball of radius n|f(z)|/|f'(z)| around z
     holds a root, and pairwise disjoint balls hold distinct ones.  `work`
-    doubles when a ball fails; after PRECISION_DOUBLINGS doublings this
-    raises CapExceeded.
+    doubles when a ball fails, up to the precision cap (then
+    CapExceeded).
     """
     f = [int(c) for c in poly]
     df = [k * f[k] for k in range(1, len(f))]
     approx = np.roots(list(reversed([float(c) for c in poly])))
-    work = max(64, prec + 32)
-    for _attempt in range(PRECISION_DOUBLINGS):
+    for work in precision_ladder(max(64, prec + 32),
+                                 "root refinement failed to certify"):
         balls = []
         for z0 in approx:
             z = _newton_ball(f, df, z0, work, prec)
@@ -162,8 +174,6 @@ def _root_mantissas(poly, prec: int):
         else:
             if _disjoint(balls):
                 return work, balls
-        work *= 2
-    raise CapExceeded("root refinement failed to certify")
 
 
 def _newton_ball(f, df, z0, work: int, prec: int):
@@ -499,15 +509,12 @@ class NumberField:
             if len(fac) == 1 and fac[0][1] == 1:
                 return True
         # certified subset-of-roots factor search
-        prec = 64
-        for _ in range(PRECISION_DOUBLINGS):
+        for prec in precision_ladder(64, "irreducibility test did not decide "
+                                     "within the precision cap"):
             result = _subset_factor_test(self.poly_q,
                                          *_root_mantissas(self.poly, prec))
             if result is not None:
                 return result
-            prec *= 2
-        raise CapExceeded("irreducibility test did not decide within the "
-                          "precision cap")
 
     def _integral_mul_tensor(self):
         """Integer coordinates of every product b_i * b_j; ValueError when
@@ -654,9 +661,9 @@ class NumberField:
         pa = self.to_power(alpha)
         height = max((abs(c) for c in pa), default=Q(0))
         extra = max(16, int(height).bit_length() + 8 * self.n)
-        work = precision_bits + extra
         den, coeffs = _over_lcm(pa)
-        for _ in range(PRECISION_DOUBLINGS):
+        for work in precision_ladder(precision_bits + extra,
+                                     "embedding failed to certify"):
             root_work, roots = self._all_roots(work)
             balls = []
             for z in roots:
@@ -670,8 +677,6 @@ class NumberField:
                 pt = EmbeddingPoint(balls, work, den << s)
                 alpha._cache[key] = pt
                 return pt
-            work *= 2
-        raise CapExceeded("embedding failed to certify")
 
     # -- exact comparisons ---------------------------------------------------
     def sign_at_real_place(self, alpha: FieldElement, place_idx: int) -> int:
@@ -681,8 +686,8 @@ class NumberField:
         emb_idx, nnu = self.places()[place_idx]
         if nnu != 1:
             raise ValueError("sign only defined at real places")
-        prec = 32
-        for _ in range(PRECISION_DOUBLINGS):
+        for prec in precision_ladder(32, "sign at a real place failed to "
+                                     "certify"):
             pt = self.embed(alpha, prec)
             re, _im, rad = pt.balls[emb_idx]
             re *= pt.rad_den >> pt.work         # over rad_den, as rad
@@ -690,8 +695,6 @@ class NumberField:
                 return 1
             if re < -rad:
                 return -1
-            prec *= 2
-        raise CapExceeded("sign at a real place failed to certify")
 
     def abs2_pow_cmp(self, alpha: FieldElement, place_idx: int,
                      k: int, c: Fraction) -> str:
@@ -824,12 +827,8 @@ def _horner_ball(coeffs, den: int, z, zw: int, work: int):
 # Spec-facing operation wrappers
 
 
-def new_field(poly, integral_basis=None) -> NumberField:
-    return NumberField(poly, integral_basis)
-
-
-def embed(alpha: FieldElement, precision_bits: int) -> EmbeddingPoint:
-    return alpha.field.embed(alpha, precision_bits)
+def new_field(poly) -> NumberField:
+    return NumberField(poly)
 
 
 def cmp_element(alpha: FieldElement, sigma: int, scale, g, k: int,

@@ -19,8 +19,8 @@ from .approx_reduction import (_lambda1_lower_sq, approx_bkz_ideal,
                                minkowski_columns_x)
 from .dyadic import Q, round_half_up, round_ratio, sqrt_bracket
 from .ideal_arith import HnfIdeal, hnf_mul
-from .nf_core import (GT, PRECISION_DOUBLINGS, CapExceeded, FieldElement,
-                      NumberField, cmp_element)
+from .nf_core import (GT, CapExceeded, FieldElement, NumberField,
+                      cmp_element, precision_ladder)
 from .qlinalg import dot, integral_cols, inverse_scaled, solve, transpose
 
 RETRY_CAP = math.ceil(math.e ** 3 * 40)   # draws per rejection loop, then error
@@ -304,7 +304,6 @@ def perfect_box_lattice(c_cols, c_inv, grid_n: int, t_tilde, box: GridBox,
 @dataclass
 class BoxSampleResult:
     beta: FieldElement          # the algebraic part: x*beta lies in the box
-    radius: RadiusExpr
     draws: int
 
 
@@ -420,11 +419,12 @@ def sample_in_box(field: NumberField, m0: HnfIdeal | None, m_inf: list[int],
             return beta0
         return None
 
-    prec = max(red.precision_bits, 2 * grid_n.bit_length() + 96)
-    for _ in range(PRECISION_DOUBLINGS):
+    for prec in precision_ladder(max(red.precision_bits,
+                                     2 * grid_n.bit_length() + 96),
+                                 "box sampler failed to certify its "
+                                 "precision"):
         cols = minkowski_columns_x(field, red.elements, x, prec)
         if cols.rad_exceeds(1, 4 * grid_n):
-            prec *= 2
             continue
         # N C~ and N t~: the midpoints times N rounded to integers
         c_cols = [[round_ratio(m * grid_n, dm) for m in mids]
@@ -432,7 +432,6 @@ def sample_in_box(field: NumberField, m0: HnfIdeal | None, m_inf: list[int],
         g_col = minkowski_columns_x(field, [gamma_red], x, prec)
         r_lo, r_hi = radius.bracket(prec)
         if r_hi - r_lo > Q(1, 4 * grid_n) or g_col.rad_exceeds(1, 8 * grid_n):
-            prec *= 2
             continue
         # the shift is -gamma_red, plus sign(tau) r/2 at constrained places
         half_r = (r_lo + r_hi) / 4 * grid_n
@@ -448,9 +447,8 @@ def sample_in_box(field: NumberField, m0: HnfIdeal | None, m_inf: list[int],
             got = perfect_box_lattice(c_cols, c_inv, grid_n, t_tilde, box,
                                       eps, oracle, rng)
             if got is not None:
-                return BoxSampleResult(got, radius, draws)
+                return BoxSampleResult(got, draws)
         raise CapExceeded(f"box sampler failed after {RETRY_CAP} draws")
-    raise CapExceeded("box sampler failed to certify its precision")
 
 
 def _in_tau_box(field: NumberField, beta0: FieldElement, x,

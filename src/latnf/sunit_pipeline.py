@@ -82,12 +82,20 @@ def postprocess(relations, fb: FactorBase, field: NumberField,
     (HNF valuation rows + BKP unit basis) form a basis of the whole
     relation lattice because the valuation parts are exact.
     """
+    return _postprocess(relations, fb, field, kessler_c,
+                        _relation_lattice(relations, len(fb)))
+
+
+def _postprocess(relations, fb: FactorBase, field: NumberField,
+                 kessler_c: int, lattice) -> PostprocessResult:
+    """`postprocess` on `lattice`, the (H, U, kernel) that
+    `_relation_lattice` returns for these relations."""
     k = len(relations)
     if k == 0:
         return PostprocessResult([], 0, [], [], 0)
     s_len = len(fb)
     r1 = field.n_real + field.n_cplx
-    h_rows, u, kernel = _relation_lattice(relations, s_len)
+    h_rows, u, kernel = lattice
     pivot_rows = [i for i in range(k) if any(h_rows[i])]
     mu = kessler_lambda1_lower(field, kessler_c)
     # unit-block BKP at the precision its own constants demand
@@ -336,8 +344,14 @@ class PipelineConfig:
 
 
 def roots_of_unity_count(field: NumberField) -> int:
-    """|mu_K| = #{v in O_K : T2-norm^2 = n} (Kronecker's theorem); a
-    real place embeds mu_K in R, so then mu_K = {+-1}."""
+    """|mu_K|, from the vectors x of O_K with T2(x) <= n.
+
+    A real place embeds mu_K in R, so then mu_K = {+-1}.  Otherwise those
+    vectors are exactly the roots of unity: for x != 0, AM-GM gives
+    T2(x) = sum |sigma(x)|^2 >= n |N(x)|^(2/n) >= n, as N(x) is a nonzero
+    integer, with equality only when every |sigma(x)| = 1, and then x is
+    a root of unity by Kronecker's theorem.  So the enumeration lists
+    |mu_K|/2 pairs +-x, all of norm n, and needs no count cap."""
     if field.n_real > 0:
         return 2
     basis = [field.element([Q(int(i == j)) for j in range(field.n)])
@@ -433,14 +447,15 @@ def compute_sunits(field: NumberField, fb_user: FactorBase, rng,
         if len(relations) < r1 - 1 + len(fb_work):
             continue
         note(f"precheck at {len(relations)} relations")
-        if not _quick_precheck(relations, fb_work, field, d_value):
+        lattice = _relation_lattice(relations, len(fb_work))
+        if not _quick_precheck(relations, fb_work, field, d_value, lattice):
             stall += 1
             if stall >= 6:
                 sigma_boost *= 2
                 stall = 0
             continue
         note("postprocess (BKP) start")
-        post = postprocess(relations, fb_work, field, cfg.kessler_c)
+        post = _postprocess(relations, fb_work, field, cfg.kessler_c, lattice)
         note(f"postprocess done: rank {post.rank}, prec {post.precision_bits}")
         transcript = verify_full(post, field, fb_work, d_value, relations)
         note(f"verify verdict: {transcript.verdict}")
@@ -514,12 +529,13 @@ def compute_sunits(field: NumberField, fb_user: FactorBase, rng,
 
 
 def _quick_precheck(relations, fb: FactorBase, field: NumberField,
-                    d_value: float) -> bool:
-    """Cheap exact screen before the expensive BKP post-processing: HNF
-    the integer valuation block, Gram the unit kernel at modest precision,
-    and test the split covolume window."""
+                    d_value: float, lattice) -> bool:
+    """Cheap exact screen before the expensive BKP post-processing, on
+    the relations' (H, U, kernel) from `_relation_lattice`: the class
+    index off H, Gram the unit kernel at modest precision, and test the
+    split covolume window."""
     r1 = field.n_real + field.n_cplx
-    h_rows, _u, kernel = _relation_lattice(relations, len(fb))
+    h_rows, _u, kernel = lattice
     index = _class_index(h_rows, len(fb))
     if index is None:
         return False

@@ -1,5 +1,7 @@
-"""Every function, class and method of the library is used somewhere,
-and every parameter with a default is set somewhere.
+"""Every function, class and method of the library is used somewhere and
+reached from what the commands, the pipeline and the benchmark run;
+every parameter with a default is set there, and every dataclass field
+is read there.
 
 A definition counts as used when its name appears outside its own body in
 `src/`, `tests/` or `perfbench/` (this file aside): as a name, an
@@ -7,37 +9,41 @@ attribute, an imported name, or a string that is a dotted identifier (how
 `perfbench/tracing.py` and `getattr` name functions).  Comments and
 docstrings do not count.
 
+The reach, parameter and field rules search `src/` and `perfbench/`
+only (`REACHING`), and attribute each use to a module:
+
+- a bare name resolves through the imports of its own file, or to its
+  defining module when used in that module; any other bare name (a
+  local variable) uses nothing;
+- `m.f` on an imported library module `m` uses `m.f` only; an attribute
+  on anything else uses only methods of that name;
+- a string uses a definition only when it names it together with its
+  module or class: `"ideal_walk.check_membership"`,
+  `"NumberField.embed"`, or the tracer's pair
+  `("nf_core", "NumberField.embed")`.
+
+Every library definition is reached: used, in that sense, outside its
+own body and outside every definition not yet reached.  The reached set
+grows from the entry points in `ENTRY_POINTS` until nothing more is
+added, so definitions that only use one another (a chain or a cycle)
+stay unreached.  Imports are not uses (the imported name's own uses
+count).
+
 A parameter with a default (of a module-level function, of a method, or
-of a class's `__init__`) counts as set when some call of that name in the
-same tree passes it, by keyword or by position; a call that unpacks
-`*args` or `**kwargs` sets them all.  Calls are matched by the called
-name alone, so a parameter set through a same-named function counts as
-set.
+of a class's `__init__`) counts as set when some call in `REACHING` that
+resolves to it, as above, passes it, by keyword or by position; a call
+that unpacks `*args` or `**kwargs` sets them all.
 
-Every field of a library dataclass is read somewhere: its name is loaded
-as an attribute (`obj.field`, not an assignment to it) or appears in a
-dotted-identifier string, anywhere in the same tree.  Reads are matched
-by name alone, like uses of definitions.
-
-Every field of a library dataclass with a plain default (not a
-`default_factory`) is set somewhere in the same tree: passed by keyword
-or by position in a call of its class's name, or assigned as an
-attribute (matched by name alone).  A default that nothing sets is a
-constant.
+Every field of a library dataclass is read: its name is loaded as an
+attribute in `REACHING` that is not the callee of a call (`box.dim()`
+reads no field `dim`), or a string names it with its class.  Every field
+with a plain default (not a `default_factory`) is set there: passed in a
+call of its class, or assigned as an attribute.  A default that nothing
+sets is a constant.
 
 Every name a library module imports is used in the scope that imports it
 (the module, or the function holding a local import), or, for a
 module-level import, imported from that module by another file.
-
-Every library definition is reached from `src/` or `perfbench/`, not
-from the tests alone.  A definition is reached when its name is used
-there outside its own body and outside every definition not yet
-reached; the reached set grows from the entry points in `ENTRY_POINTS`
-until nothing more is added, so definitions that only use one another
-(a chain or a cycle) stay unreached.  Uses are matched by name as above,
-except that an import is not a use (the imported name's own uses count)
-and a method is reached only through an attribute or a dotted string,
-never through a plain name such as a local variable.
 """
 
 import ast
@@ -141,8 +147,8 @@ def test_allowlist_names_definitions():
     assert sorted(set(ALLOWED) - defined) == []
 
 
-# Searched by the reach guard: what the commands, the pipeline and the
-# benchmark run, without the tests.
+# Searched by the reach, parameter and field rules: what the commands,
+# the pipeline and the benchmark run, without the tests.
 REACHING = [ROOT / "src", ROOT / "perfbench"]
 
 # "<module>.<qualname>": reason it counts as reached although nothing in
@@ -168,48 +174,138 @@ ENTRY_POINTS = {
 }
 
 
-def _reach_uses(tree):
-    """(name, line, bare) for every use of a name in the tree, imports
-    aside; `bare` marks a plain name, which cannot call a method."""
-    docs = _docstrings(tree)
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id, node.lineno, True
-        elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno, False
-        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and id(node) not in docs and DOTTED.fullmatch(node.value)):
-            for part in node.value.split("."):
-                yield part, node.lineno, False
+class _Library:
+    """The library's modules: the names each defines at module level, and
+    the modules defining each class name."""
+
+    def __init__(self, library):
+        self.root = library
+        self.package = library.name
+        self.paths = sorted(library.glob("*.py"))
+        self.top, self.classes = {}, {}
+        for path in self.paths:
+            body = _parse(path).body
+            self.top[path.stem] = {
+                node.name for node in body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef))}
+            for node in body:
+                if isinstance(node, ast.ClassDef):
+                    self.classes.setdefault(node.name, []).append(path.stem)
+
+    def bindings(self, path, tree):
+        """(modules, names) of one file: the local names bound to a library
+        module, and to a definition key "<module>.<name>" (through an
+        import, or as the file's own module-level definitions)."""
+        modules, names = {}, {}
+        if path.parent == self.root:
+            names = {name: f"{path.stem}.{name}" for name in self.top[path.stem]}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    parts = alias.name.split(".")
+                    if (alias.asname and len(parts) == 2
+                            and parts[0] == self.package
+                            and parts[1] in self.top):
+                        modules[alias.asname] = parts[1]
+                continue
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            module = node.module or ""
+            if node.level:
+                relative = module
+            elif module == self.package:
+                relative = ""
+            elif module.startswith(self.package + "."):
+                relative = module[len(self.package) + 1:]
+            else:
+                continue
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if not relative and alias.name in self.top:
+                    modules[local] = alias.name
+                elif alias.name in self.top.get(relative, ()):
+                    names[local] = f"{relative}.{alias.name}"
+        return modules, names
+
+    def strings(self, tree):
+        """(key, line) for each string naming a definition together with
+        its module ("<module>.<qualname>", or the pair ("<module>",
+        "<qualname>")) or its class ("<class>.<method>")."""
+        docs = _docstrings(tree)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Tuple) and len(node.elts) == 2
+                    and all(isinstance(e, ast.Constant)
+                            and isinstance(e.value, str) for e in node.elts)
+                    and node.elts[0].value in self.top):
+                yield f"{node.elts[0].value}.{node.elts[1].value}", node.lineno
+            elif (isinstance(node, ast.Constant)
+                  and isinstance(node.value, str) and id(node) not in docs
+                  and DOTTED.fullmatch(node.value) and "." in node.value):
+                head = node.value.split(".", 1)[0]
+                if head in self.top:
+                    yield node.value, node.lineno
+                for stem in self.classes.get(head, []):
+                    yield f"{stem}.{node.value}", node.lineno
 
 
-def unreached_definitions():
+def _target(node, modules, names):
+    """What a name or attribute node uses: a definition key, ".<attr>" for
+    an attribute on anything but a module (only a method can be that), or
+    None."""
+    if isinstance(node, ast.Name):
+        return names.get(node.id)
+    if isinstance(node, ast.Attribute):
+        if isinstance(node.value, ast.Name) and node.value.id in modules:
+            return f"{modules[node.value.id]}.{node.attr}"
+        return "." + node.attr
+    return None
+
+
+def _files(reaching):
+    for top in reaching:
+        yield from sorted(top.rglob("*.py"))
+
+
+def _targets_of(key):
+    """The use targets that reach a definition key: the key itself, and
+    ".<name>" for a method."""
+    return [key] + (["." + key.rsplit(".", 1)[-1]] if key.count(".") == 2
+                    else [])
+
+
+def unreached_definitions(library=LIBRARY, reaching=REACHING,
+                          entry_points=ENTRY_POINTS):
+    lib = _Library(library)
     spans = {}              # "<module>.<qualname>" -> (path, first, last)
-    for path in sorted(LIBRARY.glob("*.py")):
+    for path in lib.paths:
         for qualname, node in _definitions(_parse(path)):
             spans[f"{path.stem}.{qualname}"] = (path, node.lineno,
                                                  node.end_lineno)
-    uses = {}               # name -> [(path, line, bare)]
-    for top in REACHING:
-        for path in sorted(top.rglob("*.py")):
-            for name, line, bare in _reach_uses(_parse(path)):
-                uses.setdefault(name, []).append((path, line, bare))
+    uses = {}               # target -> [(path, line)]
+    for path in _files(reaching):
+        tree = _parse(path)
+        modules, names = lib.bindings(path, tree)
+        for node in ast.walk(tree):
+            target = _target(node, modules, names)
+            if target is not None:
+                uses.setdefault(target, []).append((path, node.lineno))
+        for key, line in lib.strings(tree):
+            uses.setdefault(key, []).append((path, line))
 
     def inside(path, line, key):
         p, first, last = spans[key]
         return p == path and first <= line <= last
 
-    reached = set(ENTRY_POINTS) & set(spans)
+    reached = set(entry_points) & set(spans)
     grew = True
     while grew:
         grew = False
         unreached = [key for key in spans if key not in reached]
         for key in unreached:
-            method = key.count(".") == 2
-            name = key.rsplit(".", 1)[-1]
-            if any(not (bare and method)
-                   and not any(inside(path, line, u) for u in unreached)
-                   for path, line, bare in uses.get(name, [])):
+            if any(not any(inside(path, line, u) for u in unreached)
+                   for target in _targets_of(key)
+                   for path, line in uses.get(target, [])):
                 reached.add(key)
                 grew = True
     return sorted(key for key in spans if key not in reached)
@@ -226,21 +322,23 @@ def test_entry_points_name_definitions():
     assert sorted(set(ENTRY_POINTS) - defined) == []
 
 
-def _callables(tree):
-    """(qualname, called name, node, bound) for module-level functions,
-    methods and `__init__`s; `bound` is the number of leading parameters
-    the call does not pass (self or cls)."""
+def _callables(path, tree):
+    """(qualname, targets, node, bound) for module-level functions, methods
+    and `__init__`s; `targets` are the call targets that call it, and
+    `bound` is the number of leading parameters the call does not pass
+    (self or cls)."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
-            yield node.name, node.name, node, 0
+            yield node.name, [f"{path.stem}.{node.name}"], node, 0
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if not isinstance(item, ast.FunctionDef):
                     continue
                 static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
                              for d in item.decorator_list)
-                called = node.name if item.name == "__init__" else item.name
-                yield (f"{node.name}.{item.name}", called, item,
+                targets = ([f"{path.stem}.{node.name}"]
+                           if item.name == "__init__" else ["." + item.name])
+                yield (f"{node.name}.{item.name}", targets, item,
                        0 if static else 1)
 
 
@@ -253,23 +351,17 @@ def _defaulted(fn):
     return out
 
 
-def _searched_nodes():
-    """Every AST node of `src/`, `tests/` and `perfbench/`, this file aside."""
-    for top in SEARCHED:
-        for path in sorted(top.rglob("*.py")):
-            if path != THIS:
-                yield from ast.walk(_parse(path))
-
-
-def _calls():
-    """called name -> [ast.Call], over the searched tree."""
+def _calls(lib, reaching):
+    """call target -> [ast.Call], over the searched tree."""
     calls = {}
-    for node in _searched_nodes():
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = (func.id if isinstance(func, ast.Name) else
-                    func.attr if isinstance(func, ast.Attribute) else None)
-            calls.setdefault(name, []).append(node)
+    for path in _files(reaching):
+        tree = _parse(path)
+        modules, names = lib.bindings(path, tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                target = _target(node.func, modules, names)
+                if target is not None:
+                    calls.setdefault(target, []).append(node)
     return calls
 
 
@@ -287,17 +379,30 @@ def _passed(calls, positional):
     return passed
 
 
-def unset_defaults():
-    calls = _calls()
+def unset_defaults(library=LIBRARY, reaching=REACHING):
+    lib = _Library(library)
+    calls = _calls(lib, reaching)
     unset = []
-    for path in sorted(LIBRARY.glob("*.py")):
-        for qualname, called, fn, bound in _callables(_parse(path)):
+    for path in lib.paths:
+        for qualname, targets, fn, bound in _callables(path, _parse(path)):
             params = [a.arg for a in fn.args.posonlyargs + fn.args.args]
-            passed = _passed(calls.get(called, []), params[bound:])
+            passed = _passed([c for t in targets for c in calls.get(t, [])],
+                             params[bound:])
             if passed is not None:
                 unset += [f"{path.stem}.{qualname}({p})"
                           for p in _defaulted(fn) if p not in passed]
     return unset
+
+
+# "<module>.<qualname>(<parameter>)": reason its default stays although no
+# call in `REACHING` passes it
+ALLOWED_DEFAULTS = {
+    "cli.main(argv)":
+        "console-script entry point: the script passes nothing and reads "
+        "sys.argv, the tests pass the arguments",
+    "relations.modulus_branch(x_override)":
+        "the tests' only way into the branch with a nontrivial m0",
+}
 
 
 def test_every_default_is_set():
@@ -308,8 +413,24 @@ def test_default_allowlist_names_unset_parameters():
     assert sorted(set(ALLOWED_DEFAULTS) - set(unset_defaults())) == []
 
 
-# "<module>.<class>.<field>": reason the field stays although nothing reads it
-ALLOWED_FIELDS = {}
+# "<module>.<class>.<field>": reason the field stays although nothing in
+# `REACHING` reads it
+ALLOWED_FIELDS = {
+    "det_verify.DetVerdict.status":
+        "verdict of gram_det_interval, kept for the certified verdict of "
+        "verify_full (ROADMAP item 2)",
+    "det_verify.DetVerdict.det_gram":
+        "determinant window of gram_det_interval, kept with it (ROADMAP "
+        "item 2)",
+    "det_verify.DetVerdict.threshold":
+        "error budget of gram_det_interval, kept with it (ROADMAP item 2)",
+    "det_verify.RhoBracket.lo":
+        "lower residue endpoint, kept for the certified D endpoints "
+        "(ROADMAP item 2)",
+    "det_verify.RhoBracket.hi":
+        "upper residue endpoint, kept for the certified D endpoints "
+        "(ROADMAP item 2)",
+}
 
 
 def _dataclasses(tree):
@@ -328,34 +449,27 @@ def _dataclasses(tree):
                      and isinstance(item.target, ast.Name)]
 
 
-def _dataclass_fields(tree):
-    """(qualname, field) for the annotated fields of library dataclasses."""
-    for cls, fields in _dataclasses(tree):
-        for item in fields:
-            yield f"{cls.name}.{item.target.id}", item.target.id
-
-
-def unread_fields():
-    reads = set()
-    for top in SEARCHED:
-        for path in sorted(top.rglob("*.py")):
-            if path == THIS:
-                continue
-            tree = _parse(path)
-            docs = _docstrings(tree)
-            for node in ast.walk(tree):
-                if (isinstance(node, ast.Attribute)
-                        and isinstance(node.ctx, ast.Load)):
-                    reads.add(node.attr)
-                elif (isinstance(node, ast.Constant)
-                      and isinstance(node.value, str)
-                      and id(node) not in docs
-                      and DOTTED.fullmatch(node.value)):
-                    reads.update(node.value.split("."))
-    return [f"{path.stem}.{qualname}"
-            for path in sorted(LIBRARY.glob("*.py"))
-            for qualname, field in _dataclass_fields(_parse(path))
-            if field not in reads]
+def unread_fields(library=LIBRARY, reaching=REACHING):
+    """Library dataclass fields that nothing in `reaching` reads: a read
+    is an attribute load that is not the callee of a call (`box.dim()`
+    reads no field `dim`), or a string naming the field with its class."""
+    lib = _Library(library)
+    reads, named = set(), set()
+    for path in _files(reaching):
+        tree = _parse(path)
+        callees = {id(node.func) for node in ast.walk(tree)
+                   if isinstance(node, ast.Call)}
+        reads.update(node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute)
+                     and isinstance(node.ctx, ast.Load)
+                     and id(node) not in callees)
+        named.update(key for key, _line in lib.strings(tree))
+    return [f"{path.stem}.{cls.name}.{item.target.id}"
+            for path in lib.paths
+            for cls, fields in _dataclasses(_parse(path))
+            for item in fields
+            if item.target.id not in reads
+            and f"{path.stem}.{cls.name}.{item.target.id}" not in named]
 
 
 def test_every_dataclass_field_is_read():
@@ -367,7 +481,7 @@ def test_field_allowlist_names_unread_fields():
 
 
 # "<module>.<class>.<field>": reason its plain default stays although
-# nothing sets the field
+# nothing in `REACHING` sets the field
 ALLOWED_UNSET_FIELDS = {}
 
 
@@ -381,16 +495,18 @@ def _plain_default(item):
                 and any(k.arg == "default_factory" for k in value.keywords))
 
 
-def unset_fields():
-    calls = _calls()
-    assigned = {node.attr for node in _searched_nodes()
+def unset_fields(library=LIBRARY, reaching=REACHING):
+    lib = _Library(library)
+    calls = _calls(lib, reaching)
+    assigned = {node.attr for path in _files(reaching)
+                for node in ast.walk(_parse(path))
                 if isinstance(node, ast.Attribute)
                 and isinstance(node.ctx, ast.Store)}
     unset = []
-    for path in sorted(LIBRARY.glob("*.py")):
+    for path in lib.paths:
         for cls, fields in _dataclasses(_parse(path)):
             names = [item.target.id for item in fields]
-            passed = _passed(calls.get(cls.name, []), names)
+            passed = _passed(calls.get(f"{path.stem}.{cls.name}", []), names)
             if passed is not None:
                 unset += [f"{path.stem}.{cls.name}.{name}"
                           for item, name in zip(fields, names)
@@ -453,3 +569,35 @@ def unused_imports():
 
 def test_every_import_is_used():
     assert unused_imports() == []
+
+
+def test_the_rules_on_a_small_tree(tmp_path):
+    """The reach, parameter and field rules flag a name defined in two
+    modules and reached through one of them only, a defaulted parameter
+    that only a test sets, and a field read only as the callee of a
+    same-named method call."""
+    files = {
+        "src/pkg/__init__.py": "",
+        "src/pkg/a.py": (
+            "from dataclasses import dataclass\n\n\n"
+            "def helper(x, scale=1):\n    return x * scale\n\n\n"
+            "@dataclass\nclass Box:\n    dim: int\n\n\n"
+            "class Grid:\n    def dim(self):\n        return 2\n"),
+        "src/pkg/b.py": "def helper(x):\n    return x\n",
+        "perfbench/run.py": (
+            "from pkg import a\n\n"
+            "a.helper(1)\na.Box(3)\na.Grid().dim()\n"),
+        "tests/test_a.py": (
+            "from pkg import a, b\n\n"
+            "a.helper(1, scale=2)\nb.helper(1)\na.Box(3).dim\n"),
+    }
+    for name, text in files.items():
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    library = tmp_path / "src" / "pkg"
+    reaching = [tmp_path / "src", tmp_path / "perfbench"]
+    assert unreached_definitions(library, reaching, {}) == ["b.helper"]
+    assert unset_defaults(library, reaching) == ["a.helper(scale)"]
+    assert unread_fields(library, reaching) == ["a.Box.dim"]
+    assert unset_fields(library, reaching) == []

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).parent))
 from oracles import chi2_sf, chi2_uniform_stat, quadratic_prime_norms
 
+from latnf import ideal_arith
 from latnf.ideal_arith import (HnfIdeal, SampleFailure, hnf_inv, hnf_mul,
                                kummer_dedekind, ord_at, prime_product,
                                primes_up_to, sample_prime_uniform,
@@ -173,11 +174,6 @@ class TestPrimesUpTo:
     def test_bound_one_empty(self, qi):
         assert primes_up_to(qi, 1) == []
 
-    def test_avoid(self, qs5):
-        two = HnfIdeal.principal(qs5, qs5.one() * 2)
-        pr = primes_up_to(qs5, 3, avoid=two)
-        assert len(pr) == 2 and all(p.norm() == 3 for p in pr)
-
     def test_counts_match_legendre_oracle(self, qi, qs5):
         for field in (qi, qs5):
             for bound in (20, 60):
@@ -200,21 +196,16 @@ class TestSamplePrimeUniform:
         counts = {}
         n_draws = 10000
         for _ in range(n_draws):
-            q = sample_prime_uniform(qi, 20, None, None, rng)
+            q = sample_prime_uniform(qi, 20, None, rng)
             counts[q.hnf] = counts.get(q.hnf, 0) + 1
         stat, dof = chi2_uniform_stat(counts, len(support), n_draws)
         assert chi2_sf(stat, dof) > 0.01
 
-    def test_below_smallest_norm_fails(self, qi):
+    def test_below_smallest_norm_fails(self, qi, monkeypatch):
+        monkeypatch.setattr(ideal_arith, "SAMPLE_ATTEMPTS", 300)
         rng = random.Random(1)
-        with pytest.raises(SampleFailure):
-            sample_prime_uniform(qi, 1, None, None, rng, max_attempts=300)
-
-    def test_rejecting_oracle_fails(self, qi):
-        rng = random.Random(2)
-        with pytest.raises(SampleFailure):
-            sample_prime_uniform(qi, 20, None, lambda p: False, rng,
-                                 max_attempts=300)
+        with pytest.raises(SampleFailure, match="after 300 attempts"):
+            sample_prime_uniform(qi, 1, None, rng)
 
 
 class TestFieldLifetime:

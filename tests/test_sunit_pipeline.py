@@ -4,11 +4,12 @@ from fractions import Fraction as Q
 
 import pytest
 
-from latnf import qlinalg, sunit_pipeline
+from latnf import lattice_core, qlinalg, sunit_pipeline
 from latnf.approx_reduction import ApproxGenerators, bkp_twice
 from latnf.divisor_log import kessler_lambda1_lower, log_embedding
 from latnf.dyadic import sqrt_bracket
 from latnf.ideal_arith import HnfIdeal, hnf_mul, kummer_dedekind, primes_up_to
+from latnf.lattice_core import enumerate_short_gram
 from latnf.nf_core import CapExceeded, NumberField, new_field
 from latnf.relations import (FactorBase, RandomRelationOutput, RelationConfig,
                              SUnitRelation)
@@ -109,6 +110,32 @@ class TestRootsOfUnity:
         qs3 = new_field([1, -1, 1])
         assert roots_of_unity_count(qs3) == 6
         assert roots_of_unity_count(new_field([-2, 0, 0, 1])) == 2
+
+    @pytest.mark.parametrize("poly, mu", [([1, 0, 1], 4),          # Q(i)
+                                          ([1, 1, 1], 6),          # Q(sqrt-3)
+                                          ([5, 0, 1], 2),          # Q(sqrt-5)
+                                          ([1, 1, 1, 1, 1], 10),   # Q(zeta5)
+                                          ([1, 0, 0, 0, 1], 8)],   # Q(zeta8)
+                             ids=["i", "sqrt-3", "sqrt-5", "zeta5", "zeta8"])
+    def test_enumerated_vectors_are_the_roots_of_unity(self, monkeypatch,
+                                                       poly, mu):
+        # the vectors of T2 <= n in O_K of a totally complex field are
+        # exactly mu_K: every one is an m-th root of unity, m = |mu_K|
+        listed = []
+
+        def spy(gram, radius2):
+            out = enumerate_short_gram(gram, radius2)
+            listed.extend(out)
+            return out
+
+        monkeypatch.setattr(lattice_core, "enumerate_short_gram", spy)
+        field = new_field(poly)
+        assert roots_of_unity_count(field) == mu == 2 * len(listed)
+        for coeffs, nrm in listed:
+            assert nrm == field.n
+            alpha = field.element(list(coeffs))
+            assert alpha ** mu == field.one()
+            assert (-alpha) ** mu == field.one()
 
 
 class TestProvableD:
