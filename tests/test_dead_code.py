@@ -199,7 +199,8 @@ class _Library:
         import, or as the file's own module-level definitions)."""
         modules, names = {}, {}
         if path.parent == self.root:
-            names = {name: f"{path.stem}.{name}" for name in self.top[path.stem]}
+            names = {name: f"{path.stem}.{name}"
+                     for name in self.top[path.stem]}
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
