@@ -111,6 +111,38 @@ class TestRootsOfUnity:
         assert roots_of_unity_count(qs3) == 6
         assert roots_of_unity_count(new_field([-2, 0, 0, 1])) == 2
 
+    # Three totally complex quartics with no automorphism that realizes
+    # complex conjugation.  mu_K is cyclic of order m with phi(m) | 4, so
+    # m is 1, 2, 3, 4, 5, 6, 8, 10 or 12.  For m in {5, 8, 10, 12}, K is
+    # Q(zeta_m), of discriminant 125, 256, 125 or 144.  If 3 | m or 4 | m,
+    # K holds Q(sqrt-3) or Q(i), and the square of that discriminant (9 or
+    # 16) divides disc K.
+
+    def test_count_on_x4_minus_x_plus_1(self):
+        # disc 229 is prime: no Q(zeta_m), and neither Q(i) nor Q(sqrt-3)
+        # lies in K, so m = 2
+        field = new_field([1, -1, 0, 0, 1])
+        assert (field.n_real, field.disc_field) == (0, 229)
+        assert roots_of_unity_count(field) == 2
+
+    def test_count_on_x4_minus_2x2_plus_2(self):
+        # i = theta^2 - 1 lies in K, so 4 | m; disc 512 != 256 excludes
+        # Q(zeta8), and 9 does not divide 512, so zeta3 is not in K: m = 4
+        field = new_field([2, 0, -2, 0, 1])
+        assert (field.n_real, field.disc_field) == (0, 512)
+        i = field.theta() * field.theta() - 1
+        assert i * i == -field.one()
+        assert roots_of_unity_count(field) == 4
+
+    def test_count_on_x4_minus_3x2_plus_3(self):
+        # zeta3 = theta^2 - 2 and -1 lie in K, so 6 | m; disc 432 != 144
+        # excludes Q(zeta12), so m = 6
+        field = new_field([3, 0, -3, 0, 1])
+        assert (field.n_real, field.disc_field) == (0, 432)
+        zeta3 = field.theta() * field.theta() - 2
+        assert zeta3 != field.one() and zeta3 ** 3 == field.one()
+        assert roots_of_unity_count(field) == 6
+
     @pytest.mark.parametrize("poly, mu", [([1, 0, 1], 4),          # Q(i)
                                           ([1, 1, 1], 6),          # Q(sqrt-3)
                                           ([5, 0, 1], 2),          # Q(sqrt-5)
