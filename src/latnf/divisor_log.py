@@ -50,12 +50,11 @@ class Divisor:
         return f"Divisor({fin}, {[float(v) for v in self.infinite_part]})"
 
 
-def ideal_divisor(a: HnfIdeal, primes=None) -> Divisor:
+def ideal_divisor(a: HnfIdeal) -> Divisor:
     """d(a): the finite divisor of a factored over its support."""
     field = a.field
-    support = primes if primes is not None else _support_primes(a)
     fin = {}
-    for p in support:
+    for p in _support_primes(a):
         v = ord_at(a, p)
         if v:
             fin[p] = v
@@ -91,8 +90,7 @@ def ideal_divisor_zero(a: HnfIdeal) -> Divisor:
     return Divisor(field, d.finite_part, inf)
 
 
-def principal_divisor(alpha: FieldElement, prec: int = 64,
-                      finite_support=None) -> Divisor:
+def principal_divisor(alpha: FieldElement, prec: int = 64) -> Divisor:
     """((alpha)): ord part over the support of (alpha), infinite part
     -n_nu log|sigma_nu(alpha)| at prec bits.  Its degree is zero by the
     product formula; nothing here checks it."""
@@ -100,7 +98,7 @@ def principal_divisor(alpha: FieldElement, prec: int = 64,
         raise ValueError("zero element has no divisor")
     field = alpha.field
     ideal = HnfIdeal.principal(field, alpha)
-    fin = ideal_divisor(ideal, primes=finite_support).finite_part
+    fin = ideal_divisor(ideal).finite_part
     logv = log_embedding(alpha, prec)
     inf = [-v for v in logv.entries]
     return Divisor(field, fin, inf)

@@ -161,7 +161,7 @@ def boundedness_check(trace: WalkTrace) -> bool:
     field = trace.beta.field
     params = trace.params
     n = field.n
-    div_b = principal_divisor(trace.beta, 96, finite_support=None)
+    div_b = principal_divisor(trace.beta, 96)
     lhs = div_b.euclid_norm(96)
     r = samplers.walk_radius(field, trace.m0_norm,
                              params.blocksize, params.omega)

@@ -7,13 +7,13 @@ certified root balls on integer mantissas at one exponent 2^-W, at any
 requested precision; fields cache them in canonical order and embed
 elements by Horner's scheme on integers (`_horner_ball`).  Every reader
 works on these integer balls (`EmbeddingPoint`): the signs at real
-places, the conjugation test, |w|^2k (`_abs2_pow`) and the irreducibility
-test's root-subset search.  Comparisons of algebraic values against
-rational thresholds (or their k-th roots) are decided exactly: integer
-intervals first, then Liouville-type separation bounds (`_abs2_pow_gt`
-for (|w|^2)^k > c, `decide_root_gt_int` underneath).  Every
-precision-doubling loop of the library runs on `precision_ladder`, which
-stops at `PRECISION_CAP_BITS` bits with `CapExceeded`.
+places, |w|^2k (`_abs2_pow`) and the irreducibility test's root-subset
+search.  Comparisons of algebraic values against rational thresholds
+(or their k-th roots) are decided exactly: integer intervals first, then
+Liouville-type separation bounds (`_abs2_pow_gt` for (|w|^2)^k > c,
+`decide_root_gt_int` underneath).  Every precision-doubling loop of the
+library runs on `precision_ladder`, which stops at `PRECISION_CAP_BITS`
+bits with `CapExceeded`.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .dyadic import Q, round_half_up
 from .intmath import CapExceeded    # re-exported: callers catch it from here
 
 GT, LE = "GT", "LE"
-_UNSET = object()
 # The largest precision, in bits, a precision-doubling loop may try: the
 # power of two at or above 64 times the largest precision any tier-1 test
 # or benchmark op reaches (4,173 bits, a root refinement under the tests'
@@ -462,7 +461,6 @@ class NumberField:
         self.poly_q = [Q(c) for c in poly]
         self.n = n
         self._root_cache: dict = {}
-        self._conj = _UNSET         # conj_automorphism(); None if not found
         # filled by ideal_arith: splitting of rational primes, prime powers
         self._kd_cache: dict = {}
         self._prime_pow_cache: dict = {}
@@ -566,9 +564,6 @@ class NumberField:
 
     def one(self) -> FieldElement:
         return self.from_power([Q(1)])
-
-    def theta(self) -> FieldElement:
-        return self.from_power([Q(0), Q(1)])
 
     def coerce(self, x) -> FieldElement:
         if isinstance(x, FieldElement):
@@ -708,92 +703,8 @@ class NumberField:
         return _abs2_pow_gt(lambda prec: self.embed(alpha, prec), emb_idx,
                             lambda: polyq.primitive_z(alpha.charpoly()), k, c)
 
-    # -- exact Minkowski Gram -------------------------------------------------
-    def conj_automorphism(self):
-        """Field automorphism realizing complex conjugation at every
-        embedding, as a FieldElement image of theta; None if not found."""
-        if self._conj is not _UNSET:
-            return self._conj
-        cand = []
-        if self.n_cplx == 0:
-            cand.append(self.theta())
-        if self.n == 2:
-            cand.append(self.from_power([-Q(self.poly[1]), Q(-1)]))
-        if self.poly[0] != 0:
-            # theta^{-1} = -(theta^{n-1} + c_{n-1} theta^{n-2} + ... + c_1)/c0
-            coeffs = [-Q(self.poly[i], self.poly[0]) for i in range(1, self.n + 1)]
-            cand.append(self.from_power(coeffs))
-        for psi in cand:
-            if not _is_root_in_field(self, psi):
-                continue
-            if self._certify_conjugation(psi):
-                self._conj = psi
-                return psi
-        self._conj = None
-        return None
-
-    def _certify_conjugation(self, psi: FieldElement) -> bool:
-        """Whether sigma_i(psi) and the conjugate of sigma_i(theta) lie
-        within their radii plus 2^-40 in both parts at every embedding i,
-        compared over one denominator (a multiple of 2^work of both
-        points, so of 2^40)."""
-        prec = 64
-        pts = self.embed(psi, prec)
-        th = self.embed(self.theta(), prec)
-        den = lcm(pts.rad_den, th.rad_den)
-        sa, sb = den >> pts.work, den >> th.work
-        ra, rb = den // pts.rad_den, den // th.rad_den
-        for (are, aim, arad), (bre, bim, brad) in zip(pts.balls, th.balls):
-            tol = arad * ra + brad * rb + (den >> 40)
-            if abs(are * sa - bre * sb) > tol or abs(aim * sa + bim * sb) > tol:
-                return False
-        return True
-
-    def minkowski_gram(self, elements) -> list[list[Fraction]]:
-        """Exact rational Gram matrix of elements under the Minkowski
-        metric, via the conjugation-twisted trace form."""
-        psi = self.conj_automorphism()
-        if psi is None:
-            raise ValueError("exact Minkowski Gram unavailable: no "
-                             "conjugation automorphism found for this field")
-        conj = {}
-
-        def conj_elt(e):
-            if e not in conj:
-                pw = self.to_power(e)
-                acc = self.zero()
-                power = self.one()
-                for c in pw:
-                    acc = acc + power * c
-                    power = power * psi
-                conj[e] = acc
-            return conj[e]
-
-        out = []
-        for x in elements:
-            row = []
-            for y in elements:
-                row.append((x * conj_elt(y)).trace())
-            out.append(row)
-        return out
-
     def __repr__(self):
         return f"NumberField({self.poly}, disc={self.disc_field})"
-
-
-def _poly_eval_mod(f, arg_poly, mod_poly):
-    """f(arg_poly) mod mod_poly over Q."""
-    acc = []
-    for c in reversed(f):
-        acc = polyq.poly_add(polyq.poly_divmod(
-            polyq.poly_mul(acc, arg_poly), mod_poly)[1], [c])
-    return polyq.trim(acc)
-
-
-def _is_root_in_field(field: NumberField, psi: FieldElement) -> bool:
-    pw = field.to_power(psi)
-    val = _poly_eval_mod(field.poly_q, pw, field.poly_q)
-    return not polyq.trim(val)
 
 
 def _horner_ball(coeffs, den: int, z, zw: int, work: int):
@@ -831,10 +742,9 @@ def new_field(poly) -> NumberField:
     return NumberField(poly)
 
 
-def cmp_element(alpha: FieldElement, sigma: int, scale, g, k: int,
-                signed: bool = False) -> str:
-    """Decide scale*|sigma(alpha)| > g^(1/k) (or the signed variant at a
-    real place).  Equality resolves LE; zero vs zero resolves LE."""
+def cmp_element(alpha: FieldElement, sigma: int, scale, g, k: int) -> str:
+    """Decide scale*|sigma(alpha)| > g^(1/k).  Equality resolves LE; zero
+    vs zero resolves LE."""
     field = alpha.field
     scale = Q(scale)
     g = Q(g)
@@ -842,10 +752,6 @@ def cmp_element(alpha: FieldElement, sigma: int, scale, g, k: int,
         raise ValueError("scale entry must be positive")
     if alpha.is_zero():
         return LE
-    if signed:
-        s = field.sign_at_real_place(alpha, sigma)
-        if s <= 0:
-            return LE
     # scale*|a| > g^(1/k)  <=>  (|a|^2)^k > g^2 / scale^(2k)
     c = g * g / scale ** (2 * k)
     return field.abs2_pow_cmp(alpha, sigma, k, c)

@@ -461,8 +461,7 @@ def _in_tau_box(field: NumberField, beta0: FieldElement, x,
     for pidx, (emb_idx, _n_nu) in enumerate(places):
         xval = Q(x[emb_idx])
         # |x sigma(beta)| > r  <=>  (|sigma|^2)^k > r^(2k)/x^(2k)
-        verdict = cmp_element(beta0, pidx, xval, radius.pow_value,
-                              radius.k, signed=False)
+        verdict = cmp_element(beta0, pidx, xval, radius.pow_value, radius.k)
         if verdict == GT:
             return False
     for place in m_inf:

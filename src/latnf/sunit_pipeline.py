@@ -16,12 +16,12 @@ import math
 from dataclasses import dataclass, field as dfield
 from fractions import Fraction
 
-from . import qlinalg, samplers
-from .approx_reduction import ApproxGenerators, bkp_twice
+from . import lattice_core, qlinalg, samplers
+from .approx_reduction import ApproxGenerators, bkp_twice, minkowski_columns_x
 from .det_verify import approx_rho
 from .divisor_log import kessler_lambda1_lower, log_embedding
 from .dyadic import Q, RealBall, log_ball, round_half_up
-from .nf_core import CapExceeded, NumberField
+from .nf_core import CapExceeded, NumberField, precision_ladder
 from .relations import (FactorBase, RandomRelationConfig, RelationConfig,
                         SUnitRelation, exceptional_unit, modulus_branch,
                         random_relation, sample_budget)
@@ -162,8 +162,7 @@ def _relation_lattice(relations, s_len: int):
     ker = qlinalg.kernel_rows(h_rows, u)
     if not ker:
         return h_rows, u, []
-    from .lattice_core import lll
-    red, _u = lll([list(row) for row in ker])
+    red, _u = lattice_core.lll([list(row) for row in ker])
     return h_rows, u, [[int(x) for x in col] for col in red]
 
 
@@ -350,20 +349,48 @@ def roots_of_unity_count(field: NumberField) -> int:
     vectors are exactly the roots of unity: for x != 0, AM-GM gives
     T2(x) = sum |sigma(x)|^2 >= n |N(x)|^(2/n) >= n, as N(x) is a nonzero
     integer, with equality only when every |sigma(x)| = 1, and then x is
-    a root of unity by Kronecker's theorem.  So the enumeration lists
-    |mu_K|/2 pairs +-x, all of norm n, and needs no count cap."""
+    a root of unity by Kronecker's theorem.
+
+    T2 is read off the certified Minkowski columns B of the integral
+    basis, complex pairs scaled by sqrt2, so ||B c||^2 = T2(sum c_i b_i).
+    With B~ their midpoints, G~ = B~^T B~ exact and E = B - B~ (entries
+    at most eps = `max_rad`), B^T B - G~ = B~^T E + E^T B~ + E^T E is at
+    least -2 ||B~||_2 ||E||_2 I, where ||B~||_2 <= sqrt(tr G~) and
+    ||E||_2 <= n eps.  So G' = G~ - delta I, with rational
+    delta >= 2 sqrt(tr G~) n eps, has c^T G' c <= T2(sum c_i b_i) for
+    every c, and the vectors of G'-norm <= n hold every root of unity,
+    one per +-pair.  Each listed x is decided exactly: a root of unity in
+    K has an order m with phi(m) | n, so x is one iff x^L = 1 for
+    L = lcm{m : phi(m) | n}.  A G' that is not positive definite takes
+    the next precision."""
     if field.n_real > 0:
         return 2
-    basis = [field.element([Q(int(i == j)) for j in range(field.n)])
-             for i in range(field.n)]
-    gram = field.minkowski_gram(basis)
-    from .lattice_core import enumerate_short_gram
-    vecs = enumerate_short_gram(gram, Q(field.n))
-    count = 0
-    for coeffs, nrm in vecs:
-        if nrm == field.n:
-            count += 2     # each +-pair
-    return count
+    n = field.n
+    basis = [field.element([Q(int(i == j)) for j in range(n)])
+             for i in range(n)]
+    # phi(m) >= sqrt(m / 2), so phi(m) | n needs m <= 2 n^2
+    order = math.lcm(*(m for m in range(1, 2 * n * n + 1)
+                       if n % sum(math.gcd(k, m) == 1
+                                  for k in range(1, m + 1)) == 0))
+    for prec in precision_ladder(32, "the lower T2 Gram of the roots of "
+                                 "unity is not positive definite"):
+        cols = minkowski_columns_x(field, basis, [1] * n, prec)
+        gram = [[Q(qlinalg.dot(a, b), da * db)
+                 for b, db in zip(cols.mids, cols.mid_dens)]
+                for a, da in zip(cols.mids, cols.mid_dens)]
+        tr = sum(gram[i][i] for i in range(n))
+        sqrt_tr = Q(math.isqrt(tr.numerator * tr.denominator) + 1,
+                    tr.denominator)
+        delta = 2 * sqrt_tr * n * cols.max_rad()
+        lower = [[g - delta * (i == j) for j, g in enumerate(row)]
+                 for i, row in enumerate(gram)]
+        try:
+            vecs = lattice_core.enumerate_short_gram(lower, Q(n))
+        except ValueError:
+            continue
+        one = field.one()
+        return 2 * sum(field.element(list(c)) ** order == one
+                       for c, _nrm in vecs)
 
 
 def provable_d_value(field: NumberField, cfg: PipelineConfig) -> tuple[float, dict]:
@@ -561,7 +588,6 @@ def _quick_precheck(relations, fb: FactorBase, field: NumberField,
 def lattice_core_lll_rows(rows):
     """LLL on (possibly rank-deficient) row vectors: keeps the rows
     independent of the rows before them, then LLL-reduces those."""
-    from . import lattice_core
     chosen = [rows[i] for i in qlinalg.pivots(rows)]
     if not chosen:
         return [], None

@@ -63,8 +63,10 @@ counting in a box with the counting lemma's interval (`count_in_box`,
 over Babai's covering bound on the HKZ basis, `covering_upper_sq`),
 |root| > g^(1/k) for a root of an integer polynomial through the
 library's |sigma|^2k decision (`abs_root_gt`), ball containment
-(`ball_contains`) and the degree of a divisor or Log-S-unit vector
-(`divisor_degree`, the product-formula check).
+(`ball_contains`), the degree of a divisor or Log-S-unit vector
+(`divisor_degree`, the product-formula check) and the exact T2 Gram of a
+totally real or CM field by the conjugation-twisted trace form
+(`minkowski_gram`).
 """
 
 from __future__ import annotations
@@ -974,6 +976,40 @@ def minkowski_columns_reference(field, elements, x, prec: int):
             col.append(RealBall(v.im, v.rad) * s2 * Fraction(x[j]))
         cols.append(col)
     return cols
+
+
+def minkowski_gram(field, elements):
+    """Exact Gram matrix of elements under T2, (x, y) -> Tr(x conj(y)),
+    on a totally real or CM field, where conj is a field automorphism
+    theta -> psi that realizes complex conjugation at every embedding.
+    psi is taken among theta, the other root of a quadratic and 1/theta:
+    it must be a root of the defining polynomial exactly and the conjugate
+    of theta at each of numpy's roots within 1e-9.  The T2 reference of
+    the tests on quadratic and cyclotomic fields."""
+    import numpy as np
+    theta = field.from_power([0, 1])
+    cands = [theta] if field.n_cplx == 0 else []
+    if field.n == 2:
+        cands.append(-theta - field.poly[1])
+    cands.append(theta.inverse())
+    roots = np.roots(field.poly[::-1])
+    for psi in cands:
+        value = field.zero()
+        for c in reversed(field.poly):
+            value = value * psi + c
+        image = [float(c) for c in reversed(field.to_power(psi))]
+        if value.is_zero() and all(abs(np.polyval(image, r) - np.conj(r))
+                                   < 1e-9 for r in roots):
+            break
+    else:
+        raise ValueError("no conjugation automorphism among the candidates")
+    conj = []
+    for y in elements:
+        acc, power = field.zero(), field.one()
+        for c in field.to_power(y):
+            acc, power = acc + power * c, power * psi
+        conj.append(acc)
+    return [[(x * cy).trace() for cy in conj] for x in elements]
 
 
 def ln2_reference(prec: int) -> Fraction:

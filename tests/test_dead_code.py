@@ -32,7 +32,8 @@ count).
 A parameter with a default (of a module-level function, of a method, or
 of a class's `__init__`) counts as set when some call in `REACHING` that
 resolves to it, as above, passes it, by keyword or by position; a call
-that unpacks `*args` or `**kwargs` sets them all.
+that unpacks `*args` or `**kwargs` sets them all.  Passing a literal
+equal to the default (`None`, `False`, a number, a string) sets nothing.
 
 Every field of a library dataclass is read: its name is loaded as an
 attribute in `REACHING` that is not the callee of a call (`box.dim()`
@@ -343,12 +344,15 @@ def _callables(path, tree):
                        0 if static else 1)
 
 
-def _defaulted(fn):
+def _defaults(fn):
+    """parameter -> default node, for the parameters with a default."""
     args = fn.args
     positional = args.posonlyargs + args.args
-    out = [a.arg for a in positional[len(positional) - len(args.defaults):]]
-    out += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
-            if d is not None]
+    out = dict(zip([a.arg for a in positional[len(positional)
+                                              - len(args.defaults):]],
+                   args.defaults))
+    out.update((a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+               if d is not None)
     return out
 
 
@@ -366,17 +370,29 @@ def _calls(lib, reaching):
     return calls
 
 
-def _passed(calls, positional):
+def _same_literal(arg, default) -> bool:
+    """Whether an argument is the literal its default is (`None`, a bool,
+    a number or a string), so that passing it sets nothing."""
+    return (isinstance(arg, ast.Constant) and isinstance(default, ast.Constant)
+            and type(arg.value) is type(default.value)
+            and arg.value == default.value)
+
+
+def _passed(calls, positional, defaults=None):
     """The names these calls pass by keyword, or by position with
-    `positional` the parameters in order; None when a call unpacks
-    `*args` or `**kwargs` and so may pass any of them."""
+    `positional` the parameters in order, other than as the literal of
+    their entry in `defaults`; None when a call unpacks `*args` or
+    `**kwargs` and so may pass any of them."""
+    defaults = defaults or {}
     passed = set()
     for call in calls:
         if (any(isinstance(a, ast.Starred) for a in call.args)
                 or any(k.arg is None for k in call.keywords)):
             return None
-        passed.update(positional[:len(call.args)])
-        passed.update(k.arg for k in call.keywords)
+        args = list(zip(positional, call.args))
+        args += [(k.arg, k.value) for k in call.keywords]
+        passed.update(name for name, arg in args
+                      if not _same_literal(arg, defaults.get(name)))
     return passed
 
 
@@ -387,11 +403,12 @@ def unset_defaults(library=LIBRARY, reaching=REACHING):
     for path in lib.paths:
         for qualname, targets, fn, bound in _callables(path, _parse(path)):
             params = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+            defaults = _defaults(fn)
             passed = _passed([c for t in targets for c in calls.get(t, [])],
-                             params[bound:])
+                             params[bound:], defaults)
             if passed is not None:
                 unset += [f"{path.stem}.{qualname}({p})"
-                          for p in _defaulted(fn) if p not in passed]
+                          for p in defaults if p not in passed]
     return unset
 
 
@@ -575,22 +592,24 @@ def test_every_import_is_used():
 def test_the_rules_on_a_small_tree(tmp_path):
     """The reach, parameter and field rules flag a name defined in two
     modules and reached through one of them only, a defaulted parameter
-    that only a test sets, and a field read only as the callee of a
-    same-named method call."""
+    that only a test sets, one that the tree passes only as its default's
+    literal, and a field read only as the callee of a same-named method
+    call."""
     files = {
         "src/pkg/__init__.py": "",
         "src/pkg/a.py": (
             "from dataclasses import dataclass\n\n\n"
             "def helper(x, scale=1):\n    return x * scale\n\n\n"
+            "def pad(x, fill=None):\n    return x, fill\n\n\n"
             "@dataclass\nclass Box:\n    dim: int\n\n\n"
             "class Grid:\n    def dim(self):\n        return 2\n"),
         "src/pkg/b.py": "def helper(x):\n    return x\n",
         "perfbench/run.py": (
             "from pkg import a\n\n"
-            "a.helper(1)\na.Box(3)\na.Grid().dim()\n"),
+            "a.helper(1)\na.pad(1, fill=None)\na.Box(3)\na.Grid().dim()\n"),
         "tests/test_a.py": (
             "from pkg import a, b\n\n"
-            "a.helper(1, scale=2)\nb.helper(1)\na.Box(3).dim\n"),
+            "a.helper(1, scale=2)\na.pad(1, 0)\nb.helper(1)\na.Box(3).dim\n"),
     }
     for name, text in files.items():
         path = tmp_path / name
@@ -599,6 +618,7 @@ def test_the_rules_on_a_small_tree(tmp_path):
     library = tmp_path / "src" / "pkg"
     reaching = [tmp_path / "src", tmp_path / "perfbench"]
     assert unreached_definitions(library, reaching, {}) == ["b.helper"]
-    assert unset_defaults(library, reaching) == ["a.helper(scale)"]
+    assert unset_defaults(library, reaching) == ["a.helper(scale)",
+                                                 "a.pad(fill)"]
     assert unread_fields(library, reaching) == ["a.Box.dim"]
     assert unset_fields(library, reaching) == []

@@ -12,7 +12,8 @@ from latnf.ideal_arith import (HnfIdeal, hnf_inv, hnf_mul, kummer_dedekind,
                                primes_up_to)
 from latnf.lattice_core import enumerate_minima_gram, enumerate_short_gram
 from latnf.nf_core import NumberField, new_field
-from oracles import ball_contains, divisor_degree, embedding_values
+from oracles import (ball_contains, divisor_degree, embedding_values,
+                     minkowski_gram)
 
 PELL_REG = math.log(1 + math.sqrt(2))
 
@@ -263,7 +264,7 @@ class TestVolumesAndBounds:
         for field in (qi, qr2, qs5):
             basis = [field.element([int(i == j) for j in range(field.n)])
                      for i in range(field.n)]
-            gram = field.minkowski_gram(basis)
+            gram = minkowski_gram(field, basis)
             rep = enumerate_minima_gram(gram)
             assert rep.minima_sq[0] == field.n
 
@@ -278,7 +279,7 @@ class TestVolumesAndBounds:
     def test_lambda1_ideal_lattice_lower(self, qs5):
         # lambda_1(a) >= sqrt(n) N(a)^(1/n) on prime ideal lattices
         for p in primes_up_to(qs5, 11):
-            gram = qs5.minkowski_gram(p.hnf.basis_elements())
+            gram = minkowski_gram(qs5, p.hnf.basis_elements())
             rep = enumerate_minima_gram(gram)
             assert float(rep.minima_sq[0]) >= \
                 2 * float(p.norm()) ** (2 / 2) - 1e-9
@@ -289,7 +290,7 @@ def _lambda_n_inf_sq(field):
     Euclidean enumeration + exact infinity-norm comparisons."""
     basis = [field.element([int(i == j) for j in range(field.n)])
              for i in range(field.n)]
-    gram = field.minkowski_gram(basis)
+    gram = minkowski_gram(field, basis)
     # every vector with ||.||_inf <= R has ||.||_2^2 <= n R^2; enumerate
     # Euclidean ball of radius sqrt(n) |D|^(1/n) and measure inf norms
     radius_sq = Q(field.n) * Q(abs(field.disc_field) ** 2)  # generous

@@ -85,7 +85,7 @@ def _digest(rows):
 def _elements(field, name):
     """theta, a unit-size, seeded small rationals and one tall element."""
     rng = random.Random(f"embed-pinned-{name}")
-    out = [field.theta(), field.one()]
+    out = [field.from_power([0, 1]), field.one()]
     for spread, max_den in ((20, 6), (20, 6), (20, 6), (10 ** 9, 35)):
         den = rng.randrange(1, max_den + 1)
         out.append(field.element([Q(rng.randrange(-spread, spread + 1), den)
@@ -177,24 +177,24 @@ def test_pinned(case):
 
 
 def _cmp_cases():
-    """(field, power coordinates of alpha, place, scale, g, k, signed)."""
+    """(field, power coordinates of alpha, place, scale, g, k)."""
     tiny = Q(1, 10 ** 120)          # below the 320-bit interval stage
     return [
-        ("Q(sqrt-5)", [1, 1], 0, 1, 6, 2, False),       # |1+sqrt-5| = 6^(1/2)
-        ("Q(sqrt-5)", [0, 3], 0, Q(1, 3), 25, 4, False),  # |3 sqrt-5|/3
-        ("Q(sqrt-5)", [1, 1], 0, 1, 6 - tiny, 2, False),
-        ("Q(sqrt-5)", [1, 1], 0, 1, 6 + tiny, 2, False),
-        ("Q(sqrt-23)", [Q(1, 2), Q(1, 2)], 0, 1, 6, 2, False),
-        ("Q(sqrt-5)", [0, 1], 0, 1, 5, 2, False),       # |sqrt-5| = 5^(1/2)
-        ("Q(sqrt2)", [0, 1], 0, 1, 2, 2, False),
-        ("Q(sqrt2)", [0, 1], 1, 1, 2, 2, True),
-        ("Q(sqrt2)", [0, 1], 1, 1, 2 - tiny, 2, True),
-        ("x^2-x+41", [0, 1], 0, 1, 41, 2, False),       # |theta|^2 = 41
-        ("Q(zeta5)", [0, 1], 0, 1, 1, 1, False),        # |zeta5| = 1
-        ("Q(zeta5)", [0, 0, 1], 1, 2, 8, 3, False),     # 2 |zeta5^2| = 8^(1/3)
-        ("x^3-2", [0, 1], 0, 1, 2, 3, True),            # 2^(1/3) = 2^(1/3)
-        ("x^3-2", [0, 1], 1, 1, 2, 3, False),
-        ("x^3-2", [0, 1], 1, 1, 2 - tiny, 3, False),
+        ("Q(sqrt-5)", [1, 1], 0, 1, 6, 2),         # |1+sqrt-5| = 6^(1/2)
+        ("Q(sqrt-5)", [0, 3], 0, Q(1, 3), 25, 4),  # |3 sqrt-5|/3
+        ("Q(sqrt-5)", [1, 1], 0, 1, 6 - tiny, 2),
+        ("Q(sqrt-5)", [1, 1], 0, 1, 6 + tiny, 2),
+        ("Q(sqrt-23)", [Q(1, 2), Q(1, 2)], 0, 1, 6, 2),
+        ("Q(sqrt-5)", [0, 1], 0, 1, 5, 2),         # |sqrt-5| = 5^(1/2)
+        ("Q(sqrt2)", [0, 1], 0, 1, 2, 2),
+        ("Q(sqrt2)", [0, 1], 1, 1, 2, 2),
+        ("Q(sqrt2)", [0, 1], 1, 1, 2 - tiny, 2),
+        ("x^2-x+41", [0, 1], 0, 1, 41, 2),         # |theta|^2 = 41
+        ("Q(zeta5)", [0, 1], 0, 1, 1, 1),          # |zeta5| = 1
+        ("Q(zeta5)", [0, 0, 1], 1, 2, 8, 3),       # 2 |zeta5^2| = 8^(1/3)
+        ("x^3-2", [0, 1], 0, 1, 2, 3),             # 2^(1/3) = 2^(1/3)
+        ("x^3-2", [0, 1], 1, 1, 2, 3),
+        ("x^3-2", [0, 1], 1, 1, 2 - tiny, 3),
     ]
 
 
@@ -213,9 +213,8 @@ def _verdicts(monkeypatch, cases):
 
     monkeypatch.setattr(nf_core, "decide_root_gt_int", spy)
     fields = {name: NumberField(*spec) for name, spec in FIELDS.items()}
-    got = [cmp_element(fields[name].from_power(pw), place, scale, g, k,
-                       signed=signed)
-           for name, pw, place, scale, g, k, signed in cases]
+    got = [cmp_element(fields[name].from_power(pw), place, scale, g, k)
+           for name, pw, place, scale, g, k in cases]
     return got, len(calls)
 
 
@@ -227,8 +226,8 @@ def test_cmp_element_liouville_fallback(monkeypatch):
 def test_cmp_element_equality_on_exact_balls(monkeypatch):
     # the roots of x^2 + 1 are certified with radius 0, so these
     # equalities are decided by the interval's upper end equal to c
-    cases = [("Q(i)", [1, 1], 0, 1, 4, 4, False),       # |1+i| = 4^(1/4)
-             ("Q(i)", [0, 3], 0, Q(1, 3), 1, 5, False)]  # |3i|/3 = 1
+    cases = [("Q(i)", [1, 1], 0, 1, 4, 4),          # |1+i| = 4^(1/4)
+             ("Q(i)", [0, 3], 0, Q(1, 3), 1, 5)]     # |3i|/3 = 1
     assert _verdicts(monkeypatch, cases) == ([LE, LE], 0)
 
 
@@ -309,7 +308,7 @@ class TestAgainstReferences:
         field = _field(name)
         t_num, root = THETA_ABS2[name]
         k = root * data.draw(st.integers(1, 3 if root == 1 else 2))
-        alpha = field.theta() ** m * q
+        alpha = field.from_power([0, 1]) ** m * q
         place = data.draw(st.integers(0, len(field.places()) - 1))
         emb_idx = field.places()[place][0]
         if shift is None:
@@ -328,7 +327,7 @@ class TestAgainstReferences:
 
     @pytest.mark.parametrize("case", range(len(CMP_VERDICTS)))
     def test_abs2_pow_gt_fallback_cases(self, case):
-        name, pw, place, scale, g, k, _signed = _cmp_cases()[case]
+        name, pw, place, scale, g, k = _cmp_cases()[case]
         field = _field(name)
         alpha = field.from_power(pw)
         emb_idx = field.places()[place][0]

@@ -6,7 +6,7 @@ import pytest
 
 from latnf.nf_core import (GT, LE, NumberField, cmp_element,
                            liouville_separation, new_field)
-from oracles import abs_root_gt, embedding_values
+from oracles import abs_root_gt, embedding_values, minkowski_gram
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +90,7 @@ class TestEmbed:
             assert abs(v.im) <= v.rad
 
     def test_sqrt2(self, qr2):
-        pt = qr2.embed(qr2.theta(), 30)
+        pt = qr2.embed(qr2.from_power([0, 1]), 30)
         vals = sorted(float(v.re) for v in embedding_values(pt))
         assert abs(vals[0] + math.sqrt(2)) < 2 ** -29
         assert abs(vals[1] - math.sqrt(2)) < 2 ** -29
@@ -98,7 +98,7 @@ class TestEmbed:
             assert v.rad <= Q(1, 2 ** 30)
 
     def test_i_embeds_to_pm_i(self, qi):
-        pt = qi.embed(qi.theta(), 20)
+        pt = qi.embed(qi.from_power([0, 1]), 20)
         ims = sorted(float(v.im) for v in embedding_values(pt))
         assert abs(ims[0] + 1) < 1e-5 and abs(ims[1] - 1) < 1e-5
 
@@ -126,16 +126,17 @@ class TestLiouville:
 
 
 class TestCmpRootThreshold:
-    """A root against g^(1/k): signed at a real place by `cmp_element`,
-    in absolute value by `oracles.abs_root_gt`."""
+    """A root against 0 at a real place (`sign_at_real_place`), and in
+    absolute value against g^(1/k) (`cmp_element`,
+    `oracles.abs_root_gt`)."""
 
     def test_pell_near_zero(self, qr2):
         # 408 sqrt(2) - 577 is about -0.0008665 at the place sqrt(2) > 0
         alpha = qr2.element([-577, 408])
-        assert cmp_element(alpha, 1, 1, 0, 1, signed=True) == LE
+        assert qr2.sign_at_real_place(alpha, 1) == -1
 
     def test_sqrt2_above_one(self, qr2):
-        assert cmp_element(qr2.element([0, 1]), 1, 1, 1, 1, signed=True) == GT
+        assert cmp_element(qr2.element([0, 1]), 1, 1, 1, 1) == GT
 
     def test_abs_i_vs_two(self):
         # |i| = 1 <= 4^(1/2)
@@ -145,7 +146,7 @@ class TestCmpRootThreshold:
 class TestCmpElement:
     def test_one_plus_sqrt2_gt_two(self, qr2):
         alpha = qr2.element([1, 1])
-        assert cmp_element(alpha, 1, 1, 2, 1, signed=True) == GT
+        assert cmp_element(alpha, 1, 1, 2, 1) == GT
 
     def test_zero_le_positive(self, qr2):
         assert cmp_element(qr2.zero(), 0, 1, 5, 1) == LE
@@ -209,13 +210,18 @@ class TestArithmetic:
 
 
 class TestMinkowskiGram:
+    """The exact T2 Gram of `oracles.minkowski_gram`, the reference of the
+    Gram tests, on known fields."""
+
     def test_gaussian(self, qi):
-        assert qi.minkowski_gram([qi.one(), qi.theta()]) == [[2, 0], [0, 2]]
+        assert minkowski_gram(qi, [qi.one(), qi.element([0, 1])]) == [
+            [2, 0], [0, 2]]
 
     def test_real_quadratic(self, qr2):
-        assert qr2.minkowski_gram([qr2.one(), qr2.theta()]) == [[2, 0], [0, 4]]
+        assert minkowski_gram(qr2, [qr2.one(), qr2.element([0, 1])]) == [
+            [2, 0], [0, 4]]
 
     def test_cyclotomic(self):
         k = new_field([1, 1, 1, 1, 1])
-        g = k.minkowski_gram([k.one()])
+        g = minkowski_gram(k, [k.one()])
         assert g == [[4]]

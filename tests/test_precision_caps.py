@@ -99,7 +99,7 @@ def test_embed(monkeypatch):
     monkeypatch.setattr(field, "_all_roots", roots)
     monkeypatch.setattr(nf_core, "_horner_ball", lambda *args: (0, 0, 1, 0))
     with pytest.raises(CapExceeded, match="embedding"):
-        field.embed(field.theta(), 64)
+        field.embed(field.from_power([0, 1]), 64)
     # 64 bits plus 17 guard bits for theta (height 1, degree 2)
     assert roots.precs == _ladder(81)
 
@@ -109,7 +109,7 @@ def test_sign_at_real_place(monkeypatch):
     embed = _wide_embedding(field)
     monkeypatch.setattr(field, "embed", embed)
     with pytest.raises(CapExceeded, match="sign"):
-        field.sign_at_real_place(field.theta(), 0)
+        field.sign_at_real_place(field.from_power([0, 1]), 0)
     assert embed.precs == _ladder(32)
 
 
@@ -118,7 +118,7 @@ def test_log_embedding(monkeypatch):
     embed = _wide_embedding(field)
     monkeypatch.setattr(field, "embed", embed)
     with pytest.raises(CapExceeded, match="log embedding"):
-        divisor_log.log_embedding(field.theta())
+        divisor_log.log_embedding(field.from_power([0, 1]))
     assert embed.precs == _ladder(64 + 16)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction as Q
@@ -19,6 +20,7 @@ from latnf.sunit_pipeline import (IDLE_DRAW_CAP, PostprocessResult, _log2_up,
                                   euclid_correction_sq, postprocess,
                                   provable_d_value, roots_of_unity_count,
                                   verify_full, PipelineConfig)
+from oracles import mat_det_reference, minkowski_gram
 
 PELL_REG = math.log(1 + math.sqrt(2))
 
@@ -130,7 +132,8 @@ class TestRootsOfUnity:
         # Q(zeta8), and 9 does not divide 512, so zeta3 is not in K: m = 4
         field = new_field([2, 0, -2, 0, 1])
         assert (field.n_real, field.disc_field) == (0, 512)
-        i = field.theta() * field.theta() - 1
+        theta = field.from_power([0, 1])
+        i = theta * theta - 1
         assert i * i == -field.one()
         assert roots_of_unity_count(field) == 4
 
@@ -139,7 +142,8 @@ class TestRootsOfUnity:
         # excludes Q(zeta12), so m = 6
         field = new_field([3, 0, -3, 0, 1])
         assert (field.n_real, field.disc_field) == (0, 432)
-        zeta3 = field.theta() * field.theta() - 2
+        theta = field.from_power([0, 1])
+        zeta3 = theta * theta - 2
         assert zeta3 != field.one() and zeta3 ** 3 == field.one()
         assert roots_of_unity_count(field) == 6
 
@@ -151,8 +155,9 @@ class TestRootsOfUnity:
                              ids=["i", "sqrt-3", "sqrt-5", "zeta5", "zeta8"])
     def test_enumerated_vectors_are_the_roots_of_unity(self, monkeypatch,
                                                        poly, mu):
-        # the vectors of T2 <= n in O_K of a totally complex field are
-        # exactly mu_K: every one is an m-th root of unity, m = |mu_K|
+        # the short vectors of the lower Gram G' of T2 are exactly mu_K,
+        # one per +-pair: each is an m-th root of unity, m = |mu_K|, at a
+        # G'-norm at most n
         listed = []
 
         def spy(gram, radius2):
@@ -164,10 +169,41 @@ class TestRootsOfUnity:
         field = new_field(poly)
         assert roots_of_unity_count(field) == mu == 2 * len(listed)
         for coeffs, nrm in listed:
-            assert nrm == field.n
+            assert nrm <= field.n
             alpha = field.element(list(coeffs))
             assert alpha ** mu == field.one()
             assert (-alpha) ** mu == field.one()
+
+    @pytest.mark.parametrize("poly", [[1, 0, 1], [1, 1, 1], [5, 0, 1],
+                                      [1, 1, 1, 1, 1], [1, 0, 0, 0, 1],
+                                      [1, 0, -1, 0, 1]],
+                             ids=["i", "sqrt-3", "sqrt-5", "zeta5", "zeta8",
+                                  "zeta12"])
+    def test_lower_gram_is_below_the_exact_gram(self, monkeypatch, poly):
+        # G_exact - G' is positive semidefinite, so c^T G' c <= T2(c):
+        # every principal minor of the difference is >= 0, in exact
+        # rationals, at every precision the count tried
+        grams = []
+
+        def spy(gram, radius2):
+            grams.append(gram)
+            return enumerate_short_gram(gram, radius2)
+
+        monkeypatch.setattr(lattice_core, "enumerate_short_gram", spy)
+        field = new_field(poly)
+        roots_of_unity_count(field)
+        n = field.n
+        exact = minkowski_gram(field, [field.element([int(i == j)
+                                                      for j in range(n)])
+                                       for i in range(n)])
+        assert grams
+        for lower in grams:
+            diff = [[a - b for a, b in zip(ra, rb)]
+                    for ra, rb in zip(exact, lower)]
+            for k in range(1, n + 1):
+                for idx in itertools.combinations(range(n), k):
+                    minor = [[diff[i][j] for j in idx] for i in idx]
+                    assert mat_det_reference(minor) >= 0
 
 
 class TestProvableD:
