@@ -375,9 +375,8 @@ def roots_of_unity_count(field: NumberField) -> int:
     for prec in precision_ladder(32, "the lower T2 Gram of the roots of "
                                  "unity is not positive definite"):
         cols = minkowski_columns_x(field, basis, [1] * n, prec)
-        gram = [[Q(qlinalg.dot(a, b), da * db)
-                 for b, db in zip(cols.mids, cols.mid_dens)]
-                for a, da in zip(cols.mids, cols.mid_dens)]
+        gram = qlinalg.gram_matrix([[Q(m, d) for m in mids] for mids, d
+                                    in zip(cols.mids, cols.mid_dens)])
         tr = sum(gram[i][i] for i in range(n))
         sqrt_tr = Q(math.isqrt(tr.numerator * tr.denominator) + 1,
                     tr.denominator)
