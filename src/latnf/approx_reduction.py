@@ -119,11 +119,10 @@ def _require_below(err, bound, what: str):
 
 @dataclass
 class ApproxGenerators:
-    rows: list            # k rows, each length n1 + n2, rationals times den
+    rows: list            # k rows, each length n2, rationals times den
     err: Fraction         # certified bound on ||A~ - A||_{2,inf}
     mu: Fraction          # certified lower bound on lambda_1(Lambda)
     r0: int               # rank upper bound
-    n1: int = 0           # leading integer coordinates
     den: int = 1          # A~ = rows / den, den > 0
 
 
@@ -166,11 +165,11 @@ def _norm_ratio(rows, den: int, err, mu, r0: int):
     return r0 * (hi * ed + (en << 32)) * md, (ed << 32) * mn
 
 
-def _bkp_pass(rows, den: int, err, mu, r0: int, n1: int):
+def _bkp_pass(rows, den: int, err, mu, r0: int):
     """Single Buchmann-Kessler-Pohst pass on A~ = rows / den: the integer
     rows M with M A a basis.  Requires err < mu / (4C)."""
     k = len(rows)
-    n2 = len(rows[0]) - n1 if k else 0
+    n2 = len(rows[0]) if k else 0
     if n2 < 1 or k < 1:
         raise ValueError("need k >= 1 and n2 >= 1")
     # the analysis needs 2^k >= k sqrt(n2)/2 + sqrt(k); verify with
@@ -227,10 +226,10 @@ def bkp_twice(gens: ApproxGenerators) -> BkpResult:
     _require_below(err, ((0, [(mn, 1), (xb, e0)]),
                          (8 * k + 2 * k * e0 + 2, [(md, 1), (xa, e0)])),
                    "double BKP")
-    first = _bkp_pass(rows, den, err, mu, r0, gens.n1)
+    first = _bkp_pass(rows, den, err, mu, r0)
     r = len(first)
     err2 = ((err[0] * xa ** (r0 + 1)) << (4 * k), err[1] * xb ** (r0 + 1))
-    second = _bkp_pass(mat_mul(first, rows), den, err2, mu, r, gens.n1)
+    second = _bkp_pass(mat_mul(first, rows), den, err2, mu, r)
     if len(second) != r:
         raise RuntimeError("rank changed between BKP passes")
     return BkpResult(r, mat_mul(second, first), rows, den)
@@ -422,7 +421,7 @@ def dual_exp_reduce(x, a: HnfIdeal) -> IdealBasisResult:
         binv_true_up = binv_up / (1 - binv_up * err_b)
         err_dual = 2 * binv_true_up ** 2 * err_b
         gens = ApproxGenerators(rows=binv, err=err_dual, mu=mu_dual, r0=n,
-                                n1=0, den=binv_den)
+                                den=binv_den)
         try:
             res = bkp_twice(gens)
         except ValueError:

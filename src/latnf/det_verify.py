@@ -1,5 +1,7 @@
 """Determinant stability under perturbation and the decide-equal-lattice
-test (the certified verdict's pieces), and the residue bracket feeding it.
+test (the certified verdict's pieces: from n, m, the entry error and
+bounds on prod ||b_j||/lambda_j, lambda_1^2 and ||B||^2, without
+||B^-1||), and the residue bracket feeding it.
 
 `approx_rho` is the library's one residue bracket.  It evaluates Bach's
 ERH-truncated Euler product with one kernel,
@@ -16,65 +18,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import intmath, polyq, qlinalg
+from . import intmath
 from .dyadic import Q, sqrt_bracket
 from .ideal_arith import splitting_degrees
 from .nf_core import NumberField
-from .qlinalg import dot, gram_matrix, mat_det
-
-
-def inv_norm_bound(cols):
-    """Certified upper bound on ||A^{-1}||_2 via
-    n^(n/2+1) * lambda_1^{-1} * prod(||a_j|| / lambda_j),
-    together with a certified bracket of the true value from the exact
-    characteristic polynomial of A^T A.
-
-    Returns (bound, true_lo, true_hi) as Fractions.
-    """
-    cols = [[Q(x) for x in c] for c in cols]
-    n = len(cols)
-    g = gram_matrix(cols)
-    if mat_det(g) == 0:
-        raise ZeroDivisionError("singular basis")
-    from .lattice_core import enumerate_minima_gram
-    minima_sq = enumerate_minima_gram(g).minima_sq
-    # bound^2 = n^(n+2) * lambda_1^{-2} * prod ||a_j||^2 / lambda_j^2
-    bound_sq = Q(n) ** (n + 2) / minima_sq[0]
-    for j in range(n):
-        bound_sq *= dot(cols[j], cols[j]) / minima_sq[j]
-    _, bound = sqrt_bracket(bound_sq, 64)
-    # true value: 1/sqrt(lambda_min(A^T A)); smallest root of charpoly
-    cp = qlinalg.charpoly(g)
-    lo, hi = _smallest_positive_root_bracket(cp)
-    _, t_hi = sqrt_bracket(Q(1) / lo, 64)
-    t_lo, _ = sqrt_bracket(Q(1) / hi, 64)
-    return bound, t_lo, t_hi
-
-
-def _smallest_positive_root_bracket(cp):
-    prec = 64
-    sq_q = [Q(c) for c in polyq.squarefree_part_z(polyq.primitive_z(cp))]
-    roots = polyq.isolate_real_roots(sq_q)
-    for lo, hi in roots:
-        if hi <= 0:
-            continue
-        l, h = polyq.refine_root_bisect(sq_q, lo, hi, prec)
-        if h > 0:
-            if l <= 0:
-                l = h / 2 if polyq.poly_eval(sq_q, h / 2) == 0 else l
-            if l > 0:
-                return l, h
-            # root interval touching zero: refine further
-            l2, h2 = polyq.refine_root_bisect(sq_q, lo, hi, prec * 4)
-            if l2 > 0:
-                return l2, h2
-    raise ValueError("no positive eigenvalue found")
+from .qlinalg import gram_matrix, mat_det
 
 
 def epsilon_threshold(n: int, m: int, cond_product_upper: Fraction,
                       lambda1_sq_lower: Fraction,
                       norm_b_sq_upper: Fraction) -> Fraction:
-    """The entrywise error budget of the determinant-stability lemma:
+    """The determinant-stability lemma's entrywise error budget, with
+    ||B^-1||^2 <= n^(n+2) lambda_1^-2 prod (||b_j||/lambda_j)^2 inlined:
     2^-6 n^-(n+4) m^-1 (prod ||b_j||/lambda_j)^-2 lambda_1^2 / ||B||."""
     _, normb_up = sqrt_bracket(Q(norm_b_sq_upper), 64)
     return (Q(1, 64) * Q(1, n ** (n + 4)) * Q(1, m)

@@ -80,17 +80,6 @@ def derivative(p):
     return trim([i * c for i, c in enumerate(p)][1:])
 
 
-def poly_gcd_q(p, q):
-    """Monic gcd over Q."""
-    p, q = trim([Q(c) for c in p]), trim([Q(c) for c in q])
-    while q:
-        p, q = q, poly_divmod(p, q)[1]
-    if p:
-        lead = p[-1]
-        p = [c / lead for c in p]
-    return p
-
-
 def resultant(p, q):
     """Resultant via the Euclidean remainder sequence (exact over Q)."""
     p = trim([Q(c) for c in p])
@@ -152,53 +141,6 @@ def cauchy_bound(p) -> Fraction:
     p = trim(p)
     lead = abs(Q(p[-1]))
     return 1 + max((abs(Q(c)) for c in p[:-1]), default=Q(0)) / lead
-
-
-def isolate_real_roots(p) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint rational intervals (lo, hi] each containing exactly one
-    real root of the squarefree polynomial p."""
-    seq = sturm_sequence(p)
-    b = cauchy_bound(p) + 1
-
-    def changes(x):
-        return _sign_changes(seq, x)
-
-    out = []
-    stack = [(-b, b, changes(-b), changes(b))]
-    while stack:
-        lo, hi, clo, chi = stack.pop()
-        k = clo - chi
-        if k == 0:
-            continue
-        if k == 1:
-            out.append((lo, hi))
-            continue
-        mid = (lo + hi) / 2
-        cm = changes(mid)
-        stack.append((lo, mid, clo, cm))
-        stack.append((mid, hi, cm, chi))
-    out.sort()
-    return out
-
-
-def refine_root_bisect(p, lo, hi, prec: int) -> tuple[Fraction, Fraction]:
-    """Shrink an isolating interval (lo, hi] to width <= 2^-prec."""
-    flo = poly_eval(p, Q(lo))
-    if flo == 0:
-        return Q(lo), Q(lo)
-    slo = flo > 0
-    width = Q(1, 1 << prec)
-    lo, hi = Q(lo), Q(hi)
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        fm = poly_eval(p, mid)
-        if fm == 0:
-            return mid, mid
-        if (fm > 0) == slo:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -350,12 +292,6 @@ def _factor_squarefree(f, p, rng) -> list[list[int]]:
                 raise CapExceeded(f"equal-degree split failed {RANDOM_TRIES} "
                                   "times")
     return out
-
-
-def squarefree_part_z(f) -> list:
-    """Squarefree part of an integer polynomial (primitive output)."""
-    g = poly_gcd_q(f, derivative(f))
-    return primitive_z(poly_divmod(f, g)[0])
 
 
 def primitive_z(f) -> list[int]:

@@ -114,7 +114,7 @@ def _postprocess(relations, fb: FactorBase, field: NumberField,
         max_err = max(sum(abs(c) * r for c, r in zip(comb, rads))
                       for comb in kernel)
         gens = ApproxGenerators(rows=rows, err=Q(r1) * max_err, mu=mu,
-                                r0=min(kb, r1 - 1), n1=0)
+                                r0=min(kb, r1 - 1))
         if all(all(abs(x) <= Q(r1) * max_err for x in row) for row in rows):
             unit_rank = 0            # torsion-only unit block
         else:

@@ -1064,17 +1064,17 @@ def _floor_log2(x: Fraction) -> int:
     return e
 
 
-def bkp_once_reference(rows, err, mu, r0: int, n1: int = 0):
+def bkp_once_reference(rows, err, mu, r0: int):
     """(rank, m_rows, basis_rows, C) of one BKP pass on the rational rows,
     every constant a `Fraction`; ValueError when err >= mu / (4C)."""
     from latnf import lattice_core
     Q = Fraction
     k = len(rows)
     width = len(rows[0])
-    n2 = width - n1
-    if n2 < 1 or k < 1:
+    if width < 1 or k < 1:
         raise ValueError("need k >= 1 and n2 >= 1")
-    if Q(2) ** k < Q(k) * _sqrt_upper(Q(n2), 32) / 2 + _sqrt_upper(Q(k), 32):
+    if (Q(2) ** k
+            < Q(k) * _sqrt_upper(Q(width), 32) / 2 + _sqrt_upper(Q(k), 32)):
         raise ValueError("too few generators for the BKP analysis")
     norm_a = _sqrt_upper(max(sum(Q(x) ** 2 for x in r) for r in rows), 32) + err
     c_const = Q(2) ** (4 * k) * (Q(r0) * norm_a / mu) ** (r0 + 1)
@@ -1105,7 +1105,7 @@ def bkp_once_reference(rows, err, mu, r0: int, n1: int = 0):
     return len(m_rows), m_rows, basis_rows, c_const
 
 
-def bkp_twice_reference(rows, err, mu, r0: int, n1: int = 0):
+def bkp_twice_reference(rows, err, mu, r0: int):
     """(rank, m_rows, basis_rows) of the double BKP pass on `Fraction`
     rows; ValueError when err >= mu / (4 C0) or a pass refuses."""
     Q = Fraction
@@ -1114,8 +1114,8 @@ def bkp_twice_reference(rows, err, mu, r0: int, n1: int = 0):
     c0 = Q(2) ** (8 * k) * (Q(r0) * Q(4) ** k * norm_a / mu) ** (2 * (r0 + 1))
     if not err < mu / (4 * c0):
         raise ValueError("approximation error too large for double BKP")
-    r, m1, b1, c_const = bkp_once_reference(rows, err, mu, r0, n1)
-    r2, m2, _, _ = bkp_once_reference(b1, c_const * err, mu, r, n1)
+    r, m1, b1, c_const = bkp_once_reference(rows, err, mu, r0)
+    r2, m2, _, _ = bkp_once_reference(b1, c_const * err, mu, r)
     if r2 != r:
         raise RuntimeError("rank changed between BKP passes")
     n_rows = [[sum(m2[i][t] * m1[t][j] for t in range(r)) for j in range(k)]
@@ -1131,7 +1131,7 @@ def bkp_once(gens):
     which `bkp_twice` runs twice."""
     from latnf.approx_reduction import BkpResult, _bkp_pass, _int_gens
     rows, den, err, mu = _int_gens(gens)
-    m_rows = _bkp_pass(rows, den, err, mu, gens.r0, gens.n1)
+    m_rows = _bkp_pass(rows, den, err, mu, gens.r0)
     return BkpResult(len(m_rows), m_rows, rows, den)
 
 

@@ -46,14 +46,14 @@ def _outcome(fn, *args):
     return res.rank, res.m_rows, res.basis_rows
 
 
-def _same(rows, err, mu, r0, n1=0):
+def _same(rows, err, mu, r0):
     """Both passes give the reference's outcome; returns the double
     pass's rank, or None when it does not return a basis."""
-    gens = ApproxGenerators(rows=rows, err=err, mu=mu, r0=r0, n1=n1)
+    gens = ApproxGenerators(rows=rows, err=err, mu=mu, r0=r0)
     assert _outcome(bkp_once, gens) == \
-        _outcome(oracles.bkp_once_reference, rows, err, mu, r0, n1)
+        _outcome(oracles.bkp_once_reference, rows, err, mu, r0)
     try:
-        ref = _outcome(oracles.bkp_twice_reference, rows, err, mu, r0, n1)
+        ref = _outcome(oracles.bkp_twice_reference, rows, err, mu, r0)
     except IndexError:
         # the reference's second pass fails on a rank-0 first pass
         ref = ValueError
@@ -97,18 +97,18 @@ def test_seeded_generators_match():
 
 @settings(max_examples=60, deadline=None)
 @given(rank=st.integers(1, 4), extra=st.integers(0, 2),
-       wide=st.integers(0, 1), n1=st.integers(0, 1),
+       wide=st.integers(0, 1),
        scale=st.fractions(min_value=Q(1, 50), max_value=50,
                           max_denominator=50),
        eps_bits=st.integers(10, 700), mu=st.sampled_from([Q(1, 4), Q(1, 2), Q(1)]),
        r0_extra=st.integers(-1, 2), seed=st.integers(0, 2 ** 32))
-def test_property_matches_reference(rank, extra, wide, n1, scale, eps_bits,
-                                    mu, r0_extra, seed):
+def test_property_matches_reference(rank, extra, wide, scale, eps_bits, mu,
+                                    r0_extra, seed):
     rng = random.Random(seed)
-    width = rank + wide + n1
+    width = rank + wide
     eps = Q(1, 2 ** eps_bits)
     rows = _generators(rng, rank, rank + extra, width, scale, eps)
-    _same(rows, eps, mu, max(1, rank + r0_extra), n1)
+    _same(rows, eps, mu, max(1, rank + r0_extra))
 
 
 @pytest.mark.parametrize("poly,prime", [([1, 0, 1], None), ([5, 0, 1], 2),

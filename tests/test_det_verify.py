@@ -6,11 +6,11 @@ import pytest
 
 from latnf import intmath
 from latnf.det_verify import (approx_rho, decide_equal_lattice,
-                              epsilon_threshold, gram_det_interval,
-                              inv_norm_bound)
+                              epsilon_threshold, gram_det_interval)
 from latnf.ideal_arith import kummer_dedekind, primes_up_to
+from latnf.lattice_core import enumerate_minima_gram
 from latnf.nf_core import NumberField, new_field
-from latnf.qlinalg import mat_det, mat_inv
+from latnf.qlinalg import gram_matrix, mat_det, mat_inv
 
 from oracles import bach_product, exact_rho
 
@@ -85,16 +85,30 @@ def qs5():
     return new_field([5, 0, 1])
 
 
+def inv_norm_lemma(cols):
+    """(bound^2, holds) for the basis with columns `cols`: bound^2 =
+    n^(n+2) lambda_1^-2 prod ||b_j||^2 / lambda_j^2, the bound on
+    ||B^-1||^2 that `epsilon_threshold` inlines, and whether
+    ||B^-1|| < bound, that is, whether G - I / bound^2 is positive definite
+    for G the Gram of the columns: every leading principal minor > 0."""
+    g = gram_matrix([[Q(x) for x in c] for c in cols])
+    n = len(g)
+    minima_sq = enumerate_minima_gram(g).minima_sq
+    bound_sq = Q(n) ** (n + 2) / minima_sq[0]
+    for j in range(n):
+        bound_sq *= g[j][j] / minima_sq[j]
+    shifted = [[g[i][j] - Q(int(i == j)) / bound_sq for j in range(n)]
+               for i in range(n)]
+    return bound_sq, all(mat_det([row[:k] for row in shifted[:k]]) > 0
+                         for k in range(1, n + 1))
+
+
 class TestInvNormBound:
     def test_identity(self):
-        bound, lo, hi = inv_norm_bound([[1, 0], [0, 1]])
-        assert lo <= 1 <= hi
-        assert abs(float(bound) - 4.0) < 0.01   # n^(n/2+1) = 4
+        assert inv_norm_lemma([[1, 0], [0, 1]]) == (16, True)  # n^(n+2)
 
     def test_diag(self):
-        bound, lo, hi = inv_norm_bound([[1, 0], [0, 3]])
-        assert lo <= 1 <= hi
-        assert abs(float(bound) - 4.0) < 0.01
+        assert inv_norm_lemma([[1, 0], [0, 3]]) == (16, True)
 
     def test_bound_dominates_certified_value(self):
         rng = random.Random(5)
@@ -105,13 +119,8 @@ class TestInvNormBound:
             from latnf.qlinalg import transpose
             if mat_det(transpose(cols)) == 0:
                 continue
-            bound, lo, hi = inv_norm_bound(cols)
-            assert bound >= hi >= lo > 0
+            assert inv_norm_lemma(cols)[1]
             done += 1
-
-    def test_singular(self):
-        with pytest.raises(ZeroDivisionError):
-            inv_norm_bound([[1, 0], [2, 0]])
 
 
 class TestGramDetInterval:

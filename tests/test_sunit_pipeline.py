@@ -64,8 +64,7 @@ def postprocess_full_bkp(relations, fb: FactorBase,
     prec = max(96, int(-eps_log2) + 32)
     rows, err = relation_log_rows(relations, fb, prec)
     gens = ApproxGenerators(rows=rows, err=Q(n + s_len) * err, mu=mu,
-                            r0=min(k, s_len + field.n_real + field.n_cplx - 1),
-                            n1=s_len)
+                            r0=min(k, s_len + field.n_real + field.n_cplx - 1))
     res = bkp_twice(gens)
     basis_val = []
     basis_inf = []
