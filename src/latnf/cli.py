@@ -1,7 +1,7 @@
 """Command-line surface: field inspection, ideal arithmetic, lattice
 reduction with bound ledgers, samplers, relations and the S-unit
-pipeline.  Every report embeds the library version and the effective
-configuration, including each paper-gap constant.
+pipeline.  A command takes only the constant flags it reads, and its
+report embeds the library version and the value of each of them.
 
 Exit codes: 0 ok, 2 precondition violated, 3 verification failed,
 4 retry cap exceeded.
@@ -28,27 +28,41 @@ EXIT_VERIFICATION = 3
 EXIT_CAP = 4
 
 
+# The constants a command may take, in echo order: dest -> (flag, type,
+# default, help).  Each command takes only those it reads.
+CONSTANT_FLAGS = {
+    "radius_constant": ("--radius-constant", int, 48,
+                        "the box-radius constant (paper gap)"),
+    "b_sm": ("--b-sm", int, 16, "smoothness floor B_sm (paper gap)"),
+    "b_rw": ("--b-rw", int, 16, "random-walk smoothness B_rw (paper gap)"),
+    "kessler_c": ("--kessler-c", int, 1000,
+                  "Kessler first-minimum constant (paper gap)"),
+    "walk_b": ("--walk-b", int, None,
+               "explicit walk prime bound B (provable mode)"),
+    "tour_cap_c": ("--tour-cap-c", float, 1.0,
+                   "BKZ tour-cap constant C (paper gap)"),
+    "seed": ("--seed", int, 0, None),
+}
+SAMPLE_CONSTANTS = ("radius_constant", "walk_b", "seed")
+RELATION_CONSTANTS = SAMPLE_CONSTANTS + ("b_sm", "b_rw")
+
+
 def _config_echo(args) -> dict:
-    keys = ("radius_constant", "b_sm", "b_rw", "kessler_c", "walk_b",
-            "tour_cap_c", "seed")
+    """The version and the value of every constant the command takes."""
     return {"version": __version__,
-            **{k: getattr(args, k, None) for k in keys}}
+            **{k: getattr(args, k) for k in CONSTANT_FLAGS
+               if k in args.constants}}
 
 
-def _add_constant_flags(p):
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--radius-constant", dest="radius_constant", type=int,
-                   default=48, help="the box-radius constant (paper gap)")
-    p.add_argument("--b-sm", dest="b_sm", type=int, default=16,
-                   help="smoothness floor B_sm (paper gap)")
-    p.add_argument("--b-rw", dest="b_rw", type=int, default=16,
-                   help="random-walk smoothness B_rw (paper gap)")
-    p.add_argument("--kessler-c", dest="kessler_c", type=int, default=1000,
-                   help="Kessler first-minimum constant (paper gap)")
-    p.add_argument("--walk-b", dest="walk_b", type=int, default=None,
-                   help="explicit walk prime bound B (provable mode)")
-    p.add_argument("--tour-cap-c", dest="tour_cap_c", type=float, default=1.0,
-                   help="BKZ tour-cap constant C (paper gap)")
+def _add_command(sub, name, fn, constants, **kwargs):
+    """A subcommand that runs fn and takes the named constant flags."""
+    p = sub.add_parser(name, **kwargs)
+    for dest in constants:
+        flag, kind, default, text = CONSTANT_FLAGS[dest]
+        p.add_argument(flag, dest=dest, type=kind, default=default,
+                       help=text)
+    p.set_defaults(fn=fn, constants=constants)
+    return p
 
 
 def _load_field(path) -> NumberField:
@@ -185,17 +199,11 @@ def cmd_sample(args) -> int:
 
 
 def cmd_relation(args) -> int:
-    from .relations import (FactorBase, RelationConfig, RandomRelationConfig,
-                            random_relation)
+    from .relations import FactorBase, RandomRelationConfig, random_relation
     field = _load_field(args.field_file)
     fb = FactorBase(primes_up_to(field, args.primes_bound))
     rng = random.Random(args.seed)
-    rel_cfg = RelationConfig(b_sm=args.b_sm, b_rw=args.b_rw,
-                             walk_b_override=args.walk_b,
-                             eps_override=Q(1, 4),
-                             sampler=SamplerConfig(
-                                 radius_constant=args.radius_constant))
-    rr_cfg = RandomRelationConfig(relation=rel_cfg)
+    rr_cfg = RandomRelationConfig(relation=_relation_config(args))
     for _ in range(args.count):
         out = random_relation(field, fb, rng, rr_cfg)
         print(json.dumps({
@@ -206,22 +214,17 @@ def cmd_relation(args) -> int:
     return EXIT_OK
 
 
-def _pipeline_config(args):
-    from .relations import RelationConfig, RandomRelationConfig
-    from .sunit_pipeline import PipelineConfig
-    rel_cfg = RelationConfig(b_sm=args.b_sm, b_rw=args.b_rw,
-                             walk_b_override=args.walk_b,
-                             eps_override=Q(1, 4),
-                             sampler=SamplerConfig(
-                                 radius_constant=args.radius_constant))
-    return PipelineConfig(relation=rel_cfg,
-                          random_rel=RandomRelationConfig(relation=rel_cfg),
-                          kessler_c=args.kessler_c)
+def _relation_config(args):
+    from .relations import RelationConfig
+    return RelationConfig(b_sm=args.b_sm, b_rw=args.b_rw,
+                          walk_b_override=args.walk_b, eps_override=Q(1, 4),
+                          sampler=SamplerConfig(
+                              radius_constant=args.radius_constant))
 
 
 def cmd_sunits(args) -> int:
-    from .relations import FactorBase
-    from .sunit_pipeline import compute_sunits
+    from .relations import FactorBase, RandomRelationConfig
+    from .sunit_pipeline import PipelineConfig, compute_sunits
     field = _load_field(args.field_file)
     if args.primes:
         fb = FactorBase([p for b in args.primes
@@ -229,7 +232,10 @@ def cmd_sunits(args) -> int:
     else:
         fb = FactorBase(primes_up_to(field, args.primes_bound))
     rng = random.Random(args.seed)
-    cfg = _pipeline_config(args)
+    rel_cfg = _relation_config(args)
+    cfg = PipelineConfig(relation=rel_cfg,
+                         random_rel=RandomRelationConfig(relation=rel_cfg),
+                         kessler_c=args.kessler_c)
     res = compute_sunits(field, fb, rng, cfg)
     out = serialize.result_to_json(res)
     out["config"].update(_config_echo(args))
@@ -242,7 +248,8 @@ def cmd_sunits(args) -> int:
 
 def cmd_verify(args) -> int:
     from .relations import FactorBase
-    from .sunit_pipeline import (postprocess, provable_d_value, verify_full)
+    from .sunit_pipeline import (PipelineConfig, postprocess,
+                                 provable_d_value, verify_full)
     field = _load_field(args.field_file)
     fb = FactorBase(primes_up_to(field, args.primes_bound))
     relations = serialize.load_relations(args.relations, field)
@@ -250,8 +257,8 @@ def cmd_verify(args) -> int:
         if not len(rel.valuations) == len(rel.total_valuations) == len(fb):
             raise ValueError(f"relation {k}: valuations do not match the "
                              f"{len(fb)} primes of the factor base")
-    cfg = _pipeline_config(args)
-    d_value, rho_info = provable_d_value(field, cfg)
+    d_value, rho_info = provable_d_value(
+        field, PipelineConfig(kessler_c=args.kessler_c))
     post = postprocess(relations, fb, field, args.kessler_c)
     tr = verify_full(post, field, fb, d_value, relations)
     print(json.dumps({"verdict": tr.verdict,
@@ -267,21 +274,20 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="latnf")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("field", help="inspect a number field file")
+    p = _add_command(sub, "field", cmd_field, (),
+                     help="inspect a number field file")
     p.add_argument("field_file")
     p.add_argument("--split-bound", type=int, default=12)
-    _add_constant_flags(p)
-    p.set_defaults(fn=cmd_field)
 
-    p = sub.add_parser("ideal", help="HNF ideal arithmetic")
+    p = _add_command(sub, "ideal", cmd_ideal, (),
+                     help="HNF ideal arithmetic")
     p.add_argument("field_file")
     p.add_argument("ideal")
     p.add_argument("--op", choices=["norm", "inv", "mul"], default="norm")
     p.add_argument("--other")
-    _add_constant_flags(p)
-    p.set_defaults(fn=cmd_ideal)
 
-    p = sub.add_parser("reduce", help="lattice reduction with bound ledger")
+    p = _add_command(sub, "reduce", cmd_reduce, ("tour_cap_c",),
+                     help="lattice reduction with bound ledger")
     p.add_argument("matrix")
     p.add_argument("--alg", choices=["lll", "hkz", "bkz", "bkz-full", "bkp"],
                    default="lll")
@@ -289,10 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", default="1/2")
     p.add_argument("--err", default="1/1208925819614629174706176")
     p.add_argument("--r0", type=int, default=4)
-    _add_constant_flags(p)
-    p.set_defaults(fn=cmd_reduce)
 
-    p = sub.add_parser("sample", help="samplers with per-sample checks")
+    p = _add_command(sub, "sample", cmd_sample, SAMPLE_CONSTANTS,
+                     help="samplers with per-sample checks")
     p.add_argument("field_file")
     p.add_argument("--mode", choices=["box", "beta", "gaussian", "prime"],
                    required=True)
@@ -300,31 +305,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, default=50)
     p.add_argument("--width", type=float, default=3.0)
     p.add_argument("--delta", type=float, default=0.01)
-    _add_constant_flags(p)
-    p.set_defaults(fn=cmd_sample)
 
-    p = sub.add_parser("relation", help="sample random S-unit relations")
+    p = _add_command(sub, "relation", cmd_relation, RELATION_CONSTANTS,
+                     help="sample random S-unit relations")
     p.add_argument("field_file")
     p.add_argument("--primes-bound", type=int, default=50)
     p.add_argument("--count", type=int, default=1)
-    _add_constant_flags(p)
-    p.set_defaults(fn=cmd_relation)
 
-    p = sub.add_parser("sunits", help="compute S-units / class group")
+    p = _add_command(sub, "sunits", cmd_sunits,
+                     RELATION_CONSTANTS + ("kessler_c",),
+                     help="compute S-units / class group")
     p.add_argument("field_file")
     p.add_argument("--primes-bound", type=int, default=50)
     p.add_argument("--primes", type=int, nargs="*", default=None,
                    help="explicit rational primes for the factor base")
     p.add_argument("--dump", help="write a resumable relation dump")
-    _add_constant_flags(p)
-    p.set_defaults(fn=cmd_sunits)
 
-    p = sub.add_parser("verify", help="re-verify a relation dump")
+    p = _add_command(sub, "verify", cmd_verify, ("kessler_c",),
+                     help="re-verify a relation dump")
     p.add_argument("field_file")
     p.add_argument("relations")
     p.add_argument("--primes-bound", type=int, default=50)
-    _add_constant_flags(p)
-    p.set_defaults(fn=cmd_verify)
     return ap
 
 

@@ -12,8 +12,8 @@ from fractions import Fraction
 
 from . import intmath
 from .dyadic import Q, RealBall, ball_log, ball_sqrt, log_ball, sqrt_bracket
-from .ideal_arith import (HnfIdeal, PrimeIdeal, kummer_dedekind, ord_at,
-                          prime_product)
+from .ideal_arith import (HnfIdeal, PrimeIdeal, factor_over, kummer_dedekind,
+                          ord_at)
 from .nf_core import FieldElement, NumberField, _abs2_pow, precision_ladder
 
 
@@ -52,17 +52,12 @@ class Divisor:
 
 def ideal_divisor(a: HnfIdeal) -> Divisor:
     """d(a): the finite divisor of a factored over its support."""
-    field = a.field
-    fin = {}
-    for p in _support_primes(a):
-        v = ord_at(a, p)
-        if v:
-            fin[p] = v
-    # exactness check: product reconstructs a
-    if prime_product(field, fin.items()) != a:
+    primes = _support_primes(a)
+    vals = factor_over(a, primes)
+    if vals is None:
         raise ValueError("support does not factor the ideal "
                          "(index-divisor prime or incomplete support)")
-    return Divisor(field, fin, None)
+    return Divisor(a.field, {p: v for p, v in zip(primes, vals) if v}, None)
 
 
 def _support_primes(a: HnfIdeal) -> list[PrimeIdeal]:
@@ -146,20 +141,13 @@ def log_s_embed(alpha: FieldElement,
                 s_primes: list[PrimeIdeal]) -> LogSUnitVector:
     """Log_S(alpha) = ((-v_p)_p, Log(alpha)), Log at 64 bits; errors if
     alpha is not an S-unit (reporting the first offending prime)."""
-    field = alpha.field
-    ideal = HnfIdeal.principal(field, alpha)
-    vals = [ord_at(ideal, p) for p in s_primes]
-    if prime_product(field, zip(s_primes, vals)) != ideal:
-        offender = _first_offender(ideal, s_primes)
+    ideal = HnfIdeal.principal(alpha.field, alpha)
+    vals = factor_over(ideal, s_primes)
+    if vals is None:
+        offender = next((p for p in _support_primes(ideal)
+                         if p not in s_primes and ord_at(ideal, p) != 0), None)
         raise ValueError(f"element is not an S-unit; offending prime {offender}")
     return LogSUnitVector([-v for v in vals], log_embedding(alpha))
-
-
-def _first_offender(ideal: HnfIdeal, s_primes):
-    for p in _support_primes(ideal):
-        if all(p != q for q in s_primes) and ord_at(ideal, p) != 0:
-            return p
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -274,6 +274,19 @@ def ord_at(a: HnfIdeal, p: PrimeIdeal) -> int:
     return v
 
 
+def factor_over(a: HnfIdeal, primes) -> list[int] | None:
+    """The valuations of a at the primes, or None unless prod P^v
+    rebuilds a (Cohen, GTM 138, §4.8).  An integral a has valuation 0
+    at every P whose p does not divide N(a), so those are skipped."""
+    primes = list(primes)
+    # 0 for a fractional a, so that every prime is tried
+    nrm = int(a.norm()) if a.is_integral() else 0
+    vals = [0 if nrm % p.p else ord_at(a, p) for p in primes]
+    if prime_product(a.field, zip(primes, vals)) != a:
+        return None
+    return vals
+
+
 def _ord_integral(cols, p: PrimeIdeal) -> int:
     # v > 0 requires N(p) | N(a); and N(p)^v | N(a) caps v
     nrm = 1

@@ -168,19 +168,13 @@ def nth_root_floor(n: int, k: int) -> int:
 
 
 def rational_root_floor(x, k: int) -> int:
-    """floor(x^(1/k)) for a nonnegative rational x."""
+    """floor(x^(1/k)) for a nonnegative rational x: an integer r has
+    r^k <= x exactly when r^k <= floor(x)."""
     from fractions import Fraction
     x = Fraction(x)
     if x < 0:
         raise ValueError
-    # floor over integers of floor(x) is not enough near integer powers;
-    # use num/den scaled root: floor((num // den)^(1/k)) can be off by one
-    r = nth_root_floor(x.numerator // x.denominator, k)
-    while Fraction(r + 1) ** k <= x:
-        r += 1
-    while Fraction(r) ** k > x:
-        r -= 1
-    return r
+    return nth_root_floor(x.numerator // x.denominator, k)
 
 
 def rational_root_bracket(x, k: int, prec: int):

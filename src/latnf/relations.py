@@ -12,8 +12,8 @@ from fractions import Fraction
 from . import samplers
 from .divisor_log import log_s_embed, LogSUnitVector
 from .dyadic import Q, exp_ball
-from .ideal_arith import (HnfIdeal, PrimeIdeal, hnf_inv, hnf_mul, ord_at,
-                          prime_product, primes_up_to)
+from .ideal_arith import (HnfIdeal, PrimeIdeal, factor_over, hnf_inv,
+                          hnf_mul, ord_at, prime_product, primes_up_to)
 from .ideal_walk import WalkParams, sample_beta, walk_params
 from .nf_core import CapExceeded, FieldElement, NumberField
 from .samplers import SamplerConfig, walk_radius
@@ -56,16 +56,7 @@ def smooth_factor(a: HnfIdeal, fb: FactorBase):
     cofactor is nontrivial.  Verified by full reconstruction."""
     if not a.is_integral():
         raise ValueError("smooth_factor expects an integral ideal")
-    field = a.field
-    nrm = int(a.norm())
-    vals = [0] * len(fb)
-    for i, p in enumerate(fb):
-        if nrm % p.p:
-            continue
-        vals[i] = ord_at(a, p)
-    if prime_product(field, zip(fb, vals)) != a:
-        return None
-    return vals
+    return factor_over(a, fb)
 
 
 def branch_x(field: NumberField) -> float:
@@ -156,20 +147,27 @@ def compute_one_relation(field: NumberField, a: HnfIdeal, fb: FactorBase,
                          rho_tilde: float) -> SUnitRelation:
     """Algorithm: residue branch, then repeat the ideal sampler until
     alpha O_K a^{-1} is fb-smooth; outputs the verified relation."""
-    blocksize = default_blocksize(field)
     x, m0, m0_primes = modulus_branch(field, rho_tilde)
     if m0_primes and any(fb.index_of(p) is not None for p in m0_primes):
         raise ValueError("factor base may not contain divisors of m0")
     if any(ord_at(a, p) != 0 for p in m0_primes):
         raise ValueError("input ideal must be coprime to m0")
+    return _smooth_relation(field, a, fb, y, x, m0, m0_primes, rng, cfg)
+
+
+def _smooth_relation(field: NumberField, a: HnfIdeal, fb: FactorBase, y, x,
+                     m0: HnfIdeal, m0_primes, rng,
+                     cfg: RelationConfig) -> SUnitRelation:
+    """Repeat the ideal sampler on a through the modulus m0 until
+    alpha O_K a^{-1} is fb-smooth, at most ATTEMPT_CAP times; a sampler
+    that exceeds its own cap counts as a failed attempt."""
+    blocksize = default_blocksize(field)
     omega = choose_omega(field, int(m0.norm()), blocksize, x, cfg)
     params = _walk_params_for(field, m0, blocksize, omega, cfg)
     tau = _sample_tau(field, m0, m0_primes, rng)
-    attempts = 0
     a_inv = hnf_inv(a)
     m0_arg = m0 if int(m0.norm()) > 1 else None
-    for _ in range(ATTEMPT_CAP):
-        attempts += 1
+    for attempts in range(1, ATTEMPT_CAP + 1):
         try:
             trace = sample_beta(field, m0_arg, [], a, y, tau, params, rng,
                                 cfg.sampler)
@@ -331,27 +329,10 @@ def exceptional_unit(field: NumberField, q: PrimeIdeal, fb: FactorBase,
     if any(fb.index_of(p) is not None for p in m0_primes):
         raise ValueError("factor base may not contain divisors of m0")
     m0_over_q = hnf_mul(m0, hnf_inv(q.hnf))
-    blocksize = default_blocksize(field)
-    x = branch_x(field)
-    omega = choose_omega(field, int(m0_over_q.norm()), blocksize, x, cfg)
-    params = _walk_params_for(field, m0_over_q, blocksize, omega, cfg)
     rest = [p for p in m0_primes if p != q]
-    tau = _sample_tau(field, m0_over_q, rest, rng) if int(
-        m0_over_q.norm()) > 1 else field.one()
-    q_inv = hnf_inv(q.hnf)
-    m0_arg = m0_over_q if int(m0_over_q.norm()) > 1 else None
-    attempts = 0
-    for _ in range(ATTEMPT_CAP):
-        attempts += 1
-        trace = sample_beta(field, m0_arg, [], q.hnf, [Q(1)] * field.n, tau,
-                            params, rng, cfg.sampler)
-        rel_ideal = hnf_mul(HnfIdeal.principal(field, trace.beta), q_inv)
-        vals = smooth_factor(rel_ideal, fb)
-        if vals is None:
-            continue
-        return SUnitRelation(trace.beta, tuple(vals), tuple(vals), q.hnf,
-                             attempts, origin=trace)
-    raise CapExceeded(f"no exceptional unit after {ATTEMPT_CAP} attempts")
+    # ord_at(q, p) = 0 for every p in fb, so the totals are the valuations
+    return _smooth_relation(field, q.hnf, fb, [Q(1)] * field.n,
+                            branch_x(field), m0_over_q, rest, rng, cfg)
 
 
 def sample_budget(field: NumberField, s_size: int, sigma: float,

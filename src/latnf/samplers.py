@@ -265,25 +265,32 @@ def _box_member(box: GridBox, point, grid_n: int) -> bool:
     return True
 
 
-def perfect_box_lattice(c_cols, c_inv, grid_n: int, t_tilde, box: GridBox,
-                        eps, membership_oracle, rng):
+def prefilter_boxes(box: GridBox, eps, grid_n: int):
+    """(draw, kmax, member) for `perfect_box_lattice`: the (1+4eps) draw
+    box, floor(N r) for its half-widths and radii, and the (1+3eps)
+    pre-filter box."""
+    eps = Q(eps)
+    draw, member = box.scale(1 + 4 * eps), box.scale(1 + 3 * eps)
+    kmax = [r.floor_times(grid_n) for _, r in draw.intervals + draw.discs]
+    return draw, kmax, member
+
+
+def perfect_box_lattice(c_cols, c_inv, grid_n: int, w0, boxes,
+                        membership_oracle, rng):
     """One attempt of the shifted-lattice perfect sampler.
 
     c_cols are the integer columns of N C~, C~ an approximation of the
-    true basis B in (1/N)Z^n; t_tilde = N t~ likewise for the shift.
-    Draws u until the (1+3eps) pre-filter accepts, then makes a single
-    call to the exact membership oracle on the integer vector v + w0 and
-    returns the oracle's payload (or None on failure).  c_inv = (Y, det)
-    with (N C~)^-1 = Y / det, as `qlinalg.inverse_scaled` gives it for
-    the rows of N C~; C~^-1 u = Y (N u) / det, so every step runs on
+    true basis B in (1/N)Z^n, and w0 = round(C~^-1 t~) for the shift t~.
+    Draws u in the draw box of `boxes` (from `prefilter_boxes`) until the
+    pre-filter box accepts, then makes a single call to the exact
+    membership oracle on the integer vector v + w0 and returns the
+    oracle's payload (or None on failure).  c_inv = (Y, det) with
+    (N C~)^-1 = Y / det, as `qlinalg.inverse_scaled` gives it for the
+    rows of N C~; C~^-1 u = Y (N u) / det, so every step runs on
     integers.
     """
     y, det = c_inv
-    w0 = [round_ratio(dot(row, t_tilde), det) for row in y]
-    eps = Q(eps)
-    # the draw and pre-filter boxes, and the draw's grid bounds, per call
-    draw, member = box.scale(1 + 4 * eps), box.scale(1 + 3 * eps)
-    kmax = [r.floor_times(grid_n) for _, r in draw.intervals + draw.discs]
+    draw, kmax, member = boxes
     for _ in range(200):
         u = _uniform_grid_point(draw, kmax, grid_n, rng)
         v = [round_ratio(dot(row, u), det) for row in y]
@@ -408,7 +415,7 @@ def sample_in_box(field: NumberField, m0: HnfIdeal | None, m_inf: list[int],
         shift = (lam1_sq.denominator.bit_length()
                  - lam1_sq.numerator.bit_length()) // 2 + 2
         grid_n <<= max(0, shift)
-    eps = Q(1, 6 * n)
+    boxes = prefilter_boxes(box, Q(1, 6 * n), grid_n)
 
     def oracle(coeff_vec):
         beta0 = gamma_red
@@ -443,9 +450,11 @@ def sample_in_box(field: NumberField, m0: HnfIdeal | None, m_inf: list[int],
             cn, cd = (0, 1) if c is None else (c.numerator, c.denominator)
             t_tilde.append(round_ratio(cn * gd - m * grid_n * cd, gd * cd))
         c_inv = inverse_scaled(transpose(c_cols))
+        # w0 = round(C~^-1 t~), the same for every draw of this rung
+        w0 = [round_ratio(dot(row, t_tilde), c_inv[1]) for row in c_inv[0]]
         for draws in range(1, RETRY_CAP + 1):
-            got = perfect_box_lattice(c_cols, c_inv, grid_n, t_tilde, box,
-                                      eps, oracle, rng)
+            got = perfect_box_lattice(c_cols, c_inv, grid_n, w0, boxes,
+                                      oracle, rng)
             if got is not None:
                 return BoxSampleResult(got, draws)
         raise CapExceeded(f"box sampler failed after {RETRY_CAP} draws")

@@ -1,3 +1,5 @@
+import argparse
+import ast
 import itertools
 import json
 import signal
@@ -8,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from latnf.cli import main
+from latnf import __version__, cli
+from latnf.cli import build_parser, main
 
 FIELD_QI = {"poly": [1, 0, 1]}
 FIELD_QR2 = {"poly": [-2, 0, 1]}
@@ -248,18 +251,68 @@ class TestRelationCommand:
 
 
 class TestConfigEcho:
-    def test_paper_gap_constants_echoed(self, qi_file, capsys):
-        code, out, _ = run_cli(["field", qi_file, "--b-sm", "17",
-                                "--kessler-c", "900"], capsys)
-        cfgd = json.loads(out)["config"]
-        assert cfgd["b_sm"] == 17
-        assert cfgd["kessler_c"] == 900
-        assert cfgd["radius_constant"] == 48
-        assert cfgd["tour_cap_c"] == 1.0
-        assert "jobs" not in cfgd
-        with pytest.raises(SystemExit) as exc:
-            main(["field", qi_file, "--jobs", "2"])
-        assert exc.value.code == 2
+    def test_paper_gap_constants_echoed(self, qi_file, tmp_path, capsys):
+        code, out, _ = run_cli(["sample", qi_file, "--mode", "prime",
+                                "--radius-constant", "3", "--walk-b", "30",
+                                "--seed", "2"], capsys)
+        assert code == 0
+        assert json.loads(out)["config"] == {
+            "version": __version__, "radius_constant": 3, "walk_b": 30,
+            "seed": 2}
+        m = tmp_path / "m.json"
+        m.write_text(json.dumps({"exact": True, "rows": 1, "cols": 1,
+                                 "data": [["1"]]}))
+        code, out, _ = run_cli(["reduce", str(m), "--tour-cap-c", "2"],
+                               capsys)
+        assert code == 0
+        assert json.loads(out)["config"] == {"version": __version__,
+                                             "tour_cap_c": 2.0}
+        code, out, _ = run_cli(["field", qi_file], capsys)
+        assert json.loads(out)["config"] == {"version": __version__}
+        for argv in (["field", qi_file, "--jobs", "2"],
+                     ["field", qi_file, "--b-sm", "17"],
+                     ["verify", qi_file, "rels.jsonl", "--seed", "1"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+
+
+def _commands():
+    """Subcommand name -> its parser."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def _args_reads(fn, functions):
+    """The attributes of `args` that a cli function reads, with those of
+    the helpers it passes `args` to, other than `_config_echo`, which
+    echoes whatever the command takes."""
+    reads = set()
+    for node in ast.walk(functions[fn]):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "args"):
+            reads.add(node.attr)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in functions
+                and node.func.id not in (fn, "_config_echo")
+                and any(isinstance(a, ast.Name) and a.id == "args"
+                        for a in node.args)):
+            reads |= _args_reads(node.func.id, functions)
+    return reads
+
+
+def test_every_accepted_flag_is_read():
+    """Each option and positional a command accepts is read by its
+    handler: a flag that takes no effect fails here."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    for name, parser in _commands().items():
+        dests = {a.dest for a in parser._actions
+                 if not isinstance(a, argparse._HelpAction)}
+        handler = parser.get_default("fn").__name__
+        assert sorted(dests - _args_reads(handler, functions)) == [], name
 
 
 class TestEntryPoint:

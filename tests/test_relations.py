@@ -6,9 +6,10 @@ from fractions import Fraction as Q
 
 import pytest
 
+from latnf import relations
 from latnf.ideal_arith import (HnfIdeal, hnf_mul, kummer_dedekind,
-                               primes_up_to)
-from latnf.nf_core import NumberField, new_field
+                               prime_product, primes_up_to)
+from latnf.nf_core import CapExceeded, NumberField, new_field
 from latnf.relations import (FactorBase, RandomRelationConfig, RelationConfig,
                              branch_x, choose_omega, compute_one_relation,
                              default_blocksize, exceptional_unit,
@@ -197,7 +198,7 @@ class TestRandomRelation:
         # one inverse, of the product of the p^{-a_p} with a_p < 0: a zero
         # or positive exponent needs no inverse
         from functools import reduce
-        from latnf import ideal_arith, relations, samplers
+        from latnf import ideal_arith, samplers
         fb = FactorBase(primes_up_to(qi, 40))
         draws, products = [], []
         klein, product = samplers.klein_sample, relations.prime_product
@@ -261,6 +262,28 @@ class TestExceptionalUnit:
             if v:
                 recon = hnf_mul(recon, p.power(v))
         assert recon == HnfIdeal.principal(qs5, rel.alpha)
+
+    def test_a_capped_sampler_call_is_a_failed_attempt(self, qs5,
+                                                       monkeypatch):
+        # the first sampler call exceeds its cap; the search goes on
+        x, m0, m0_primes = modulus_branch(qs5, 1e30, x_override=3.0)
+        q = m0_primes[0]
+        fb = FactorBase([p for p in primes_up_to(qs5, 40)
+                         if p.hnf != q.hnf])
+        real, calls = relations.sample_beta, []
+
+        def capped_once(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise CapExceeded("planted sampler cap")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(relations, "sample_beta", capped_once)
+        rel = exceptional_unit(qs5, q, fb, m0, m0_primes, random.Random(12),
+                               FAST_CFG)
+        assert rel.attempts >= 2
+        assert (prime_product(qs5, [(q, 1), *zip(fb, rel.valuations)])
+                == HnfIdeal.principal(qs5, rel.alpha))
 
     def test_q_must_divide_m0(self, qs5):
         x, m0, m0_primes = modulus_branch(qs5, 1e30, x_override=3.0)

@@ -12,12 +12,15 @@ sys.path.insert(0, str(Path(__file__).parent))
 from oracles import chi2_sf, chi2_uniform_stat, klein_sample_reference
 
 from latnf.ideal_arith import HnfIdeal, hnf_mul, kummer_dedekind, primes_up_to
+from latnf.intmath import rational_root_floor
 from latnf.nf_core import CapExceeded, new_field
-from latnf.qlinalg import inverse_scaled, transpose
+from latnf.dyadic import round_ratio
+from latnf.qlinalg import dot, inverse_scaled, transpose
 from latnf.samplers import (RETRY_CAP, GridBox, RadiusExpr, SamplerConfig,
                             _radius_times_sqrt2, _uniform_grid_point,
                             _z_gaussian, klein_min_width,
-                            klein_sample, perfect_box_lattice, sample_in_box,
+                            klein_sample, perfect_box_lattice,
+                            prefilter_boxes, sample_in_box,
                             sample_z_gaussian, walk_radius)
 
 
@@ -314,6 +317,18 @@ class TestRadiusExpr:
         assert r.cmp_value(num, den) == sign(v ** k, p)
         assert r.cmp_value_sq(num, den) == sign(v ** k, p * p)
 
+    @settings(max_examples=300, deadline=None)
+    @given(base=st.integers(0, 2 ** 40), k=st.integers(1, 12),
+           den=st.integers(1, 2 ** 64), delta=st.integers(-3, 3),
+           num=st.integers(0, 2 ** 200), near_power=st.booleans())
+    def test_rational_root_floor_matches_the_definition(
+            self, base, k, den, delta, num, near_power):
+        # x within 3/den of a perfect k-th power, or any rational
+        x = (max(Q(base) ** k + Q(delta, den), Q(0)) if near_power
+             else Q(num, den))
+        r = rational_root_floor(x, k)
+        assert r >= 0 and r ** k <= x < (r + 1) ** k
+
     def test_sqrt2_scaling(self):
         r = RadiusExpr(Q(16), 4)
         r2 = _radius_times_sqrt2(r)
@@ -323,9 +338,14 @@ class TestRadiusExpr:
 _EYE = [[1, 0], [0, 1]]
 
 
-def _inverse(cols):
-    """(Y, det) with cols^-1 = Y / det, as `sample_in_box` passes it."""
-    return inverse_scaled(transpose(cols))
+def _attempt(cols, t_tilde, grid_n, box, eps, oracle, rng):
+    """One `perfect_box_lattice` attempt with the set-up `sample_in_box`
+    makes once per call or rung: cols^-1 = Y / det, the rounded shift
+    w0 = Y t / det and the boxes."""
+    y, det = c_inv = inverse_scaled(transpose(cols))
+    w0 = [round_ratio(dot(row, t_tilde), det) for row in y]
+    return perfect_box_lattice(cols, c_inv, grid_n, w0,
+                               prefilter_boxes(box, eps, grid_n), oracle, rng)
 
 
 class TestPerfectBoxGrid:
@@ -339,8 +359,8 @@ class TestPerfectBoxGrid:
         n = 24000
         for _ in range(n):
             # draws on [-6, 6]^2 (1 + 4 eps = 6/5), keeps [-5, 5]^2
-            w = perfect_box_lattice(_EYE, _inverse(_EYE), 1, [0, 0], box,
-                                    Q(1, 20), lambda cand: cand, rng)
+            w = _attempt(_EYE, [0, 0], 1, box, Q(1, 20), lambda cand: cand,
+                         rng)
             assert w is not None
             counts[tuple(w)] = counts.get(tuple(w), 0) + 1
         assert len(counts) == 121
@@ -352,8 +372,7 @@ class TestPerfectBoxGrid:
         # degenerate: box smaller than D/eps
         box = GridBox([(0, RadiusExpr.exact(Q(1, 100))),
                        (1, RadiusExpr.exact(Q(1, 100)))], [])
-        w = perfect_box_lattice(_EYE, _inverse(_EYE), 1, [0, 0], box,
-                                Q(1, 10), lambda cand: cand, rng)
+        w = _attempt(_EYE, [0, 0], 1, box, Q(1, 10), lambda cand: cand, rng)
         assert w is None or w == [0, 0]
 
     def test_cell_count_identity(self):
@@ -383,10 +402,8 @@ class TestPerfectBoxLattice:
         n_accepted = 0
         # C~ = I and t~ = t on the grid (1/2)Z^2, passed as N C~, N t~
         cols = [[2, 0], [0, 2]]
-        c_inv = _inverse(cols)
         while n_accepted < 12000:
-            got = perfect_box_lattice(cols, c_inv, 2, [1, 1], box, Q(1, 12),
-                                      oracle, rng)
+            got = _attempt(cols, [1, 1], 2, box, Q(1, 12), oracle, rng)
             if got is None:
                 continue
             counts[got] = counts.get(got, 0) + 1
@@ -402,8 +419,7 @@ class TestPerfectBoxLattice:
         def oracle(v):
             return tuple(v) if all(abs(x) <= 4 for x in v) else None
 
-        got = perfect_box_lattice(_EYE, _inverse(_EYE), 1, [Q(0), Q(0)], box,
-                                  Q(1, 12), oracle, rng)
+        got = _attempt(_EYE, [Q(0), Q(0)], 1, box, Q(1, 12), oracle, rng)
         assert got is not None
 
 
