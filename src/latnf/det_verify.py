@@ -6,9 +6,10 @@ bounds on prod ||b_j||/lambda_j, lambda_1^2 and ||B||^2, without
 `approx_rho` is the library's one residue bracket.  It evaluates Bach's
 ERH-truncated Euler product with one kernel,
 `euler_log_product`: a numpy sieve, the splitting type of quadratic
-fields read from a Kronecker-character table mod |disc|, and the log-sum
-taken chunk by chunk in the order of a per-prime loop, with its float
-rounding bounded and checked against the bracket's slack."""
+fields read from a Kronecker-character table mod |disc|, and one float
+product of per-prime factors, each rounded once and multiplied chunk by
+chunk in the order of a per-prime loop, then one logarithm, with its
+float rounding bounded and checked against the bracket's slack."""
 
 from __future__ import annotations
 
@@ -72,12 +73,14 @@ def decide_equal_lattice(b_tilde_cols, d_value: Fraction) -> str:
 # ---------------------------------------------------------------------------
 # Residue / regulator approximation
 
-# Primes per chunk of the Euler product; bounds the memory of its terms.
+# Primes per chunk of the Euler product; bounds the memory of its factors.
 _EULER_CHUNK = 1 << 14
 # Added to the provable bracket's Bach error; covers the float rounding of
 # log A(x), which euler_log_product bounds.
 _FLOAT_SLACK_LOG = 1e-9
-_UNIT_ROUNDOFF = 2.0 ** -53
+# 1/u for the unit roundoff u = 2^-53 of float64; a truncation x below it
+# keeps p - 1, p and p + 1 exact in float64 for every prime p < x.
+_INV_UNIT_ROUNDOFF = 1 << 53
 
 
 @dataclass
@@ -93,10 +96,13 @@ def approx_rho(field: NumberField, truncation: int = 100,
                roots_of_unity: int = 2) -> RhoBracket:
     """rho_0 in [3/4,5/4] rho_K and eta_0 in [3/4,5/4] h R.
 
-    Evaluates Bach's truncated Euler product (`euler_log_product`) with
-    the certified ERH bracket, widened by a 1e-9 slack that must cover
-    the product's float rounding, and reports failure when the truncation
-    cannot reach the [3/4, 5/4] window.
+    Evaluates Bach's truncated Euler product (`euler_log_product`, one
+    float product of per-prime factors and its log) with the certified
+    ERH bracket, widened by a 1e-9 slack that must cover the log's float
+    rounding (RuntimeError when the kernel's bound exceeds it; the bound
+    grows as 2 pi(x) u, and passes 1e-9 between x = 65,536,000 and
+    131,072,000), and reports failure when the truncation cannot reach
+    the [3/4, 5/4] window.
     """
     if truncation < 100:
         raise ValueError("truncation must be >= 100")
@@ -121,27 +127,39 @@ def approx_rho(field: NumberField, truncation: int = 100,
 
 def euler_log_product(field: NumberField, x: int) -> tuple[float, float]:
     """(log A(x), bound on its float rounding error) for Bach's product
-    A(x) = prod_{p < x} (1 - 1/p) / prod_{N(P) < x, P | p} (1 - 1/N(P)).
+    A(x) = prod_{p < x} F_p, F_p = (1 - 1/p) / prod_{P | p, N(P) < x}
+    (1 - 1/N(P)).
 
-    Per prime p the terms are log1p(-1/p), then -log1p(-1/N(P)) for each
-    P | p of norm below x, in `splitting_degrees` order.  They are summed
-    left to right, a chunk of primes at a time, by a sequential cumsum
-    that carries the running sum, so the result is the float a per-prime
+    Each F_p is rounded to float once, and the N factors are multiplied
+    left to right, a chunk of primes at a time, by a sequential cumprod
+    that carries the running product (never `np.prod`, whose reduction
+    may reorder the products), so the result is the float a per-prime
     loop gives.  For quadratic fields the splitting type of an odd p is
-    read from `_kronecker_table`; p = 2, discriminants with more residues
-    than there are primes below x, and higher degrees ask
-    `splitting_degrees` prime by prime.  Every log is `math.log1p`
-    (`np.log1p` differs from it in the last bit).
+    read from `_kronecker_table`, and F_p is one true division of exact
+    integers: p/(p-1) if p splits, p/p if it ramifies, p/(p+1) if it is
+    inert and p^2 < x, (p-1)/p if it is inert and p^2 >= x.  p = 2,
+    discriminants with more residues than there are primes below x, and
+    higher degrees ask `splitting_degrees` prime by prime and divide the
+    exact integer numerator of F_p by its denominator.  IEEE division
+    and multiplication are correctly rounded, so the bits do not depend
+    on the CPU, and no logarithm is taken per prime.
 
-    Rounding: a float sum of N nonzero terms is within gamma_N sum |t_i|
-    of the exact sum of those terms, gamma_N = N u / (1 - N u),
-    u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms,
-    2nd ed., eq. 4.4); the zero padding adds exactly.  Each term is within
-    7u |t_i| of its exact value: log1p is assumed accurate to 2 ulp (at
-    most 4u relative), as glibc documents, and the rounding of -1/q
-    (relative u) is magnified by at most 1/log 2 < 1.5 on [-1/2, 0); the
-    rest covers second-order terms and the float evaluation of sum |t_i|.
+    Rounding: each F_p is within relative u of its exact value (x < 2^53
+    keeps p - 1, p and p + 1 exact in float64, and Python's integer true
+    division rounds correctly), and each of the N - 1 products that are
+    not by the carry's initial 1.0 adds one more relative u, u = 2^-53.
+    So the float product P^ is P (1 + theta) with |theta| <= gamma_2N =
+    2N u / (1 - 2N u) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., Lemma 3.1); every partial product lies between
+    prod (1 - 1/p) and prod (p/(p-1))^(n-1) over p < x, far from
+    underflow and overflow.  Then |log P^ - log P| <= -log(1 - gamma_2N)
+    <= gamma_2N / (1 - gamma_2N).  `math.log` is assumed accurate to
+    2 ulp, at most 4u relative, as glibc documents, so the returned L^
+    is within 4u |log P^| <= 4u |L^| / (1 - 4u) of log P^.  The bound is
+    the sum of the two, evaluated in rationals and rounded up to a float.
     """
+    if x >= _INV_UNIT_ROUNDOFF:
+        raise ValueError("Euler-product truncation must be below 2^53")
     if field.index_sq > 1 and min(intmath.factorint(field.index_sq)) < x:
         raise ValueError("index-divisor prime in the Euler product")
     primes = intmath.prime_sieve(x)
@@ -150,50 +168,48 @@ def euler_log_product(field: NumberField, x: int) -> tuple[float, float]:
         disc = field.poly[1] ** 2 - 4 * field.poly[0]
         if abs(disc) <= len(primes):
             chi = _kronecker_table(disc)
-    total, abs_sum, n_terms = 0.0, 0.0, 0
+    product = 1.0
     for start in range(0, len(primes), _EULER_CHUNK):
         chunk = primes[start:start + _EULER_CHUNK]
         if chi is None:
-            terms = np.array([t for p in chunk.tolist()
-                              for t in _prime_terms(field, p, x)])
+            factors = np.array([_prime_factor(field, p, x)
+                                for p in chunk.tolist()])
         else:
-            terms = _quadratic_terms(field, chi, chunk, x)
-        total = float(np.cumsum(np.concatenate(([total], terms)))[-1])
-        abs_sum += float(np.abs(terms).sum())
-        n_terms += int(np.count_nonzero(terms))
-    gamma = n_terms * _UNIT_ROUNDOFF / (1 - n_terms * _UNIT_ROUNDOFF)
-    return total, (gamma + 7 * _UNIT_ROUNDOFF) * abs_sum
+            factors = _quadratic_factors(field, chi, chunk, x)
+        product = float(np.cumprod(np.concatenate(([product], factors)))[-1])
+    log_a = math.log(product)
+    gamma = Fraction(2 * len(primes), _INV_UNIT_ROUNDOFF - 2 * len(primes))
+    exact = (gamma / (1 - gamma)
+             + 4 * abs(Fraction(log_a)) / (_INV_UNIT_ROUNDOFF - 4))
+    bound = float(exact)
+    if bound < exact:
+        bound = math.nextafter(bound, math.inf)
+    return log_a, bound
 
 
-def _prime_terms(field: NumberField, p: int, x: int) -> list[float]:
-    """The terms of one prime p, in summation order."""
-    terms = [math.log1p(-1.0 / p)]
+def _prime_factor(field: NumberField, p: int, x: int) -> float:
+    """F_p of one prime p, from the exact integers of its numerator and
+    denominator, rounded once."""
+    num, den = p - 1, p
     for f, _e in splitting_degrees(field, p):
         nrm = p ** f
         if nrm < x:
-            terms.append(-math.log1p(-1.0 / nrm))
-    return terms
+            num, den = num * nrm, den * (nrm - 1)
+    return num / den
 
 
-def _quadratic_terms(field: NumberField, chi: np.ndarray, primes: np.ndarray,
-                     x: int) -> np.ndarray:
-    """The terms of a chunk of primes of a quadratic field, three slots per
-    prime (zero where a prime has fewer), flattened in summation order."""
-    log_p = np.fromiter(map(math.log1p, (-1.0 / primes).tolist()), float,
-                        len(primes))
+def _quadratic_factors(field: NumberField, chi: np.ndarray,
+                       primes: np.ndarray, x: int) -> np.ndarray:
+    """F_p of a chunk of primes of a quadratic field, one int64 true
+    division each."""
     sym = chi[primes % len(chi)]
-    terms = np.zeros((len(primes), 3))
-    terms[:, 0] = log_p
-    terms[sym >= 0, 1] = -log_p[sym >= 0]       # ramified, or split
-    terms[sym > 0, 2] = -log_p[sym > 0]         # the second split prime
-    inert = np.flatnonzero((sym < 0) & (primes <= math.isqrt(x - 1)))
-    terms[inert, 1] = [-math.log1p(-1.0 / q)
-                       for q in (primes[inert] ** 2).tolist()]
+    split = sym > 0
+    near = (sym < 0) & (primes <= math.isqrt(x - 1))      # inert, p^2 < x
+    far = (sym < 0) & ~near
+    factors = (primes - far) / (primes - split + near)
     if primes[0] == 2:
-        row = _prime_terms(field, 2, x)
-        terms[0] = 0.0
-        terms[0, :len(row)] = row
-    return terms.ravel()
+        factors[0] = _prime_factor(field, 2, x)
+    return factors
 
 
 def _kronecker_table(disc: int) -> np.ndarray:

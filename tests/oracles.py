@@ -532,29 +532,33 @@ def smith_reference(rows) -> list[int]:
     return factors
 
 
-def euler_log_product_reference(field, x: int) -> float:
-    """log A(x) by the per-prime loop of the old
-    `sunit_pipeline.approx_rho_float`, verbatim: the bit-for-bit reference
-    of `det_verify.euler_log_product`."""
+def euler_product_reference(field, x: int) -> float:
+    """log A(x) by a per-prime loop: the exact factor F_p of each prime
+    from `splitting_degrees`, rounded to float once (Python's integer
+    true division rounds correctly, so it is float(Fraction(num, den))),
+    multiplied left to right, then one `math.log`: the bit-for-bit
+    reference of `det_verify.euler_log_product`."""
     from latnf.ideal_arith import splitting_degrees
-    log_a = 0.0
+    product = 1.0
     index_sq = int(field.disc_poly / field.disc_field)
     for p in primes_below_reference(x):
-        log_a += math.log1p(-1.0 / p)
         if index_sq % p == 0:
             raise ValueError("index-divisor prime in the Euler product")
+        num, den = p - 1, p
         for f, _e in splitting_degrees(field, p):
             nrm = p ** f
             if nrm < x:
-                log_a -= math.log1p(-1.0 / nrm)
-    return log_a
+                num, den = num * nrm, den * (nrm - 1)
+        product *= num / den
+    return math.log(product)
 
 
 def approx_rho_float_reference(field, x: int, mu_count: int):
-    """The old `sunit_pipeline.approx_rho_float`: the bit-for-bit reference
-    of the provable branch of `det_verify.approx_rho`."""
+    """The bracket of the old `sunit_pipeline.approx_rho_float` around
+    `euler_product_reference`'s log A(x): the bit-for-bit reference of
+    `det_verify.approx_rho`."""
     from latnf.det_verify import RhoBracket
-    log_a = euler_log_product_reference(field, x)
+    log_a = euler_product_reference(field, x)
     err = 8 * (math.log(abs(field.disc_field))
                + field.n * math.log(x)) / math.sqrt(x) + 1e-9
     if math.exp(err) > 1.25:

@@ -1,7 +1,7 @@
-"""The residue bracket's Euler-product kernel against the per-prime loop it
-replaced: bit-identical brackets, chunk boundaries, the Kronecker table,
-the general (degree > 2) path, the exact product, the index-divisor
-guard and the sieve."""
+"""The residue bracket's Euler-product kernel against a per-prime product
+loop: bit-identical brackets, chunk boundaries, the Kronecker table, the
+general (degree > 2) path, the exact product inside the rounding bound,
+the guards and the sieve."""
 
 import math
 from fractions import Fraction as Q
@@ -11,13 +11,14 @@ import pytest
 
 from latnf import det_verify, intmath
 from latnf.det_verify import approx_rho, euler_log_product
+from latnf.dyadic import log_ball
 from latnf.ideal_arith import splitting_degrees
 from latnf.nf_core import NumberField, new_field
 from latnf.sunit_pipeline import (PipelineConfig, _bach_truncation,
                                   provable_d_value, roots_of_unity_count)
 
 from oracles import (approx_rho_float_reference, bach_product,
-                     euler_log_product_reference, prime_sieve_reference,
+                     euler_product_reference, prime_sieve_reference,
                      primes_below_reference)
 
 # Q(i), Q(sqrt-5), Q(sqrt2), Q(sqrt-163), x^2-x-1, x^2-x+1
@@ -52,11 +53,11 @@ class TestBitIdentical:
         for poly in QUADRATICS + [[2, -1, 1]]:     # x^2-x+2: 2 splits
             field = new_field(poly)
             got, _bound = euler_log_product(field, 20000)
-            assert got == euler_log_product_reference(field, 20000)
+            assert got == euler_product_reference(field, 20000)
 
     def test_small_chunks_full_truncation(self, monkeypatch):
         field = new_field([5, 0, 1])
-        ref = euler_log_product_reference(field, 2_048_000)
+        ref = euler_product_reference(field, 2_048_000)
         monkeypatch.setattr(det_verify, "_EULER_CHUNK", 7)
         assert euler_log_product(field, 2_048_000)[0] == ref
 
@@ -65,12 +66,12 @@ class TestBitIdentical:
         qi = new_field([1, 0, 1])
         for x in (103 ** 2, 103 ** 2 + 1):
             got, _bound = euler_log_product(qi, x)
-            assert got == euler_log_product_reference(qi, x)
+            assert got == euler_product_reference(qi, x)
 
     def test_general_path_cubic(self):
         field = new_field([-1, -1, 0, 1])          # x^3 - x - 1
         got, bound = euler_log_product(field, 20000)
-        assert got == euler_log_product_reference(field, 20000)
+        assert got == euler_product_reference(field, 20000)
         assert 0 < bound < 1e-11
 
 
@@ -87,13 +88,17 @@ class TestKroneckerTable:
 
 
 class TestExactProduct:
-    def test_bach_product_oracle(self):
-        qi = new_field([1, 0, 1])
-        exact = bach_product(qi, 2000)
-        log_a, bound = euler_log_product(qi, 2000)
-        assert abs(math.exp(log_a) / float(exact) - 1) < 1e-12
-        # the asserted rounding bound covers the float sum
-        assert abs(log_a - math.log(float(exact))) <= bound + 1e-15
+    @pytest.mark.parametrize("poly", QUADRATICS + [[2, -1, 1], [-1, -1, 0, 1]],
+                             ids=str)
+    def test_certified_log_inside_bound(self, poly):
+        # x^2-x+2 (2 splits), x^3-x-1 (the general path); 103 is inert in
+        # Q(i), and 103^2 is the cut
+        field = new_field(poly)
+        for x in (2000, 103 ** 2, 103 ** 2 + 1, 20000):
+            log_a, bound = euler_log_product(field, x)
+            ball = log_ball(bach_product(field, x), 96)
+            assert Q(log_a) - Q(bound) <= ball.lo(), x
+            assert ball.hi() <= Q(log_a) + Q(bound), x
 
 
 class TestRoundingBound:
@@ -102,6 +107,13 @@ class TestRoundingBound:
         rb = _bracket(field, x, mu)
         bound = rb.detail["float_rounding_log"]
         assert 1e-11 < bound <= 1e-9
+
+    def test_past_the_old_wall(self):
+        # a log-sum kernel's bound (gamma_N + 7u) sum |t_i| reads 1.67e-9
+        # here, past the 1e-9 slack; the product's is gamma_2N + 4u |log A|
+        field = new_field([5, 0, 1])
+        rb = _bracket(field, 16_384_000, 2)
+        assert 2.3e-10 < rb.detail["float_rounding_log"] < 2.4e-10
 
     def test_pipeline_reports_it(self):
         qi = new_field([1, 0, 1])
@@ -114,6 +126,38 @@ class TestGuards:
         field = NumberField([23, 0, 1], [[1, 0], [Q(1, 2), Q(1, 2)]])
         with pytest.raises(ValueError, match="index-divisor prime"):
             provable_d_value(field, PipelineConfig())
+
+    def test_truncation_below_two_to_the_53(self, monkeypatch):
+        # p - 1, p and p + 1 must be exact in float64; the stub sieve
+        # builds nothing
+        qi = new_field([1, 0, 1])
+        sieved = []
+
+        def stub_sieve(x):
+            sieved.append(x)
+            return np.array([2, 3, 5, 7, 11], dtype=np.int64)
+
+        monkeypatch.setattr(intmath, "prime_sieve", stub_sieve)
+        with pytest.raises(ValueError, match="below 2\\^53"):
+            euler_log_product(qi, 1 << 53)
+        assert sieved == []
+        log_a, _bound = euler_log_product(qi, (1 << 53) - 1)
+        assert sieved == [(1 << 53) - 1]
+        # 2 ramifies, 5 splits, 3, 7 and 11 are inert with p^2 < x
+        assert log_a == math.log(1.0 * (3 / 4) * (5 / 4) * (7 / 8) * (11 / 12))
+
+
+class TestNoLogPerPrime:
+    def test_one_log_on_the_quadratic_path(self, monkeypatch):
+        field = new_field([5, 0, 1])
+        calls = []
+        for name in ("log", "log1p"):
+            real = getattr(math, name)
+            monkeypatch.setattr(math, name,
+                                lambda t, real=real, name=name:
+                                calls.append(name) or real(t))
+        euler_log_product(field, 20000)
+        assert calls == ["log"]
 
 
 class TestSieve:
