@@ -16,7 +16,9 @@ preceded the fraction-free kernel, so they pin it to the same values
 (every entry is hashed as a reduced fraction).  The reduced-ideal digests
 once hashed each result's dually-reduced tag as well (always 3 and 6);
 they were recorded again without it when the tag was deleted, from the
-library as it stood just before.
+library as it stood just before.  The `verify-structure` digests hash
+each verification case without its dyadic rows `basis_inf`, so they
+hold when only the last bits of the log balls move.
 
 The property tests compare the kernel's entries with the `Fraction`
 references in `oracles.py` on random rational matrices, singular ones
@@ -133,16 +135,31 @@ def _relation_set(poly, label, extra):
     return field, fb, rels
 
 
-def _verify(poly, label, h, reg):
+@functools.cache
+def _post_and_transcript(poly, label, h, reg):
     field, fb, rels = _relation_set(poly, label, 4)
     # D = h R sqrt(r1 + r2) from the known invariants, as a float
     d_value = (h * reg) * math.sqrt(field.n_real + field.n_cplx)
     post = sunit_pipeline.postprocess(rels, fb, field)
     tr = sunit_pipeline.verify_full(post, field, fb, d_value, rels)
     assert tr.verdict == "verified"
+    return post, tr
+
+
+def _verify(poly, label, h, reg):
+    post, tr = _post_and_transcript(poly, label, h, reg)
     return _digest(post.n_matrix, post.basis_val, post.basis_inf, post.rank,
                    tr.class_index, tr.split_ratio, tr.direct_ratio,
                    tr.verdict)
+
+
+def _verify_structure(poly, label, h, reg):
+    """`_verify` without the dyadic rows `basis_inf`: the exact blocks,
+    the rank, the class index, both determinant ratios and the verdict,
+    which a change in the last bits of the log balls must leave alone."""
+    post, tr = _post_and_transcript(poly, label, h, reg)
+    return _digest(post.n_matrix, post.basis_val, post.rank, tr.class_index,
+                   tr.split_ratio, tr.direct_ratio, tr.verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +232,10 @@ CASES = {
     "verify-sqrt-5": lambda: _verify((5, 0, 1), "pinned-qs5", 2, 1.0),
     "verify-sqrt2": lambda: _verify((-2, 0, 1), "pinned-qr2", 1,
                                     math.log(1 + math.sqrt(2))),
+    "verify-structure-sqrt-5": lambda: _verify_structure(
+        (5, 0, 1), "pinned-qs5", 2, 1.0),
+    "verify-structure-sqrt2": lambda: _verify_structure(
+        (-2, 0, 1), "pinned-qr2", 1, math.log(1 + math.sqrt(2))),
     "ideal-sqrt-5": lambda: _reduced_ideal_bases((5, 0, 1), 12, [1, 1]),
     "ideal-x3-x+1": lambda: _reduced_ideal_bases((1, -1, 0, 1), 12,
                                                  [1, Q(3, 2), Q(3, 2)]),
@@ -237,6 +258,8 @@ PINNED = {
     "klein-relation18-s6": "1ff7db0fca03ce21",
     "verify-sqrt-5": "bee1a649943f7a31",
     "verify-sqrt2": "2ccef68263d605c7",
+    "verify-structure-sqrt-5": "d8450900555cb030",
+    "verify-structure-sqrt2": "70220e918ae3b794",
 }
 
 
