@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import intmath
-from .dyadic import Q, RealBall, ball_log, ball_sqrt, log_ball, sqrt_bracket
+from .dyadic import Q, RealBall, ball_sqrt, log_ball, sqrt_bracket
 from .ideal_arith import (HnfIdeal, PrimeIdeal, factor_over, kummer_dedekind,
                           ord_at)
 from .nf_core import FieldElement, NumberField, _abs2_pow, precision_ladder
@@ -112,18 +112,35 @@ class LogVector:
 
 
 def log_embedding(alpha: FieldElement, prec: int = 64) -> LogVector:
-    """Log(alpha) = (n_nu log|sigma_nu(alpha)|)_nu as certified balls."""
+    """Log(alpha) = (n_nu log|sigma_nu(alpha)|)_nu as certified balls,
+    one `log_ball` series per place.
+
+    The embedding ladder climbs from prec + 16 bits until every place's
+    |sigma_nu(alpha)|^2 ball (m ± r)/den has m > r.  Its centre c = m/den
+    then gets one `log_ball(c, prec + 8)`, within 2^-(prec+8) of log c.
+    Any y in the ball has |y - c| <= r/den, and by the mean value theorem
+    |log y - log c| = |y - c|/xi for some xi between y and c, so
+    xi >= (m - r)/den and |log y - log c| <= r/(m - r).  That spread,
+    rounded up on the 2^-(prec+24) grid, is added to the radius, and the
+    ball is scaled by n_nu/2 exactly: it contains n_nu log|sigma_nu(alpha)|.
+    """
     if alpha.is_zero():
         raise ValueError("Log of zero")
     field = alpha.field
+    grid = prec + 24
     for work in precision_ladder(prec + 16, "log embedding failed to "
                                  "separate |sigma(alpha)| from 0"):
         pt = field.embed(alpha, work)
         squares = [(_abs2_pow(pt, idx, 1), nnu) for idx, nnu in field.places()]
         if all(mid > rad for (mid, rad, _den), _nnu in squares):
-            return LogVector([ball_log(RealBall(Q(mid, den), Q(rad, den)),
-                                       prec + 8) * Q(nnu, 2)
-                              for (mid, rad, den), nnu in squares])
+            out = []
+            for (mid, rad, den), nnu in squares:
+                centre = log_ball(Q(mid, den), prec + 8)
+                spread = Q(-(-(rad << grid) // (mid - rad)), 1 << grid)
+                half = Q(nnu, 2)
+                out.append(RealBall(centre.mid * half,
+                                    (centre.rad + spread) * half))
+            return LogVector(out)
 
 
 @dataclass

@@ -6,7 +6,10 @@ as a RealBall: a dyadic midpoint plus a dyadic error radius that provably
 contains the true value.  All arithmetic here is exact (Python ints and
 Fractions); transcendental functions return balls whose radius accounts
 for both truncation and rounding.  The certified logarithm `log_ball`
-computes on integer mantissas and returns a RealBall.  The embedding path
+and exponential `exp_ball` compute on integer mantissas and return a
+RealBall; the log of a ball is one `log_ball` at its centre plus the
+spread the mean value theorem bounds (`divisor_log.log_embedding`, the
+one reader of a logarithm over a ball).  The embedding path
 keeps its complex balls as integer mantissas and never builds a ball
 object: `nf_core`'s root balls, Horner evaluation and |z|^2k test, and
 `approx_reduction.minkowski_columns_x`, whose columns are integer
@@ -159,11 +162,42 @@ def log_ball(x: Fraction, prec: int) -> "RealBall":
 
 
 def exp_ball(t: Fraction, prec: int) -> "RealBall":
-    """Ball containing exp(t) for rational t, relative radius <= 2^-prec."""
+    """Ball containing exp(t) for rational t, relative radius 2^-prec.
+
+    With W = work = prec + 32 and l2 = ln2(W), within 2^-W of log 2,
+    k = floor(t/l2 + 1/2) and s = t - k·l2 (exact), so |s| <= l2/2 < 0.35.
+    The series runs on integers at 2^-W: t_0 = 2^W and t_j is an integer
+    within 1 of t_{j-1}·s/j (a floor of its magnitude, or a ceiling when
+    s < 0 and t_{j-1} < 0); total is the sum of the t_j before the first
+    t_J = 0, or of t_0..t_W when j passes W first.
+
+    Error bound, with T_j = s^j/j!·2^W and e_j = t_j - T_j:
+    - e_j = e_{j-1}·s/j + (rounding < 1), and |s|/j < 1/2, so |e_j| < 2;
+    - the tail sum_{j>=J} |T_j| is below 2|T_J|, as |T_{j+1}| <= |T_j|/2:
+      below 4 when t_J = 0 (|T_J| = |e_J|), and below 1 after the break
+      at j > W (|T_{W+1}| < 2^W·2^-(W+1));
+    so |total - 2^W·e^s| < 2(J - 1) + 4 <= 2W + 4 with J <= W + 1.
+    The true reduction s* = t - k·log 2 differs from s by |k|·2^-W at
+    most, so exp(t) = 2^k·e^(s*) and val = 2^k·total·2^-W give
+    |val - exp(t)| <= exp(t)·eps with
+    eps = (2W + 4)·2^-W/e^(s*) + (e^(|k|·2^-W) - 1)
+        <= (4W + 8 + 2|k|)·2^-W.
+    While 4W + 8 + 2|k| <= 2^31, |k|·2^-W <= 2^30·2^-32 = 1/4, so
+    |s*| < 0.35 + 1/4 and e^(s*) > e^-0.6 > 1/2, and e^x - 1 <= 2x for
+    x <= 1, which is the step above; eps is then <= 2^-(prec+1), hence
+    |val - exp(t)| <= eps·|val|/(1 - eps) <= |val|·2^-prec, the radius
+    returned.  The check below raises ValueError outside that range (and
+    for prec < 0); ln2 stops prec near 19,600 bits first.
+    """
     work = prec + 32
+    if prec < 0:
+        raise ValueError(f"exp_ball: negative precision {prec}")
     l2 = ln2(work)
     k = math.floor(t / l2 + Q(1, 2)) if t != 0 else 0
-    s = t - k * l2            # |s| <= ln2/2 + tiny
+    if 4 * work + 8 + 2 * abs(k) > 1 << 31:
+        raise ValueError(f"exp_ball: the error bound at {prec} bits and "
+                         f"exponent {k} exceeds the guard bits")
+    s = t - k * l2            # |s| <= l2/2
     scale = 1 << work
     s_num, s_den = s.numerator, s.denominator
     total = scale
@@ -239,14 +273,3 @@ def ball_sqrt(b: RealBall, prec: int) -> RealBall:
     slo, _ = sqrt_bracket(lo, prec)
     _, shi = sqrt_bracket(hi, prec)
     return RealBall((slo + shi) / 2, (shi - slo) / 2)
-
-
-def ball_log(b: RealBall, prec: int) -> RealBall:
-    """Ball containing log over a strictly positive ball."""
-    lo, hi = b.lo(), b.hi()
-    if lo <= 0:
-        raise ValueError("log over ball touching zero")
-    bl = log_ball(lo, prec)
-    bh = log_ball(hi, prec)
-    l, h = bl.lo(), bh.hi()
-    return RealBall((l + h) / 2, (h - l) / 2)

@@ -20,7 +20,7 @@ from . import lattice_core, qlinalg, samplers
 from .approx_reduction import ApproxGenerators, bkp_twice, minkowski_columns_x
 from .det_verify import approx_rho
 from .divisor_log import kessler_lambda1_lower, log_embedding
-from .dyadic import Q, RealBall, log_ball, round_half_up
+from .dyadic import Q, RealBall, dyadic_round, log_ball, round_half_up
 from .nf_core import CapExceeded, NumberField, precision_ladder
 from .relations import (FactorBase, RandomRelationConfig, RelationConfig,
                         SUnitRelation, exceptional_unit, modulus_branch,
@@ -89,7 +89,15 @@ def postprocess(relations, fb: FactorBase, field: NumberField,
 def _postprocess(relations, fb: FactorBase, field: NumberField,
                  kessler_c: int, lattice) -> PostprocessResult:
     """`postprocess` on `lattice`, the (H, U, kernel) that
-    `_relation_lattice` returns for these relations."""
+    `_relation_lattice` returns for these relations.
+
+    Each relation is log-embedded once: at the unit-block BKP's own
+    precision (`_unit_block_precision`, at least 128 bits) when that
+    block runs (a nonempty kernel and r1 > 1), else at 128 bits.  The
+    unit block combines those balls; the pivot rows of `basis_inf` read
+    the same midpoints, rounded to 2^-145 after a unit block, the finest
+    grid of a 128-bit embedding, so `precision_bits` stays 128.
+    """
     k = len(relations)
     if k == 0:
         return PostprocessResult([], 0, [], [], 0)
@@ -98,17 +106,22 @@ def _postprocess(relations, fb: FactorBase, field: NumberField,
     h_rows, u, kernel = lattice
     pivot_rows = [i for i in range(k) if any(h_rows[i])]
     mu = kessler_lambda1_lower(field, kessler_c)
-    # unit-block BKP at the precision its own constants demand
+    # one log embedding per relation: at the precision the unit-block
+    # BKP's constants demand when that block runs, else at the output's
+    out_prec = 128
     kb = len(kernel)
-    unit_basis_combos = []       # rows over the original relations
-    unit_inf_rows = []
-    unit_rank = 0
-    if kb and r1 > 1:
+    unit_block = bool(kb) and r1 > 1
+    prec = out_prec
+    if unit_block:
         coeff_max = max(abs(c) for row in kernel for c in row)
         prec = _unit_block_precision(field, kb, coeff_max, len(relations),
                                      mu, s_len, field.n)
-        logs = [log_embedding(rel.alpha, prec).entries for rel in relations]
-        mids = [[b.mid for b in lv] for lv in logs]
+    logs = [log_embedding(rel.alpha, prec).entries for rel in relations]
+    mids = [[b.mid for b in lv] for lv in logs]
+    unit_basis_combos = []       # rows over the original relations
+    unit_inf_rows = []
+    unit_rank = 0
+    if unit_block:
         rads = [max(b.rad for b in lv) for lv in logs]
         rows = [_combine(comb, mids) for comb in kernel]
         max_err = max(sum(abs(c) * r for c, r in zip(comb, rads))
@@ -130,10 +143,12 @@ def _postprocess(relations, fb: FactorBase, field: NumberField,
                 unit_inf_rows.append([Q(x) for x in brow])
     rank = len(pivot_rows) + unit_rank
     # assemble the basis rows: HNF valuation rows first, then unit rows;
-    # pivot combinations are Babai-shortened against the kernel
-    out_prec = 128
-    mids_out = [[b.mid for b in log_embedding(rel.alpha, out_prec).entries]
-                for rel in relations]
+    # pivot combinations are Babai-shortened against the kernel, on the
+    # midpoints cut to the finest grid of a 128-bit log embedding
+    mids_out = mids
+    if unit_block:
+        mids_out = [[dyadic_round(m, out_prec + 17) for m in row]
+                    for row in mids]
     n_matrix, basis_val, basis_inf = [], [], []
     for i in pivot_rows:
         combo = _babai_reduce_combo(list(u[i]), kernel)

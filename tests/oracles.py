@@ -35,7 +35,8 @@ methods that never touch the library's own code paths.
   before their integer-mantissa and odd-only kernels;
 - the library's complex balls as `Fraction` `ComplexBall`s
   (`certify_roots`, `embedding_values`), and the readers it ran on them
-  before they moved onto integer mantissas: the log embedding, the sign
+  before they moved onto integer mantissas: the log embedding (with the
+  two-ended `ball_log` it took before one series per place), the sign
   at a real place, the |sigma|^2k decision with its Liouville fallback
   and the root-subset factor search;
 - Klein's sampler on the rational Gram-Schmidt basis with a `Fraction`
@@ -865,11 +866,22 @@ def divisor_degree(finite, infinite, prec: int = 64):
     return acc
 
 
+def ball_log(b, prec: int):
+    """Ball containing log over a strictly positive RealBall: one
+    `log_ball` at each end, as `divisor_log.log_embedding` took it before
+    it ran one series at the centre."""
+    from latnf.dyadic import RealBall, log_ball
+    lo, hi = b.lo(), b.hi()
+    if lo <= 0:
+        raise ValueError("log over ball touching zero")
+    l, h = log_ball(lo, prec).lo(), log_ball(hi, prec).hi()
+    return RealBall((l + h) / 2, (h - l) / 2)
+
+
 def log_embedding_reference(field, alpha, prec: int):
-    """The balls of `divisor_log.log_embedding`, n_nu/2 times the
-    `ball_log` of `ComplexBall.abs2` at each place, with the same
-    precision doubling; None where that would exceed its cap."""
-    from latnf.dyadic import ball_log
+    """n_nu/2 times the two-ended `ball_log` of `ComplexBall.abs2` at
+    each place, with the precision doubling of
+    `divisor_log.log_embedding`; None where that would exceed its cap."""
     work = prec + 16
     for _ in range(40):
         values = embedding_values(field.embed(alpha, work))

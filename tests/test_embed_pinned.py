@@ -18,11 +18,16 @@ and the integer Minkowski columns with their `Fraction` references in
 `oracles.py`.  The columns are integer mantissas over one midpoint and
 one radius denominator per column; both the pins and the property test
 read each entry back as the fractions (mid, rad).  The readers of the
-integer embedding balls (the log embedding, the sign at a real place and
-the |sigma|^2k decision with its Liouville fallback) and the root-subset
-factor search are compared with the `ComplexBall` readers they replaced
-(`oracles.log_embedding_reference` and its neighbours), which read the
-same balls as fractions (`oracles.embedding_values`).
+integer embedding balls (the sign at a real place and the |sigma|^2k
+decision with its Liouville fallback) and the root-subset factor search
+are compared with the `ComplexBall` readers they replaced
+(`oracles.sign_at_real_place_reference` and its neighbours), which read
+the same balls as fractions (`oracles.embedding_values`).  The log
+embedding, one series at the centre of each ball, must contain the
+two-ended reference (`oracles.log_embedding_reference`) taken 32 bits
+finer, and be at most a little wider than it at the same precision; it
+runs one `log_ball` per place, and post-processing one log embedding per
+relation.
 """
 
 import hashlib
@@ -32,13 +37,14 @@ from math import lcm
 
 import oracles
 import pytest
+import test_linalg_pinned
 from functools import lru_cache
 from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latnf import intmath, nf_core, polyq
+from latnf import divisor_log, dyadic, intmath, nf_core, polyq, sunit_pipeline
 from latnf.approx_reduction import minkowski_columns_x
 from latnf.divisor_log import log_embedding
 from latnf.nf_core import GT, LE, NumberField, cmp_element
@@ -281,14 +287,20 @@ class TestAgainstReferences:
     @given(name=st.sampled_from(sorted(FIELDS)), prec=st.integers(8, 320),
            data=st.data())
     def test_log_embedding_and_sign(self, name, prec, data):
+        # one series at the centre of each |sigma|^2 ball: the two-ended
+        # reference ball at prec + 32 lies inside it, and its radius
+        # exceeds the reference's at prec by at most 2^-(prec+16)·n_nu/2
         field = _field(name)
         coords = data.draw(st.lists(rationals, min_size=field.n,
                                     max_size=field.n).filter(any))
         alpha = field.element(coords)
-        got = log_embedding(alpha, prec)
+        got = log_embedding(alpha, prec).entries
+        fine = oracles.log_embedding_reference(field, alpha, prec + 32)
         ref = oracles.log_embedding_reference(field, alpha, prec)
-        assert [(b.mid, b.rad) for b in got.entries] == [
-            (b.mid, b.rad) for b in ref]
+        assert len(got) == len(fine) == len(ref) == len(field.places())
+        for ball, f, r, (_idx, nnu) in zip(got, fine, ref, field.places()):
+            assert ball.lo() <= f.lo() and f.hi() <= ball.hi()
+            assert ball.rad <= r.rad + Q(nnu, 2 << (prec + 16))
         for place in range(field.n_real):
             assert field.sign_at_real_place(alpha, place) == (
                 oracles.sign_at_real_place_reference(field, alpha, place))
@@ -380,6 +392,26 @@ class TestAgainstReferences:
         got = minkowski_columns_x(field, elements, x, prec)
         ref = oracles.minkowski_columns_reference(field, elements, x, prec)
         assert _balls(got) == [[(c.mid, c.rad) for c in col] for col in ref]
+
+
+def test_one_series_per_place():
+    field = _field("Q(sqrt2)")
+    alpha = field.element([Q(-7, 3), Q(5)])
+    with mock.patch.object(divisor_log, "log_ball",
+                           wraps=dyadic.log_ball) as spy:
+        log_embedding(alpha, 895)
+    assert spy.call_count == len(field.places())
+
+
+@pytest.mark.parametrize("poly,label", [((-2, 0, 1), "pinned-qr2"),
+                                        ((5, 0, 1), "pinned-qs5")])
+def test_one_log_embedding_per_relation(poly, label):
+    # Q(sqrt2)'s relations reach the unit block, Q(sqrt-5)'s do not
+    field, fb, rels = test_linalg_pinned._relation_set(poly, label, 4)
+    with mock.patch.object(sunit_pipeline, "log_embedding",
+                           wraps=log_embedding) as spy:
+        sunit_pipeline.postprocess(rels, fb, field)
+    assert spy.call_count == len(rels)
 
 
 @pytest.mark.parametrize("poly", sorted(SUBSET_POLYS))

@@ -1,12 +1,14 @@
-"""Pinned outputs of the certified logarithm.
+"""Pinned outputs of the certified logarithm and exponential.
 
-The digests hash the exact (mid, rad) of `dyadic.log_ball` and
-`dyadic.ball_log` on the inputs the S-unit pipeline gives them:
+The digests hash the exact (mid, rad) of `dyadic.log_ball` and of the
+two-ended `oracles.ball_log` built on it, on the inputs the S-unit
+pipeline gives them:
 
 - the |sigma(alpha)|^2 balls of the relation sets that
   `test_linalg_pinned` post-processes, on Q(sqrt-5) and Q(sqrt2), taken
-  the way `divisor_log.log_embedding` takes them (embedding at prec + 16,
-  logs at prec + 8) at prec 64, 128 and, on Q(sqrt2), the unit-block
+  the way `divisor_log.log_embedding` took them when these digests were
+  recorded (embedding at prec + 16, logs at prec + 8, at both ends of
+  each ball) at prec 64, 128 and, on Q(sqrt2), the unit-block
   precision `postprocess` asks for (593 bits), and at 895 bits, the
   unit-block precision of the Q(sqrt2) relation dump that
   `perfbench`'s `reverify` verifies;
@@ -20,6 +22,10 @@ Property tests below compare the kernel with that reference on rationals
 up to 4,000 bits, also with no guard bits (so that most series steps take
 the exact fallback), check its balls against mpmath at four times the
 precision, and check that inputs beyond its error budget raise.
+
+`exp_ball`'s balls are pinned on 60 seeded inputs, checked against mpmath
+over negative t, |k| past a million and precisions up to 1,024, and
+checked to raise outside the range its radius is proved for.
 """
 
 import functools
@@ -34,7 +40,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latnf import dyadic, sunit_pipeline
-from latnf.dyadic import ball_log, log_ball
+from latnf.dyadic import log_ball
 from latnf.ideal_arith import primes_up_to
 
 FIELDS = {"sqrt-5": ((5, 0, 1), "pinned-qs5"),
@@ -85,7 +91,7 @@ def _abs2_logs(name, prec):
         for idx, _nnu in field.places():
             a2 = oracles.embedding_values(pt)[idx].abs2()
             out += [log_ball(a2.lo(), prec + 8), log_ball(a2.hi(), prec + 8),
-                    ball_log(a2, prec + 8)]
+                    oracles.ball_log(a2, prec + 8)]
     return _digest(out)
 
 
@@ -117,6 +123,7 @@ PINNED = {
     "norms-sqrt-5": "ba0429bf9b39475e",
     "norms-sqrt2": "4fe0f71067f36edd",
 }
+EXP_BALLS = "f9d416c1308b5b45"
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -185,6 +192,64 @@ def test_ball_contains_mpmath_log(x, prec):
     ball = log_ball(x, prec)
     # the reference is within 2^-(3 prec) of log x
     assert abs(ref - ball.mid) + Q(1, 1 << (3 * prec)) <= ball.rad
+
+
+# ---------------------------------------------------------------------------
+# The certified exponential
+
+
+@st.composite
+def exp_inputs(draw):
+    """Rationals t of either sign: small ones, ones near a multiple of
+    log 2 (halfway cases of the reduction k), and |t| up to 2^20, where
+    |k| passes 1.5 million."""
+    kind = draw(st.sampled_from(["small", "near_k_ln2", "large"]))
+    sign = draw(st.sampled_from([1, -1]))
+    den = draw(st.integers(1, 2 ** draw(st.integers(0, 200))))
+    if kind == "small":
+        return sign * Q(draw(st.integers(0, 4 * den)), den)
+    if kind == "near_k_ln2":
+        k = draw(st.integers(0, 2000))
+        half = Q(2 * k + 1, 2) * Q(6931471805599453, 10 ** 16)
+        return sign * (half + Q(draw(st.integers(-3, 3)), den))
+    return sign * Q(draw(st.integers(0, (2 ** 20) * den)), den)
+
+
+@settings(max_examples=120, deadline=None)
+@given(exp_inputs(), st.integers(0, 1024))
+def test_exp_ball_contains_mpmath_exp(t, prec):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(4 * prec + 128):
+        ref = mpmath.exp(mpmath.mpf(t.numerator) / t.denominator)
+    ref = Q(*(int(v) for v in mpmath.libmp.to_rational(ref._mpf_)))
+    ball = dyadic.exp_ball(t, prec)
+    # the reference is within a relative 2^-(4 prec + 100) of exp t
+    assert abs(ref - ball.mid) + ref / (1 << (4 * prec + 100)) <= ball.rad
+
+
+def _exp_balls():
+    rng = random.Random("exp-mids")
+    balls = []
+    for _ in range(60):
+        t = Q(rng.randrange(-10 ** 6, 10 ** 6), rng.randrange(1, 10 ** 4))
+        balls.append(dyadic.exp_ball(t, rng.randrange(8, 64)))
+    return _digest(balls)
+
+
+def test_exp_ball_pinned():
+    # `ideal_walk.sample_beta` and `relations.random_relation` read only
+    # the midpoint, at 8 to about 40 bits; recorded before the range
+    # check and the radius's proof
+    assert _exp_balls() == EXP_BALLS
+
+
+def test_exp_ball_beyond_the_error_budget_raises():
+    with pytest.raises(ValueError, match="negative precision"):
+        dyadic.exp_ball(Q(1), -1)
+    with pytest.raises(ValueError, match="guard bits"):
+        dyadic.exp_ball(Q(2 ** 31), 8)
+    with pytest.raises(ValueError, match="guard bits"):
+        dyadic.exp_ball(-Q(2 ** 31), 8)
 
 
 def test_beyond_the_error_budget_raises():
