@@ -105,12 +105,17 @@ def _floor_log2(num, den) -> int:
     return _ilog2(n, d) + s - u
 
 
-def _require_below(err, bound, what: str):
-    """ValueError unless err < bound, for err = (en, ed) an integer pair
-    and bound = (num, den) a pair of sides.  The message gives the bound's
-    binade, not its value."""
+def _below(err, bound) -> bool:
+    """Whether err < bound, for err = (en, ed) an integer pair and
+    bound = (num, den) a pair of sides."""
     (en, ed), ((sn, fn), (sd, fd)) = err, bound
-    if _compare((sd, [(en, 1)] + fd), (sn, [(ed, 1)] + fn)) < 0:
+    return _compare((sd, [(en, 1)] + fd), (sn, [(ed, 1)] + fn)) < 0
+
+
+def _require_below(err, bound, what: str):
+    """ValueError unless err < bound (`_below`).  The message gives the
+    bound's binade, not its value."""
+    if _below(err, bound):
         return
     e = _floor_log2(*bound)
     raise ValueError(f"approximation error too large for {what} (need err "
@@ -212,6 +217,25 @@ def _bkp_pass(rows, den: int, err, mu, r0: int):
     return m_rows
 
 
+def _double_budget(k: int, mu, r0: int, xa: int, xb: int):
+    """mu / (4 C0) as a pair of sides, C0 = 2^(8k) (4^k x)^(2(r0+1)) the
+    double pass's constant for k rows and x = xa / xb (`_norm_ratio`):
+    the bound on err that `bkp_twice` needs."""
+    (mn, md), e0 = mu, 2 * (r0 + 1)
+    return ((0, [(mn, 1), (xb, e0)]),
+            (8 * k + 2 * k * e0 + 2, [(md, 1), (xa, e0)]))
+
+
+def double_bkp_budget_met(gens: ApproxGenerators) -> bool:
+    """Whether gens.err < mu / (4 C0), the hypothesis `bkp_twice` checks
+    before its passes (it raises ValueError exactly when this is false
+    and gens is well formed).  Malformed gens raise `_int_gens`'s
+    ValueError, as in `bkp_twice`."""
+    rows, den, err, mu = _int_gens(gens)
+    xa, xb = _norm_ratio(rows, den, err, mu, gens.r0)
+    return _below(err, _double_budget(len(rows), mu, gens.r0, xa, xb))
+
+
 def bkp_twice(gens: ApproxGenerators) -> BkpResult:
     """Double BKP pass: rank plus a well-conditioned basis with
     ||b_j|| <= (sqrt(r n2) + 2) 2^((r-1)/2) lambda_j.
@@ -221,11 +245,7 @@ def bkp_twice(gens: ApproxGenerators) -> BkpResult:
     rows, den, err, mu = _int_gens(gens)
     k, r0 = len(rows), gens.r0
     xa, xb = _norm_ratio(rows, den, err, mu, r0)
-    (mn, md), e0 = mu, 2 * (r0 + 1)
-    # C0 = 2^(8k) (4^k x)^(2(r0+1));  need err < mu / (4 C0)
-    _require_below(err, ((0, [(mn, 1), (xb, e0)]),
-                         (8 * k + 2 * k * e0 + 2, [(md, 1), (xa, e0)])),
-                   "double BKP")
+    _require_below(err, _double_budget(k, mu, r0, xa, xb), "double BKP")
     first = _bkp_pass(rows, den, err, mu, r0)
     r = len(first)
     err2 = ((err[0] * xa ** (r0 + 1)) << (4 * k), err[1] * xb ** (r0 + 1))

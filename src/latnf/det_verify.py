@@ -92,25 +92,65 @@ class RhoBracket:
     detail: dict
 
 
+def bach_error_log(disc: int, n: int, x: int) -> float:
+    """Bach's ERH bound 8 (log|d| + n log x) / sqrt(x) on |log A(x) -
+    log rho_K| for a degree-n field of discriminant d, plus the float
+    slack `approx_rho` widens its bracket by."""
+    return (8 * (math.log(abs(disc)) + n * math.log(x)) / math.sqrt(x)
+            + _FLOAT_SLACK_LOG)
+
+
+def _in_window(err: float) -> bool:
+    """Whether a bracket of log-radius err fits the [3/4, 5/4] window."""
+    return math.exp(err) <= 1.25
+
+
+def bach_truncation(disc: int, n: int) -> int:
+    """The least multiple of 1000 (at least 1000) at which `approx_rho`'s
+    window test passes, for a degree-n field of discriminant disc.
+
+    x doubles from 1000 until the test passes, then bisection between
+    the last two rungs finds the least one; the bound falls with x for
+    x >= 1000, where log x > 2, and the bisection keeps its invariant
+    (the test fails at lo and passes at hi) whatever the float rounding
+    does near the threshold.
+    """
+    def holds(k):
+        return _in_window(bach_error_log(disc, n, 1000 * k))
+
+    hi = 1
+    while not holds(hi):
+        hi *= 2
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 1000 * hi
+
+
 def approx_rho(field: NumberField, truncation: int = 100,
                roots_of_unity: int = 2) -> RhoBracket:
     """rho_0 in [3/4,5/4] rho_K and eta_0 in [3/4,5/4] h R.
 
     Evaluates Bach's truncated Euler product (`euler_log_product`, one
     float product of per-prime factors and its log) with the certified
-    ERH bracket, widened by a 1e-9 slack that must cover the log's float
-    rounding (RuntimeError when the kernel's bound exceeds it; the bound
-    grows as 2 pi(x) u, and passes 1e-9 between x = 65,536,000 and
-    131,072,000), and reports failure when the truncation cannot reach
-    the [3/4, 5/4] window.
+    ERH bracket (`bach_error_log`), widened by a 1e-9 slack that must
+    cover the log's float rounding, and reports failure when the
+    truncation cannot reach the [3/4, 5/4] window.  The kernel's bound
+    grows as 2 pi(x) u and passes 1e-9 near x = 76,984,000, where a
+    RuntimeError is raised.  At `bach_truncation`'s x for a discriminant
+    near 5 n^n the bound is 8.61e-10 at degree 11 (x = 65,640,000),
+    which passes, and 1.24e-9 at degree 13 (x = 96,465,000), which
+    raises.
     """
     if truncation < 100:
         raise ValueError("truncation must be >= 100")
-    n = field.n
     disc = abs(field.disc_field)
-    err = (8 * (math.log(disc) + n * math.log(truncation))
-           / math.sqrt(truncation) + _FLOAT_SLACK_LOG)
-    if math.exp(err) > 1.25:
+    err = bach_error_log(disc, field.n, truncation)
+    if not _in_window(err):
         raise ValueError(
             f"truncation too small in provable mode: e^{err:.3f} > 5/4")
     log_a, rounding = euler_log_product(field, truncation)

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dfield
-from fractions import Fraction
 
 from . import lattice_core, qlinalg, samplers
-from .approx_reduction import ApproxGenerators, bkp_twice, minkowski_columns_x
-from .det_verify import approx_rho
+from .approx_reduction import (ApproxGenerators, bkp_twice,
+                               double_bkp_budget_met, minkowski_columns_x)
+from .det_verify import approx_rho, bach_truncation
 from .divisor_log import kessler_lambda1_lower, log_embedding
-from .dyadic import Q, RealBall, dyadic_round, log_ball, round_half_up
+from .dyadic import Q, RealBall, log_ball, round_half_up
 from .nf_core import CapExceeded, NumberField, precision_ladder
 from .relations import (FactorBase, RandomRelationConfig, RelationConfig,
                         SUnitRelation, exceptional_unit, modulus_branch,
@@ -91,12 +91,15 @@ def _postprocess(relations, fb: FactorBase, field: NumberField,
     """`postprocess` on `lattice`, the (H, U, kernel) that
     `_relation_lattice` returns for these relations.
 
-    Each relation is log-embedded once: at the unit-block BKP's own
-    precision (`_unit_block_precision`, at least 128 bits) when that
-    block runs (a nonempty kernel and r1 > 1), else at 128 bits.  The
-    unit block combines those balls; the pivot rows of `basis_inf` read
-    the same midpoints, rounded to 2^-145 after a unit block, the finest
-    grid of a 128-bit embedding, so `precision_bits` stays 128.
+    The relations are log-embedded at 128 bits, and the pivot rows of
+    `basis_inf` read those midpoints.  The unit block (a nonempty kernel
+    and r1 > 1) climbs `precision_ladder` from there: on each rung it
+    embeds the relations and combines their balls into the kernel rows,
+    and it stops at the first rung that decides.  Rows all within err of
+    0 are torsion when 2 sqrt(w) err < mu, w the row width, since every
+    true row is then shorter than lambda_1; otherwise the rung decides
+    when `double_bkp_budget_met` holds, and `bkp_twice` runs there.
+    `precision_bits` is the 128 bits of the pivot rows.
     """
     k = len(relations)
     if k == 0:
@@ -106,31 +109,31 @@ def _postprocess(relations, fb: FactorBase, field: NumberField,
     h_rows, u, kernel = lattice
     pivot_rows = [i for i in range(k) if any(h_rows[i])]
     mu = kessler_lambda1_lower(field, kessler_c)
-    # one log embedding per relation: at the precision the unit-block
-    # BKP's constants demand when that block runs, else at the output's
     out_prec = 128
-    kb = len(kernel)
-    unit_block = bool(kb) and r1 > 1
-    prec = out_prec
-    if unit_block:
-        coeff_max = max(abs(c) for row in kernel for c in row)
-        prec = _unit_block_precision(field, kb, coeff_max, len(relations),
-                                     mu, s_len, field.n)
-    logs = [log_embedding(rel.alpha, prec).entries for rel in relations]
-    mids = [[b.mid for b in lv] for lv in logs]
+    mids_out = None
     unit_basis_combos = []       # rows over the original relations
     unit_inf_rows = []
     unit_rank = 0
-    if unit_block:
+    for prec in precision_ladder(out_prec, "the unit block's log rows "
+                                 "never decided its rank"):
+        logs = [log_embedding(rel.alpha, prec).entries for rel in relations]
+        mids = [[b.mid for b in lv] for lv in logs]
+        if mids_out is None:
+            mids_out = mids
+        if not kernel or r1 == 1:
+            break
         rads = [max(b.rad for b in lv) for lv in logs]
         rows = [_combine(comb, mids) for comb in kernel]
-        max_err = max(sum(abs(c) * r for c, r in zip(comb, rads))
-                      for comb in kernel)
-        gens = ApproxGenerators(rows=rows, err=Q(r1) * max_err, mu=mu,
-                                r0=min(kb, r1 - 1))
-        if all(all(abs(x) <= Q(r1) * max_err for x in row) for row in rows):
-            unit_rank = 0            # torsion-only unit block
-        else:
+        err = Q(r1) * max(sum(abs(c) * r for c, r in zip(comb, rads))
+                          for comb in kernel)
+        if all(all(abs(x) <= err for x in row) for row in rows):
+            # 2 sqrt(r1) err < mu: torsion-only unit block
+            if 4 * r1 * err * err < mu * mu:
+                break
+            continue
+        gens = ApproxGenerators(rows=rows, err=err, mu=mu,
+                                r0=min(len(kernel), r1 - 1))
+        if double_bkp_budget_met(gens):
             res = bkp_twice(gens)
             unit_rank = res.rank
             for mrow, brow in zip(res.m_rows, res.basis_rows):
@@ -141,14 +144,10 @@ def _postprocess(relations, fb: FactorBase, field: NumberField,
                             combo[j] += c * kernel[t][j]
                 unit_basis_combos.append(combo)
                 unit_inf_rows.append([Q(x) for x in brow])
+            break
     rank = len(pivot_rows) + unit_rank
     # assemble the basis rows: HNF valuation rows first, then unit rows;
-    # pivot combinations are Babai-shortened against the kernel, on the
-    # midpoints cut to the finest grid of a 128-bit log embedding
-    mids_out = mids
-    if unit_block:
-        mids_out = [[dyadic_round(m, out_prec + 17) for m in row]
-                    for row in mids]
+    # pivot combinations are Babai-shortened against the kernel
     n_matrix, basis_val, basis_inf = [], [], []
     for i in pivot_rows:
         combo = _babai_reduce_combo(list(u[i]), kernel)
@@ -205,26 +204,6 @@ def _babai_reduce_combo(combo, ker_basis):
         if q:
             out = [a - q * b for a, b in zip(out, kb)]
     return out
-
-
-def _unit_block_precision(field, kb, coeff_max, n_rels, mu, s_len, n) -> int:
-    """Precision for the unit-block BKP from the postprocessing
-    theorem's formula instantiated at the block size."""
-    kb = max(1, kb)
-    coeff = max(1, coeff_max)
-    a_up = Q(64) * coeff * n_rels
-    c0_log2 = (8 * kb + 2 * (kb + 1) * _log2_up(Q(kb) * Q(4) ** kb * a_up / mu))
-    det_log2 = (6 + (kb + 6) * _log2_up(Q(n + s_len + 1))
-                + (2 * kb + 1) * (kb + 2) + _log2_up(a_up) - 2 * _log2_up(mu))
-    eps_log2 = -_log2_up(Q(1) / mu) - c0_log2 - det_log2
-    return max(128, int(-eps_log2) + 32)
-
-
-def _log2_up(x: Fraction) -> int:
-    x = Q(x)
-    if x <= 0:
-        raise ValueError
-    return x.numerator.bit_length() - x.denominator.bit_length() + 1
 
 
 # ---------------------------------------------------------------------------
@@ -411,19 +390,11 @@ def provable_d_value(field: NumberField, cfg: PipelineConfig) -> tuple[float, di
     """D in [3/4,5/4] h R sqrt(r1) through the residue bracket."""
     r1 = field.n_real + field.n_cplx
     mu_count = roots_of_unity_count(field)
-    rb = approx_rho(field, _bach_truncation(field), roots_of_unity=mu_count)
+    rb = approx_rho(field, bach_truncation(field.disc_field, field.n),
+                    roots_of_unity=mu_count)
     d_value = rb.eta0 * math.sqrt(r1)
     return d_value, {"rho0": rb.rho0, "eta0": rb.eta0, "mode": "provable",
                      "mu_K": mu_count, **rb.detail}
-
-
-def _bach_truncation(field: NumberField) -> int:
-    target = math.log(1.25)
-    x = 1000
-    while 8 * (math.log(abs(field.disc_field))
-               + field.n * math.log(x)) / math.sqrt(x) > target:
-        x *= 2
-    return x
 
 
 def compute_sunits(field: NumberField, fb_user: FactorBase, rng,

@@ -65,9 +65,10 @@ over Babai's covering bound on the HKZ basis, `covering_upper_sq`),
 |root| > g^(1/k) for a root of an integer polynomial through the
 library's |sigma|^2k decision (`abs_root_gt`), ball containment
 (`ball_contains`), the degree of a divisor or Log-S-unit vector
-(`divisor_degree`, the product-formula check) and the exact T2 Gram of a
+(`divisor_degree`, the product-formula check), the exact T2 Gram of a
 totally real or CM field by the conjugation-twisted trace form
-(`minkowski_gram`).
+(`minkowski_gram`) and the bit-length bound on log2 that the literal
+full-matrix post-processing sizes its precision with (`log2_up`).
 """
 
 from __future__ import annotations
@@ -1080,6 +1081,15 @@ def _floor_log2(x: Fraction) -> int:
     return e
 
 
+def log2_up(x: Fraction) -> int:
+    """An integer at least log2(x) (and below it + 2) for x > 0, from the
+    bit lengths of its numerator and denominator."""
+    x = Fraction(x)
+    if x <= 0:
+        raise ValueError
+    return x.numerator.bit_length() - x.denominator.bit_length() + 1
+
+
 def bkp_once_reference(rows, err, mu, r0: int):
     """(rank, m_rows, basis_rows, C) of one BKP pass on the rational rows,
     every constant a `Fraction`; ValueError when err >= mu / (4C)."""
@@ -1121,14 +1131,23 @@ def bkp_once_reference(rows, err, mu, r0: int):
     return len(m_rows), m_rows, basis_rows, c_const
 
 
+def double_bkp_budget_reference(rows, err, mu, r0: int) -> bool:
+    """Whether err < mu / (4 C0), C0 = 2^(8k) (r0 4^k ||A||^ / mu)^(2(r0+1))
+    with ||A||^ the 2^-32 upper bracket of the largest row norm plus err,
+    every constant a `Fraction`: the double BKP's hypothesis."""
+    Q = Fraction
+    k = len(rows)
+    norm_a = _sqrt_upper(max(sum(Q(x) ** 2 for x in r) for r in rows), 32) + err
+    c0 = Q(2) ** (8 * k) * (Q(r0) * Q(4) ** k * norm_a / mu) ** (2 * (r0 + 1))
+    return err < mu / (4 * c0)
+
+
 def bkp_twice_reference(rows, err, mu, r0: int):
     """(rank, m_rows, basis_rows) of the double BKP pass on `Fraction`
     rows; ValueError when err >= mu / (4 C0) or a pass refuses."""
     Q = Fraction
     k = len(rows)
-    norm_a = _sqrt_upper(max(sum(Q(x) ** 2 for x in r) for r in rows), 32) + err
-    c0 = Q(2) ** (8 * k) * (Q(r0) * Q(4) ** k * norm_a / mu) ** (2 * (r0 + 1))
-    if not err < mu / (4 * c0):
+    if not double_bkp_budget_reference(rows, err, mu, r0):
         raise ValueError("approximation error too large for double BKP")
     r, m1, b1, c_const = bkp_once_reference(rows, err, mu, r0)
     r2, m2, _, _ = bkp_once_reference(b1, c_const * err, mu, r)

@@ -15,6 +15,10 @@ rank, M and basis rows on every input, or refuse it with the same
 - planted exact ties (err = mu/(4C), T a power of two, a tail^2 equal to
   its threshold), where the bracket cannot decide and the exact products
   must.
+
+`double_bkp_budget_met`, the double pass's hypothesis err < mu/(4 C0) on
+its own, is checked against the reference's bound one unit of err either
+side of it, and against `bkp_twice`'s refusal.
 """
 
 import random
@@ -26,7 +30,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latnf import approx_reduction
-from latnf.approx_reduction import ApproxGenerators, bkp_twice
+from latnf.approx_reduction import (ApproxGenerators, bkp_twice,
+                                    double_bkp_budget_met)
 from latnf.ideal_arith import HnfIdeal, kummer_dedekind
 from latnf.nf_core import new_field
 from oracles import bkp_once
@@ -233,3 +238,73 @@ def test_zero_rows_and_error_refused():
     gens = ApproxGenerators(rows=[[0, 0]], err=Q(0), mu=Q(1), r0=1)
     with pytest.raises(ValueError, match="nonzero generator"):
         bkp_twice(gens)
+
+
+def _refuses_hypothesis(gens):
+    """Whether `bkp_twice` raises its double-BKP hypothesis error (any
+    other refusal, or a result, reads False)."""
+    try:
+        bkp_twice(gens)
+    except ValueError as exc:
+        return "too large for double BKP" in str(exc)
+    except RuntimeError:
+        pass
+    return False
+
+
+@st.composite
+def budget_cases(draw):
+    """Rational generators with a nonzero row, mu and r0 <= k."""
+    k = draw(st.integers(1, 4))
+    w = draw(st.integers(1, 3))
+    entry = st.builds(Q, st.integers(-2 ** 12, 2 ** 12),
+                      st.sampled_from([1, 3, 2 ** 10]))
+    rows = [[draw(entry) for _ in range(w)] for _ in range(k)]
+    if not any(any(r) for r in rows):
+        rows[0][0] = Q(1)
+    mu = Q(draw(st.integers(1, 2 ** 10)), 2 ** draw(st.integers(0, 12)))
+    r0 = draw(st.integers(1, k))
+    return rows, mu, r0
+
+
+@settings(max_examples=40, deadline=None)
+@given(budget_cases())
+def test_budget_predicate_is_bkp_twice_hypothesis(case):
+    # the hypothesis holds for err below a threshold and fails above it
+    # (the bound falls as err grows); on the grid err = e / 2^b, b fine
+    # enough that the threshold lies past 2^20 steps, e* is the last
+    # point where it holds, and the predicate, the Fraction reference and
+    # bkp_twice's refusal agree at e* - 1, e* and e* + 1
+    rows, mu, r0 = case
+
+    def ref(e, b):
+        return oracles.double_bkp_budget_reference(rows, Q(e, 1 << b), mu, r0)
+
+    b = 0
+    while not ref(1 << 20, b):
+        b += 16
+    lo, hi = 1 << 20, 1 << 21
+    while ref(hi, b):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ref(mid, b):
+            lo = mid
+        else:
+            hi = mid
+    for e in (lo - 1, lo, lo + 1):
+        gens = ApproxGenerators(rows=rows, err=Q(e, 1 << b), mu=mu, r0=r0)
+        met = double_bkp_budget_met(gens)
+        assert met == ref(e, b) == (e <= lo)
+        assert _refuses_hypothesis(gens) == (not met)
+
+
+def test_budget_predicate_keeps_the_other_refusals():
+    # malformed generators raise, as in bkp_twice, rather than read False
+    for gens in (ApproxGenerators(rows=[[0, 0]], err=Q(0), mu=Q(1), r0=1),
+                 ApproxGenerators(rows=[[Q(1)]], err=Q(1, 2 ** 40), mu=Q(0),
+                                  r0=1)):
+        with pytest.raises(ValueError):
+            double_bkp_budget_met(gens)
+        with pytest.raises(ValueError):
+            bkp_twice(gens)

@@ -1,21 +1,22 @@
 """The residue bracket's Euler-product kernel against a per-prime product
 loop: bit-identical brackets, chunk boundaries, the Kronecker table, the
 general (degree > 2) path, the exact product inside the rounding bound,
-the guards and the sieve."""
+the guards, the least truncation and the sieve."""
 
 import math
 from fractions import Fraction as Q
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from latnf import det_verify, intmath
-from latnf.det_verify import approx_rho, euler_log_product
+from latnf.det_verify import approx_rho, bach_truncation, euler_log_product
 from latnf.dyadic import log_ball
 from latnf.ideal_arith import splitting_degrees
 from latnf.nf_core import NumberField, new_field
-from latnf.sunit_pipeline import (PipelineConfig, _bach_truncation,
-                                  provable_d_value, roots_of_unity_count)
+from latnf.sunit_pipeline import (PipelineConfig, provable_d_value,
+                                  roots_of_unity_count)
 
 from oracles import (approx_rho_float_reference, bach_product,
                      euler_product_reference, prime_sieve_reference,
@@ -24,12 +25,16 @@ from oracles import (approx_rho_float_reference, bach_product,
 # Q(i), Q(sqrt-5), Q(sqrt2), Q(sqrt-163), x^2-x-1, x^2-x+1
 QUADRATICS = [[1, 0, 1], [5, 0, 1], [-2, 0, 1], [41, -1, 1], [-1, -1, 1],
               [1, -1, 1]]
+# the least truncation that meets Bach's bound, per quadratic field
+QUADRATIC_X = {(1, 0, 1): 1_096_000, (5, 0, 1): 1_240_000,
+               (-2, 0, 1): 1_157_000, (41, -1, 1): 1_439_000,
+               (-1, -1, 1): 1_116_000, (1, -1, 1): 1_072_000}
 
 
 @pytest.fixture(scope="module", params=QUADRATICS, ids=str)
 def quad_case(request):
     field = new_field(request.param)
-    x = _bach_truncation(field)
+    x = bach_truncation(field.disc_field, field.n)
     mu = roots_of_unity_count(field)
     return field, x, mu, approx_rho_float_reference(field, x, mu)
 
@@ -41,7 +46,7 @@ def _bracket(field, x, mu):
 class TestBitIdentical:
     def test_bracket_matches_reference(self, quad_case):
         field, x, mu, ref = quad_case
-        assert x == 2_048_000
+        assert x == QUADRATIC_X[tuple(field.poly)]
         rb = _bracket(field, x, mu)
         assert (rb.rho0, rb.eta0, rb.lo, rb.hi) == (ref.rho0, ref.eta0,
                                                     ref.lo, ref.hi)
@@ -145,6 +150,38 @@ class TestGuards:
         assert sieved == [(1 << 53) - 1]
         # 2 ramifies, 5 splits, 3, 7 and 11 are inert with p^2 < x
         assert log_a == math.log(1.0 * (3 / 4) * (5 / 4) * (7 / 8) * (11 / 12))
+
+
+class TestLeastTruncation:
+    """`bach_truncation` returns the least multiple of 1000 that
+    `approx_rho`'s window test accepts: the guard passes at x and refuses
+    x - 1000.  The Euler product is stubbed out, so only the guard runs;
+    the two fields of degree 11 and 13 carry a discriminant of 5 n^n and
+    nothing else the guard reads."""
+
+    CASES = [(poly, QUADRATIC_X[tuple(poly)]) for poly in QUADRATICS] + [
+        ([1, 1, 1, 1, 1], 5_790_000),        # Q(zeta5); doubling gave 8,192,000
+        ([1, -1, 0, 1], 2_939_000),          # x^3-x+1; doubling gave 4,096,000
+        (11, 65_640_000),                    # doubling gave 131,072,000
+        (13, 96_465_000)]                    # doubling gave 131,072,000
+
+    @staticmethod
+    def _field(case):
+        if isinstance(case, int):
+            return SimpleNamespace(n=case, disc_field=5 * case ** case,
+                                   n_real=1, n_cplx=(case - 1) // 2)
+        return new_field(case)
+
+    @pytest.mark.parametrize("case, want", CASES, ids=str)
+    def test_guard_passes_at_x_and_not_below(self, monkeypatch, case, want):
+        monkeypatch.setattr(det_verify, "euler_log_product",
+                            lambda _field, _x: (0.0, 0.0))
+        field = self._field(case)
+        x = bach_truncation(field.disc_field, field.n)
+        assert x == want
+        assert approx_rho(field, x).detail["x"] == x
+        with pytest.raises(ValueError, match="truncation too small"):
+            approx_rho(field, x - 1000)
 
 
 class TestNoLogPerPrime:

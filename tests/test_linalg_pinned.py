@@ -257,7 +257,7 @@ PINNED = {
     "klein-rational18-s5": "15b480800668797d",
     "klein-relation18-s6": "1ff7db0fca03ce21",
     "verify-sqrt-5": "bee1a649943f7a31",
-    "verify-sqrt2": "2ccef68263d605c7",
+    "verify-sqrt2": "ad2444f4fee1c3de",
     "verify-structure-sqrt-5": "d8450900555cb030",
     "verify-structure-sqrt2": "70220e918ae3b794",
 }

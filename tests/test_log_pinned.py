@@ -8,10 +8,11 @@ pipeline gives them:
   `test_linalg_pinned` post-processes, on Q(sqrt-5) and Q(sqrt2), taken
   the way `divisor_log.log_embedding` took them when these digests were
   recorded (embedding at prec + 16, logs at prec + 8, at both ends of
-  each ball) at prec 64, 128 and, on Q(sqrt2), the unit-block
-  precision `postprocess` asks for (593 bits), and at 895 bits, the
-  unit-block precision of the Q(sqrt2) relation dump that
-  `perfbench`'s `reverify` verifies;
+  each ball) at prec 64, 128 and, on Q(sqrt2), the precision at which
+  `postprocess`'s unit block decides (128 bits: the first rung of its
+  ladder already meets the double BKP's error budget), and at 895 bits,
+  the unit-block precision that the a-priori formula gave the Q(sqrt2)
+  relation dump that `perfbench`'s `reverify` verifies;
 - log N(p) at 64 bits over the primes of norm <= 60 of both fields.
 
 They were recorded from the `Fraction` atanh series (now
@@ -65,22 +66,30 @@ def _relations(name):
 
 @functools.cache
 def _unit_block_precision(name):
-    """The precision `postprocess` hands `log_embedding` for the unit
-    block of the relation set, or None when it has no unit block."""
+    """The precision of the last log embedding `postprocess` takes for
+    the unit block of the relation set (the rung of its precision ladder
+    that decides), or None when it has no unit block."""
     field, fb, rels = _relations(name)
-    seen = []
-    original = sunit_pipeline._unit_block_precision
+    precs, budgets = [], []
+    embed, budget = (sunit_pipeline.log_embedding,
+                     sunit_pipeline.double_bkp_budget_met)
 
-    def record(*args):
-        seen.append(original(*args))
-        return seen[-1]
+    def record_embed(alpha, prec):
+        precs.append(prec)
+        return embed(alpha, prec)
 
-    sunit_pipeline._unit_block_precision = record
+    def record_budget(gens):
+        budgets.append(gens)
+        return budget(gens)
+
+    sunit_pipeline.log_embedding = record_embed
+    sunit_pipeline.double_bkp_budget_met = record_budget
     try:
         sunit_pipeline.postprocess(rels, fb, field)
     finally:
-        sunit_pipeline._unit_block_precision = original
-    return seen[0] if seen else None
+        sunit_pipeline.log_embedding = embed
+        sunit_pipeline.double_bkp_budget_met = budget
+    return precs[-1] if budgets else None
 
 
 def _abs2_logs(name, prec):
@@ -119,7 +128,7 @@ PINNED = {
     "abs2-sqrt2-128": "4a4838c043947eee",
     "abs2-sqrt2-64": "1a93e5838ec1c769",
     "abs2-sqrt2-895": "73d8f3412acb1b1d",
-    "abs2-sqrt2-unit-block": "a7b6d97f363bb59c",
+    "abs2-sqrt2-unit-block": "4a4838c043947eee",
     "norms-sqrt-5": "ba0429bf9b39475e",
     "norms-sqrt2": "4fe0f71067f36edd",
 }
@@ -133,9 +142,10 @@ def test_pinned(name):
 
 def test_unit_block_precision():
     # Q(sqrt-5) has unit rank 0, so its relations never reach the unit
-    # block; Q(sqrt2) reaches it at the precision the pins above cover
+    # block; on Q(sqrt2) the double BKP's budget holds at the ladder's
+    # first rung (err below 2^-133, the bound in [2^-132, 2^-131))
     assert _unit_block_precision("sqrt-5") is None
-    assert _unit_block_precision("sqrt2") == 593
+    assert _unit_block_precision("sqrt2") == 128
 
 
 # ---------------------------------------------------------------------------

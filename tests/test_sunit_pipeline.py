@@ -7,20 +7,20 @@ import pytest
 
 from latnf import lattice_core, qlinalg, sunit_pipeline
 from latnf.approx_reduction import ApproxGenerators, bkp_twice
-from latnf.divisor_log import kessler_lambda1_lower, log_embedding
-from latnf.dyadic import sqrt_bracket
+from latnf.divisor_log import LogVector, kessler_lambda1_lower, log_embedding
+from latnf.dyadic import RealBall, sqrt_bracket
 from latnf.ideal_arith import HnfIdeal, hnf_mul, kummer_dedekind, primes_up_to
 from latnf.lattice_core import enumerate_short_gram
 from latnf.nf_core import CapExceeded, NumberField, new_field
 from latnf.relations import (FactorBase, RandomRelationOutput, RelationConfig,
                              SUnitRelation)
 from latnf.samplers import SamplerConfig
-from latnf.sunit_pipeline import (IDLE_DRAW_CAP, PostprocessResult, _log2_up,
+from latnf.sunit_pipeline import (IDLE_DRAW_CAP, PostprocessResult,
                                   class_group_from_basis, compute_sunits,
                                   euclid_correction_sq, postprocess,
                                   provable_d_value, roots_of_unity_count,
                                   verify_full, PipelineConfig)
-from oracles import mat_det_reference, minkowski_gram
+from oracles import log2_up, mat_det_reference, minkowski_gram
 
 PELL_REG = math.log(1 + math.sqrt(2))
 
@@ -57,10 +57,10 @@ def postprocess_full_bkp(relations, fb: FactorBase,
     rows0, _err0 = relation_log_rows(relations, fb, 32)
     a_sq = max(qlinalg.dot(r, r) for r in rows0) + 1
     _, a_up = sqrt_bracket(a_sq, 32)
-    c0_log2 = (8 * k + 2 * (k + 1) * _log2_up(Q(k) * Q(4) ** k * a_up / mu))
-    det_log2 = (6 + (k + 6) * _log2_up(Q(n + s_len))
-                + (2 * k + 1) * (k + 2) + _log2_up(a_up) - 2 * _log2_up(mu))
-    eps_log2 = -_log2_up(Q(1) / mu) - c0_log2 - det_log2
+    c0_log2 = (8 * k + 2 * (k + 1) * log2_up(Q(k) * Q(4) ** k * a_up / mu))
+    det_log2 = (6 + (k + 6) * log2_up(Q(n + s_len))
+                + (2 * k + 1) * (k + 2) + log2_up(a_up) - 2 * log2_up(mu))
+    eps_log2 = -log2_up(Q(1) / mu) - c0_log2 - det_log2
     prec = max(96, int(-eps_log2) + 32)
     rows, err = relation_log_rows(relations, fb, prec)
     gens = ApproxGenerators(rows=rows, err=Q(n + s_len) * err, mu=mu,
@@ -251,6 +251,58 @@ class TestPostprocess:
         assert post.rank == 1
         ents = [float(x) for x in post.basis_inf[0]]
         assert abs(abs(ents[0]) - PELL_REG) < 1e-6
+
+
+class TestTorsionBranch:
+    """Unit-block rows all within err of 0 are decided torsion only when
+    2 sqrt(w) err < mu; coarser rows climb the precision ladder.  The
+    planted `log_embedding` keeps the midpoints and widens every radius
+    to 1 below 256 bits, so at 128 bits err = r1 = 2 and
+    2 sqrt(2) err is far above Kessler's mu."""
+
+    @staticmethod
+    def _coarse_below_256(monkeypatch):
+        precs = []
+
+        def coarse(alpha, prec):
+            precs.append(prec)
+            lv = log_embedding(alpha, prec)
+            if prec < 256:
+                lv = LogVector([RealBall(b.mid, Q(1)) for b in lv.entries])
+            return lv
+
+        monkeypatch.setattr(sunit_pipeline, "log_embedding", coarse)
+        return precs
+
+    def test_coarse_rows_hide_a_unit(self, qr2, monkeypatch):
+        # Log(1 + sqrt2) = (0.88, -0.88) lies within err = 2 of 0 at 128
+        # bits, but it is no torsion: the block climbs and BKP finds it
+        precs = self._coarse_below_256(monkeypatch)
+        fb = FactorBase([])
+        post = postprocess([_rel(qr2, [1, 1], fb)], fb, qr2)
+        assert precs == [128, 256]
+        assert post.rank == 1
+        assert abs(abs(float(post.basis_inf[0][0])) - PELL_REG) < 1e-6
+
+    def test_coarse_torsion_climbs(self, qr2, monkeypatch):
+        precs = self._coarse_below_256(monkeypatch)
+        fb = FactorBase([])
+        post = postprocess([_rel(qr2, [-1, 0], fb)], fb, qr2)
+        assert precs == [128, 256]
+        assert post.rank == 0
+
+    def test_fine_torsion_decides_at_once(self, qr2, monkeypatch):
+        precs = []
+
+        def spy(alpha, prec):
+            precs.append(prec)
+            return log_embedding(alpha, prec)
+
+        monkeypatch.setattr(sunit_pipeline, "log_embedding", spy)
+        fb = FactorBase([])
+        post = postprocess([_rel(qr2, [-1, 0], fb)], fb, qr2)
+        assert precs == [128]
+        assert post.rank == 0
 
 
 class TestVerifyFull:
