@@ -13,6 +13,9 @@ pipeline gives them:
   ladder already meets the double BKP's error budget), and at 895 bits,
   the unit-block precision that the a-priori formula gave the Q(sqrt2)
   relation dump that `perfbench`'s `reverify` verifies;
+- the same balls of that dump as `reverify` writes it at seed 911
+  (`REVERIFY_SQRT2`), at the precision where its unit block decides
+  (256 bits: the second rung of the ladder);
 - log N(p) at 64 bits over the primes of norm <= 60 of both fields.
 
 They were recorded from the `Fraction` atanh series (now
@@ -40,12 +43,18 @@ import test_linalg_pinned
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latnf import dyadic, sunit_pipeline
+from latnf import dyadic, relations, sunit_pipeline
 from latnf.dyadic import log_ball
-from latnf.ideal_arith import primes_up_to
+from latnf.ideal_arith import HnfIdeal, primes_up_to
+from latnf.nf_core import NumberField
+from latnf.relations import FactorBase, SUnitRelation
 
 FIELDS = {"sqrt-5": ((5, 0, 1), "pinned-qs5"),
           "sqrt2": ((-2, 0, 1), "pinned-qr2")}
+# the coordinates of alpha over the relation dump that `perfbench`'s
+# `reverify` writes for Q(sqrt2) at seed 911 (S: the primes of norm <= 10)
+REVERIFY_SQRT2 = [[-2, 10], [0, 2], [4, 1], [4, -2], [-9, -6], [3, -1],
+                  [0, -6], [10, 8], [12, -4], [4, -4], [6, 12]]
 
 
 def _digest(balls):
@@ -60,8 +69,24 @@ def _digest(balls):
 
 @functools.cache
 def _relations(name):
+    if name == "sqrt2-reverify":
+        return _dump_relations((-2, 0, 1), REVERIFY_SQRT2)
     poly, label = FIELDS[name]
     return test_linalg_pinned._relation_set(poly, label, 4)
+
+
+def _dump_relations(poly, coords):
+    """The relations of a dump whose input ideals are O_K: each alpha with
+    its valuations over the primes of norm <= 10."""
+    field = NumberField(list(poly))
+    fb = FactorBase(primes_up_to(field, 10))
+    ok_ring = HnfIdeal.ring_of_integers(field)
+    rels = []
+    for c in coords:
+        alpha = field.element(c)
+        vals = relations.smooth_factor(HnfIdeal.principal(field, alpha), fb)
+        rels.append(SUnitRelation(alpha, tuple(vals), tuple(vals), ok_ring, 1))
+    return field, fb, rels
 
 
 @functools.cache
@@ -118,6 +143,8 @@ CASES = {
     "abs2-sqrt2-unit-block": lambda: _abs2_logs(
         "sqrt2", _unit_block_precision("sqrt2")),
     "abs2-sqrt2-895": lambda: _abs2_logs("sqrt2", 895),
+    "abs2-sqrt2-reverify-unit-block": lambda: _abs2_logs(
+        "sqrt2-reverify", _unit_block_precision("sqrt2-reverify")),
     "norms-sqrt-5": lambda: _norm_logs("sqrt-5"),
     "norms-sqrt2": lambda: _norm_logs("sqrt2"),
 }
@@ -128,6 +155,7 @@ PINNED = {
     "abs2-sqrt2-128": "4a4838c043947eee",
     "abs2-sqrt2-64": "1a93e5838ec1c769",
     "abs2-sqrt2-895": "73d8f3412acb1b1d",
+    "abs2-sqrt2-reverify-unit-block": "536e148148d40234",
     "abs2-sqrt2-unit-block": "4a4838c043947eee",
     "norms-sqrt-5": "ba0429bf9b39475e",
     "norms-sqrt2": "4fe0f71067f36edd",
@@ -146,6 +174,8 @@ def test_unit_block_precision():
     # first rung (err below 2^-133, the bound in [2^-132, 2^-131))
     assert _unit_block_precision("sqrt-5") is None
     assert _unit_block_precision("sqrt2") == 128
+    # the `reverify` dump's first rung misses the budget; the second meets it
+    assert _unit_block_precision("sqrt2-reverify") == 256
 
 
 # ---------------------------------------------------------------------------
