@@ -385,6 +385,25 @@ def primes_up_to(field: NumberField, bound: int) -> list[PrimeIdeal]:
     return out
 
 
+def walk_primes(field: NumberField, bound: int,
+                m0: HnfIdeal | None) -> list[PrimeIdeal]:
+    """Every prime that `sample_prime_uniform(field, bound, m0, rng)` can
+    draw."""
+    return [prime for p in intmath.primes_below(bound + 1)
+            for prime in _drawable_above(field, p, bound, m0)]
+
+
+def _drawable_above(field: NumberField, p: int, bound: int,
+                    m0: HnfIdeal | None) -> list[PrimeIdeal]:
+    """The primes above the rational prime p of norm <= bound coprime to
+    m0; none when p divides the index [O_K:Z[theta]]."""
+    if field.index_sq % p == 0:
+        return []
+    return [prime for prime, _e in kummer_dedekind(field, p)
+            if prime.norm() <= bound
+            and (m0 is None or ord_at(m0, prime) == 0)]
+
+
 class SampleFailure(Exception):
     """Uniform prime sampling exhausted its retry budget."""
 
@@ -403,15 +422,7 @@ def sample_prime_uniform(field: NumberField, bound: int, m0: HnfIdeal | None,
         p = rng.randint(0, bound)
         if p < 2 or not intmath.is_prime(p):
             continue
-        if field.index_sq % p == 0:
-            continue
-        cands = []
-        for prime, _e in kummer_dedekind(field, p):
-            if prime.norm() > bound:
-                continue
-            if m0 is not None and ord_at(m0, prime) != 0:
-                continue
-            cands.append(prime)
+        cands = _drawable_above(field, p, bound, m0)
         if not cands:
             continue
         k = len(cands)

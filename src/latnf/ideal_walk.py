@@ -41,14 +41,20 @@ def walk_params(field: NumberField, m0: HnfIdeal | None, m_inf, eps,
     m0_norm = int(m0.norm()) if m0 is not None else 1
     pic_bound = math.log(m0_norm * 2 ** len(m_inf)) + math.log(abs(field.disc_field))
     walk_n = math.ceil(7 * n + 2 * math.log(1 / float(eps)) + pic_bound + 2)
-    if b_override is not None:
-        prime_b = b_override
-    else:
-        prime_b = max(50, math.ceil(12 * math.log(abs(field.disc_field)) ** 2
-                                    * m0_norm ** 2))
+    prime_b = walk_prime_bound(field, m0_norm, b_override)
     s = Q(1, n * n)
     delta = _delta_dyadic(field, eps, omega, s)
     return WalkParams(prime_b, walk_n, s, eps, delta, Q(omega), blocksize)
+
+
+def walk_prime_bound(field: NumberField, m0_norm: int,
+                     b_override: int | None) -> int:
+    """The walk's prime bound B: b_override when given, else
+    max(50, ceil(12 log^2|Delta| N(m0)^2))."""
+    if b_override is not None:
+        return b_override
+    return max(50, math.ceil(12 * math.log(abs(field.disc_field)) ** 2
+                             * m0_norm ** 2))
 
 
 def _delta_dyadic(field: NumberField, eps: Fraction, omega, s: Fraction) -> Fraction:
@@ -95,19 +101,22 @@ def hyperplane_basis(field: NumberField, delta: Fraction):
 def sample_beta(field: NumberField, m0: HnfIdeal | None, m_inf,
                 b_ideal: HnfIdeal, y, tau: FieldElement,
                 params: WalkParams, rng,
-                cfg: SamplerConfig | None = None) -> WalkTrace:
+                cfg: SamplerConfig | None = None,
+                walk_m0: HnfIdeal | None = None) -> WalkTrace:
     """One run of the ideal sampler: returns beta with its full trace.
 
     y is the positive rational distortion per embedding; tau must be
     coprime to m0 (congruence and sign conditions are taken from it).
+    The walk draws primes coprime to walk_m0, by default m0.
     """
     n = field.n
     y = [Q(v) for v in y]
+    walk_mod = m0 if walk_m0 is None else walk_m0
     # walk part: multiply by N uniform primes
     primes = []
     b_tilde = b_ideal
     for _ in range(params.walk_length):
-        p = sample_prime_uniform(field, params.prime_bound, m0, rng)
+        p = sample_prime_uniform(field, params.prime_bound, walk_mod, rng)
         primes.append(p)
         b_tilde = hnf_mul(b_tilde, p.hnf)
     # Gaussian distortion on the discretized hyperplane

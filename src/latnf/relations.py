@@ -13,7 +13,8 @@ from . import samplers
 from .divisor_log import log_s_embed, LogSUnitVector
 from .dyadic import Q, exp_ball
 from .ideal_arith import (HnfIdeal, PrimeIdeal, factor_over, hnf_inv,
-                          hnf_mul, ord_at, prime_product, primes_up_to)
+                          hnf_mul, ord_at, prime_product, primes_up_to,
+                          walk_primes)
 from .ideal_walk import WalkParams, sample_beta, walk_params
 from .nf_core import CapExceeded, FieldElement, NumberField
 from .samplers import SamplerConfig, walk_radius
@@ -152,25 +153,38 @@ def compute_one_relation(field: NumberField, a: HnfIdeal, fb: FactorBase,
         raise ValueError("factor base may not contain divisors of m0")
     if any(ord_at(a, p) != 0 for p in m0_primes):
         raise ValueError("input ideal must be coprime to m0")
-    return _smooth_relation(field, a, fb, y, x, m0, m0_primes, rng, cfg)
+    return _smooth_relation(field, a, fb, y, x, m0, m0_primes, m0, rng, cfg)
 
 
 def _smooth_relation(field: NumberField, a: HnfIdeal, fb: FactorBase, y, x,
-                     m0: HnfIdeal, m0_primes, rng,
+                     m0: HnfIdeal, m0_primes, walk_m0: HnfIdeal, rng,
                      cfg: RelationConfig) -> SUnitRelation:
-    """Repeat the ideal sampler on a through the modulus m0 until
-    alpha O_K a^{-1} is fb-smooth, at most ATTEMPT_CAP times; a sampler
-    that exceeds its own cap counts as a failed attempt."""
+    """Repeat the ideal sampler on a through the modulus m0, its walk
+    coprime to walk_m0, until alpha O_K a^{-1} is fb-smooth, at most
+    ATTEMPT_CAP times; a sampler that exceeds its own cap counts as a
+    failed attempt.
+
+    Every walk prime divides alpha O_K a^{-1}, so a prime the walk can
+    draw that fb lacks would doom each attempt that draws it: that is a
+    ValueError before the first attempt."""
     blocksize = default_blocksize(field)
     omega = choose_omega(field, int(m0.norm()), blocksize, x, cfg)
     params = _walk_params_for(field, m0, blocksize, omega, cfg)
+    walk_arg = walk_m0 if int(walk_m0.norm()) > 1 else None
+    missing = [p for p in walk_primes(field, params.prime_bound, walk_arg)
+               if fb.index_of(p) is None]
+    if missing:
+        raise ValueError(
+            f"the walk draws primes of norm up to {params.prime_bound}, "
+            f"but the factor base lacks {len(missing)} of them (the "
+            f"smallest of norm {missing[0].norm()})")
     tau = _sample_tau(field, m0, m0_primes, rng)
     a_inv = hnf_inv(a)
     m0_arg = m0 if int(m0.norm()) > 1 else None
     for attempts in range(1, ATTEMPT_CAP + 1):
         try:
             trace = sample_beta(field, m0_arg, [], a, y, tau, params, rng,
-                                cfg.sampler)
+                                cfg.sampler, walk_arg)
         except CapExceeded:
             continue
         rel_ideal = hnf_mul(HnfIdeal.principal(field, trace.beta), a_inv)
@@ -323,7 +337,8 @@ def exceptional_unit(field: NumberField, q: PrimeIdeal, fb: FactorBase,
                      m0: HnfIdeal, m0_primes, rng,
                      cfg: RelationConfig) -> SUnitRelation:
     """alpha with alpha O_K = q * prod_{p in fb} p^{v_p} (ord_q = 1),
-    sampled through the modulus m0/q."""
+    sampled through the modulus m0/q.  The walk stays coprime to all of
+    m0: a walk prime q would put q^2 in alpha O_K."""
     if ord_at(m0, q) == 0:
         raise ValueError("q must divide m0")
     if any(fb.index_of(p) is not None for p in m0_primes):
@@ -332,7 +347,7 @@ def exceptional_unit(field: NumberField, q: PrimeIdeal, fb: FactorBase,
     rest = [p for p in m0_primes if p != q]
     # ord_at(q, p) = 0 for every p in fb, so the totals are the valuations
     return _smooth_relation(field, q.hnf, fb, [Q(1)] * field.n,
-                            branch_x(field), m0_over_q, rest, rng, cfg)
+                            branch_x(field), m0_over_q, rest, m0, rng, cfg)
 
 
 def sample_budget(field: NumberField, s_size: int, sigma: float,

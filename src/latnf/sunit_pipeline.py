@@ -21,6 +21,7 @@ from .approx_reduction import (ApproxGenerators, bkp_twice,
 from .det_verify import approx_rho, bach_truncation
 from .divisor_log import kessler_lambda1_lower, log_embedding
 from .dyadic import Q, RealBall, log_ball, round_half_up
+from .ideal_walk import walk_prime_bound
 from .nf_core import CapExceeded, NumberField, precision_ladder
 from .relations import (FactorBase, RandomRelationConfig, RelationConfig,
                         SUnitRelation, exceptional_unit, modulus_branch,
@@ -67,7 +68,6 @@ class PostprocessResult:
     rank: int
     basis_val: list         # exact integer valuation block of the basis
     basis_inf: list         # dyadic rows of the infinite parts
-    precision_bits: int
 
 
 def postprocess(relations, fb: FactorBase, field: NumberField,
@@ -81,15 +81,6 @@ def postprocess(relations, fb: FactorBase, field: NumberField,
     that block at the precision its constants demand.  The combined rows
     (HNF valuation rows + BKP unit basis) form a basis of the whole
     relation lattice because the valuation parts are exact.
-    """
-    return _postprocess(relations, fb, field, kessler_c,
-                        _relation_lattice(relations, len(fb)))
-
-
-def _postprocess(relations, fb: FactorBase, field: NumberField,
-                 kessler_c: int, lattice) -> PostprocessResult:
-    """`postprocess` on `lattice`, the (H, U, kernel) that
-    `_relation_lattice` returns for these relations.
 
     The relations are log-embedded at 128 bits, and the pivot rows of
     `basis_inf` read those midpoints.  The unit block (a nonempty kernel
@@ -99,22 +90,20 @@ def _postprocess(relations, fb: FactorBase, field: NumberField,
     0 are torsion when 2 sqrt(w) err < mu, w the row width, since every
     true row is then shorter than lambda_1; otherwise the rung decides
     when `double_bkp_budget_met` holds, and `bkp_twice` runs there.
-    `precision_bits` is the 128 bits of the pivot rows.
     """
     k = len(relations)
     if k == 0:
-        return PostprocessResult([], 0, [], [], 0)
+        return PostprocessResult([], 0, [], [])
     s_len = len(fb)
     r1 = field.n_real + field.n_cplx
-    h_rows, u, kernel = lattice
+    h_rows, u, kernel = _relation_lattice(relations, s_len)
     pivot_rows = [i for i in range(k) if any(h_rows[i])]
     mu = kessler_lambda1_lower(field, kessler_c)
-    out_prec = 128
     mids_out = None
     unit_basis_combos = []       # rows over the original relations
     unit_inf_rows = []
     unit_rank = 0
-    for prec in precision_ladder(out_prec, "the unit block's log rows "
+    for prec in precision_ladder(128, "the unit block's log rows "
                                  "never decided its rank"):
         logs = [log_embedding(rel.alpha, prec).entries for rel in relations]
         mids = [[b.mid for b in lv] for lv in logs]
@@ -158,7 +147,7 @@ def _postprocess(relations, fb: FactorBase, field: NumberField,
         n_matrix.append(combo)
         basis_val.append([0] * s_len)
         basis_inf.append(inf)
-    return PostprocessResult(n_matrix, rank, basis_val, basis_inf, out_prec)
+    return PostprocessResult(n_matrix, rank, basis_val, basis_inf)
 
 
 def _relation_lattice(relations, s_len: int):
@@ -304,7 +293,7 @@ def _ratio_verdict(ratio: float) -> str:
 # The full algorithm
 
 
-# random relations drawn between two prechecks
+# random relations drawn between two verify rounds
 BATCH = 4
 # relations kept before the pipeline gives up verifying
 MAX_RELATIONS = 400
@@ -415,9 +404,10 @@ def compute_sunits(field: NumberField, fb_user: FactorBase, rng,
     x, m0, m0_primes = modulus_branch(field, rho0)
     units_only = len(fb_user) == 0
     if units_only:
+        # every prime the walk can draw must lie in the base
         from .ideal_arith import primes_up_to
-        bound = max(
-            50, math.ceil(6 * math.log(abs(field.disc_field)) ** 2))
+        bound = max(50, walk_prime_bound(field, int(m0.norm()),
+                                         rel_cfg.walk_b_override))
         fb_user = FactorBase(primes_up_to(field, bound))
     fb_work = fb_user.excluding(m0_primes)
     exceptional_targets = [p for p in fb_user
@@ -429,7 +419,7 @@ def compute_sunits(field: NumberField, fb_user: FactorBase, rng,
     r1 = field.n_real + field.n_cplx
     budget = sample_budget(field, len(fb_work), 3.0, 3)
     sigma_boost = 1.0
-    stall = 0
+    stall = 0                      # failed verify rounds since sigma grew
     idle = 0                       # consecutive draws that added nothing
     note = cfg.progress or (lambda s: None)
     while len(relations) < MAX_RELATIONS:
@@ -458,17 +448,9 @@ def compute_sunits(field: NumberField, fb_user: FactorBase, rng,
                  f"(attempts {out.relation.attempts})")
         if len(relations) < r1 - 1 + len(fb_work):
             continue
-        note(f"precheck at {len(relations)} relations")
-        lattice = _relation_lattice(relations, len(fb_work))
-        if not _quick_precheck(relations, fb_work, field, d_value, lattice):
-            stall += 1
-            if stall >= 6:
-                sigma_boost *= 2
-                stall = 0
-            continue
-        note("postprocess (BKP) start")
-        post = _postprocess(relations, fb_work, field, cfg.kessler_c, lattice)
-        note(f"postprocess done: rank {post.rank}, prec {post.precision_bits}")
+        note(f"postprocess (BKP) at {len(relations)} relations")
+        post = postprocess(relations, fb_work, field, cfg.kessler_c)
+        note(f"postprocess done: rank {post.rank}")
         transcript = verify_full(post, field, fb_work, d_value, relations)
         note(f"verify verdict: {transcript.verdict}")
         transcript.notes["budget_hint"] = budget
@@ -538,47 +520,6 @@ def compute_sunits(field: NumberField, fb_user: FactorBase, rng,
         if acc != list(val_row):
             raise RuntimeError("homomorphic S-unit check failed")
     return result
-
-
-def _quick_precheck(relations, fb: FactorBase, field: NumberField,
-                    d_value: float, lattice) -> bool:
-    """Cheap exact screen before the expensive BKP post-processing, on
-    the relations' (H, U, kernel) from `_relation_lattice`: the class
-    index off H, Gram the unit kernel at modest precision, and test the
-    split covolume window."""
-    r1 = field.n_real + field.n_cplx
-    h_rows, _u, kernel = lattice
-    index = _class_index(h_rows, len(fb))
-    if index is None:
-        return False
-    reg_rank = r1 - 1
-    if reg_rank == 0:
-        return _ratio_verdict(index / d_value) == "verified"
-    if len(kernel) < reg_rank:
-        return False
-    # log vectors of a few short kernel combinations at modest precision
-    logs = [[b.mid for b in log_embedding(rel.alpha, 64).entries]
-            for rel in relations]
-    unit_rows = [_combine(comb, logs) for comb in kernel]
-    # Gram/LLL the kernel rows to find reg_rank short independent ones
-    red, _u2 = lattice_core_lll_rows(unit_rows)
-    best = red[:reg_rank]
-    det = qlinalg.mat_det(qlinalg.gram_matrix(best))
-    if det <= 0:
-        return False
-    reg_cov = math.sqrt(float(det))
-    return _ratio_verdict(index * reg_cov / d_value) == "verified"
-
-
-def lattice_core_lll_rows(rows):
-    """LLL on (possibly rank-deficient) row vectors: keeps the rows
-    independent of the rows before them, then LLL-reduces those."""
-    chosen = [rows[i] for i in qlinalg.pivots(rows)]
-    if not chosen:
-        return [], None
-    red, u = lattice_core.lll(chosen)
-    red.sort(key=lambda r: qlinalg.dot(r, r))
-    return red, u
 
 
 def class_group_from_basis(basis_val):

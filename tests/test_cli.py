@@ -249,6 +249,14 @@ class TestRelationCommand:
         assert code == 2
         assert json.loads(err)["kind"] == "precondition"
 
+    def test_walk_bound_above_the_base_is_a_precondition(self, qi_file,
+                                                         capsys):
+        code, _, err = run_cli(["relation", qi_file, "--primes-bound", "13",
+                                "--walk-b", "40", "--radius-constant", "2",
+                                "--seed", "2"], capsys)
+        assert code == 2
+        assert "factor base lacks" in json.loads(err)["error"]
+
 
 class TestConfigEcho:
     def test_paper_gap_constants_echoed(self, qi_file, tmp_path, capsys):

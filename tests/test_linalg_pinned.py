@@ -8,17 +8,17 @@ it returns: Klein samples on an integer, a dyadic and an 18-dimensional
 rational basis and on the 18-dimensional basis of a relation over Q(i)
 with S <= 60, the post-processed basis and verification transcript of
 two relation sets, dual-reduced and BKZ-reduced ideal bases, exact box
-counts (`oracles.count_in_box`, over `mat_inv`), inverses and norms over
-a field given with its own integral basis, and the independent rows
-`lattice_core_lll_rows` keeps.  The digests were recorded from the
-`Fraction` Gaussian elimination and the rational Gram-Schmidt that
-preceded the fraction-free kernel, so they pin it to the same values
-(every entry is hashed as a reduced fraction).  The reduced-ideal digests
-once hashed each result's dually-reduced tag as well (always 3 and 6);
-they were recorded again without it when the tag was deleted, from the
-library as it stood just before.  The `verify-structure` digests hash
-each verification case without its dyadic rows `basis_inf`, so they
-hold when only the last bits of the log balls move.
+counts (`oracles.count_in_box`, over `mat_inv`), and inverses and norms
+over a field given with its own integral basis.  The digests were
+recorded from the `Fraction` Gaussian elimination and the rational
+Gram-Schmidt that preceded the fraction-free kernel, so they pin it to
+the same values (every entry is hashed as a reduced fraction).  The
+reduced-ideal digests once hashed each result's dually-reduced tag as
+well (always 3 and 6); they were recorded again without it when the tag
+was deleted, from the library as it stood just before.  The
+`verify-structure` digests hash each verification case without its
+dyadic rows `basis_inf`, so they hold when only the last bits of the log
+balls move.
 
 The property tests compare the kernel's entries with the `Fraction`
 references in `oracles.py` on random rational matrices, singular ones
@@ -212,16 +212,6 @@ def _inverse_norm():
     return _digest(out)
 
 
-def _independent_rows():
-    rng = random.Random("pinned-rows")
-    rows = [[Q(rng.randrange(-20, 21), rng.randrange(1, 5)) for _ in range(3)]
-            for _ in range(4)]
-    rows = [rows[0], [0, 0, 0], rows[1], [a + b for a, b in zip(rows[0], rows[1])],
-            [2 * x for x in rows[1]], rows[2], rows[3]]
-    red, u = sunit_pipeline.lattice_core_lll_rows(rows)
-    return _digest(red, u)
-
-
 CASES = {
     "klein-int2-s1": lambda: _klein("int2", 1),
     "klein-int2-s2": lambda: _klein("int2", 2),
@@ -241,14 +231,12 @@ CASES = {
                                                  [1, Q(3, 2), Q(3, 2)]),
     "count_in_box": _counts,
     "inverse-norm-sqrt-23": _inverse_norm,
-    "independent-rows": _independent_rows,
 }
 
 PINNED = {
     "count_in_box": "b1e9d3f71cdafd11",
     "ideal-sqrt-5": "473c12795e149cda",
     "ideal-x3-x+1": "71177f85b474cec9",
-    "independent-rows": "e72f96ba01bbf022",
     "inverse-norm-sqrt-23": "3a09995d351f7386",
     "klein-dyadic4-s3": "fa6550b7ebb8060e",
     "klein-dyadic4-s4": "4e404d9987f367e4",

@@ -173,6 +173,22 @@ class TestOneRelation:
         assert recon2 == HnfIdeal.principal(qs5, rel.alpha)
 
 
+class TestWalkInsideTheBase:
+    def test_a_walk_prime_outside_the_base_raises_before_sampling(
+            self, qi, monkeypatch):
+        # every walk prime divides alpha O_K a^-1, so with walk bound 40
+        # over the primes of norm <= 13 an attempt that draws 17 cannot
+        # be smooth
+        def no_sampler(*args, **kwargs):
+            pytest.fail("the sampler ran")
+
+        monkeypatch.setattr(relations, "sample_beta", no_sampler)
+        fb = FactorBase(primes_up_to(qi, 13))
+        with pytest.raises(ValueError, match="factor base lacks"):
+            random_relation(qi, fb, random.Random(2),
+                            RandomRelationConfig(relation=FAST_CFG))
+
+
 class TestRandomRelation:
     def test_output_in_lattice(self, qi):
         fb = FactorBase(primes_up_to(qi, 40))
@@ -284,6 +300,26 @@ class TestExceptionalUnit:
         assert rel.attempts >= 2
         assert (prime_product(qs5, [(q, 1), *zip(fb, rel.valuations)])
                 == HnfIdeal.principal(qs5, rel.alpha))
+
+    def test_the_walk_never_draws_q(self, qs5, monkeypatch):
+        # the box samples through m0/q, but the walk stays coprime to m0:
+        # a walk prime q would put q^2 in alpha O_K
+        x, m0, m0_primes = modulus_branch(qs5, 1e30, x_override=3.0)
+        q = m0_primes[0]
+        fb = FactorBase([p for p in primes_up_to(qs5, 40)
+                         if p.hnf != q.hnf])
+        real, walks = relations.sample_beta, []
+
+        def spy(*args, **kwargs):
+            trace = real(*args, **kwargs)
+            walks.append(trace.primes)
+            return trace
+
+        monkeypatch.setattr(relations, "sample_beta", spy)
+        rel = exceptional_unit(qs5, q, fb, m0, m0_primes, random.Random(0),
+                               FAST_CFG)
+        assert len(walks) == rel.attempts > 1
+        assert all(p.hnf != q.hnf for walk in walks for p in walk)
 
     def test_q_must_divide_m0(self, qs5):
         x, m0, m0_primes = modulus_branch(qs5, 1e30, x_override=3.0)

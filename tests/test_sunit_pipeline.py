@@ -10,6 +10,7 @@ from latnf.approx_reduction import ApproxGenerators, bkp_twice
 from latnf.divisor_log import LogVector, kessler_lambda1_lower, log_embedding
 from latnf.dyadic import RealBall, sqrt_bracket
 from latnf.ideal_arith import HnfIdeal, hnf_mul, kummer_dedekind, primes_up_to
+from latnf.ideal_walk import walk_prime_bound
 from latnf.lattice_core import enumerate_short_gram
 from latnf.nf_core import CapExceeded, NumberField, new_field
 from latnf.relations import (FactorBase, RandomRelationOutput, RelationConfig,
@@ -50,7 +51,7 @@ def postprocess_full_bkp(relations, fb: FactorBase,
     instances and to cross-check the split variant)."""
     k = len(relations)
     if k == 0:
-        return PostprocessResult([], 0, [], [], 0)
+        return PostprocessResult([], 0, [], [])
     n = field.n
     s_len = len(fb)
     mu = kessler_lambda1_lower(field)
@@ -76,7 +77,7 @@ def postprocess_full_bkp(relations, fb: FactorBase,
             val.append(int(v))
         basis_val.append(val)
         basis_inf.append([Q(v) for v in row[s_len:]])
-    return PostprocessResult(res.m_rows, res.rank, basis_val, basis_inf, prec)
+    return PostprocessResult(res.m_rows, res.rank, basis_val, basis_inf)
 
 
 @pytest.fixture(scope="module")
@@ -422,3 +423,49 @@ class TestIdleDrawCap:
         out = RandomRelationOutput([], _rel(qi, [1, 1], fb), 1.0, 1.0)
         # the first draw is kept, every later one is a duplicate
         assert self._run(qi, monkeypatch, lambda: out) == 1 + IDLE_DRAW_CAP
+
+
+class TestComputeSunits:
+    def test_each_round_postprocesses_and_verifies_once(self, qi,
+                                                        monkeypatch):
+        # the verdict of every round is `postprocess` then `verify_full`,
+        # the path `latnf verify` takes; Q(i) over the primes of norm
+        # <= 40 rejects its first 12 relations and verifies 16
+        calls = {"postprocess": 0, "verify_full": 0}
+        for name in calls:
+            real = getattr(sunit_pipeline, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(sunit_pipeline, name, counted)
+        rounds = []
+
+        def progress(msg):
+            if msg.startswith("verify verdict"):
+                rounds.append(msg)
+
+        cfg = RelationConfig(eps_override=Q(1, 4), walk_b_override=40,
+                             sampler=SamplerConfig(radius_constant=2))
+        res = compute_sunits(qi, FactorBase(primes_up_to(qi, 40)),
+                             random.Random(1),
+                             PipelineConfig(relation=cfg, progress=progress))
+        assert res.verified and len(res.relations) == 16
+        assert rounds == ["verify verdict: sublattice",
+                          "verify verdict: verified"]
+        assert calls == {"postprocess": 2, "verify_full": 2}
+
+    def test_units_only_base_covers_the_walk(self):
+        # Q(sqrt3): the walk draws primes of norm up to
+        # ceil(12 log^2 12) = 75, so the internal base must reach 75
+        # (a base of norm <= 50 dooms every attempt that draws 59..73)
+        qs3 = new_field([-3, 0, 1])
+        assert walk_prime_bound(qs3, 1, None) == 75
+        cfg = RelationConfig(eps_override=Q(1, 4),
+                             sampler=SamplerConfig(radius_constant=2))
+        res = compute_sunits(qs3, FactorBase([]), random.Random(1),
+                             PipelineConfig(relation=cfg))
+        assert res.verified and res.rank == 1 and len(res.fb) == 0
+        mid, err = res.regulator
+        assert abs(mid - math.log(2 + math.sqrt(3))) <= err
