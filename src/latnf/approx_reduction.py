@@ -442,10 +442,9 @@ def dual_exp_reduce(x, a: HnfIdeal) -> IdealBasisResult:
         err_dual = 2 * binv_true_up ** 2 * err_b
         gens = ApproxGenerators(rows=binv, err=err_dual, mu=mu_dual, r0=n,
                                 den=binv_den)
-        try:
-            res = bkp_twice(gens)
-        except ValueError:
+        if not double_bkp_budget_met(gens):
             continue
+        res = bkp_twice(gens)
         if res.rank != n:
             continue
         n_mat = res.m_rows                              # D' = N D

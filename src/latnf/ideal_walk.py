@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from . import samplers
 from .divisor_log import Divisor, ideal_divisor_zero, principal_divisor
-from .dyadic import Q, RealBall, exp_ball
+from .dyadic import Q, RealBall, exp_ball, log_ball
 from .ideal_arith import HnfIdeal, hnf_mul, sample_prime_uniform
 from .nf_core import FieldElement, NumberField
 from .samplers import SamplerConfig, klein_sample, sample_in_box
@@ -82,7 +82,7 @@ class WalkTrace:
     params: WalkParams
     input_ideal: HnfIdeal
     input_y: list
-    m0_norm: Fraction = Q(1)
+    radius: samplers.RadiusExpr     # RADIUS(m0) at the box's constant
 
 
 def hyperplane_basis(field: NumberField, delta: Fraction):
@@ -140,9 +140,11 @@ def sample_beta(field: NumberField, m0: HnfIdeal | None, m_inf,
     x = [d * yv for d, yv in zip(dist, y)]
     res = sample_in_box(field, m0, m_inf, b_tilde, field.zero(), tau,
                         params.blocksize, x, params.omega, rng, cfg)
-    m0_norm = Q(m0.norm()) if m0 is not None else Q(1)
+    radius = samplers.walk_radius(
+        field, Q(m0.norm()) if m0 is not None else Q(1), params.blocksize,
+        params.omega, (cfg or SamplerConfig()).radius_constant)
     return WalkTrace(primes, [Q(g) for g in grid], res.beta, b_tilde,
-                     res.draws, params, b_ideal, y, m0_norm)
+                     res.draws, params, b_ideal, y, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -155,43 +157,36 @@ def check_membership(trace: WalkTrace) -> bool:
 
 def check_norm_bound(trace: WalkTrace) -> bool:
     """|N(beta)| <= N(b) B^N r^n with r = RADIUS(m0), exactly."""
-    field = trace.beta.field
-    params = trace.params
-    r = samplers.walk_radius(field, trace.m0_norm,
-                             params.blocksize, params.omega)
+    field, params, r = trace.beta.field, trace.params, trace.radius
     rhs_base = trace.input_ideal.norm() * Q(params.prime_bound) ** params.walk_length
     lhs = abs(trace.beta.norm())
     # compare lhs^k <= rhs_base^k * r^{nk} (r^k = pow_value)
     return lhs ** r.k <= rhs_base ** r.k * r.pow_value ** field.n
 
 
+def walk_bound_terms(trace: WalkTrace) -> float:
+    """5 log(B^N r^n) + s sqrt(n log(8 n^2/eps)), r = RADIUS(m0) (its 64-bit
+    upper end): the boundedness property's terms that walk and box set."""
+    params, n = trace.params, trace.beta.field.n
+    log_bnrn = (params.walk_length * math.log(params.prime_bound)
+                + n * math.log(float(trace.radius.bracket(64)[1])))
+    return 5 * log_bnrn + float(params.s) * math.sqrt(
+        n * math.log(8 * n * n / float(params.eps)))
+
+
 def boundedness_check(trace: WalkTrace) -> bool:
     """||(beta)|| <= 5 log(B^N r^n) + ||a|| + s sqrt(n log(8 n^2/eps))."""
-    field = trace.beta.field
-    params = trace.params
-    n = field.n
-    div_b = principal_divisor(trace.beta, 96)
-    lhs = div_b.euclid_norm(96)
-    r = samplers.walk_radius(field, trace.m0_norm,
-                             params.blocksize, params.omega)
-    r_lo, r_hi = r.bracket(64)
-    log_bnrn = (params.walk_length * math.log(params.prime_bound)
-                + n * math.log(float(r_hi)))
-    a_div = input_divisor_norm(trace)
-    rhs = (5 * log_bnrn + float(a_div.hi())
-           + float(params.s) * math.sqrt(n * math.log(8 * n * n / float(params.eps))))
+    lhs = principal_divisor(trace.beta, 96).euclid_norm(96)
+    rhs = walk_bound_terms(trace) + float(input_divisor_norm(trace).hi())
     return float(lhs.hi()) <= rhs + 1e-6
 
 
 def input_divisor_norm(trace: WalkTrace) -> RealBall:
     """||d0(b) + Log(y)|| for the walk input, at 64 bits."""
-    prec = 64
     field = trace.beta.field
     d0 = ideal_divisor_zero(trace.input_ideal)
-    y_logs = []
-    for (emb_idx, nnu) in field.places():
-        from .dyadic import log_ball
-        y_logs.append(log_ball(Q(trace.input_y[emb_idx]), prec) * nnu)
+    y_logs = [log_ball(Q(trace.input_y[emb_idx]), 64) * nnu
+              for emb_idx, nnu in field.places()]
     total = Divisor(field, d0.finite_part,
                     [a + b for a, b in zip(d0.infinite_part, y_logs)])
-    return total.euclid_norm(prec)
+    return total.euclid_norm(64)

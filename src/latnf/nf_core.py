@@ -4,11 +4,11 @@ A field is defined by a monic integer polynomial; elements carry exact
 rational coordinates over a fixed integral basis.  One root certifier
 (`_root_mantissas`) turns a squarefree integer polynomial into disjoint
 certified root balls on integer mantissas at one exponent 2^-W, at any
-requested precision; fields cache them in canonical order and embed
-elements by Horner's scheme on integers (`_horner_ball`).  Every reader
-works on these integer balls (`EmbeddingPoint`): the signs at real
-places, |w|^2k (`_abs2_pow`) and the irreducibility test's root-subset
-search.  Comparisons of algebraic values against rational thresholds
+requested precision; a field holds one such set in canonical order,
+rounds every request from it, and embeds elements by Horner's scheme on
+integers (`_horner_ball`).  Every reader works on these integer balls
+(`EmbeddingPoint`): the signs at real places, |w|^2k (`_abs2_pow`) and
+the irreducibility test's root-subset search.  Comparisons of algebraic values against rational thresholds
 (or their k-th roots) are decided exactly: integer intervals first, then
 Liouville-type separation bounds (`_abs2_pow_gt` for (|w|^2)^k > c,
 `decide_root_gt_int` underneath).  Every precision-doubling loop of the
@@ -20,19 +20,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt, lcm
+from math import isqrt
 
 import numpy as np
 
 from . import intmath, polyq, qlinalg
-from .dyadic import Q, round_half_up
+from .dyadic import Q, round_half_up, round_ratio
 from .intmath import CapExceeded    # re-exported: callers catch it from here
 
 GT, LE = "GT", "LE"
 # The largest precision, in bits, a precision-doubling loop may try: the
 # power of two at or above 64 times the largest precision any tier-1 test
-# or benchmark op reaches (4,173 bits, a root refinement under the tests'
-# embeddings; the benchmark ops reach 2,256).
+# or benchmark op reaches (4,352 bits, a refinement of a held root set
+# under the tests; the benchmark ops reach 2,752).
 PRECISION_CAP_BITS = 1 << 19
 
 
@@ -148,25 +148,31 @@ def decide_root_gt_int(int_poly, refine, c: int) -> str:
             return GT if mid > cd else LE
 
 
-def _root_mantissas(poly, prec: int):
+def _root_mantissas(poly, prec: int, start=None):
     """(work, [(a, b, r)]): disjoint certified balls (a + bi) 2^-work +-
     r 2^-work of radius <= 2^-prec around the complex roots of a
-    squarefree integer polynomial, in no particular order.
+    squarefree integer polynomial, in the order of start's balls.
 
-    Newton's method runs from numpy's float roots on integer mantissas at
-    the shared exponent 2^-work; a ball of radius n|f(z)|/|f'(z)| around z
-    holds a root, and pairwise disjoint balls hold distinct ones.  `work`
-    doubles when a ball fails, up to the precision cap (then
-    CapExceeded).
+    Newton's method runs on integer mantissas at the shared exponent
+    2^-work from the midpoints of start = (W, [(a, b, r)]) at 2^-W, or of
+    numpy's float roots, rounded half up to the grid; a ball of radius
+    n|f(z)|/|f'(z)| around z holds a root, and pairwise disjoint balls
+    hold distinct ones.  `work` doubles when a ball fails, up to the
+    precision cap (then CapExceeded).
     """
     f = [int(c) for c in poly]
     df = [k * f[k] for k in range(1, len(f))]
-    approx = np.roots(list(reversed([float(c) for c in poly])))
+    if start is None:
+        start = 0, [(Q(float(z.real)).limit_denominator(10 ** 12),
+                     Q(float(z.imag)).limit_denominator(10 ** 12), 0)
+                    for z in np.roots([float(c) for c in reversed(poly)])]
+    sw, mids = start
     for work in precision_ladder(max(64, prec + 32),
                                  "root refinement failed to certify"):
-        balls = []
-        for z0 in approx:
-            z = _newton_ball(f, df, z0, work, prec)
+        balls, scale = [], Q(1 << work, 1 << sw)
+        for a, b, _r in mids:
+            z = _newton_ball(f, df, round_half_up(a * scale),
+                             round_half_up(b * scale), work, prec)
             if z is None:
                 break
             balls.append(z)
@@ -175,17 +181,13 @@ def _root_mantissas(poly, prec: int):
                 return work, balls
 
 
-def _newton_ball(f, df, z0, work: int, prec: int):
-    """Newton's method on f from the float z0, with z = (a + bi) 2^-work
-    rounded half up to the grid after every step, until the certified
-    radius n|f(z)|/|f'(z)| (its square root rounded up to the grid) is at
-    most 2^-prec.  Returns the mantissas (a, b, r) of the ball z +- r 2^-work;
-    None if that takes more than work.bit_length() + 60 steps or f'(z)
-    vanishes."""
+def _newton_ball(f, df, a: int, b: int, work: int, prec: int):
+    """Newton's method on f from z = (a + bi) 2^-work, z rounded half up to
+    the grid after every step, until the certified radius n|f(z)|/|f'(z)|
+    (its square root rounded up to the grid) is at most 2^-prec.  Returns
+    the mantissas (a, b, r) of the ball z +- r 2^-work; None if that takes
+    more than work.bit_length() + 60 steps or f'(z) vanishes."""
     n = len(f) - 1
-    scale = 1 << work
-    a = round_half_up(Q(float(z0.real)).limit_denominator(10 ** 12) * scale)
-    b = round_half_up(Q(float(z0.imag)).limit_denominator(10 ** 12) * scale)
     for _ in range(work.bit_length() + 60):
         fr, fi = _horner(f, a, b, work)       # f(z) 2^(n work)
         dr, di = _horner(df, a, b, work)      # f'(z) 2^((n-1) work)
@@ -195,7 +197,7 @@ def _newton_ball(f, df, z0, work: int, prec: int):
         # |f(z)/f'(z)|^2 = (fr^2 + fi^2) / d2 * 2^(-2 work)
         f2 = fr * fr + fi * fi
         r = n * (isqrt(f2 // d2) + 1) if f2 else 0
-        if r << prec <= scale:
+        if r << prec <= 1 << work:
             return a, b, r
         # Newton step z - f/f' = z - f(z) conj(f'(z)) / |f'(z)|^2
         a = (2 * (a * d2 - (fr * dr + fi * di)) + d2) // (2 * d2)
@@ -265,13 +267,6 @@ def _abs2_pow(pt: EmbeddingPoint, j: int, k: int):
     mid, rad = _ball_pow(re * re + im * im, 2 * (abs(re) + abs(im)) * r + r * r,
                          k)
     return mid, rad, pt.rad_den ** (2 * k)
-
-
-def _over_lcm(xs):
-    """(den, nums): the rationals xs as integers over the lcm of their
-    denominators."""
-    den = lcm(*(x.denominator for x in xs))
-    return den, [x.numerator * (den // x.denominator) for x in xs]
 
 
 def _ball_pow(mid: int, rad: int, k: int):
@@ -348,14 +343,13 @@ class EmbeddingPoint:
 class FieldElement:
     """Element of a number field, exact coordinates in the integral basis."""
 
-    __slots__ = ("field", "coords", "_cache")
+    __slots__ = ("field", "coords")
 
     def __init__(self, field, coords):
         self.field = field
         self.coords = tuple(Q(c) for c in coords)
         if len(self.coords) != field.n:
             raise ValueError("coordinate length mismatch")
-        self._cache: dict = {}
 
     # -- ring operations ---------------------------------------------------
     def __add__(self, other):
@@ -460,7 +454,7 @@ class NumberField:
         self.poly = poly
         self.poly_q = [Q(c) for c in poly]
         self.n = n
-        self._root_cache: dict = {}
+        self._roots = 0, 0, []          # (P, W, balls): see _all_roots
         # filled by ideal_arith: splitting of rational primes, prime powers
         self._kd_cache: dict = {}
         self._prime_pow_cache: dict = {}
@@ -610,16 +604,39 @@ class NumberField:
 
     # -- embeddings ----------------------------------------------------------
     def _all_roots(self, prec: int):
-        """(W, [(a, b, r)]): certified balls (a + bi) 2^-W +- r 2^-W of
+        """(w, [(a, b, r)]): certified balls (a + bi) 2^-w +- r 2^-w of
         radius <= 2^-prec for all n roots in canonical order (real roots
         ascending, then each upper-half-plane root by (re, im) followed by
-        its conjugate), cached per precision."""
-        hit = self._root_cache.get(prec)
-        if hit is None:
-            work, balls = _root_mantissas(self.poly, prec)
-            hit = work, self._canonical_order(balls)
-            self._root_cache[prec] = hit
-        return hit
+        its conjugate), rounded from the one root set the field holds.
+
+        The held set (P, W, balls) has radius <= 2^-P at 2^-W, W >= P + 32.
+        When P < prec + 64, Newton refines it from its own midpoints to
+        max(prec + 64, 2P).  It is rounded to w = max(64, prec + 32) < P
+        (prec >= 1), s = W - w: a' = floor(a/2^s + 1/2), b' likewise, r' =
+        ceil((r + |a - a' 2^s| + |b - b' 2^s|)/2^s), a ball around the held
+        one (an exact root keeps radius 0).  As r/2^s <= 2^(w-P) <= 1/2,
+        r' <= 2 and r' 2^-w <= 2^(1-w) < 2^-prec; if the rounded balls meet,
+        the held set is the answer.  Held midpoints lie within 2^-(prec+64)
+        of their roots, so two held sets round apart only for a root with a
+        coordinate within 2^-(prec+61) of a half-grid point (k + 1/2) 2^-w,
+        or a Gaussian-integer root (x^2 + 1's) that one of them holds with
+        radius 0 and the other not.
+        """
+        held, work, balls = self._roots
+        if held < prec + 64:
+            held = max(prec + 64, 2 * held)
+            work, balls = _root_mantissas(self.poly, held,
+                                          (work, balls) if balls else None)
+            balls = self._canonical_order(balls)
+            self._roots = held, work, balls
+        w = max(64, prec + 32)
+        s = work - w
+        out = []
+        for a, b, r in balls:
+            a2, b2 = round_ratio(a, 1 << s), round_ratio(b, 1 << s)
+            out.append((a2, b2, -(-(r + abs(a - (a2 << s))
+                                    + abs(b - (b2 << s))) >> s)))
+        return (w, out) if _disjoint(out) else (work, balls)
 
     def _canonical_order(self, balls):
         reals, complexes = [], []
@@ -632,11 +649,8 @@ class NumberField:
             raise RuntimeError("signature mismatch in root certification")
         reals.sort(key=lambda z: z[0])
         complexes.sort(key=lambda z: (z[0], z[1]))
-        ordered = list(reals)
-        for a, b, r in complexes:
-            ordered.append((a, b, r))
-            ordered.append((a, -b, r))
-        return ordered
+        return reals + [z for a, b, r in complexes
+                        for z in ((a, b, r), (a, -b, r))]
 
     def places(self):
         """[(embedding index, n_nu)] — one entry per infinite place."""
@@ -649,14 +663,10 @@ class NumberField:
         """Certified embedding values, each radius <= 2^-precision_bits."""
         if precision_bits < 8:
             raise ValueError("precision_bits must be >= 8")
-        key = ("emb", precision_bits)
-        hit = alpha._cache.get(key)
-        if hit is not None:
-            return hit
         pa = self.to_power(alpha)
         height = max((abs(c) for c in pa), default=Q(0))
         extra = max(16, int(height).bit_length() + 8 * self.n)
-        den, coeffs = _over_lcm(pa)
+        (coeffs,), den = qlinalg.integral_cols([pa])
         for work in precision_ladder(precision_bits + extra,
                                      "embedding failed to certify"):
             root_work, roots = self._all_roots(work)
@@ -669,9 +679,7 @@ class NumberField:
             else:
                 # s depends on the coefficients and the root exponent only,
                 # so every ball has radius denominator den 2^s
-                pt = EmbeddingPoint(balls, work, den << s)
-                alpha._cache[key] = pt
-                return pt
+                return EmbeddingPoint(balls, work, den << s)
 
     # -- exact comparisons ---------------------------------------------------
     def sign_at_real_place(self, alpha: FieldElement, place_idx: int) -> int:

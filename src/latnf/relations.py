@@ -15,7 +15,8 @@ from .dyadic import Q, exp_ball
 from .ideal_arith import (HnfIdeal, PrimeIdeal, factor_over, hnf_inv,
                           hnf_mul, ord_at, prime_product, primes_up_to,
                           walk_primes)
-from .ideal_walk import WalkParams, sample_beta, walk_params
+from .ideal_walk import (WalkParams, WalkTrace, sample_beta,
+                         walk_bound_terms, walk_params)
 from .nf_core import CapExceeded, FieldElement, NumberField
 from .samplers import SamplerConfig, walk_radius
 
@@ -100,8 +101,7 @@ def choose_omega(field: NumberField, m0_norm, blocksize, x,
     target = math.e ** field.n * max(cfg.b_sm, cfg.b_rw, 10 * x * x)
     target_q = Q(math.ceil(target * 2 ** 20), 2 ** 20)
     omega = 1
-    const = (cfg.sampler.radius_constant if cfg.sampler
-             else samplers.RADIUS_CONSTANT)
+    const = (cfg.sampler or SamplerConfig()).radius_constant
     # Ends for a positive radius constant: r is proportional to omega, so
     # r^n passes the fixed target at some finite omega.
     while True:
@@ -128,12 +128,12 @@ class SUnitRelation:
 def _walk_params_for(field: NumberField, m0: HnfIdeal, blocksize: int,
                      omega, cfg: RelationConfig) -> WalkParams:
     m0_norm = int(m0.norm())
-    r = walk_radius(field, Q(m0_norm), blocksize, omega)
-    _lo, hi = r.bracket(40)
-    rn_up = math.ceil(float(hi) ** field.n)
     if cfg.eps_override is not None:
         eps = cfg.eps_override
     else:
+        r = walk_radius(field, Q(m0_norm), blocksize, omega,
+                        (cfg.sampler or SamplerConfig()).radius_constant)
+        rn_up = math.ceil(float(r.bracket(40)[1]) ** field.n)
         eps = Q(1, 1200 * abs(field.disc_field) * rn_up)
         cap = min(Q(1), Q(20, field.n))
         if eps >= cap:
@@ -308,7 +308,7 @@ def random_relation(field: NumberField, fb: FactorBase, rng,
     lsv = rel.log_s_vector(fb)
     if list(lsv.val_part) != out_vec:
         raise RuntimeError("relation valuation identity failed")
-    r0 = concentration_bound(field, fb, sigma, rel.origin.params)
+    r0 = concentration_bound(field, fb, sigma, rel.origin)
     norm_sq = float(lsv.norm_sq().hi())
     if math.sqrt(norm_sq) > r0 + CONCENTRATION_SLACK:
         raise RuntimeError("concentration bound violated")
@@ -316,17 +316,11 @@ def random_relation(field: NumberField, fb: FactorBase, rng,
 
 
 def concentration_bound(field: NumberField, fb: FactorBase, sigma: float,
-                        params: WalkParams) -> float:
+                        trace: WalkTrace) -> float:
     """Certified per-sample bound: the Klein hard bound 3 sigma n0 plus
-    the boundedness-property terms of the sampler."""
-    n = field.n
+    the boundedness-property terms of the sample's walk and box."""
     n0 = len(fb) + field.n_real + field.n_cplx
-    r = walk_radius(field, Q(1), params.blocksize, params.omega)
-    _lo, hi = r.bracket(40)
-    log_bnrn = (params.walk_length * math.log(params.prime_bound)
-                + n * math.log(float(hi)))
-    tail = float(params.s) * math.sqrt(n * math.log(8 * n * n / float(params.eps)))
-    return 3 * sigma * n0 + 5 * log_bnrn + tail + 1.0
+    return 3 * sigma * n0 + walk_bound_terms(trace) + 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from .approx_reduction import (ApproxGenerators, bkp_twice,
                                double_bkp_budget_met, minkowski_columns_x)
 from .det_verify import approx_rho, bach_truncation
 from .divisor_log import kessler_lambda1_lower, log_embedding
-from .dyadic import Q, RealBall, log_ball, round_half_up
+from .dyadic import Q, RealBall, log_ball, round_ratio
 from .ideal_walk import walk_prime_bound
 from .nf_core import CapExceeded, NumberField, precision_ladder
 from .relations import (FactorBase, RandomRelationConfig, RelationConfig,
@@ -138,8 +138,8 @@ def postprocess(relations, fb: FactorBase, field: NumberField,
     # assemble the basis rows: HNF valuation rows first, then unit rows;
     # pivot combinations are Babai-shortened against the kernel
     n_matrix, basis_val, basis_inf = [], [], []
-    for i in pivot_rows:
-        combo = _babai_reduce_combo(list(u[i]), kernel)
+    for i, combo in zip(pivot_rows,
+                        _babai_reduce([list(u[i]) for i in pivot_rows], kernel)):
         n_matrix.append(combo)
         basis_val.append(list(h_rows[i]))
         basis_inf.append(_combine(combo, mids_out))
@@ -178,20 +178,24 @@ def _combine(comb, rows):
     return acc
 
 
-def _babai_reduce_combo(combo, ker_basis):
-    """Shorten an integer combination by subtracting kernel vectors."""
+def _babai_reduce(combos, ker_basis):
+    """Shorten integer combinations by subtracting kernel vectors: from
+    each, its projection's kernel coordinates rounded half up, all read
+    off one inverse of the kernel's Gram matrix."""
     if not ker_basis:
-        return combo
-    proj = [qlinalg.dot(combo, kb) for kb in ker_basis]
+        return combos
     try:
-        t = qlinalg.solve(qlinalg.gram_matrix(ker_basis), proj)
+        inv, d = qlinalg.inverse_scaled(qlinalg.gram_matrix(ker_basis))
     except ZeroDivisionError:
-        return combo
-    out = list(combo)
-    for coeff, kb in zip(t, ker_basis):
-        q = round_half_up(coeff)
-        if q:
-            out = [a - q * b for a, b in zip(out, kb)]
+        return combos
+    out = []
+    for combo in combos:
+        proj = [qlinalg.dot(combo, kb) for kb in ker_basis]
+        for row, kb in zip(inv, ker_basis):
+            q = round_ratio(qlinalg.dot(row, proj), d)
+            if q:
+                combo = [a - q * b for a, b in zip(combo, kb)]
+        out.append(combo)
     return out
 
 

@@ -170,6 +170,26 @@ class TestDualExpReduce:
         with pytest.raises(ValueError, match="not unimodular"):
             dual_exp_reduce([1, 1], HnfIdeal.ring_of_integers(qi))
 
+    def test_rung_decided_by_the_budget(self, qi, monkeypatch):
+        # the rung climbs only while the budget fails; any other
+        # ValueError of bkp_twice reaches the caller (exit 2), where a
+        # catch-all would climb to CapExceeded (exit 4)
+        seen = []
+        budget = approx_reduction.double_bkp_budget_met
+
+        def spy(gens):
+            seen.append(budget(gens))
+            return seen[-1]
+
+        def refuse(gens):
+            raise ValueError("unrelated refusal")
+
+        monkeypatch.setattr(approx_reduction, "double_bkp_budget_met", spy)
+        monkeypatch.setattr(approx_reduction, "bkp_twice", refuse)
+        with pytest.raises(ValueError, match="unrelated refusal"):
+            dual_exp_reduce([1, 1], HnfIdeal.ring_of_integers(qi))
+        assert seen and seen[-1] and not any(seen[:-1])
+
 
 class TestApproxBkzIdeal:
     def test_gaussian_ring_bound(self, qi):

@@ -7,8 +7,9 @@ The digests hash the exact (re, im, rad) of every value `embed` returns at
 canonical order next to a complex pair) and on Q(sqrt-23) with its
 supplied basis, whose power coordinates have denominator 2.  They were
 recorded from the `Fraction` ball Horner (now
-`oracles.ceval_ball_reference`), so they pin the integer kernels to the
-same balls.  The `cmp_element` cases are equalities or near-ties that no
+`oracles.ceval_ball_reference`), and re-recorded on the root balls
+`_all_roots` rounds from the field's one held root set (Q(i)'s, whose
+roots are exact, did not move).  The `cmp_element` cases are equalities or near-ties that no
 interval decides, so each reaches the Liouville fallback, and two
 equalities on Q(i), whose root balls are exact, that the interval's upper
 end decides.
@@ -140,39 +141,39 @@ CASES.update({f"columns-{name}-{prec}": (_columns, name, prec)
 PINNED = {
     "columns-Q(i)-136": "09a50d1c0d29bd06",
     "columns-Q(i)-64": "cd96902b6ab7921f",
-    "columns-Q(sqrt-23)-136": "39d6a1b4d6f7fa41",
-    "columns-Q(sqrt-23)-64": "604b2f217fe4bbab",
-    "columns-Q(sqrt-5)-136": "e50023fce3671bca",
-    "columns-Q(sqrt-5)-64": "6512deb983d64626",
-    "columns-Q(sqrt2)-136": "8df03b056051e0c2",
-    "columns-Q(sqrt2)-64": "02a21fc62fbf90a6",
-    "columns-Q(zeta5)-136": "0a2cd1f4a87ed4ba",
-    "columns-Q(zeta5)-64": "dd195758edbcc0d5",
-    "columns-x^2-x+41-136": "8f78385086bd0575",
-    "columns-x^2-x+41-64": "75b0780f4bd36b9a",
-    "columns-x^3-2-136": "1e335c75982415ce",
-    "columns-x^3-2-64": "981d6284e1121128",
+    "columns-Q(sqrt-23)-136": "b535c835fd3bfd38",
+    "columns-Q(sqrt-23)-64": "6c72ef01640fb897",
+    "columns-Q(sqrt-5)-136": "d89e3be6b9eba752",
+    "columns-Q(sqrt-5)-64": "6b637444869ecae6",
+    "columns-Q(sqrt2)-136": "8cc2b9faf2de21c3",
+    "columns-Q(sqrt2)-64": "be82819d7aa6d4c4",
+    "columns-Q(zeta5)-136": "4de3d490e9fdaccd",
+    "columns-Q(zeta5)-64": "379467f62db0762d",
+    "columns-x^2-x+41-136": "3bc76d2ee7f73f3a",
+    "columns-x^2-x+41-64": "dc02c6311e82fcef",
+    "columns-x^3-2-136": "b51c0eebc1574e7e",
+    "columns-x^3-2-64": "b1a15d7515fdabd1",
     "embed-Q(i)-200": "5f176522587c1b3d",
     "embed-Q(i)-64": "80b63133397677b4",
     "embed-Q(i)-8": "5c5216ae181b54ae",
-    "embed-Q(sqrt-23)-200": "54897daf7a9491f9",
-    "embed-Q(sqrt-23)-64": "bf2a2812fc28171f",
-    "embed-Q(sqrt-23)-8": "10725021c57b23a5",
-    "embed-Q(sqrt-5)-200": "1307d2cdecb50749",
-    "embed-Q(sqrt-5)-64": "5a67ebb21984bbc3",
-    "embed-Q(sqrt-5)-8": "f0ed25a02e146e71",
-    "embed-Q(sqrt2)-200": "67676be71c1ef9c0",
-    "embed-Q(sqrt2)-64": "1fd9006d2d823f42",
-    "embed-Q(sqrt2)-8": "182c7387df3ff062",
-    "embed-Q(zeta5)-200": "91936032464d3852",
-    "embed-Q(zeta5)-64": "1ca47220f2ef69ac",
-    "embed-Q(zeta5)-8": "22f138cf3c6333cc",
-    "embed-x^2-x+41-200": "89527b04bf33ddee",
-    "embed-x^2-x+41-64": "ea649e1d2813f19c",
-    "embed-x^2-x+41-8": "b35dc01283afb1ba",
-    "embed-x^3-2-200": "3ca492a9b21e5fe3",
-    "embed-x^3-2-64": "32d60ab46394a171",
-    "embed-x^3-2-8": "19477f1728075e2d",
+    "embed-Q(sqrt-23)-200": "ee3700687ca69dd3",
+    "embed-Q(sqrt-23)-64": "6e6707b6fd0eb2f2",
+    "embed-Q(sqrt-23)-8": "57d410039950a8c2",
+    "embed-Q(sqrt-5)-200": "f67eadda61f50ce2",
+    "embed-Q(sqrt-5)-64": "e1b290ccebc94c76",
+    "embed-Q(sqrt-5)-8": "ee1b16407d9d1220",
+    "embed-Q(sqrt2)-200": "0fe16c44793e7183",
+    "embed-Q(sqrt2)-64": "a827c641c64ac0ce",
+    "embed-Q(sqrt2)-8": "e63e8e2700be7711",
+    "embed-Q(zeta5)-200": "9a894ff673cbe0ec",
+    "embed-Q(zeta5)-64": "1f6f098c176d3369",
+    "embed-Q(zeta5)-8": "45961e6cc484dbc1",
+    "embed-x^2-x+41-200": "320cf5ff8ec49fe7",
+    "embed-x^2-x+41-64": "5d4745a658a77836",
+    "embed-x^2-x+41-8": "e5968a6f4fda40f1",
+    "embed-x^3-2-200": "269b3316ec8db4d5",
+    "embed-x^3-2-64": "0baaa720756e17a0",
+    "embed-x^3-2-8": "f51e9b53d8f00cfa",
 }
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from latnf import samplers
 from latnf.ideal_arith import HnfIdeal, hnf_mul, primes_up_to
 from latnf.ideal_walk import (WalkParams, WalkTrace, boundedness_check,
                               check_membership, check_norm_bound, sample_beta,
@@ -204,6 +205,26 @@ class TestSampleBetaHardChecks:
                                tr.params.delta, tr.params.omega,
                                tr.params.blocksize)
         assert not check_norm_bound(tr)
+
+    def test_checks_read_the_box_radius(self, qi, monkeypatch):
+        # RADIUS(m0) in the norm and boundedness checks is taken at the
+        # constant the box sampled with (2 here), not the default 48
+        consts = []
+        real = samplers.walk_radius
+
+        def spy(field, norm, blocksize, omega,
+                constant=samplers.RADIUS_CONSTANT):
+            consts.append(constant)
+            return real(field, norm, blocksize, omega, constant)
+
+        monkeypatch.setattr(samplers, "walk_radius", spy)
+        tr = sample_beta(qi, None, [], HnfIdeal.ring_of_integers(qi),
+                         [1, 1], qi.one(), fast_params(qi),
+                         random.Random(26), FAST)
+        assert check_norm_bound(tr) and boundedness_check(tr)
+        assert consts and set(consts) == {2}
+        assert tr.radius.pow_value == real(qi, Q(1), tr.params.blocksize,
+                                           tr.params.omega, 2).pow_value
 
 
 class TestShifting:

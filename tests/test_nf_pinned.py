@@ -183,7 +183,7 @@ PINNED = {
     "products-Q(sqrt-5)": "be433339475f70a4",
     "products-Q(zeta5)": "593913fe963c34bd",
     "products-x^3-x+1": "413526342f27c031",
-    "random_relation-Q(i)": "420caf8181c7ab33",
+    "random_relation-Q(i)": "14f2c046f7be808f",
     "roots-Q(zeta5)-100": "515c85f9b7e1102c",
     "roots-Q(zeta5)-400": "c834ada6d1aecce4",
     "roots-Q(zeta5)-800": "9780eab311331895",

@@ -67,7 +67,7 @@ def _wide_columns(n):
 
 
 def test_certify_roots(monkeypatch):
-    newton = _Counter(None, at=3)        # the working precision
+    newton = _Counter(None, at=4)        # the working precision
     monkeypatch.setattr(nf_core, "_newton_ball", newton)
     with pytest.raises(CapExceeded, match="root refinement"):
         nf_core._root_mantissas([5, 0, 1], 64)

@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from latnf import relations
+from latnf import relations, samplers
 from latnf.ideal_arith import (HnfIdeal, hnf_mul, kummer_dedekind,
                                prime_product, primes_up_to)
 from latnf.nf_core import CapExceeded, NumberField, new_field
@@ -208,6 +208,23 @@ class TestRandomRelation:
             out = random_relation(qi, fb, rng, cfg, 0.7854)
             lsv = out.relation.log_s_vector(fb)
             assert math.sqrt(float(lsv.norm_sq().hi())) <= out.r0_bound
+
+    def test_radius_at_the_box_constant(self, qi, monkeypatch):
+        # every RADIUS the relation search and its concentration bound
+        # take is at the sampler's constant (2 here), not the default 48
+        consts = []
+
+        def spy(field, norm, blocksize, omega,
+                constant=samplers.RADIUS_CONSTANT):
+            consts.append(constant)
+            return walk_radius(field, norm, blocksize, omega, constant)
+
+        monkeypatch.setattr(relations, "walk_radius", spy)
+        monkeypatch.setattr(samplers, "walk_radius", spy)
+        fb = FactorBase(primes_up_to(qi, 40))
+        out = random_relation(qi, fb, random.Random(10),
+                              RandomRelationConfig(relation=FAST_CFG), 0.7854)
+        assert out.r0_bound > 0 and consts and set(consts) == {2}
 
     def test_inverts_only_negative_exponents(self, qi, monkeypatch):
         # the a-ideal prod p^{a_p} is formed from the draw's exponents with

@@ -1,9 +1,10 @@
 """Certified root balls and the exact |root| comparisons built on them.
 
 The digests pin every certified root ball (exact midpoint and radius) of
-six fields at three precisions, as `NumberField._all_roots` returned them
-before the field path and a second, polynomial-level root comparator
-shared one root certifier.  The |root| comparisons below run the
+six fields at three precisions, as `NumberField._all_roots` rounds them
+from the one root set a field holds (Q(i)'s exact roots kept their
+earlier pins); the answers must not depend on what the field was asked
+before.  The |root| comparisons below run the
 |sigma|^2k decision `nf_core._abs2_pow_gt` (the core of `cmp_element`) on
 the certified root balls, through `oracles.abs_root_gt`; the fallback cases
 reach its Liouville bound (equality holds, so no interval decides them).
@@ -31,21 +32,21 @@ PINNED = {
     ("Q(i)", 64): "5bd135912f820819",
     ("Q(i)", 128): "5bd135912f820819",
     ("Q(i)", 256): "5bd135912f820819",
-    ("Q(sqrt-5)", 64): "95d857053640842f",
-    ("Q(sqrt-5)", 128): "dfcf2be43756896d",
-    ("Q(sqrt-5)", 256): "c67c440e8c70b79b",
-    ("Q(sqrt2)", 64): "6828094dc0e08ab4",
-    ("Q(sqrt2)", 128): "371074ff26683309",
-    ("Q(sqrt2)", 256): "ee571b9d53975426",
-    ("Q(sqrt-163)", 64): "ebe056c6f6152c66",
-    ("Q(sqrt-163)", 128): "f04d1f19eb73bb3a",
-    ("Q(sqrt-163)", 256): "3a071837fc79e66d",
-    ("Q(zeta5)", 64): "1ed6b8e74e1f27ca",
-    ("Q(zeta5)", 128): "9b37a467589a219a",
-    ("Q(zeta5)", 256): "49690bcc1ddb2342",
-    ("x^3-2", 64): "6c8431f7cf84b865",
-    ("x^3-2", 128): "af338f8a4130f6b7",
-    ("x^3-2", 256): "9fe7146400a58595",
+    ("Q(sqrt-5)", 64): "f52f765f1437de09",
+    ("Q(sqrt-5)", 128): "61378c2f3d3088f9",
+    ("Q(sqrt-5)", 256): "f957655aac7eb378",
+    ("Q(sqrt2)", 64): "a8e9094f1563b4db",
+    ("Q(sqrt2)", 128): "724660ae81577bfa",
+    ("Q(sqrt2)", 256): "9a5fe69c1a77ac7c",
+    ("Q(sqrt-163)", 64): "b19cb19424c0b31c",
+    ("Q(sqrt-163)", 128): "651a364e24415b50",
+    ("Q(sqrt-163)", 256): "505b605cbbe4f170",
+    ("Q(zeta5)", 64): "6488a15a6c8e57de",
+    ("Q(zeta5)", 128): "abb62316c5877b05",
+    ("Q(zeta5)", 256): "1e46a3ddfde3744b",
+    ("x^3-2", 64): "cd3f9be68addb3b8",
+    ("x^3-2", 128): "5123c091f206fa43",
+    ("x^3-2", 256): "5efad54b4788e4d7",
 }
 
 
@@ -63,6 +64,44 @@ def _digest(work, balls):
 def test_all_roots_pinned(name, prec):
     field = NumberField(FIELDS[name], BASES.get(name))
     assert _digest(*field._all_roots(prec)) == PINNED[(name, prec)]
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_answers_do_not_depend_on_history(name):
+    # a field first asked at 4096 and 300 bits holds a different root set
+    # from a fresh one, and rounds the same balls from it
+    warm = NumberField(FIELDS[name], BASES.get(name))
+    warm._all_roots(4096)
+    warm._all_roots(300)
+    for prec in (8, 64, 200, 512, 2048):
+        fresh = NumberField(FIELDS[name], BASES.get(name))
+        assert fresh._all_roots(prec) == warm._all_roots(prec)
+        alpha = [Q(1, 3), 2, -1][:fresh.n]
+        assert (fresh.embed(fresh.from_power(alpha), prec).balls
+                == warm.embed(warm.from_power(alpha), prec).balls)
+        if name == "Q(i)":          # the exact roots +-i keep radius 0
+            assert [r for _a, _b, r in warm._all_roots(prec)[1]] == [0, 0]
+    assert len(warm._roots[2]) == warm.n    # one held root set
+
+
+def test_refinements_double_the_held_precision(monkeypatch):
+    # every refinement at least doubles the held precision, from at least
+    # 128 bits to below 2 (4096 + 64): at most 7 over any 100 requests
+    # in [64, 4096], here in the costliest (increasing) order
+    calls = []
+    refine = nf_core._root_mantissas
+
+    def spy(*args):
+        calls.append(args[1])
+        return refine(*args)
+
+    monkeypatch.setattr(nf_core, "_root_mantissas", spy)
+    field = NumberField(FIELDS["Q(zeta5)"])
+    calls.clear()       # count the requests' refinements only
+    for prec in sorted(random.Random(5).sample(range(64, 4097), 100)):
+        work, balls = field._all_roots(prec)
+        assert all(r << prec <= 1 << work for _a, _b, r in balls)
+    assert 1 <= len(calls) <= 8
 
 
 class TestAbsModeFallback:
