@@ -291,10 +291,10 @@ class MinkowskiColumns:
                 for mids, dm, rads, dr in zip(self.mids, self.mid_dens,
                                               self.rads, self.rad_dens)]
 
-    def rad_exceeds(self, num: int, den: int) -> bool:
-        """Whether some radius exceeds num / den."""
-        return any(max(r) * den > num * d
-                   for r, d in zip(self.rads, self.rad_dens))
+    def rad_exceeds(self, dens) -> bool:
+        """Whether some radius of column j exceeds 1 / dens[j]."""
+        return any(max(r) * den > d
+                   for r, d, den in zip(self.rads, self.rad_dens, dens))
 
 
 def minkowski_columns_x(field: NumberField, elements, x, prec: int):

@@ -168,8 +168,8 @@ def cmd_sample(args) -> int:
         ok_ring = HnfIdeal.ring_of_integers(field)
         cfgs = SamplerConfig(radius_constant=args.radius_constant)
         for _ in range(args.count):
-            res = sample_in_box(field, None, [], ok_ring, field.zero(),
-                                field.one(), 2, [Q(1)] * field.n, 1, rng, cfgs)
+            res = sample_in_box(field, None, [], ok_ring, field.one(), 2,
+                                [Q(1)] * field.n, 1, rng, cfgs)
             lines.append({"beta": serialize.element_to_json(res.beta),
                           "draws": res.draws,
                           "checks": {"member": ok_ring.contains(res.beta)}})

@@ -138,8 +138,8 @@ def sample_beta(field: NumberField, m0: HnfIdeal | None, m_inf,
         if nnu == 2:
             dist[emb_idx + 1] = a_mid
     x = [d * yv for d, yv in zip(dist, y)]
-    res = sample_in_box(field, m0, m_inf, b_tilde, field.zero(), tau,
-                        params.blocksize, x, params.omega, rng, cfg)
+    res = sample_in_box(field, m0, m_inf, b_tilde, tau, params.blocksize, x,
+                        params.omega, rng, cfg)
     radius = samplers.walk_radius(
         field, Q(m0.norm()) if m0 is not None else Q(1), params.blocksize,
         params.omega, (cfg or SamplerConfig()).radius_constant)

@@ -159,9 +159,15 @@ def _root_mantissas(poly, prec: int, start=None):
     n|f(z)|/|f'(z)| around z holds a root, and pairwise disjoint balls
     hold distinct ones.  `work` doubles when a ball fails, up to the
     precision cap (then CapExceeded).
+
+    A start holds the real roots (b = 0, which Newton keeps) and one root
+    of each conjugate pair: the answer follows them with the mirror image
+    (a, -b, r) of each ball with b != 0, the other root of its pair (f is
+    real), and the disjointness test covers the mirrored set.
     """
     f = [int(c) for c in poly]
     df = [k * f[k] for k in range(1, len(f))]
+    mirror = start is not None
     if start is None:
         start = 0, [(Q(float(z.real)).limit_denominator(10 ** 12),
                      Q(float(z.imag)).limit_denominator(10 ** 12), 0)
@@ -177,6 +183,8 @@ def _root_mantissas(poly, prec: int, start=None):
                 break
             balls.append(z)
         else:
+            if mirror:
+                balls += [(a, -b, r) for a, b, r in balls if b]
             if _disjoint(balls):
                 return work, balls
 
@@ -610,13 +618,16 @@ class NumberField:
         its conjugate), rounded from the one root set the field holds.
 
         The held set (P, W, balls) has radius <= 2^-P at 2^-W, W >= P + 32.
-        When P < prec + 64, Newton refines it from its own midpoints to
-        max(prec + 64, 2P).  It is rounded to w = max(64, prec + 32) < P
-        (prec >= 1), s = W - w: a' = floor(a/2^s + 1/2), b' likewise, r' =
-        ceil((r + |a - a' 2^s| + |b - b' 2^s|)/2^s), a ball around the held
-        one (an exact root keeps radius 0).  As r/2^s <= 2^(w-P) <= 1/2,
-        r' <= 2 and r' 2^-w <= 2^(1-w) < 2^-prec; if the rounded balls meet,
-        the held set is the answer.  Held midpoints lie within 2^-(prec+64)
+        When P < prec + 64, Newton refines it to max(prec + 64, 2P) from
+        its own midpoints, the real and upper-half-plane ones only (the
+        rest are their mirror images), at most doubling P a step; a cold
+        request climbs from numpy's floats to at most 256 bits first.  It
+        is rounded to w = max(64, prec + 32) < P (prec >= 1), s = W - w:
+        a' = floor(a/2^s + 1/2), b' likewise, r' = ceil((r + |a - a' 2^s| +
+        |b - b' 2^s|)/2^s), a ball around the held one (an exact root keeps
+        radius 0).  As r/2^s <= 2^(w-P) <= 1/2, r' <= 2 and r' 2^-w <=
+        2^(1-w) < 2^-prec; if the rounded balls meet, the held set is the
+        answer.  Held midpoints lie within 2^-(prec+64)
         of their roots, so two held sets round apart only for a root with a
         coordinate within 2^-(prec+61) of a half-grid point (k + 1/2) 2^-w,
         or a Gaussian-integer root (x^2 + 1's) that one of them holds with
@@ -624,10 +635,14 @@ class NumberField:
         """
         held, work, balls = self._roots
         if held < prec + 64:
-            held = max(prec + 64, 2 * held)
-            work, balls = _root_mantissas(self.poly, held,
-                                          (work, balls) if balls else None)
-            balls = self._canonical_order(balls)
+            steps = [max(prec + 64, 2 * held)]
+            while steps[-1] > max(2 * held, 256):
+                steps.append((steps[-1] + 1) // 2)
+            for held in reversed(steps):
+                start = balls[:self.n_real] + balls[self.n_real::2]
+                work, balls = _root_mantissas(self.poly, held,
+                                              (work, start) if balls else None)
+                balls = self._canonical_order(balls)
             self._roots = held, work, balls
         w = max(64, prec + 32)
         s = work - w

@@ -24,6 +24,8 @@ from .samplers import SamplerConfig, walk_radius
 CONCENTRATION_SLACK = 1e-6
 # sampler calls per relation input (and per exceptional unit), then error
 ATTEMPT_CAP = 250
+# draws of tau, a unit mod m0, per relation search, then error
+TAU_DRAW_CAP = 10_000
 
 
 class FactorBase:
@@ -198,11 +200,12 @@ def _smooth_relation(field: NumberField, a: HnfIdeal, fb: FactorBase, y, x,
 
 
 def _sample_tau(field: NumberField, m0: HnfIdeal, m0_primes, rng) -> FieldElement:
+    """A nonzero tau coprime to m0, from coordinates drawn below N(m0):
+    at most TAU_DRAW_CAP draws, then CapExceeded."""
     if int(m0.norm()) == 1:
         return field.one()
-    ok = HnfIdeal.ring_of_integers(field)
     bound = int(m0.norm())
-    for _ in range(10000):
+    for _ in range(TAU_DRAW_CAP):
         coords = [rng.randrange(bound) for _ in range(field.n)]
         tau = field.element(coords)
         if tau.is_zero():
@@ -210,7 +213,7 @@ def _sample_tau(field: NumberField, m0: HnfIdeal, m0_primes, rng) -> FieldElemen
         if all(ord_at(HnfIdeal.principal(field, tau), p) == 0
                for p in m0_primes):
             return tau
-    raise RuntimeError("failed to sample a unit mod m0")
+    raise CapExceeded(f"no unit mod m0 in {TAU_DRAW_CAP} draws")
 
 
 # ---------------------------------------------------------------------------

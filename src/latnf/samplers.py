@@ -305,7 +305,7 @@ def perfect_box_lattice(c_cols, c_inv, grid_n: int, w0, boxes,
 
 
 # ---------------------------------------------------------------------------
-# Algorithm: uniform sampling in x((b + gamma) cap tau K^{m,1}) cap r B_inf
+# Algorithm: uniform sampling in x(b cap tau K^{m,1}) cap r B_inf
 
 
 @dataclass
@@ -346,12 +346,13 @@ def instantiate_grid_n(field: NumberField, omega, constant: int) -> int:
 
 
 def sample_in_box(field: NumberField, m0: HnfIdeal | None, m_inf: list[int],
-                  b_ideal: HnfIdeal, gamma: FieldElement, tau: FieldElement,
-                  blocksize: int, x, omega, rng,
-                  cfg: SamplerConfig | None = None) -> BoxSampleResult:
-    """Uniform sampling in x((b + gamma) cap tau K^{m,1}) cap r B_inf,
-    r = RADIUS(x b m0).  Returns the algebraic element beta with
-    beta in (b + gamma) cap tau K^{m,1} and x*beta inside the box.
+                  b_ideal: HnfIdeal, tau: FieldElement, blocksize: int, x,
+                  omega, rng, cfg: SamplerConfig | None = None
+                  ) -> BoxSampleResult:
+    """Uniform sampling in x(b cap tau K^{m,1}) cap r B_inf, r =
+    RADIUS(x b m0).  Returns the algebraic element beta with beta in
+    b cap tau K^{m,1} and x*beta inside the box.  Each rung embeds the
+    reduced basis and the shift, if any, in one call.
     """
     cfg = cfg or SamplerConfig()
     n = field.n
@@ -365,26 +366,15 @@ def sample_in_box(field: NumberField, m0: HnfIdeal | None, m_inf: list[int],
     radius = walk_radius(field, norm_total, blocksize, omega,
                          cfg.radius_constant)
 
-    # (1) reduced basis of x * b * m0 with the radiusboundofD check
+    # (1) reduced basis of x * b * m0
     red = approx_bkz_ideal(x, bm, blocksize)
-    cols = minkowski_columns_x(field, red.elements, x, red.precision_bits)
-    for ups, den in cols.abs_upper():
-        # || x b_i || <= r / (24 n^2): compare squares times (24 n^2)^2
-        norm_sq_up = sum(v * v for v in ups) * (RADIUS_C_HALF * n * n) ** 2
-        if radius.cmp_value_sq(norm_sq_up, den * den) > 0:
-            raise ValueError("reduced basis too long for the radius "
-                             "(radiusboundofD check failed)")
 
-    # (2) modulus-aware shift gamma_m with gamma_m = tau mod m0
-    if m0 == ok_ring:
-        gamma_m = gamma
-    else:
-        gamma_m = _crt_shift(field, b_ideal, m0, gamma, tau)
+    # (2) the shift tau beta = tau mod m0, in b, reduced modulo the basis;
+    # none when m0 = O_K
+    shifts = [] if m0 == ok_ring else [_babai_reduce(
+        field, _crt_shift(field, b_ideal, m0, tau), red.elements)]
 
-    # (3) reduce gamma_m modulo the reduced basis (exact rational solve)
-    gamma_red = _babai_reduce(field, gamma_m, red.elements)
-
-    # (4) box: per-place halfwidths; sign-constrained real places get
+    # (3) box: per-place halfwidths; sign-constrained real places get
     # halfwidth r/2 and center sign(tau)*r/2; complex pairs become discs
     # of radius sqrt(2) r in the isometric coordinates
     layout = _real_coord_layout(field)
@@ -418,7 +408,7 @@ def sample_in_box(field: NumberField, m0: HnfIdeal | None, m_inf: list[int],
     boxes = prefilter_boxes(box, Q(1, 6 * n), grid_n)
 
     def oracle(coeff_vec):
-        beta0 = gamma_red
+        beta0 = shifts[0] if shifts else field.zero()
         for cf, el in zip(coeff_vec, red.elements):
             if cf:
                 beta0 = beta0 + el * cf
@@ -430,22 +420,23 @@ def sample_in_box(field: NumberField, m0: HnfIdeal | None, m_inf: list[int],
                                      2 * grid_n.bit_length() + 96),
                                  "box sampler failed to certify its "
                                  "precision"):
-        cols = minkowski_columns_x(field, red.elements, x, prec)
-        if cols.rad_exceeds(1, 4 * grid_n):
+        cols = minkowski_columns_x(field, red.elements + shifts, x, prec)
+        _radius_test(cols.abs_upper()[:n], n, radius,
+                     cfg.radius_constant * Q(omega))
+        if cols.rad_exceeds([4 * grid_n] * n + [8 * grid_n] * len(shifts)):
+            continue
+        r_lo, r_hi = radius.bracket(prec)
+        if r_hi - r_lo > Q(1, 4 * grid_n):
             continue
         # N C~ and N t~: the midpoints times N rounded to integers
         c_cols = [[round_ratio(m * grid_n, dm) for m in mids]
-                  for mids, dm in zip(cols.mids, cols.mid_dens)]
-        g_col = minkowski_columns_x(field, [gamma_red], x, prec)
-        r_lo, r_hi = radius.bracket(prec)
-        if r_hi - r_lo > Q(1, 4 * grid_n) or g_col.rad_exceeds(1, 8 * grid_n):
-            continue
-        # the shift is -gamma_red, plus sign(tau) r/2 at constrained places
+                  for mids, dm in zip(cols.mids[:n], cols.mid_dens)]
+        # t~ is minus the shift, plus sign(tau) r/2 at constrained places
         half_r = (r_lo + r_hi) / 4 * grid_n
         offsets = {pos: sgn * half_r for pos, sgn in shift_centers.items()}
-        gd = g_col.mid_dens[0]
+        gm, gd = (cols.mids[n], cols.mid_dens[n]) if shifts else ([0] * n, 1)
         t_tilde = []
-        for pos, m in enumerate(g_col.mids[0]):
+        for pos, m in enumerate(gm):
             c = offsets.get(pos)
             cn, cd = (0, 1) if c is None else (c.numerator, c.denominator)
             t_tilde.append(round_ratio(cn * gd - m * grid_n * cd, gd * cd))
@@ -458,6 +449,32 @@ def sample_in_box(field: NumberField, m0: HnfIdeal | None, m_inf: list[int],
             if got is not None:
                 return BoxSampleResult(got, draws)
         raise CapExceeded(f"box sampler failed after {RETRY_CAP} draws")
+
+
+def _radius_test(col_uppers, n: int, radius: RadiusExpr, c_omega) -> None:
+    """The radiusboundofD check: 24 n^2 ||x alpha_i|| <= RADIUS on the
+    upper ends (`MinkowskiColumns.abs_upper`) of the reduced basis.
+
+    With the radius constant C, C omega >= 48 = 2 * 24 makes it a proven
+    bound: `approx_bkz_ideal` gives ||x alpha_i|| <= 2n b^(2n/b)
+    lambda_n(x b m0), and `_lambda_n_upper_sq` lambda_n <= sqrt(n)
+    |D|^(3/(2n)) N(x b m0)^(1/n), so 24 n^2 ||x alpha_i|| <= 48 b^(2n/b)
+    n^(7/2) |D|^(3/(2n)) N(x b m0)^(1/n) <= RADIUS.  A failure there is a
+    broken reduction (RuntimeError, exit 3), unless a column's norm lies
+    within its ball radius of the bound.  Below 48 the bound is not
+    proven, and the constant is the caller's choice: ValueError (exit 2).
+    """
+    for ups, den in col_uppers:
+        # compare squares times (24 n^2)^2
+        norm_sq_up = sum(v * v for v in ups) * (RADIUS_C_HALF * n * n) ** 2
+        if radius.cmp_value_sq(norm_sq_up, den * den) > 0:
+            if c_omega >= 2 * RADIUS_C_HALF:
+                raise RuntimeError("reduced basis longer than the proven "
+                                   "bound 2n b^(2n/b) lambda_n (radiusboundofD "
+                                   "check failed)")
+            raise ValueError("reduced basis too long for the radius at "
+                             f"radius constant times omega {c_omega} < 48 "
+                             "(radiusboundofD check failed)")
 
 
 def _in_tau_box(field: NumberField, beta0: FieldElement, x,
@@ -480,8 +497,9 @@ def _in_tau_box(field: NumberField, beta0: FieldElement, x,
 
 
 def _crt_shift(field: NumberField, b_ideal: HnfIdeal, m0: HnfIdeal,
-               gamma: FieldElement, tau: FieldElement) -> FieldElement:
-    """gamma_m in (b + gamma) with gamma_m = tau mod m0, via 1 = beta + mu."""
+               tau: FieldElement) -> FieldElement:
+    """tau beta, in b and = tau mod m0, for 1 = beta + mu with beta in b
+    and mu in m0."""
     if b_ideal.denom != 1 or m0.denom != 1:
         raise ValueError("CRT shift needs integral ideals")
     rows = [list(col) for col in b_ideal.hnf] + [list(col) for col in m0.hnf]
@@ -499,17 +517,16 @@ def _crt_shift(field: NumberField, b_ideal: HnfIdeal, m0: HnfIdeal,
     for i in range(n):
         if coeffs[i]:
             beta = beta + b_elts[i] * coeffs[i]
-    mu = field.one() - beta
-    return tau * beta + gamma * mu
+    return tau * beta
 
 
-def _babai_reduce(field: NumberField, gamma_m: FieldElement,
+def _babai_reduce(field: NumberField, shift: FieldElement,
                   basis_elements) -> FieldElement:
-    """gamma_m minus its round-off in the given algebraic basis."""
+    """shift minus its round-off in the given algebraic basis."""
     n = field.n
     cols = [list(e.coords) for e in basis_elements]
-    t = solve(transpose(cols), list(gamma_m.coords))
-    out = gamma_m
+    t = solve(transpose(cols), list(shift.coords))
+    out = shift
     for i in range(n):
         q = round_half_up(Q(t[i]))
         if q:

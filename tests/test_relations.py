@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import time
@@ -7,6 +8,7 @@ from fractions import Fraction as Q
 import pytest
 
 from latnf import relations, samplers
+from latnf.cli import EXIT_CAP, main
 from latnf.ideal_arith import (HnfIdeal, hnf_mul, kummer_dedekind,
                                prime_product, primes_up_to)
 from latnf.nf_core import CapExceeded, NumberField, new_field
@@ -366,3 +368,53 @@ class TestBudgets:
         assert default_blocksize(qi) == 2
         zeta5 = new_field([1, 1, 1, 1, 1])
         assert default_blocksize(zeta5) == max(2, math.ceil(4 ** (2 / 3)))
+
+
+class _ZeroRng:
+    """Every draw is 0, so every tau drawn is 0."""
+
+    def __init__(self):
+        self.draws = 0
+
+    def randrange(self, _bound):
+        self.draws += 1
+        return 0
+
+
+class TestTauCap:
+    """The draw of tau, a unit mod a nontrivial m0, stops after
+    `TAU_DRAW_CAP` draws with `CapExceeded` (exit 4), and under
+    `random_relation` a capped tau is a failed Gaussian input."""
+
+    def test_the_draw_stops_at_the_cap(self, qs5):
+        _x, m0, m0_primes = modulus_branch(qs5, 1e30, x_override=3.0)
+        rng = _ZeroRng()
+        with pytest.raises(CapExceeded, match="unit mod m0"):
+            relations._sample_tau(qs5, m0, m0_primes, rng)
+        assert rng.draws == relations.TAU_DRAW_CAP * qs5.n
+
+    def test_a_capped_tau_is_a_failed_gaussian_input(self, monkeypatch,
+                                                     tmp_path, capsys):
+        # m0 a prime of norm 41 outside the factor base (norm <= 40); the
+        # walk (norm <= 20) stays inside it
+        def prime_41(field, _rho):
+            p = next(p for p in primes_up_to(field, 41) if p.norm() == 41)
+            return 3.0, p.hnf, [p]
+
+        real, calls = relations._sample_tau, []
+
+        def zero_draws(field, m0, m0_primes, _rng):
+            calls.append(m0)
+            return real(field, m0, m0_primes, _ZeroRng())
+
+        monkeypatch.setattr(relations, "modulus_branch", prime_41)
+        monkeypatch.setattr(relations, "_sample_tau", zero_draws)
+        field_file = tmp_path / "qs5.json"
+        field_file.write_text(json.dumps({"poly": [5, 0, 1]}))
+        code = main(["relation", str(field_file), "--primes-bound", "40",
+                     "--walk-b", "20", "--radius-constant", "2"])
+        assert code == EXIT_CAP == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "cap-exceeded"
+        assert "every Gaussian redraw" in err["error"]
+        assert len(calls) >= 1

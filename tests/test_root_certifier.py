@@ -85,9 +85,9 @@ def test_answers_do_not_depend_on_history(name):
 
 
 def test_refinements_double_the_held_precision(monkeypatch):
-    # every refinement at least doubles the held precision, from at least
-    # 128 bits to below 2 (4096 + 64): at most 7 over any 100 requests
-    # in [64, 4096], here in the costliest (increasing) order
+    # every request that refines at least doubles the held precision,
+    # from at least 128 bits to below 2 (4096 + 64): at most 7 over 100
+    # requests in [64, 4096] in increasing order, each one step here
     calls = []
     refine = nf_core._root_mantissas
 
@@ -102,6 +102,39 @@ def test_refinements_double_the_held_precision(monkeypatch):
         work, balls = field._all_roots(prec)
         assert all(r << prec <= 1 << work for _a, _b, r in balls)
     assert 1 <= len(calls) <= 8
+
+
+@pytest.mark.parametrize("name", ["Q(zeta5)", "x^3-2", "Q(sqrt2)"])
+def test_refinements_start_from_the_real_and_upper_roots(name, monkeypatch):
+    # a refinement runs Newton from the n_real + n_cplx real and
+    # upper-half-plane balls of the held set, mirrors the rest, and at most
+    # doubles the held precision; a cold request first climbs from numpy's
+    # floats (all n roots) to at most 256 bits
+    starts, refinements = [], []
+    newton, refine = nf_core._newton_ball, nf_core._root_mantissas
+
+    def spy_newton(*args):
+        starts.append(args)
+        return newton(*args)
+
+    def spy_refine(poly, prec, start=None):
+        refinements.append((prec, start is not None))
+        return refine(poly, prec, start)
+
+    monkeypatch.setattr(nf_core, "_newton_ball", spy_newton)
+    monkeypatch.setattr(nf_core, "_root_mantissas", spy_refine)
+    field = NumberField(FIELDS[name])
+    starts.clear(), refinements.clear()
+    field._all_roots(4096)
+    (cold, from_floats), *warm = refinements
+    assert not from_floats and cold <= 256
+    assert warm and all(from_held for _prec, from_held in warm)
+    precs = [cold] + [prec for prec, _ in warm]
+    assert precs[-1] == 4096 + 64
+    assert all(b <= 2 * a for a, b in zip(precs, precs[1:]))
+    roots = field.n_real + field.n_cplx
+    assert len(starts) == field.n + len(warm) * roots
+    assert len(field._all_roots(4096)[1]) == field.n
 
 
 class TestAbsModeFallback:

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import sys
@@ -11,6 +12,9 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).parent))
 from oracles import chi2_sf, chi2_uniform_stat, klein_sample_reference
 
+from latnf import samplers
+from latnf.approx_reduction import IdealBasisResult
+from latnf.cli import EXIT_PRECONDITION, EXIT_VERIFICATION, main
 from latnf.ideal_arith import HnfIdeal, hnf_mul, kummer_dedekind, primes_up_to
 from latnf.intmath import rational_root_floor
 from latnf.nf_core import CapExceeded, new_field
@@ -430,7 +434,7 @@ class TestSampleInBox:
         rng = random.Random(13)
         ok_ring = HnfIdeal.ring_of_integers(qi)
         cfg = SamplerConfig(radius_constant=2)
-        res = sample_in_box(qi, None, [], ok_ring, qi.zero(), qi.one(), 2,
+        res = sample_in_box(qi, None, [], ok_ring, qi.one(), 2,
                             [Q(1), Q(1)], 1, rng, cfg)
         assert ok_ring.contains(res.beta)
         # |sigma(beta)| <= r = RADIUS(b m0 x), b = m0 = O_K, x = (1, 1)
@@ -448,7 +452,7 @@ class TestSampleInBox:
         tau = qi.one()
         cfg = SamplerConfig(radius_constant=2)
         for _ in range(5):
-            res = sample_in_box(qi, m0, [], ok_ring, qi.zero(), tau, 2,
+            res = sample_in_box(qi, m0, [], ok_ring, tau, 2,
                                 [Q(1), Q(1)], 1, rng, cfg)
             assert m0.contains(res.beta - tau)
 
@@ -458,8 +462,8 @@ class TestSampleInBox:
         ok_ring = HnfIdeal.ring_of_integers(qr2)
         cfg = SamplerConfig(radius_constant=2)
         for _ in range(5):
-            res = sample_in_box(qr2, None, [0, 1], ok_ring, qr2.zero(),
-                                qr2.one(), 2, [Q(1), Q(1)], 1, rng, cfg)
+            res = sample_in_box(qr2, None, [0, 1], ok_ring, qr2.one(), 2,
+                                [Q(1), Q(1)], 1, rng, cfg)
             assert qr2.sign_at_real_place(res.beta, 0) == 1
             assert qr2.sign_at_real_place(res.beta, 1) == 1
 
@@ -485,7 +489,7 @@ class TestSampleInBox:
         counts = {}
         n = 500
         for _ in range(n):
-            res = sample_in_box(qi, None, [], ok_ring, qi.zero(), qi.one(),
+            res = sample_in_box(qi, None, [], ok_ring, qi.one(),
                                 2, [Q(1), Q(1)], 1, rng, cfg)
             c = (int(res.beta.coords[0]) % 3, int(res.beta.coords[1]) % 3)
             counts[c] = counts.get(c, 0) + 1
@@ -498,3 +502,71 @@ class TestSampleInBox:
             stat += (counts.get(cls, 0) - e) ** 2 / e
             dof += 1
         assert chi2_sf(stat, dof - 1) > 0.001
+
+
+class TestOneEmbeddingPerRung:
+    """`sample_in_box` embeds the reduced basis, and the shift when m0 is
+    nontrivial, in one `minkowski_columns_x` call per rung of its
+    precision ladder, and the radius test reads that call's columns."""
+
+    @pytest.mark.parametrize("modulus", [False, True])
+    def test_one_call_per_rung(self, qi, monkeypatch, modulus):
+        calls, rungs = [], []
+        columns, ladder = samplers.minkowski_columns_x, samplers.precision_ladder
+
+        def spy_columns(field, elements, x, prec):
+            calls.append((tuple(tuple(e.coords) for e in elements), prec))
+            assert not any(e.is_zero() for e in elements)
+            return columns(field, elements, x, prec)
+
+        def spy_ladder(start, message):
+            for prec in ladder(start, message):
+                rungs.append(prec)
+                yield prec
+
+        monkeypatch.setattr(samplers, "minkowski_columns_x", spy_columns)
+        monkeypatch.setattr(samplers, "precision_ladder", spy_ladder)
+        p1 = primes_up_to(qi, 2)[0]
+        m0 = hnf_mul(p1.hnf, p1.hnf) if modulus else None
+        ok_ring = HnfIdeal.ring_of_integers(qi)
+        cfg = SamplerConfig(radius_constant=2)
+        rng = random.Random(14)
+        for _ in range(3):
+            calls.clear(), rungs.clear()
+            sample_in_box(qi, m0, [], ok_ring, qi.one(), 2, [Q(1), Q(1)], 1,
+                          rng, cfg)
+            assert len(set(calls)) == len(calls) == len(rungs) >= 1
+            assert [prec for _els, prec in calls] == rungs
+            # the basis, then the shift when m0 is nontrivial
+            assert all(len(els) == qi.n + modulus for els, _prec in calls)
+
+
+class TestRadiusTest:
+    """The radiusboundofD check on a planted over-long basis: a proven
+    bound at radius constant 48 (exit 3), the caller's choice below it
+    (exit 2)."""
+
+    @staticmethod
+    def _run(monkeypatch, tmp_path, capsys, constant):
+        def long_basis(x, a, blocksize):
+            return IdealBasisResult(
+                [e * (1 << 20) for e in a.basis_elements()], 128)
+
+        monkeypatch.setattr(samplers, "approx_bkz_ideal", long_basis)
+        field_file = tmp_path / "qi.json"
+        field_file.write_text(json.dumps({"poly": [1, 0, 1]}))
+        code = main(["sample", str(field_file), "--mode", "box",
+                     "--radius-constant", str(constant)])
+        return code, json.loads(capsys.readouterr().err)
+
+    def test_proven_bound_at_48(self, monkeypatch, tmp_path, capsys):
+        code, err = self._run(monkeypatch, tmp_path, capsys, 48)
+        assert code == EXIT_VERIFICATION == 3
+        assert err["kind"] == "verification"
+        assert "proven bound" in err["error"]
+
+    def test_precondition_below_48(self, monkeypatch, tmp_path, capsys):
+        code, err = self._run(monkeypatch, tmp_path, capsys, 1)
+        assert code == EXIT_PRECONDITION == 2
+        assert err["kind"] == "precondition"
+        assert "radius constant times omega 1 < 48" in err["error"]
