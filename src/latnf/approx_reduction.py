@@ -26,8 +26,8 @@ from . import bkz, lattice_core
 from .dyadic import Q, sqrt_bracket
 from .ideal_arith import HnfIdeal
 from .nf_core import NumberField, precision_ladder
-from .qlinalg import (dot, integral_cols, inverse_scaled, mat_inv, mat_mul,
-                      transpose)
+from .qlinalg import (combine_cols, dot, integral_cols, inverse_scaled, mat_inv,
+                      mat_mul, transpose)
 
 
 def rowmax_norm_sq(rows):
@@ -398,14 +398,8 @@ def _transform_elements(elements, m):
     """The field elements sum_i elements[i] m[i][j], one per column j of
     the square matrix m."""
     field = elements[0].field
-    out = []
-    for j in range(len(elements)):
-        acc = field.zero()
-        for i, e in enumerate(elements):
-            if m[i][j]:
-                acc = acc + e * m[i][j]
-        out.append(acc)
-    return out
+    return [field.element(c)
+            for c in combine_cols([e.coords for e in elements], m)]
 
 
 def dual_exp_reduce(x, a: HnfIdeal) -> IdealBasisResult:

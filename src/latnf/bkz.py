@@ -30,8 +30,8 @@ from math import gcd
 
 from . import lattice_core, qlinalg
 from .dyadic import Q
-from .lattice_core import IntegralGSO, combine_cols, int_gram
-from .qlinalg import int_identity, integral_cols
+from .lattice_core import IntegralGSO, int_gram
+from .qlinalg import combine_cols, int_identity, integral_cols
 
 
 @dataclass

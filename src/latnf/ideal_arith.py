@@ -47,7 +47,7 @@ class HnfIdeal:
         den = lcm(*(c.denominator for g in gens for c in g.coords))
         cols = []
         for g in gens:
-            cols += _mult_columns(field, [int(c * den) for c in g.coords])
+            cols += field.mult_columns([int(c * den) for c in g.coords])
         return HnfIdeal._from_int_columns(field, den, cols)
 
 
@@ -144,8 +144,9 @@ class PrimeIdeal:
         self.hnf = hnf
         self.f = int(f)
         self.e = int(e)
-        self.tau_matrix = tuple(tuple(int(x) for x in row)
-                                for row in hnf.field.mult_matrix(tau))
+        self.tau_matrix = tuple(
+            tuple(int(x) for x in row)
+            for row in zip(*hnf.field.mult_columns(tau.coords)))
         if all(int(c) % self.p == 0 for c in tau.coords):
             raise RuntimeError("anti-uniformizer lies in pO_K")
         if _tau_step(self.tau_matrix, hnf.hnf, self.p) is None:
@@ -193,39 +194,15 @@ class PrimeIdeal:
 # Arithmetic
 
 
-def _mult_columns(field: NumberField, x) -> list[list[int]]:
-    """Columns x b_1, ..., x b_n for integer coordinates x, through the
-    field's integer structure tensor."""
-    n = field.n
-    tensor = field.mul_tensor
-    cols = []
-    for j in range(n):
-        col = [0] * n
-        for i, xi in enumerate(x):
-            if xi:
-                row = tensor[i][j]
-                for t in range(n):
-                    col[t] += xi * row[t]
-        cols.append(col)
-    return cols
-
-
 def hnf_mul(a: HnfIdeal, b: HnfIdeal) -> HnfIdeal:
     """(1/(d_a d_b)) times the span of the products of the integer HNF
-    columns of a and b."""
+    columns of a and b: x y = sum_j y_j (x b_j)."""
     if a.field is not b.field:
         raise ValueError("ideals from different fields")
-    n = a.field.n
     cols = []
     for x in a.hnf:
-        mx = _mult_columns(a.field, x)
-        for y in b.hnf:
-            col = [0] * n
-            for j, yj in enumerate(y):
-                if yj:
-                    for t, m in enumerate(mx[j]):
-                        col[t] += yj * m
-            cols.append(col)
+        mx = a.field.mult_columns(x)
+        cols += [qlinalg.combine(y, mx) for y in b.hnf]
     return HnfIdeal._from_int_columns(a.field, a.denom * b.denom, cols)
 
 
@@ -239,7 +216,7 @@ def hnf_inv(a: HnfIdeal) -> HnfIdeal:
     # b^{-1} = (1/nrm) * {z in Z^n : z g / nrm integral for every HNF
     # column g of b}: the kernel of [M | nrm*I], with row j of M the
     # products g b_j for all g stacked
-    prods = [_mult_columns(field, g) for g in a.hnf]
+    prods = [field.mult_columns(g) for g in a.hnf]
     rows = [[x for cols in prods for x in cols[j]] for j in range(n)]
     rows += [[nrm * (i == k) for k in range(n * n)] for i in range(n * n)]
     zs = [z[:n] for z in qlinalg.int_kernel(rows)]

@@ -64,19 +64,6 @@ def int_gram(cols):
     return g
 
 
-def combine_cols(cols, u):
-    """Columns of cols * U: column j is sum_i U[i][j] cols[i]."""
-    out = []
-    for j in range(len(u[0])):
-        acc = [0] * len(cols[0])
-        for col, row in zip(cols, u):
-            q = row[j]
-            if q:
-                acc = [a + q * x for a, x in zip(acc, col)]
-        out.append(acc)
-    return out
-
-
 class IntegralGSO:
     """Fraction-free Gram-Schmidt state of vectors b_0..b_{n-1}, given by
     their integer Gram matrix:

@@ -377,21 +377,10 @@ class FieldElement:
         if isinstance(other, (int, Fraction)):
             return FieldElement(self.field, [a * other for a in self.coords])
         other = self.field.coerce(other)
-        tensor = self.field.mul_tensor
-        n = self.field.n
-        out = [Q(0)] * n
-        for i, xi in enumerate(self.coords):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(other.coords):
-                if yj == 0:
-                    continue
-                c = xi * yj
-                row = tensor[i][j]
-                for t in range(n):
-                    if row[t]:
-                        out[t] += c * row[t]
-        return FieldElement(self.field, out)
+        # sum_j y_j (x b_j), on the coordinates scaled to integers
+        (x, y), den = qlinalg.integral_cols([self.coords, other.coords])
+        xy = qlinalg.combine(y, self.field.mult_columns(x))
+        return FieldElement(self.field, [Q(c, den * den) for c in xy])
 
     __rmul__ = __mul__
 
@@ -410,7 +399,7 @@ class FieldElement:
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero element")
-        m = self.field.mult_matrix(self)
+        m = qlinalg.transpose(self.field.mult_columns(self.coords))
         x = qlinalg.solve(m, list(self.field.one().coords))
         return FieldElement(self.field, x)
 
@@ -428,15 +417,18 @@ class FieldElement:
     def __hash__(self):
         return hash((id(self.field), self.coords))
 
+    # the determinant, trace and characteristic polynomial of the
+    # multiplication matrix, read off its columns (each is invariant
+    # under transposition)
     def norm(self) -> Fraction:
-        return qlinalg.mat_det(self.field.mult_matrix(self))
+        return qlinalg.mat_det(self.field.mult_columns(self.coords))
 
     def trace(self) -> Fraction:
-        m = self.field.mult_matrix(self)
+        m = self.field.mult_columns(self.coords)
         return sum(m[i][i] for i in range(self.field.n))
 
     def charpoly(self):
-        return qlinalg.charpoly(self.field.mult_matrix(self))
+        return qlinalg.charpoly(self.field.mult_columns(self.coords))
 
 
     def __repr__(self):
@@ -561,9 +553,6 @@ class NumberField:
     def element(self, coords) -> FieldElement:
         return FieldElement(self, coords)
 
-    def zero(self) -> FieldElement:
-        return FieldElement(self, [Q(0)] * self.n)
-
     def one(self) -> FieldElement:
         return self.from_power([Q(1)])
 
@@ -592,23 +581,11 @@ class NumberField:
             poly = qlinalg.mat_vec(self._pb_inv, poly)
         return FieldElement(self, poly)
 
-    def mult_matrix(self, elt: FieldElement):
-        """Matrix of multiplication by elt on the integral basis (columns
-        are images of basis vectors)."""
-        tensor = self.mul_tensor
-        n = self.n
-        cols = []
-        for j in range(n):
-            col = [Q(0)] * n
-            for i, xi in enumerate(elt.coords):
-                if xi == 0:
-                    continue
-                row = tensor[i][j]
-                for t in range(n):
-                    if row[t]:
-                        col[t] += xi * row[t]
-            cols.append(col)
-        return qlinalg.transpose(cols)
+    def mult_columns(self, x):
+        """Columns x b_1, ..., x b_n of multiplication by the element with
+        coordinates x: column j is sum_i x_i (b_i b_j), read off row j of
+        the structure tensor, which is symmetric."""
+        return [qlinalg.combine(x, row) for row in self.mul_tensor]
 
     # -- embeddings ----------------------------------------------------------
     def _all_roots(self, prec: int):

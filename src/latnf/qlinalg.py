@@ -50,6 +50,30 @@ def mat_vec(a, v):
     return [dot(row, v) for row in a]
 
 
+def combine(coeffs, vectors):
+    """sum_i coeffs[i] vectors[i], exactly, skipping zero coefficients: the
+    one Z- or Q-linear combination of the library (ideal products and
+    element products through the structure tensor, lattice transforms,
+    lattice points of the samplers, S-unit rows)."""
+    out = None
+    for c, v in zip(coeffs, vectors):
+        if not c:
+            continue
+        if out is None:
+            out = [c * x for x in v]
+            continue
+        t = 0
+        for x in v:
+            out[t] += c * x
+            t += 1
+    return [0] * len(vectors[0]) if out is None else out
+
+
+def combine_cols(cols, u):
+    """Columns of cols * U: column j is sum_i U[i][j] cols[i]."""
+    return [combine(uj, cols) for uj in zip(*u)]
+
+
 def integral_cols(cols):
     """(integer columns, den): the columns times den, the lcm of the
     denominators of their entries."""
@@ -259,12 +283,7 @@ def express_int_combination(gen_rows: list[list[int]], target: list[int]):
         resid = [a - q * b for a, b in zip(resid, row)]
     if any(resid):
         return None
-    out = [0] * len(gen_rows)
-    for i, c in enumerate(coeffs_h):
-        if c:
-            for j in range(len(gen_rows)):
-                out[j] += c * u[i][j]
-    return out
+    return combine(coeffs_h, u)
 
 
 def smith_normal_form(mat: list[list[int]]) -> list[int]:

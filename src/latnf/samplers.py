@@ -11,6 +11,7 @@ Gaussian samplers carry a statistical-distance budget.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,7 +22,8 @@ from .dyadic import Q, round_half_up, round_ratio, sqrt_bracket
 from .ideal_arith import HnfIdeal, hnf_mul
 from .nf_core import (GT, CapExceeded, FieldElement, NumberField,
                       cmp_element, precision_ladder)
-from .qlinalg import dot, integral_cols, inverse_scaled, solve, transpose
+from .qlinalg import (combine, dot, integral_cols, inverse_scaled, solve,
+                      transpose)
 
 RETRY_CAP = math.ceil(math.e ** 3 * 40)   # draws per rejection loop, then error
 RADIUS_CONSTANT = 48
@@ -50,12 +52,16 @@ _WEIGHT_WINDOW_CAP = 4_000_000
 
 
 def _z_gaussian(s, c, t: float, delta: float, rng) -> int:
-    """Windowed integer Gaussian: |output - c| <= s*t always."""
-    sf = float(s)
-    cf = float(c)
+    """Windowed integer Gaussian: |output - c| <= s*t always.
+
+    The regime is chosen on the exact width: a width past the float range
+    (Klein's levels on a fine grid reach it) counts as infinite there, so
+    it takes the continuous branch, which runs on the exact s and c."""
+    sf = math.inf if s > sys.float_info.max else float(s)
     span = 2 * t * sf
     if span <= 4096 or (span <= _WEIGHT_WINDOW_CAP
                         and 2 * math.pi * t / sf > delta / 4):
+        cf = float(c)
         lo = math.ceil(cf - sf * t)
         hi = math.floor(cf + sf * t)
         if lo > hi:
@@ -75,7 +81,7 @@ def _z_gaussian(s, c, t: float, delta: float, rng) -> int:
                          f"(s={sf:.3g}, delta={delta:.3g})")
     # rounded continuous Gaussian, exact big-int arithmetic on the center
     s_q = Q(s) if not isinstance(s, float) else Q(sf).limit_denominator(1 << 40)
-    c_q = Q(c) if not isinstance(c, float) else Q(cf).limit_denominator(1 << 40)
+    c_q = Q(c) if not isinstance(c, float) else Q(c).limit_denominator(1 << 40)
     sigma_cont = s_q * Q(math.floor(2 ** 40 / math.sqrt(2 * math.pi)), 2 ** 40)
     bound = s_q * Q(math.ceil(t * 2 ** 20), 2 ** 20)
     for _ in range(RETRY_CAP):
@@ -127,11 +133,7 @@ def klein_sample(basis_cols, s, center, eps_g, rng):
         lo_s, hi_s = sqrt_bracket(Q(s_num * d[i], s_den * d[i + 1]), 64)
         coeffs[i] = _z_gaussian((lo_s + hi_s) / 2, Q(c_num, d[i + 1]), t,
                                 delta, rng)
-    vec = [0] * len(c_int)
-    for z, col in zip(coeffs, cols):
-        if z:
-            vec = [a + z * b for a, b in zip(vec, col)]
-    return coeffs, [Q(v, den) for v in vec]
+    return coeffs, [Q(v, den) for v in combine(coeffs, cols)]
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +167,6 @@ class RadiusExpr:
         self.k = int(k)
         if self.pow_value < 0:
             raise ValueError("negative radius power")
-
-    @staticmethod
-    def exact(x) -> "RadiusExpr":
-        return RadiusExpr(Q(x), 1)
 
     def scale(self, c) -> "RadiusExpr":
         c = Q(c)
@@ -294,11 +292,7 @@ def perfect_box_lattice(c_cols, c_inv, grid_n: int, w0, boxes,
     for _ in range(200):
         u = _uniform_grid_point(draw, kmax, grid_n, rng)
         v = [round_ratio(dot(row, u), det) for row in y]
-        cv = [0] * len(c_cols[0])
-        for vi, col in zip(v, c_cols):
-            if vi:
-                cv = [a + vi * b for a, b in zip(cv, col)]
-        if _box_member(member, cv, grid_n):
+        if _box_member(member, combine(v, c_cols), grid_n):
             cand = [vi + wi for vi, wi in zip(v, w0)]
             return membership_oracle(cand)
     return None
@@ -407,11 +401,11 @@ def sample_in_box(field: NumberField, m0: HnfIdeal | None, m_inf: list[int],
         grid_n <<= max(0, shift)
     boxes = prefilter_boxes(box, Q(1, 6 * n), grid_n)
 
+    # the shift, if any, then the reduced basis
+    points = [e.coords for e in shifts + red.elements]
+
     def oracle(coeff_vec):
-        beta0 = shifts[0] if shifts else field.zero()
-        for cf, el in zip(coeff_vec, red.elements):
-            if cf:
-                beta0 = beta0 + el * cf
+        beta0 = field.element(combine([1] * len(shifts) + coeff_vec, points))
         if _in_tau_box(field, beta0, x, radius, m_inf, tau_signs):
             return beta0
         return None
@@ -511,27 +505,16 @@ def _crt_shift(field: NumberField, b_ideal: HnfIdeal, m0: HnfIdeal,
     coeffs = qlinalg.express_int_combination(rows, one)
     if coeffs is None:
         raise ValueError("b and m0 are not coprime")
-    n = field.n
-    b_elts = b_ideal.basis_elements()
-    beta = field.zero()
-    for i in range(n):
-        if coeffs[i]:
-            beta = beta + b_elts[i] * coeffs[i]
-    return tau * beta
+    return tau * field.element(combine(coeffs, b_ideal.hnf))
 
 
 def _babai_reduce(field: NumberField, shift: FieldElement,
                   basis_elements) -> FieldElement:
     """shift minus its round-off in the given algebraic basis."""
-    n = field.n
-    cols = [list(e.coords) for e in basis_elements]
+    cols = [e.coords for e in basis_elements]
     t = solve(transpose(cols), list(shift.coords))
-    out = shift
-    for i in range(n):
-        q = round_half_up(Q(t[i]))
-        if q:
-            out = out - basis_elements[i] * q
-    return out
+    return field.element(combine([1] + [-round_half_up(Q(ti)) for ti in t],
+                                 [shift.coords] + cols))
 
 
 def _radius_times_sqrt2(r: RadiusExpr) -> RadiusExpr:

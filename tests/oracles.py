@@ -1011,7 +1011,7 @@ def minkowski_gram(field, elements):
     cands.append(theta.inverse())
     roots = np.roots(field.poly[::-1])
     for psi in cands:
-        value = field.zero()
+        value = field.element([0] * field.n)
         for c in reversed(field.poly):
             value = value * psi + c
         image = [float(c) for c in reversed(field.to_power(psi))]
@@ -1022,7 +1022,7 @@ def minkowski_gram(field, elements):
         raise ValueError("no conjugation automorphism among the candidates")
     conj = []
     for y in elements:
-        acc, power = field.zero(), field.one()
+        acc, power = field.element([0] * field.n), field.one()
         for c in field.to_power(y):
             acc, power = acc + power * c, power * psi
         conj.append(acc)
@@ -1190,8 +1190,7 @@ def bkz_prime_reference(cols, cfg, blocks=None):
     its projected vectors.  Each block goes into `blocks`, when given, as
     (basis columns scaled to integers, j, projected vectors)."""
     from latnf import bkz
-    from latnf.lattice_core import combine_cols
-    from latnf.qlinalg import integral_cols
+    from latnf.qlinalg import combine_cols, integral_cols
     n, b = len(cols), cfg.blocksize
     ints, den = integral_cols(cols)
     m = len(ints[0])
@@ -1240,8 +1239,7 @@ def bkz_full_reference(cols, cfg, blocks=None):
     the basis, then on each projected tail, the GSO rebuilt after each).
     `tours` counts the first BKZ' alone, as the library's trace does."""
     from latnf import bkz
-    from latnf.lattice_core import combine_cols
-    from latnf.qlinalg import integral_cols
+    from latnf.qlinalg import combine_cols, integral_cols
     n, b = len(cols), cfg.blocksize
     out, u, tours, calls = bkz_prime_reference(cols, cfg, blocks)
     ints, den = integral_cols(out)

@@ -257,6 +257,21 @@ class TestRelationCommand:
         assert code == 2
         assert "factor base lacks" in json.loads(err)["error"]
 
+    def test_grid_past_the_float_range(self, tmp_path, capsys):
+        """On Q(sqrt-619) the grid denominator N of `random_relation`
+        passes 2^1024, and Klein's level widths (about sigma N) with it:
+        the integer Gaussian picks its branch on the exact width instead
+        of overflowing in a float conversion."""
+        p = tmp_path / "f.json"
+        p.write_text(json.dumps({"poly": [155, -1, 1]}))
+        code, out, _ = run_cli(["relation", str(p), "--primes-bound", "40",
+                                "--walk-b", "40", "--radius-constant", "2",
+                                "--seed", "0"], capsys)
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["vector"] == [-v for v in
+                                 rep["relation"]["total_valuations"]]
+
 
 class TestConfigEcho:
     def test_paper_gap_constants_echoed(self, qi_file, tmp_path, capsys):

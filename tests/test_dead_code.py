@@ -8,8 +8,10 @@ only (`REACHING`), and attribute each use to a module:
 - a bare name resolves through the imports of its own file, or to its
   defining module when used in that module; any other bare name (a
   local variable) uses nothing;
-- `m.f` on an imported library module `m` uses `m.f` only; an attribute
-  on anything else uses only methods of that name;
+- `m.f` on an imported library module `m` uses `m.f` only; `C.f` on a
+  library class `C` (named bare or as `m.C`) uses that class's method
+  `f` only; an attribute on anything else uses only methods of that
+  name;
 - a string (not a docstring) uses a definition only when it names it
   together with its module or class: `"ideal_walk.check_membership"`,
   `"NumberField.embed"`, or the tracer's pair
@@ -108,8 +110,9 @@ ENTRY_POINTS = {
 
 
 class _Library:
-    """The library's modules: the names each defines at module level, and
-    the modules defining each class name."""
+    """The library's modules: the names each defines at module level, the
+    modules defining each class name, and the keys "<module>.<class>" of
+    the classes."""
 
     def __init__(self, library):
         self.root = library
@@ -125,6 +128,9 @@ class _Library:
             for node in body:
                 if isinstance(node, ast.ClassDef):
                     self.classes.setdefault(node.name, []).append(path.stem)
+        self.class_keys = {f"{stem}.{name}"
+                           for name, stems in self.classes.items()
+                           for stem in stems}
 
     def bindings(self, path, tree):
         """(modules, names) of one file: the local names bound to a library
@@ -183,15 +189,19 @@ class _Library:
                     yield f"{stem}.{node.value}", node.lineno
 
 
-def _target(node, modules, names):
+def _target(node, modules, names, classes):
     """What a name or attribute node uses: a definition key, ".<attr>" for
-    an attribute on anything but a module (only a method can be that), or
-    None."""
+    an attribute on anything but a module or a library class (only a
+    method can be that), or None.  `classes` holds the keys of the
+    library's classes."""
     if isinstance(node, ast.Name):
         return names.get(node.id)
     if isinstance(node, ast.Attribute):
         if isinstance(node.value, ast.Name) and node.value.id in modules:
             return f"{modules[node.value.id]}.{node.attr}"
+        owner = _target(node.value, modules, names, classes)
+        if owner in classes:
+            return f"{owner}.{node.attr}"
         return "." + node.attr
     return None
 
@@ -221,7 +231,7 @@ def unreached_definitions(library=LIBRARY, reaching=REACHING,
         tree = _parse(path)
         modules, names = lib.bindings(path, tree)
         for node in ast.walk(tree):
-            target = _target(node, modules, names)
+            target = _target(node, modules, names, lib.class_keys)
             if target is not None:
                 uses.setdefault(target, []).append((path, node.lineno))
         for key, line in lib.strings(tree):
@@ -271,7 +281,9 @@ def _callables(path, tree):
                 static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
                              for d in item.decorator_list)
                 targets = ([f"{path.stem}.{node.name}"]
-                           if item.name == "__init__" else ["." + item.name])
+                           if item.name == "__init__"
+                           else ["." + item.name,
+                                 f"{path.stem}.{node.name}.{item.name}"])
                 yield (f"{node.name}.{item.name}", targets, item,
                        0 if static else 1)
 
@@ -296,7 +308,7 @@ def _calls(lib, reaching):
         modules, names = lib.bindings(path, tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
-                target = _target(node.func, modules, names)
+                target = _target(node.func, modules, names, lib.class_keys)
                 if target is not None:
                     calls.setdefault(target, []).append((path, node))
     return calls
@@ -536,7 +548,8 @@ def test_every_import_is_used():
 
 def test_the_rules_on_a_small_tree(tmp_path):
     """The reach, parameter and field rules flag a name defined in two
-    modules and reached through one of them only, a defaulted parameter
+    modules and reached through one of them only, a method named on
+    another class only (through its module or bare), a defaulted parameter
     that only a test sets, one that the tree passes only as its default's
     literal, a field read only as the callee of a same-named method call,
     a defaulted field that the tree passes only as its default's literal,
@@ -552,10 +565,16 @@ def test_the_rules_on_a_small_tree(tmp_path):
             "    depth: int = 1\n    gap: int = 1\n\n\n"
             "def grow(box):\n"
             "    return Box(0, pad=box.pad, depth=box.depth)\n\n\n"
-            "class Grid:\n    def dim(self):\n        return 2\n"),
-        "src/pkg/b.py": "def helper(x):\n    return x\n",
+            "class Grid:\n    def dim(self):\n        return 2\n\n\n"
+            "class Cell:\n    @staticmethod\n    def make():\n"
+            "        return Cell()\n\n    def size(self):\n        return 1\n"),
+        "src/pkg/b.py": (
+            "def helper(x):\n    return x\n\n\n"
+            "class Wall:\n    def make(self):\n        return 1\n\n"
+            "    def size(self):\n        return 2\n"),
         "perfbench/run.py": (
-            "from pkg import a\n\n"
+            "from pkg import a\nfrom pkg.b import Wall\n\n"
+            "a.Cell.make()\nWall.size(Wall())\n"
             "a.helper(1)\na.pad(1, fill=None)\na.Box(3, pad=0).pad\n"
             "a.Grid().dim()\nold = a.Box(1)\na.grow(a.Box(3, gap=old.gap))\n"),
         "tests/test_a.py": (
@@ -569,7 +588,8 @@ def test_the_rules_on_a_small_tree(tmp_path):
         path.write_text(text)
     library = tmp_path / "src" / "pkg"
     reaching = [tmp_path / "src", tmp_path / "perfbench"]
-    assert unreached_definitions(library, reaching, {}) == ["b.helper"]
+    assert unreached_definitions(library, reaching, {}) == [
+        "a.Cell.size", "b.Wall.make", "b.helper"]
     assert unset_defaults(library, reaching) == ["a.helper(scale)",
                                                  "a.pad(fill)"]
     assert unread_fields(library, reaching) == ["a.Box.dim"]

@@ -143,7 +143,7 @@ class TestPrincipalDivisor:
 
     def test_zero_rejected(self, qi):
         with pytest.raises(ValueError):
-            principal_divisor(qi.zero())
+            principal_divisor(qi.element([0, 0]))
 
     def test_random_product_formula(self, qi, qr2, qs5):
         rng = random.Random(7)
@@ -297,7 +297,7 @@ def _lambda_n_inf_sq(field):
     vecs = enumerate_short_gram(gram, radius_sq)
     best = []
     for coeffs, _n2 in vecs:
-        elt = field.zero()
+        elt = field.element([0] * field.n)
         for c, b in zip(coeffs, basis):
             if c:
                 elt = elt + b * c

@@ -30,9 +30,8 @@ from test_enum_pinned import captured_reduction
 from test_lattice_pinned import _dyadic
 
 from latnf import bkz
-from latnf.lattice_core import (IntegralGSO, _hkz_int, combine_cols, int_gram,
-                                shortest_gram)
-from latnf.qlinalg import mat_det, transpose
+from latnf.lattice_core import IntegralGSO, _hkz_int, int_gram, shortest_gram
+from latnf.qlinalg import combine_cols, mat_det, transpose
 
 CAPTURED = ("zeta5", "sqrt163")
 

@@ -22,7 +22,9 @@ balls move.
 
 The property tests compare the kernel's entries with the `Fraction`
 references in `oracles.py` on random rational matrices, singular ones
-included, with denominators up to 2^64.
+included, with denominators up to 2^64, and the combination kernel
+`combine` (with its matrix form `combine_cols`) with `mat_vec` and
+`mat_mul`.
 """
 
 import functools
@@ -341,3 +343,25 @@ def test_integral_cols_scales_integer_entries():
     assert (lattice_core.lll(mixed)
             == lattice_core.lll([[Q(x) for x in c] for c in mixed]))
     assert qlinalg.mat_det([[1, Q(1, 2)], [Q(1, 3), 1]]) == Q(5, 6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_combine_matches_mat_vec_and_mat_mul(data):
+    """The combination kernel against the matrix products, on integer or
+    rational entries, with about half of the coefficients zero (all of
+    them, now and then)."""
+    if data.draw(st.booleans()):
+        entry = st.integers(-_DEN, _DEN)
+    else:
+        entry = st.builds(Q, st.integers(-_DEN, _DEN), st.integers(1, _DEN))
+    coeff = st.one_of(st.just(0), entry)
+    k, n, m = (data.draw(st.integers(1, 6)) for _ in range(3))
+    vectors = [[data.draw(entry) for _ in range(n)] for _ in range(k)]
+    coeffs = [data.draw(coeff) for _ in range(k)]
+    assert (qlinalg.combine(coeffs, vectors)
+            == qlinalg.mat_vec(qlinalg.transpose(vectors), coeffs))
+    u = [[data.draw(coeff) for _ in range(m)] for _ in range(k)]
+    assert (qlinalg.combine_cols(vectors, u)
+            == qlinalg.transpose(qlinalg.mat_mul(qlinalg.transpose(vectors),
+                                                 u)))

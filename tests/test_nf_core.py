@@ -6,7 +6,8 @@ import pytest
 
 from latnf.nf_core import (GT, LE, NumberField, cmp_element,
                            liouville_separation, new_field)
-from oracles import abs_root_gt, embedding_values, minkowski_gram
+from oracles import (abs_root_gt, embedding_values, field_product,
+                     mat_det_reference, minkowski_gram)
 
 
 @pytest.fixture(scope="module")
@@ -22,6 +23,28 @@ def qr2():
 @pytest.fixture(scope="module")
 def qs5():
     return new_field([5, 0, 1])
+
+
+@pytest.fixture(scope="module")
+def own_bases():
+    """Fields given with their own integral basis: Q(sqrt-23) on
+    (1, (1 + theta)/2), and Dedekind's cubic x^3 - x^2 - 2x - 8 (index 2)
+    on (1, theta, (theta + theta^2)/2)."""
+    return [NumberField([23, 0, 1], [[1, 0], [Q(1, 2), Q(1, 2)]]),
+            NumberField([-8, -2, -1, 1],
+                        [[1, 0, 0], [0, 1, 0], [0, Q(1, 2), Q(1, 2)]])]
+
+
+def _random_element(field, rng):
+    return field.element([Q(rng.randrange(-9, 10), rng.randrange(1, 4))
+                          for _ in range(field.n)])
+
+
+def _norm_reference(field, x):
+    """det of the columns x b_j, each multiplied in the power basis."""
+    unit = [[int(i == j) for j in range(field.n)] for i in range(field.n)]
+    return mat_det_reference([field_product(field, x.coords, e)
+                              for e in unit])
 
 
 class TestNewField:
@@ -149,7 +172,7 @@ class TestCmpElement:
         assert cmp_element(alpha, 1, 1, 2, 1) == GT
 
     def test_zero_le_positive(self, qr2):
-        assert cmp_element(qr2.zero(), 0, 1, 5, 1) == LE
+        assert cmp_element(qr2.element([0, 0]), 0, 1, 5, 1) == LE
 
     def test_equality_resolves_le(self, qi):
         # |1+i| = sqrt(2) exactly equals 2^(1/2)
@@ -181,18 +204,31 @@ class TestNorm:
         assert qi.one().norm() == 1
         assert qs5.element([1, 1]).norm() == 6
 
-    def test_multiplicative(self, qi):
+    def test_multiplicative(self, qi, own_bases):
+        """Products and norms match the power-basis oracle, on the power
+        basis and on fields given with their own integral basis."""
         rng = random.Random(1)
-        for _ in range(40):
-            x = qi.element([rng.randrange(-9, 10) for _ in range(2)])
-            y = qi.element([rng.randrange(-9, 10) for _ in range(2)])
-            assert (x * y).norm() == x.norm() * y.norm()
+        for field in [qi] + own_bases:
+            for _ in range(40):
+                x, y = _random_element(field, rng), _random_element(field, rng)
+                assert list((x * y).coords) == field_product(field, x.coords,
+                                                             y.coords)
+                assert x.norm() == _norm_reference(field, x)
+                assert (x * y).norm() == x.norm() * y.norm()
 
 
 class TestArithmetic:
-    def test_inverse(self, qr2):
+    def test_inverse(self, qr2, own_bases):
         alpha = qr2.element([3, 2])
         assert (alpha * alpha.inverse()).coords == qr2.one().coords
+        rng = random.Random(2)
+        for field in own_bases:
+            for _ in range(10):
+                x = _random_element(field, rng)
+                if x.is_zero():
+                    continue
+                assert field_product(field, x.coords, x.inverse().coords) \
+                    == list(field.one().coords)
 
     def test_pow(self, qi):
         a = qi.element([1, 1])
@@ -203,7 +239,7 @@ class TestArithmetic:
         from latnf import polyq
         a = qs5.element([2, 3])
         cp = a.charpoly()
-        acc = qs5.zero()
+        acc = qs5.element([0, 0])
         for i, c in enumerate(cp):
             acc = acc + (a ** i) * c
         assert acc.is_zero()

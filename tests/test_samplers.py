@@ -122,7 +122,7 @@ class TestRejectionCaps:
     def test_disc_draw_stops_at_the_cap(self):
         # the corner (5, 5) lies outside the disc of radius 5
         rng = _NeverAccepts()
-        box = GridBox([], [((0, 1), RadiusExpr.exact(5))])
+        box = GridBox([], [((0, 1), RadiusExpr(5, 1))])
         with pytest.raises(CapExceeded, match="disc draw"):
             _uniform_grid_point(box, [5], 1, rng)
         assert rng.draws == 2 * RETRY_CAP
@@ -151,6 +151,19 @@ class TestKlein:
         rng = random.Random(5)
         with pytest.raises(ValueError):
             klein_sample([[10, 0], [0, 10]], Q(1), [0, 0], 0.01, rng)
+
+    def test_width_past_the_float_range(self):
+        """A level of width 2^1100 around the centre 2^1100/3, both past
+        the float range, as `random_relation`'s fine grid makes them for
+        |D| >~ 600: each draw is an integer inside its window."""
+        big = 2 ** 1100
+        eps_g = 0.01
+        t = math.sqrt(math.log(2 / eps_g))          # n = 1, delta = eps_g/2
+        rng = random.Random(8)
+        for _ in range(20):
+            (z,), (v,) = klein_sample([[Q(1, big)]], 1, [Q(1, 3)], eps_g, rng)
+            assert type(z) is int and v == Q(z, big)
+            assert abs(z - Q(big, 3)) <= big * (Q(t) + Q(1, 2 ** 19))
 
     def test_chi2_against_exact_pmf(self):
         rng = random.Random(6)
@@ -358,7 +371,7 @@ class TestPerfectBoxGrid:
 
     def test_exact_uniform_z2(self):
         rng = random.Random(9)
-        box = GridBox([(0, RadiusExpr.exact(5)), (1, RadiusExpr.exact(5))], [])
+        box = GridBox([(0, RadiusExpr(5, 1)), (1, RadiusExpr(5, 1))], [])
         counts = {}
         n = 24000
         for _ in range(n):
@@ -374,8 +387,8 @@ class TestPerfectBoxGrid:
     def test_precondition_rejection(self):
         rng = random.Random(10)
         # degenerate: box smaller than D/eps
-        box = GridBox([(0, RadiusExpr.exact(Q(1, 100))),
-                       (1, RadiusExpr.exact(Q(1, 100)))], [])
+        box = GridBox([(0, RadiusExpr(Q(1, 100), 1)),
+                       (1, RadiusExpr(Q(1, 100), 1))], [])
         w = _attempt(_EYE, [0, 0], 1, box, Q(1, 10), lambda cand: cand, rng)
         assert w is None or w == [0, 0]
 
@@ -395,7 +408,7 @@ class TestPerfectBoxGrid:
 class TestPerfectBoxLattice:
     def test_shifted_grid_uniform(self):
         rng = random.Random(11)
-        box = GridBox([(0, RadiusExpr.exact(5)), (1, RadiusExpr.exact(5))], [])
+        box = GridBox([(0, RadiusExpr(5, 1)), (1, RadiusExpr(5, 1))], [])
         t = [Q(1, 2), Q(1, 2)]
 
         def oracle(v):
@@ -418,7 +431,7 @@ class TestPerfectBoxLattice:
 
     def test_reduces_to_grid_when_trivial(self):
         rng = random.Random(12)
-        box = GridBox([(0, RadiusExpr.exact(4)), (1, RadiusExpr.exact(4))], [])
+        box = GridBox([(0, RadiusExpr(4, 1)), (1, RadiusExpr(4, 1))], [])
 
         def oracle(v):
             return tuple(v) if all(abs(x) <= 4 for x in v) else None
